@@ -16,10 +16,10 @@ test:
 # Race-check the concurrency-heavy packages (group commit, GC, version
 # space, the snapshot announcement array, pressure controller, the network
 # service layer, replication, the sharded engine and its 2PC path, the
-# lock-free hash table, and the WAL/wire hot paths) with -short to keep CI
-# latency sane.
+# lock-free hash table and table space, and the WAL/wire hot paths) with
+# -short to keep CI latency sane.
 race:
-	$(GO) test -race -short ./internal/core/... ./internal/txn/... ./internal/gc/... ./internal/mvcc/... ./internal/sts/... ./internal/sql/... ./internal/server/... ./internal/client/... ./internal/repl/... ./internal/wal/... ./internal/wire/... ./internal/netfault/... ./internal/chaos/... ./internal/shard/... ./internal/htap/...
+	$(GO) test -race -short ./internal/table/... ./internal/core/... ./internal/txn/... ./internal/gc/... ./internal/mvcc/... ./internal/sts/... ./internal/sql/... ./internal/server/... ./internal/client/... ./internal/repl/... ./internal/wal/... ./internal/wire/... ./internal/netfault/... ./internal/chaos/... ./internal/shard/... ./internal/htap/...
 
 check: vet build test race
 
@@ -34,7 +34,7 @@ bench-json:
 # CI smoke: one iteration of every hot-path micro-benchmark, so bench code
 # cannot rot without failing the build.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkOLAPScan|BenchmarkHashGet|BenchmarkWireFrame|BenchmarkWALAppend|BenchmarkGroupCommit|BenchmarkShardedCommit|BenchmarkSnapshotAcquire|BenchmarkCommitParallel' -benchtime=1x . ./internal/mvcc ./internal/wire ./internal/wal ./internal/shard ./internal/htap ./internal/sts ./internal/txn
+	$(GO) test -run '^$$' -bench 'BenchmarkOLAPScan|BenchmarkHashGet|BenchmarkTableGet|BenchmarkCatalogByID|BenchmarkWireFrame|BenchmarkWALAppend|BenchmarkGroupCommit|BenchmarkShardedCommit|BenchmarkSnapshotAcquire|BenchmarkCommitParallel' -benchtime=1x . ./internal/mvcc ./internal/table ./internal/wire ./internal/wal ./internal/shard ./internal/htap ./internal/sts ./internal/txn
 
 # CI smoke: the multi-core hot-path benchmarks (one iteration, pinned to
 # GOMAXPROCS=4 so the parallel paths actually interleave) plus the seqlock

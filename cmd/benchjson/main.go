@@ -1,9 +1,9 @@
 // Command benchjson writes the repo's benchmark baseline: one JSON document
 // combining (1) the paper-figure suite (internal/bench, run in-process so the
 // structured reports are captured, not scraped) and (2) the hot-path
-// micro-benchmarks (hash-table Get, wire framing, WAL batch append, group
-// commit), run through `go test -bench` and parsed from the standard
-// benchmark output format.
+// micro-benchmarks (hash-table Get, table-space Get, wire framing, WAL batch
+// append, group commit), run through `go test -bench` and parsed from the
+// standard benchmark output format.
 //
 // `make bench-json` runs it and commits the result as BENCH_<date>.json, so
 // every perf PR can diff its numbers against the previous baseline on the
@@ -32,9 +32,9 @@ import (
 
 // microPattern selects the hot-path micro-benchmarks named in the baseline
 // contract; microPackages is where they live.
-const microPattern = "BenchmarkOLAPScan|BenchmarkHashGet|BenchmarkWireFrame|BenchmarkWALAppend|BenchmarkGroupCommit|BenchmarkShardedCommit|BenchmarkSnapshotAcquire|BenchmarkCommitParallel"
+const microPattern = "BenchmarkOLAPScan|BenchmarkHashGet|BenchmarkTableGet|BenchmarkCatalogByID|BenchmarkWireFrame|BenchmarkWALAppend|BenchmarkGroupCommit|BenchmarkShardedCommit|BenchmarkSnapshotAcquire|BenchmarkCommitParallel"
 
-var microPackages = []string{".", "./internal/mvcc", "./internal/wire", "./internal/wal", "./internal/shard", "./internal/htap", "./internal/sts", "./internal/txn"}
+var microPackages = []string{".", "./internal/mvcc", "./internal/table", "./internal/wire", "./internal/wal", "./internal/shard", "./internal/htap", "./internal/sts", "./internal/txn"}
 
 // benchShards is the shard count BenchmarkShardedCommit scales to (its
 // shards=N sub-benchmark); recorded in the baseline metadata.

@@ -599,6 +599,11 @@ type Stats struct {
 
 // Stats gathers current engine statistics.
 func (db *DB) Stats() Stats {
+	// The oldest snapshot timestamp is read before the commit timestamp:
+	// timestamps only grow, so CurrentCID below can only be at or above it.
+	// Read the other way round, a snapshot acquired in between made the
+	// unsigned difference wrap.
+	oldest, pinned := db.m.Monitor().OldestTS()
 	st := Stats{
 		Statements:        db.statements.Load(),
 		VersionsLive:      db.space.Live(),
@@ -614,7 +619,7 @@ func (db *DB) Stats() Stats {
 		Txn:               db.m.Stats(),
 		GroupListLen:      db.space.Groups.Len(),
 	}
-	if oldest, ok := db.m.Monitor().OldestTS(); ok {
+	if pinned {
 		st.ActiveCIDRange = st.CurrentCID - oldest
 	}
 	st.FailStop = db.fail.failed.Load()
@@ -649,7 +654,7 @@ func (db *DB) ScanCountAt(tid ts.TableID, at ts.CID) int {
 	}
 	n := 0
 	tbl.ForEach(func(rec *table.Record) bool {
-		if _, ok := db.readRecord(tbl, rec.Key().RID, at, nil, nil); ok {
+		if _, ok := db.readRec(rec, at, nil, nil); ok {
 			n++
 		}
 		return true
@@ -657,25 +662,33 @@ func (db *DB) ScanCountAt(tid ts.TableID, at ts.CID) int {
 	return n
 }
 
-// readRecord resolves the image of one record at snapshot timestamp at,
-// following §2.2's read path: consult the is_versioned flag, traverse the
-// version chain latest-first (uncommitted versions owned by own are visible
-// — a transaction sees its own writes), fall back to the table-space image.
-// It accounts chain traversal steps (Figure 15's metric) into the engine
-// counter and the optional per-operation counter.
+// readRecord looks rid up in the table space and resolves its image at
+// snapshot timestamp at (see readRec).
 func (db *DB) readRecord(tbl *table.Table, rid ts.RID, at ts.CID, own *mvcc.TransContext, traversed *int64) ([]byte, bool) {
 	rec := tbl.Get(rid)
 	if rec == nil {
 		return nil, false
 	}
+	return db.readRec(rec, at, own, traversed)
+}
+
+// readRec resolves the image of one record at snapshot timestamp at,
+// following §2.2's read path: consult the is_versioned flag, traverse the
+// version chain latest-first (uncommitted versions owned by own are visible
+// — a transaction sees its own writes), fall back to the table-space image.
+// It accounts chain traversal steps (Figure 15's metric) into the engine
+// counter and the optional per-operation counter. Scans hand it the records
+// their page walk finds, so no RID is looked up twice.
+func (db *DB) readRec(rec *table.Record, at ts.CID, own *mvcc.TransContext, traversed *int64) ([]byte, bool) {
 	if rec.Versioned() {
-		if ch := db.space.HT.Get(ts.RecordKey{Table: tbl.ID, RID: rid}); ch != nil {
+		key := rec.Key()
+		if ch := db.space.HT.Get(key); ch != nil {
 			v, steps := ch.VisibleAs(at, own)
 			db.traversed.Add(int64(steps))
 			if traversed != nil {
 				*traversed += int64(steps)
 			}
-			db.maybeCooperate(ts.RecordKey{Table: tbl.ID, RID: rid}, steps)
+			db.maybeCooperate(key, steps)
 			if v != nil {
 				if v.Op == mvcc.OpDelete {
 					return nil, false

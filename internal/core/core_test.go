@@ -352,6 +352,55 @@ func TestStatsIndicators(t *testing.T) {
 	}
 }
 
+// TestStatsRangeNeverWraps races Stats() against commits and short-lived
+// snapshots. ActiveCIDRange is CurrentCID minus the oldest snapshot
+// timestamp; read in the wrong order, a snapshot acquired between the two
+// reads is newer than CurrentCID and the unsigned difference wraps.
+func TestStatsRangeNeverWraps(t *testing.T) {
+	db := openTest(t, Config{})
+	tid := mustCreate(t, db, "T")
+	rid := insert1(t, db, tid, "a")
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { // advances the commit timestamp
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := db.Exec(txn.StmtSI, nil, func(tx *Tx) error {
+				return tx.Update(tid, rid, []byte("b"))
+			}); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	go func() { // the only snapshots alive are fresh ones
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			db.Manager().AcquireSnapshot(txn.KindStatement, nil).Release()
+		}
+	}()
+	deadline := time.Now().Add(300 * time.Millisecond)
+	for time.Now().Before(deadline) {
+		if st := db.Stats(); st.ActiveCIDRange > st.CurrentCID {
+			t.Errorf("ActiveCIDRange = %d with CurrentCID = %d: wrapped", st.ActiveCIDRange, st.CurrentCID)
+			break
+		}
+	}
+	close(stop)
+	wg.Wait()
+}
+
 func TestAutoGCEndToEnd(t *testing.T) {
 	db := openTest(t, Config{
 		GC:                 gc.Periods{GT: 2 * time.Millisecond, TG: 4 * time.Millisecond, SI: 6 * time.Millisecond},

@@ -99,17 +99,20 @@ func (c *Cursor) Fetch(n int) ([][]byte, FetchStats, error) {
 	var stats FetchStats
 	rows := make([][]byte, 0, n)
 	max := c.tbl.MaxRID()
-	for c.nextRID <= max && len(rows) < n {
-		rid := c.nextRID
-		c.nextRID++
-		if c.parts != nil && !c.parts[c.tbl.PartitionOf(rid)] {
-			continue // pruned partition
+	if n > 0 {
+		exhausted := c.tbl.Range(c.nextRID, max, func(rec *table.Record) bool {
+			c.nextRID = rec.RID() + 1
+			if c.parts != nil && !c.parts[c.tbl.PartitionOf(rec.RID())] {
+				return true // pruned partition
+			}
+			if img, ok := c.db.readRec(rec, at, nil, &stats.Traversed); ok {
+				rows = append(rows, img)
+			}
+			return len(rows) < n
+		})
+		if exhausted {
+			c.nextRID = max + 1
 		}
-		img, ok := c.db.readRecord(c.tbl, rid, at, nil, &stats.Traversed)
-		if !ok {
-			continue
-		}
-		rows = append(rows, img)
 	}
 	stats.Rows = len(rows)
 	stats.Duration = time.Since(start)

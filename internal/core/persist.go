@@ -304,15 +304,13 @@ func (db *DB) Checkpoint() error {
 	ck := &wal.Checkpoint{CID: at}
 	for _, tbl := range db.cat.Tables() {
 		ct := wal.CheckpointTable{ID: tbl.ID, Name: tbl.Name, NextRID: tbl.MaxRID()}
-		max := tbl.MaxRID()
-		for rid := ts.RID(1); rid <= max; rid++ {
-			img, ok := db.readRecord(tbl, rid, at, nil, nil)
-			if !ok {
-				continue
+		tbl.Range(1, ct.NextRID, func(rec *table.Record) bool {
+			if img, ok := db.readRec(rec, at, nil, nil); ok {
+				ct.Records = append(ct.Records, wal.CheckpointRecord{
+					RID: rec.RID(), Image: append([]byte(nil), img...)})
 			}
-			ct.Records = append(ct.Records, wal.CheckpointRecord{
-				RID: rid, Image: append([]byte(nil), img...)})
-		}
+			return true
+		})
 		ck.Tables = append(ck.Tables, ct)
 	}
 	if err := wal.WriteCheckpoint(db.persistDir, ck); err != nil {

@@ -55,21 +55,28 @@ func (tx *Tx) Commit() error {
 // Abort rolls the transaction back.
 func (tx *Tx) Abort() { tx.inner.Abort() }
 
-// beginStatement returns the snapshot an operation on tid reads at and a
-// release function. Under Trans-SI it validates the declared scope and
-// reuses the transaction snapshot.
-func (tx *Tx) beginStatement(tid ts.TableID) (*txn.Snapshot, func(), error) {
+// beginStatement returns the snapshot an operation on tid reads at; the
+// caller hands it back to endStatement. Under Trans-SI it validates the
+// declared scope and reuses the transaction snapshot.
+func (tx *Tx) beginStatement(tid ts.TableID) (*txn.Snapshot, error) {
 	if s := tx.inner.Snapshot(); s != nil {
 		if s.Killed() {
-			return nil, nil, ErrSnapshotKilled
+			return nil, ErrSnapshotKilled
 		}
 		if !s.InScope(tid) {
-			return nil, nil, fmt.Errorf("%w: table %d", ErrOutOfScope, tid)
+			return nil, fmt.Errorf("%w: table %d", ErrOutOfScope, tid)
 		}
-		return s, func() {}, nil
+		return s, nil
 	}
-	s := tx.db.m.AcquireSnapshot(txn.KindStatement, []ts.TableID{tid})
-	return s, s.Release, nil
+	return tx.db.m.AcquireSnapshot(txn.KindStatement, []ts.TableID{tid}), nil
+}
+
+// endStatement releases a statement snapshot; the transaction snapshot of a
+// Trans-SI transaction lives until commit or abort.
+func (tx *Tx) endStatement(s *txn.Snapshot) {
+	if s != tx.inner.Snapshot() {
+		s.Release()
+	}
 }
 
 // Get returns the record image visible to the transaction.
@@ -78,11 +85,11 @@ func (tx *Tx) Get(tid ts.TableID, rid ts.RID) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	snap, release, err := tx.beginStatement(tid)
+	snap, err := tx.beginStatement(tid)
 	if err != nil {
 		return nil, err
 	}
-	defer release()
+	defer tx.endStatement(snap)
 	img, ok := tx.db.readRecord(tbl, rid, snap.TS(), tx.inner.MaybeContext(), nil)
 	if !ok {
 		return nil, ErrRecordNotFound
@@ -98,18 +105,18 @@ func (tx *Tx) Scan(tid ts.TableID, fn func(rid ts.RID, img []byte) bool) error {
 	if err != nil {
 		return err
 	}
-	snap, release, err := tx.beginStatement(tid)
+	snap, err := tx.beginStatement(tid)
 	if err != nil {
 		return err
 	}
-	defer release()
+	defer tx.endStatement(snap)
 	at := snap.TS()
 	tbl.ForEach(func(rec *table.Record) bool {
-		img, ok := tx.db.readRecord(tbl, rec.Key().RID, at, tx.inner.MaybeContext(), nil)
+		img, ok := tx.db.readRec(rec, at, tx.inner.MaybeContext(), nil)
 		if !ok {
 			return true
 		}
-		return fn(rec.Key().RID, img)
+		return fn(rec.RID(), img)
 	})
 	tx.db.statements.Add(1)
 	return nil
@@ -170,17 +177,17 @@ func (tx *Tx) write(op mvcc.OpType, tid ts.TableID, rid ts.RID, img []byte) erro
 		return err
 	}
 	// The record must be visible to the operation's snapshot.
-	snap, release, err := tx.beginStatement(tid)
+	snap, err := tx.beginStatement(tid)
 	if err != nil {
 		return err
 	}
-	_, visible := tx.db.readRecord(tbl, rid, snap.TS(), tx.inner.MaybeContext(), nil)
-	release()
-	if !visible {
-		return ErrRecordNotFound
-	}
 	rec := tbl.Get(rid)
-	if rec == nil {
+	visible := false
+	if rec != nil {
+		_, visible = tx.db.readRec(rec, snap.TS(), tx.inner.MaybeContext(), nil)
+	}
+	tx.endStatement(snap)
+	if !visible {
 		return ErrRecordNotFound
 	}
 	v := mvcc.NewVersion(op, ts.RecordKey{Table: tid, RID: rid}, img, tx.inner.Context())

@@ -622,3 +622,39 @@ func TestRegionsFigure9(t *testing.T) {
 		t.Fatalf("region A after GT = %d: %s", r.A, r)
 	}
 }
+
+// TestRunGTSkipsWhenPassInFlight holds the collector latch the way a TG or
+// SI pass does. A GT tick must come back at once with nothing done (the
+// pass in flight began with GT itself); Collect, RunTG and RunSI must still
+// queue behind the latch.
+func TestRunGTSkipsWhenPassInFlight(t *testing.T) {
+	e := newEnv(t)
+	tbl := e.createTable("T")
+	rid := e.insert(tbl, "v0")
+	e.update(tbl, rid, "v1")
+	h := NewHybrid(e.m, Periods{}, 0)
+
+	h.mu.Lock()
+	if st := h.RunGT(); st != (RunStats{}) {
+		t.Fatalf("RunGT during a pass = %+v, want the zero RunStats", st)
+	}
+	if live := e.space.Live(); live == 0 {
+		t.Fatal("RunGT reclaimed while another pass held the latch")
+	}
+	done := make(chan string, 3)
+	for name, run := range map[string]func() RunStats{"Collect": h.Collect, "RunTG": h.RunTG, "RunSI": h.RunSI} {
+		go func() { run(); done <- name }()
+	}
+	select {
+	case name := <-done:
+		t.Fatalf("%s ran while the latch was held", name)
+	case <-time.After(20 * time.Millisecond):
+	}
+	h.mu.Unlock()
+	for i := 0; i < 3; i++ {
+		<-done
+	}
+	if st := h.RunGT(); st.Collector != h.GT.Name() {
+		t.Fatalf("RunGT with the latch free = %+v, want a GT pass", st)
+	}
+}

@@ -3,6 +3,10 @@
 // image of each row. The version space keeps newer images until garbage
 // collection migrates them here. Each record carries the is_versioned flag
 // that lets readers skip the RID hash table when a record has no chain.
+//
+// Records live inline in fixed-size pages addressed by RID, so a lookup is
+// two index operations behind atomic loads: no lock, no hash, no allocation
+// and no write to shared memory (DESIGN.md §10.4).
 package table
 
 import (
@@ -13,21 +17,82 @@ import (
 	"hybridgc/internal/ts"
 )
 
+// Page geometry. A page is one heap object of pageSize 32-byte records plus
+// a 16-byte header, which lands in Go's 18 KiB size class (36 B per row). It
+// is a constant and not a setting: nothing a caller knows would let it pick
+// better, and the retirement rule below only needs "small against a table".
+const (
+	pageShift = 9
+	pageSize  = 1 << pageShift
+	pageMask  = pageSize - 1
+)
+
+// Slot states. A slot only ever moves forward: empty → present by
+// CreateRecord, present → dropped by DropRecord. RIDs are never reused, so a
+// dropped slot stays dropped.
+const (
+	slotEmpty uint32 = iota
+	slotPresent
+	slotDropped
+)
+
 // Record is one row slot in the table space. Its image is the oldest
 // retained version of the row; a nil image means the row's INSERT has not
 // been migrated out of the version space yet (so readers that find no
 // visible chain version treat the record as nonexistent).
 type Record struct {
-	key ts.RecordKey
-	tbl *Table
+	// rid and pg are written once, before the page is linked into the
+	// directory, and never again: every later read is ordered after them by
+	// the atomic load that found the page.
+	rid ts.RID
+	pg  *page
 
 	image     atomic.Pointer[[]byte]
 	versioned atomic.Bool
-	dropped   atomic.Bool
+	state     atomic.Uint32
 }
 
+// page holds the records of one aligned run of pageSize RIDs.
+type page struct {
+	tbl *Table
+	// counts packs the slots that ever left the empty state (high half) and
+	// the slots currently present (low half) into one word, so one add moves
+	// both and its result is a consistent view of the pair.
+	counts atomic.Uint32
+	recs   [pageSize]Record
+}
+
+const (
+	countCreate = 1<<16 | 1      // one more used slot, one more present
+	countDrop   = ^uint32(0)     // one fewer present
+	countDead   = pageSize << 16 // every slot used, none present
+)
+
+// maxRID bounds explicit-RID creation so that a damaged log cannot make the
+// directory (8 bytes per page) allocate without limit: 1 GiB at most.
+const maxRID = 1 << 36
+
+// slot returns the slot of rid, which must lie in the page's RID range.
+func (p *page) slot(rid ts.RID) *Record { return &p.recs[(uint64(rid)-1)&pageMask] }
+
+// count applies one slot transition of rid to the page's counters, and
+// retires the page if that was the transition that left it dead.
+func (p *page) count(delta uint32, rid ts.RID) {
+	if p.counts.Add(delta) == countDead {
+		p.tbl.retire(pageIndex(rid))
+	}
+}
+
+// retired stands in the directory for a page that was unlinked. Its slots
+// are all empty, so Get needs no special case for it; CreateRecord and the
+// page walkers compare against it.
+var retired = new(page)
+
 // Key returns the record's (table, RID) identity.
-func (r *Record) Key() ts.RecordKey { return r.key }
+func (r *Record) Key() ts.RecordKey { return ts.RecordKey{Table: r.pg.tbl.ID, RID: r.rid} }
+
+// RID returns the record's identifier within its table.
+func (r *Record) RID() ts.RID { return r.rid }
 
 // Image returns the current table-space image, or nil when the row has no
 // migrated image yet.
@@ -44,28 +109,34 @@ func (r *Record) Image() []byte {
 func (r *Record) Versioned() bool { return r.versioned.Load() }
 
 // Dropped reports whether the record has been removed from its table.
-func (r *Record) Dropped() bool { return r.dropped.Load() }
+func (r *Record) Dropped() bool { return r.state.Load() == slotDropped }
 
 // InstallImage implements mvcc.RecordRef: garbage collection migrates the
 // newest reclaimable image into the table space.
 func (r *Record) InstallImage(img []byte) {
 	r.image.Store(&img)
-	r.tbl.notifyWrite(r.key.RID)
+	r.pg.tbl.notifyWrite(r.rid)
 }
 
 // DropRecord implements mvcc.RecordRef: a migrated DELETE (or a rolled-back
-// INSERT) removes the row from the table space.
+// INSERT) removes the row from the table space. Dropping twice is harmless.
+// Holders of the *Record (a version chain being unlinked) may keep using it:
+// the pointer keeps its page alive even after the page is retired.
 func (r *Record) DropRecord() {
-	r.dropped.Store(true)
+	if !r.state.CompareAndSwap(slotPresent, slotDropped) {
+		return
+	}
 	r.image.Store(nil)
-	r.tbl.remove(r)
-	r.tbl.notifyWrite(r.key.RID)
+	t := r.pg.tbl
+	t.live.Add(-1)
+	r.pg.count(countDrop, r.rid)
+	t.notifyWrite(r.rid)
 }
 
 // SetVersioned implements mvcc.RecordRef.
 func (r *Record) SetVersioned(v bool) {
 	r.versioned.Store(v)
-	r.tbl.notifyWrite(r.key.RID)
+	r.pg.tbl.notifyWrite(r.rid)
 }
 
 // Table is one table's slice of the table space. RIDs are allocated densely
@@ -74,8 +145,13 @@ type Table struct {
 	ID   ts.TableID
 	Name string
 
-	mu      sync.RWMutex
-	records map[ts.RID]*Record
+	// dir maps page index → page. Readers load it and index; every store —
+	// into an entry or of a grown copy — happens under dirMu, so a copy
+	// never loses an entry. Entries go nil → page → retired. The directory
+	// only grows: 8 bytes per pageSize RIDs ever allocated.
+	dir   atomic.Pointer[[]atomic.Pointer[page]]
+	dirMu sync.Mutex
+
 	nextRID atomic.Uint64
 	live    atomic.Int64
 	// partitions is the partition count; 0 means unpartitioned. Records are
@@ -90,6 +166,12 @@ type Table struct {
 	// sticky dirty set over chunk-covered rows; it fires under the chain
 	// latch, so observers must be cheap and must not re-enter the engine.
 	writeObs atomic.Pointer[func(ts.RID)]
+}
+
+func newTable(id ts.TableID, name string) *Table {
+	t := &Table{ID: id, Name: name}
+	t.dir.Store(new([]atomic.Pointer[page]))
+	return t
 }
 
 // SetWriteObserver installs fn as the table's write observer (nil removes
@@ -158,76 +240,172 @@ func (t *Table) MaxRID() ts.RID { return ts.RID(t.nextRID.Load()) }
 // INSERT is still unmigrated, which readers may not see yet).
 func (t *Table) Len() int { return int(t.live.Load()) }
 
-// CreateRecord installs an empty record slot for rid. It fails if the RID is
-// already occupied — the engine allocates RIDs, so a collision is a bug or a
-// write-write race the caller must surface.
-func (t *Table) CreateRecord(rid ts.RID) (*Record, error) {
-	r := &Record{key: ts.RecordKey{Table: t.ID, RID: rid}, tbl: t}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if _, dup := t.records[rid]; dup {
-		return nil, fmt.Errorf("table %s: RID %d already exists", t.Name, rid)
-	}
-	t.records[rid] = r
-	t.live.Add(1)
-	return r, nil
-}
+// pageIndex returns the directory index of rid's page. RID 0 wraps to an
+// index no directory reaches.
+func pageIndex(rid ts.RID) uint64 { return (uint64(rid) - 1) >> pageShift }
 
 // Get returns the record for rid, or nil.
 func (t *Table) Get(rid ts.RID) *Record {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.records[rid]
-}
-
-// remove deletes the record slot if it is still the one registered.
-func (t *Table) remove(r *Record) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if cur, ok := t.records[r.key.RID]; ok && cur == r {
-		delete(t.records, r.key.RID)
-		t.live.Add(-1)
+	dir := *t.dir.Load()
+	pi := pageIndex(rid)
+	if pi >= uint64(len(dir)) {
+		return nil
 	}
+	p := dir[pi].Load()
+	if p == nil {
+		return nil
+	}
+	r := p.slot(rid)
+	if r.state.Load() != slotPresent {
+		return nil
+	}
+	return r
 }
 
-// ForEach visits records in ascending RID order until fn returns false. It
-// walks the dense RID range, skipping holes left by deletes, and does not
-// hold the table lock while fn runs.
-func (t *Table) ForEach(fn func(*Record) bool) {
-	max := t.MaxRID()
-	for rid := ts.RID(1); rid <= max; rid++ {
-		if r := t.Get(rid); r != nil {
-			if !fn(r) {
-				return
+// CreateRecord installs an empty record slot for rid. It fails if the RID is
+// or ever was occupied — the engine allocates RIDs and never reuses one, so
+// a collision is a bug or a write-write race the caller must surface. The
+// RID need not come from AllocRID: recovery and replica apply create records
+// under the RIDs the log names, in log order.
+func (t *Table) CreateRecord(rid ts.RID) (*Record, error) {
+	if rid == 0 || uint64(rid) > maxRID {
+		return nil, fmt.Errorf("table %s: RID %d out of range", t.Name, rid)
+	}
+	p := t.pageFor(pageIndex(rid))
+	r := p.slot(rid)
+	if p == retired || !r.state.CompareAndSwap(slotEmpty, slotPresent) {
+		return nil, fmt.Errorf("table %s: RID %d already exists", t.Name, rid)
+	}
+	t.live.Add(1)
+	// A concurrent Get may hand the record out, and its holder drop it,
+	// before this count; then this one is the count that completes the page.
+	p.count(countCreate, rid)
+	return r, nil
+}
+
+// pageFor returns the directory entry for page index pi, linking a fresh
+// page (and growing the directory) when there is none yet.
+func (t *Table) pageFor(pi uint64) *page {
+	if dir := *t.dir.Load(); pi < uint64(len(dir)) {
+		if p := dir[pi].Load(); p != nil {
+			return p
+		}
+	}
+	t.dirMu.Lock()
+	defer t.dirMu.Unlock()
+	dir := *t.dir.Load()
+	if pi >= uint64(len(dir)) {
+		grown := make([]atomic.Pointer[page], max(2*uint64(len(dir)), pi+1, 8))
+		for i := range dir {
+			grown[i].Store(dir[i].Load())
+		}
+		dir = grown
+		t.dir.Store(&grown)
+	}
+	p := dir[pi].Load()
+	if p == nil {
+		p = &page{tbl: t}
+		base := ts.RID(pi<<pageShift) + 1
+		for i := range p.recs {
+			p.recs[i].rid = base + ts.RID(i)
+			p.recs[i].pg = p
+		}
+		// The store publishes the initialised page: whoever loads it from
+		// the directory reads rid and pg without a race.
+		dir[pi].Store(p)
+	}
+	return p
+}
+
+// retire unlinks a page whose every RID was created and dropped again
+// (NEW-ORDER's insert-then-deliver churn), so the table space holds pages in
+// proportion to live records and not to RIDs ever allocated. A page with a
+// RID that was never created — a hole recovery or replica apply left because
+// the allocating transaction aborted before it was logged — stays linked.
+func (t *Table) retire(pi uint64) {
+	t.dirMu.Lock()
+	(*t.dir.Load())[pi].Store(retired)
+	t.dirMu.Unlock()
+}
+
+// ForEach visits records in ascending RID order until fn returns false.
+func (t *Table) ForEach(fn func(*Record) bool) { t.Range(1, t.MaxRID(), fn) }
+
+// Range visits the records with from <= RID <= to in ascending RID order
+// until fn returns false, and reports whether it reached the end. It walks
+// the pages directly and steps over unlinked ones whole. Callers bound to by
+// a MaxRID read before the call: a record created before that read had its
+// page linked earlier still, so the directory loaded here holds it. A record
+// created during the walk may or may not be visited.
+func (t *Table) Range(from, to ts.RID, fn func(*Record) bool) bool {
+	dir := *t.dir.Load()
+	end := min(uint64(to), uint64(len(dir))<<pageShift)
+	for i := uint64(max(from, 1)) - 1; i < end; {
+		pageEnd := (i>>pageShift + 1) << pageShift
+		p := dir[i>>pageShift].Load()
+		if p == nil || p == retired {
+			i = pageEnd
+			continue
+		}
+		for stop := min(pageEnd, end); i < stop; i++ {
+			r := &p.recs[i&pageMask]
+			if r.state.Load() == slotPresent && !fn(r) {
+				return false
 			}
 		}
 	}
+	return true
 }
 
-// Catalog names and numbers the tables of one database.
+// Catalog names and numbers the tables of one database. Lookups read an
+// immutable snapshot through one atomic load; DDL, which is rare, copies the
+// snapshot under mu and publishes the copy.
 type Catalog struct {
-	mu     sync.RWMutex
+	mu    sync.Mutex // serialises writers
+	state atomic.Pointer[catalogState]
+}
+
+// catalogState is one immutable version of the catalog. byID is indexed by
+// TableID (slot 0 unused, gaps nil).
+type catalogState struct {
+	byID   []*Table
 	byName map[string]*Table
-	byID   map[ts.TableID]*Table
-	nextID uint32
 }
 
 // NewCatalog returns an empty catalog.
 func NewCatalog() *Catalog {
-	return &Catalog{byName: make(map[string]*Table), byID: make(map[ts.TableID]*Table)}
+	c := &Catalog{}
+	c.state.Store(&catalogState{byID: []*Table{nil}, byName: map[string]*Table{}})
+	return c
+}
+
+// add publishes a copy of the catalog with t registered. Caller holds mu and
+// has checked for duplicates.
+func (c *Catalog) add(t *Table) {
+	old := c.state.Load()
+	next := &catalogState{
+		byID:   make([]*Table, max(len(old.byID), int(t.ID)+1)),
+		byName: make(map[string]*Table, len(old.byName)+1),
+	}
+	copy(next.byID, old.byID)
+	for name, tbl := range old.byName {
+		next.byName[name] = tbl
+	}
+	next.byID[t.ID] = t
+	next.byName[t.Name] = t
+	c.state.Store(next)
 }
 
 // Create registers a new table under name.
 func (c *Catalog) Create(name string) (*Table, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, dup := c.byName[name]; dup {
+	s := c.state.Load()
+	if s.byName[name] != nil {
 		return nil, fmt.Errorf("catalog: table %q already exists", name)
 	}
-	c.nextID++
-	t := &Table{ID: ts.TableID(c.nextID), Name: name, records: make(map[ts.RID]*Record)}
-	c.byName[name] = t
-	c.byID[t.ID] = t
+	t := newTable(ts.TableID(len(s.byID)), name)
+	c.add(t)
 	return t, nil
 }
 
@@ -239,42 +417,36 @@ func (c *Catalog) Restore(id ts.TableID, name string) (*Table, error) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, dup := c.byName[name]; dup {
+	s := c.state.Load()
+	if s.byName[name] != nil {
 		return nil, fmt.Errorf("catalog: table %q already exists", name)
 	}
-	if _, dup := c.byID[id]; dup {
+	if int(id) < len(s.byID) && s.byID[id] != nil {
 		return nil, fmt.Errorf("catalog: table ID %d already exists", id)
 	}
-	t := &Table{ID: id, Name: name, records: make(map[ts.RID]*Record)}
-	c.byName[name] = t
-	c.byID[id] = t
-	if uint32(id) > c.nextID {
-		c.nextID = uint32(id)
-	}
+	t := newTable(id, name)
+	c.add(t)
 	return t, nil
 }
 
 // ByName returns the table called name, or nil.
-func (c *Catalog) ByName(name string) *Table {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.byName[name]
-}
+func (c *Catalog) ByName(name string) *Table { return c.state.Load().byName[name] }
 
 // ByID returns the table with the given ID, or nil.
 func (c *Catalog) ByID(id ts.TableID) *Table {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.byID[id]
+	byID := c.state.Load().byID
+	if uint64(id) >= uint64(len(byID)) {
+		return nil
+	}
+	return byID[id]
 }
 
 // Tables returns all tables in creation (ID) order.
 func (c *Catalog) Tables() []*Table {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := make([]*Table, 0, len(c.byID))
-	for id := ts.TableID(1); id <= ts.TableID(c.nextID); id++ {
-		if t, ok := c.byID[id]; ok {
+	byID := c.state.Load().byID
+	out := make([]*Table, 0, len(byID))
+	for _, t := range byID {
+		if t != nil {
 			out = append(out, t)
 		}
 	}

@@ -46,6 +46,9 @@ type Snapshot struct {
 	h     sts.Handle
 	kind  SnapshotKind
 	scope []ts.TableID
+	// scope1 backs scope when it names one table — every Stmt-SI statement
+	// and cursor — so those snapshots are a single allocation.
+	scope1 [1]ts.TableID
 	// parts, when non-nil, narrows the scope below table granularity: the
 	// snapshot accesses only these partitions of the (single) scope table —
 	// the partition-pruning knowledge §4.3 mentions. The table collector
@@ -79,9 +82,15 @@ func (m *Manager) acquireSnapshot(kind SnapshotKind, scope []ts.TableID, parts [
 	s := &Snapshot{
 		m:       m,
 		kind:    kind,
-		scope:   append([]ts.TableID(nil), scope...),
 		parts:   append([]ts.PartitionID(nil), parts...),
 		started: time.Now(),
+	}
+	// The scope is copied either way: the caller keeps its slice.
+	if len(scope) == 1 {
+		s.scope1[0] = scope[0]
+		s.scope = s.scope1[:]
+	} else {
+		s.scope = append([]ts.TableID(nil), scope...)
 	}
 	for {
 		seq := m.scanSeq.Load()
