@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race check bench bench-json bench-smoke contention-smoke chaos-smoke shard-smoke htap-smoke replica-smoke clean
+.PHONY: all build vet test race check bench bench-json bench-smoke chaos-smoke shard-smoke htap-smoke replica-smoke clean
 
 all: check
 
@@ -32,17 +32,10 @@ bench-json:
 	$(GO) run ./cmd/benchjson
 
 # CI smoke: one iteration of every hot-path micro-benchmark, so bench code
-# cannot rot without failing the build.
+# cannot rot without failing the build. GOMAXPROCS=4 makes the parallel
+# benchmarks actually interleave.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkOLAPScan|BenchmarkHashGet|BenchmarkTableGet|BenchmarkCatalogByID|BenchmarkWireFrame|BenchmarkWALAppend|BenchmarkGroupCommit|BenchmarkShardedCommit|BenchmarkSnapshotAcquire|BenchmarkCommitParallel' -benchtime=1x . ./internal/mvcc ./internal/table ./internal/wire ./internal/wal ./internal/shard ./internal/htap ./internal/sts ./internal/txn
-
-# CI smoke: the multi-core hot-path benchmarks (one iteration, pinned to
-# GOMAXPROCS=4 so the parallel paths actually interleave) plus the seqlock
-# bound-invariant race-stress test — the contention machinery cannot rot
-# without failing the build.
-contention-smoke:
-	GOMAXPROCS=4 $(GO) test -run '^$$' -bench 'BenchmarkSnapshotAcquire|BenchmarkCommitParallel' -benchtime=1x ./internal/sts ./internal/txn
-	GOMAXPROCS=4 $(GO) test -race -short -run 'TestSnapshotSetAndBoundInvariantStress' ./internal/txn
+	GOMAXPROCS=4 $(GO) test -run '^$$' -bench 'BenchmarkOLAPScan|BenchmarkHashGet|BenchmarkTableGet|BenchmarkCatalogByID|BenchmarkWireFrame|BenchmarkWALAppend|BenchmarkGroupCommit|BenchmarkShardedCommit|BenchmarkSnapshotAcquire|BenchmarkCommitParallel' -benchtime=1x . ./internal/mvcc ./internal/table ./internal/wire ./internal/wal ./internal/shard ./internal/htap ./internal/sts ./internal/txn
 
 # CI smoke: the deterministic network-chaos harness over a small fixed seed
 # set. Each seed runs the replicated cluster + bank workload under a seeded

@@ -241,7 +241,20 @@ func checkHorizonLiveness(c *cluster, opt Options, rep *Report) {
 				return
 			}
 		}
-		if !waitUntil(2*time.Second, func() bool { return m.GlobalHorizon() <= pin }) {
+		// The pin must be this replica's own: another replica's expiring pin
+		// (the convergence check's cursor) can hold the horizon down as well,
+		// and partitioning before ours is reported would clock that one.
+		ours := func() wire.ReplicaStat {
+			var st wire.Stats
+			c.src.PopulateStats(&st)
+			for _, r := range st.Replicas {
+				if r.ID == n.id {
+					return r
+				}
+			}
+			return wire.ReplicaStat{}
+		}
+		if !waitUntil(2*time.Second, func() bool { return ours().PinnedSTS == pin && m.GlobalHorizon() <= pin }) {
 			rep.violatef("horizon: replica snapshot %v never pinned the primary (horizon %v) — probe is not valid",
 				pin, m.GlobalHorizon())
 			return
@@ -261,14 +274,8 @@ func checkHorizonLiveness(c *cluster, opt Options, rep *Report) {
 		// The staleness sweeper must also demote the silent replica so its
 		// segment floor stops blocking WAL pruning.
 		if !waitUntil(opt.HorizonBound, func() bool {
-			var st wire.Stats
-			c.src.PopulateStats(&st)
-			for _, r := range st.Replicas {
-				if r.ID == n.id {
-					return r.Demoted
-				}
-			}
-			return true // detached entirely: floor gone with it
+			r := ours()
+			return r.Demoted || r.ID == "" // no entry: detached entirely, floor gone with it
 		}) {
 			rep.violatef("horizon: partitioned replica %s was never demoted within %s", n.id, opt.HorizonBound)
 		}

@@ -603,7 +603,7 @@ func (db *DB) Stats() Stats {
 	// timestamps only grow, so CurrentCID below can only be at or above it.
 	// Read the other way round, a snapshot acquired in between made the
 	// unsigned difference wrap.
-	oldest, pinned := db.m.Monitor().OldestTS()
+	active, oldest := db.m.Monitor().Summary()
 	st := Stats{
 		Statements:        db.statements.Load(),
 		VersionsLive:      db.space.Live(),
@@ -613,13 +613,13 @@ func (db *DB) Stats() Stats {
 		VersionsMigrated:  db.space.MigratedTotal(),
 		VersionsTraversed: db.traversed.Load(),
 		Hash:              db.space.HT.Stats(),
-		ActiveSnapshots:   db.m.Monitor().ActiveCount(),
+		ActiveSnapshots:   active,
 		CurrentCID:        db.m.CurrentTS(),
 		GlobalHorizon:     db.m.GlobalHorizon(),
 		Txn:               db.m.Stats(),
 		GroupListLen:      db.space.Groups.Len(),
 	}
-	if pinned {
+	if active > 0 {
 		st.ActiveCIDRange = st.CurrentCID - oldest
 	}
 	st.FailStop = db.fail.failed.Load()

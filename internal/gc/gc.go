@@ -41,8 +41,8 @@ type RunStats struct {
 	Migrated int64
 	// Dropped counts records deleted from the table space (migrated DELETEs).
 	Dropped int64
-	// SnapshotsScoped counts snapshots the table collector moved to
-	// per-table trackers during this run.
+	// SnapshotsScoped counts snapshots the table collector narrowed to their
+	// tables or partitions during this run.
 	SnapshotsScoped int64
 	// Horizon is the reclamation horizon the run used (collector-specific).
 	Horizon ts.CID

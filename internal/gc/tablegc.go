@@ -17,14 +17,15 @@ const DefaultLongLivedThreshold = 500 * time.Millisecond
 //  1. it discovers long-lived snapshots whose complete table scope is known
 //     a priori (always under Stmt-SI; under Trans-SI for declared-table
 //     transactions and precompiled procedures) via the system monitor;
-//  2. it moves their snapshot timestamps from the global STS tracker to the
-//     per-table STS trackers of their scope tables;
+//  2. it narrows their announcements to their scope tables (the paper moves
+//     the timestamp from the global STS tracker to per-table trackers; here
+//     the timestamp stays in its slot and gains a scope);
 //  3. it reclaims versions with per-table horizons, so a long-lived OLAP
 //     snapshot over one table no longer blocks reclamation of every other
 //     table.
 //
-// The group list scan is bounded by the minimum of the *global* tracker
-// (region B of Figure 9); each version's reclamation horizon is its own
+// The group list scan is bounded by the minimum over the *unscoped*
+// snapshots (region B of Figure 9); each version's reclamation horizon is its own
 // table's effective minimum.
 // PartitionResolver maps a record to its partition, when its table is
 // partitioned. The engine wires its catalog in; a nil resolver (or a false
@@ -36,8 +37,8 @@ type TableGC struct {
 	// Threshold is the long-lived snapshot age cutoff.
 	Threshold time.Duration
 	// Resolver enables the partition-level semantic optimization of §4.3:
-	// snapshots with declared partition scopes move to per-partition
-	// trackers, and versions are reclaimed against their own partition's
+	// snapshots with declared partition scopes are narrowed to those
+	// partitions, and versions are reclaimed against their own partition's
 	// horizon.
 	Resolver PartitionResolver
 	Totals   Totals
@@ -60,9 +61,8 @@ func (c *TableGC) Collect() RunStats {
 	start := time.Now()
 	st := RunStats{Collector: c.Name()}
 
-	// Steps 1+2: classify long-lived snapshots and move their timestamps to
-	// per-table (or, when the plan's partition pruning is known,
-	// per-partition) trackers.
+	// Steps 1+2: classify long-lived snapshots and narrow them to their
+	// tables (or, when the plan's partition pruning is known, partitions).
 	for _, s := range c.m.Monitor().LongLived(c.Threshold) {
 		if tid, parts, ok := s.PartitionScope(); ok {
 			if s.Handle().ScopeToPartitions(tid, parts) {

@@ -62,8 +62,8 @@ func (c *SingleTimestamp) Collect() RunStats {
 // group at or above the minimum, so identification cost is proportional to
 // the garbage found, not to the version space.
 //
-// The horizon considers the per-table trackers as well as the global tracker
-// (§4.4), so GT stays correct when the table collector has moved snapshots.
+// The horizon covers table-scoped snapshots as well as unscoped ones (§4.4),
+// so GT stays correct when the table collector has narrowed snapshots.
 type GroupTimestamp struct {
 	m      *txn.Manager
 	Totals Totals

@@ -1,94 +1,68 @@
+// Package sts records the live snapshot timestamps of §4.1 and §4.3 of the
+// paper in one structure: a growable array of announcement slots (slots.go).
+// A snapshot publishes its timestamp with one CAS and retracts it with one
+// atomic store; the table collector narrows it to the tables it can read
+// with one more. Everything a collector asks for — the global minimum
+// (Fig. 6), the per-table and per-partition minimums (Fig. 8), the union of
+// §4.4 and the sorted set S of Algorithm 1 — is a filtered scan of those
+// slots, so no per-table state outlives the snapshot that caused it.
 package sts
 
 import (
-	"sync"
+	"slices"
 	"sync/atomic"
 
 	"hybridgc/internal/ts"
 )
 
-// Registry owns the snapshot announcement slot array (the contention-free
-// fast path for unscoped snapshots), the locked overflow tracker behind it,
-// the per-table trackers created on demand by the table garbage collector,
-// and the union tracker covering everything that is not slot-resident (§4.4).
-// Snapshots interact with the registry through Handles.
-//
-// The collector-facing views (GlobalMin, UnionMin, GlobalSnapshot,
-// UnionSnapshot, EffectiveMin...) merge the slot array with the relevant
-// trackers, so callers see one logical tracker regardless of which physical
-// structure a snapshot currently announces through.
+// Registry is the announcement array: its first segment, which later
+// segments are linked behind. Create one with NewRegistry; it must not be
+// copied.
 type Registry struct {
-	slots slotArray
-
-	// global holds unscoped snapshots that found no free slot (overflow) —
-	// the locked refcounted list is the slow path, not the common case.
-	global *Tracker
-	// union holds every snapshot that is not slot-resident: overflow,
-	// table-scoped and partition-scoped. Slot residents are merged in by the
-	// Union* views.
-	union *Tracker
-
-	mu       sync.RWMutex
-	perTable map[ts.TableID]*Tracker
-	perPart  map[ts.TableID]map[ts.PartitionID]*Tracker
+	head segment
 }
 
 // NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{
-		global:   NewTracker(),
-		union:    NewTracker(),
-		perTable: make(map[ts.TableID]*Tracker),
-		perPart:  make(map[ts.TableID]map[ts.PartitionID]*Tracker),
-	}
+func NewRegistry() *Registry { return new(Registry) }
+
+// scope is what the table collector learned a snapshot can read: a set of
+// tables, or (parts non-nil) some partitions of tables[0]. Immutable once
+// published.
+type scope struct {
+	tables []ts.TableID
+	parts  []ts.PartitionID
 }
 
-// Handle states. A handle is born slot-resident (or ref-based on overflow),
-// moves slot→refs when the table collector scopes it, and ends released.
-const (
-	handleSlot int32 = iota
-	handleRefs
-	handleReleased
-)
-
-// Handle is what one snapshot holds while active. In the common case it is
-// one occupied cell of the announcement array and Release is a single atomic
-// store; once the table collector scopes it (or on slot overflow) it holds
-// refcounted tracker references like the pre-slot-array design.
+// Handle is what one snapshot holds while active: its slot, and the scope
+// the table collector may attach. It is either held or released.
 type Handle struct {
-	reg *Registry
-	ts  ts.CID
+	// Owner is whatever the acquirer wants Scan callers to find behind the
+	// announcement (the transaction layer's snapshot). Set it before
+	// acquiring; this package never reads it.
+	Owner any
 
-	// state is the fast-path coordination point: Release CASes
-	// handleSlot→handleReleased without touching mu; scoping CASes
-	// handleSlot→handleRefs under mu and rolls back if Release won the race.
-	state atomic.Int32
-	slot  int32 // announcement slot index while state == handleSlot
-
-	mu       sync.Mutex   // guards the fields below (scoped/ref-based states)
-	scoped   []ts.TableID // nil while unscoped
-	refs     []*Ref       // overflow global ref, per-table refs, or per-partition refs
-	unionRef *Ref         // held only while state == handleRefs
+	slot atomic.Pointer[slot] // nil once released
+	// ts is atomic because a handle may be re-acquired while a scan still
+	// holds the pointer it found in the slot.
+	ts atomic.Uint64
+	// scope lives here and not in the slot: a store into a slot could land
+	// after the slot was released and claimed by another snapshot, whereas
+	// the handle is only ever this snapshot's. Set at most once per
+	// acquisition, and only ever from nil.
+	scope atomic.Pointer[scope]
 }
 
 // TS returns the snapshot timestamp the handle pins.
-func (h *Handle) TS() ts.CID { return h.ts }
+func (h *Handle) TS() ts.CID { return ts.CID(h.ts.Load()) }
 
 // Scoped returns the tables the handle was narrowed to by table GC, or nil
-// while it is still unscoped.
+// while it is still unscoped. The slice is shared; callers must not modify
+// it.
 func (h *Handle) Scoped() []ts.TableID {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return append([]ts.TableID(nil), h.scoped...)
-}
-
-// Hint returns a small integer that spreads concurrent handles (slot index on
-// the fast path); the snapshot monitor uses it to pick a stripe.
-func (h *Handle) Hint() uint32 {
-	if i := h.slot; i >= 0 {
-		return uint32(i)
+	if sc := h.scope.Load(); sc != nil {
+		return sc.tables
 	}
-	return uint32(h.ts)
+	return nil
 }
 
 // Acquire pins timestamp c and returns a fresh handle. The replication layer
@@ -100,333 +74,161 @@ func (r *Registry) Acquire(c ts.CID) *Handle {
 	return h
 }
 
-// AcquireInto pins timestamp c into h, which must be zero-valued or released.
-// On the fast path this is one CAS into the announcement array; only when
-// the array is full does it fall back to the locked trackers.
+// AcquireInto pins timestamp c into h, which must be zero-valued or
+// released: one CAS into the announcement array, unless every slot is taken
+// and a segment has to be appended first.
 func (r *Registry) AcquireInto(h *Handle, c ts.CID) {
-	h.reg = r
-	h.ts = c
-	h.scoped = nil
-	if i := r.slots.acquire(c); i >= 0 {
-		h.slot = i
-		h.refs = nil
-		h.unionRef = nil
-		h.state.Store(handleSlot)
-		return
-	}
-	h.slot = -1
-	h.refs = []*Ref{r.global.Acquire(c)}
-	h.unionRef = r.union.Acquire(c)
-	h.state.Store(handleRefs)
+	h.ts.Store(uint64(c))
+	h.scope.Store(nil)
+	s := r.head.claim(c)
+	h.slot.Store(s)
+	s.owner.Store(h)
 }
 
-// Release drops the handle's announcement or references. Safe to call exactly
-// once; a second call panics, mirroring a double snapshot close.
+// Release retracts the announcement. Safe to call exactly once; a second
+// call panics, mirroring a double snapshot close.
 func (h *Handle) Release() {
-	if h.state.CompareAndSwap(handleSlot, handleReleased) {
-		h.reg.slots.release(h.slot)
-		return
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if !h.state.CompareAndSwap(handleRefs, handleReleased) {
+	s := h.slot.Swap(nil)
+	if s == nil {
 		panic("sts: Handle released twice")
 	}
-	for _, r := range h.refs {
-		r.Release()
-	}
-	h.refs = nil
-	h.unionRef.Release()
-	h.unionRef = nil
+	s.owner.Store(nil)
+	s.v.Store(0)
 }
 
-// ScopeToTables is the table collector's step 2 (§4.3): the snapshot's
-// timestamp moves from the global announcement (slot or overflow tracker) to
-// the per-table trackers of the given tables, joining the union tracker if it
-// was slot-resident. New references are acquired before the old announcement
-// is retracted, so the timestamp stays continuously pinned. Scoping an
+// ScopeToTables is the table collector's step 2 (§4.3): from now on the
+// snapshot constrains only the given tables. The timestamp never moves, so
+// it stays pinned throughout; a scope only narrows, so a collector that
+// reads GlobalMin and then a table's EffectiveMin finds the timestamp in at
+// least one of them however the store interleaves. Scoping an
 // already-scoped or released handle is a no-op; callers pass the complete
-// table set once. It reports whether the move happened.
+// table set once. It reports whether the scope was set.
 func (h *Handle) ScopeToTables(tables []ts.TableID) bool {
 	if len(tables) == 0 {
 		return false
 	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	newRefs := func() []*Ref {
-		out := make([]*Ref, 0, len(tables))
-		for _, tid := range tables {
-			out = append(out, h.reg.tableTracker(tid).Acquire(h.ts))
-		}
-		return out
-	}
-	if !h.scopeLocked(newRefs) {
-		return false
-	}
-	h.scoped = append([]ts.TableID(nil), tables...)
-	return true
+	return h.setScope(&scope{tables: slices.Clone(tables)})
 }
 
 // ScopeToPartitions is the partition-granular variant of ScopeToTables
-// (§4.3's finer-granular semantic optimization): the snapshot's timestamp
-// moves to the per-partition trackers of the given partitions of one table,
-// so it only blocks reclamation inside those partitions. Reports whether the
-// move happened.
+// (§4.3's finer-granular semantic optimization): the snapshot only blocks
+// reclamation inside the given partitions of one table. Reports whether the
+// scope was set.
 func (h *Handle) ScopeToPartitions(table ts.TableID, parts []ts.PartitionID) bool {
 	if len(parts) == 0 {
 		return false
 	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	newRefs := func() []*Ref {
-		out := make([]*Ref, 0, len(parts))
-		for _, p := range parts {
-			out = append(out, h.reg.partTracker(table, p).Acquire(h.ts))
-		}
-		return out
-	}
-	if !h.scopeLocked(newRefs) {
-		return false
-	}
-	h.scoped = []ts.TableID{table}
-	return true
+	return h.setScope(&scope{tables: []ts.TableID{table}, parts: slices.Clone(parts)})
 }
 
-// scopeLocked performs the state transition common to both scope variants.
-// Caller holds h.mu; acquire builds the replacement refs. The acquire-new-
-// then-release-old order keeps the timestamp pinned throughout, and the CAS
-// against h.state resolves the race with the lock-free Release fast path: if
-// Release wins, the freshly acquired refs are rolled back.
-func (h *Handle) scopeLocked(acquire func() []*Ref) bool {
-	switch h.state.Load() {
-	case handleReleased:
-		return false
-	case handleSlot:
-		if h.scoped != nil {
-			return false
-		}
-		refs := acquire()
-		newUnion := h.reg.union.Acquire(h.ts)
-		if !h.state.CompareAndSwap(handleSlot, handleRefs) {
-			// Release won the race (slot already retracted there).
-			for _, r := range refs {
-				r.Release()
+func (h *Handle) setScope(sc *scope) bool {
+	return h.slot.Load() != nil && h.scope.CompareAndSwap(nil, sc)
+}
+
+// Scan calls f for every announcement with its timestamp and owning handle.
+// h is nil for an announcement whose owner is not visible yet (an acquire in
+// flight). Announcements made or retracted while the scan runs may or may
+// not be reported.
+func (r *Registry) Scan(f func(c ts.CID, h *Handle)) {
+	for seg := &r.head; seg != nil; seg = seg.next.Load() {
+		for i := range seg.slots {
+			s := &seg.slots[i]
+			if v := s.v.Load(); v != 0 {
+				f(ts.CID(v-1), s.owner.Load())
 			}
-			newUnion.Release()
-			return false
 		}
-		h.reg.slots.release(h.slot)
-		h.slot = -1
-		h.refs = refs
-		h.unionRef = newUnion
-		return true
-	default: // handleRefs: overflow handle, already in the union
-		if h.scoped != nil {
-			return false
-		}
-		refs := acquire()
-		for _, r := range h.refs {
-			r.Release()
-		}
-		h.refs = refs
-		return true
 	}
 }
 
-// partTracker returns (creating on demand) the tracker for one partition.
-func (r *Registry) partTracker(tid ts.TableID, p ts.PartitionID) *Tracker {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	byPart := r.perPart[tid]
-	if byPart == nil {
-		byPart = make(map[ts.PartitionID]*Tracker)
-		r.perPart[tid] = byPart
-	}
-	tr := byPart[p]
-	if tr == nil {
-		tr = NewTracker()
-		byPart[p] = tr
-	}
-	return tr
+// The filters below decide which announcements a view covers. An
+// announcement without a visible owner or scope counts as unscoped, which
+// makes it constrain everything — the conservative side.
+
+func unscoped(sc *scope) bool { return sc == nil }
+
+func everything(*scope) bool { return true }
+
+func constrainsTable(tid ts.TableID) func(*scope) bool {
+	return func(sc *scope) bool { return sc == nil || slices.Contains(sc.tables, tid) }
 }
 
-// tableTracker returns (creating on demand) the per-table tracker for tid.
-func (r *Registry) tableTracker(tid ts.TableID) *Tracker {
-	r.mu.RLock()
-	tr, ok := r.perTable[tid]
-	r.mu.RUnlock()
-	if ok {
-		return tr
+// constrainsPartition is constrainsTable at partition grain: a snapshot
+// scoped to other partitions of tid does not constrain p.
+func constrainsPartition(tid ts.TableID, p ts.PartitionID) func(*scope) bool {
+	return func(sc *scope) bool {
+		return sc == nil || slices.Contains(sc.tables, tid) && (sc.parts == nil || slices.Contains(sc.parts, p))
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if tr, ok = r.perTable[tid]; ok {
-		return tr
-	}
-	tr = NewTracker()
-	r.perTable[tid] = tr
-	return tr
 }
 
-// GlobalMin returns the minimum over unscoped snapshots (announcement slots
-// plus the overflow tracker) — the timestamp below which only table-scoped
-// snapshots can still pin versions. ok is false when no unscoped snapshot is
-// active.
-func (r *Registry) GlobalMin() (ts.CID, bool) {
-	sm, sok := r.slots.min()
-	tm, tok := r.global.Min()
-	return minOf(sm, sok, tm, tok)
+// min returns the smallest announced timestamp the filter keeps; ok is false
+// when there is none.
+func (r *Registry) min(keep func(*scope) bool) (best ts.CID, ok bool) {
+	r.Scan(func(c ts.CID, h *Handle) {
+		if (!ok || c < best) && keep(h.visibleScope()) {
+			best, ok = c, true
+		}
+	})
+	return best, ok
 }
+
+// sorted returns the distinct announced timestamps the filter keeps, in
+// ascending order.
+func (r *Registry) sorted(keep func(*scope) bool) []ts.CID {
+	var out []ts.CID
+	r.Scan(func(c ts.CID, h *Handle) {
+		if keep(h.visibleScope()) {
+			out = append(out, c)
+		}
+	})
+	slices.Sort(out)
+	// Concurrent statements frequently share a timestamp.
+	return slices.Compact(out)
+}
+
+func (h *Handle) visibleScope() *scope {
+	if h == nil {
+		return nil
+	}
+	return h.scope.Load()
+}
+
+// GlobalMin returns the minimum over unscoped snapshots — the timestamp
+// below which only table-scoped snapshots can still pin versions. ok is
+// false when no unscoped snapshot is active.
+func (r *Registry) GlobalMin() (ts.CID, bool) { return r.min(unscoped) }
 
 // GlobalSnapshot returns the ascending distinct timestamps of all unscoped
 // snapshots.
-func (r *Registry) GlobalSnapshot() []ts.CID {
-	return mergeSorted(r.slots.sorted(), r.global.Snapshot())
-}
+func (r *Registry) GlobalSnapshot() []ts.CID { return r.sorted(unscoped) }
 
-// GlobalLen returns the number of distinct unscoped snapshot timestamps.
-func (r *Registry) GlobalLen() int {
-	return len(r.GlobalSnapshot())
-}
-
-// UnionMin returns the minimum over every active snapshot anywhere —
-// announcement slots, overflow, per-table and per-partition trackers — i.e.
-// the timestamp below which the group collector may reclaim whole groups even
-// in the presence of table-scoped snapshots. ok is false when no snapshot is
-// active.
-func (r *Registry) UnionMin() (ts.CID, bool) {
-	sm, sok := r.slots.min()
-	um, uok := r.union.Min()
-	return minOf(sm, sok, um, uok)
-}
+// UnionMin returns the minimum over every active snapshot, scoped or not
+// (§4.4) — the timestamp below which the group collector may reclaim whole
+// groups. ok is false when no snapshot is active.
+func (r *Registry) UnionMin() (ts.CID, bool) { return r.min(everything) }
 
 // UnionSnapshot returns the ascending distinct timestamps of every active
 // snapshot — the S sequence the interval collector consumes (§4.2 step 1).
-func (r *Registry) UnionSnapshot() []ts.CID {
-	return mergeSorted(r.slots.sorted(), r.union.Snapshot())
-}
-
-// minOf folds optional minima.
-func minOf(a ts.CID, aok bool, b ts.CID, bok bool) (ts.CID, bool) {
-	switch {
-	case aok && bok:
-		if b < a {
-			return b, true
-		}
-		return a, true
-	case aok:
-		return a, true
-	case bok:
-		return b, true
-	default:
-		return 0, false
-	}
-}
+func (r *Registry) UnionSnapshot() []ts.CID { return r.sorted(everything) }
 
 // EffectiveMin returns the reclamation horizon for versions of table tid:
-// the minimum of the unscoped snapshots, the table's own tracker, and every
-// partition tracker of the table (a partition-scoped snapshot constrains
-// the whole table at this granularity). Snapshots scoped to *other* tables
-// do not constrain tid (§4.3 step 3). ok is false when nothing constrains
-// the table at all.
+// the minimum over the snapshots that are unscoped or whose scope names tid
+// (a partition-scoped snapshot constrains the whole table at this
+// granularity). Snapshots scoped to other tables do not constrain tid (§4.3
+// step 3). ok is false when nothing constrains the table at all.
 func (r *Registry) EffectiveMin(tid ts.TableID) (ts.CID, bool) {
-	min, ok := r.GlobalMin()
-	r.mu.RLock()
-	tr := r.perTable[tid]
-	byPart := r.perPart[tid]
-	parts := make([]*Tracker, 0, len(byPart))
-	for _, pt := range byPart {
-		parts = append(parts, pt)
-	}
-	r.mu.RUnlock()
-	if tr != nil {
-		m, o := tr.Min()
-		min, ok = minOf(min, ok, m, o)
-	}
-	for _, pt := range parts {
-		m, o := pt.Min()
-		min, ok = minOf(min, ok, m, o)
-	}
-	return min, ok
+	return r.min(constrainsTable(tid))
 }
 
 // EffectiveMinAt returns the reclamation horizon for versions inside one
-// partition: the minimum of the unscoped snapshots, the table tracker, and
-// that partition's own tracker — snapshots scoped to *other* partitions of
-// the same table do not constrain it. This is the finer horizon the
-// partition-level table collector uses.
+// partition — the finer horizon the partition-level table collector uses.
 func (r *Registry) EffectiveMinAt(tid ts.TableID, p ts.PartitionID) (ts.CID, bool) {
-	min, ok := r.GlobalMin()
-	r.mu.RLock()
-	tr := r.perTable[tid]
-	var pt *Tracker
-	if byPart := r.perPart[tid]; byPart != nil {
-		pt = byPart[p]
-	}
-	r.mu.RUnlock()
-	if tr != nil {
-		m, o := tr.Min()
-		min, ok = minOf(min, ok, m, o)
-	}
-	if pt != nil {
-		m, o := pt.Min()
-		min, ok = minOf(min, ok, m, o)
-	}
-	return min, ok
+	return r.min(constrainsPartition(tid, p))
 }
 
-// SnapshotFor returns the ascending set of snapshot timestamps that constrain
-// table tid: the unscoped snapshots plus tid's per-table and per-partition
-// trackers. This is the table-aware S sequence for interval collection; the
-// paper's implementation uses the full union instead, which UnionSnapshot
-// provides.
+// SnapshotFor returns the ascending set of snapshot timestamps that
+// constrain table tid. This is the table-aware S sequence for interval
+// collection; the paper's implementation uses the full union instead, which
+// UnionSnapshot provides.
 func (r *Registry) SnapshotFor(tid ts.TableID) []ts.CID {
-	out := r.GlobalSnapshot()
-	r.mu.RLock()
-	tr := r.perTable[tid]
-	byPart := r.perPart[tid]
-	parts := make([]*Tracker, 0, len(byPart))
-	for _, pt := range byPart {
-		parts = append(parts, pt)
-	}
-	r.mu.RUnlock()
-	if tr != nil {
-		out = mergeSorted(out, tr.Snapshot())
-	}
-	for _, pt := range parts {
-		out = mergeSorted(out, pt.Snapshot())
-	}
-	return out
-}
-
-// TableTrackerCount returns how many per-table trackers exist (monitoring).
-func (r *Registry) TableTrackerCount() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.perTable)
-}
-
-// mergeSorted merges two ascending CID slices, dropping duplicates.
-func mergeSorted(a, b []ts.CID) []ts.CID {
-	out := make([]ts.CID, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) || j < len(b) {
-		var v ts.CID
-		switch {
-		case j == len(b) || (i < len(a) && a[i] < b[j]):
-			v = a[i]
-			i++
-		case i == len(a) || b[j] < a[i]:
-			v = b[j]
-			j++
-		default: // equal
-			v = a[i]
-			i++
-			j++
-		}
-		if n := len(out); n == 0 || out[n-1] != v {
-			out = append(out, v)
-		}
-	}
-	return out
+	return r.sorted(constrainsTable(tid))
 }

@@ -1,7 +1,6 @@
 package sts
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -9,22 +8,19 @@ import (
 )
 
 // Per-slot snapshot announcement (Ben-David et al., "Space and Time Bounded
-// Multiversion Garbage Collection"; Wei & Fatourou): instead of inserting
-// every snapshot timestamp into the mutex-guarded ordered list, a snapshot
-// publishes its timestamp into one slot of a fixed padded array with a single
-// CAS and retracts it with a single atomic store. The ordered view the
-// collectors need (min / sorted set) is rebuilt lazily by scanning the array
-// only when a GC pass asks for it — turning the per-statement hot path from a
-// global mutex into contention-free per-slot atomics while keeping the
-// O(#slots) cost on the rare reader side.
+// Multiversion Garbage Collection"; Wei & Fatourou): a snapshot publishes its
+// timestamp into one padded slot with a single CAS and retracts it with a
+// single atomic store. The ordered views the collectors need (min / sorted
+// set) are rebuilt by scanning the slots only when a GC pass asks — the
+// per-statement hot path is contention-free per-slot atomics, the O(#slots)
+// cost sits on the rare reader side.
 
 const (
-	// slotCount bounds how many unscoped snapshots can announce concurrently
-	// before falling back to the locked overflow tracker. 256 padded slots is
-	// 16KiB — big enough that a realistic statement mix never overflows, small
-	// enough that a GC-side scan stays trivially cheap.
-	slotCount = 256
-	slotMask  = slotCount - 1
+	// segSlots is the size of one segment of the announcement array: 256
+	// padded slots are 16 KiB — a realistic statement mix never leaves the
+	// first segment, and a GC-side scan of it stays trivially cheap.
+	segSlots = 256
+	slotMask = segSlots - 1
 )
 
 // slot is one announcement cell, padded to its own cache line so concurrent
@@ -35,12 +31,20 @@ type slot struct {
 	// commit counter starts at 0), so the empty sentinel must live outside
 	// the CID domain.
 	v atomic.Uint64
-	_ [56]byte
+	// owner is the handle announcing through this slot, stored after v is
+	// claimed and cleared before v is. A scan that finds v set and owner
+	// nil treats the announcement as unscoped — the conservative reading.
+	owner atomic.Pointer[Handle]
+	_     [48]byte
 }
 
-// slotArray is the announcement array. The zero value is ready to use.
-type slotArray struct {
-	slots [slotCount]slot
+// segment is a fixed block of slots. Segments form a list that only grows:
+// one is appended when every slot of every existing segment is taken, and
+// none is ever unlinked, so the array's footprint is 16 KiB of slots per 256
+// snapshots of peak concurrency.
+type segment struct {
+	slots [segSlots]slot
+	next  atomic.Pointer[segment]
 }
 
 // slotHint carries the slot index a P last acquired successfully. Boxes
@@ -58,70 +62,31 @@ var slotHintPool = sync.Pool{New: func() any {
 	return &slotHint{idx: slotHintSeed.Add(1) * 0x9E3779B1 & slotMask}
 }}
 
-// acquire publishes c into a free slot and returns its index, or -1 when the
-// array is full (or c is outside the encodable domain) and the caller must
-// take the overflow path.
-func (a *slotArray) acquire(c ts.CID) int32 {
-	if c == ts.Infinity {
-		return -1 // c+1 would wrap onto the empty sentinel
+// claim publishes c into a free slot of the list starting at seg, appending
+// a segment when all are full, and returns the slot.
+func (seg *segment) claim(c ts.CID) *slot {
+	v := uint64(c) + 1
+	if v == 0 {
+		panic("sts: snapshot timestamp outside the announceable domain")
 	}
 	h := slotHintPool.Get().(*slotHint)
-	start := h.idx
-	for i := uint32(0); i < slotCount; i++ {
-		idx := (start + i) & slotMask
-		s := &a.slots[idx]
-		if s.v.Load() == 0 && s.v.CompareAndSwap(0, uint64(c)+1) {
-			h.idx = idx
-			slotHintPool.Put(h)
-			return int32(idx)
+	for {
+		for i := uint32(0); i < segSlots; i++ {
+			idx := (h.idx + i) & slotMask
+			s := &seg.slots[idx]
+			if s.v.Load() == 0 && s.v.CompareAndSwap(0, v) {
+				h.idx = idx
+				slotHintPool.Put(h)
+				return s
+			}
 		}
+		next := seg.next.Load()
+		if next == nil {
+			next = new(segment)
+			if !seg.next.CompareAndSwap(nil, next) {
+				next = seg.next.Load() // another acquirer appended first
+			}
+		}
+		seg = next
 	}
-	slotHintPool.Put(h)
-	return -1
-}
-
-// release retracts the announcement in slot i.
-func (a *slotArray) release(i int32) {
-	a.slots[i].v.Store(0)
-}
-
-// min scans for the smallest announced timestamp; ok is false when the array
-// is empty. Collector-side only.
-func (a *slotArray) min() (ts.CID, bool) {
-	var (
-		best  ts.CID
-		found bool
-	)
-	for i := range a.slots {
-		v := a.slots[i].v.Load()
-		if v == 0 {
-			continue
-		}
-		c := ts.CID(v - 1)
-		if !found || c < best {
-			best, found = c, true
-		}
-	}
-	return best, found
-}
-
-// sorted returns the distinct announced timestamps in ascending order.
-// Collector-side only.
-func (a *slotArray) sorted() []ts.CID {
-	var out []ts.CID
-	for i := range a.slots {
-		if v := a.slots[i].v.Load(); v != 0 {
-			out = append(out, ts.CID(v-1))
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	// Dedup in place: concurrent statements frequently share a timestamp.
-	n := 0
-	for i, c := range out {
-		if i == 0 || c != out[n-1] {
-			out[n] = c
-			n++
-		}
-	}
-	return out[:n]
 }

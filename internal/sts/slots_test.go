@@ -3,92 +3,86 @@ package sts
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"hybridgc/internal/ts"
 )
 
-func TestSlotArrayBasics(t *testing.T) {
-	var a slotArray
-	if _, ok := a.min(); ok {
-		t.Fatal("empty array must report no minimum")
+// segments counts the segments of the announcement array.
+func (r *Registry) segments() int {
+	n := 0
+	for seg := &r.head; seg != nil; seg = seg.next.Load() {
+		n++
 	}
-	i0 := a.acquire(0) // CID 0 is valid: the commit counter starts there
-	i5 := a.acquire(5)
-	i3 := a.acquire(3)
-	if i0 < 0 || i5 < 0 || i3 < 0 {
-		t.Fatalf("acquire failed: %d %d %d", i0, i5, i3)
+	return n
+}
+
+func TestRegistryBasics(t *testing.T) {
+	r := NewRegistry()
+	if _, ok := r.UnionMin(); ok {
+		t.Fatal("empty registry must report no minimum")
 	}
-	if m, ok := a.min(); !ok || m != 0 {
+	h0 := r.Acquire(0) // CID 0 is valid: the commit counter starts there
+	h5 := r.Acquire(5)
+	h3 := r.Acquire(3)
+	if m, ok := r.GlobalMin(); !ok || m != 0 {
 		t.Fatalf("min = %d,%v want 0,true", m, ok)
 	}
-	if got, want := a.sorted(), []ts.CID{0, 3, 5}; !reflect.DeepEqual(got, want) {
+	if got, want := r.GlobalSnapshot(), []ts.CID{0, 3, 5}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("sorted = %v, want %v", got, want)
 	}
-	a.release(i0)
-	if m, _ := a.min(); m != 3 {
+	h0.Release()
+	if m, _ := r.GlobalMin(); m != 3 {
 		t.Fatalf("min after release = %d, want 3", m)
 	}
-	a.release(i3)
-	a.release(i5)
-	if _, ok := a.min(); ok {
-		t.Fatal("array should be empty")
+	h3.Release()
+	h5.Release()
+	if _, ok := r.UnionMin(); ok {
+		t.Fatal("registry should be empty")
 	}
 }
 
-func TestSlotArraySortedDedups(t *testing.T) {
-	var a slotArray
+func TestSnapshotDedups(t *testing.T) {
+	r := NewRegistry()
 	for i := 0; i < 10; i++ {
-		if a.acquire(42) < 0 {
-			t.Fatal("acquire failed")
-		}
+		r.Acquire(42)
 	}
-	if got, want := a.sorted(), []ts.CID{42}; !reflect.DeepEqual(got, want) {
+	if got, want := r.UnionSnapshot(), []ts.CID{42}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("sorted = %v, want %v", got, want)
 	}
 }
 
-func TestSlotArrayOverflow(t *testing.T) {
-	var a slotArray
-	idx := make([]int32, 0, slotCount)
-	for i := 0; i < slotCount; i++ {
-		j := a.acquire(ts.CID(i))
-		if j < 0 {
-			t.Fatalf("acquire %d failed with free slots remaining", i)
+func TestAcquireOutsideDomainPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Infinity+1 wraps onto the empty sentinel and must not be announced")
 		}
-		idx = append(idx, j)
-	}
-	if a.acquire(999) >= 0 {
-		t.Fatal("acquire must fail on a full array")
-	}
-	a.release(idx[7])
-	if a.acquire(999) < 0 {
-		t.Fatal("acquire must succeed after a release")
-	}
+	}()
+	NewRegistry().Acquire(ts.Infinity)
 }
 
-func TestSlotArrayRejectsInfinity(t *testing.T) {
-	var a slotArray
-	if a.acquire(ts.Infinity) >= 0 {
-		t.Fatal("Infinity is outside the encodable domain and must overflow")
-	}
-}
-
-// TestRegistryOverflowFallback fills the slot array and checks that overflow
-// handles behave identically through the merged views, scoping, and release.
-func TestRegistryOverflowFallback(t *testing.T) {
+// TestRegistryGrowsPastOneSegment fills the first segment and checks that
+// the next handle behaves identically — views, scoping, release — from the
+// appended one, and that its slot is reused rather than a third segment
+// appended.
+func TestRegistryGrowsPastOneSegment(t *testing.T) {
 	r := NewRegistry()
-	handles := make([]*Handle, 0, slotCount)
-	for i := 0; i < slotCount; i++ {
+	handles := make([]*Handle, 0, segSlots)
+	for i := 0; i < segSlots; i++ {
 		handles = append(handles, r.Acquire(1000))
 	}
-	over := r.Acquire(500) // lands in the overflow tracker
-	if over.slot != -1 {
-		t.Fatal("expected overflow handle")
+	if n := r.segments(); n != 1 {
+		t.Fatalf("%d segments with one segment's worth of snapshots, want 1", n)
+	}
+	over := r.Acquire(500)
+	if n := r.segments(); n != 2 {
+		t.Fatalf("%d segments after exhausting the first, want 2", n)
 	}
 	if m, _ := r.GlobalMin(); m != 500 {
-		t.Fatalf("GlobalMin = %d, want 500 (overflow merged)", m)
+		t.Fatalf("GlobalMin = %d, want 500", m)
 	}
 	if m, _ := r.UnionMin(); m != 500 {
 		t.Fatalf("UnionMin = %d, want 500", m)
@@ -97,7 +91,7 @@ func TestRegistryOverflowFallback(t *testing.T) {
 		t.Fatalf("GlobalSnapshot = %v, want %v", got, want)
 	}
 	if !over.ScopeToTables([]ts.TableID{3}) {
-		t.Fatal("scoping an overflow handle must succeed")
+		t.Fatal("scoping a handle of the second segment must succeed")
 	}
 	if m, _ := r.GlobalMin(); m != 1000 {
 		t.Fatalf("GlobalMin after scope = %d, want 1000", m)
@@ -106,11 +100,69 @@ func TestRegistryOverflowFallback(t *testing.T) {
 		t.Fatalf("EffectiveMin(3) = %d, want 500", m)
 	}
 	over.Release()
+	r.Acquire(700).Release()
+	if n := r.segments(); n != 2 {
+		t.Fatalf("%d segments after reusing a freed slot, want 2", n)
+	}
 	for _, h := range handles {
 		h.Release()
 	}
 	if _, ok := r.UnionMin(); ok {
 		t.Fatal("registry should be empty")
+	}
+}
+
+// TestRegistryGrowthConcurrent holds 1000 snapshots at distinct timestamps
+// at once — four segments' worth, appended under contention — and checks
+// that none is lost, that the views are exact, and that the segments are
+// reused once the snapshots are gone.
+func TestRegistryGrowthConcurrent(t *testing.T) {
+	const n = 1000
+	r := NewRegistry()
+	handles := make([]*Handle, n)
+	hold := func() {
+		var wg sync.WaitGroup
+		for i := range handles {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				handles[i] = r.Acquire(ts.CID(i))
+			}(i)
+		}
+		wg.Wait()
+	}
+	hold()
+	got := r.UnionSnapshot()
+	if len(got) != n {
+		t.Fatalf("UnionSnapshot holds %d timestamps, want %d", len(got), n)
+	}
+	for i, c := range got {
+		if c != ts.CID(i) {
+			t.Fatalf("UnionSnapshot[%d] = %d", i, c)
+		}
+	}
+	if m, ok := r.UnionMin(); !ok || m != 0 {
+		t.Fatalf("UnionMin = %d,%v want 0,true", m, ok)
+	}
+	want := (n + segSlots - 1) / segSlots
+	if segs := r.segments(); segs != want {
+		t.Fatalf("%d segments for %d concurrent snapshots, want %d", segs, n, want)
+	}
+	for _, h := range handles {
+		h.Release()
+	}
+	if got := r.UnionSnapshot(); len(got) != 0 {
+		t.Fatalf("UnionSnapshot after release = %v", got)
+	}
+	if _, ok := r.GlobalMin(); ok {
+		t.Fatal("registry should be empty")
+	}
+	hold()
+	if segs := r.segments(); segs != want {
+		t.Fatalf("%d segments after a second round, want %d (no new segment)", segs, want)
+	}
+	for _, h := range handles {
+		h.Release()
 	}
 }
 
@@ -129,7 +181,7 @@ func TestHandleDoubleReleasePanics(t *testing.T) {
 func TestAcquireIntoReuse(t *testing.T) {
 	r := NewRegistry()
 	var h Handle
-	for i := 0; i < 3*slotCount; i++ {
+	for i := 0; i < 3*segSlots; i++ {
 		r.AcquireInto(&h, ts.CID(i))
 		if m, ok := r.GlobalMin(); !ok || m != ts.CID(i) {
 			t.Fatalf("GlobalMin = %d,%v want %d", m, ok, i)
@@ -141,26 +193,82 @@ func TestAcquireIntoReuse(t *testing.T) {
 	}
 }
 
-// TestScopeReleaseRace hammers the Release fast path against concurrent
-// scoping: exactly one of the two must win, nothing may leak, and the
-// timestamp must stay pinned until the release.
-func TestScopeReleaseRace(t *testing.T) {
+// TestScopedSnapshotNeverUnpinned races the table collector's scoping (twice,
+// as two collectors would) and the owner's release of one snapshot against
+// collector-side readers. The snapshot sits at timestamp c and may read only
+// table T: until it is released, a collector that reads GlobalMin and then
+// T's horizon must find c in at least one of them; table U's horizon may
+// rise above c only once the scope is set; and nothing stays pinned after.
+func TestScopedSnapshotNeverUnpinned(t *testing.T) {
+	const (
+		c     = ts.CID(5)
+		above = ts.CID(9)
+		T, U  = ts.TableID(1), ts.TableID(2)
+	)
+	iterations := 1000
+	if testing.Short() {
+		iterations = 200
+	}
 	r := NewRegistry()
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 2000; i++ {
-		guard := r.Acquire(1) // keeps the registry non-empty for the checks
-		h := r.Acquire(2)
-		var wg sync.WaitGroup
-		wg.Add(2)
+	for i := 0; i < iterations; i++ {
+		guard := r.Acquire(above) // keeps every view non-empty
+		h := r.Acquire(c)
+		var (
+			scoping, scoped, releasing, released atomic.Bool
+			wins                                 atomic.Int32
+			actors, readers                      sync.WaitGroup
+		)
+		for g := 0; g < 2; g++ {
+			actors.Add(1)
+			go func() {
+				defer actors.Done()
+				scoping.Store(true)
+				if h.ScopeToTables([]ts.TableID{T}) {
+					wins.Add(1)
+					scoped.Store(true)
+				}
+			}()
+		}
+		actors.Add(1)
 		go func() {
-			defer wg.Done()
-			h.ScopeToTables([]ts.TableID{ts.TableID(rng.Intn(4) + 1)})
-		}()
-		go func() {
-			defer wg.Done()
+			defer actors.Done()
+			for y := i % 4; y > 0; y-- {
+				runtime.Gosched()
+			}
+			releasing.Store(true)
 			h.Release()
+			released.Store(true)
 		}()
-		wg.Wait()
+		for g := 0; g < 2; g++ {
+			readers.Add(1)
+			go func() {
+				defer readers.Done()
+				for !released.Load() {
+					wasScoped := scoped.Load()
+					gm, _ := r.GlobalMin()
+					tm, _ := r.EffectiveMin(T)
+					um, _ := r.EffectiveMin(U)
+					if releasing.Load() {
+						return
+					}
+					// The snapshot was held across all three reads.
+					if gm > c && tm > c {
+						t.Errorf("iteration %d: unpinned while held: GlobalMin %d, EffectiveMin(T) %d, snapshot at %d", i, gm, tm, c)
+					}
+					if um > c && !scoping.Load() {
+						t.Errorf("iteration %d: EffectiveMin(U) = %d above %d before any scoping began", i, um, c)
+					}
+					if um <= c && wasScoped {
+						t.Errorf("iteration %d: EffectiveMin(U) = %d still pinned after scoping to T", i, um)
+					}
+				}
+			}()
+		}
+		actors.Wait()
+		readers.Wait()
+		if wins.Load() > 1 {
+			t.Fatalf("iteration %d: scope set %d times", i, wins.Load())
+		}
 		guard.Release()
 		if m, ok := r.UnionMin(); ok {
 			t.Fatalf("iteration %d: leaked pin at %d", i, m)

@@ -10,8 +10,8 @@ import (
 )
 
 // BenchmarkSnapshotAcquireStmtParallel measures the full statement-snapshot
-// path — seqlock-validated timestamp read, slot-array announcement, striped
-// monitor registration — under parallel load. The registry-layer comparison
+// path — seqlock-validated timestamp read and slot-array announcement —
+// under parallel load. The registry-layer comparison
 // against the locked cost model lives in internal/sts
 // (BenchmarkSnapshotAcquireParallel vs ...ParallelLocked).
 func BenchmarkSnapshotAcquireStmtParallel(b *testing.B) {

@@ -115,7 +115,7 @@ type Manager struct {
 	cfg   Config
 	space *mvcc.Space
 	reg   *sts.Registry
-	mon   *Monitor
+	mon   Monitor
 
 	commitTS  atomic.Uint64
 	nextTxnID atomic.Uint64
@@ -157,7 +157,7 @@ func NewManager(space *mvcc.Space, reg *sts.Registry, cfg Config) *Manager {
 		cfg:    cfg,
 		space:  space,
 		reg:    reg,
-		mon:    newMonitor(),
+		mon:    Monitor{reg: reg},
 		propCh: make(chan *mvcc.GroupCommitContext, 1024),
 		quit:   make(chan struct{}),
 	}
@@ -203,7 +203,7 @@ func (m *Manager) Space() *mvcc.Space { return m.space }
 func (m *Manager) Registry() *sts.Registry { return m.reg }
 
 // Monitor returns the active-snapshot monitor.
-func (m *Manager) Monitor() *Monitor { return m.mon }
+func (m *Manager) Monitor() *Monitor { return &m.mon }
 
 // CurrentTS returns the latest assigned commit identifier — the value a new
 // snapshot adopts as its timestamp.
@@ -235,7 +235,7 @@ func (m *Manager) GlobalHorizon() ts.CID {
 }
 
 // TableHorizon returns the reclamation horizon for one table: the minimum of
-// the unscoped snapshots and that table's own trackers (§4.3 step 3), or
+// the unscoped snapshots and those scoped to that table (§4.3 step 3), or
 // CurrentTS()+1 when nothing constrains the table.
 func (m *Manager) TableHorizon(tid ts.TableID) ts.CID {
 	m.beginScan()

@@ -42,7 +42,6 @@ func (k SnapshotKind) String() string {
 // names the tables; under Trans-SI only for declared-table transactions) is
 // eligible for table GC.
 type Snapshot struct {
-	m     *Manager
 	h     sts.Handle
 	kind  SnapshotKind
 	scope []ts.TableID
@@ -52,12 +51,9 @@ type Snapshot struct {
 	// parts, when non-nil, narrows the scope below table granularity: the
 	// snapshot accesses only these partitions of the (single) scope table —
 	// the partition-pruning knowledge §4.3 mentions. The table collector
-	// then scopes it to per-partition trackers.
+	// then scopes it to those partitions.
 	parts   []ts.PartitionID
 	started time.Time
-	// stripe is the monitor shard the snapshot registered with (derived from
-	// the registry handle's slot, so concurrent snapshots spread naturally).
-	stripe uint32
 
 	released atomic.Bool
 	killed   atomic.Bool
@@ -71,8 +67,8 @@ func (m *Manager) AcquireSnapshot(kind SnapshotKind, scope []ts.TableID) *Snapsh
 }
 
 // acquireSnapshot fully constructs the snapshot — including any partition
-// scope — before publishing it to the monitor, where the table collector
-// may read it concurrently.
+// scope — before announcing it: from then on the monitor's scans find it
+// behind its slot, and the table collector may read it concurrently.
 //
 // The hot path takes no lock: the timestamp read and the registry publish
 // are validated against the GC scan seqlock and retried on interference, so
@@ -80,11 +76,11 @@ func (m *Manager) AcquireSnapshot(kind SnapshotKind, scope []ts.TableID) *Snapsh
 // timestamp at or below its bound (proof sketch in DESIGN.md §15).
 func (m *Manager) acquireSnapshot(kind SnapshotKind, scope []ts.TableID, parts []ts.PartitionID) *Snapshot {
 	s := &Snapshot{
-		m:       m,
 		kind:    kind,
 		parts:   append([]ts.PartitionID(nil), parts...),
 		started: time.Now(),
 	}
+	s.h.Owner = s
 	// The scope is copied either way: the caller keeps its slice.
 	if len(scope) == 1 {
 		s.scope1[0] = scope[0]
@@ -110,8 +106,6 @@ func (m *Manager) acquireSnapshot(kind SnapshotKind, scope []ts.TableID, parts [
 		// announcement landed. Retract and retry with a fresh timestamp.
 		s.h.Release()
 	}
-	s.stripe = s.h.Hint() % monitorStripes
-	m.mon.add(s)
 	return s
 }
 
@@ -166,28 +160,27 @@ func (s *Snapshot) Age() time.Duration { return time.Since(s.started) }
 // Started returns the acquisition time.
 func (s *Snapshot) Started() time.Time { return s.started }
 
-// Handle exposes the registry handle (the table collector moves it between
-// trackers).
+// Handle exposes the registry handle (the table collector attaches the
+// scope to it).
 func (s *Snapshot) Handle() *sts.Handle { return &s.h }
 
-// Scoped reports whether the table collector already moved this snapshot to
-// per-table trackers.
+// Scoped reports whether the table collector already narrowed this snapshot
+// to its declared tables or partitions.
 func (s *Snapshot) Scoped() bool { return s.h.Scoped() != nil }
 
-// Release ends the snapshot, dropping its tracker references and removing it
-// from the monitor. Releasing twice is a harmless no-op.
+// Release ends the snapshot by retracting its announcement. Releasing twice
+// is a harmless no-op.
 func (s *Snapshot) Release() {
 	if !s.released.CompareAndSwap(false, true) {
 		return
 	}
-	s.m.mon.remove(s)
 	s.h.Release()
 }
 
 // Released reports whether the snapshot has ended.
 func (s *Snapshot) Released() bool { return s.released.Load() }
 
-// Kill force-closes the snapshot: its tracker references are dropped so
+// Kill force-closes the snapshot: its announcement is retracted so
 // garbage collection can proceed, and subsequent operations that depend on
 // it observe Killed and must return an error to the client. This is the
 // paper's conventional workaround 2 for version-space overflow ("the system

@@ -109,14 +109,14 @@ func TestGroupCommitShareSingleCID(t *testing.T) {
 func TestReadOnlyCommit(t *testing.T) {
 	m := newTestManager(t, Config{})
 	txn := m.Begin(TransSI, nil)
-	if m.Registry().GlobalLen() != 1 {
+	if len(m.Registry().GlobalSnapshot()) != 1 {
 		t.Fatal("Trans-SI begin must register a snapshot")
 	}
 	cid, err := txn.Commit()
 	if err != nil || cid != ts.Invalid {
 		t.Fatalf("read-only commit = %d,%v", cid, err)
 	}
-	if m.Registry().GlobalLen() != 0 {
+	if len(m.Registry().GlobalSnapshot()) != 0 {
 		t.Fatal("snapshot must be released at commit")
 	}
 	if _, err := txn.Commit(); err != ErrNotActive {
@@ -260,6 +260,51 @@ func TestSnapshotScopeAndMonitor(t *testing.T) {
 	}
 	if min, ok := m.Monitor().OldestTS(); !ok || min != s.TS() {
 		t.Fatalf("OldestTS = %d,%v", min, ok)
+	}
+}
+
+// TestMonitorSeesEverySnapshotAcrossSegments holds 1000 snapshots at once —
+// four segments of the announcement array — acquired concurrently, next to a
+// bare registry pin like a replica's, and checks the monitor's scans report
+// exactly the snapshots.
+func TestMonitorSeesEverySnapshotAcrossSegments(t *testing.T) {
+	const n = 1000
+	m := newTestManager(t, Config{})
+	pin := m.Registry().Acquire(0) // no Snapshot behind it: not the monitor's business
+	defer pin.Release()
+	snaps := make([]*Snapshot, n)
+	var wg sync.WaitGroup
+	for i := range snaps {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			snaps[i] = m.AcquireSnapshot(KindStatement, nil)
+		}(i)
+	}
+	wg.Wait()
+	if got := m.Monitor().ActiveCount(); got != n {
+		t.Fatalf("ActiveCount = %d, want %d", got, n)
+	}
+	seen := make(map[*Snapshot]bool, n)
+	for _, s := range m.Monitor().Active() {
+		seen[s] = true
+	}
+	for i, s := range snaps {
+		if !seen[s] {
+			t.Fatalf("snapshot %d missing from Active()", i)
+		}
+	}
+	if len(seen) != n {
+		t.Fatalf("Active() reported %d distinct snapshots, want %d", len(seen), n)
+	}
+	for _, s := range snaps {
+		s.Release()
+	}
+	if active, _ := m.Monitor().Summary(); active != 0 {
+		t.Fatalf("%d snapshots still active after release", active)
+	}
+	if min, ok := m.Registry().UnionMin(); !ok || min != 0 {
+		t.Fatalf("UnionMin = %d,%v: the bare pin must survive", min, ok)
 	}
 }
 
