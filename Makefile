@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race check bench bench-json bench-smoke chaos-smoke shard-smoke htap-smoke replica-smoke clean
+.PHONY: all build vet test race check bench bench-json bench-smoke benchmark-test chaos-smoke shard-smoke htap-smoke replica-smoke clean
 
 all: check
 
@@ -33,9 +33,20 @@ bench-json:
 
 # CI smoke: one iteration of every hot-path micro-benchmark, so bench code
 # cannot rot without failing the build. GOMAXPROCS=4 makes the parallel
-# benchmarks actually interleave.
+# benchmarks actually interleave; the commit path runs at -cpu 1,2,4 because
+# its two regimes differ in kind (at 1 every commit leads its own group, above
+# that followers park and leadership is handed on), next to the one-goroutine
+# BenchmarkCommitSerial.
 bench-smoke:
-	GOMAXPROCS=4 $(GO) test -run '^$$' -bench 'BenchmarkOLAPScan|BenchmarkHashGet|BenchmarkTableGet|BenchmarkCatalogByID|BenchmarkWireFrame|BenchmarkWALAppend|BenchmarkGroupCommit|BenchmarkShardedCommit|BenchmarkSnapshotAcquire|BenchmarkCommitParallel' -benchtime=1x . ./internal/mvcc ./internal/table ./internal/wire ./internal/wal ./internal/shard ./internal/htap ./internal/sts ./internal/txn
+	GOMAXPROCS=4 $(GO) test -run '^$$' -bench 'BenchmarkOLAPScan|BenchmarkHashGet|BenchmarkTableGet|BenchmarkCatalogByID|BenchmarkWireFrame|BenchmarkWALAppend|BenchmarkGroupCommit|BenchmarkShardedCommit|BenchmarkSnapshotAcquire' -benchtime=1x . ./internal/mvcc ./internal/table ./internal/wire ./internal/wal ./internal/shard ./internal/htap ./internal/sts ./internal/txn
+	$(GO) test -run '^$$' -bench 'BenchmarkCommit(Parallel|Serial)$$' -benchtime=1x -cpu 1,2,4 ./internal/txn
+
+# The repository benchmark is a nested module that `go test ./...` at the
+# root skips; its own test builds the binary, runs every workload traced and
+# untraced for 2 s and checks the output against BENCHMARK.json, so a change
+# to the engine that breaks the instrument fails here.
+benchmark-test:
+	cd benchmark && $(GO) test ./...
 
 # CI smoke: the deterministic network-chaos harness over a small fixed seed
 # set. Each seed runs the replicated cluster + bank workload under a seeded

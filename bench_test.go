@@ -500,9 +500,9 @@ func BenchmarkAblationCooperativeGC(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationGroupCommitWindow measures the group committer's
-// batching: concurrent writers commit with and without a batching window,
-// reporting transactions per commit group. Larger groups mean fewer
+// BenchmarkAblationGroupCommitWindow measures group-commit batching:
+// concurrent writers commit with and without a window for the group's leader
+// to wait out, reporting transactions per commit group. Larger groups mean fewer
 // GroupCommitContext objects — cheaper identification for the group
 // collector (§2.2, §4.1).
 func BenchmarkAblationGroupCommitWindow(b *testing.B) {

@@ -35,8 +35,9 @@ var ErrNoPersistence = errors.New("core: persistence not configured")
 // walLogger adapts the WAL to the transaction manager's CommitLogger hook.
 type walLogger struct {
 	log *wal.Log
-	// recs/pool are the committer's reused record scaffolding. LogCommit is
-	// called from the single committer goroutine, so no locking is layered.
+	// recs/pool are reused record scaffolding. LogCommit is called by the
+	// commit group's leader, one leader at a time, ordered by the commit
+	// queue's mutex (txn.Manager.submit), so no locking is layered.
 	recs []*wal.Record
 	pool []wal.Record
 }
@@ -44,7 +45,7 @@ type walLogger struct {
 // LogCommit implements txn.CommitLogger: the commit group becomes one
 // KindGroup record per member transaction, all sharing the group CID and
 // stamped Part/Parts, appended as one batch — one write, one fsync — before
-// the committer publishes the group. Recovery and the replication applier
+// the leader publishes the group. Recovery and the replication applier
 // replay the group only once every part is present, so a batch torn by a
 // crash (which was never acknowledged) disappears instead of surfacing a
 // partial commit.
@@ -277,7 +278,7 @@ func replayOp(cat *table.Catalog, op wal.Op) error {
 
 // Checkpoint serializes a transactionally consistent table-space snapshot
 // and prunes the log segments it covers. The sequence is: rotate the log,
-// fence on the group committer (so every record in the closed segments is
+// fence on the commit queue (so every record in the closed segments is
 // published), snapshot at the then-current commit timestamp, write the
 // checkpoint atomically, and drop the covered segments.
 func (db *DB) Checkpoint() error {

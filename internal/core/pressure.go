@@ -194,7 +194,12 @@ func (p *pressure) evaluate() {
 		p.overSoftSince = time.Now()
 		p.softTrips.Inc()
 	}
-	p.level.Store(int32(PressureSoft))
+	// Raise to soft, but never lower a higher rung here: writers held back
+	// by backpressure stay held while this pass tries to relieve it, and are
+	// let go only by the re-measurement below.
+	if PressureLevel(p.level.Load()) < PressureSoft {
+		p.level.Store(int32(PressureSoft))
+	}
 
 	// Rung 1: emergency out-of-period collection — GT first (§4.4's order),
 	// then the interval collector, which reclaims in-between versions even

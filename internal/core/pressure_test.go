@@ -172,30 +172,37 @@ func TestVersionBudgetBackpressureRejects(t *testing.T) {
 	}
 	defer cur.Close()
 
-	// Each row's newest committed version is irreducible while the cursor
-	// pins (SI spares chain heads), so cycling updates over the rows pushes
-	// live over soft for good; keep writing until backpressure latches.
-	// Keep writing until backpressure latches: the controller needs at least
-	// one full evaluation (including a collection pass) after live settles
-	// over soft, so a fixed iteration count would race it on a fast machine.
-	sawPressure := false
-	stop := time.Now().Add(10 * time.Second)
-	for i := 0; !sawPressure && time.Now().Before(stop); i++ {
-		err := db.Exec(txn.StmtSI, nil, func(tx *Tx) error {
+	update := func(i int) error {
+		return db.Exec(txn.StmtSI, nil, func(tx *Tx) error {
 			return tx.Update(tid, ts.RID(i%rows+1), []byte("v1"))
 		})
-		switch {
-		case err == nil:
-		case errors.Is(err, ErrVersionPressure):
-			sawPressure = true
+	}
+	// Each row's newest committed version is irreducible while the cursor
+	// pins (SI spares chain heads), so cycling updates over the rows pushes
+	// live over soft for good. Write until the controller reports the
+	// backpressure rung — it needs one full evaluation, collection pass
+	// included, after live settles over soft, so neither an iteration count
+	// nor a sleep would do; the deadline only bounds a broken run.
+	stop := time.Now().Add(30 * time.Second)
+	for i := 0; db.PressureStats().Level != PressureBackpressure; i++ {
+		if time.Now().After(stop) {
+			t.Fatalf("controller never reached backpressure: %+v", db.PressureStats())
+		}
+		switch err := update(i); {
+		case err == nil, errors.Is(err, ErrVersionPressure):
 		case errors.Is(err, ErrSnapshotKilled):
 			t.Fatalf("eviction fired below hard watermark on update %d", i)
 		default:
 			t.Fatalf("update %d: %v", i, err)
 		}
 	}
-	if !sawPressure {
-		t.Fatal("no writer saw ErrVersionPressure despite sustained over-soft pressure")
+	// The rung holds as long as the pin does: every writer now waits out
+	// MaxWriterWait and is rejected, also while the controller is busy
+	// re-evaluating on the waiters' kicks.
+	for i := 0; i < 5; i++ {
+		if err := update(i); !errors.Is(err, ErrVersionPressure) {
+			t.Fatalf("update under backpressure = %v, want ErrVersionPressure (%+v)", err, db.PressureStats())
+		}
 	}
 	ps := db.PressureStats()
 	if ps.Backpressured < 1 || ps.Rejected < 1 {

@@ -8,26 +8,22 @@ import (
 	"hybridgc/internal/ts"
 )
 
-// TestBarrierAllocFree pins the commit-request pooling: Barrier exercises the
-// full submit/sweep/answer machinery (pooled commitReq + done channel,
-// sharded intake, committer sweep buffers) with no transaction state on top,
-// so at steady state the whole round trip — including the committer
-// goroutine's share — must allocate nothing. Before pooling, every request
-// allocated a commitReq and a channel.
+// TestBarrierAllocFree pins the commit-request pooling: Barrier goes through
+// the whole queue machinery (pooled commitReq + done channel, enqueue, lead,
+// take, hand leadership on) with no transaction state on top, so at steady
+// state the round trip must allocate nothing.
 func TestBarrierAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	m := NewManager(mvcc.NewSpace(256), sts.NewRegistry(), Config{})
 	defer m.Close()
-	// Warm the request pool and the intake/committer scratch buffers.
+	// Warm the request pool.
 	for i := 0; i < 64; i++ {
 		if err := m.Barrier(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// AllocsPerRun reports process-wide mallocs per run, so the committer
-	// goroutine's allocations (if any) are counted too.
 	if n := testing.AllocsPerRun(200, func() {
 		if err := m.Barrier(); err != nil {
 			t.Fatal(err)

@@ -26,11 +26,27 @@ func BenchmarkSnapshotAcquireStmtParallel(b *testing.B) {
 	})
 }
 
-// BenchmarkCommitParallel measures commit submission end to end under
-// parallel writers: pooled request, sharded intake, one group commit per
-// sweep, lock-free group-list publication. Each iteration commits one
-// single-version transaction on a fresh RID (insert-like, no write-write
-// conflicts).
+// commitOne commits one single-version transaction on a fresh RID
+// (insert-like, no write-write conflicts).
+func commitOne(b *testing.B, m *Manager, rec *nopRecord, rid uint64) {
+	txn := m.Begin(StmtSI, nil)
+	v := mvcc.NewVersion(mvcc.OpInsert,
+		ts.RecordKey{Table: 1, RID: ts.RID(rid)},
+		[]byte("img"), txn.Context())
+	txn.Context().Add(v)
+	if _, err := m.Space().Prepend(rec, v, txn.ConflictCheck()); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := txn.Commit(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkCommitParallel measures commit end to end under parallel writers:
+// pooled request, one FIFO queue, the first arrival leading a group and the
+// rest piggybacking on it, lock-free group-list publication. Run it at
+// -cpu 1,2,4: at 1 every commit is its own leader, above that followers park
+// and leadership is handed from group to group.
 func BenchmarkCommitParallel(b *testing.B) {
 	m := NewManager(mvcc.NewSpace(1<<16), sts.NewRegistry(), Config{})
 	defer m.Close()
@@ -39,17 +55,20 @@ func BenchmarkCommitParallel(b *testing.B) {
 	b.RunParallel(func(pb *testing.PB) {
 		rec := &nopRecord{}
 		for pb.Next() {
-			txn := m.Begin(StmtSI, nil)
-			v := mvcc.NewVersion(mvcc.OpInsert,
-				ts.RecordKey{Table: 1, RID: ts.RID(rid.Add(1))},
-				[]byte("img"), txn.Context())
-			txn.Context().Add(v)
-			if _, err := m.Space().Prepend(rec, v, txn.ConflictCheck()); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := txn.Commit(); err != nil {
-				b.Fatal(err)
-			}
+			commitOne(b, m, rec, rid.Add(1))
 		}
 	})
+}
+
+// BenchmarkCommitSerial is the uncontended path: one goroutine, so every
+// commit leads a group of one and touches no channel and no other goroutine
+// on its way (the propagator is fed, not waited for).
+func BenchmarkCommitSerial(b *testing.B) {
+	m := NewManager(mvcc.NewSpace(1<<16), sts.NewRegistry(), Config{})
+	defer m.Close()
+	rec := &nopRecord{}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		commitOne(b, m, rec, uint64(i)+1)
+	}
 }

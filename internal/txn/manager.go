@@ -8,8 +8,8 @@
 //
 // The two hot paths are built to scale across cores (DESIGN.md §15): snapshot
 // acquisition publishes into the sts announcement array guarded only by a
-// seqlock against GC scans, and commit submission goes through pooled
-// requests and a sharded MPSC intake instead of one contended channel.
+// seqlock against GC scans, and commit groups are formed on the committing
+// goroutines themselves: the first arrival leads, later arrivals piggyback.
 package txn
 
 import (
@@ -60,24 +60,25 @@ var (
 )
 
 // CommitLogger makes a commit group durable before it becomes visible: the
-// committer calls LogCommit with the group's CID and member contexts after
-// choosing the CID but before publishing it, and only publishes on success.
-// A failure rolls the whole group back and surfaces the error to every
-// member's Commit call. This is how the common persistency of §2.1 hooks
-// into group commit.
+// group's leader calls LogCommit with the group's CID and member contexts
+// after choosing the CID but before publishing it, and only publishes on
+// success. Leaders are serialized by the commit queue, so LogCommit is never
+// called concurrently and sees CIDs in ascending order. A failure rolls the
+// whole group back and surfaces the error to every member's Commit call.
+// This is how the common persistency of §2.1 hooks into group commit.
 type CommitLogger interface {
 	LogCommit(cid ts.CID, members []*mvcc.TransContext) error
 }
 
-// Config tunes the group committer.
+// Config tunes group commit.
 type Config struct {
 	// GroupCommitMaxBatch caps how many transactions share one commit group.
 	// Defaults to 64.
 	GroupCommitMaxBatch int
-	// GroupCommitWindow is how long the committer waits to fill a batch
-	// after the first request. Zero (the default) batches only what is
-	// already queued, which keeps single-threaded commits fast while still
-	// grouping concurrent ones.
+	// GroupCommitWindow is how long a group's leader waits for its batch to
+	// fill before taking it. Zero (the default) batches only what is already
+	// queued, which keeps single-threaded commits fast while still grouping
+	// concurrent ones.
 	GroupCommitWindow time.Duration
 	// SynchronousPropagation makes backward CID propagation happen inside
 	// the commit call instead of on the background propagator. Used by
@@ -86,9 +87,10 @@ type Config struct {
 	// CommitLogger, when set, makes commit groups durable before they become
 	// visible (write-ahead logging).
 	CommitLogger CommitLogger
-	// OnDurabilityFailure, when set, is called (once per incident, from the
-	// committer goroutine) when a commit group could not be made durable or
-	// could not be published after being logged. The embedding engine uses it
+	// OnDurabilityFailure, when set, is called (once per failed group, by
+	// that group's leader, so never concurrently) when a commit group could
+	// not be made durable or could not be published after being logged, before
+	// any member learns of the failure. The embedding engine uses it
 	// to transition into fail-stop read-only mode: after a logging failure no
 	// later commit may be acknowledged, or an acked-but-unlogged commit could
 	// survive in memory and vanish on restart.
@@ -130,18 +132,13 @@ type Manager struct {
 	scanMu  sync.Mutex
 	scanSeq atomic.Uint64
 
-	intake commitIntake
+	cq     commitQueue
 	propCh chan *mvcc.GroupCommitContext
 	quit   chan struct{}
 	wg     sync.WaitGroup
+	// closed is written under cq.mu (so submission and shutdown are ordered
+	// by the queue's mutex) and read lock-free by PublishReplicated.
 	closed atomic.Bool
-	// sendGate serializes commit submission against shutdown: senders hold
-	// the read side while enqueueing, Close takes the write side before
-	// signalling quit, so every request that entered the intake is seen by
-	// the committer's final drain and answered — no sender can block
-	// forever on its done channel.
-	sendGate   sync.RWMutex
-	sendClosed bool
 
 	txnsCommitted   atomic.Int64
 	txnsAborted     atomic.Int64
@@ -150,7 +147,7 @@ type Manager struct {
 }
 
 // NewManager creates a manager over the given version space and snapshot
-// registry, and starts the group committer and CID propagator.
+// registry, and starts the CID propagator.
 func NewManager(space *mvcc.Space, reg *sts.Registry, cfg Config) *Manager {
 	cfg.fill()
 	m := &Manager{
@@ -161,39 +158,22 @@ func NewManager(space *mvcc.Space, reg *sts.Registry, cfg Config) *Manager {
 		propCh: make(chan *mvcc.GroupCommitContext, 1024),
 		quit:   make(chan struct{}),
 	}
-	m.intake.init()
-	m.wg.Add(2)
-	go m.committer()
+	m.wg.Add(1)
 	go m.propagator()
 	return m
 }
 
-// Close stops the background goroutines. Commits submitted before Close
-// still receive their result (or ErrClosed from the final drain); commits
-// submitted after fail immediately with ErrClosed. Safe to call once.
+// Close shuts the manager down. It is the last request through the commit
+// queue: commits accepted before it are published (or failed by their
+// logger) before Close returns, commits submitted after it fail with
+// ErrClosed, and only then does the propagator stop. Safe to call more than
+// once.
 func (m *Manager) Close() {
-	if !m.closed.CompareAndSwap(false, true) {
-		return
+	if res := m.submit(nil, true); res.err != nil {
+		return // already closed
 	}
-	// Bar new senders first; in-flight enqueues finish under the read lock,
-	// so by the time quit closes every accepted request is in the intake
-	// and the committer's final drain answers it.
-	m.sendGate.Lock()
-	m.sendClosed = true
-	m.sendGate.Unlock()
 	close(m.quit)
 	m.wg.Wait()
-}
-
-// submit enqueues a commit request unless the manager is closed.
-func (m *Manager) submit(req *commitReq) error {
-	m.sendGate.RLock()
-	defer m.sendGate.RUnlock()
-	if m.sendClosed {
-		return ErrClosed
-	}
-	m.intake.put(req)
-	return nil
 }
 
 // Space returns the version space the manager commits into.
@@ -302,163 +282,151 @@ func (m *Manager) Stats() Stats {
 	}
 }
 
+// commitReq is one request in the commit queue: a transaction's commit, or
+// (tctx nil) a Barrier or Close, which only waits its turn.
 type commitReq struct {
 	tctx *mvcc.TransContext
+	// next links the queue; cq.mu guards it until a leader takes the request
+	// into its group, after which that leader owns it.
+	next *commitReq
+	// done wakes a follower: with its group's result, or with the leadership
+	// of the group now at the head of the queue. A leader never uses its own.
 	done chan commitResult
-	// stripe picks the intake queue this request enqueues to. It is assigned
-	// round-robin when the request object is first created and then travels
-	// with the object through the pool, so each P's pooled requests keep
-	// hitting the same stripe — per-P striping without goroutine IDs.
-	stripe uint32
 }
 
 type commitResult struct {
 	cid ts.CID
 	err error
+	// lead means no result yet: the receiver's request is at the head of the
+	// queue and it must lead that group itself.
+	lead bool
 }
-
-var commitReqSeed atomic.Uint32
 
 // commitReqPool recycles commit requests and their (cap-1) done channels, so
-// the commit fast path allocates neither.
+// the commit path allocates neither. A request goes back with its channel
+// empty: it is woken at most once as follower and answered at most once.
 var commitReqPool = sync.Pool{New: func() any {
-	return &commitReq{
-		done:   make(chan commitResult, 1),
-		stripe: commitReqSeed.Add(1) & intakeStripeMask,
-	}
+	return &commitReq{done: make(chan commitResult, 1)}
 }}
 
-func getCommitReq(tctx *mvcc.TransContext) *commitReq {
-	r := commitReqPool.Get().(*commitReq)
-	r.tctx = tctx
-	return r
-}
-
-// putCommitReq returns a request whose result has been consumed. The done
-// channel is empty again (commit answers are single-shot), so the object is
-// immediately reusable.
-func putCommitReq(r *commitReq) {
-	r.tctx = nil
-	commitReqPool.Put(r)
-}
-
-// committer is the single goroutine that forms commit groups: it sweeps the
-// sharded intake into a batch, creates one GroupCommitContext per
-// GroupCommitMaxBatch-sized chunk, assigns the CID with one atomic store,
-// then advances the global commit timestamp and releases the waiters.
+// commitQueue is the FIFO every Commit, Barrier and Close goes through, and
+// the leadership token that serializes commit groups (DESIGN.md §15.3).
 //
-// Barrier requests need one extra sweep before they are acknowledged: a
-// sweep visits stripes in a fixed order, so it can catch a barrier on an
-// early stripe while missing a commit that was enqueued to an
-// already-visited stripe strictly before the barrier was submitted. Every
-// such commit is in its stripe before the catching sweep finishes, so the
-// *next* sweep is guaranteed to include it — barriers caught by sweep k are
-// therefore answered only after sweep k+1's batches have been published.
-func (m *Manager) committer() {
-	defer m.wg.Done()
-	var (
-		drained  []*commitReq
-		real     []*commitReq
-		barBufs  [2][]*commitReq // double-buffered: one side is the live carry
-		barside  int
-		carry    []*commitReq // barriers awaiting their fence sweep
-		timer    *time.Timer
-	)
-	for {
-		if len(carry) == 0 {
-			select {
-			case <-m.intake.notify:
-			case <-m.quit:
-				m.failPending(nil)
-				return
-			}
-		} else {
-			// A carry is pending: sweep immediately (its fence), without
-			// waiting for a notification that may never come.
-			select {
-			case <-m.quit:
-				m.failPending(carry)
-				return
-			default:
-			}
-		}
-		drained = m.intake.drain(drained[:0])
-		real = real[:0]
-		barriers := barBufs[barside][:0]
-		real, barriers = splitRequests(drained, real, barriers)
-
-		// Wait up to the configured window for stragglers, reusing one timer
-		// across batches.
-		if m.cfg.GroupCommitWindow > 0 && len(real) > 0 && len(real) < m.cfg.GroupCommitMaxBatch {
-			if timer == nil {
-				timer = time.NewTimer(m.cfg.GroupCommitWindow)
-			} else {
-				timer.Reset(m.cfg.GroupCommitWindow)
-			}
-			window := true
-			for window && len(real) < m.cfg.GroupCommitMaxBatch {
-				select {
-				case <-m.intake.notify:
-					drained = m.intake.drain(drained[:0])
-					real, barriers = splitRequests(drained, real, barriers)
-				case <-timer.C:
-					window = false
-				case <-m.quit:
-					window = false
-				}
-			}
-			if window {
-				// Left the loop with the timer still armed: disarm and drain
-				// so the next Reset starts clean.
-				if !timer.Stop() {
-					select {
-					case <-timer.C:
-					default:
-					}
-				}
-			}
-		}
-
-		for start := 0; start < len(real); start += m.cfg.GroupCommitMaxBatch {
-			end := start + m.cfg.GroupCommitMaxBatch
-			if end > len(real) {
-				end = len(real)
-			}
-			m.commitBatch(real[start:end])
-		}
-		// This sweep's publications are the fence the previous sweep's
-		// barriers were waiting for.
-		for _, b := range carry {
-			b.done <- commitResult{}
-		}
-		barBufs[barside] = barriers
-		carry = barriers
-		barside ^= 1
-	}
+// Invariant, under mu: the queue is non-empty only while leading is set, and
+// then either the request at the head belongs to the leader, who has not
+// taken its group yet, or a leader is publishing a group it already took and
+// will pass leadership to the head when it is done. So every accepted
+// request either leads or is answered or handed leadership by a leader, and
+// at most one goroutine is between taking a group and passing leadership on.
+type commitQueue struct {
+	mu         sync.Mutex
+	head, tail *commitReq
+	n          int
+	leading    bool
 }
 
-// splitRequests partitions a sweep into real commits and barriers, appending
-// to the provided buffers.
-func splitRequests(reqs, real, barriers []*commitReq) ([]*commitReq, []*commitReq) {
-	for _, r := range reqs {
-		if r.tctx == nil {
-			barriers = append(barriers, r)
-		} else {
-			real = append(real, r)
-		}
-	}
-	return real, barriers
+// submit runs one request — tctx's commit, or with tctx nil a pure wait —
+// through the commit queue on the calling goroutine and returns its result.
+// closing marks the manager closed in the same critical section that
+// enqueues the request, which makes it the queue's last.
+func (m *Manager) submit(tctx *mvcc.TransContext, closing bool) commitResult {
+	req := commitReqPool.Get().(*commitReq)
+	req.tctx = tctx
+	res := m.throughQueue(req, closing)
+	req.tctx = nil
+	commitReqPool.Put(req)
+	return res
 }
 
-func (m *Manager) commitBatch(real []*commitReq) {
-	if len(real) == 0 {
-		return
+// throughQueue is submit with the request in hand. The first arrival at an
+// idle queue leads: it takes what is queued (up to GroupCommitMaxBatch, itself
+// first), commits it as one group, answers the members and hands leadership
+// to whoever queued meanwhile — a leader serves exactly one group. Later
+// arrivals park on their done channel until a leader answers them or makes
+// them the next leader. An uncontended commit therefore touches no channel
+// and no other goroutine.
+func (m *Manager) throughQueue(req *commitReq, closing bool) commitResult {
+	q := &m.cq
+	q.mu.Lock()
+	if m.closed.Load() {
+		q.mu.Unlock()
+		return commitResult{err: ErrClosed}
 	}
+	if closing {
+		m.closed.Store(true)
+	}
+	if q.tail == nil {
+		q.head = req
+	} else {
+		q.tail.next = req
+	}
+	q.tail = req
+	q.n++
+	if q.leading {
+		q.mu.Unlock()
+		res := <-req.done
+		if !res.lead {
+			return res
+		}
+		q.mu.Lock()
+	} else {
+		q.leading = true
+	}
+
+	// Leading, with req at the head of the queue.
+	limit := m.cfg.GroupCommitMaxBatch
+	if w := m.cfg.GroupCommitWindow; w > 0 && req.tctx != nil && q.n < limit {
+		q.mu.Unlock()
+		time.Sleep(w)
+		q.mu.Lock()
+	}
+	n, last := q.n, q.tail
+	if n > limit {
+		n, last = limit, req
+		for i := 1; i < n; i++ {
+			last = last.next
+		}
+	}
+	q.head = last.next
+	if q.head == nil {
+		q.tail = nil
+	}
+	last.next = nil
+	q.n -= n
+	q.mu.Unlock()
+
+	res := m.commitBatch(req, n)
+
+	q.mu.Lock()
+	next := q.head
+	q.leading = next != nil
+	q.mu.Unlock()
+	if next != nil {
+		next.done <- commitResult{lead: true}
+	}
+	return res
+}
+
+// commitBatch commits the n requests linked from lead as one group and
+// returns lead's own result. Only a group's leader calls it, so calls never
+// overlap: the CID read-then-store below, the CommitLogger, FPPublish and
+// OnDurabilityFailure all rely on that.
+func (m *Manager) commitBatch(lead *commitReq, n int) commitResult {
 	// The member slice is retained by the group for its whole lifetime, so it
 	// cannot come from a scratch buffer.
-	tcs := make([]*mvcc.TransContext, 0, len(real))
-	for _, r := range real {
+	var tcs []*mvcc.TransContext
+	for r := lead; r != nil; r = r.next {
+		if r.tctx == nil {
+			continue
+		}
+		if tcs == nil {
+			tcs = make([]*mvcc.TransContext, 0, n)
+		}
 		tcs = append(tcs, r.tctx)
+	}
+	if tcs == nil {
+		// Only barriers: everything queued before them is already published.
+		return answer(lead, commitResult{})
 	}
 	cid := ts.CID(m.commitTS.Load()) + 1
 	// Write-ahead logging: the group must be durable before anything makes
@@ -466,16 +434,14 @@ func (m *Manager) commitBatch(real []*commitReq) {
 	// readers cannot observe the group while it is being logged.
 	if logger := m.cfg.CommitLogger; logger != nil {
 		if err := logger.LogCommit(cid, tcs); err != nil {
-			m.failBatch(tcs, real, fmt.Errorf("txn: commit logging failed: %w", err))
-			return
+			return m.failBatch(lead, tcs, fmt.Errorf("txn: commit logging failed: %w", err))
 		}
 	}
 	if err := fault.Hit(FPPublish); err != nil {
 		// The group is in the log but will never be published. The CID must
 		// not be reused (replay would then skip the next real group), so this
 		// is unrecoverable without restarting through recovery: fail-stop.
-		m.failBatch(tcs, real, fmt.Errorf("txn: publish failed after durable logging: %w", err))
-		return
+		return m.failBatch(lead, tcs, fmt.Errorf("txn: publish failed after durable logging: %w", err))
 	}
 	gcc := mvcc.NewGroup(tcs)
 	// Publish the CID on the group first: the single store below makes every
@@ -486,58 +452,74 @@ func (m *Manager) commitBatch(real []*commitReq) {
 	m.commitTS.Store(uint64(cid))
 	m.space.Groups.Append(gcc)
 	m.groupsCommitted.Add(1)
-	m.txnsCommitted.Add(int64(len(real)))
-	for _, r := range real {
-		r.done <- commitResult{cid: cid}
-	}
+	m.txnsCommitted.Add(int64(len(tcs)))
+	// Hand the group to the propagator before releasing anyone, so a Close
+	// that rode in this group cannot stop the propagator ahead of it.
 	if m.cfg.SynchronousPropagation {
 		m.propagated.Add(int64(gcc.Propagate()))
-		return
+	} else {
+		select {
+		case m.propCh <- gcc:
+		default:
+			// Propagator backlogged; propagate inline rather than dropping.
+			m.propagated.Add(int64(gcc.Propagate()))
+		}
 	}
-	select {
-	case m.propCh <- gcc:
-	default:
-		// Propagator backlogged; propagate inline rather than dropping.
-		m.propagated.Add(int64(gcc.Propagate()))
-	}
+	return answer(lead, commitResult{cid: cid})
 }
 
-// failBatch rolls back every member of a batch whose logging or publication
-// failed, answers all waiters with err, counts the aborts, and notifies the
-// durability-failure hook so the engine can fail-stop.
-func (m *Manager) failBatch(tcs []*mvcc.TransContext, real []*commitReq, err error) {
-	m.rollbackBatch(tcs)
-	m.txnsAborted.Add(int64(len(real)))
-	for _, r := range real {
-		r.done <- commitResult{err: err}
+// answer releases the followers of the group linked from lead and returns
+// lead's own result: res for commits, an empty result for barriers, which
+// only wait for the group to be settled either way.
+func answer(lead *commitReq, res commitResult) commitResult {
+	for r := lead.next; r != nil; {
+		// The follower owns r again the moment it is answered.
+		next := r.next
+		r.next = nil
+		if r.tctx == nil {
+			r.done <- commitResult{}
+		} else {
+			r.done <- res
+		}
+		r = next
+	}
+	lead.next = nil
+	if lead.tctx == nil {
+		return commitResult{}
+	}
+	return res
+}
+
+// failBatch rolls back every member of a group whose logging or publication
+// failed, notifies the durability-failure hook so the engine can fail-stop,
+// and only then answers the members with err (each counts its own abort in
+// Txn.Commit).
+func (m *Manager) failBatch(lead *commitReq, tcs []*mvcc.TransContext, err error) commitResult {
+	for _, tc := range tcs {
+		m.rollback(tc)
 	}
 	if m.cfg.OnDurabilityFailure != nil {
 		m.cfg.OnDurabilityFailure(err)
 	}
+	return answer(lead, commitResult{err: err})
 }
 
-// rollbackBatch undoes every version of a batch whose logging failed.
-func (m *Manager) rollbackBatch(tcs []*mvcc.TransContext) {
-	for _, tc := range tcs {
-		vs := tc.Versions()
-		for i := len(vs) - 1; i >= 0; i-- {
-			m.space.Rollback(vs[i])
-		}
+// rollback unlinks a transaction's versions newest-first.
+func (m *Manager) rollback(tc *mvcc.TransContext) {
+	vs := tc.Versions()
+	for i := len(vs) - 1; i >= 0; i-- {
+		m.space.Rollback(vs[i])
 	}
 }
 
 // Barrier blocks until every commit submitted before it has been published
-// (or failed). Checkpointing fences on it after rotating the log so the
-// snapshot it takes covers everything written to the closed segments.
+// (or failed). It is an empty request through the commit queue: the queue is
+// FIFO and groups are published one after another, so everything ahead of
+// the barrier is in an earlier group or earlier in its own. Checkpointing
+// fences on it after rotating the log so the snapshot it takes covers
+// everything written to the closed segments.
 func (m *Manager) Barrier() error {
-	req := getCommitReq(nil)
-	if err := m.submit(req); err != nil {
-		putCommitReq(req)
-		return err
-	}
-	res := <-req.done
-	putCommitReq(req)
-	return res.err
+	return m.submit(nil, false).err
 }
 
 // SetCommitTS installs the recovered commit timestamp. Must be called before
@@ -545,8 +527,8 @@ func (m *Manager) Barrier() error {
 func (m *Manager) SetCommitTS(c ts.CID) { m.commitTS.Store(uint64(c)) }
 
 // PublishReplicated publishes one already-durable commit group at its
-// original, primary-assigned CID — the replica apply path. It mirrors the
-// group committer's publication sequence (assign the CID on the group, then
+// original, primary-assigned CID — the replica apply path. It mirrors
+// commitBatch's publication sequence (assign the CID on the group, then
 // advance the commit timestamp, then link the group) minus logging, batching
 // and conflict handling: the primary already did all three, and the WAL
 // stream delivers groups serially in CID order. Calls must be serial with
@@ -569,17 +551,6 @@ func (m *Manager) PublishReplicated(cid ts.CID, tc *mvcc.TransContext) error {
 	// record may depend on the chain state this group produced.
 	m.propagated.Add(int64(gcc.Propagate()))
 	return nil
-}
-
-// failPending drains and fails requests still queued at shutdown, including
-// barriers carried from the last sweep.
-func (m *Manager) failPending(carry []*commitReq) {
-	for _, r := range carry {
-		r.done <- commitResult{err: ErrClosed}
-	}
-	for _, r := range m.intake.drain(nil) {
-		r.done <- commitResult{err: ErrClosed}
-	}
 }
 
 // propagator performs the asynchronous backward CID propagation of §2.2:

@@ -118,22 +118,14 @@ func (t *Txn) Commit() (ts.CID, error) {
 		t.releaseSnapshot()
 		return ts.Invalid, nil
 	}
-	req := getCommitReq(t.tctx)
-	if err := t.m.submit(req); err != nil {
-		putCommitReq(req)
-		t.state.Store(int32(stateAborted))
-		t.undo()
-		t.releaseSnapshot()
-		return ts.Invalid, err
-	}
-	// Every submitted request is answered: Close bars new senders before
-	// signalling the committer, whose final drain fails what remains queued.
-	res := <-req.done
-	putCommitReq(req)
+	res := t.m.submit(t.tctx, false)
 	if res.err != nil {
+		// Refused (manager closed) or failed with its group: either way the
+		// transaction ends aborted and is counted as such.
 		t.state.Store(int32(stateAborted))
 		t.undo()
 		t.releaseSnapshot()
+		t.m.txnsAborted.Add(1)
 		return ts.Invalid, res.err
 	}
 	// The snapshot is released only after the commit is durable in the
@@ -154,14 +146,10 @@ func (t *Txn) Abort() {
 	t.m.txnsAborted.Add(1)
 }
 
-// undo unlinks the transaction's versions newest-first.
+// undo rolls back whatever the transaction wrote.
 func (t *Txn) undo() {
-	if t.tctx == nil {
-		return
-	}
-	vs := t.tctx.Versions()
-	for i := len(vs) - 1; i >= 0; i-- {
-		t.m.space.Rollback(vs[i])
+	if t.tctx != nil {
+		t.m.rollback(t.tctx)
 	}
 }
 

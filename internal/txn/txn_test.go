@@ -1,7 +1,9 @@
 package txn
 
 import (
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -369,14 +371,17 @@ func TestHorizonsWithTableScoping(t *testing.T) {
 
 // TestCloseCommitRace provokes the shutdown race: many goroutines submit
 // commits while Close runs concurrently. Every Commit call must return —
-// either its CID or ErrClosed — and never hang on its response channel.
-// (A previous implementation could lose a commit's response when the send
-// won the race against the committer's final drain.)
+// either its CID or ErrClosed — and never hang: Close is the commit queue's
+// last request, so whatever was accepted ahead of it is published and
+// whatever comes after is refused. No commit may be both: an answered one
+// keeps its version, a refused one is rolled back, and the counters account
+// for every call.
 func TestCloseCommitRace(t *testing.T) {
 	for round := 0; round < 30; round++ {
 		m := NewManager(mvcc.NewSpace(64), sts.NewRegistry(), Config{})
 		const committers = 8
 		var wg sync.WaitGroup
+		var calls, answered, refused atomic.Int64
 		start := make(chan struct{})
 		for g := 0; g < committers; g++ {
 			wg.Add(1)
@@ -386,19 +391,30 @@ func TestCloseCommitRace(t *testing.T) {
 				for i := 0; i < 50; i++ {
 					txn := m.Begin(StmtSI, nil)
 					if err := write(t, m, txn, &nopRecord{}, uint64(g*1000+i), "x"); err != nil {
+						t.Error(err)
 						return
 					}
-					if _, err := txn.Commit(); err != nil {
-						if err != ErrClosed {
-							t.Errorf("commit error %v", err)
-						}
+					calls.Add(1)
+					cid, err := txn.Commit()
+					switch {
+					case err == nil && cid != ts.Invalid:
+						answered.Add(1)
+					case err == ErrClosed:
+						refused.Add(1)
+						return
+					default:
+						t.Errorf("commit = %d, %v; want a CID or ErrClosed", cid, err)
 						return
 					}
 				}
 			}(g)
 		}
 		close(start)
-		// Close somewhere in the middle of the commit storm.
+		// Close at the very start of the commit storm, or (odd rounds)
+		// somewhere in the middle of it.
+		for round%2 == 1 && answered.Load() == 0 {
+			runtime.Gosched()
+		}
 		m.Close()
 		done := make(chan struct{})
 		go func() { wg.Wait(); close(done) }()
@@ -406,6 +422,21 @@ func TestCloseCommitRace(t *testing.T) {
 		case <-done:
 		case <-time.After(5 * time.Second):
 			t.Fatalf("round %d: committers hung after Close", round)
+		}
+		st := m.Stats()
+		if st.TxnsCommitted != answered.Load() || st.TxnsAborted != refused.Load() ||
+			st.TxnsCommitted+st.TxnsAborted != calls.Load() {
+			t.Fatalf("round %d: %d committed + %d aborted counted for %d answered + %d refused of %d calls",
+				round, st.TxnsCommitted, st.TxnsAborted, answered.Load(), refused.Load(), calls.Load())
+		}
+		// One version per transaction and no GC: what is still linked is
+		// exactly what was answered, what was rolled back exactly the rest.
+		if live, rolled := m.Space().Live(), m.Space().RolledBackTotal(); live != answered.Load() || rolled != refused.Load() {
+			t.Fatalf("round %d: %d versions live, %d rolled back; want %d and %d",
+				round, live, rolled, answered.Load(), refused.Load())
+		}
+		if m.CurrentTS() != ts.CID(st.GroupsCommitted) {
+			t.Fatalf("round %d: CurrentTS %d after %d groups", round, m.CurrentTS(), st.GroupsCommitted)
 		}
 	}
 }
