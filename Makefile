@@ -1,35 +1,34 @@
 GO ?= go
 
-.PHONY: all build vet test race check bench bench-json bench-smoke benchmark-test chaos-smoke shard-smoke htap-smoke replica-smoke clean
+.PHONY: all build vet test race check bench bench-smoke benchmark-test chaos-smoke clean
 
 all: check
 
 build:
 	$(GO) build ./...
 
+# vet also gates formatting over the root module (benchmark/ is its own):
+# gofmt -l prints the files it would change.
 vet:
 	$(GO) vet ./...
+	@out=$$(find . -name '*.go' -not -path './benchmark/*' | xargs gofmt -l); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test ./...
 
 # Race-check the concurrency-heavy packages (group commit, GC, version
 # space, the snapshot announcement array, pressure controller, the network
-# service layer, replication, the sharded engine and its 2PC path, the
-# lock-free hash table and table space, and the WAL/wire hot paths) with
-# -short to keep CI latency sane.
+# service layer, replication, the node assembly and its end-to-end smokes in
+# cmd/tpcc, the sharded engine and its 2PC path, the lock-free hash table and
+# table space, and the WAL/wire hot paths) with -short to keep CI latency
+# sane.
 race:
-	$(GO) test -race -short ./internal/table/... ./internal/core/... ./internal/txn/... ./internal/gc/... ./internal/mvcc/... ./internal/sts/... ./internal/sql/... ./internal/server/... ./internal/client/... ./internal/repl/... ./internal/wal/... ./internal/wire/... ./internal/netfault/... ./internal/chaos/... ./internal/shard/... ./internal/htap/...
+	$(GO) test -race -short ./internal/table/... ./internal/core/... ./internal/txn/... ./internal/gc/... ./internal/mvcc/... ./internal/sts/... ./internal/sql/... ./internal/server/... ./internal/client/... ./internal/repl/... ./internal/node/... ./cmd/tpcc/... ./internal/wal/... ./internal/wire/... ./internal/netfault/... ./internal/chaos/... ./internal/shard/... ./internal/htap/...
 
 check: vet build test race
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run '^$$' .
-
-# Regenerate the benchmark baseline: the paper-figure suite plus the hot-path
-# micro-benchmarks, written to BENCH_<date>.json (see cmd/benchjson).
-bench-json:
-	$(GO) run ./cmd/benchjson
 
 # CI smoke: one iteration of every hot-path micro-benchmark, so bench code
 # cannot rot without failing the build. GOMAXPROCS=4 makes the parallel
@@ -54,28 +53,6 @@ benchmark-test:
 # convergence, GC-horizon liveness); a failing seed prints how to reproduce.
 chaos-smoke:
 	$(GO) run ./cmd/chaos -seeds 1,2,3,4,5 -duration 1200ms
-
-# CI smoke: TPC-C over loopback against `hybridgcd -shards 4` through the
-# shard-aware client, ending in the full consistency check. Proves the
-# sharded server path (HELLO shard map, pinned single-shard transactions,
-# cross-shard 2PC) end to end.
-shard-smoke:
-	bash ./scripts/shard-smoke.sh
-
-# CI smoke: mixed OLTP/OLAP over loopback against `hybridgcd -htap`. TPC-C
-# workers drive the row store while OLAP analysts run column-lane aggregates
-# through the wire AGGREGATE verb; the script asserts the migrator actually
-# shipped rows into chunks during the run.
-htap-smoke:
-	bash ./scripts/htap-smoke.sh
-
-# CI smoke: read scale-out over loopback — persistent primary, two streaming
-# replicas, TPC-C with `-read-replicas`: pooled analysts split Session and
-# bounded reads across the replicas while OLTP writes to the primary. The
-# script asserts replicas actually served reads and that read-your-writes
-# held on every acked row.
-replica-smoke:
-	bash ./scripts/replica-read-smoke.sh
 
 clean:
 	$(GO) clean ./...

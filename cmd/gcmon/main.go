@@ -20,7 +20,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"sync"
 	"time"
 
@@ -51,18 +50,9 @@ func main() {
 		return
 	}
 
-	var m workload.Mode
-	switch strings.ToLower(*mode) {
-	case "none":
-		m = workload.ModeNone
-	case "gt":
-		m = workload.ModeGT
-	case "gttg", "gt+tg":
-		m = workload.ModeGTTG
-	case "hg", "hybrid":
-		m = workload.ModeHG
-	default:
-		fmt.Fprintf(os.Stderr, "unknown -gc mode %q\n", *mode)
+	m, err := workload.ParseMode(*mode)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 

@@ -6,6 +6,9 @@
 // in-process one — the paper's Figure 2 blocker, observable over the
 // network.
 //
+// The process is one internal/node: this file only turns flags into a
+// node.Config, starts it and waits for a signal.
+//
 // With -data the engine is persistent (WAL + checkpoints) and also acts as a
 // replication primary: replicas connect with OpReplStream, and their
 // reported snapshots join the cluster-wide GC horizon. With -replica-of the
@@ -34,351 +37,125 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
-	"net"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
-	"hybridgc/internal/core"
-	"hybridgc/internal/engine"
-	"hybridgc/internal/gc"
-	"hybridgc/internal/htap"
+	"hybridgc/internal/node"
 	"hybridgc/internal/profiling"
-	"hybridgc/internal/repl"
-	"hybridgc/internal/server"
-	"hybridgc/internal/shard"
 	"hybridgc/internal/wal"
 	"hybridgc/internal/workload"
 )
 
-type options struct {
-	addr       string
-	token      string
-	maxConns   int
-	idle       time.Duration
-	gcMode     workload.Mode
-	soft, hard int64
-	shards     int
+// parse turns the command line into a validated node.Config. Which settings
+// a role can honour is node's decision (Config.Validate); parse only keeps a
+// flag's default from counting as a setting for a role that never reads it.
+func parse(fs *flag.FlagSet, args []string) (node.Config, profiling.Flags, error) {
+	var (
+		cfg  node.Config
+		prof profiling.Flags
+	)
+	fs.StringVar(&cfg.Server.Addr, "addr", "127.0.0.1:7654", "listen address")
+	fs.StringVar(&cfg.Server.Token, "token", "", "auth token clients must present in HELLO (empty disables auth)")
+	fs.IntVar(&cfg.Server.MaxConns, "maxconns", 256, "maximum concurrent connections")
+	fs.DurationVar(&cfg.Server.IdleTimeout, "idle", 2*time.Minute, "per-connection idle timeout (releases cursors of silent peers)")
+	mode := fs.String("gc", "hg", "garbage collection mode: none, gt, gttg, hg")
+	fs.Int64Var(&cfg.Soft, "soft", 0, "version-budget soft watermark (0 disables the budget)")
+	fs.Int64Var(&cfg.Hard, "hard", 0, "version-budget hard watermark (0 derives 2*soft)")
+	fs.IntVar(&cfg.Shards, "shards", 1, "engine shard count; >1 serves a horizontally sharded engine with per-shard WALs, GC and horizons")
 
-	data        string
-	sync        bool
-	ckptEvery   time.Duration
-	replicaOf   string
-	replicaID   string
-	upstreamTok string
-	tokenWait   time.Duration
+	fs.StringVar(&cfg.Data, "data", "", "persistence directory (WAL + checkpoints); enables serving replicas")
+	fs.BoolVar(&cfg.Sync, "sync", false, "fsync the WAL on every commit group")
+	fs.DurationVar(&cfg.CheckpointEvery, "checkpoint-every", 0, "periodic checkpoint interval (0 disables; requires -data)")
 
-	replStale time.Duration
-	replWrite time.Duration
+	fs.StringVar(&cfg.Replica.Upstream, "replica-of", "", "primary address; run as a read-only replica of it")
+	fs.StringVar(&cfg.Replica.ReplicaID, "replica-id", "replica", "stable replica identity reported to the primary")
+	fs.StringVar(&cfg.Replica.Token, "upstream-token", "", "auth token for the primary (replica mode)")
+	fs.DurationVar(&cfg.TokenWait, "token-wait", 150*time.Millisecond, "replica mode: how long a read carrying a consistency token waits for the applier before bouncing with replica-behind")
 
-	htapOn    bool
-	htapEvery time.Duration
+	replStale := fs.Duration("repl-stale-after", 0, "demote a silent replica after this long; replica: tolerated primary silence (0 selects defaults)")
+	replWrite := fs.Duration("repl-write-timeout", 0, "per-write deadline on replication streams (0 selects the default)")
+
+	fs.BoolVar(&cfg.HTAP, "htap", false, "run the background row→column migrator; clients arm tables with the HTAP-ENABLE verb")
+	fs.DurationVar(&cfg.HTAPEvery, "htap-every", 25*time.Millisecond, "migrator pass interval (requires -htap)")
+	prof.Register(fs)
+	if err := fs.Parse(args); err != nil {
+		return cfg, prof, err
+	}
+
+	var err error
+	if cfg.GC, err = workload.ParseMode(*mode); err != nil {
+		return cfg, prof, err
+	}
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if cfg.Replica.Upstream != "" {
+		cfg.Replica.StallTimeout, cfg.Replica.WriteTimeout = *replStale, *replWrite
+	} else {
+		cfg.Source.StaleAfter, cfg.Source.WriteTimeout = *replStale, *replWrite
+		if !set["replica-id"] {
+			cfg.Replica.ReplicaID = ""
+		}
+		if !set["token-wait"] {
+			cfg.TokenWait = 0
+		}
+	}
+	if !cfg.HTAP && !set["htap-every"] {
+		cfg.HTAPEvery = 0
+	}
+	return cfg, prof, cfg.Validate()
 }
 
 func main() {
-	var (
-		addr     = flag.String("addr", "127.0.0.1:7654", "listen address")
-		token    = flag.String("token", "", "auth token clients must present in HELLO (empty disables auth)")
-		maxConns = flag.Int("maxconns", 256, "maximum concurrent connections")
-		idle     = flag.Duration("idle", 2*time.Minute, "per-connection idle timeout (releases cursors of silent peers)")
-		mode     = flag.String("gc", "hg", "garbage collection mode: none, gt, gttg, hg")
-		soft     = flag.Int64("soft", 0, "version-budget soft watermark (0 disables the budget)")
-		hard     = flag.Int64("hard", 0, "version-budget hard watermark (0 derives 2*soft)")
-		shards   = flag.Int("shards", 1, "engine shard count; >1 serves a horizontally sharded engine with per-shard WALs, GC and horizons")
-
-		data      = flag.String("data", "", "persistence directory (WAL + checkpoints); enables serving replicas")
-		syncWAL   = flag.Bool("sync", false, "fsync the WAL on every commit group")
-		ckptEvery = flag.Duration("checkpoint-every", 0, "periodic checkpoint interval (0 disables; requires -data)")
-
-		replicaOf   = flag.String("replica-of", "", "primary address; run as a read-only replica of it")
-		replicaID   = flag.String("replica-id", "replica", "stable replica identity reported to the primary")
-		upstreamTok = flag.String("upstream-token", "", "auth token for the primary (replica mode)")
-		tokenWait   = flag.Duration("token-wait", 150*time.Millisecond, "replica mode: how long a read carrying a consistency token waits for the applier before bouncing with replica-behind")
-
-		replStale = flag.Duration("repl-stale-after", 0, "demote a silent replica after this long; replica: tolerated primary silence (0 selects defaults)")
-		replWrite = flag.Duration("repl-write-timeout", 0, "per-write deadline on replication streams (0 selects the default)")
-
-		htapOn    = flag.Bool("htap", false, "run the background row→column migrator; clients arm tables with the HTAP-ENABLE verb")
-		htapEvery = flag.Duration("htap-every", 25*time.Millisecond, "migrator pass interval (requires -htap)")
-	)
-	var prof profiling.Flags
-	prof.Register(flag.CommandLine)
-	flag.Parse()
-
-	var m workload.Mode
-	switch strings.ToLower(*mode) {
-	case "none":
-		m = workload.ModeNone
-	case "gt":
-		m = workload.ModeGT
-	case "gttg", "gt+tg":
-		m = workload.ModeGTTG
-	case "hg", "hybrid":
-		m = workload.ModeHG
-	default:
-		fmt.Fprintf(os.Stderr, "unknown -gc mode %q\n", *mode)
+	cfg, prof, err := parse(flag.CommandLine, os.Args[1:])
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "hybridgcd:", err)
 		os.Exit(2)
 	}
 	if err := profiling.Start(prof); err != nil {
 		fatal(err)
 	}
 	defer profiling.Stop()
-	opts := options{
-		addr: *addr, token: *token, maxConns: *maxConns, idle: *idle,
-		gcMode: m, soft: *soft, hard: *hard, shards: *shards,
-		data: *data, sync: *syncWAL, ckptEvery: *ckptEvery,
-		replicaOf: *replicaOf, replicaID: *replicaID, upstreamTok: *upstreamTok,
-		tokenWait: *tokenWait,
-		replStale: *replStale, replWrite: *replWrite,
-		htapOn: *htapOn, htapEvery: *htapEvery,
-	}
-	if opts.shards > 1 && opts.replicaOf != "" {
-		fmt.Fprintln(os.Stderr, "hybridgcd: -shards > 1 is incompatible with -replica-of (replicas are single-node)")
-		os.Exit(2)
-	}
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)
 
-	if opts.replicaOf != "" {
-		runReplica(opts, sig)
-		return
+	n, err := node.Start(cfg)
+	if err != nil {
+		fatal(err)
 	}
-	runPrimary(opts, sig)
-}
-
-func engineConfig(opts options, readOnly bool) core.Config {
-	base := gc.Periods{GT: 50 * time.Millisecond, TG: 150 * time.Millisecond, SI: 500 * time.Millisecond}
-	cfg := core.Config{
-		GC:                 opts.gcMode.Periods(base),
-		LongLivedThreshold: 100 * time.Millisecond,
-		VersionBudget:      core.VersionBudget{Soft: opts.soft, Hard: opts.hard},
-		ReadOnly:           readOnly,
-	}
-	if !readOnly && opts.data != "" {
-		cfg.Persistence = &core.Persistence{Dir: opts.data, Sync: opts.sync}
-	}
-	return cfg
-}
-
-// runPrimary serves a standalone, primary or sharded engine until a signal
-// drains it.
-func runPrimary(opts options, sig <-chan os.Signal) {
-	var (
-		eng        engine.Engine
-		checkpoint func() error
-	)
-	if opts.shards > 1 {
-		cl, err := shard.Open(shard.Config{
-			Shards:    opts.shards,
-			Configure: func(int) core.Config { return engineConfig(opts, false) },
-		})
-		if err != nil {
-			fatal(err)
-		}
-		eng, checkpoint = cl, cl.Checkpoint
-	} else {
-		db, err := core.Open(engineConfig(opts, false))
-		if err != nil {
-			fatal(err)
-		}
-		eng, checkpoint = engine.NewSingle(db), db.Checkpoint
-	}
-	defer eng.Close()
-	if opts.gcMode != workload.ModeNone {
-		for i := 0; i < eng.Shards(); i++ {
-			g := eng.Shard(i).GC()
-			g.Start()
-			defer g.Stop()
-		}
-	}
-
-	srvCfg := server.Config{Token: opts.token, MaxConns: opts.maxConns, IdleTimeout: opts.idle}
-	var src *repl.Source
-	if opts.data != "" && opts.shards > 1 {
+	if cfg.Shards > 1 && cfg.Data != "" {
 		fmt.Println("hybridgcd: sharded engine persists per-shard WALs; serving replicas is single-node only and stays disabled")
 	}
-	if opts.data != "" && opts.shards <= 1 {
-		var err error
-		src, err = repl.NewSource(eng.Shard(0), repl.SourceConfig{
-			StaleAfter:   opts.replStale,
-			WriteTimeout: opts.replWrite,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		defer src.Close()
-		srvCfg.Repl = src
-		srvCfg.StatsHook = src.PopulateStats
-	}
-	srv, err := server.NewEngine(eng, srvCfg)
-	if err != nil {
-		fatal(err)
-	}
-	if opts.htapOn {
-		hm, err := htap.NewManager(eng, htap.Config{Interval: opts.htapEvery})
-		if err != nil {
-			fatal(err)
-		}
-		srv.Catalog().AttachHTAP(hm)
-		hm.Start()
-		defer hm.Stop()
-	}
-	ln, err := net.Listen("tcp", opts.addr)
-	if err != nil {
-		fatal(err)
-	}
-	role := "standalone"
-	switch {
-	case opts.shards > 1:
-		role = fmt.Sprintf("sharded x%d", opts.shards)
-	case src != nil:
-		role = "primary"
-	}
-	if opts.htapOn {
-		role += "+htap"
-	}
-	fmt.Printf("hybridgcd: listening on %s (role=%s gc=%s maxconns=%d)\n", ln.Addr(), role, opts.gcMode, opts.maxConns)
+	fmt.Printf("hybridgcd: listening on %s (role=%s gc=%s maxconns=%d)\n", n.Addr(), cfg.Role(), cfg.GC, cfg.Server.MaxConns)
 
-	stopCkpt := make(chan struct{})
-	if opts.ckptEvery > 0 && opts.data != "" {
-		go func() {
-			t := time.NewTicker(opts.ckptEvery)
-			defer t.Stop()
-			for {
-				select {
-				case <-stopCkpt:
-					return
-				case <-t.C:
-					if err := checkpoint(); err != nil {
-						fmt.Fprintln(os.Stderr, "hybridgcd: checkpoint:", err)
-					}
-				}
-			}
-		}()
-	}
-
-	done := make(chan error, 1)
-	go func() { done <- srv.Serve(ln) }()
+	failed := make(chan error, 1)
+	go func() { failed <- n.Wait() }()
 	select {
 	case s := <-sig:
 		fmt.Printf("hybridgcd: %v — draining...\n", s)
-		close(stopCkpt)
-		srv.Shutdown(5 * time.Second)
-		<-done
-	case err := <-done:
-		close(stopCkpt)
-		if err != nil {
-			fatal(err)
-		}
+	case err = <-failed:
+	}
+	n.Shutdown()
+	if err != nil {
+		fatal(err)
 	}
 
-	st := srv.Stats()
+	st := n.Stats()
 	fmt.Printf("hybridgcd: served %d requests over %d connections (%d errors)\n",
 		st.Requests, st.ConnsTotal, st.RequestErrors)
 	fmt.Printf("hybridgcd: versions live=%d reclaimed=%d, cursors reaped=%d, latency p50=%s p99=%s\n",
 		st.VersionsLive, st.VersionsReclaimed, st.CursorsReaped,
 		time.Duration(st.LatP50), time.Duration(st.LatP99))
-	if src != nil {
+	switch st.ReplRole {
+	case "primary":
 		fmt.Printf("hybridgcd: replication sent=%d records, demotions=%d, replicas=%d\n",
 			st.ReplRecordsSent, st.ReplDemotions, len(st.Replicas))
-	}
-}
-
-// runReplica serves a read-only replica, rebuilding the engine from a fresh
-// checkpoint whenever the primary requires a re-bootstrap.
-func runReplica(opts options, sig <-chan os.Signal) {
-	for {
-		db, err := core.Open(engineConfig(opts, true))
-		if err != nil {
-			fatal(err)
-		}
-		if opts.gcMode != workload.ModeNone {
-			db.GC().Start()
-		}
-		rep, err := repl.NewReplica(db, repl.ReplicaConfig{
-			Upstream:     opts.replicaOf,
-			Token:        opts.upstreamTok,
-			ReplicaID:    opts.replicaID,
-			StallTimeout: opts.replStale,
-			WriteTimeout: opts.replWrite,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		srv, err := server.New(db, server.Config{
-			Token: opts.token, MaxConns: opts.maxConns, IdleTimeout: opts.idle,
-			StatsHook: rep.PopulateStats,
-			ReadGate:  readGate(rep, opts.tokenWait),
-		})
-		if err != nil {
-			fatal(err)
-		}
-		ln, err := net.Listen("tcp", opts.addr)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("hybridgcd: listening on %s (role=replica of %s id=%s)\n", ln.Addr(), opts.replicaOf, opts.replicaID)
-
-		srvDone := make(chan error, 1)
-		go func() { srvDone <- srv.Serve(ln) }()
-		repDone := make(chan error, 1)
-		go func() { repDone <- rep.Run() }()
-
-		select {
-		case s := <-sig:
-			fmt.Printf("hybridgcd: %v — draining...\n", s)
-			rep.Stop()
-			srv.Shutdown(5 * time.Second)
-			<-srvDone
-			<-repDone
-			db.Close()
-			fmt.Printf("hybridgcd: replica applied %s\n", rep.AppliedLSN())
-			return
-		case err := <-repDone:
-			rep.Stop()
-			srv.Shutdown(5 * time.Second)
-			<-srvDone
-			db.Close()
-			if errors.Is(err, repl.ErrBootstrapRequired) {
-				fmt.Fprintln(os.Stderr, "hybridgcd: re-bootstrapping:", err)
-				continue // fresh engine, fresh checkpoint
-			}
-			if err != nil {
-				fatal(err)
-			}
-			return
-		case err := <-srvDone:
-			rep.Stop()
-			<-repDone
-			db.Close()
-			if err != nil {
-				fatal(err)
-			}
-			return
-		}
-	}
-}
-
-// readGate adapts the replica's applier to the server's consistency-token
-// gate: a read whose token is already applied passes immediately; otherwise
-// it waits up to wait for the applier and bounces with the transient
-// core.ErrReplicaBehind so the client retries on another endpoint.
-func readGate(rep *repl.Replica, wait time.Duration) func(uint64) (bool, error) {
-	return func(minLSN uint64) (bool, error) {
-		target := wal.LSN(minLSN)
-		if rep.AppliedLSN() >= target {
-			return false, nil
-		}
-		if err := rep.WaitLSN(target, wait); err != nil {
-			return true, fmt.Errorf("%w: %v", core.ErrReplicaBehind, err)
-		}
-		return true, nil
+	case "replica":
+		fmt.Printf("hybridgcd: replica applied %s after %d re-bootstraps\n", wal.LSN(st.ReplAppliedLSN), n.Rebootstraps())
 	}
 }
 

@@ -16,10 +16,11 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"strings"
 	"sync"
 	"time"
 
@@ -30,72 +31,107 @@ import (
 	"hybridgc/internal/profiling"
 	"hybridgc/internal/shard"
 	"hybridgc/internal/tpcc"
+	"hybridgc/internal/wire"
 	"hybridgc/internal/workload"
 )
 
+// options is the parsed command line.
+type options struct {
+	warehouses, items, customers, districts int
+	duration                                time.Duration
+	mode                                    workload.Mode
+	seed                                    int64
+	cursor, check, cross                    bool
+	shards, olap, readers                   int
+	readReplicas                            string
+	addr, token, checkAddr, checkToken      string
+}
+
+// report is what a run measured — the numbers the summary prints, returned
+// so the smoke tests assert on them instead of on text.
+type report struct {
+	committed      int64               // TPC-C transactions, all profiles
+	cross          int64               // of which crossed shards (two-phase commit)
+	lanes          []wire.HTAPStat     // -olap: the server's column lanes after the run
+	pool           client.PoolCounters // -read-replicas: where pooled reads were served
+	sessionReads   int64               // -read-replicas: read-your-writes checks made
+	rywViolations  int64               // ... and how many failed
+	checkedReplica bool                // the consistency check ran on -check-addr
+}
+
 func main() {
-	var (
-		warehouses = flag.Int("warehouses", 4, "number of warehouses (and workers)")
-		items      = flag.Int("items", 200, "items per warehouse")
-		customers  = flag.Int("customers", 30, "customers per district")
-		districts  = flag.Int("districts", 10, "districts per warehouse")
-		duration   = flag.Duration("duration", 10*time.Second, "benchmark duration")
-		mode       = flag.String("gc", "hg", "garbage collection mode: none, gt, gttg, hg (local mode only)")
-		cursor     = flag.Bool("cursor", false, "hold a long-duration cursor on STOCK (the paper's GC blocker)")
-		check      = flag.Bool("check", true, "run TPC-C consistency checks at the end")
-		seed       = flag.Int64("seed", 1, "random seed")
-		shards     = flag.Int("shards", 1, "run the in-process engine sharded N ways (local mode only)")
-		cross      = flag.Bool("cross", false, "enable TPC-C remote clauses (15% remote Payment, 1% remote supply per NewOrder line); auto-enabled when sharded")
-		olap       = flag.Int("olap", 0, "OLAP analysts running column-lane aggregates beside the OLTP load (remote mode; server needs -htap)")
-		readRepl   = flag.String("read-replicas", "", "comma-separated replica addresses; analyst reads route through the read/write-splitting pool (remote mode)")
-		readers    = flag.Int("readers", 2, "analyst goroutines reading through the pool (with -read-replicas)")
-		addr       = flag.String("addr", "", "hybridgcd address; empty runs the engine in-process")
-		token      = flag.String("token", "", "auth token for -addr")
-		checkAddr  = flag.String("check-addr", "", "read-only endpoint (e.g. a replica) to run the consistency check against")
-		checkToken = flag.String("check-token", "", "auth token for -check-addr")
-	)
+	var o options
+	flag.IntVar(&o.warehouses, "warehouses", 4, "number of warehouses (and workers)")
+	flag.IntVar(&o.items, "items", 200, "items per warehouse")
+	flag.IntVar(&o.customers, "customers", 30, "customers per district")
+	flag.IntVar(&o.districts, "districts", 10, "districts per warehouse")
+	flag.DurationVar(&o.duration, "duration", 10*time.Second, "benchmark duration")
+	mode := flag.String("gc", "hg", "garbage collection mode: none, gt, gttg, hg (local mode only)")
+	flag.BoolVar(&o.cursor, "cursor", false, "hold a long-duration cursor on STOCK (the paper's GC blocker)")
+	flag.BoolVar(&o.check, "check", true, "run TPC-C consistency checks at the end")
+	flag.Int64Var(&o.seed, "seed", 1, "random seed")
+	flag.IntVar(&o.shards, "shards", 1, "run the in-process engine sharded N ways (local mode only)")
+	flag.BoolVar(&o.cross, "cross", false, "enable TPC-C remote clauses (15% remote Payment, 1% remote supply per NewOrder line); auto-enabled when sharded")
+	flag.IntVar(&o.olap, "olap", 0, "OLAP analysts running column-lane aggregates beside the OLTP load (remote mode; server needs -htap)")
+	flag.StringVar(&o.readReplicas, "read-replicas", "", "comma-separated replica addresses; analyst reads route through the read/write-splitting pool (remote mode)")
+	flag.IntVar(&o.readers, "readers", 2, "analyst goroutines reading through the pool (with -read-replicas)")
+	flag.StringVar(&o.addr, "addr", "", "hybridgcd address; empty runs the engine in-process")
+	flag.StringVar(&o.token, "token", "", "auth token for -addr")
+	flag.StringVar(&o.checkAddr, "check-addr", "", "read-only endpoint (e.g. a replica) to run the consistency check against")
+	flag.StringVar(&o.checkToken, "check-token", "", "auth token for -check-addr")
 	var prof profiling.Flags
 	prof.Register(flag.CommandLine)
 	flag.Parse()
-	remote := *addr != ""
 
-	var m workload.Mode
-	switch strings.ToLower(*mode) {
-	case "none":
-		m = workload.ModeNone
-	case "gt":
-		m = workload.ModeGT
-	case "gttg", "gt+tg":
-		m = workload.ModeGTTG
-	case "hg", "hybrid":
-		m = workload.ModeHG
-	default:
-		fmt.Fprintf(os.Stderr, "unknown -gc mode %q\n", *mode)
-		os.Exit(2)
+	var err error
+	if o.mode, err = workload.ParseMode(*mode); err == nil {
+		err = o.validate()
 	}
-	if remote && *cursor {
-		fmt.Fprintln(os.Stderr, "-cursor is local-only; the remote pinned-snapshot scenario is examples/network")
-		os.Exit(2)
-	}
-	if *olap > 0 && !remote {
-		fmt.Fprintln(os.Stderr, "-olap is remote-only; the in-process mixed workload is `benchjson -figure ext2`")
-		os.Exit(2)
-	}
-	if *readRepl != "" && !remote {
-		fmt.Fprintln(os.Stderr, "-read-replicas is remote-only; point -addr at the primary")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 	if err := profiling.Start(prof); err != nil {
 		fatal(err)
 	}
 	defer profiling.Stop()
+	if _, err := run(o, os.Stdout); err != nil {
+		fatal(err)
+	}
+}
+
+// validate rejects flag combinations that only make sense on the other side
+// of -addr.
+func (o *options) validate() error {
+	remote := o.addr != ""
+	switch {
+	case remote && o.cursor:
+		return errors.New("-cursor is local-only; the remote pinned-snapshot scenario is examples/network")
+	case remote && o.shards > 1:
+		return errors.New("-shards is local-only; a remote engine's shard count is the server's -shards")
+	case !remote && o.olap > 0:
+		return errors.New("-olap is remote-only; the in-process mixed workload is `hybridgc-bench -fig ext2`")
+	case !remote && o.readReplicas != "":
+		return errors.New("-read-replicas is remote-only; point -addr at the primary")
+	}
+	return nil
+}
+
+// run loads TPC-C, drives it for o.duration with whatever rides along
+// (-cursor, -olap, -read-replicas), prints the summary to w and runs the
+// consistency check. Any failure — a lane that cannot be armed, a failed
+// check, an endpoint that never catches up — is the returned error.
+func run(o options, w io.Writer) (*report, error) {
+	remote := o.addr != ""
+	m := o.mode
+	rep := &report{}
 
 	cfg := tpcc.Config{
-		Warehouses:           *warehouses,
-		Districts:            *districts,
-		CustomersPerDistrict: *customers,
-		Items:                *items,
-		Seed:                 *seed,
+		Warehouses:           o.warehouses,
+		Districts:            o.districts,
+		CustomersPerDistrict: o.customers,
+		Items:                o.items,
+		Seed:                 o.seed,
 	}
 	var (
 		driver *tpcc.Driver
@@ -104,16 +140,12 @@ func main() {
 		err    error
 	)
 	if remote {
-		if *shards > 1 {
-			fmt.Fprintln(os.Stderr, "-shards is local-only; a remote engine's shard count is the server's -shards")
-			os.Exit(2)
-		}
-		cl, err = client.Dial(client.Config{Addr: *addr, Token: *token, MaxConns: *warehouses + 2})
+		cl, err = client.Dial(client.Config{Addr: o.addr, Token: o.token, MaxConns: o.warehouses + 2})
 		if err != nil {
-			fatal(err)
+			return nil, err
 		}
 		defer cl.Close()
-		cfg.CrossWarehouse = *cross || cl.ShardCount() > 1
+		cfg.CrossWarehouse = o.cross || cl.ShardCount() > 1
 		driver, err = tpcc.NewWithBackend(tpcc.RemoteBackend(cl), cfg)
 	} else {
 		base := gc.Periods{GT: 50 * time.Millisecond, TG: 150 * time.Millisecond, SI: 500 * time.Millisecond}
@@ -121,35 +153,35 @@ func main() {
 			GC:                 m.Periods(base),
 			LongLivedThreshold: 100 * time.Millisecond,
 		}
-		if *shards > 1 {
+		if o.shards > 1 {
 			var clu *shard.Cluster
 			clu, err = shard.Open(shard.Config{
-				Shards:    *shards,
+				Shards:    o.shards,
 				Configure: func(int) core.Config { return engCfg },
 			})
 			if err != nil {
-				fatal(err)
+				return nil, err
 			}
 			eng = clu
 		} else {
 			var db *core.DB
 			db, err = core.Open(engCfg)
 			if err != nil {
-				fatal(err)
+				return nil, err
 			}
 			eng = engine.NewSingle(db)
 		}
 		defer eng.Close()
-		cfg.CrossWarehouse = *cross || *shards > 1
+		cfg.CrossWarehouse = o.cross || o.shards > 1
 		driver, err = tpcc.NewWithBackend(tpcc.EngineBackend(eng), cfg)
 	}
 	if err != nil {
-		fatal(err)
+		return nil, err
 	}
-	fmt.Printf("loading TPC-C: %d warehouses, %d districts, %d customers/district, %d items...\n",
-		*warehouses, *districts, *customers, *items)
+	fmt.Fprintf(w, "loading TPC-C: %d warehouses, %d districts, %d customers/district, %d items...\n",
+		o.warehouses, o.districts, o.customers, o.items)
 	if err := driver.Load(); err != nil {
-		fatal(err)
+		return nil, err
 	}
 
 	if !remote && m != workload.ModeNone {
@@ -158,54 +190,61 @@ func main() {
 		}
 	}
 	var cur engine.Cursor
-	if *cursor {
+	if o.cursor {
 		cur, err = eng.OpenCursor(driver.StockTableID())
 		if err != nil {
-			fatal(err)
+			return nil, err
 		}
-		fmt.Printf("long-duration cursor opened on STOCK at snapshot %d\n", cur.SnapshotTS())
+		fmt.Fprintf(w, "long-duration cursor opened on STOCK at snapshot %d\n", cur.SnapshotTS())
 	}
 
-	startStmts := statements(eng, cl)
+	startStmts, err := statements(eng, cl)
+	if err != nil {
+		return nil, err
+	}
 	switch {
 	case remote:
-		fmt.Printf("running %v against %s...\n", *duration, *addr)
+		fmt.Fprintf(w, "running %v against %s...\n", o.duration, o.addr)
 	case eng.Shards() > 1:
-		fmt.Printf("running %v with GC mode %s over %d shards...\n", *duration, m, eng.Shards())
+		fmt.Fprintf(w, "running %v with GC mode %s over %d shards...\n", o.duration, m, eng.Shards())
 	default:
-		fmt.Printf("running %v with GC mode %s...\n", *duration, m)
+		fmt.Fprintf(w, "running %v with GC mode %s...\n", o.duration, m)
 	}
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
+	// halt ends every load goroutine; it also runs on the error returns
+	// between here and the end of the measured window.
+	halt := sync.OnceFunc(func() { close(stop); wg.Wait() })
+	defer halt()
 	var ol *olapLoad
-	if *olap > 0 {
-		if ol, err = startOLAP(cl, *olap, *warehouses, stop, &wg); err != nil {
-			fatal(err)
+	if o.olap > 0 {
+		if ol, err = startOLAP(cl, o.olap, o.warehouses, stop, &wg); err != nil {
+			return nil, err
 		}
-		fmt.Printf("olap: %d analysts aggregating over the column lane\n", *olap)
+		fmt.Fprintf(w, "olap: %d analysts aggregating over the column lane\n", o.olap)
 	}
 	var rl *readLoad
-	if *readRepl != "" {
-		if rl, err = startReadPool(*addr, *token, *readRepl, *readers, stop, &wg); err != nil {
-			fatal(err)
+	if o.readReplicas != "" {
+		if rl, err = startReadPool(o.addr, o.token, o.readReplicas, o.readers, stop, &wg); err != nil {
+			return nil, err
 		}
-		fmt.Printf("readpool: %d analysts reading through the replica pool\n", *readers)
+		defer rl.pool.Close()
+		fmt.Fprintf(w, "readpool: %d analysts reading through the replica pool\n", o.readers)
 	}
-	workers := make([]*tpcc.Worker, *warehouses)
+	workers := make([]*tpcc.Worker, o.warehouses)
 	start := time.Now()
-	for w := 1; w <= *warehouses; w++ {
-		workers[w-1] = driver.NewWorker(w)
+	for wh := 1; wh <= o.warehouses; wh++ {
+		workers[wh-1] = driver.NewWorker(wh)
 		wg.Add(1)
 		go func(wk *tpcc.Worker) {
 			defer wg.Done()
 			if err := wk.Run(1<<62, stop); err != nil {
 				fmt.Fprintf(os.Stderr, "worker %d: %v\n", wk.Warehouse(), err)
 			}
-		}(workers[w-1])
+		}(workers[wh-1])
 	}
-	time.Sleep(*duration)
-	close(stop)
-	wg.Wait()
+	time.Sleep(o.duration)
+	halt()
 	elapsed := time.Since(start)
 	if cur != nil {
 		cur.Close()
@@ -216,15 +255,23 @@ func main() {
 		}
 	}
 
-	stmts := statements(eng, cl) - startStmts
-	fmt.Printf("\nthroughput: %.0f committed statements/s (%d statements in %v)\n",
+	endStmts, err := statements(eng, cl)
+	if err != nil {
+		return nil, err
+	}
+	stmts := endStmts - startStmts
+	fmt.Fprintf(w, "\nthroughput: %.0f committed statements/s (%d statements in %v)\n",
 		float64(stmts)/elapsed.Seconds(), stmts, elapsed.Round(time.Millisecond))
 	if ol != nil {
-		ol.report(cl, elapsed)
+		if rep.lanes, err = ol.report(w, cl, elapsed); err != nil {
+			return nil, err
+		}
 	}
 	if rl != nil {
-		rl.report(elapsed)
-		rl.close()
+		rl.report(w, elapsed)
+		rep.pool = rl.pool.Counters()
+		rep.sessionReads = rl.sessionReads.Load()
+		rep.rywViolations = rl.rywViolation.Load()
 	}
 	for t := tpcc.TxnNewOrder; t <= tpcc.TxnStockLevel; t++ {
 		var committed, aborted, crossed int64
@@ -234,9 +281,9 @@ func main() {
 			crossed += wk.Stats.Cross[t].Load()
 		}
 		if cfg.CrossWarehouse {
-			fmt.Printf("  %-12s committed=%-8d aborted=%-6d cross-shard=%d\n", t, committed, aborted, crossed)
+			fmt.Fprintf(w, "  %-12s committed=%-8d aborted=%-6d cross-shard=%d\n", t, committed, aborted, crossed)
 		} else {
-			fmt.Printf("  %-12s committed=%-8d aborted=%d\n", t, committed, aborted)
+			fmt.Fprintf(w, "  %-12s committed=%-8d aborted=%d\n", t, committed, aborted)
 		}
 	}
 
@@ -244,8 +291,7 @@ func main() {
 	// warehouse stats. The cross-shard column is the share of that worker's
 	// committed transactions that crossed shards and went through two-phase
 	// commit (~10% of NewOrder+Payment when the remote clauses are on).
-	fmt.Println("\nper-warehouse:")
-	var totCommitted, totCross int64
+	fmt.Fprintln(w, "\nper-warehouse:")
 	for _, wk := range workers {
 		committed := wk.Stats.TotalCommitted()
 		crossed := wk.Stats.TotalCross()
@@ -253,85 +299,87 @@ func main() {
 		for t := tpcc.TxnNewOrder; t <= tpcc.TxnStockLevel; t++ {
 			aborted += wk.Stats.Aborted[t].Load()
 		}
-		totCommitted += committed
-		totCross += crossed
+		rep.committed += committed
+		rep.cross += crossed
 		share := 0.0
 		if committed > 0 {
 			share = 100 * float64(crossed) / float64(committed)
 		}
-		fmt.Printf("  W%-3d shard %-2d committed=%-8d aborted=%-6d cross-shard=%d (%.1f%%)\n",
+		fmt.Fprintf(w, "  W%-3d shard %-2d committed=%-8d aborted=%-6d cross-shard=%d (%.1f%%)\n",
 			wk.Warehouse(), driver.HomeShard(wk.Warehouse()), committed, aborted, crossed, share)
 	}
-	if totCommitted > 0 {
-		fmt.Printf("  total cross-shard share: %.1f%% of %d committed\n",
-			100*float64(totCross)/float64(totCommitted), totCommitted)
+	if rep.committed > 0 {
+		fmt.Fprintf(w, "  total cross-shard share: %.1f%% of %d committed\n",
+			100*float64(rep.cross)/float64(rep.committed), rep.committed)
 	}
 	if remote {
 		st, err := cl.Stats()
 		if err != nil {
-			fatal(err)
+			return nil, err
 		}
-		fmt.Printf("\nserver: versions live=%d created=%d reclaimed=%d migrated=%d\n",
+		fmt.Fprintf(w, "\nserver: versions live=%d created=%d reclaimed=%d migrated=%d\n",
 			st.VersionsLive, st.VersionsCreated, st.VersionsReclaimed, st.VersionsMigrated)
-		fmt.Printf("service: %d requests (%d errors) over %d conns, %s in / %s out, latency p50=%v p99=%v\n",
+		fmt.Fprintf(w, "service: %d requests (%d errors) over %d conns, %s in / %s out, latency p50=%v p99=%v\n",
 			st.Requests, st.RequestErrors, st.ConnsTotal,
 			fmtBytes(st.BytesIn), fmtBytes(st.BytesOut), st.LatP50, st.LatP99)
 	} else {
 		st := eng.Stats()
-		fmt.Printf("\nversion space: live=%d created=%d reclaimed=%d migrated=%d\n",
+		fmt.Fprintf(w, "\nversion space: live=%d created=%d reclaimed=%d migrated=%d\n",
 			st.VersionsLive, st.VersionsCreated, st.VersionsReclaimed, st.VersionsMigrated)
 		if eng.Shards() > 1 {
 			for i := 0; i < eng.Shards(); i++ {
 				ss := eng.Shard(i).Stats()
-				fmt.Printf("  shard %d: live=%-7d reclaimed=%-8d horizon=%d committed=%d\n",
+				fmt.Fprintf(w, "  shard %d: live=%-7d reclaimed=%-8d horizon=%d committed=%d\n",
 					i, ss.VersionsLive, ss.VersionsReclaimed, ss.GlobalHorizon, ss.Txn.TxnsCommitted)
 			}
 		} else {
 			hst := eng.Shard(0).Stats()
-			fmt.Printf("hash table: %d chains over %d buckets (collision ratio %.2f)\n",
+			fmt.Fprintf(w, "hash table: %d chains over %d buckets (collision ratio %.2f)\n",
 				hst.Hash.Chains, hst.Hash.Buckets, hst.Hash.CollisionRatio)
 		}
-		fmt.Printf("commit groups pending: %d, txns committed: %d, groups: %d\n",
+		fmt.Fprintf(w, "commit groups pending: %d, txns committed: %d, groups: %d\n",
 			st.GroupListLen, st.Txn.TxnsCommitted, st.Txn.GroupsCommitted)
 	}
 
-	if *check {
-		if *checkAddr != "" {
+	if o.check {
+		if o.checkAddr != "" {
 			// Route the check leg through the read-only endpoint — its
 			// snapshot must first catch up to the primary's commit
 			// timestamp, since replication is asynchronous.
-			ccl, err := client.Dial(client.Config{Addr: *checkAddr, Token: *checkToken, MaxConns: 1})
+			ccl, err := client.Dial(client.Config{Addr: o.checkAddr, Token: o.checkToken, MaxConns: 1})
 			if err != nil {
-				fatal(err)
+				return nil, err
 			}
 			defer ccl.Close()
-			target := currentCID(eng, cl)
-			fmt.Printf("\nwaiting for %s to reach CID %d... ", *checkAddr, target)
-			if err := waitForCID(ccl, target, 30*time.Second); err != nil {
-				fatal(err)
+			target, err := currentCID(eng, cl)
+			if err != nil {
+				return nil, err
 			}
-			fmt.Println("caught up")
+			fmt.Fprintf(w, "\nwaiting for %s to reach CID %d... ", o.checkAddr, target)
+			if err := waitForCID(ccl, target, 30*time.Second); err != nil {
+				return nil, err
+			}
+			fmt.Fprintln(w, "caught up")
 			driver.SetCheckBackend(tpcc.RemoteBackend(ccl))
+			rep.checkedReplica = true
 		}
-		fmt.Print("\nconsistency check... ")
+		fmt.Fprint(w, "\nconsistency check... ")
 		if err := driver.Check(); err != nil {
-			fmt.Println("FAILED")
-			fatal(err)
+			fmt.Fprintln(w, "FAILED")
+			return nil, err
 		}
-		fmt.Println("OK")
+		fmt.Fprintln(w, "OK")
 	}
+	return rep, nil
 }
 
 // currentCID reads the workload side's commit timestamp.
-func currentCID(eng engine.Engine, cl *client.Client) uint64 {
+func currentCID(eng engine.Engine, cl *client.Client) (uint64, error) {
 	if eng != nil {
-		return uint64(eng.Stats().CurrentCID)
+		return uint64(eng.Stats().CurrentCID), nil
 	}
 	st, err := cl.Stats()
-	if err != nil {
-		fatal(err)
-	}
-	return uint64(st.CurrentCID)
+	return uint64(st.CurrentCID), err
 }
 
 // waitForCID polls the endpoint's STATS until its commit timestamp reaches
@@ -355,15 +403,12 @@ func waitForCID(cl *client.Client, target uint64, timeout time.Duration) error {
 
 // statements reads the committed-statement counter from whichever end runs
 // the engine.
-func statements(eng engine.Engine, cl *client.Client) int64 {
+func statements(eng engine.Engine, cl *client.Client) (int64, error) {
 	if eng != nil {
-		return eng.Stats().Statements
+		return eng.Stats().Statements, nil
 	}
 	st, err := cl.Stats()
-	if err != nil {
-		fatal(err)
-	}
-	return st.Statements
+	return st.Statements, err
 }
 
 func fmtBytes(n int64) string {

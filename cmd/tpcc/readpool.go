@@ -3,6 +3,7 @@ package main
 import (
 	"errors"
 	"fmt"
+	"io"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -117,15 +118,12 @@ func startReadPool(primary, token, replicaList string, n int, stop <-chan struct
 	return rl, nil
 }
 
-// report prints the read-routing breakdown; the smoke script asserts replica
-// reads happened and no read-your-writes violation was observed.
-func (rl *readLoad) report(elapsed time.Duration) {
+// report prints the read-routing breakdown.
+func (rl *readLoad) report(w io.Writer, elapsed time.Duration) {
 	c := rl.pool.Counters()
 	reads := rl.sessionReads.Load() + rl.boundedReads.Load()
-	fmt.Printf("readpool: %.0f reads/s (%d session + %d bounded over %d rows) replica=%d primary=%d bounces=%d failovers=%d\n",
+	fmt.Fprintf(w, "readpool: %.0f reads/s (%d session + %d bounded over %d rows) replica=%d primary=%d bounces=%d failovers=%d\n",
 		float64(reads)/elapsed.Seconds(), rl.sessionReads.Load(), rl.boundedReads.Load(),
 		rl.inserts.Load(), c.ReplicaReads, c.PrimaryReads, c.Bounces, c.Failovers)
-	fmt.Printf("readpool: ryw-violations=%d token=%d\n", rl.rywViolation.Load(), rl.pool.Token())
+	fmt.Fprintf(w, "readpool: ryw-violations=%d token=%d\n", rl.rywViolation.Load(), rl.pool.Token())
 }
-
-func (rl *readLoad) close() { rl.pool.Close() }

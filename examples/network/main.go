@@ -12,42 +12,28 @@ package main
 import (
 	"fmt"
 	"log"
-	"net"
 	"time"
 
 	"hybridgc/internal/client"
-	"hybridgc/internal/core"
-	"hybridgc/internal/gc"
+	"hybridgc/internal/node"
 	"hybridgc/internal/server"
+	"hybridgc/internal/workload"
 )
 
 func main() {
-	// The engine with all three collectors on a fast schedule, and a low
-	// long-lived threshold so the remote cursor is confined quickly.
-	db, err := core.Open(core.Config{
-		GC:                 gc.Periods{GT: 10 * time.Millisecond, TG: 20 * time.Millisecond, SI: 50 * time.Millisecond},
-		LongLivedThreshold: 20 * time.Millisecond,
+	// One node, as `hybridgcd -token quickstart` starts it: the engine with
+	// all three collectors running behind a loopback server.
+	n, err := node.Start(node.Config{
+		GC:     workload.ModeHG,
+		Server: server.Config{Addr: "127.0.0.1:0", Token: "quickstart"},
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer db.Close()
-	db.GC().Start()
-	defer db.GC().Stop()
+	defer n.Shutdown()
+	fmt.Printf("server listening on %s\n", n.Addr())
 
-	// Serve it on loopback.
-	srv, err := server.New(db, server.Config{Token: "quickstart"})
-	if err != nil {
-		log.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		log.Fatal(err)
-	}
-	go srv.Serve(ln)
-	fmt.Printf("server listening on %s\n", ln.Addr())
-
-	cl, err := client.Dial(client.Config{Addr: ln.Addr().String(), Token: "quickstart"})
+	cl, err := client.Dial(client.Config{Addr: n.Addr(), Token: "quickstart"})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -80,7 +66,7 @@ func main() {
 	for i := 1; i <= 400; i++ {
 		exec(fmt.Sprintf("UPDATE hot SET v = %d WHERE id = 1", i))
 	}
-	time.Sleep(100 * time.Millisecond) // a few GC periods
+	time.Sleep(400 * time.Millisecond) // past the long-lived threshold and a table-collector period
 
 	st, err := cl.Stats()
 	if err != nil {
@@ -109,7 +95,7 @@ func main() {
 	}
 
 	// Graceful drain: in-flight work finishes, cursors release, sockets close.
-	srv.Shutdown(2 * time.Second)
+	n.Shutdown()
 	fmt.Printf("server drained; served %d requests over %d connections\n",
 		st.Requests, st.ConnsTotal)
 }

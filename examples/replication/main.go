@@ -11,56 +11,40 @@ package main
 import (
 	"fmt"
 	"log"
-	"net"
 	"os"
 	"time"
 
 	"hybridgc/internal/client"
-	"hybridgc/internal/core"
-	"hybridgc/internal/gc"
+	"hybridgc/internal/node"
 	"hybridgc/internal/repl"
 	"hybridgc/internal/server"
+	"hybridgc/internal/workload"
 )
 
 func main() {
 	// The primary: persistent (WAL + checkpoints — replication is WAL
-	// shipping), all collectors on a fast schedule.
+	// shipping), all collectors running — what `hybridgcd -data DIR` starts.
 	dir, err := os.MkdirTemp("", "hgc-repl-example")
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer os.RemoveAll(dir)
-	pdb, err := core.Open(core.Config{
-		GC:                 gc.Periods{GT: 10 * time.Millisecond, TG: 20 * time.Millisecond, SI: 50 * time.Millisecond},
-		LongLivedThreshold: 20 * time.Millisecond,
-		Persistence:        &core.Persistence{Dir: dir},
+	primary, err := node.Start(node.Config{
+		GC:     workload.ModeHG,
+		Data:   dir,
+		Server: server.Config{Addr: "127.0.0.1:0"},
+		Source: repl.SourceConfig{HeartbeatEvery: 20 * time.Millisecond},
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer pdb.Close()
-	pdb.GC().Start()
-	defer pdb.GC().Stop()
-
-	src, err := repl.NewSource(pdb, repl.SourceConfig{HeartbeatEvery: 20 * time.Millisecond})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer src.Close()
-	psrv, err := server.New(pdb, server.Config{Repl: src, StatsHook: src.PopulateStats})
-	if err != nil {
-		log.Fatal(err)
-	}
-	pln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		log.Fatal(err)
-	}
-	go psrv.Serve(pln)
-	fmt.Printf("primary listening on %s (data in %s)\n", pln.Addr(), dir)
+	defer primary.Shutdown()
+	pdb := primary.Engine().Shard(0)
+	fmt.Printf("primary listening on %s (data in %s)\n", primary.Addr(), dir)
 
 	// Seed some data before the replica exists — it will arrive there via
 	// the bootstrap checkpoint rather than the live tail.
-	pcl, err := client.Dial(client.Config{Addr: pln.Addr().String()})
+	pcl, err := client.Dial(client.Config{Addr: primary.Addr()})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -75,43 +59,30 @@ func main() {
 		exec(fmt.Sprintf("INSERT INTO accounts VALUES (%d, %d)", i, i*100))
 	}
 
-	// The replica: an empty read-only engine that bootstraps from the
-	// primary's checkpoint and then tails its WAL.
-	rdb, err := core.Open(core.Config{ReadOnly: true})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer rdb.Close()
-	rep, err := repl.NewReplica(rdb, repl.ReplicaConfig{
-		Upstream:    pln.Addr().String(),
-		ReplicaID:   "r1",
-		ReportEvery: 20 * time.Millisecond,
+	// The replica — `hybridgcd -replica-of ADDR`: an empty read-only engine
+	// that bootstraps from the primary's checkpoint, tails its WAL, and
+	// serves ordinary clients read-only.
+	replica, err := node.Start(node.Config{
+		GC:     workload.ModeHG,
+		Server: server.Config{Addr: "127.0.0.1:0"},
+		Replica: repl.ReplicaConfig{
+			Upstream:    primary.Addr(),
+			ReplicaID:   "r1",
+			ReportEvery: 20 * time.Millisecond,
+		},
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	repDone := make(chan error, 1)
-	go func() { repDone <- rep.Run() }()
-	defer rep.Stop()
+	defer replica.Shutdown()
 
-	// Serve the replica too, so ordinary clients can read from it.
-	rsrv, err := server.New(rdb, server.Config{StatsHook: rep.PopulateStats})
-	if err != nil {
+	if err := replica.Replica().WaitLSN(pdb.WAL().NextLSN(), 5*time.Second); err != nil {
 		log.Fatal(err)
 	}
-	rln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		log.Fatal(err)
-	}
-	go rsrv.Serve(rln)
-
-	if err := rep.WaitLSN(pdb.WAL().NextLSN(), 5*time.Second); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("replica on %s caught up at LSN %s\n", rln.Addr(), rep.AppliedLSN())
+	fmt.Printf("replica on %s caught up at LSN %s\n", replica.Addr(), replica.Replica().AppliedLSN())
 
 	// Read the replicated rows through the replica's own server.
-	rcl, err := client.Dial(client.Config{Addr: rln.Addr().String()})
+	rcl, err := client.Dial(client.Config{Addr: replica.Addr()})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -136,7 +107,7 @@ func main() {
 	for i := 1; i <= 300; i++ {
 		exec(fmt.Sprintf("UPDATE accounts SET balance = %d WHERE id = 1", i))
 	}
-	time.Sleep(100 * time.Millisecond)
+	time.Sleep(600 * time.Millisecond) // one period of the slowest collector
 	st, err := pcl.Stats()
 	if err != nil {
 		log.Fatal(err)
@@ -152,10 +123,9 @@ func main() {
 	time.Sleep(100 * time.Millisecond)
 	fmt.Printf("cursor closed; primary horizon advanced to %d\n", pdb.Manager().GlobalHorizon())
 
-	// Drain both sides: the stream ends with a drain notice, pins release.
-	rsrv.Shutdown(2 * time.Second)
-	rep.Stop()
-	<-repDone
-	psrv.Shutdown(2 * time.Second)
-	fmt.Printf("drained; replica applied %s of the primary's WAL\n", rep.AppliedLSN())
+	// Drain both sides: the replica's applier stops and its server drains;
+	// the primary's stream ends with a drain notice and its pins release.
+	replica.Shutdown()
+	primary.Shutdown()
+	fmt.Printf("drained; replica applied %s of the primary's WAL\n", replica.Replica().AppliedLSN())
 }

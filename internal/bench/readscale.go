@@ -8,19 +8,17 @@ package bench
 import (
 	"fmt"
 	"math/rand"
-	"net"
 	"os"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"hybridgc/internal/client"
-	"hybridgc/internal/core"
 	"hybridgc/internal/metrics"
+	"hybridgc/internal/node"
 	"hybridgc/internal/repl"
 	"hybridgc/internal/server"
-	"hybridgc/internal/txn"
-	"hybridgc/internal/wal"
+	"hybridgc/internal/workload"
 )
 
 type ext3Result struct {
@@ -28,21 +26,6 @@ type ext3Result struct {
 	reads    int64
 	writes   int64
 	counters client.PoolCounters
-}
-
-// ext3Gate is the hybridgcd replica read gate: wait briefly for the applier
-// to cover the session token, else bounce the read back to the pool.
-func ext3Gate(rep *repl.Replica, wait time.Duration) func(uint64) (bool, error) {
-	return func(minLSN uint64) (bool, error) {
-		target := wal.LSN(minLSN)
-		if rep.AppliedLSN() >= target {
-			return false, nil
-		}
-		if err := rep.WaitLSN(target, wait); err != nil {
-			return true, fmt.Errorf("%w: %v", core.ErrReplicaBehind, err)
-		}
-		return true, nil
-	}
 }
 
 // ext3Leg measures pooled read throughput against nReplicas read replicas.
@@ -53,93 +36,42 @@ func (s *Suite) ext3Leg(nReplicas int) (*ext3Result, error) {
 	}
 	defer os.RemoveAll(dir)
 
-	db, err := core.Open(core.Config{
-		GC:                 workloadPeriods(s.cfg.Base),
-		LongLivedThreshold: s.cfg.LongLive,
-		Txn:                txn.Config{SynchronousPropagation: true},
-		Persistence:        &core.Persistence{Dir: dir},
+	// Nodes as hybridgcd runs them: the daemon's collector periods, a
+	// persistent primary serving streams, token-gated replicas.
+	primary, err := node.Start(node.Config{
+		GC:     workload.ModeHG,
+		Data:   dir,
+		Server: server.Config{Addr: "127.0.0.1:0"},
+		Source: repl.SourceConfig{HeartbeatEvery: 20 * time.Millisecond, StaleAfter: 30 * time.Second},
 	})
 	if err != nil {
 		return nil, err
 	}
-	defer db.Close()
-	db.GC().Start()
-	defer db.GC().Stop()
+	defer primary.Shutdown()
 
-	src, err := repl.NewSource(db, repl.SourceConfig{
-		HeartbeatEvery: 20 * time.Millisecond,
-		StaleAfter:     30 * time.Second,
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer src.Close()
-	psrv, err := server.New(db, server.Config{Repl: src, StatsHook: src.PopulateStats})
-	if err != nil {
-		return nil, err
-	}
-	pln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	served := make(chan struct{})
-	go func() { defer close(served); _ = psrv.Serve(pln) }()
-	defer func() { psrv.Shutdown(5 * time.Second); <-served }()
-
-	type replicaLeg struct {
-		db     *core.DB
-		rep    *repl.Replica
-		srv    *server.Server
-		served chan struct{}
-	}
-	var replicas []*replicaLeg
 	var addrs []string
-	defer func() {
-		for _, r := range replicas {
-			r.rep.Stop()
-			r.srv.Shutdown(5 * time.Second)
-			<-r.served
-			r.db.Close()
-		}
-	}()
 	for i := 0; i < nReplicas; i++ {
-		rdb, err := core.Open(core.Config{ReadOnly: true})
-		if err != nil {
-			return nil, err
-		}
-		rep, err := repl.NewReplica(rdb, repl.ReplicaConfig{
-			Upstream:      pln.Addr().String(),
-			ReplicaID:     fmt.Sprintf("ext3-r%d", i),
-			ReportEvery:   20 * time.Millisecond,
-			ReconnectBase: 10 * time.Millisecond,
-			StallTimeout:  30 * time.Second,
+		r, err := node.Start(node.Config{
+			GC:        workload.ModeHG,
+			TokenWait: 500 * time.Millisecond,
+			Server:    server.Config{Addr: "127.0.0.1:0"},
+			Replica: repl.ReplicaConfig{
+				Upstream:      primary.Addr(),
+				ReplicaID:     fmt.Sprintf("ext3-r%d", i),
+				ReportEvery:   20 * time.Millisecond,
+				ReconnectBase: 10 * time.Millisecond,
+				StallTimeout:  30 * time.Second,
+			},
 		})
 		if err != nil {
-			rdb.Close()
 			return nil, err
 		}
-		rsrv, err := server.New(rdb, server.Config{
-			StatsHook: rep.PopulateStats,
-			ReadGate:  ext3Gate(rep, 500*time.Millisecond),
-		})
-		if err != nil {
-			rdb.Close()
-			return nil, err
-		}
-		rln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			rdb.Close()
-			return nil, err
-		}
-		r := &replicaLeg{db: rdb, rep: rep, srv: rsrv, served: make(chan struct{})}
-		go func() { defer close(r.served); _ = rsrv.Serve(rln) }()
-		go func() { _ = rep.Run() }()
-		replicas = append(replicas, r)
-		addrs = append(addrs, rln.Addr().String())
+		defer r.Shutdown()
+		addrs = append(addrs, r.Addr())
 	}
 
 	pool, err := client.NewReadPool(client.PoolConfig{
-		Primary:           pln.Addr().String(),
+		Primary:           primary.Addr(),
 		Replicas:          addrs,
 		Client:            client.Config{MaxConns: 8},
 		HeartbeatInterval: 20 * time.Millisecond,
@@ -161,13 +93,6 @@ func (s *Suite) ext3Leg(nReplicas int) (*ext3Result, error) {
 			return nil, err
 		}
 	}
-	// Let every replica absorb the seed before the clock starts.
-	for _, r := range replicas {
-		if err := r.rep.WaitLSN(db.WAL().NextLSN(), 10*time.Second); err != nil {
-			return nil, err
-		}
-	}
-
 	var (
 		reads  atomic.Int64
 		writes atomic.Int64

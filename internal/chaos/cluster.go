@@ -2,18 +2,17 @@ package chaos
 
 import (
 	"fmt"
-	"net"
 	"os"
-	"sync"
 	"time"
 
 	"hybridgc/internal/client"
 	"hybridgc/internal/core"
-	"hybridgc/internal/gc"
 	"hybridgc/internal/netfault"
+	"hybridgc/internal/node"
 	"hybridgc/internal/repl"
 	"hybridgc/internal/server"
 	"hybridgc/internal/ts"
+	"hybridgc/internal/workload"
 )
 
 // Timing profile for chaos runs: tight enough that partitions, demotions and
@@ -29,15 +28,14 @@ const (
 	clientRequestTO = 800 * time.Millisecond
 )
 
-// cluster is the system under test: one persistent primary, N replicas each
-// streaming through their own fault proxy, and a pooled client dialing the
-// primary through the client proxy.
+// cluster is the system under test: one persistent primary node, N replica
+// nodes each streaming through their own fault proxy, and a pooled client
+// dialing the primary through the client proxy.
 type cluster struct {
 	dir string
 
-	db  *core.DB // primary engine
-	src *repl.Source
-	srv *server.Server
+	primary *node.Node
+	db      *core.DB // the primary's engine; a primary never swaps it
 
 	clientInj   *netfault.Injector
 	clientProxy *netfault.Proxy
@@ -49,8 +47,30 @@ type cluster struct {
 	ledger   ts.TableID
 	acctRIDs []ts.RID
 	total    int64
+}
 
-	served chan struct{}
+// replicaNode is one replica node and the proxy its stream goes through.
+// The node re-bootstraps itself after a demotion, so readers reach its
+// engine through View for as long as they hold a cursor into it.
+type replicaNode struct {
+	*node.Node
+	id    string
+	proxy *netfault.Proxy
+}
+
+// startPrimary starts a persistent primary node on loopback; both chaos
+// topologies use it, with their own staleness bound.
+func startPrimary(dir string, staleAfter time.Duration) (*node.Node, error) {
+	return node.Start(node.Config{
+		GC:     workload.ModeHG,
+		Data:   dir,
+		Server: server.Config{Addr: "127.0.0.1:0", WriteTimeout: clientRequestTO},
+		Source: repl.SourceConfig{
+			HeartbeatEvery: heartbeatEvery,
+			StaleAfter:     staleAfter,
+			WriteTimeout:   streamWriteTO,
+		},
+	})
 }
 
 // startCluster builds the whole topology and seeds the bank.
@@ -59,42 +79,17 @@ func startCluster(opt Options) (*cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &cluster{dir: dir, served: make(chan struct{})}
+	c := &cluster{dir: dir}
 	fail := func(err error) (*cluster, error) {
 		c.stop()
 		return nil, err
 	}
 
-	c.db, err = core.Open(engineConfig(dir, false))
-	if err != nil {
+	if c.primary, err = startPrimary(dir, staleAfter); err != nil {
 		return fail(err)
 	}
-	c.db.GC().Start()
-	c.src, err = repl.NewSource(c.db, repl.SourceConfig{
-		HeartbeatEvery: heartbeatEvery,
-		StaleAfter:     staleAfter,
-		WriteTimeout:   streamWriteTO,
-	})
-	if err != nil {
-		return fail(err)
-	}
-	c.srv, err = server.New(c.db, server.Config{
-		Repl:         c.src,
-		StatsHook:    c.src.PopulateStats,
-		WriteTimeout: clientRequestTO,
-	})
-	if err != nil {
-		return fail(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return fail(err)
-	}
-	go func() {
-		defer close(c.served)
-		_ = c.srv.Serve(ln)
-	}()
-	addr := ln.Addr().String()
+	c.db = c.primary.Engine().Shard(0)
+	addr := c.primary.Addr()
 
 	// Seed the bank directly on the engine, before any network weather.
 	if err := c.seedBank(opt.Accounts); err != nil {
@@ -138,18 +133,6 @@ func startCluster(opt Options) (*cluster, error) {
 	return c, nil
 }
 
-func engineConfig(dir string, readOnly bool) core.Config {
-	cfg := core.Config{
-		GC:                 gc.Periods{GT: 25 * time.Millisecond, TG: 75 * time.Millisecond, SI: 50 * time.Millisecond},
-		LongLivedThreshold: 50 * time.Millisecond,
-		ReadOnly:           readOnly,
-	}
-	if !readOnly {
-		cfg.Persistence = &core.Persistence{Dir: dir}
-	}
-	return cfg
-}
-
 // seedBank creates the accounts and ledger tables and funds every account.
 func (c *cluster) seedBank(accounts int) error {
 	var err error
@@ -188,41 +171,13 @@ func (c *cluster) stop() {
 		c.clientProxy.Close()
 	}
 	for _, n := range c.replicas {
-		n.stop()
+		n.Shutdown()
+		n.proxy.Close()
 	}
-	if c.srv != nil {
-		c.srv.Shutdown(5 * time.Second)
-		<-c.served
+	if c.primary != nil {
+		c.primary.Shutdown()
 	}
-	if c.src != nil {
-		c.src.Close()
-	}
-	if c.db != nil {
-		c.db.GC().Stop()
-		c.db.Close()
-	}
-	if c.dir != "" {
-		os.RemoveAll(c.dir)
-	}
-}
-
-// replicaNode is one replica: a read-only engine streamed through a fault
-// proxy, with automatic re-bootstrap after demotion (the operator loop
-// hybridgcd runs, in-process). The engine handle swaps on re-bootstrap, so
-// readers take the RLock for the whole time they hold a cursor into it.
-type replicaNode struct {
-	id       string
-	upstream string // primary address, proxied
-	proxy    *netfault.Proxy
-
-	mu  sync.RWMutex
-	db  *core.DB
-	rep *repl.Replica
-
-	stopped      chan struct{}
-	done         chan struct{}
-	stopOnce     sync.Once
-	rebootstraps int64 // guarded by mu
+	os.RemoveAll(c.dir)
 }
 
 func startReplicaNode(id, primaryAddr string) (*replicaNode, error) {
@@ -230,110 +185,23 @@ func startReplicaNode(id, primaryAddr string) (*replicaNode, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := &replicaNode{
-		id:       id,
-		upstream: proxy.Addr(),
-		proxy:    proxy,
-		stopped:  make(chan struct{}),
-		done:     make(chan struct{}),
-	}
-	if err := n.buildEngine(); err != nil {
+	n, err := node.Start(node.Config{
+		GC:     workload.ModeHG,
+		Server: server.Config{Addr: "127.0.0.1:0"},
+		Replica: repl.ReplicaConfig{
+			Upstream:      proxy.Addr(),
+			ReplicaID:     id,
+			ReportEvery:   reportEvery,
+			DialTimeout:   300 * time.Millisecond,
+			StallTimeout:  replicaStallTO,
+			WriteTimeout:  streamWriteTO,
+			ReconnectBase: 10 * time.Millisecond,
+			ReconnectMax:  200 * time.Millisecond,
+		},
+	})
+	if err != nil {
 		proxy.Close()
 		return nil, err
 	}
-	go n.run()
-	return n, nil
-}
-
-// buildEngine opens a fresh read-only engine and a Replica over it,
-// installing both under the write lock.
-func (n *replicaNode) buildEngine() error {
-	db, err := core.Open(engineConfig("", true))
-	if err != nil {
-		return err
-	}
-	db.GC().Start()
-	rep, err := repl.NewReplica(db, repl.ReplicaConfig{
-		Upstream:      n.upstream,
-		ReplicaID:     n.id,
-		ReportEvery:   reportEvery,
-		DialTimeout:   300 * time.Millisecond,
-		StallTimeout:  replicaStallTO,
-		WriteTimeout:  streamWriteTO,
-		ReconnectBase: 10 * time.Millisecond,
-		ReconnectMax:  200 * time.Millisecond,
-	})
-	if err != nil {
-		db.GC().Stop()
-		db.Close()
-		return err
-	}
-	n.mu.Lock()
-	n.db, n.rep = db, rep
-	n.mu.Unlock()
-	return nil
-}
-
-// run streams until stop, rebuilding the engine whenever the primary
-// requires a re-bootstrap (demotion, pruned segments, stale checkpoint).
-func (n *replicaNode) run() {
-	defer close(n.done)
-	for {
-		n.mu.RLock()
-		rep := n.rep
-		n.mu.RUnlock()
-		err := rep.Run()
-		select {
-		case <-n.stopped:
-			return
-		default:
-		}
-		if err == nil {
-			return // stopped concurrently
-		}
-		// ErrBootstrapRequired: discard the engine, start over empty.
-		n.mu.Lock()
-		old := n.db
-		n.rebootstraps++
-		n.mu.Unlock()
-		if err := n.buildEngine(); err != nil {
-			return
-		}
-		old.GC().Stop()
-		old.Close()
-	}
-}
-
-// withDB runs fn with the current engine handle held stable (no re-bootstrap
-// swap can close it while fn runs). fn must not block on the swapped lock.
-func (n *replicaNode) withDB(fn func(db *core.DB, rep *repl.Replica)) {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	fn(n.db, n.rep)
-}
-
-func (n *replicaNode) rebootstrapCount() int64 {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.rebootstraps
-}
-
-func (n *replicaNode) stop() {
-	n.stopOnce.Do(func() {
-		close(n.stopped)
-		n.mu.RLock()
-		rep := n.rep
-		n.mu.RUnlock()
-		rep.Stop()
-		select {
-		case <-n.done:
-		case <-time.After(5 * time.Second):
-		}
-		n.proxy.Close()
-		n.mu.RLock()
-		db := n.db
-		n.mu.RUnlock()
-		db.GC().Stop()
-		db.Close()
-	})
+	return &replicaNode{Node: n, id: id, proxy: proxy}, nil
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"hybridgc/internal/core"
+	"hybridgc/internal/engine"
 	"hybridgc/internal/repl"
 	"hybridgc/internal/ts"
 	"hybridgc/internal/txn"
@@ -66,16 +67,10 @@ func Run(opt Options) (*Report, error) {
 	// Recovery telemetry, to show the schedule actually exercised the paths.
 	rep.Redials = c.cl.Redials()
 	rep.InjectedKills = c.clientInj.Kills()
-	var st wire.Stats
-	c.src.PopulateStats(&st)
-	rep.Demotions = int64(st.ReplDemotions)
+	rep.Demotions = c.primary.Stats().ReplDemotions
 	for _, n := range c.replicas {
-		n.withDB(func(_ *core.DB, r *repl.Replica) {
-			var rs wire.Stats
-			r.PopulateStats(&rs)
-			rep.Reconnects += int64(rs.ReplReconnects)
-		})
-		rep.Rebootstraps += n.rebootstrapCount()
+		rep.Reconnects += n.Stats().ReplReconnects
+		rep.Rebootstraps += n.Rebootstraps()
 	}
 	return rep, nil
 }
@@ -100,7 +95,8 @@ func startSnapshotHolders(c *cluster) *holderSet {
 					return
 				case <-time.After(40 * time.Millisecond):
 				}
-				n.withDB(func(db *core.DB, _ *repl.Replica) {
+				n.View(func(eng engine.Engine, _ *repl.Replica) {
+					db := eng.Shard(0)
 					tid := db.TableID("accounts")
 					if tid == 0 {
 						return // mid-bootstrap; nothing to pin yet
@@ -186,12 +182,13 @@ func checkConvergence(c *cluster, rep *Report) {
 		return
 	}
 	for i, n := range c.replicas {
-		n.withDB(func(db *core.DB, r *repl.Replica) {
+		n.View(func(eng engine.Engine, r *repl.Replica) {
 			if err := r.WaitLSN(target, 10*time.Second); err != nil {
 				rep.violatef("convergence: replica %d never reached %v after heal: %v (rebootstraps=%d)",
-					i, target, err, n.rebootstrapCount())
+					i, target, err, n.Rebootstraps())
 				return
 			}
+			db := eng.Shard(0)
 			acc, led := db.TableID("accounts"), db.TableID("ledger")
 			if acc == 0 || led == 0 {
 				rep.violatef("convergence: replica %d is missing the bank tables after catch-up", i)
@@ -219,7 +216,8 @@ func checkHorizonLiveness(c *cluster, opt Options, rep *Report) {
 	}
 	n := c.replicas[0]
 	m := c.db.Manager()
-	n.withDB(func(db *core.DB, _ *repl.Replica) {
+	n.View(func(eng engine.Engine, _ *repl.Replica) {
+		db := eng.Shard(0)
 		tid := db.TableID("accounts")
 		if tid == 0 {
 			rep.violatef("horizon: replica 0 has no accounts table; cannot probe")
@@ -245,9 +243,7 @@ func checkHorizonLiveness(c *cluster, opt Options, rep *Report) {
 		// (the convergence check's cursor) can hold the horizon down as well,
 		// and partitioning before ours is reported would clock that one.
 		ours := func() wire.ReplicaStat {
-			var st wire.Stats
-			c.src.PopulateStats(&st)
-			for _, r := range st.Replicas {
+			for _, r := range c.primary.Stats().Replicas {
 				if r.ID == n.id {
 					return r
 				}

@@ -4,150 +4,54 @@ package client_test
 // pool, token monotonicity across endpoint failover, and bounded-staleness
 // routing away from a stalled replica. The cluster is real — a persistent
 // primary serving replication streams plus replicas applying them, each
-// behind its own loopback server with the consistency-token read gate wired
-// exactly like hybridgcd wires it.
+// behind its own loopback server with the consistency-token read gate — the
+// nodes hybridgcd runs, started through internal/node.
 
 import (
 	"errors"
 	"fmt"
-	"net"
 	"testing"
 	"time"
 
 	"hybridgc/internal/client"
-	"hybridgc/internal/core"
 	"hybridgc/internal/fault"
+	"hybridgc/internal/node"
 	"hybridgc/internal/repl"
-	"hybridgc/internal/server"
-	"hybridgc/internal/wal"
 )
 
-// poolNode is one served endpoint of the test cluster.
-type poolNode struct {
-	addr   string
-	srv    *server.Server
-	served chan struct{}
-	ln     net.Listener
-}
-
-func serveNode(t *testing.T, srv *server.Server) *poolNode {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := &poolNode{addr: ln.Addr().String(), srv: srv, served: make(chan struct{}), ln: ln}
-	go func() {
-		defer close(n.served)
-		_ = srv.Serve(ln)
-	}()
-	return n
-}
-
-func (n *poolNode) stop() {
-	n.srv.Shutdown(5 * time.Second)
-	<-n.served
-}
-
-// poolReplica is a replica node: applier plus gated server.
-type poolReplica struct {
-	*poolNode
-	rep    *repl.Replica
-	db     *core.DB
-	runErr chan error
-	killed bool
-}
-
-func (r *poolReplica) kill() {
-	if r.killed {
-		return
-	}
-	r.killed = true
-	r.rep.Stop()
-	r.stop()
-	select {
-	case <-r.runErr:
-	case <-time.After(5 * time.Second):
-	}
-	r.db.Close()
-}
-
-// poolCluster is one persistent primary plus n gated replicas, all served on
-// loopback.
+// poolCluster is one persistent primary plus n token-gated replicas, each a
+// node on loopback.
 type poolCluster struct {
-	t        *testing.T
-	primary  *poolNode
-	db       *core.DB
-	replicas []*poolReplica
-}
-
-// tokenGate mirrors hybridgcd's readGate wiring: pass immediately when the
-// applier already covers the token, otherwise wait up to wait and bounce.
-func tokenGate(rep *repl.Replica, wait time.Duration) func(uint64) (bool, error) {
-	return func(minLSN uint64) (bool, error) {
-		target := wal.LSN(minLSN)
-		if rep.AppliedLSN() >= target {
-			return false, nil
-		}
-		if err := rep.WaitLSN(target, wait); err != nil {
-			return true, fmt.Errorf("%w: %v", core.ErrReplicaBehind, err)
-		}
-		return true, nil
-	}
+	primary  *node.Node
+	replicas []*node.Node
 }
 
 func startPoolCluster(t *testing.T, nReplicas int, tokenWait time.Duration) *poolCluster {
 	t.Helper()
-	db, err := core.Open(core.Config{Persistence: &core.Persistence{Dir: t.TempDir()}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	src, err := repl.NewSource(db, repl.SourceConfig{
-		HeartbeatEvery: 10 * time.Millisecond,
-		StaleAfter:     30 * time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	psrv, err := server.New(db, server.Config{Repl: src, StatsHook: src.PopulateStats})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := &poolCluster{t: t, primary: serveNode(t, psrv), db: db}
-	t.Cleanup(func() {
-		for _, r := range c.replicas {
-			r.kill()
+	start := func(cfg node.Config) *node.Node {
+		cfg.Server.Addr = "127.0.0.1:0"
+		n, err := node.Start(cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		c.primary.stop()
-		src.Close()
-		db.Close()
-	})
-
+		t.Cleanup(n.Shutdown)
+		return n
+	}
+	c := &poolCluster{primary: start(node.Config{
+		Data:   t.TempDir(),
+		Source: repl.SourceConfig{HeartbeatEvery: 10 * time.Millisecond, StaleAfter: 30 * time.Second},
+	})}
 	for i := 0; i < nReplicas; i++ {
-		rdb, err := core.Open(core.Config{ReadOnly: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := repl.NewReplica(rdb, repl.ReplicaConfig{
-			Upstream:      c.primary.addr,
-			ReplicaID:     fmt.Sprintf("r%d", i+1),
-			ReportEvery:   10 * time.Millisecond,
-			ReconnectBase: 10 * time.Millisecond,
-			StallTimeout:  30 * time.Second,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rsrv, err := server.New(rdb, server.Config{
-			StatsHook: rep.PopulateStats,
-			ReadGate:  tokenGate(rep, tokenWait),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		pr := &poolReplica{poolNode: serveNode(t, rsrv), rep: rep, db: rdb, runErr: make(chan error, 1)}
-		go func() { pr.runErr <- rep.Run() }()
-		c.replicas = append(c.replicas, pr)
+		c.replicas = append(c.replicas, start(node.Config{
+			TokenWait: tokenWait,
+			Replica: repl.ReplicaConfig{
+				Upstream:      c.primary.Addr(),
+				ReplicaID:     fmt.Sprintf("r%d", i+1),
+				ReportEvery:   10 * time.Millisecond,
+				ReconnectBase: 10 * time.Millisecond,
+				StallTimeout:  30 * time.Second,
+			},
+		}))
 	}
 	return c
 }
@@ -155,7 +59,7 @@ func startPoolCluster(t *testing.T, nReplicas int, tokenWait time.Duration) *poo
 func (c *poolCluster) replicaAddrs() []string {
 	out := make([]string, len(c.replicas))
 	for i, r := range c.replicas {
-		out[i] = r.addr
+		out[i] = r.Addr()
 	}
 	return out
 }
@@ -163,7 +67,7 @@ func (c *poolCluster) replicaAddrs() []string {
 func (c *poolCluster) newPool(t *testing.T) *client.ReadPool {
 	t.Helper()
 	pool, err := client.NewReadPool(client.PoolConfig{
-		Primary:           c.primary.addr,
+		Primary:           c.primary.Addr(),
 		Replicas:          c.replicaAddrs(),
 		HeartbeatInterval: 15 * time.Millisecond,
 		QuarantineBase:    20 * time.Millisecond,
@@ -242,7 +146,7 @@ func TestReadPoolTokenMonotonicAcrossFailover(t *testing.T) {
 	}
 	// Kill one replica mid-run: reads must keep succeeding (failover) and
 	// the token discipline must hold on the survivors.
-	c.replicas[0].kill()
+	c.replicas[0].Shutdown()
 	for i := 61; i <= 120; i++ {
 		step(i)
 	}
@@ -293,7 +197,7 @@ func TestReadPoolBoundedStalenessSkipsStalledReplica(t *testing.T) {
 	}
 	// Wait until the replica itself reports applied < head, then let the
 	// staleness bound expire.
-	rcl, err := client.Dial(client.Config{Addr: c.replicas[0].addr})
+	rcl, err := client.Dial(client.Config{Addr: c.replicas[0].Addr()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -196,14 +196,14 @@ func (s *Single) TableID(name string) ts.TableID              { return s.DB.Tabl
 func (s *Single) TableIDs(names ...string) ([]ts.TableID, error) {
 	return s.DB.TableIDs(names...)
 }
-func (s *Single) Tables() []string                        { return s.DB.Tables() }
-func (s *Single) TablePartitions(tid ts.TableID) int      { return s.DB.TablePartitions(tid) }
+func (s *Single) Tables() []string                         { return s.DB.Tables() }
+func (s *Single) TablePartitions(tid ts.TableID) int       { return s.DB.TablePartitions(tid) }
 func (s *Single) SetPlacement(ts.TableID, Placement) error { return nil }
 
 func (s *Single) OpenCursor(tid ts.TableID) (Cursor, error) { return s.DB.OpenCursor(tid) }
 func (s *Single) ReadOnly() bool                            { return s.DB.ReadOnly() }
 func (s *Single) Stats() core.Stats                         { return s.DB.Stats() }
 
-func (s *Single) Shards() int          { return 1 }
-func (s *Single) Shard(int) *core.DB   { return s.DB }
-func (s *Single) Close()               { s.DB.Close() }
+func (s *Single) Shards() int        { return 1 }
+func (s *Single) Shard(int) *core.DB { return s.DB }
+func (s *Single) Close()             { s.DB.Close() }

@@ -495,77 +495,6 @@ func TestGCSafetyOracle(t *testing.T) {
 	}
 }
 
-func TestIntervalFromHashTableMatchesGroups(t *testing.T) {
-	build := func() (*env, func() int64, *Interval) {
-		e := newEnv(t)
-		tbl := e.createTable("T")
-		var rids []ts.RID
-		for i := 0; i < 6; i++ {
-			rids = append(rids, e.insert(tbl, "v0"))
-		}
-		long := e.m.AcquireSnapshot(txn.KindCursor, []ts.TableID{tbl.ID})
-		t.Cleanup(long.Release)
-		for round := 1; round <= 7; round++ {
-			for _, rid := range rids {
-				e.update(tbl, rid, fmt.Sprintf("v%d", round))
-			}
-		}
-		cur := e.m.AcquireSnapshot(txn.KindStatement, nil)
-		t.Cleanup(cur.Release)
-		return e, e.space.Live, NewInterval(e.m)
-	}
-	e1, live1, siGroups := build()
-	_, live2, siHash := build()
-	siHash.FromHashTable = true
-
-	a := siGroups.Collect()
-	b := siHash.Collect()
-	if a.Versions != b.Versions {
-		t.Fatalf("group-reachable SI reclaimed %d, hash-table SI %d", a.Versions, b.Versions)
-	}
-	if live1() != live2() {
-		t.Fatalf("live mismatch: %d vs %d", live1(), live2())
-	}
-	_ = e1
-}
-
-func TestIntervalParallel(t *testing.T) {
-	e := newEnv(t)
-	tbl := e.createTable("T")
-	var rids []ts.RID
-	for i := 0; i < 32; i++ {
-		rids = append(rids, e.insert(tbl, "v0"))
-	}
-	long := e.m.AcquireSnapshot(txn.KindCursor, []ts.TableID{tbl.ID})
-	defer long.Release()
-	for round := 1; round <= 5; round++ {
-		for _, rid := range rids {
-			e.update(tbl, rid, fmt.Sprintf("v%d", round))
-		}
-	}
-	cur := e.m.AcquireSnapshot(txn.KindStatement, nil)
-	defer cur.Release()
-
-	si := NewInterval(e.m)
-	si.Parallelism = 4
-	st := si.Collect()
-	// 32 records x 5 updates: the 4 intermediate update versions of every
-	// record are interval garbage (insert pinned by the cursor, newest kept).
-	if st.Versions != 32*4 {
-		t.Fatalf("parallel SI reclaimed %d, want %d", st.Versions, 32*4)
-	}
-	if st.ChainsScanned != 32 {
-		t.Fatalf("scanned %d chains, want 32", st.ChainsScanned)
-	}
-	// Reads survive.
-	if img, ok := e.read(tbl, rids[7], long.TS()); !ok || img != "v0" {
-		t.Fatalf("pinned read = %q,%v", img, ok)
-	}
-	if img, ok := e.read(tbl, rids[7], cur.TS()); !ok || img != "v5" {
-		t.Fatalf("current read = %q,%v", img, ok)
-	}
-}
-
 // TestRegionsFigure9 validates the Figure 9 region diagnostic: versions
 // split into the group collector's region A (below every snapshot), the
 // table collector's region B (pinned only by scoped snapshots), and the

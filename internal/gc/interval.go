@@ -15,29 +15,9 @@ import (
 // and reclaims every version whose visible interval contains no element of
 // S using the merge-based Algorithm 1. This collects versions in the middle
 // of chains that a long-lived snapshot would otherwise pin forever.
-//
-// With TableAware set, S is narrowed per chain to the snapshots that can
-// actually reach the chain's table (global tracker plus that table's
-// tracker) — a finer-grained extension of the paper's pre-materialized
-// union, which the default mode uses.
-//
-// FromHashTable selects the alternative implementation §4.2 mentions:
-// reaching the version chains from the RID hash table instead of from the
-// GroupCommitContext list, "which is more useful when we need to logically
-// partition the version space to execute the interval garbage collector by
-// multiple threads in parallel". Parallelism > 1 splits the chain set
-// across that many goroutines (§4.4's parallel execution).
 type Interval struct {
-	m *txn.Manager
-	// TableAware narrows the snapshot set per table instead of using the
-	// union of all trackers.
-	TableAware bool
-	// FromHashTable scans every registered chain instead of only chains
-	// reachable from groups in the (min(S), bound] window.
-	FromHashTable bool
-	// Parallelism is the number of reclamation goroutines; <=1 runs serial.
-	Parallelism int
-	Totals      Totals
+	m      *txn.Manager
+	Totals Totals
 }
 
 // NewInterval returns an SI collector over m.
@@ -69,79 +49,36 @@ func (c *Interval) Collect() RunStats {
 	st.Horizon = bound
 	space := c.m.Space()
 
-	// Step 2+3: gather the chains to inspect — either every chain reachable
-	// from groups with min(S) < CID <= bound (highest-CID-first,
-	// deduplicated), or, in FromHashTable mode, every registered chain.
+	// Step 2+3: gather the chains reachable from groups with
+	// min(S) < CID <= bound, highest-CID-first, deduplicated.
 	var chains []*mvcc.Chain
-	if c.FromHashTable {
-		space.HT.ForEach(func(ch *mvcc.Chain) bool {
-			chains = append(chains, ch)
-			return true
-		})
-	} else {
-		seen := make(map[*mvcc.Chain]struct{})
-		space.Groups.Descending(func(g *mvcc.GroupCommitContext) bool {
-			cid := g.CID()
-			if cid > bound {
-				return true // newer than the window; keep descending
+	seen := make(map[*mvcc.Chain]struct{})
+	space.Groups.Descending(func(g *mvcc.GroupCommitContext) bool {
+		cid := g.CID()
+		if cid > bound {
+			return true // newer than the window; keep descending
+		}
+		if cid <= minS {
+			return false // below the window; the ordered list is done
+		}
+		for _, v := range g.Versions() {
+			if v.Reclaimed() {
+				continue
 			}
-			if cid <= minS {
-				return false // below the window; the ordered list is done
+			ch := v.Chain()
+			if _, dup := seen[ch]; !dup {
+				seen[ch] = struct{}{}
+				chains = append(chains, ch)
 			}
-			for _, v := range g.Versions() {
-				if v.Reclaimed() {
-					continue
-				}
-				ch := v.Chain()
-				if _, dup := seen[ch]; !dup {
-					seen[ch] = struct{}{}
-					chains = append(chains, ch)
-				}
-			}
-			return true
-		})
-	}
+		}
+		return true
+	})
 
 	// Step 4: per chain, reclaim the versions whose visible interval
-	// intersects no snapshot (Algorithm 1 runs inside ReclaimIntervals),
-	// optionally across several goroutines over disjoint chain partitions.
-	reclaimPart := func(part []*mvcc.Chain) (versions, scanned int64) {
-		for _, ch := range part {
-			scanned++
-			s := snaps
-			if c.TableAware {
-				s = c.m.Registry().SnapshotFor(ch.Key.Table)
-			}
-			versions += int64(space.ReclaimIntervals(ch, s, bound))
-		}
-		return versions, scanned
-	}
-	if p := c.Parallelism; p > 1 && len(chains) > 1 {
-		if p > len(chains) {
-			p = len(chains)
-		}
-		type partRes struct{ versions, scanned int64 }
-		results := make(chan partRes, p)
-		per := (len(chains) + p - 1) / p
-		for i := 0; i < len(chains); i += per {
-			end := i + per
-			if end > len(chains) {
-				end = len(chains)
-			}
-			go func(part []*mvcc.Chain) {
-				v, s := reclaimPart(part)
-				results <- partRes{v, s}
-			}(chains[i:end])
-		}
-		for i := 0; i < (len(chains)+per-1)/per; i++ {
-			r := <-results
-			st.Versions += r.versions
-			st.ChainsScanned += r.scanned
-		}
-	} else {
-		v, s := reclaimPart(chains)
-		st.Versions += v
-		st.ChainsScanned += s
+	// intersects no snapshot (Algorithm 1 runs inside ReclaimIntervals).
+	for _, ch := range chains {
+		st.ChainsScanned++
+		st.Versions += int64(space.ReclaimIntervals(ch, snaps, bound))
 	}
 	st.Groups = pruneDrainedGroups(space)
 	st.Duration = time.Since(start)

@@ -1,43 +1,38 @@
-package server
+package server_test
 
 import (
-	"net"
 	"testing"
 	"time"
 
 	"hybridgc/internal/core"
+	"hybridgc/internal/engine"
+	"hybridgc/internal/node"
 	"hybridgc/internal/repl"
+	"hybridgc/internal/server"
 	"hybridgc/internal/txn"
 )
 
 // TestDrainEndsReplicationStreamAndReleasesPin covers graceful shutdown with
-// an active replication stream: Shutdown must end the hijacked stream (not
+// an active replication stream: the drain must end the hijacked stream (not
 // hang on it), and the pin the replica's open snapshot holds in the primary's
-// registry must be released so the GC horizon clears with the drain.
+// registry must be released so the GC horizon clears with the drain. The
+// topology is two nodes; the primary's Shutdown drains its server first, and
+// its stats stay readable afterwards.
 func TestDrainEndsReplicationStreamAndReleasesPin(t *testing.T) {
-	pdb, err := core.Open(core.Config{Persistence: &core.Persistence{Dir: t.TempDir()}})
-	if err != nil {
-		t.Fatal(err)
+	start := func(cfg node.Config) *node.Node {
+		cfg.Server = server.Config{Addr: "127.0.0.1:0"}
+		n, err := node.Start(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(n.Shutdown)
+		return n
 	}
-	defer pdb.Close()
-	src, err := repl.NewSource(pdb, repl.SourceConfig{HeartbeatEvery: 10 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer src.Close()
-	srv, err := New(pdb, Config{Repl: src, StatsHook: src.PopulateStats})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	served := make(chan struct{})
-	go func() {
-		defer close(served)
-		_ = srv.Serve(ln)
-	}()
+	primary := start(node.Config{
+		Data:   t.TempDir(),
+		Source: repl.SourceConfig{HeartbeatEvery: 10 * time.Millisecond},
+	})
+	pdb := primary.Engine().Shard(0)
 
 	tid, err := pdb.CreateTable("t")
 	if err != nil {
@@ -55,44 +50,31 @@ func TestDrainEndsReplicationStreamAndReleasesPin(t *testing.T) {
 	}
 	insert("before")
 
-	rdb, err := core.Open(core.Config{ReadOnly: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rdb.Close()
-	rep, err := repl.NewReplica(rdb, repl.ReplicaConfig{
-		Upstream:      ln.Addr().String(),
+	replica := start(node.Config{Replica: repl.ReplicaConfig{
+		Upstream:      primary.Addr(),
 		ReplicaID:     "r1",
 		ReportEvery:   10 * time.Millisecond,
 		ReconnectBase: 10 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	runDone := make(chan error, 1)
-	go func() { runDone <- rep.Run() }()
-	defer func() {
-		rep.Stop()
-		select {
-		case <-runDone:
-		case <-time.After(5 * time.Second):
-			t.Error("replica Run did not exit after Stop")
-		}
-	}()
-	if err := rep.WaitLSN(pdb.WAL().NextLSN(), 10*time.Second); err != nil {
+	}})
+	if err := replica.Replica().WaitLSN(pdb.WAL().NextLSN(), 10*time.Second); err != nil {
 		t.Fatal(err)
 	}
 
 	// An open snapshot on the replica pins the primary's horizon.
-	cur, err := rdb.OpenCursor(tid)
+	var cur engine.Cursor
+	replica.View(func(eng engine.Engine, _ *repl.Replica) { cur, err = eng.OpenCursor(tid) })
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cur.Close()
 	pin := cur.SnapshotTS()
-	waitUntil(t, 5*time.Second, "replica pin to reach the primary", func() bool {
-		return pdb.Manager().GlobalHorizon() == pin
-	})
+	deadline := time.Now().Add(5 * time.Second)
+	for pdb.Manager().GlobalHorizon() != pin {
+		if time.Now().After(deadline) {
+			t.Fatal("timed out waiting for the replica pin to reach the primary")
+		}
+		time.Sleep(3 * time.Millisecond)
+	}
 	insert("after-pin") // give the horizon somewhere to go
 	if h := pdb.Manager().GlobalHorizon(); h != pin {
 		t.Fatalf("horizon %d, want pin %d", h, pin)
@@ -104,7 +86,7 @@ func TestDrainEndsReplicationStreamAndReleasesPin(t *testing.T) {
 	// open: a drained primary no longer trusts (or hears) remote snapshots.
 	done := make(chan struct{})
 	go func() {
-		srv.Shutdown(5 * time.Second)
+		primary.Shutdown()
 		close(done)
 	}()
 	select {
@@ -112,27 +94,15 @@ func TestDrainEndsReplicationStreamAndReleasesPin(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("Shutdown hung on the replication stream")
 	}
-	<-served
 
-	if h := pdb.Manager().GlobalHorizon(); h <= pin {
-		t.Fatalf("drain left the replica pin in place: horizon %d, pin %d", h, pin)
+	st := primary.Stats()
+	if st.GlobalHorizon <= pin {
+		t.Fatalf("drain left the replica pin in place: horizon %d, pin %d", st.GlobalHorizon, pin)
 	}
-	st := srv.Stats()
 	if len(st.Replicas) != 1 || st.Replicas[0].Connected {
 		t.Fatalf("replica stat after drain: %+v", st.Replicas)
 	}
 	if st.Replicas[0].PinnedSTS != 0 {
 		t.Fatalf("replica stat still shows a pin after drain: %+v", st.Replicas[0])
-	}
-}
-
-func waitUntil(t *testing.T, timeout time.Duration, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(timeout)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for %s", what)
-		}
-		time.Sleep(3 * time.Millisecond)
 	}
 }

@@ -315,20 +315,20 @@ func (s *Server) Stats() wire.Stats {
 		GroupsCommitted:   st.Txn.GroupsCommitted,
 		FailStop:          st.FailStop,
 
-		Conns:         s.connsActive.Load(),
-		ConnsTotal:    s.connsTotal.Value(),
-		Requests:      s.requests.Value(),
-		RequestErrors: s.requestErrors.Value(),
-		BytesIn:       s.bytesIn.Value(),
-		BytesOut:      s.bytesOut.Value(),
+		Conns:           s.connsActive.Load(),
+		ConnsTotal:      s.connsTotal.Value(),
+		Requests:        s.requests.Value(),
+		RequestErrors:   s.requestErrors.Value(),
+		BytesIn:         s.bytesIn.Value(),
+		BytesOut:        s.bytesOut.Value(),
 		CursorsOpen:     s.cursorsOpen.Load(),
 		CursorsReaped:   s.cursorsReaped.Value(),
 		ReadGateWaits:   s.gateWaits.Value(),
 		ReadGateBounces: s.gateBounces.Value(),
-		LatMean:       s.lat.Mean(),
-		LatP50:        s.lat.Percentile(50),
-		LatP95:        s.lat.Percentile(95),
-		LatP99:        s.lat.Percentile(99),
+		LatMean:         s.lat.Mean(),
+		LatP50:          s.lat.Percentile(50),
+		LatP95:          s.lat.Percentile(95),
+		LatP99:          s.lat.Percentile(99),
 	}
 	if p := st.Pressure; p.Enabled {
 		out.PressureEnabled = true

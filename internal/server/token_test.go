@@ -161,8 +161,8 @@ func TestOldPeerTokenlessFrames(t *testing.T) {
 	if status != wire.StOK {
 		t.Fatalf("token-less EXEC gated, status %d", status)
 	}
-	r.Str()        // message
-	r.U32()        // affected
+	r.Str() // message
+	r.U32() // affected
 	if r.Err() != nil {
 		t.Fatalf("old-peer fields unreadable: %v", r.Err())
 	}

@@ -12,8 +12,7 @@ import (
 // count grows: every transaction is pinned to one shard (the fast path — no
 // two-phase commit) and inserts one record with that shard as the placement
 // hint, so shards never contend with each other. The shards=1 row is the
-// single-node baseline; the recorded baseline (cmd/benchjson) must show
-// shards=4 committing at least 2x the rate on a multi-core box.
+// single-node baseline to read shards=4 against.
 func BenchmarkShardedCommit(b *testing.B) {
 	img := []byte("0123456789abcdef0123456789abcdef")
 	for _, n := range []int{1, 4} {

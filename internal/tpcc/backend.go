@@ -127,11 +127,19 @@ func (d *Driver) checkBackend() Backend {
 	return d.be
 }
 
+// snapshot is the isolation the profiles run under. Without the remote
+// clauses every row belongs to one worker and Stmt-SI (the paper's default)
+// is enough. With them a remote Payment and the home worker's Delivery
+// read-modify-write the same CUSTOMER row, and under Stmt-SI one update is
+// lost (consistency condition C5 breaks in a few runs in a hundred); under
+// Trans-SI the second writer gets ErrWriteConflict and the retry re-runs it.
+func (d *Driver) snapshot() bool { return d.cfg.CrossWarehouse }
+
 // exec runs fn inside one transaction on the backend, committing on success
 // and aborting on error or panic — the backend-agnostic form of
 // core.DB.Exec.
 func (d *Driver) exec(fn func(tx Txn) error) error {
-	tx, err := d.be.Begin(false)
+	tx, err := d.be.Begin(d.snapshot())
 	if err != nil {
 		return err
 	}
@@ -168,7 +176,7 @@ func (d *Driver) execOn(w uint32, cross bool, fn func(tx Txn) error) error {
 	if !ok || d.shards <= 1 || cross {
 		return d.exec(fn)
 	}
-	tx, err := sb.BeginShard(d.shardOfW(w), false)
+	tx, err := sb.BeginShard(d.shardOfW(w), d.snapshot())
 	if err != nil {
 		return err
 	}

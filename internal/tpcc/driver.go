@@ -107,8 +107,8 @@ func newDistrictState() *districtState {
 type Driver struct {
 	// DB is the in-process engine when the driver runs locally, nil when the
 	// backend is remote.
-	DB  *core.DB
-	be  Backend
+	DB *core.DB
+	be Backend
 	// checkBE, when set, is where Check reads — a read-only replica
 	// endpoint, for validating replicated state (see SetCheckBackend).
 	checkBE Backend

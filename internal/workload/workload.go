@@ -10,6 +10,7 @@ package workload
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"time"
 
@@ -48,6 +49,21 @@ func (m Mode) String() string {
 	default:
 		return fmt.Sprintf("Mode(%d)", int(m))
 	}
+}
+
+// ParseMode reads a -gc flag value.
+func ParseMode(s string) (Mode, error) {
+	switch strings.ToLower(s) {
+	case "none":
+		return ModeNone, nil
+	case "gt":
+		return ModeGT, nil
+	case "gttg", "gt+tg":
+		return ModeGTTG, nil
+	case "hg", "hybrid":
+		return ModeHG, nil
+	}
+	return ModeNone, fmt.Errorf("unknown -gc mode %q", s)
 }
 
 // Periods masks the base periods down to the collectors the mode enables.
