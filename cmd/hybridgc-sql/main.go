@@ -25,7 +25,7 @@ import (
 func main() {
 	var (
 		dataDir = flag.String("data", "", "persistence directory (empty = in-memory)")
-		autoGC  = flag.Bool("gc", true, "run HybridGC periodically")
+		autoGC  = flag.Bool("gc", true, "run the HybridGC collector loop")
 	)
 	flag.Parse()
 

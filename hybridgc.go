@@ -109,7 +109,8 @@ const (
 type (
 	// Persistence arms write-ahead logging and checkpointing.
 	Persistence = core.Persistence
-	// GCPeriods sets the independent invocation periods of GT, TG and SI.
+	// GCPeriods enables GT, TG and SI (zero disables) and bounds how long
+	// each sits idle; under load the collector loop is woken by work.
 	GCPeriods = gc.Periods
 	// HybridGC is the combined collector with scheduling controls.
 	HybridGC = gc.Hybrid

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"hybridgc/internal/gc"
@@ -273,6 +274,40 @@ func (s *Suite) Ext1() (*Report, error) {
 	}, nil
 }
 
+// pace invokes the collectors on fixed periods, one ticker each, the way the
+// paper's scheduler does (§4.4) and the engine's work-driven loop does not:
+// the sweep below varies exactly these periods. A zero period leaves its
+// collector out.
+func pace(p gc.Periods) func(*gc.Hybrid) (stop func()) {
+	return func(h *gc.Hybrid) func() {
+		quit := make(chan struct{})
+		var wg sync.WaitGroup
+		for _, c := range []struct {
+			period time.Duration
+			run    func() gc.RunStats
+		}{{p.GT, h.RunGT}, {p.TG, h.RunTG}, {p.SI, h.RunSI}} {
+			if c.period <= 0 {
+				continue
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				tick := time.NewTicker(c.period)
+				defer tick.Stop()
+				for {
+					select {
+					case <-tick.C:
+						c.run()
+					case <-quit:
+						return
+					}
+				}
+			}()
+		}
+		return func() { close(quit); wg.Wait() }
+	}
+}
+
 // sweep runs the invocation-period sweep behind Figures 18 and 19. For each
 // compared mode the mode's own collector period is swept while the others
 // stay at their base values, exactly as §5.6 describes.
@@ -302,9 +337,8 @@ func (s *Suite) sweep(longCursor bool) (*Report, error) {
 			default: // HG
 				p = gc.Periods{GT: base.GT, TG: base.TG, SI: time.Duration(k) * base.SI}
 			}
-			o := s.baseOptions(workload.ModeHG) // periods fully specified below
-			o.Base = p
-			o.Mode = workload.ModeHG // ModeHG passes Base through unmasked
+			o := s.baseOptions(workload.ModeHG)
+			o.StartGC = pace(p)
 			o.LongCursor = longCursor
 			res, err := workload.Run(o)
 			if err != nil {

@@ -48,13 +48,14 @@ type Config struct {
 	HashBuckets int
 	// Txn configures group commit.
 	Txn txn.Config
-	// GC sets the collectors' invocation periods; zero periods disable the
-	// corresponding collector. Periodic collection only runs after StartGC.
+	// GC enables the collectors and sets how long each may sit idle; a zero
+	// period disables the corresponding collector. The collector loop only
+	// runs with AutoGC, or once GC().Start is called.
 	GC gc.Periods
 	// LongLivedThreshold is the table collector's snapshot age cutoff
 	// (<=0 selects the default).
 	LongLivedThreshold time.Duration
-	// AutoGC starts the periodic collectors immediately on Open.
+	// AutoGC starts the collector loop immediately on Open.
 	AutoGC bool
 	// ForceCloseAge, when positive, arms the snapshot watchdog: cursor and
 	// Trans-SI snapshots older than this are force-closed so garbage

@@ -201,12 +201,12 @@ func (p *pressure) evaluate() {
 		p.level.Store(int32(PressureSoft))
 	}
 
-	// Rung 1: emergency out-of-period collection — GT first (§4.4's order),
-	// then the interval collector, which reclaims in-between versions even
-	// while an old snapshot pins the horizon.
+	// Rung 1: emergency out-of-period collection — one full pass in §4.4's
+	// order: GT, then the table collector, which gets past a table-scoped
+	// pin for every other table, then the interval collector, which reclaims
+	// in-between versions even while an old snapshot pins the horizon.
 	p.emergencies.Inc()
-	p.db.hybrid.RunGT()
-	p.db.hybrid.RunSI()
+	p.db.hybrid.Collect()
 	live = p.db.space.Live()
 	if live < p.budget.Soft {
 		p.level.Store(int32(PressureNormal))
@@ -230,8 +230,7 @@ func (p *pressure) evaluate() {
 			victim.Kill()
 			p.evicted.Inc()
 			p.db.killed.Add(1)
-			p.db.hybrid.RunGT()
-			p.db.hybrid.RunSI()
+			p.db.hybrid.Collect()
 			live = p.db.space.Live()
 		}
 	}

@@ -215,3 +215,67 @@ func TestVersionBudgetBackpressureRejects(t *testing.T) {
 		t.Fatal("cursor killed below the hard watermark")
 	}
 }
+
+// TestEmergencyRungRunsTheTableCollector: a cursor scoped to table A pins the
+// global horizon while table B grows past the soft watermark. Everything B
+// accumulates is reclaimable — by the table collector, and by nobody else:
+// each record's only version is its newest, which the interval collector
+// never touches — so the emergency rung has to be the full §4.4 pass: live versions come back
+// under the watermark and the ladder never reaches eviction. (The rung used to
+// run GT and SI only and evicted the cursor.)
+func TestEmergencyRungRunsTheTableCollector(t *testing.T) {
+	const soft, hard = 400, 4000
+	db, err := Open(Config{
+		Txn:                txn.Config{SynchronousPropagation: true},
+		LongLivedThreshold: time.Nanosecond,
+		VersionBudget: VersionBudget{
+			Soft:          soft,
+			Hard:          hard,
+			MaxWriterWait: 50 * time.Millisecond,
+			EvictAfter:    time.Hour,
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	a, err := db.CreateTable("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := db.CreateTable("b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := insertRows(db, a, 10, 10); err != nil {
+		t.Fatal(err)
+	}
+	cur, err := db.OpenCursor(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cur.Close()
+
+	// Insert into B several times the soft watermark, a row per commit. With
+	// the cursor on A pinning the global horizon, GT takes none of them.
+	if err := insertRows(db, b, 6*soft, 1); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for db.Space().Live() >= soft && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	st := db.PressureStats()
+	if st.Live >= soft {
+		t.Fatalf("live = %d, still at or over the soft watermark %d: %+v", st.Live, soft, st)
+	}
+	if st.Emergencies == 0 {
+		t.Fatalf("the churn never tripped the emergency rung: %+v", st)
+	}
+	if st.Evicted != 0 || st.Rejected != 0 {
+		t.Fatalf("the ladder went past emergency collection: %+v", st)
+	}
+	if _, _, err := cur.Fetch(1); err != nil {
+		t.Fatalf("the cursor on A must have survived: %v", err)
+	}
+}

@@ -1,0 +1,103 @@
+package gc
+
+import (
+	"fmt"
+	"testing"
+	"time"
+
+	"hybridgc/internal/mvcc"
+	"hybridgc/internal/table"
+	"hybridgc/internal/ts"
+	"hybridgc/internal/txn"
+)
+
+// BenchmarkPassPinnedWindow prices one TG pass and one SI pass behind a held,
+// table-scoped snapshot, at a constant 256 new commit groups per pass and a
+// growing pinned window: width groups committed since the snapshot began that
+// each still hold a live version of the pinned table, which is what the group
+// list looks like under a long cursor (htap_pin). An incremental pass costs
+// the 256 new groups whatever the width; a pass that re-walks the window is
+// linear in it.
+func BenchmarkPassPinnedWindow(b *testing.B) {
+	const fresh = 256
+	for _, width := range []int{1_000, 10_000, 100_000} {
+		e := newEnv(b)
+		stock, orders := e.createTable("STOCK"), e.createTable("ORDERS")
+		var order [fresh]ts.RID
+		for i := range order {
+			order[i] = e.insert(orders, "o")
+		}
+		// The rows whose one update after the pin makes up the window, and
+		// the hot rows every pass's new groups update again.
+		rows := make([]ts.RID, width+fresh)
+		for i := range rows {
+			rows[i] = e.insert(stock, "s")
+		}
+		gt, tg, si := NewGroupTimestamp(e.m), NewTableGC(e.m, time.Nanosecond), NewInterval(e.m)
+		gt.Collect()
+		pin := e.m.AcquireSnapshot(txn.KindCursor, []ts.TableID{stock.ID})
+		for _, rid := range rows[:width] {
+			e.update(stock, rid, "s1")
+		}
+		tg.Collect() // scopes the pin to STOCK
+		si.Collect()
+		if n := e.space.Groups.Len(); n < width {
+			b.Fatalf("window is %d groups wide, want %d", n, width)
+		}
+		// One pass's worth of commits, each updating a hot STOCK row (which
+		// closes its previous version's interval: SI's work) and an ORDERS
+		// row (TG's).
+		commit := func() {
+			for i, rid := range rows[width:] {
+				e.update2(stock, rid, orders, order[i])
+			}
+			gt.Collect() // §4.4: every pass begins with GT; here it stops at the pin
+		}
+		b.Run(fmt.Sprintf("TG/width=%d", width), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				commit()
+				b.StartTimer()
+				st := tg.Collect()
+				b.StopTimer()
+				if st.Versions < fresh {
+					b.Fatalf("TG reclaimed %d versions of %d new groups", st.Versions, fresh)
+				}
+				si.Collect()
+			}
+		})
+		b.Run(fmt.Sprintf("SI/width=%d", width), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				commit()
+				tg.Collect()
+				b.StartTimer()
+				st := si.Collect()
+				b.StopTimer()
+				if st.Versions < fresh {
+					b.Fatalf("SI reclaimed %d versions of %d new groups", st.Versions, fresh)
+				}
+			}
+		})
+		pin.Release()
+	}
+}
+
+// update2 commits one transaction updating a record in each of two tables.
+func (e *env) update2(t1 *table.Table, r1 ts.RID, t2 *table.Table, r2 ts.RID) {
+	e.t.Helper()
+	tx := e.m.Begin(txn.StmtSI, nil)
+	for _, w := range []struct {
+		tbl *table.Table
+		rid ts.RID
+	}{{t1, r1}, {t2, r2}} {
+		v := mvcc.NewVersion(mvcc.OpUpdate, ts.RecordKey{Table: w.tbl.ID, RID: w.rid}, []byte("u"), tx.Context())
+		tx.Context().Add(v)
+		if _, err := e.space.Prepend(w.tbl.Get(w.rid), v, tx.ConflictCheck()); err != nil {
+			e.t.Fatal(err)
+		}
+	}
+	if _, err := tx.Commit(); err != nil {
+		e.t.Fatal(err)
+	}
+}

@@ -15,7 +15,23 @@
 //   - TG — table GC: the semantic optimization of §4.3 that moves long-lived
 //     snapshots with known table scope to per-table trackers and reclaims
 //     with per-table horizons.
-//   - Hybrid — GT, TG and SI on independent invocation periods (§4.4).
+//   - Hybrid — GT, TG and SI combined (§4.4): every pass runs GT first, then
+//     TG, then SI.
+//
+// Where this package leaves the paper is in when and how much. The paper
+// invokes the three collectors on independent periods and each invocation
+// walks its whole window. Here a version is looked at when something about it
+// changes. GT stops at the horizon, as in the paper. TG and SI are
+// incremental: each visits the commit groups published since its last pass,
+// TG goes back only for a table whose horizon has advanced and SI only for
+// the versions a departed snapshot was keeping alive (tablegc.go,
+// interval.go; the invariants are in DESIGN.md §15.5). A commit group counts
+// its live versions and is unlinked by whichever collector reclaims the last
+// one, so nobody walks the list looking for empty groups. And Hybrid's loop
+// is woken by work — a batch of published versions, the release of the
+// snapshot that held a batch back — with the configured periods left as the
+// idle fallback (hybrid.go). ST and GI stay stateless full scans: they are
+// the taxonomy's other two quadrants, not part of the loop.
 package gc
 
 import (
@@ -23,6 +39,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"hybridgc/internal/mvcc"
 	"hybridgc/internal/ts"
 )
 
@@ -60,6 +77,21 @@ func (r *RunStats) add(o RunStats) {
 	r.Dropped += o.Dropped
 	r.SnapshotsScoped += o.SnapshotsScoped
 	r.Duration += o.Duration
+}
+
+// absorb folds one chain-level reclamation into the receiver.
+func (r *RunStats) absorb(res mvcc.ReclaimResult) {
+	r.Versions += int64(res.Versions)
+	r.Groups += int64(res.Groups)
+	if res.Migrated {
+		r.Migrated++
+	}
+	if res.Dropped {
+		r.Dropped++
+	}
+	if res.Emptied {
+		r.ChainsEmptied++
+	}
 }
 
 // String implements fmt.Stringer.

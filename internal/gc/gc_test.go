@@ -15,13 +15,13 @@ import (
 // env wires a catalog, version space and transaction manager the way the
 // engine does, so collectors are tested against the real write path.
 type env struct {
-	t     *testing.T
+	t     testing.TB
 	cat   *table.Catalog
 	space *mvcc.Space
 	m     *txn.Manager
 }
 
-func newEnv(t *testing.T) *env {
+func newEnv(t testing.TB) *env {
 	t.Helper()
 	space := mvcc.NewSpace(1 << 10)
 	m := txn.NewManager(space, sts.NewRegistry(), txn.Config{SynchronousPropagation: true})
@@ -552,11 +552,10 @@ func TestRegionsFigure9(t *testing.T) {
 	}
 }
 
-// TestRunGTSkipsWhenPassInFlight holds the collector latch the way a TG or
-// SI pass does. A GT tick must come back at once with nothing done (the
-// pass in flight began with GT itself); Collect, RunTG and RunSI must still
-// queue behind the latch.
-func TestRunGTSkipsWhenPassInFlight(t *testing.T) {
+// TestPassesSerializeOnTheLatch holds the collector latch the way a pass in
+// flight does: RunGT, RunTG, RunSI and Collect all queue behind it — there
+// is no skipping path — and all run once it is free.
+func TestPassesSerializeOnTheLatch(t *testing.T) {
 	e := newEnv(t)
 	tbl := e.createTable("T")
 	rid := e.insert(tbl, "v0")
@@ -564,14 +563,9 @@ func TestRunGTSkipsWhenPassInFlight(t *testing.T) {
 	h := NewHybrid(e.m, Periods{}, 0)
 
 	h.mu.Lock()
-	if st := h.RunGT(); st != (RunStats{}) {
-		t.Fatalf("RunGT during a pass = %+v, want the zero RunStats", st)
-	}
-	if live := e.space.Live(); live == 0 {
-		t.Fatal("RunGT reclaimed while another pass held the latch")
-	}
-	done := make(chan string, 3)
-	for name, run := range map[string]func() RunStats{"Collect": h.Collect, "RunTG": h.RunTG, "RunSI": h.RunSI} {
+	runs := map[string]func() RunStats{"Collect": h.Collect, "RunGT": h.RunGT, "RunTG": h.RunTG, "RunSI": h.RunSI}
+	done := make(chan string, len(runs))
+	for name, run := range runs {
 		go func() { run(); done <- name }()
 	}
 	select {
@@ -579,11 +573,17 @@ func TestRunGTSkipsWhenPassInFlight(t *testing.T) {
 		t.Fatalf("%s ran while the latch was held", name)
 	case <-time.After(20 * time.Millisecond):
 	}
+	if live := e.space.Live(); live == 0 {
+		t.Fatal("something reclaimed while another pass held the latch")
+	}
 	h.mu.Unlock()
-	for i := 0; i < 3; i++ {
+	for range runs {
 		<-done
 	}
-	if st := h.RunGT(); st.Collector != h.GT.Name() {
-		t.Fatalf("RunGT with the latch free = %+v, want a GT pass", st)
+	if got := h.GT.Totals.Runs(); got != int64(len(runs)) {
+		t.Fatalf("GT ran %d times, want %d: every pass begins with it", got, len(runs))
+	}
+	if live := e.space.Live(); live != 0 {
+		t.Fatalf("live = %d after four passes with no snapshot", live)
 	}
 }

@@ -7,10 +7,13 @@ import (
 	"hybridgc/internal/txn"
 )
 
-// Periods configures the independent invocation periods of the three
-// collectors HybridGC combines (§4.4). A zero period disables that
-// collector. The paper's defaults are 1 s for GT, 3 s for TG and 10 s for
-// SI; experiments time-compress these.
+// Periods enables the three collectors HybridGC combines (§4.4) and sets how
+// long each may sit idle. A zero period disables that collector. A non-zero
+// one is its idle fallback: the collector loop runs it when that long has
+// passed since its last run without anything else having woken the loop.
+// Under load the loop is woken by work (see Hybrid), and the periods only
+// matter when little is happening. The paper's invocation periods are 1 s
+// for GT, 3 s for TG and 10 s for SI; experiments time-compress these.
 type Periods struct {
 	GT time.Duration
 	TG time.Duration
@@ -23,24 +26,46 @@ func DefaultPeriods() Periods {
 	return Periods{GT: 100 * time.Millisecond, TG: 300 * time.Millisecond, SI: time.Second}
 }
 
+// batchVersions is how many freshly published versions wake the collector
+// loop. A pass costs a dozen registry scans however little there is to
+// collect, and a loop woken for every handful of versions is a busy poll on
+// the cores the workers want; a large batch keeps versions waiting for
+// company. The recorded sweep (CHANGES.md, PR 19: 32 … 32768 on htap_pin and
+// oltp_mem, two seeds each) is flat in both version_residence_ms and
+// txn_per_s from 128 to 512, loses throughput at 32 and residence from 1024
+// up (8192: +5 ms on oltp_mem, +11 ms on htap_pin); 512 is the largest value
+// on the flat part. What is left of residence there is not the batch: it is
+// the collector goroutine waiting for a core on a saturated box, and under a
+// held cursor a version waiting for its successor.
+const batchVersions = 512
+
 // Hybrid is the HybridGC of §4.4: the global group collector (GT), the table
-// collector (TG) and the interval collector (SI) invoked independently, each
-// with its own period. When TG or SI fires it internally executes GT first,
-// then handles the remainder, exactly as the paper specifies. Collections
-// are serialized on one latch; versions are reclaimed concurrently with
-// transaction processing.
+// collector (TG) and the interval collector (SI). A pass runs them in that
+// order — "when the table garbage collector or the interval garbage
+// collector is invoked, it internally executes the global group garbage
+// collector first" — and passes are serialized on one latch; versions are
+// reclaimed concurrently with transaction processing.
+//
+// Once started, one goroutine runs the passes, and it is driven by work, not
+// by a clock. It wakes when the commit leader has published a batch of
+// versions since the last pass, when a snapshot is released whose timestamp
+// the group collector found holding at least a batch of versions back, and,
+// failing both, when an enabled collector has been idle for its period. All
+// three collectors are incremental — GT stops at the horizon, TG and SI look
+// only at what is new or newly reclaimable — so a pass costs what it finds,
+// and waking often is cheap.
 type Hybrid struct {
 	GT *GroupTimestamp
 	TG *TableGC
 	SI *Interval
 
+	m       *txn.Manager
 	periods Periods
 
 	mu      sync.Mutex // serializes collector passes
 	startMu sync.Mutex
 	stop    chan struct{}
-	wg      sync.WaitGroup
-	running bool
+	done    chan struct{}
 }
 
 // NewHybrid builds a HybridGC over m. threshold is TG's long-lived snapshot
@@ -50,6 +75,7 @@ func NewHybrid(m *txn.Manager, periods Periods, threshold time.Duration) *Hybrid
 		GT:      NewGroupTimestamp(m),
 		TG:      NewTableGC(m, threshold),
 		SI:      NewInterval(m),
+		m:       m,
 		periods: periods,
 	}
 }
@@ -58,94 +84,129 @@ func NewHybrid(m *txn.Manager, periods Periods, threshold time.Duration) *Hybrid
 func (h *Hybrid) Name() string { return "HG" }
 
 // Collect implements Collector: one full hybrid pass, GT then TG then SI —
-// the execution order of §4.4 — regardless of periods. Used by tests and by
-// callers that drive collection manually.
+// the execution order of §4.4 — regardless of periods. Used by tests, by the
+// pressure controller's emergency rung and by callers that drive collection
+// manually.
 func (h *Hybrid) Collect() RunStats {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	st := h.GT.Collect()
+	st, tg, si := h.pass(true, true)
 	st.Collector = h.Name()
-	st.add(h.TG.Collect())
-	st.add(h.SI.Collect())
+	st.add(tg)
+	st.add(si)
 	return st
 }
 
-// RunGT runs only the group collector — unless another pass holds the
-// latch, in which case it returns an empty RunStats at once. Every pass
-// begins with GT, so waiting would only queue a second GT pass right behind
-// the first: under a pinned horizon the GT ticker spent a tenth of its time
-// parked behind TG and SI passes to then reclaim nothing.
+// RunGT runs only the group collector.
 func (h *Hybrid) RunGT() RunStats {
-	if !h.mu.TryLock() {
-		return RunStats{}
-	}
-	defer h.mu.Unlock()
-	return h.GT.Collect()
+	st, _, _ := h.pass(false, false)
+	return st
 }
 
 // RunTG runs the table collector, preceded by the group collector as §4.4
-// prescribes ("when the table garbage collector or the interval garbage
-// collector is invoked, it internally executes the global group garbage
-// collector first").
+// prescribes.
 func (h *Hybrid) RunTG() RunStats {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.GT.Collect()
-	return h.TG.Collect()
+	_, st, _ := h.pass(true, false)
+	return st
 }
 
 // RunSI runs the interval collector, preceded by the group collector.
 func (h *Hybrid) RunSI() RunStats {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.GT.Collect()
-	return h.SI.Collect()
+	_, _, st := h.pass(false, true)
+	return st
 }
 
-// Start launches the periodic invocations. Collectors with a zero period
-// stay disabled. Start is idempotent while running.
+// pass runs GT and then the collectors asked for, under the latch.
+func (h *Hybrid) pass(tg, si bool) (gtStats, tgStats, siStats RunStats) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	gtStats = h.GT.Collect()
+	if tg {
+		tgStats = h.TG.Collect()
+	}
+	if si {
+		siStats = h.SI.Collect()
+	}
+	return
+}
+
+// Start launches the collector loop. With every period zero there is nothing
+// to run and no loop. Start is idempotent while running.
 func (h *Hybrid) Start() {
 	h.startMu.Lock()
 	defer h.startMu.Unlock()
-	if h.running {
+	if h.stop != nil || h.periods.GT <= 0 && h.periods.TG <= 0 && h.periods.SI <= 0 {
 		return
 	}
-	h.running = true
 	h.stop = make(chan struct{})
-	launch := func(period time.Duration, run func() RunStats) {
-		if period <= 0 {
-			return
-		}
-		h.wg.Add(1)
-		go func() {
-			defer h.wg.Done()
-			tick := time.NewTicker(period)
-			defer tick.Stop()
-			for {
-				select {
-				case <-tick.C:
-					run()
-				case <-h.stop:
-					return
-				}
-			}
-		}()
-	}
-	launch(h.periods.GT, h.RunGT)
-	launch(h.periods.TG, h.RunTG)
-	launch(h.periods.SI, h.RunSI)
+	h.done = make(chan struct{})
+	go h.loop(h.m.ListenGC(batchVersions), h.stop, h.done)
 }
 
-// Stop halts the periodic invocations and waits for in-flight passes.
+// Stop halts the loop and waits for a pass in flight.
 func (h *Hybrid) Stop() {
 	h.startMu.Lock()
 	defer h.startMu.Unlock()
-	if !h.running {
+	if h.stop == nil {
 		return
 	}
 	close(h.stop)
-	h.wg.Wait()
-	h.running = false
+	<-h.done
+	h.m.ListenGC(0)
+	h.stop, h.done = nil, nil
+}
+
+// loop is the collector goroutine. A ring of the manager's bell means work:
+// every enabled collector runs. The timer is the idle fallback: it is set to
+// the earliest moment an enabled collector will have sat idle for its period,
+// and when it fires only the collectors that have are run — after GT, which
+// every pass begins with.
+func (h *Hybrid) loop(ring <-chan struct{}, stop <-chan struct{}, done chan<- struct{}) {
+	defer close(done)
+	periods := [3]time.Duration{h.periods.GT, h.periods.TG, h.periods.SI}
+	var due [3]time.Time // when each collector will have been idle for its period
+	now := time.Now()
+	for i, p := range periods {
+		due[i] = now.Add(p)
+	}
+	timer := time.NewTimer(0)
+	defer timer.Stop()
+	for {
+		var first time.Time
+		for i, p := range periods {
+			if p > 0 && (first.IsZero() || due[i].Before(first)) {
+				first = due[i]
+			}
+		}
+		if !timer.Stop() {
+			select {
+			case <-timer.C:
+			default:
+			}
+		}
+		timer.Reset(time.Until(first))
+
+		var run [3]bool
+		select {
+		case <-stop:
+			return
+		case <-ring:
+			for i, p := range periods {
+				run[i] = p > 0
+			}
+		case now = <-timer.C:
+			for i, p := range periods {
+				run[i] = p > 0 && !now.Before(due[i])
+			}
+		}
+		h.m.BeginGCPass()
+		h.pass(run[1], run[2])
+		run[0] = true
+		now = time.Now()
+		for i, p := range periods {
+			if run[i] {
+				due[i] = now.Add(p)
+			}
+		}
+	}
 }
 
 // ReclaimedByGT returns GT's lifetime reclaimed-version count (Figure 11).

@@ -1,6 +1,7 @@
 package gc
 
 import (
+	"slices"
 	"time"
 
 	"hybridgc/internal/mvcc"
@@ -15,18 +16,87 @@ import (
 // and reclaims every version whose visible interval contains no element of
 // S using the merge-based Algorithm 1. This collects versions in the middle
 // of chains that a long-lived snapshot would otherwise pin forever.
+//
+// A pass is incremental: a version is examined when something about it
+// changes, not because a period elapsed. Two things can turn a version into
+// interval garbage. A successor is committed, which closes its interval —
+// the pass reaches its chain from the successor's group, so it only visits
+// the groups committed since the last pass (above hw). Or the snapshots
+// inside its closed interval go away — Algorithm 1 names the smallest of
+// them, LGN(cid, S), whenever it keeps a version, and the pass files the
+// version under that timestamp; when a filed-under timestamp is no longer in
+// S, exactly those versions' chains are examined again, and the survivors
+// are filed under whoever holds them now. Nothing else can change the
+// verdict on a closed interval at or below the bound: no later snapshot can
+// land inside it. DESIGN.md §15.5 has the invariant and its proof sketch.
 type Interval struct {
 	m      *txn.Manager
 	Totals Totals
+
+	// hw is the bound of the last pass: every chain with a version in a
+	// group at or below it has been examined up to it.
+	hw ts.CID
+	// held files the versions a pass kept inside a closed interval under the
+	// snapshot timestamp that keeps them. A version is in one list at a time
+	// and a list dies with its timestamp, so the structure is bounded by the
+	// live versions (times two: see hold) and is empty when no snapshot is.
+	held map[ts.CID]*heldVersions
+}
+
+// heldVersions is one snapshot timestamp's list. swept is its length after
+// the last sweep of entries that other collectors have reclaimed since.
+type heldVersions struct {
+	vs    []*mvcc.Version
+	swept int
 }
 
 // NewInterval returns an SI collector over m.
 func NewInterval(m *txn.Manager) *Interval {
-	return &Interval{m: m}
+	return &Interval{m: m, held: make(map[ts.CID]*heldVersions)}
 }
 
 // Name implements Collector.
 func (c *Interval) Name() string { return "SI" }
+
+// Held returns how many versions are currently filed as kept by a snapshot.
+func (c *Interval) Held() int {
+	n := 0
+	for _, l := range c.held {
+		n += len(l.vs)
+	}
+	return n
+}
+
+// hold files v under the snapshot timestamp that keeps it (the callback of
+// mvcc.Space.ReclaimIntervals, which reports a version once per holder). A
+// filed version can still be reclaimed by the table collector when its
+// holder is scoped to other tables; such entries are swept out whenever the
+// list has doubled, which keeps it within twice the versions it really holds
+// plus a constant.
+func (c *Interval) hold(v *mvcc.Version, by ts.CID) {
+	l := c.held[by]
+	if l == nil {
+		l = &heldVersions{}
+		c.held[by] = l
+	}
+	if len(l.vs) >= 2*l.swept+64 {
+		kept := l.vs[:0]
+		for _, o := range l.vs {
+			if stillHeld(o, by) {
+				kept = append(kept, o)
+			}
+		}
+		clear(l.vs[len(kept):])
+		l.vs, l.swept = kept, len(kept)
+	}
+	l.vs = append(l.vs, v)
+}
+
+// stillHeld reports whether v is live and filed under by.
+func stillHeld(v *mvcc.Version, by ts.CID) bool {
+	h, ok := v.HeldBy()
+	return ok && h == by && !v.Reclaimed()
+}
 
 // Collect implements Collector.
 func (c *Interval) Collect() RunStats {
@@ -38,49 +108,69 @@ func (c *Interval) Collect() RunStats {
 	// strictly more and stays safe because snapshots registered after this
 	// point cannot sit below it).
 	snaps, bound := c.m.SnapshotSetAndBound()
-	if len(snaps) < 1 {
-		// No active snapshot: the timestamp collectors reclaim everything;
-		// there is no interval work.
-		st.Duration = time.Since(start)
-		c.Totals.record(st)
-		return st
-	}
-	minS := snaps[0]
 	st.Horizon = bound
 	space := c.m.Space()
+	// Step 4, per chain: reclaim the versions whose visible interval
+	// intersects no snapshot (Algorithm 1 runs inside ReclaimIntervals) and
+	// file the ones a snapshot keeps.
+	examine := func(ch *mvcc.Chain) {
+		st.ChainsScanned++
+		st.absorb(space.ReclaimIntervals(ch, snaps, bound, c.hold))
+	}
 
-	// Step 2+3: gather the chains reachable from groups with
-	// min(S) < CID <= bound, highest-CID-first, deduplicated.
-	var chains []*mvcc.Chain
-	seen := make(map[*mvcc.Chain]struct{})
+	// Steps 2+3: the chains reachable from groups with min(S) < CID <= bound,
+	// highest-CID-first — of which only the groups above hw are news. Groups
+	// at or below min(S) are the timestamp collectors'; with no snapshot at
+	// all there is no lower end, and whatever GT has not taken yet is taken
+	// here. The first version met of a chain is its newest at or below the
+	// bound and stands for the whole chain: the ones behind it are reclaimed
+	// or filed by the time the walk reaches them. A version with nothing
+	// older has nothing to close.
+	floor := c.hw
+	if len(snaps) > 0 && snaps[0] > floor {
+		floor = snaps[0]
+	}
 	space.Groups.Descending(func(g *mvcc.GroupCommitContext) bool {
 		cid := g.CID()
 		if cid > bound {
 			return true // newer than the window; keep descending
 		}
-		if cid <= minS {
-			return false // below the window; the ordered list is done
+		if cid <= floor {
+			return false // seen, or below the window; the ordered list is done
 		}
-		for _, v := range g.Versions() {
-			if v.Reclaimed() {
-				continue
+		g.Each(func(v *mvcc.Version) {
+			if v.Reclaimed() || v.Older() == nil {
+				return
 			}
-			ch := v.Chain()
-			if _, dup := seen[ch]; !dup {
-				seen[ch] = struct{}{}
-				chains = append(chains, ch)
+			if _, filed := v.HeldBy(); !filed {
+				examine(v.Chain())
 			}
-		}
+		})
 		return true
 	})
-
-	// Step 4: per chain, reclaim the versions whose visible interval
-	// intersects no snapshot (Algorithm 1 runs inside ReclaimIntervals).
-	for _, ch := range chains {
-		st.ChainsScanned++
-		st.Versions += int64(space.ReclaimIntervals(ch, snaps, bound))
+	if bound > c.hw {
+		c.hw = bound
 	}
-	st.Groups = pruneDrainedGroups(space)
+
+	// The snapshots that left S since they were last found holding versions:
+	// their lists are what may have become garbage. An entry whose holder is
+	// no longer this timestamp was re-filed by an examination above or
+	// earlier in this loop.
+	var gone []ts.CID
+	for by := range c.held {
+		if _, active := slices.BinarySearch(snaps, by); !active {
+			gone = append(gone, by)
+		}
+	}
+	for _, by := range gone {
+		l := c.held[by]
+		delete(c.held, by)
+		for _, v := range l.vs {
+			if stillHeld(v, by) {
+				examine(v.Chain())
+			}
+		}
+	}
 	st.Duration = time.Since(start)
 	c.Totals.record(st)
 	return st
@@ -148,17 +238,13 @@ func (c *GroupInterval) Collect() RunStats {
 			return false
 		}
 		st.ChainsScanned++
-		for _, v := range g.Versions() {
-			if v.Reclaimed() {
-				continue
+		g.Each(func(v *mvcc.Version) {
+			if !v.Reclaimed() {
+				st.absorb(space.ReclaimVersionIf(v, decide))
 			}
-			if space.ReclaimVersionIf(v, decide) {
-				st.Versions++
-			}
-		}
+		})
 		return true
 	})
-	st.Groups = pruneDrainedGroups(space)
 	st.Duration = time.Since(start)
 	c.Totals.record(st)
 	return st

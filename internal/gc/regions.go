@@ -44,12 +44,7 @@ func CurrentRegions(m *txn.Manager) Regions {
 	r := Regions{UnionMin: uint64(unionMin), GlobalMin: uint64(globalMin)}
 	m.Space().Groups.Ascending(func(g *mvcc.GroupCommitContext) bool {
 		cid := g.CID()
-		var live int64
-		for _, v := range g.Versions() {
-			if !v.Reclaimed() {
-				live++
-			}
-		}
+		live := g.Live()
 		switch {
 		case cid < unionMin:
 			r.A += live

@@ -26,7 +26,9 @@ func NewSingleTimestamp(m *txn.Manager) *SingleTimestamp {
 // Name implements Collector.
 func (c *SingleTimestamp) Name() string { return "ST" }
 
-// Collect implements Collector by scanning the whole RID hash table.
+// Collect implements Collector by scanning the whole RID hash table. ST
+// identifies garbage per chain; the commit groups it drains on the way are
+// unlinked as their last version goes, like everyone else's.
 func (c *SingleTimestamp) Collect() RunStats {
 	start := time.Now()
 	min := c.m.GlobalHorizon()
@@ -34,22 +36,9 @@ func (c *SingleTimestamp) Collect() RunStats {
 	space := c.m.Space()
 	space.HT.ForEach(func(ch *mvcc.Chain) bool {
 		st.ChainsScanned++
-		res := space.ReclaimBelow(ch, min)
-		st.Versions += int64(res.Versions)
-		if res.Migrated {
-			st.Migrated++
-		}
-		if res.Dropped {
-			st.Dropped++
-		}
-		if res.Emptied {
-			st.ChainsEmptied++
-		}
+		st.absorb(space.ReclaimBelow(ch, min))
 		return true
 	})
-	// ST identifies garbage per chain, but fully drained groups can still be
-	// unlinked from the group list to bound its growth.
-	st.Groups = pruneDrainedGroups(space)
 	st.Duration = time.Since(start)
 	c.Totals.record(st)
 	return st
@@ -58,9 +47,9 @@ func (c *SingleTimestamp) Collect() RunStats {
 // GroupTimestamp (GT) is the global group garbage collector of §4.1: it
 // walks the ordered GroupCommitContext list from the oldest CID and, for
 // every group entirely below the minimum snapshot timestamp, reclaims the
-// group's versions as a whole and unlinks the group. It stops at the first
-// group at or above the minimum, so identification cost is proportional to
-// the garbage found, not to the version space.
+// group's versions as a whole, which unlinks the group. It stops at the
+// first group at or above the minimum, so identification cost is
+// proportional to the garbage found, not to the version space.
 //
 // The horizon covers table-scoped snapshots as well as unscoped ones (§4.4),
 // so GT stays correct when the table collector has narrowed snapshots.
@@ -80,53 +69,29 @@ func (c *GroupTimestamp) Name() string { return "GT" }
 // Collect implements Collector.
 func (c *GroupTimestamp) Collect() RunStats {
 	start := time.Now()
-	min := c.m.GlobalHorizon()
+	min, pinned := c.m.PinnedGlobalHorizon()
 	st := RunStats{Collector: c.Name(), Horizon: min}
 	space := c.m.Space()
+	blocked := false
 	space.Groups.Ascending(func(g *mvcc.GroupCommitContext) bool {
 		if g.CID() >= min {
-			return false // list is CID-ordered: iteration finishes here
+			// The list is CID-ordered: iteration finishes here, with this
+			// group and everything behind it waiting for a snapshot at min
+			// to go — if a snapshot is what set min.
+			blocked = pinned
+			return false
 		}
-		for _, v := range g.Versions() {
+		g.Each(func(v *mvcc.Version) {
 			if v.Reclaimed() {
-				continue
+				return
 			}
 			st.ChainsScanned++
-			res := space.ReclaimBelow(v.Chain(), min)
-			st.Versions += int64(res.Versions)
-			if res.Migrated {
-				st.Migrated++
-			}
-			if res.Dropped {
-				st.Dropped++
-			}
-			if res.Emptied {
-				st.ChainsEmptied++
-			}
-		}
-		space.Groups.Remove(g)
-		st.Groups++
+			st.absorb(space.ReclaimBelow(v.Chain(), min))
+		})
 		return true
 	})
+	c.m.AwaitRelease(min, blocked)
 	st.Duration = time.Since(start)
 	c.Totals.record(st)
 	return st
-}
-
-// pruneDrainedGroups removes groups whose versions were all reclaimed by
-// other collectors, stopping at the first group that still holds live
-// versions (list order keeps the scan cheap).
-func pruneDrainedGroups(space *mvcc.Space) int64 {
-	var removed int64
-	space.Groups.Ascending(func(g *mvcc.GroupCommitContext) bool {
-		for _, v := range g.Versions() {
-			if !v.Reclaimed() {
-				return false
-			}
-		}
-		space.Groups.Remove(g)
-		removed++
-		return true
-	})
-	return removed
 }

@@ -40,11 +40,17 @@ func (tc *TransContext) Add(v *Version) {
 }
 
 // Versions returns the versions created by this transaction, in creation
-// order.
+// order. The slice is the transaction's own and must not be modified: Add
+// only ever appends behind its length, so the view stays valid while the
+// transaction is still writing, and once the transaction has entered group
+// commit its version set is frozen and the read takes no lock at all — this
+// is what collectors iterate, once per group per pass.
 func (tc *TransContext) Versions() []*Version {
-	tc.mu.Lock()
-	defer tc.mu.Unlock()
-	return append([]*Version(nil), tc.versions...)
+	if tc.gcc.Load() == nil {
+		tc.mu.Lock()
+		defer tc.mu.Unlock()
+	}
+	return tc.versions[:len(tc.versions):len(tc.versions)]
 }
 
 // VersionCount returns how many versions the transaction created.
@@ -86,12 +92,19 @@ type GroupCommitContext struct {
 	cid  atomic.Uint64
 	txns []*TransContext
 
+	// live counts the group's versions no collector has reclaimed yet.
+	// Whoever takes it to zero unlinks the group from the list, wherever it
+	// sits (Space.retire), so "drained" is one load and no collector has to
+	// walk the list looking for empty groups.
+	live atomic.Int64
+
 	// List linkage. Structural changes are serialized by the owning
 	// GroupList's mutex, but the pointers are atomics so iterators can walk
 	// the list without taking it — commit publication must stay cheap while
 	// collectors read the list.
 	prev, next atomic.Pointer[GroupCommitContext]
-	removed    bool // guarded by the GroupList mutex
+	linked     bool        // guarded by the GroupList mutex
+	removed    atomic.Bool // written under the GroupList mutex
 }
 
 // NewGroup creates a commit group over the given transaction contexts and
@@ -99,9 +112,14 @@ type GroupCommitContext struct {
 // becomes visible the moment AssignCID stores it.
 func NewGroup(txns []*TransContext) *GroupCommitContext {
 	g := &GroupCommitContext{txns: txns}
+	var n int64
 	for _, tc := range txns {
 		tc.setGroup(g)
+		n += int64(len(tc.Versions()))
 	}
+	// Nothing can be reclaimed before the CID is assigned, so the count is
+	// in place before anyone decrements it.
+	g.live.Store(n)
 	return g
 }
 
@@ -133,28 +151,39 @@ func (g *GroupCommitContext) Propagate() int {
 	return n
 }
 
-// Versions returns every version entry belonging to the group, across all
-// member transactions.
-func (g *GroupCommitContext) Versions() []*Version {
-	var out []*Version
+// Each calls fn on every version entry belonging to the group, across all
+// member transactions, reclaimed or not. A committed group's version set is
+// frozen, so the walk copies nothing and takes no lock.
+func (g *GroupCommitContext) Each(fn func(*Version)) {
 	for _, tc := range g.txns {
-		out = append(out, tc.Versions()...)
+		for _, v := range tc.Versions() {
+			fn(v)
+		}
 	}
-	return out
 }
 
+// Live returns how many of the group's versions are not reclaimed yet. Zero
+// means the group is drained and no longer (or about to be no longer) in the
+// list.
+func (g *GroupCommitContext) Live() int64 { return g.live.Load() }
+
 // GroupList is the ordered list of GroupCommitContext objects (Figure 7).
-// Groups are appended in commit order, which is CID order, and removed by
-// the group collector once fully reclaimed.
+// Groups are appended in commit order, which is CID order, and unlinked by
+// whichever collector reclaims their last version, wherever they sit.
 //
 // Structural changes (Append/Remove) serialize on the mutex, but their
-// critical sections are O(1) pointer swings and iteration never takes the
-// lock at all: Ascending/Descending walk the atomic links live, so commit
-// publication does not contend with collectors copying the whole list (the
-// old design materialized a full slice under the lock per scan). A removed
-// group keeps its own outgoing pointers, so an iterator standing on it
-// continues into the remaining list — the same unlink discipline the
-// lock-free RID hash uses.
+// critical sections are O(1) pointer swings and iteration does not take the
+// lock: Ascending/Descending walk the atomic links live, so commit
+// publication does not contend with collectors reading the list.
+//
+// An unlinked group points at nothing. Reclaimed versions stay reachable for
+// a while — from the version lists of groups that still hold something live,
+// and from each other — and they reach their groups; if those still pointed
+// at their old neighbours, which point at theirs, one long-lived group would
+// keep the whole commit history of a run in memory. An iterator therefore
+// reads its next step before it hands a group to fn, which is what usually
+// unlinks it, and when it does find itself on an unlinked group it finds its
+// place again by CID (seek).
 type GroupList struct {
 	mu    sync.Mutex
 	head  atomic.Pointer[GroupCommitContext]
@@ -166,10 +195,18 @@ type GroupList struct {
 func NewGroupList() *GroupList { return &GroupList{} }
 
 // Append adds a freshly committed group at the tail. Caller must append in
-// CID order (the group committer serializes commits, so this holds).
+// CID order (the group committer serializes commits, so this holds). A group
+// with nothing left to reclaim — it never had a version, or a collector
+// reached its versions through their chains before the committer got here —
+// is not linked at all.
 func (gl *GroupList) Append(g *GroupCommitContext) {
 	gl.mu.Lock()
 	defer gl.mu.Unlock()
+	if g.removed.Load() || g.live.Load() == 0 {
+		g.removed.Store(true)
+		return
+	}
+	g.linked = true
 	t := gl.tail.Load()
 	g.prev.Store(t)
 	// Publish the tail before linking the predecessor's next pointer: a
@@ -185,16 +222,18 @@ func (gl *GroupList) Append(g *GroupCommitContext) {
 	gl.count.Add(1)
 }
 
-// Remove unlinks a fully reclaimed group. Removing twice is a no-op. The
-// removed group's own prev/next stay intact so concurrent iterators standing
-// on it keep walking the list.
+// Remove unlinks a fully reclaimed group. Removing twice is a no-op, and
+// removing a group that was never appended keeps it from being appended.
 func (gl *GroupList) Remove(g *GroupCommitContext) {
 	gl.mu.Lock()
 	defer gl.mu.Unlock()
-	if g.removed {
+	if g.removed.Load() {
 		return
 	}
-	g.removed = true
+	if !g.linked {
+		g.removed.Store(true)
+		return
+	}
 	p, n := g.prev.Load(), g.next.Load()
 	if p != nil {
 		p.next.Store(n)
@@ -207,6 +246,12 @@ func (gl *GroupList) Remove(g *GroupCommitContext) {
 		gl.tail.Store(p)
 	}
 	gl.count.Add(-1)
+	// The flag goes up before the pointers go: an iterator that reads a nil
+	// pointer and then the flag can tell the end of the list from a group
+	// unlinked under it.
+	g.removed.Store(true)
+	g.prev.Store(nil)
+	g.next.Store(nil)
 }
 
 // Len returns the number of groups currently linked.
@@ -215,24 +260,56 @@ func (gl *GroupList) Len() int {
 }
 
 // Ascending calls fn on each group from the oldest CID upward until fn
-// returns false. Iteration is lock-free and live: fn may call Remove
-// (including on the group it was handed), and groups appended or removed
-// mid-scan may or may not be visited.
+// returns false. Iteration is lock-free and live: fn may unlink groups,
+// including the one it was handed; groups appended or removed mid-scan may or
+// may not be visited, a group unlinked just before the walk reached it may
+// still be handed to fn, and CIDs along a walk strictly increase.
 func (gl *GroupList) Ascending(fn func(*GroupCommitContext) bool) {
-	for g := gl.head.Load(); g != nil; g = g.next.Load() {
+	for g := gl.head.Load(); g != nil; {
+		n, gone := g.next.Load(), g.removed.Load()
 		if !fn(g) {
 			return
 		}
+		if n == nil && gone {
+			n = gl.seek(g.CID(), true)
+		}
+		g = n
 	}
 }
 
 // Descending calls fn on each group from the newest CID downward until fn
 // returns false (the interval collector's highest-CID-first iteration, §4.2
-// step 3). Same liveness contract as Ascending.
+// step 3). Same liveness contract as Ascending, CIDs strictly decreasing.
 func (gl *GroupList) Descending(fn func(*GroupCommitContext) bool) {
-	for g := gl.tail.Load(); g != nil; g = g.prev.Load() {
+	for g := gl.tail.Load(); g != nil; {
+		p, gone := g.prev.Load(), g.removed.Load()
 		if !fn(g) {
 			return
 		}
+		if p == nil && gone {
+			p = gl.seek(g.CID(), false)
+		}
+		g = p
 	}
+}
+
+// seek is how a walk that stepped onto an unlinked group finds its place
+// again: the first linked group above cid from the head, or below it from the
+// tail. It costs the distance from that end, and a walk needs it only when
+// the step it had read ahead was unlinked before it got there.
+func (gl *GroupList) seek(cid ts.CID, up bool) *GroupCommitContext {
+	gl.mu.Lock()
+	defer gl.mu.Unlock()
+	if up {
+		g := gl.head.Load()
+		for g != nil && g.CID() <= cid {
+			g = g.next.Load()
+		}
+		return g
+	}
+	g := gl.tail.Load()
+	for g != nil && g.CID() >= cid {
+		g = g.prev.Load()
+	}
+	return g
 }

@@ -44,6 +44,14 @@ func (r *fakeRecord) state() (img string, exists, versioned bool) {
 	return string(r.image), r.exists, r.versioned
 }
 
+// groupOfOne returns a commit group holding one version of record rid: a
+// group with nothing to reclaim is never linked into the list.
+func groupOfOne(rid uint64) *GroupCommitContext {
+	tc := NewTransContext(rid)
+	tc.Add(NewVersion(OpUpdate, key(rid), nil, tc))
+	return NewGroup([]*TransContext{tc})
+}
+
 func key(rid uint64) ts.RecordKey { return ts.RecordKey{Table: 1, RID: ts.RID(rid)} }
 
 // commitOne wraps a single version in its own single-transaction group with
@@ -128,7 +136,7 @@ func TestGroupListOrdering(t *testing.T) {
 	gl := NewGroupList()
 	var gs []*GroupCommitContext
 	for i := 1; i <= 4; i++ {
-		g := NewGroup([]*TransContext{NewTransContext(uint64(i))})
+		g := groupOfOne(uint64(i))
 		g.AssignCID(ts.CID(i * 10))
 		gl.Append(g)
 		gs = append(gs, g)
@@ -387,7 +395,7 @@ func TestReclaimIntervalsFigure1(t *testing.T) {
 		addVersion(t, s, rec, op, 1, fmt.Sprintf("v1%d", i+1), c)
 	}
 	c := s.HT.Get(key(1))
-	n := s.ReclaimIntervals(c, []ts.CID{3, 99}, 100)
+	n := s.ReclaimIntervals(c, []ts.CID{3, 99}, 100, nil).Versions
 	if n != 3 {
 		t.Fatalf("reclaimed %d versions, want 3", n)
 	}
@@ -410,13 +418,13 @@ func TestReclaimIntervalsNeverTouchesNewest(t *testing.T) {
 	addVersion(t, s, rec, OpInsert, 1, "a", 1)
 	addVersion(t, s, rec, OpUpdate, 1, "b", 2)
 	c := s.HT.Get(key(1))
-	if n := s.ReclaimIntervals(c, []ts.CID{100}, 100); n != 1 {
+	if n := s.ReclaimIntervals(c, []ts.CID{100}, 100, nil).Versions; n != 1 {
 		t.Fatalf("reclaimed %d, want 1 (only the older version)", n)
 	}
 	if got := c.CommittedCIDs(); fmt.Sprint(got) != "[2]" {
 		t.Fatalf("remaining = %v", got)
 	}
-	if n := s.ReclaimIntervals(c, []ts.CID{100}, 100); n != 0 {
+	if n := s.ReclaimIntervals(c, []ts.CID{100}, 100, nil).Versions; n != 0 {
 		t.Fatal("single-version chain must not shrink")
 	}
 }
@@ -430,7 +438,7 @@ func TestReclaimIntervalsEmptySnapshotSet(t *testing.T) {
 	addVersion(t, s, rec, OpInsert, 1, "a", 1)
 	addVersion(t, s, rec, OpUpdate, 1, "b", 2)
 	c := s.HT.Get(key(1))
-	if n := s.ReclaimIntervals(c, nil, 2); n != 1 {
+	if n := s.ReclaimIntervals(c, nil, 2, nil).Versions; n != 1 {
 		t.Fatalf("reclaimed %d with empty S and bound 2, want 1", n)
 	}
 	if got := c.CommittedCIDs(); fmt.Sprint(got) != "[2]" {
@@ -449,7 +457,7 @@ func TestReclaimIntervalsBound(t *testing.T) {
 	c := s.HT.Get(key(1))
 	// Bound 10 (a snapshot at 11 may be in flight, unregistered): nothing
 	// above the bound is eligible.
-	if n := s.ReclaimIntervals(c, []ts.CID{10}, 10); n != 0 {
+	if n := s.ReclaimIntervals(c, []ts.CID{10}, 10, nil).Versions; n != 0 {
 		t.Fatalf("reclaimed %d versions above bound, want 0", n)
 	}
 	if got := c.CommittedCIDs(); fmt.Sprint(got) != "[10 11 12]" {
@@ -458,7 +466,7 @@ func TestReclaimIntervalsBound(t *testing.T) {
 	// Bound 12: version 11 (interval [11,12), no snapshot inside, successor
 	// committed at or below the bound) is garbage; version 10 stays pinned
 	// by the snapshot at 10.
-	if n := s.ReclaimIntervals(c, []ts.CID{10}, 12); n != 1 {
+	if n := s.ReclaimIntervals(c, []ts.CID{10}, 12, nil).Versions; n != 1 {
 		t.Fatalf("reclaimed %d with bound 12, want 1", n)
 	}
 	if got := c.CommittedCIDs(); fmt.Sprint(got) != "[10 12]" {
@@ -694,7 +702,7 @@ func TestReclaimQuickModel(t *testing.T) {
 		}
 		for pass := 0; pass < 2; pass++ {
 			if next(2) == 0 {
-				s.ReclaimIntervals(ch, snaps, maxCID)
+				s.ReclaimIntervals(ch, snaps, maxCID, nil)
 				if !check() {
 					return false
 				}
@@ -703,13 +711,13 @@ func TestReclaimQuickModel(t *testing.T) {
 			if !check() {
 				return false
 			}
-			s.ReclaimIntervals(ch, snaps, maxCID)
+			s.ReclaimIntervals(ch, snaps, maxCID, nil)
 			if !check() {
 				return false
 			}
 		}
 		// Idempotence: nothing further to reclaim.
-		if n := s.ReclaimIntervals(ch, snaps, maxCID); n != 0 {
+		if n := s.ReclaimIntervals(ch, snaps, maxCID, nil).Versions; n != 0 {
 			return false
 		}
 		if res := s.ReclaimBelow(ch, minSnap); res.Versions != 0 {
@@ -755,5 +763,48 @@ func TestLiveBytesAccounting(t *testing.T) {
 	s.Rollback(d)
 	if got := s.LiveBytes(); got != 0 {
 		t.Fatalf("LiveBytes after rollback = %d", got)
+	}
+}
+
+// TestReclaimIntervalsNamesTheHolderOnce: a version kept inside a closed
+// interval is reported with the smallest snapshot inside it, once; examining
+// the chain again while that snapshot lives reports nothing; when it has left,
+// the next holder is reported, and with none left the version goes.
+func TestReclaimIntervalsNamesTheHolderOnce(t *testing.T) {
+	s := NewSpace(64)
+	rec := &fakeRecord{}
+	addVersion(t, s, rec, OpInsert, 1, "a", 10)
+	kept := addVersion(t, s, rec, OpUpdate, 1, "b", 20)
+	addVersion(t, s, rec, OpUpdate, 1, "c", 30)
+	c := s.HT.Get(key(1))
+	type report struct {
+		cid, by ts.CID
+	}
+	var got []report
+	held := func(v *Version, by ts.CID) { got = append(got, report{v.CID(), by}) }
+
+	// Snapshots at 22 and 25 sit inside [20,30); nothing sits inside [10,20).
+	if res := s.ReclaimIntervals(c, []ts.CID{22, 25, 40}, 40, held); res.Versions != 1 {
+		t.Fatalf("reclaimed %d, want 1 (the version at 10)", res.Versions)
+	}
+	if fmt.Sprint(got) != "[{20 22}]" {
+		t.Fatalf("held reports = %v, want the version at 20 held by 22", got)
+	}
+	if by, ok := kept.HeldBy(); !ok || by != 22 {
+		t.Fatalf("HeldBy = %d,%v", by, ok)
+	}
+	s.ReclaimIntervals(c, []ts.CID{22, 25, 40}, 40, held)
+	if len(got) != 1 {
+		t.Fatalf("a second examination under the same holder reported again: %v", got)
+	}
+	s.ReclaimIntervals(c, []ts.CID{25, 40}, 40, held)
+	if fmt.Sprint(got) != "[{20 22} {20 25}]" {
+		t.Fatalf("held reports = %v, want the next holder, 25", got)
+	}
+	if res := s.ReclaimIntervals(c, []ts.CID{40}, 40, held); res.Versions != 1 || len(got) != 2 {
+		t.Fatalf("with no holder left: reclaimed %d, reports %v", res.Versions, got)
+	}
+	if got := c.CommittedCIDs(); fmt.Sprint(got) != "[30]" {
+		t.Fatalf("remaining = %v, want [30]", got)
 	}
 }

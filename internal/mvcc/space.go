@@ -132,9 +132,30 @@ func (s *Space) Rollback(v *Version) bool {
 	return true
 }
 
+// retire flags v as collected and takes it off its commit group's live
+// count; the caller that takes the count to zero unlinks the group, wherever
+// it sits in the list. It reports whether v was newly collected (the
+// idempotence guard for collectors) and whether that drained its group.
+// Callers hold the chain latch; the group list's mutex nests inside it and
+// never the other way round.
+func (s *Space) retire(v *Version) (ok, drained bool) {
+	if !v.markReclaimed() {
+		return false, false
+	}
+	if v.tctx == nil {
+		return true, false
+	}
+	if g := v.tctx.Group(); g != nil && g.live.Add(-1) == 0 {
+		s.Groups.Remove(g)
+		return true, true
+	}
+	return true, false
+}
+
 // ReclaimResult reports what one chain-level reclamation did.
 type ReclaimResult struct {
 	Versions int  // versions unlinked
+	Groups   int  // commit groups this drained and unlinked from the list
 	Migrated bool // an image moved into the table space
 	Dropped  bool // the record was deleted from the table space
 	Emptied  bool // the chain disappeared from the hash table
@@ -185,9 +206,12 @@ func (s *Space) ReclaimBelow(c *Chain, min ts.CID) ReclaimResult {
 	}
 	var freed int64
 	for cur := boundary; cur != nil; cur = cur.Older() {
-		if cur.markReclaimed() {
+		if ok, drained := s.retire(cur); ok {
 			res.Versions++
 			freed += footprint(cur)
+			if drained {
+				res.Groups++
+			}
 		}
 	}
 	c.length.Add(int32(-res.Versions))
@@ -214,7 +238,8 @@ func (s *Space) ReclaimBelow(c *Chain, min ts.CID) ReclaimResult {
 
 // ReclaimIntervals performs interval-based reclamation on one chain (§4.2
 // step 4): with snaps the ascending active snapshot timestamps, every
-// committed version whose visible interval contains no snapshot is unlinked.
+// committed version whose visible interval contains no snapshot is unlinked —
+// Algorithm 1's merge, run in place over the chain.
 //
 // Two safety bounds apply. The newest committed version is never touched
 // (its interval extends to infinity). And only versions whose successor's
@@ -228,37 +253,69 @@ func (s *Space) ReclaimBelow(c *Chain, min ts.CID) ReclaimResult {
 // safe, since no present or future snapshot can land below bound outside
 // snaps.
 //
+// A version the merge keeps although its interval is closed is kept by the
+// snapshots inside that interval. held, when non-nil, is told the smallest of
+// them — LGN(cid, snaps), which Algorithm 1 has in hand — the first time the
+// version is found held by it: the version remembers its holder, so examining
+// the chain again while the holder lives reports nothing. No snapshot can
+// join a closed interval at or below the bound, so the version stays exactly
+// as it is until that holder leaves; that is what lets the incremental
+// interval collector look at it again only then. held runs under the chain
+// latch.
+//
 // Interval reclamation removes versions strictly in the middle of the
 // committed history, so the chain never empties here and nothing migrates to
-// the table space. Returns the number of versions reclaimed.
-func (s *Space) ReclaimIntervals(c *Chain, snaps []ts.CID, bound ts.CID) int {
+// the table space.
+func (s *Space) ReclaimIntervals(c *Chain, snaps []ts.CID, bound ts.CID, held func(v *Version, by ts.CID)) ReclaimResult {
+	var res ReclaimResult
 	c.mu.Lock()
 	if c.dead {
 		c.mu.Unlock()
-		return 0
+		return res
 	}
-	vs, cids := c.committedAscendingLocked()
-	for len(cids) > 0 && cids[len(cids)-1] > bound {
-		vs, cids = vs[:len(vs)-1], cids[:len(cids)-1]
-	}
-	if len(vs) < 2 {
-		c.mu.Unlock()
-		return 0
-	}
-	mask := ts.GarbageMask(snaps, cids)
-	n := 0
-	var freed int64
-	for i, garbage := range mask {
-		if garbage && c.spliceOutLocked(vs[i]) && vs[i].markReclaimed() {
-			n++
-			freed += footprint(vs[i])
+	// The committed versions at or below the bound, newest first: Definition
+	// 1's T sequence, reversed. Everything older than a committed version is
+	// committed, so they are a suffix of the chain.
+	var buf [16]*Version
+	vs := buf[:0]
+	for cur := c.head.Load(); cur != nil; cur = cur.Older() {
+		if cid := cur.CID(); cid != ts.Invalid && cid <= bound {
+			vs = append(vs, cur)
 		}
 	}
+	var freed int64
+	j := 0
+	for k := len(vs) - 1; k >= 1; k-- {
+		v, newer := vs[k], vs[k-1]
+		cid, succ := v.CID(), newer.CID()
+		for j < len(snaps) && snaps[j] < cid {
+			j++
+		}
+		if j < len(snaps) && snaps[j] < succ {
+			// snaps[j] = LGN(cid, snaps) lies inside [cid, succ).
+			if by := uint64(snaps[j]) + 1; held != nil && v.held.Swap(by) != by {
+				held(v, snaps[j])
+			}
+			continue
+		}
+		// newer is still linked — the loop has not decided it yet — and v is
+		// what it points at: nothing uncommitted or above the bound can sit
+		// between two committed versions at or below it.
+		newer.older.Store(v.Older())
+		if ok, drained := s.retire(v); ok {
+			res.Versions++
+			freed += footprint(v)
+			if drained {
+				res.Groups++
+			}
+		}
+	}
+	c.length.Add(int32(-res.Versions))
 	c.mu.Unlock()
-	s.live.Add(int64(-n))
+	s.live.Add(int64(-res.Versions))
 	s.liveBytes.Add(-freed)
-	s.reclaimed.Add(int64(n))
-	return n
+	s.reclaimed.Add(int64(res.Versions))
+	return res
 }
 
 // ReclaimVersionIf unlinks a single committed version when decide approves
@@ -267,16 +324,17 @@ func (s *Space) ReclaimIntervals(c *Chain, snaps []ts.CID, bound ts.CID) int {
 // successor — the newest committed version — are never eligible, preserving
 // the table-space fallback invariant. This is the primitive behind the
 // group-interval collector, which batches the decision per
-// (group, successor-group) subgroup. Returns whether v was reclaimed.
-func (s *Space) ReclaimVersionIf(v *Version, decide func(self, successor ts.CID) bool) bool {
+// (group, successor-group) subgroup.
+func (s *Space) ReclaimVersionIf(v *Version, decide func(self, successor ts.CID) bool) ReclaimResult {
+	var res ReclaimResult
 	c := v.chain
 	if c == nil || v.Reclaimed() {
-		return false
+		return res
 	}
 	c.mu.Lock()
 	if c.dead || v.Reclaimed() || !v.Committed() {
 		c.mu.Unlock()
-		return false
+		return res
 	}
 	// Find the closest committed version newer than v by walking from the
 	// head; cur holds the candidate successor seen so far.
@@ -286,17 +344,19 @@ func (s *Space) ReclaimVersionIf(v *Version, decide func(self, successor ts.CID)
 			successor = cur
 		}
 	}
-	if successor == nil {
+	if successor == nil || !decide(v.CID(), successor.CID()) || !c.spliceOutLocked(v) {
 		c.mu.Unlock()
-		return false
+		return res
 	}
-	if !decide(v.CID(), successor.CID()) || !c.spliceOutLocked(v) || !v.markReclaimed() {
-		c.mu.Unlock()
-		return false
+	if ok, drained := s.retire(v); ok {
+		res.Versions = 1
+		if drained {
+			res.Groups = 1
+		}
 	}
 	c.mu.Unlock()
-	s.live.Add(-1)
-	s.liveBytes.Add(-footprint(v))
-	s.reclaimed.Add(1)
-	return true
+	s.live.Add(int64(-res.Versions))
+	s.liveBytes.Add(int64(-res.Versions) * footprint(v))
+	s.reclaimed.Add(int64(res.Versions))
+	return res
 }

@@ -59,6 +59,10 @@ type Version struct {
 	cid       atomic.Uint64
 	older     atomic.Pointer[Version]
 	reclaimed atomic.Bool
+	// held is the snapshot timestamp (+1; 0 = none) interval reclamation
+	// last found inside the version's closed visible interval — see
+	// Space.ReclaimIntervals.
+	held atomic.Uint64
 }
 
 // NewVersion builds a version entry owned by the given transaction context.
@@ -112,6 +116,14 @@ func (v *Version) TransContext() *TransContext { return v.tctx }
 
 // Reclaimed reports whether a garbage collector already unlinked the version.
 func (v *Version) Reclaimed() bool { return v.reclaimed.Load() }
+
+// HeldBy returns the snapshot timestamp interval reclamation last found
+// keeping this version alive inside its closed visible interval; ok is false
+// for a version no interval pass has had to keep.
+func (v *Version) HeldBy() (by ts.CID, ok bool) {
+	h := v.held.Load()
+	return ts.CID(h - 1), h != 0
+}
 
 // markReclaimed flags the version as collected; returns false if it was
 // already flagged (idempotence guard for collectors).

@@ -321,9 +321,8 @@ func TestFailingLoggerFailsWholeGroup(t *testing.T) {
 // transaction built before calling Commit, a commit allocates the
 // GroupCommitContext and the member slice it retains, nothing else — no
 // request, channel, queue node or batch buffer. AllocsPerRun counts the whole
-// process, so propagation is made synchronous to keep the count exact, which
-// adds the one copy of the member's version list Propagate makes (on the
-// propagator goroutine otherwise).
+// process, so propagation is made synchronous to keep the count exact; it
+// walks the member's frozen version list in place and adds nothing.
 func TestCommitAllocatesGroupOnly(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -343,7 +342,7 @@ func TestCommitAllocatesGroupOnly(t *testing.T) {
 			t.Fatal(err)
 		}
 		next++
-	}); n != 3 {
-		t.Fatalf("Commit allocated %.1f objects/op, want 3 (group, member slice, Propagate's version list)", n)
+	}); n != 2 {
+		t.Fatalf("Commit allocated %.1f objects/op, want 2 (group, member slice)", n)
 	}
 }

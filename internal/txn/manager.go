@@ -133,6 +133,7 @@ type Manager struct {
 	scanSeq atomic.Uint64
 
 	cq     commitQueue
+	bell   gcBell
 	propCh chan *mvcc.GroupCommitContext
 	quit   chan struct{}
 	wg     sync.WaitGroup
@@ -155,6 +156,7 @@ func NewManager(space *mvcc.Space, reg *sts.Registry, cfg Config) *Manager {
 		space:  space,
 		reg:    reg,
 		mon:    Monitor{reg: reg},
+		bell:   gcBell{ring: make(chan struct{}, 1)},
 		propCh: make(chan *mvcc.GroupCommitContext, 1024),
 		quit:   make(chan struct{}),
 	}
@@ -206,12 +208,20 @@ func (m *Manager) endScan() {
 // invisible to every active snapshot: the minimum over every snapshot
 // announcement (§4.4), or CurrentTS()+1 when no snapshot is active.
 func (m *Manager) GlobalHorizon() ts.CID {
+	min, _ := m.PinnedGlobalHorizon()
+	return min
+}
+
+// PinnedGlobalHorizon is GlobalHorizon that also reports whether a snapshot
+// sets it (pinned) or nothing is active and it is the head of the commit
+// sequence.
+func (m *Manager) PinnedGlobalHorizon() (min ts.CID, pinned bool) {
 	m.beginScan()
 	defer m.endScan()
 	if min, ok := m.reg.UnionMin(); ok {
-		return min
+		return min, true
 	}
-	return m.CurrentTS() + 1
+	return m.CurrentTS() + 1, false
 }
 
 // TableHorizon returns the reclamation horizon for one table: the minimum of
@@ -444,13 +454,18 @@ func (m *Manager) commitBatch(lead *commitReq, n int) commitResult {
 		return m.failBatch(lead, tcs, fmt.Errorf("txn: publish failed after durable logging: %w", err))
 	}
 	gcc := mvcc.NewGroup(tcs)
+	versions := gcc.Live()
 	// Publish the CID on the group first: the single store below makes every
 	// version of every member transaction resolvable. Only then advance the
 	// global commit timestamp, so a snapshot that adopts the new timestamp
-	// is guaranteed to see the whole group.
+	// is guaranteed to see the whole group. The group is linked in between:
+	// a collector that read the commit timestamp as its bound finds every
+	// group at or below it in the list, which is what lets the incremental
+	// collectors move their high-water marks up to that bound.
 	gcc.AssignCID(cid)
-	m.commitTS.Store(uint64(cid))
 	m.space.Groups.Append(gcc)
+	m.commitTS.Store(uint64(cid))
+	m.bell.published(versions)
 	m.groupsCommitted.Add(1)
 	m.txnsCommitted.Add(int64(len(tcs)))
 	// Hand the group to the propagator before releasing anyone, so a Close
@@ -528,8 +543,8 @@ func (m *Manager) SetCommitTS(c ts.CID) { m.commitTS.Store(uint64(c)) }
 
 // PublishReplicated publishes one already-durable commit group at its
 // original, primary-assigned CID — the replica apply path. It mirrors
-// commitBatch's publication sequence (assign the CID on the group, then
-// advance the commit timestamp, then link the group) minus logging, batching
+// commitBatch's publication sequence (assign the CID on the group, link the
+// group, then advance the commit timestamp) minus logging, batching
 // and conflict handling: the primary already did all three, and the WAL
 // stream delivers groups serially in CID order. Calls must be serial with
 // strictly ascending CIDs; a CID at or below the current timestamp is a
@@ -542,9 +557,11 @@ func (m *Manager) PublishReplicated(cid ts.CID, tc *mvcc.TransContext) error {
 		return fmt.Errorf("txn: replicated CID %d not above current %d", cid, cur)
 	}
 	gcc := mvcc.NewGroup([]*mvcc.TransContext{tc})
+	versions := gcc.Live()
 	gcc.AssignCID(cid)
-	m.commitTS.Store(uint64(cid))
 	m.space.Groups.Append(gcc)
+	m.commitTS.Store(uint64(cid))
+	m.bell.published(versions)
 	m.groupsCommitted.Add(1)
 	m.txnsCommitted.Add(1)
 	// Propagation is synchronous: the applier is one goroutine and the next

@@ -42,6 +42,7 @@ func (k SnapshotKind) String() string {
 // names the tables; under Trans-SI only for declared-table transactions) is
 // eligible for table GC.
 type Snapshot struct {
+	m     *Manager
 	h     sts.Handle
 	kind  SnapshotKind
 	scope []ts.TableID
@@ -76,6 +77,7 @@ func (m *Manager) AcquireSnapshot(kind SnapshotKind, scope []ts.TableID) *Snapsh
 // timestamp at or below its bound (proof sketch in DESIGN.md §15).
 func (m *Manager) acquireSnapshot(kind SnapshotKind, scope []ts.TableID, parts []ts.PartitionID) *Snapshot {
 	s := &Snapshot{
+		m:       m,
 		kind:    kind,
 		parts:   append([]ts.PartitionID(nil), parts...),
 		started: time.Now(),
@@ -175,6 +177,7 @@ func (s *Snapshot) Release() {
 		return
 	}
 	s.h.Release()
+	s.m.bell.released(s.h.TS())
 }
 
 // Released reports whether the snapshot has ended.

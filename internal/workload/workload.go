@@ -122,6 +122,11 @@ type Options struct {
 	// TransSI, when non-nil, replaces the cursor blocker with the repeated
 	// long Trans-SI transaction of §5.5.
 	TransSI *TransSIOptions
+	// StartGC, when non-nil, is called in place of the engine's own
+	// work-driven collector loop and returns what stops it again. The
+	// invocation-period sweep of Figures 18–19 paces the collectors itself
+	// through it: there the period is the independent variable.
+	StartGC func(*gc.Hybrid) (stop func())
 }
 
 func (o *Options) fill() {
@@ -225,8 +230,14 @@ func Run(o Options) (*Result, error) {
 	startStatements := db.StatementCount()
 	start := time.Now()
 	sampler.Start()
-	if o.Mode != ModeNone {
+	stopGC := func() {}
+	switch {
+	case o.Mode == ModeNone:
+	case o.StartGC != nil:
+		stopGC = o.StartGC(h)
+	default:
 		h.Start()
+		stopGC = h.Stop
 	}
 
 	// OLTP: one worker per warehouse, home warehouse only.
@@ -347,9 +358,7 @@ func Run(o Options) (*Result, error) {
 	wg.Wait()
 	res.Elapsed = time.Since(start)
 	res.Committed = db.StatementCount() - startStatements
-	if o.Mode != ModeNone {
-		h.Stop()
-	}
+	stopGC()
 	sampler.Stop()
 
 	res.Versions = sampler.Get("versions")
