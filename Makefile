@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race check bench bench-smoke benchmark-test chaos-smoke clean
+.PHONY: all build vet test race check bench bench-smoke benchmark-test chaos-smoke fuzz-smoke clean
 
 all: check
 
@@ -55,6 +55,15 @@ benchmark-test:
 # convergence, GC-horizon liveness); a failing seed prints how to reproduce.
 chaos-smoke:
 	$(GO) run ./cmd/chaos -seeds 1,2,3,4,5 -duration 1200ms
+
+# CI smoke: every internal/wire fuzz target for 10 s each (go test takes one
+# -fuzz per invocation). DecodeStats is a reflective walker over bytes from
+# the network: arbitrary input must fail the parser, never panic or allocate
+# what a length prefix claims.
+fuzz-smoke:
+	@for f in $$($(GO) test -list '^Fuzz' ./internal/wire | grep '^Fuzz'); do \
+		$(GO) test -run '^$$' -fuzz "^$$f$$" -fuzztime 10s ./internal/wire || exit 1; \
+	done
 
 clean:
 	$(GO) clean ./...

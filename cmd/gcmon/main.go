@@ -7,7 +7,8 @@
 //
 // With -addr it monitors a running hybridgcd instead: each tick is one STATS
 // round trip, so the same indicator columns describe a remote engine — for
-// example one being driven by `tpcc -addr` from another terminal.
+// example one being driven by `tpcc -addr` from another terminal. Either way
+// what is printed is one wire.Stats per tick, through one print path.
 //
 // Usage:
 //
@@ -19,6 +20,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sync"
 	"time"
@@ -26,6 +28,7 @@ import (
 	"hybridgc/internal/client"
 	"hybridgc/internal/core"
 	"hybridgc/internal/gc"
+	"hybridgc/internal/server"
 	"hybridgc/internal/tpcc"
 	"hybridgc/internal/wal"
 	"hybridgc/internal/wire"
@@ -46,7 +49,14 @@ func main() {
 	flag.Parse()
 
 	if *addr != "" {
-		monitorRemote(*addr, *token, *duration, *interval)
+		cl, err := client.Dial(client.Config{Addr: *addr, Token: *token, MaxConns: 1})
+		if err != nil {
+			fatal(err)
+		}
+		defer cl.Close()
+		fmt.Printf("gcmon: monitoring %s — the Figure 2 indicators\n", *addr)
+		watch(os.Stdout, cl.Stats, *duration, *interval)
+		printFinal(os.Stdout, cl.Stats)
 		return
 	}
 
@@ -95,51 +105,30 @@ func main() {
 		}(driver.NewWorker(w))
 	}
 
-	budgeted := db.PressureStats().Enabled
-	fmt.Printf("gcmon: GC=%s cursor=%v budget=%v — the Figure 2 indicators\n", m, *cursor, budgeted)
-	fmt.Printf("%-8s %-16s %-22s %-14s %-10s %s\n",
-		"t", "Active Versions", "Active CID Range", "Used Memory", "Reclaimed", "Pressure")
-	tick := time.NewTicker(*interval)
-	defer tick.Stop()
-	deadline := time.After(*duration)
-	start := time.Now()
-loop:
-	for {
-		select {
-		case <-tick.C:
-			st := db.Stats()
-			mem := st.VersionsLiveBytes
-			fmt.Printf("%-8s %-16d %-22d %-14s %-10d %s\n",
-				fmt.Sprintf("%.1fs", time.Since(start).Seconds()),
-				st.VersionsLive, st.ActiveCIDRange, fmtBytes(mem), st.VersionsReclaimed,
-				fmtPressure(st))
-		case <-deadline:
-			break loop
-		}
-	}
-	close(stop)
-	wg.Wait()
-	st := db.Stats()
-	fmt.Printf("\nfinal: versions=%d reclaimed=%d migrated=%d collision=%.2f failstop=%v\n",
-		st.VersionsLive, st.VersionsReclaimed, st.VersionsMigrated, st.Hash.CollisionRatio, st.FailStop)
-	if p := st.Pressure; p.Enabled {
-		fmt.Printf("pressure: level=%s live=%d/%d (%.0f%%) softtrips=%d emergencies=%d backpressured=%d rejected=%d evicted=%d\n",
-			p.Level, p.Live, p.Hard, 100*p.Utilization,
-			p.SoftTrips, p.Emergencies, p.Backpressured, p.Rejected, p.Evicted)
-	}
-	fmt.Println("Figure 9 regions:", gc.CurrentRegions(db.Manager()))
-}
-
-// monitorRemote prints the same indicator columns from a running hybridgcd,
-// one STATS round trip per tick.
-func monitorRemote(addr, token string, duration, interval time.Duration) {
-	cl, err := client.Dial(client.Config{Addr: addr, Token: token, MaxConns: 1})
+	// The in-process source is the server's own STATS assembly, minus the
+	// listener: the same wire.Stats a remote gcmon would be sent.
+	srv, err := server.New(db, server.Config{})
 	if err != nil {
 		fatal(err)
 	}
-	defer cl.Close()
-	fmt.Printf("gcmon: monitoring %s — the Figure 2 indicators\n", addr)
-	fmt.Printf("%-8s %-16s %-22s %-14s %-10s %s\n",
+	src := func() (wire.Stats, error) { return srv.Stats(), nil }
+
+	fmt.Printf("gcmon: GC=%s cursor=%v budget=%v — the Figure 2 indicators\n", m, *cursor, db.PressureStats().Enabled)
+	watch(os.Stdout, src, *duration, *interval)
+	close(stop)
+	wg.Wait()
+	printFinal(os.Stdout, src)
+	fmt.Println("Figure 9 regions:", gc.CurrentRegions(db.Manager()))
+}
+
+// source is where a tick's indicators come from: client.Stats for a remote
+// server, the in-process server's Stats otherwise.
+type source func() (wire.Stats, error)
+
+// watch prints the column header, then one tick per interval until duration
+// has passed.
+func watch(w io.Writer, src source, duration, interval time.Duration) {
+	fmt.Fprintf(w, "%-8s %-16s %-22s %-14s %-10s %s\n",
 		"t", "Active Versions", "Active CID Range", "Used Memory", "Reclaimed", "Pressure")
 	tick := time.NewTicker(interval)
 	defer tick.Stop()
@@ -148,91 +137,70 @@ func monitorRemote(addr, token string, duration, interval time.Duration) {
 	for {
 		select {
 		case <-tick.C:
-			st, err := cl.Stats()
+			st, err := src()
 			if err != nil {
 				fatal(err)
 			}
-			fmt.Printf("%-8s %-16d %-22d %-14s %-10d %s\n",
-				fmt.Sprintf("%.1fs", time.Since(start).Seconds()),
-				st.VersionsLive, st.ActiveCIDRange, fmtBytes(st.VersionsLiveBytes),
-				st.VersionsReclaimed, fmtRemotePressure(st))
-			for _, line := range fmtShards(st) {
-				fmt.Println(line)
-			}
-			for _, line := range fmtHTAP(st) {
-				fmt.Println(line)
-			}
-			for _, line := range fmtRepl(st) {
-				fmt.Println(line)
-			}
+			printTick(w, time.Since(start), st)
 		case <-deadline:
-			st, err := cl.Stats()
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Printf("\nfinal: versions=%d reclaimed=%d migrated=%d cursors open=%d failstop=%v\n",
-				st.VersionsLive, st.VersionsReclaimed, st.VersionsMigrated, st.CursorsOpen, st.FailStop)
-			for _, line := range fmtShards(st) {
-				fmt.Println(line)
-			}
-			for _, line := range fmtHTAP(st) {
-				fmt.Println(line)
-			}
-			for _, line := range fmtRepl(st) {
-				fmt.Println(line)
-			}
 			return
 		}
 	}
 }
 
-// fmtShards renders one row per shard of a sharded server, under the
-// aggregate indicator row. The slice is empty for a single-node server, so
-// the classic display is untouched. GC horizons are per-shard by design —
-// seeing shard 2's horizon stall under a pinned cursor while the others keep
-// advancing is the point of the view.
-func fmtShards(st wire.Stats) []string {
-	if len(st.Shards) == 0 {
-		return nil
+// printTick renders one reading: the Figure 2 row, then whatever the node
+// has beyond a plain single engine — shard rows, column lanes, replication.
+func printTick(w io.Writer, elapsed time.Duration, st wire.Stats) {
+	fmt.Fprintf(w, "%-8s %-16d %-22d %-14s %-10d %s\n",
+		fmt.Sprintf("%.1fs", elapsed.Seconds()),
+		st.VersionsLive, st.ActiveCIDRange, fmtBytes(st.VersionsLiveBytes),
+		st.VersionsReclaimed, fmtPressure(st.Pressure))
+	printDetail(w, st)
+}
+
+// printFinal renders the closing summary from one last reading.
+func printFinal(w io.Writer, src source) {
+	st, err := src()
+	if err != nil {
+		fatal(err)
 	}
-	lines := make([]string, 0, len(st.Shards))
+	fmt.Fprintf(w, "\nfinal: versions=%d reclaimed=%d migrated=%d collision=%.2f cursors open=%d failstop=%v\n",
+		st.VersionsLive, st.VersionsReclaimed, st.VersionsMigrated, st.Hash.CollisionRatio, st.CursorsOpen, st.FailStop)
+	if p := st.Pressure; p.Enabled {
+		fmt.Fprintf(w, "pressure: level=%s live=%d/%d (%.0f%%) softtrips=%d emergencies=%d backpressured=%d rejected=%d evicted=%d\n",
+			p.Level, p.Live, p.Hard, 100*p.Utilization,
+			p.SoftTrips, p.Emergencies, p.Backpressured, p.Rejected, p.Evicted)
+	}
+	printDetail(w, st)
+}
+
+// printDetail renders what a node has beyond a plain single engine; every
+// part is empty on one, so the classic display is untouched. Shard rows: GC
+// horizons are per-shard by design — seeing shard 2's horizon stall under a
+// pinned cursor while the others keep advancing is the point of the view.
+// Column lanes: how much of each table is columnar, what still rides the
+// row-store delta or dirty set, and how far the migrator's watermark trails
+// the commit timestamp. Replication: on a primary one line per known replica
+// (applied position, segment lag, pinned snapshot timestamp, report age,
+// demotion); on a replica its applied cursor against the stream head.
+func printDetail(w io.Writer, st wire.Stats) {
 	for i, s := range st.Shards {
 		flag := ""
 		if s.FailStop {
 			flag = " FAILSTOP"
 		}
-		lines = append(lines, fmt.Sprintf(
-			"  shard %-2d live=%-10d horizon=%-10d cid=%-10d reclaimed=%-10d snaps=%-4d committed=%d%s",
+		fmt.Fprintf(w, "  shard %-2d live=%-10d horizon=%-10d cid=%-10d reclaimed=%-10d snaps=%-4d committed=%d%s\n",
 			i, s.VersionsLive, s.GlobalHorizon, s.CurrentCID, s.VersionsReclaimed,
-			s.ActiveSnapshots, s.TxnsCommitted, flag))
+			s.ActiveSnapshots, s.Txn.TxnsCommitted, flag)
 	}
-	return lines
-}
-
-// fmtHTAP renders the column-lane state carried in a remote STATS payload:
-// one line per lane-enabled table showing how much of it is columnar, what
-// still rides the row-store delta or dirty set, and how far the migrator's
-// watermark trails the commit timestamp. Empty when no lanes are enabled,
-// so the classic display is untouched.
-func fmtHTAP(st wire.Stats) []string {
-	lines := make([]string, 0, len(st.HTAP))
 	for _, h := range st.HTAP {
-		lines = append(lines, fmt.Sprintf(
-			"  htap: %-12s chunks=%-4d rows=%-10d delta=%-8d dirty=%-8d migrated=%-10d wm=%-10d lag=%d",
-			h.Name, h.Chunks, h.ChunkRows, h.DeltaRows, h.DirtyRows, h.MigratedRows, h.Watermark, h.Lag))
+		fmt.Fprintf(w, "  htap: %-12s chunks=%-4d rows=%-10d delta=%-8d dirty=%-8d migrated=%-10d wm=%-10d lag=%d\n",
+			h.Name, h.Chunks, h.ChunkRows, h.DeltaRows, h.DirtyRows, h.MigratedRows, h.Watermark, h.Lag)
 	}
-	return lines
-}
-
-// fmtRepl renders the replication state carried in a remote STATS payload:
-// on a primary, one line per known replica (applied position, segment lag,
-// pinned snapshot timestamp, report age, demotion); on a replica, its
-// applied cursor against the primary's stream head.
-func fmtRepl(st wire.Stats) []string {
 	switch st.ReplRole {
 	case "primary":
-		lines := []string{fmt.Sprintf("  repl: primary head=%s sent=%d demotions=%d",
-			wal.LSN(st.ReplPrimaryLSN), st.ReplRecordsSent, st.ReplDemotions)}
+		fmt.Fprintf(w, "  repl: primary head=%s sent=%d demotions=%d\n",
+			wal.LSN(st.ReplPrimaryLSN), st.ReplRecordsSent, st.ReplDemotions)
 		for _, r := range st.Replicas {
 			state := "connected"
 			if r.Demoted {
@@ -244,51 +212,27 @@ func fmtRepl(st wire.Stats) []string {
 			if r.PinnedSTS != 0 {
 				pin = fmt.Sprintf("%d", r.PinnedSTS)
 			}
-			lines = append(lines, fmt.Sprintf("  repl:   %-12s %-9s applied=%-12s lag=%dseg pin=%s age=%s",
-				r.ID, state, wal.LSN(r.AppliedLSN), r.SegmentLag, pin, r.LastReportAge.Truncate(time.Millisecond)))
+			fmt.Fprintf(w, "  repl:   %-12s %-9s applied=%-12s lag=%dseg pin=%s age=%s\n",
+				r.ID, state, wal.LSN(r.AppliedLSN), r.SegmentLag, pin, r.LastReportAge.Truncate(time.Millisecond))
 		}
-		return lines
 	case "replica":
-		lines := []string{fmt.Sprintf("  repl: replica of %s applied=%s head=%s applied-records=%d reconnects=%d",
+		fmt.Fprintf(w, "  repl: replica of %s applied=%s head=%s applied-records=%d reconnects=%d\n",
 			st.ReplUpstream, wal.LSN(st.ReplAppliedLSN), wal.LSN(st.ReplPrimaryLSN),
-			st.ReplRecordsApplied, st.ReplReconnects)}
+			st.ReplRecordsApplied, st.ReplReconnects)
 		// Read routing: how often gated reads had to wait for the applier,
 		// and how often they bounced back to the pool (replica behind the
 		// session token past the wait budget).
 		if st.ReadGateWaits > 0 || st.ReadGateBounces > 0 {
-			lag := int64(st.ReplPrimaryLSN) - int64(st.ReplAppliedLSN)
-			if lag < 0 {
-				lag = 0
-			}
-			lines = append(lines, fmt.Sprintf("  repl:   read-gate waits=%d bounces=%d lag=%d",
-				st.ReadGateWaits, st.ReadGateBounces, lag))
+			lag := max(0, int64(st.ReplPrimaryLSN)-int64(st.ReplAppliedLSN))
+			fmt.Fprintf(w, "  repl:   read-gate waits=%d bounces=%d lag=%d\n",
+				st.ReadGateWaits, st.ReadGateBounces, lag)
 		}
-		return lines
-	default:
-		return nil
 	}
-}
-
-// fmtRemotePressure is fmtPressure over the wire-stats shape.
-func fmtRemotePressure(st wire.Stats) string {
-	if !st.PressureEnabled {
-		return "-"
-	}
-	var util float64
-	if st.PressureHard > 0 {
-		util = float64(st.PressureLive) / float64(st.PressureHard)
-	}
-	s := fmt.Sprintf("%s %.0f%%", st.PressureLevel, 100*util)
-	if st.PressureRejected > 0 || st.PressureEvicted > 0 {
-		s += fmt.Sprintf(" (rej=%d evict=%d)", st.PressureRejected, st.PressureEvicted)
-	}
-	return s
 }
 
 // fmtPressure renders the degradation-ladder column: "-" without a budget,
 // otherwise the current rung and hard-watermark utilization.
-func fmtPressure(st core.Stats) string {
-	p := st.Pressure
+func fmtPressure(p core.PressureStats) string {
 	if !p.Enabled {
 		return "-"
 	}

@@ -93,7 +93,8 @@ func meta(db *core.DB, cat *sql.Catalog, line string) bool {
        [WHERE c =|<|> v AND ...] [ORDER BY c [DESC]] [LIMIT n]
      UPDATE t SET a = 1 [WHERE ...] | DELETE FROM t [WHERE ...]
      BEGIN [SNAPSHOT] | COMMIT | ROLLBACK
-views: m_version_space, m_snapshots, m_gc, m_gc_regions, m_tables (SELECT-only)
+views: m_version_space, m_snapshots, m_gc, m_gc_regions, m_tables, m_shards,
+       m_htap (SELECT-only)
 meta: \tables \stats \gc \checkpoint \q`)
 	case "\\tables":
 		for _, t := range cat.Tables() {

@@ -28,7 +28,9 @@ import (
 	"hybridgc/internal/core"
 	"hybridgc/internal/engine"
 	"hybridgc/internal/gc"
+	"hybridgc/internal/htap"
 	"hybridgc/internal/profiling"
+	"hybridgc/internal/server"
 	"hybridgc/internal/shard"
 	"hybridgc/internal/tpcc"
 	"hybridgc/internal/wire"
@@ -52,7 +54,7 @@ type options struct {
 type report struct {
 	committed      int64               // TPC-C transactions, all profiles
 	cross          int64               // of which crossed shards (two-phase commit)
-	lanes          []wire.HTAPStat     // -olap: the server's column lanes after the run
+	lanes          []htap.TableStats   // -olap: the server's column lanes after the run
 	pool           client.PoolCounters // -read-replicas: where pooled reads were served
 	sessionReads   int64               // -read-replicas: read-your-writes checks made
 	rywViolations  int64               // ... and how many failed
@@ -137,7 +139,10 @@ func run(o options, w io.Writer) (*report, error) {
 		driver *tpcc.Driver
 		eng    engine.Engine
 		cl     *client.Client
-		err    error
+		// stats reads the engine under load: STATS from the server when
+		// remote, the same assembly without a listener when in-process.
+		stats func() (wire.Stats, error)
+		err   error
 	)
 	if remote {
 		cl, err = client.Dial(client.Config{Addr: o.addr, Token: o.token, MaxConns: o.warehouses + 2})
@@ -145,6 +150,7 @@ func run(o options, w io.Writer) (*report, error) {
 			return nil, err
 		}
 		defer cl.Close()
+		stats = cl.Stats
 		cfg.CrossWarehouse = o.cross || cl.ShardCount() > 1
 		driver, err = tpcc.NewWithBackend(tpcc.RemoteBackend(cl), cfg)
 	} else {
@@ -172,6 +178,11 @@ func run(o options, w io.Writer) (*report, error) {
 			eng = engine.NewSingle(db)
 		}
 		defer eng.Close()
+		var srv *server.Server
+		if srv, err = server.NewEngine(eng, server.Config{}); err != nil {
+			return nil, err
+		}
+		stats = func() (wire.Stats, error) { return srv.Stats(), nil }
 		cfg.CrossWarehouse = o.cross || o.shards > 1
 		driver, err = tpcc.NewWithBackend(tpcc.EngineBackend(eng), cfg)
 	}
@@ -198,7 +209,7 @@ func run(o options, w io.Writer) (*report, error) {
 		fmt.Fprintf(w, "long-duration cursor opened on STOCK at snapshot %d\n", cur.SnapshotTS())
 	}
 
-	startStmts, err := statements(eng, cl)
+	before, err := stats()
 	if err != nil {
 		return nil, err
 	}
@@ -255,17 +266,16 @@ func run(o options, w io.Writer) (*report, error) {
 		}
 	}
 
-	endStmts, err := statements(eng, cl)
+	st, err := stats()
 	if err != nil {
 		return nil, err
 	}
-	stmts := endStmts - startStmts
+	stmts := st.Statements - before.Statements
 	fmt.Fprintf(w, "\nthroughput: %.0f committed statements/s (%d statements in %v)\n",
 		float64(stmts)/elapsed.Seconds(), stmts, elapsed.Round(time.Millisecond))
 	if ol != nil {
-		if rep.lanes, err = ol.report(w, cl, elapsed); err != nil {
-			return nil, err
-		}
+		ol.report(w, st.HTAP, elapsed)
+		rep.lanes = st.HTAP
 	}
 	if rl != nil {
 		rl.report(w, elapsed)
@@ -312,33 +322,20 @@ func run(o options, w io.Writer) (*report, error) {
 		fmt.Fprintf(w, "  total cross-shard share: %.1f%% of %d committed\n",
 			100*float64(rep.cross)/float64(rep.committed), rep.committed)
 	}
+	fmt.Fprintf(w, "\nversion space: live=%d created=%d reclaimed=%d migrated=%d\n",
+		st.VersionsLive, st.VersionsCreated, st.VersionsReclaimed, st.VersionsMigrated)
+	for i, ss := range st.Shards {
+		fmt.Fprintf(w, "  shard %d: live=%-7d reclaimed=%-8d horizon=%d committed=%d\n",
+			i, ss.VersionsLive, ss.VersionsReclaimed, ss.GlobalHorizon, ss.Txn.TxnsCommitted)
+	}
+	fmt.Fprintf(w, "hash table: %d chains over %d buckets (collision ratio %.2f)\n",
+		st.Hash.Chains, st.Hash.Buckets, st.Hash.CollisionRatio)
+	fmt.Fprintf(w, "commit groups pending: %d, txns committed: %d, groups: %d\n",
+		st.GroupListLen, st.Txn.TxnsCommitted, st.Txn.GroupsCommitted)
 	if remote {
-		st, err := cl.Stats()
-		if err != nil {
-			return nil, err
-		}
-		fmt.Fprintf(w, "\nserver: versions live=%d created=%d reclaimed=%d migrated=%d\n",
-			st.VersionsLive, st.VersionsCreated, st.VersionsReclaimed, st.VersionsMigrated)
 		fmt.Fprintf(w, "service: %d requests (%d errors) over %d conns, %s in / %s out, latency p50=%v p99=%v\n",
 			st.Requests, st.RequestErrors, st.ConnsTotal,
 			fmtBytes(st.BytesIn), fmtBytes(st.BytesOut), st.LatP50, st.LatP99)
-	} else {
-		st := eng.Stats()
-		fmt.Fprintf(w, "\nversion space: live=%d created=%d reclaimed=%d migrated=%d\n",
-			st.VersionsLive, st.VersionsCreated, st.VersionsReclaimed, st.VersionsMigrated)
-		if eng.Shards() > 1 {
-			for i := 0; i < eng.Shards(); i++ {
-				ss := eng.Shard(i).Stats()
-				fmt.Fprintf(w, "  shard %d: live=%-7d reclaimed=%-8d horizon=%d committed=%d\n",
-					i, ss.VersionsLive, ss.VersionsReclaimed, ss.GlobalHorizon, ss.Txn.TxnsCommitted)
-			}
-		} else {
-			hst := eng.Shard(0).Stats()
-			fmt.Fprintf(w, "hash table: %d chains over %d buckets (collision ratio %.2f)\n",
-				hst.Hash.Chains, hst.Hash.Buckets, hst.Hash.CollisionRatio)
-		}
-		fmt.Fprintf(w, "commit groups pending: %d, txns committed: %d, groups: %d\n",
-			st.GroupListLen, st.Txn.TxnsCommitted, st.Txn.GroupsCommitted)
 	}
 
 	if o.check {
@@ -351,10 +348,7 @@ func run(o options, w io.Writer) (*report, error) {
 				return nil, err
 			}
 			defer ccl.Close()
-			target, err := currentCID(eng, cl)
-			if err != nil {
-				return nil, err
-			}
+			target := uint64(st.CurrentCID)
 			fmt.Fprintf(w, "\nwaiting for %s to reach CID %d... ", o.checkAddr, target)
 			if err := waitForCID(ccl, target, 30*time.Second); err != nil {
 				return nil, err
@@ -371,15 +365,6 @@ func run(o options, w io.Writer) (*report, error) {
 		fmt.Fprintln(w, "OK")
 	}
 	return rep, nil
-}
-
-// currentCID reads the workload side's commit timestamp.
-func currentCID(eng engine.Engine, cl *client.Client) (uint64, error) {
-	if eng != nil {
-		return uint64(eng.Stats().CurrentCID), nil
-	}
-	st, err := cl.Stats()
-	return uint64(st.CurrentCID), err
 }
 
 // waitForCID polls the endpoint's STATS until its commit timestamp reaches
@@ -399,16 +384,6 @@ func waitForCID(cl *client.Client, target uint64, timeout time.Duration) error {
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
-}
-
-// statements reads the committed-statement counter from whichever end runs
-// the engine.
-func statements(eng engine.Engine, cl *client.Client) (int64, error) {
-	if eng != nil {
-		return eng.Stats().Statements, nil
-	}
-	st, err := cl.Stats()
-	return st.Statements, err
 }
 
 func fmtBytes(n int64) string {

@@ -9,7 +9,7 @@ import (
 
 	"hybridgc/internal/client"
 	"hybridgc/internal/core"
-	"hybridgc/internal/wire"
+	"hybridgc/internal/htap"
 )
 
 // olapTable is the SQL fact table the OLAP leg aggregates over. One feeder
@@ -90,19 +90,13 @@ func startOLAP(cl *client.Client, n, warehouses int, stop <-chan struct{}, wg *s
 	return ol, nil
 }
 
-// report prints the OLAP leg's throughput and the server's lane state, and
-// returns the lanes.
-func (ol *olapLoad) report(w io.Writer, cl *client.Client, elapsed time.Duration) ([]wire.HTAPStat, error) {
+// report prints the OLAP leg's throughput and the server's lane state.
+func (ol *olapLoad) report(w io.Writer, lanes []htap.TableStats, elapsed time.Duration) {
 	q := ol.queries.Load()
 	fmt.Fprintf(w, "olap: %.0f aggregates/s (%d queries, %d fact rows inserted)\n",
 		float64(q)/elapsed.Seconds(), q, ol.inserts.Load())
-	st, err := cl.Stats()
-	if err != nil {
-		return nil, err
-	}
-	for _, h := range st.HTAP {
+	for _, h := range lanes {
 		fmt.Fprintf(w, "olap: lane %s chunks=%d chunk-rows=%d delta=%d dirty=%d migrated=%d lag=%d\n",
 			h.Name, h.Chunks, h.ChunkRows, h.DeltaRows, h.DirtyRows, h.MigratedRows, h.Lag)
 	}
-	return st.HTAP, nil
 }

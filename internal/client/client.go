@@ -52,11 +52,10 @@ type Config struct {
 	// on a dead address.
 	RedialBase time.Duration
 	RedialMax  time.Duration
-	// HelloMinLSN, when >0, is a consistency token carried in every HELLO:
-	// a replica that has not applied up to this LSN refuses the handshake
-	// (waits, then bounces with core.ErrReplicaBehind), so a session is
-	// never established against a server that cannot satisfy its token.
-	// Zero sends a token-less HELLO that pre-token servers accept.
+	// HelloMinLSN is the consistency token carried in every HELLO (zero:
+	// none): a replica that has not applied up to this LSN refuses the
+	// handshake (waits, then bounces with core.ErrReplicaBehind), so a
+	// session is never established against a server that cannot satisfy it.
 	HelloMinLSN uint64
 }
 
@@ -92,9 +91,9 @@ type Client struct {
 
 	redials atomic.Int64 // background redial attempts
 	// shards caches the server's shard count from the HELLO response (1 on a
-	// single-node server or a pre-sharding peer that omits the field) — the
-	// shard map a routing caller (the TPC-C driver's by-warehouse affinity)
-	// uses to pick BeginShard targets without a STATS round trip.
+	// single-node server) — the shard map a routing caller (the TPC-C
+	// driver's by-warehouse affinity) uses to pick BeginShard targets without
+	// a STATS round trip.
 	shards atomic.Int64
 }
 
@@ -140,30 +139,18 @@ func (c *Client) dial() (*Conn, error) {
 		return nil, err
 	}
 	cn := &Conn{nc: nc, br: bufio.NewReader(nc), timeout: c.cfg.DialTimeout}
-	body := (&wire.Builder{}).Raw([]byte(wire.Magic)).U8(wire.Version).Str(c.cfg.Token)
-	if c.cfg.HelloMinLSN > 0 {
-		body.U64(c.cfg.HelloMinLSN)
-	}
+	body := (&wire.Builder{}).Hello(c.cfg.Token, c.cfg.HelloMinLSN)
 	r, err := cn.roundTrip(wire.OpHello, body.Take())
 	if err != nil {
 		nc.Close()
 		return nil, fmt.Errorf("client: handshake: %w", err)
 	}
-	if got := r.U8(); got != wire.Version || r.Err() != nil {
+	got, shards := r.U8(), r.U32()
+	if got != wire.Version || r.Err() != nil {
 		nc.Close()
 		return nil, fmt.Errorf("client: server speaks protocol %d, want %d", got, wire.Version)
 	}
-	// The shard count trails the version byte; a pre-sharding server omits
-	// it, which reads as a single shard.
-	if n := int64(0); r.Rest() >= 4 {
-		n = int64(r.U32())
-		if n > 0 {
-			c.shards.Store(n)
-		}
-	}
-	if c.shards.Load() == 0 {
-		c.shards.Store(1)
-	}
+	c.shards.Store(int64(shards))
 	cn.timeout = c.cfg.RequestTimeout
 	return cn, nil
 }
@@ -368,8 +355,8 @@ type Result struct {
 	Rows     [][]wire.Datum
 	// Token is the server's session consistency token after the statement
 	// (the WAL stream head, ≥ the commit LSN of an autocommitted write).
-	// Zero from pre-token servers and token-less engines (memory-only,
-	// sharded); sessions track their running maximum for read-your-writes.
+	// Zero from token-less engines (memory-only, sharded); sessions track
+	// their running maximum for read-your-writes.
 	Token uint64
 }
 
@@ -377,10 +364,7 @@ func decodeResult(r *wire.Parser) (*Result, error) {
 	res := &Result{Message: r.Str(), Affected: int(r.U32())}
 	res.Columns = wire.GetStrings(r)
 	res.Rows = wire.GetRows(r)
-	// Trailing consistency token; absent from pre-token servers.
-	if r.Err() == nil && r.Rest() >= 8 {
-		res.Token = r.U64()
-	}
+	res.Token = r.U64()
 	return res, r.Err()
 }
 
@@ -394,14 +378,9 @@ func (c *Client) Exec(sqlText string) (*Result, error) {
 // ExecAt is Exec carrying a min-LSN consistency token: a token-gating server
 // (a replica) holds the statement until its applier reaches minLSN or
 // bounces with the transient core.ErrReplicaBehind so the caller retries on
-// another endpoint. A zero token sends a plain EXEC that pre-token servers
-// accept unchanged.
+// another endpoint. Zero means no token.
 func (c *Client) ExecAt(sqlText string, minLSN uint64) (*Result, error) {
-	w := wire.GetBuilder().Str(sqlText)
-	if minLSN > 0 {
-		w.U64(minLSN)
-	}
-	r, err := c.doB(wire.OpExec, w)
+	r, err := c.doB(wire.OpExec, wire.GetBuilder().Str(sqlText).U64(minLSN))
 	if err != nil {
 		return nil, err
 	}
@@ -530,11 +509,7 @@ func (c *Client) QueryAt(sqlText string, minLSN uint64) (*Cursor, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := wire.GetBuilder().Str(sqlText)
-	if minLSN > 0 {
-		w.U64(minLSN)
-	}
-	r, err := cn.roundTripB(wire.OpQOpen, w)
+	r, err := cn.roundTripB(wire.OpQOpen, wire.GetBuilder().Str(sqlText).U64(minLSN))
 	if err != nil {
 		c.put(cn)
 		// A broken open pinned nothing: safe to retry as a fresh cursor.
@@ -595,7 +570,7 @@ func (tx *Tx) roundB(op byte, b *wire.Builder) (*wire.Parser, error) {
 
 // Exec runs one SQL statement inside the transaction.
 func (tx *Tx) Exec(sqlText string) (*Result, error) {
-	r, err := tx.roundB(wire.OpExec, wire.GetBuilder().Str(sqlText))
+	r, err := tx.roundB(wire.OpExec, wire.GetBuilder().Str(sqlText).U64(0))
 	if err != nil {
 		return nil, err
 	}
@@ -681,11 +656,11 @@ func (tx *Tx) Commit() error {
 	if isTransportErr(err) {
 		return fmt.Errorf("%w: %v", core.ErrCommitAmbiguous, err)
 	}
-	// Trailing consistency token; absent from pre-token servers.
-	if err == nil && r.Rest() >= 8 {
-		tx.commitLSN = r.U64()
+	if err != nil {
+		return err
 	}
-	return err
+	tx.commitLSN = r.U64()
+	return r.Err()
 }
 
 // CommitLSN returns the session consistency token from a successful Commit:

@@ -2,6 +2,7 @@ package client_test
 
 import (
 	"errors"
+	"fmt"
 	"net"
 	"strings"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"hybridgc/internal/core"
 	"hybridgc/internal/netfault"
 	"hybridgc/internal/server"
+	"hybridgc/internal/wire"
 )
 
 // waitFor polls cond until it returns true or the deadline passes.
@@ -75,6 +77,35 @@ func TestDialTimeoutBoundsHandshake(t *testing.T) {
 	}
 	if elapsed > 2*time.Second {
 		t.Fatalf("dial took %v, want bounded by the 150ms DialTimeout", elapsed)
+	}
+}
+
+// TestDialRefusesOtherVersion: the client holds the version gate from its
+// side too. A listener that accepts the HELLO but answers with another
+// protocol version fails the dial with a message naming what was spoken and
+// what was wanted.
+func TestDialRefusesOtherVersion(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		for {
+			nc, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			if _, _, err := wire.ReadFrame(nc); err == nil {
+				_, _ = wire.WriteFrame(nc, wire.StOK, (&wire.Builder{}).U8(wire.Version+1).U32(1).Take())
+			}
+			nc.Close()
+		}
+	}()
+	_, err = client.Dial(client.Config{Addr: ln.Addr().String(), DialTimeout: time.Second})
+	want := fmt.Sprintf("server speaks protocol %d, want %d", wire.Version+1, wire.Version)
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("dial error = %v, want %q", err, want)
 	}
 }
 

@@ -619,13 +619,82 @@ func (db *DB) Stats() Stats {
 		GlobalHorizon:     db.m.GlobalHorizon(),
 		Txn:               db.m.Stats(),
 		GroupListLen:      db.space.Groups.Len(),
+		FailStop:          db.fail.failed.Load(),
+		Pressure:          db.PressureStats(),
 	}
 	if active > 0 {
 		st.ActiveCIDRange = st.CurrentCID - oldest
 	}
-	st.FailStop = db.fail.failed.Load()
-	st.Pressure = db.PressureStats()
 	return st
+}
+
+// MergeStats folds per-shard statistics into the cluster-wide view — the one
+// place the rule is written: counters and sizes sum; CurrentCID,
+// ActiveCIDRange, the longest bucket, the last CID and the pressure rung are
+// the maximum; GlobalHorizon is the minimum; FailStop and Pressure.Enabled
+// report any shard; the ratios are recomputed over the summed terms. One
+// shard merges to itself.
+func MergeStats(shards []Stats) Stats {
+	if len(shards) == 0 {
+		return Stats{}
+	}
+	out := shards[0]
+	for _, st := range shards[1:] {
+		out.Statements += st.Statements
+		out.VersionsLive += st.VersionsLive
+		out.VersionsLiveBytes += st.VersionsLiveBytes
+		out.VersionsCreated += st.VersionsCreated
+		out.VersionsReclaimed += st.VersionsReclaimed
+		out.VersionsMigrated += st.VersionsMigrated
+		out.VersionsTraversed += st.VersionsTraversed
+		out.ActiveSnapshots += st.ActiveSnapshots
+		out.GroupListLen += st.GroupListLen
+		out.CurrentCID = max(out.CurrentCID, st.CurrentCID)
+		out.ActiveCIDRange = max(out.ActiveCIDRange, st.ActiveCIDRange)
+		out.GlobalHorizon = min(out.GlobalHorizon, st.GlobalHorizon)
+		out.FailStop = out.FailStop || st.FailStop
+
+		h, sh := &out.Hash, st.Hash
+		h.Buckets += sh.Buckets
+		h.Chains += sh.Chains
+		h.OccupiedBuckets += sh.OccupiedBuckets
+		h.MaxBucketLen = max(h.MaxBucketLen, sh.MaxBucketLen)
+		h.Lookups += sh.Lookups
+		h.ExtraHops += sh.ExtraHops
+
+		t, stx := &out.Txn, st.Txn
+		t.TxnsCommitted += stx.TxnsCommitted
+		t.TxnsAborted += stx.TxnsAborted
+		t.GroupsCommitted += stx.GroupsCommitted
+		t.Propagated += stx.Propagated
+		t.LastCID = max(t.LastCID, stx.LastCID)
+
+		p, sp := &out.Pressure, st.Pressure
+		p.Enabled = p.Enabled || sp.Enabled
+		p.Level = max(p.Level, sp.Level)
+		p.Soft += sp.Soft
+		p.Hard += sp.Hard
+		p.Live += sp.Live
+		p.SoftTrips += sp.SoftTrips
+		p.Emergencies += sp.Emergencies
+		p.Backpressured += sp.Backpressured
+		p.Rejected += sp.Rejected
+		p.Evicted += sp.Evicted
+	}
+	if len(shards) > 1 {
+		out.Hash.CollisionRatio = ratio(out.Hash.Chains, int64(out.Hash.Buckets))
+		out.Hash.AvgPerOccupied = ratio(out.Hash.Chains, int64(out.Hash.OccupiedBuckets))
+		out.Pressure.Utilization = ratio(out.Pressure.Live, out.Pressure.Hard)
+	}
+	return out
+}
+
+// ratio is a/b, zero when b is not positive.
+func ratio(a, b int64) float64 {
+	if b <= 0 {
+		return 0
+	}
+	return float64(a) / float64(b)
 }
 
 // StatementCount returns the number of committed statements so far (the

@@ -309,22 +309,19 @@ func (p *pressure) admit() error {
 // stats snapshots the controller state.
 func (p *pressure) stats() PressureStats {
 	live := p.db.space.Live()
-	st := PressureStats{
+	return PressureStats{
 		Enabled:       true,
 		Level:         PressureLevel(p.level.Load()),
 		Soft:          p.budget.Soft,
 		Hard:          p.budget.Hard,
 		Live:          live,
+		Utilization:   ratio(live, p.budget.Hard),
 		SoftTrips:     p.softTrips.Value(),
 		Emergencies:   p.emergencies.Value(),
 		Backpressured: p.backpressured.Value(),
 		Rejected:      p.rejected.Value(),
 		Evicted:       p.evicted.Value(),
 	}
-	if p.budget.Hard > 0 {
-		st.Utilization = float64(live) / float64(p.budget.Hard)
-	}
-	return st
 }
 
 // admitWrite is the engine's write gate: fail-stop first (a wounded node

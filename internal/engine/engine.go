@@ -147,8 +147,8 @@ type Engine interface {
 
 	OpenCursor(tid ts.TableID) (Cursor, error)
 	ReadOnly() bool
-	// Stats aggregates engine statistics across shards (counters sum;
-	// CurrentCID is the maximum, GlobalHorizon the minimum).
+	// Stats aggregates engine statistics across shards by core.MergeStats
+	// (counters sum; CurrentCID is the maximum, GlobalHorizon the minimum).
 	Stats() core.Stats
 
 	// Shards reports the shard count (1 for a single-node engine).

@@ -204,7 +204,7 @@ func (r *Replica) streamOnce() error {
 	bw := bufio.NewWriterSize(nc, 1<<16)
 
 	_ = nc.SetDeadline(time.Now().Add(r.cfg.DialTimeout))
-	hello := (&wire.Builder{}).Raw([]byte(wire.Magic)).U8(wire.Version).Str(r.cfg.Token).Take()
+	hello := (&wire.Builder{}).Hello(r.cfg.Token, 0).Take()
 	if err := request(br, bw, wire.OpHello, hello, func(*wire.Parser) error { return nil }); err != nil {
 		return err
 	}

@@ -232,9 +232,8 @@ func (c *conn) dispatch(op byte, body []byte) (byte, []byte) {
 		if err := c.sess.Commit(); err != nil {
 			return fail(err)
 		}
-		// Trailing consistency token: the stream head right after the
-		// commit, so it covers the whole commit group the transaction rode
-		// in. Pre-token clients expect an empty body and never read it.
+		// Consistency token: the stream head right after the commit, so it
+		// covers the whole commit group the transaction rode in.
 		return ok(c.b().U64(c.srv.tokenLSN()))
 	case wire.OpRollback:
 		if err := c.sess.Rollback(); err != nil {
@@ -385,16 +384,6 @@ func (c *conn) dispatch(op byte, body []byte) (byte, []byte) {
 	}
 }
 
-// reqToken consumes a trailing min-LSN consistency token if the request
-// carries one. It must run after the documented body fields and before
-// firstErr — older clients send no token and parse identically.
-func reqToken(r *wire.Parser) uint64 {
-	if r.Rest() > 0 {
-		return r.U64()
-	}
-	return 0
-}
-
 // gate raises the session token to min and, on a gated server (a replica),
 // holds the request until the applier reaches the token or bounces it with
 // ErrReplicaBehind so the client retries on another endpoint.
@@ -438,15 +427,18 @@ func (c *conn) kv(fn func(tx engine.Tx) error) error {
 }
 
 func (c *conn) hello(r *wire.Parser) (byte, []byte) {
-	magic := string(r.Raw(4))
-	ver := r.U8()
-	token := r.Str()
-	minLSN := reqToken(r)
-	if err := firstErr(r); err != nil || magic != wire.Magic {
+	// Magic and version first: a peer of another version lays the rest of
+	// the body out differently, and is told so rather than "bad handshake".
+	magic, ver := string(r.Raw(4)), r.U8()
+	if r.Err() != nil || magic != wire.Magic {
 		return fail(fmt.Errorf("%w: bad handshake", wire.ErrBadRequest))
 	}
 	if ver != wire.Version {
 		return fail(fmt.Errorf("%w: protocol version %d, want %d", wire.ErrBadRequest, ver, wire.Version))
+	}
+	token, minLSN := r.Str(), r.U64()
+	if err := firstErr(r); err != nil {
+		return fail(fmt.Errorf("%w: bad handshake", wire.ErrBadRequest))
 	}
 	if c.srv.cfg.Token != "" && token != c.srv.cfg.Token {
 		return fail(wire.ErrAuth)
@@ -455,15 +447,11 @@ func (c *conn) hello(r *wire.Parser) (byte, []byte) {
 		return fail(err)
 	}
 	c.authed = true
-	// The shard count trails the version byte; pre-sharding clients parsed
-	// only the version and ignore response trailers, so the addition is
-	// compatible in both directions.
 	return ok(c.b().U8(wire.Version).U32(uint32(c.srv.eng.Shards())))
 }
 
 func (c *conn) exec(r *wire.Parser) (byte, []byte) {
-	text := r.Str()
-	minLSN := reqToken(r)
+	text, minLSN := r.Str(), r.U64()
 	if err := firstErr(r); err != nil {
 		return fail(err)
 	}
@@ -478,9 +466,8 @@ func (c *conn) exec(r *wire.Parser) (byte, []byte) {
 	w.Str(res.Message).U32(uint32(res.Affected))
 	wire.PutStrings(w, res.Columns)
 	wire.PutRows(w, toWireRows(res.Rows))
-	// Trailing consistency token: the stream head after this statement, ≥
-	// the commit LSN of an autocommitted write. Older clients stop reading
-	// before it.
+	// Consistency token: the stream head after this statement, ≥ the
+	// commit LSN of an autocommitted write.
 	w.U64(c.srv.tokenLSN())
 	return ok(w)
 }
@@ -517,8 +504,7 @@ func (c *conn) aggregate(r *wire.Parser) (byte, []byte) {
 }
 
 func (c *conn) qopen(r *wire.Parser) (byte, []byte) {
-	text := r.Str()
-	minLSN := reqToken(r)
+	text, minLSN := r.Str(), r.U64()
 	if err := firstErr(r); err != nil {
 		return fail(err)
 	}

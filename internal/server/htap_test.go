@@ -7,7 +7,6 @@ import (
 
 	"hybridgc/internal/client"
 	"hybridgc/internal/htap"
-	"hybridgc/internal/wire"
 )
 
 // TestHTAPVerbsLoopback drives the OLAP lane end to end over the wire:
@@ -95,33 +94,5 @@ func TestHTAPVerbsLoopback(t *testing.T) {
 	// A bad op byte is rejected cleanly.
 	if _, err := cl.Aggregate("sales", 99, "", ""); err == nil {
 		t.Fatalf("bad aggregate op should fail")
-	}
-}
-
-// TestStatsHTAPTrailerRoundTrip pins the trailer codec, including decoding
-// a frame without the trailer (an older peer).
-func TestStatsHTAPTrailerRoundTrip(t *testing.T) {
-	in := wire.Stats{
-		Statements: 7,
-		HTAP: []wire.HTAPStat{{
-			Name: "t", Table: 3, Chunks: 2, ChunkRows: 9, DeltaRows: 1,
-			DirtyRows: 4, MigratedRows: 12, Watermark: 100, Lag: 5, Passes: 6,
-		}},
-	}
-	var w wire.Builder
-	in.Encode(&w)
-	out := wire.DecodeStats(wire.NewParser(w.Take()))
-	if len(out.HTAP) != 1 || out.HTAP[0] != in.HTAP[0] {
-		t.Fatalf("round trip: %+v", out.HTAP)
-	}
-
-	// Truncate the trailer off: decodes cleanly with no HTAP entries.
-	old := wire.Stats{Statements: 7}
-	var w2 wire.Builder
-	old.Encode(&w2)
-	body := w2.Take()
-	trimmed := wire.DecodeStats(wire.NewParser(body[:len(body)-2]))
-	if trimmed.Statements != 7 || trimmed.HTAP != nil {
-		t.Fatalf("old-peer decode: %+v", trimmed)
 	}
 }

@@ -296,24 +296,17 @@ func (s *Server) Draining() bool {
 	return s.draining
 }
 
-// Stats assembles the STATS payload: engine indicators plus the service
-// layer's own counters and latency percentiles.
+// Stats assembles the STATS payload: every shard read once, the aggregate
+// merged from those very readings (so the totals and the rows below them are
+// one instant), then the service layer's own counters and latency
+// percentiles.
 func (s *Server) Stats() wire.Stats {
-	st := s.eng.Stats()
+	shards := make([]core.Stats, s.eng.Shards())
+	for i := range shards {
+		shards[i] = s.eng.Shard(i).Stats()
+	}
 	out := wire.Stats{
-		Statements:        st.Statements,
-		VersionsLive:      st.VersionsLive,
-		VersionsLiveBytes: st.VersionsLiveBytes,
-		VersionsCreated:   st.VersionsCreated,
-		VersionsReclaimed: st.VersionsReclaimed,
-		VersionsMigrated:  st.VersionsMigrated,
-		ActiveSnapshots:   int64(st.ActiveSnapshots),
-		CurrentCID:        st.CurrentCID,
-		GlobalHorizon:     st.GlobalHorizon,
-		ActiveCIDRange:    st.ActiveCIDRange,
-		TxnsCommitted:     st.Txn.TxnsCommitted,
-		GroupsCommitted:   st.Txn.GroupsCommitted,
-		FailStop:          st.FailStop,
+		Stats: core.MergeStats(shards),
 
 		Conns:           s.connsActive.Load(),
 		ConnsTotal:      s.connsTotal.Value(),
@@ -330,48 +323,11 @@ func (s *Server) Stats() wire.Stats {
 		LatP95:          s.lat.Percentile(95),
 		LatP99:          s.lat.Percentile(99),
 	}
-	if p := st.Pressure; p.Enabled {
-		out.PressureEnabled = true
-		out.PressureLevel = p.Level.String()
-		out.PressureLive = p.Live
-		out.PressureSoft = p.Soft
-		out.PressureHard = p.Hard
-		out.PressureSoftTrips = p.SoftTrips
-		out.PressureEmergencies = p.Emergencies
-		out.PressureBackpressured = p.Backpressured
-		out.PressureRejected = p.Rejected
-		out.PressureEvicted = p.Evicted
-	}
-	if n := s.eng.Shards(); n > 1 {
-		out.Shards = make([]wire.ShardStat, 0, n)
-		for i := 0; i < n; i++ {
-			sh := s.eng.Shard(i).Stats()
-			out.Shards = append(out.Shards, wire.ShardStat{
-				VersionsLive:      sh.VersionsLive,
-				VersionsReclaimed: sh.VersionsReclaimed,
-				ActiveSnapshots:   int64(sh.ActiveSnapshots),
-				TxnsCommitted:     sh.Txn.TxnsCommitted,
-				CurrentCID:        sh.CurrentCID,
-				GlobalHorizon:     sh.GlobalHorizon,
-				FailStop:          sh.FailStop,
-			})
-		}
+	if len(shards) > 1 {
+		out.Shards = shards
 	}
 	if m := s.cat.HTAP(); m != nil {
-		for _, ls := range m.Stats() {
-			out.HTAP = append(out.HTAP, wire.HTAPStat{
-				Name:         ls.Name,
-				Table:        uint32(ls.Table),
-				Chunks:       int64(ls.Chunks),
-				ChunkRows:    ls.ChunkRows,
-				DeltaRows:    ls.DeltaRows,
-				DirtyRows:    ls.DirtyRows,
-				MigratedRows: ls.MigratedRows,
-				Watermark:    uint64(ls.Watermark),
-				Lag:          uint64(ls.Lag),
-				Passes:       ls.Passes,
-			})
-		}
+		out.HTAP = m.Stats()
 	}
 	if hook := s.cfg.StatsHook; hook != nil {
 		hook(&out)

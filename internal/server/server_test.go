@@ -72,7 +72,13 @@ func (rc *rawConn) recv(t *testing.T) (byte, *wire.Parser) {
 }
 
 func helloBody(token string) []byte {
-	return (&wire.Builder{}).Raw([]byte(wire.Magic)).U8(wire.Version).Str(token).Take()
+	return (&wire.Builder{}).Hello(token, 0).Take()
+}
+
+// sqlBody is a v2 EXEC/QOPEN request body: the statement, then the min-LSN
+// token (zero: none).
+func sqlBody(text string, minLSN uint64) []byte {
+	return (&wire.Builder{}).Str(text).U64(minLSN).Take()
 }
 
 func (rc *rawConn) hello(t *testing.T, token string) {
@@ -333,7 +339,7 @@ func TestAbruptDisconnectReleasesCursor(t *testing.T) {
 
 	rc := dialRaw(t, addr)
 	rc.hello(t, "")
-	rc.send(t, wire.OpQOpen, (&wire.Builder{}).Str("SELECT id FROM t").Take())
+	rc.send(t, wire.OpQOpen, sqlBody("SELECT id FROM t", 0))
 	status, r := rc.recv(t)
 	if status != wire.StOK {
 		t.Fatal("QOPEN failed")
@@ -406,7 +412,7 @@ func TestGracefulDrain(t *testing.T) {
 	// A session holding an open cursor (a pinned snapshot) through the drain.
 	rc := dialRaw(t, addr)
 	rc.hello(t, "")
-	rc.send(t, wire.OpQOpen, (&wire.Builder{}).Str("SELECT id FROM t").Take())
+	rc.send(t, wire.OpQOpen, sqlBody("SELECT id FROM t", 0))
 	if status, _ := rc.recv(t); status != wire.StOK {
 		t.Fatal("QOPEN failed")
 	}
@@ -509,7 +515,7 @@ func TestTPCCLoopback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Requests == 0 || st.TxnsCommitted == 0 {
+	if st.Requests == 0 || st.Txn.TxnsCommitted == 0 {
 		t.Fatalf("stats did not record the run: %+v", st)
 	}
 }
@@ -545,7 +551,7 @@ func TestSlowReaderWriteTimeoutReapsConn(t *testing.T) {
 	// SELECTs whose responses it never reads.
 	rc := dialRaw(t, addr)
 	rc.hello(t, "")
-	rc.send(t, wire.OpQOpen, (&wire.Builder{}).Str("SELECT id FROM t").Take())
+	rc.send(t, wire.OpQOpen, sqlBody("SELECT id FROM t", 0))
 	if status, _ := rc.recv(t); status != wire.StOK {
 		t.Fatal("QOPEN failed")
 	}
@@ -556,7 +562,7 @@ func TestSlowReaderWriteTimeoutReapsConn(t *testing.T) {
 		t.Fatal("cursor snapshot not registered with the monitor")
 	}
 	for i := 0; i < 20; i++ { // ~10MB of pending responses: far past any socket buffer
-		rc.send(t, wire.OpExec, (&wire.Builder{}).Str("SELECT id, pad FROM t").Take())
+		rc.send(t, wire.OpExec, sqlBody("SELECT id, pad FROM t", 0))
 	}
 
 	// Do not read. The server must give up within WriteTimeout and reap the

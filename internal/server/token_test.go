@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -139,48 +140,55 @@ func TestReadGateWaitsAndBounces(t *testing.T) {
 	}
 }
 
-// TestOldPeerTokenlessFrames: a pre-token peer sends HELLO/EXEC/QOPEN with
-// no trailing min-LSN. Against a gated server this must behave exactly as
-// before — the gate only engages when a token is presented — and the
-// response trailers the new server adds are bytes an old parser never
-// reaches. A tokened EXEC on the same server bounces with the new code.
-func TestOldPeerTokenlessFrames(t *testing.T) {
-	gate := func(minLSN uint64) (bool, error) {
-		return true, fmt.Errorf("%w: always behind", core.ErrReplicaBehind)
-	}
-	_, _, addr := newTestServer(t, Config{ReadGate: gate})
+// TestVersionGate: the protocol version is the only compatibility rule. A
+// HELLO carrying another version is refused with a message naming both, and
+// the connection is not authenticated by it; within v2 every layout is
+// fixed, so a request with bytes past its last field is refused too.
+func TestVersionGate(t *testing.T) {
+	_, _, addr := newTestServer(t, Config{})
+
+	// A v1 HELLO, exactly as a v1 client framed it (no min-LSN field).
 	rc := dialRaw(t, addr)
-
-	// Token-less HELLO (the exact frame an old client sends) is not gated.
-	rc.hello(t, "")
-
-	// Token-less EXEC passes the gate untouched; the response carries the
-	// old fields first, so a parser that stops early still reads them.
-	rc.send(t, wire.OpExec, (&wire.Builder{}).Str("CREATE TABLE t (id INT)").Take())
+	rc.send(t, wire.OpHello, (&wire.Builder{}).Raw([]byte(wire.Magic)).U8(1).Str("").Take())
 	status, r := rc.recv(t)
-	if status != wire.StOK {
-		t.Fatalf("token-less EXEC gated, status %d", status)
-	}
-	r.Str() // message
-	r.U32() // affected
-	if r.Err() != nil {
-		t.Fatalf("old-peer fields unreadable: %v", r.Err())
-	}
-
-	// Token-less QOPEN is not gated either.
-	rc.send(t, wire.OpQOpen, (&wire.Builder{}).Str("SELECT id FROM t").Take())
-	if status, _ := rc.recv(t); status != wire.StOK {
-		t.Fatalf("token-less QOPEN gated, status %d", status)
-	}
-
-	// The moment a token is presented, the gate engages and the bounce
-	// travels as the replica-behind error code.
-	rc.send(t, wire.OpExec, (&wire.Builder{}).Str("SELECT id FROM t").U64(12345).Take())
-	status, r = rc.recv(t)
 	if status != wire.StErr {
-		t.Fatal("tokened EXEC passed an always-bouncing gate")
+		t.Fatal("v1 HELLO accepted")
 	}
-	if code := r.U16(); code != wire.ECodeReplicaBehind {
-		t.Fatalf("error code %d, want ECodeReplicaBehind", code)
+	code, msg := r.U16(), r.Str()
+	if code != wire.ECodeBadRequest || !strings.Contains(msg, "version 1") ||
+		!strings.Contains(msg, fmt.Sprintf("want %d", wire.Version)) {
+		t.Fatalf("refusal = code %d %q, want ErrBadRequest naming versions 1 and %d", code, msg, wire.Version)
+	}
+	// Unauthenticated: the server hangs up after the one error frame rather
+	// than serving the PING that follows.
+	_, _ = wire.WriteFrame(rc.nc, wire.OpPing, nil)
+	if _, _, err := wire.ReadFrame(rc.br); err == nil {
+		t.Fatal("connection served a request after a refused handshake")
+	}
+
+	// A v2 HELLO without the (always present) min-LSN field is malformed.
+	rc = dialRaw(t, addr)
+	rc.send(t, wire.OpHello, (&wire.Builder{}).Raw([]byte(wire.Magic)).U8(wire.Version).Str("").Take())
+	if status, r := rc.recv(t); status != wire.StErr || r.U16() != wire.ECodeBadRequest {
+		t.Fatalf("token-less v2 HELLO: status %d", status)
+	}
+
+	// v2 EXEC: statement and token, nothing after; a token-less body is
+	// short, a longer one has trailing bytes — both refused, session intact.
+	rc = dialRaw(t, addr)
+	rc.hello(t, "")
+	for _, body := range [][]byte{
+		(&wire.Builder{}).Str("CREATE TABLE t (id INT)").Take(),
+		append(sqlBody("CREATE TABLE t (id INT)", 0), 0xAB),
+	} {
+		rc.send(t, wire.OpExec, body)
+		status, r := rc.recv(t)
+		if code := r.U16(); status != wire.StErr || code != wire.ECodeBadRequest {
+			t.Fatalf("malformed EXEC (%d bytes): status %d code %d", len(body), status, code)
+		}
+	}
+	rc.send(t, wire.OpExec, sqlBody("CREATE TABLE t (id INT)", 0))
+	if status, _ := rc.recv(t); status != wire.StOK {
+		t.Fatalf("well-formed EXEC after the refusals: status %d", status)
 	}
 }

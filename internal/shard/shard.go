@@ -277,51 +277,13 @@ func (c *Cluster) Shards() int { return len(c.shards) }
 
 func (c *Cluster) Shard(i int) *core.DB { return c.shards[i] }
 
-// Stats aggregates across shards: counters sum, CurrentCID is the maximum,
-// GlobalHorizon the minimum over live shards, FailStop reports any shard
-// latched.
+// Stats is core.MergeStats over one reading of every shard.
 func (c *Cluster) Stats() core.Stats {
-	var out core.Stats
+	per := make([]core.Stats, len(c.shards))
 	for i, db := range c.shards {
-		st := db.Stats()
-		out.Statements += st.Statements
-		out.VersionsLive += st.VersionsLive
-		out.VersionsLiveBytes += st.VersionsLiveBytes
-		out.VersionsCreated += st.VersionsCreated
-		out.VersionsReclaimed += st.VersionsReclaimed
-		out.VersionsMigrated += st.VersionsMigrated
-		out.VersionsTraversed += st.VersionsTraversed
-		out.ActiveSnapshots += st.ActiveSnapshots
-		out.Txn.TxnsCommitted += st.Txn.TxnsCommitted
-		out.Txn.TxnsAborted += st.Txn.TxnsAborted
-		out.Txn.GroupsCommitted += st.Txn.GroupsCommitted
-		out.GroupListLen += st.GroupListLen
-		if st.CurrentCID > out.CurrentCID {
-			out.CurrentCID = st.CurrentCID
-		}
-		if i == 0 || st.GlobalHorizon < out.GlobalHorizon {
-			out.GlobalHorizon = st.GlobalHorizon
-		}
-		if st.ActiveCIDRange > out.ActiveCIDRange {
-			out.ActiveCIDRange = st.ActiveCIDRange
-		}
-		out.FailStop = out.FailStop || st.FailStop
-		if st.Pressure.Enabled {
-			out.Pressure.Enabled = true
-			out.Pressure.Live += st.Pressure.Live
-			out.Pressure.Soft += st.Pressure.Soft
-			out.Pressure.Hard += st.Pressure.Hard
-			out.Pressure.SoftTrips += st.Pressure.SoftTrips
-			out.Pressure.Emergencies += st.Pressure.Emergencies
-			out.Pressure.Backpressured += st.Pressure.Backpressured
-			out.Pressure.Rejected += st.Pressure.Rejected
-			out.Pressure.Evicted += st.Pressure.Evicted
-			if st.Pressure.Level > out.Pressure.Level {
-				out.Pressure.Level = st.Pressure.Level
-			}
-		}
+		per[i] = db.Stats()
 	}
-	return out
+	return core.MergeStats(per)
 }
 
 // Checkpoint checkpoints every shard under the two-phase-commit gate, so a

@@ -20,18 +20,18 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"time"
 
 	"hybridgc/internal/core"
-	"hybridgc/internal/ts"
 )
 
 // Protocol identity.
 const (
 	// Magic opens the HELLO body; a server reading anything else hangs up.
 	Magic = "HGC1"
-	// Version is the protocol revision negotiated in HELLO.
-	Version = 1
+	// Version is the protocol revision: HELLO carries it in both directions
+	// and either side refuses any other value. Every frame layout is a fixed
+	// field list, so a layout change bumps Version.
+	Version = 2
 	// MaxFrame bounds one frame so a corrupt length prefix cannot make
 	// either end allocate unboundedly.
 	MaxFrame = 16 << 20
@@ -88,14 +88,18 @@ const (
 
 // Consistency tokens (read scale-out). A session token is a WAL LSN: the
 // primary's stream head right after the session's last commit. HELLO, EXEC
-// and QOPEN requests may append a trailing big-endian u64 min-LSN token
-// after their documented body — servers parse it only when trailing bytes
-// remain, so token-less frames from older clients work unchanged, and
-// clients omit a zero token so older servers (which reject trailing request
-// bytes) interoperate too. A replica receiving a token waits for its applier
-// to reach the LSN or bounces with ECodeReplicaBehind. In the other
-// direction, COMMIT responses and EXEC responses append a trailing u64
-// commit-LSN token that older clients simply never read.
+// and QOPEN requests end in a big-endian u64 min-LSN token, zero meaning
+// none; a replica receiving a non-zero token waits for its applier to reach
+// the LSN or bounces with ECodeReplicaBehind. In the other direction, COMMIT
+// and EXEC responses end in a u64 commit-LSN token, zero from an engine with
+// no single log (memory-only or sharded).
+
+// Hello appends the HELLO request body: magic, Version, the auth token and
+// the session's min-LSN consistency token. The server answers with its own
+// Version byte and its u32 shard count.
+func (w *Builder) Hello(token string, minLSN uint64) *Builder {
+	return w.Raw([]byte(Magic)).U8(Version).Str(token).U64(minLSN)
+}
 
 // Wire error codes. The canonical engine errors travel as codes so the
 // client can rehydrate them into the sentinels core.IsTransient and
@@ -564,232 +568,4 @@ func GetStrings(r *Parser) []string {
 		out = append(out, r.Str())
 	}
 	return out
-}
-
-// --- STATS codec ---
-
-// Stats is the STATS verb's payload: the engine indicators of core.Stats
-// that matter remotely, plus the server's own service-level counters and
-// request-latency percentiles.
-type Stats struct {
-	// Engine indicators (the Figure 2 set).
-	Statements        int64
-	VersionsLive      int64
-	VersionsLiveBytes int64
-	VersionsCreated   int64
-	VersionsReclaimed int64
-	VersionsMigrated  int64
-	ActiveSnapshots   int64
-	CurrentCID        ts.CID
-	GlobalHorizon     ts.CID
-	ActiveCIDRange    ts.CID
-	TxnsCommitted     int64
-	GroupsCommitted   int64
-	FailStop          bool
-
-	// Degradation ladder (PR 1).
-	PressureEnabled       bool
-	PressureLevel         string
-	PressureLive          int64
-	PressureSoft          int64
-	PressureHard          int64
-	PressureSoftTrips     int64
-	PressureEmergencies   int64
-	PressureBackpressured int64
-	PressureRejected      int64
-	PressureEvicted       int64
-
-	// Service layer.
-	Conns         int64
-	ConnsTotal    int64
-	Requests      int64
-	RequestErrors int64
-	BytesIn       int64
-	BytesOut      int64
-	CursorsOpen   int64
-	CursorsReaped int64
-	LatMean       time.Duration
-	LatP50        time.Duration
-	LatP95        time.Duration
-	LatP99        time.Duration
-
-	// Replication (PR 3). Role is "" when replication is not configured,
-	// "primary" on a stream source, "replica" on an applier.
-	ReplRole string
-	// ReplUpstream is the primary's address (replica side).
-	ReplUpstream string
-	// ReplAppliedLSN is the next LSN the applier expects (replica side).
-	ReplAppliedLSN uint64
-	// ReplPrimaryLSN is the stream head: the primary's next append LSN
-	// (primary side), or the last heartbeat value seen (replica side).
-	ReplPrimaryLSN uint64
-	// ReplRecordsSent / ReplRecordsApplied count stream records by role.
-	ReplRecordsSent    int64
-	ReplRecordsApplied int64
-	// ReplReconnects counts replica-side stream re-establishments.
-	ReplReconnects int64
-	// ReplDemotions counts replicas demoted for exceeding the lag bound.
-	ReplDemotions int64
-	// Replicas is the primary's per-replica view.
-	Replicas []ReplicaStat
-
-	// Shards is the per-shard breakdown on a sharded engine (empty on a
-	// single-node server, where the top-level fields already tell the whole
-	// story). Appended at the end of the frame so older peers simply never
-	// read it.
-	Shards []ShardStat
-
-	// HTAP is the per-table column-lane breakdown (empty when no lanes are
-	// enabled). Appended after Shards; decoders guard on remaining bytes so
-	// frames from older peers parse cleanly.
-	HTAP []HTAPStat
-
-	// Read-gate counters (PR 9's read scale-out). On a replica that gates
-	// reads on session consistency tokens: how many requests were admitted
-	// only after waiting for the applier, and how many were bounced with
-	// ErrReplicaBehind because the wait deadline passed. Appended after HTAP
-	// behind the same remaining-bytes guard, so frames from older peers
-	// parse cleanly.
-	ReadGateWaits   int64
-	ReadGateBounces int64
-}
-
-// HTAPStat is one table's column-lane state, summed across shards: how much
-// of the table is columnar, what still rides the row-store delta, and how
-// far the migrator trails the commit timestamp.
-type HTAPStat struct {
-	Name         string
-	Table        uint32
-	Chunks       int64
-	ChunkRows    int64
-	DeltaRows    int64
-	DirtyRows    int64
-	MigratedRows int64
-	Watermark    uint64
-	Lag          uint64
-	Passes       int64
-}
-
-// ShardStat is one shard's engine indicators — the subset gcmon renders
-// per-shard and the routing client needs for awareness.
-type ShardStat struct {
-	VersionsLive      int64
-	VersionsReclaimed int64
-	ActiveSnapshots   int64
-	TxnsCommitted     int64
-	CurrentCID        ts.CID
-	GlobalHorizon     ts.CID
-	FailStop          bool
-}
-
-// ReplicaStat is one replica's state as the primary tracks it.
-type ReplicaStat struct {
-	ID         string
-	Connected  bool
-	Demoted    bool
-	AppliedLSN uint64
-	// PinnedSTS is the snapshot timestamp this replica pins in the cluster
-	// GC horizon (0 = no pin: no open snapshots reported).
-	PinnedSTS ts.CID
-	// FloorSegment is the lowest log segment retained for this replica.
-	FloorSegment uint64
-	// SegmentLag is the primary's active segment minus FloorSegment.
-	SegmentLag int64
-	// LastReportAge is the time since the replica's last report.
-	LastReportAge time.Duration
-}
-
-// Encode appends the stats payload.
-func (s *Stats) Encode(w *Builder) {
-	w.I64(s.Statements).I64(s.VersionsLive).I64(s.VersionsLiveBytes)
-	w.I64(s.VersionsCreated).I64(s.VersionsReclaimed).I64(s.VersionsMigrated)
-	w.I64(s.ActiveSnapshots)
-	w.U64(uint64(s.CurrentCID)).U64(uint64(s.GlobalHorizon)).U64(uint64(s.ActiveCIDRange))
-	w.I64(s.TxnsCommitted).I64(s.GroupsCommitted).Bool(s.FailStop)
-	w.Bool(s.PressureEnabled).Str(s.PressureLevel)
-	w.I64(s.PressureLive).I64(s.PressureSoft).I64(s.PressureHard)
-	w.I64(s.PressureSoftTrips).I64(s.PressureEmergencies).I64(s.PressureBackpressured)
-	w.I64(s.PressureRejected).I64(s.PressureEvicted)
-	w.I64(s.Conns).I64(s.ConnsTotal).I64(s.Requests).I64(s.RequestErrors)
-	w.I64(s.BytesIn).I64(s.BytesOut).I64(s.CursorsOpen).I64(s.CursorsReaped)
-	w.I64(int64(s.LatMean)).I64(int64(s.LatP50)).I64(int64(s.LatP95)).I64(int64(s.LatP99))
-	w.Str(s.ReplRole).Str(s.ReplUpstream)
-	w.U64(s.ReplAppliedLSN).U64(s.ReplPrimaryLSN)
-	w.I64(s.ReplRecordsSent).I64(s.ReplRecordsApplied)
-	w.I64(s.ReplReconnects).I64(s.ReplDemotions)
-	w.U16(uint16(len(s.Replicas)))
-	for _, rs := range s.Replicas {
-		w.Str(rs.ID).Bool(rs.Connected).Bool(rs.Demoted)
-		w.U64(rs.AppliedLSN).U64(uint64(rs.PinnedSTS)).U64(rs.FloorSegment)
-		w.I64(rs.SegmentLag).I64(int64(rs.LastReportAge))
-	}
-	w.U16(uint16(len(s.Shards)))
-	for _, sh := range s.Shards {
-		w.I64(sh.VersionsLive).I64(sh.VersionsReclaimed)
-		w.I64(sh.ActiveSnapshots).I64(sh.TxnsCommitted)
-		w.U64(uint64(sh.CurrentCID)).U64(uint64(sh.GlobalHorizon))
-		w.Bool(sh.FailStop)
-	}
-	w.U16(uint16(len(s.HTAP)))
-	for _, h := range s.HTAP {
-		w.Str(h.Name).U32(h.Table)
-		w.I64(h.Chunks).I64(h.ChunkRows).I64(h.DeltaRows).I64(h.DirtyRows)
-		w.I64(h.MigratedRows).U64(h.Watermark).U64(h.Lag).I64(h.Passes)
-	}
-	w.I64(s.ReadGateWaits).I64(s.ReadGateBounces)
-}
-
-// DecodeStats reads a stats payload.
-func DecodeStats(r *Parser) Stats {
-	var s Stats
-	s.Statements, s.VersionsLive, s.VersionsLiveBytes = r.I64(), r.I64(), r.I64()
-	s.VersionsCreated, s.VersionsReclaimed, s.VersionsMigrated = r.I64(), r.I64(), r.I64()
-	s.ActiveSnapshots = r.I64()
-	s.CurrentCID, s.GlobalHorizon, s.ActiveCIDRange = ts.CID(r.U64()), ts.CID(r.U64()), ts.CID(r.U64())
-	s.TxnsCommitted, s.GroupsCommitted, s.FailStop = r.I64(), r.I64(), r.Bool()
-	s.PressureEnabled, s.PressureLevel = r.Bool(), r.Str()
-	s.PressureLive, s.PressureSoft, s.PressureHard = r.I64(), r.I64(), r.I64()
-	s.PressureSoftTrips, s.PressureEmergencies, s.PressureBackpressured = r.I64(), r.I64(), r.I64()
-	s.PressureRejected, s.PressureEvicted = r.I64(), r.I64()
-	s.Conns, s.ConnsTotal, s.Requests, s.RequestErrors = r.I64(), r.I64(), r.I64(), r.I64()
-	s.BytesIn, s.BytesOut, s.CursorsOpen, s.CursorsReaped = r.I64(), r.I64(), r.I64(), r.I64()
-	s.LatMean, s.LatP50 = time.Duration(r.I64()), time.Duration(r.I64())
-	s.LatP95, s.LatP99 = time.Duration(r.I64()), time.Duration(r.I64())
-	s.ReplRole, s.ReplUpstream = r.Str(), r.Str()
-	s.ReplAppliedLSN, s.ReplPrimaryLSN = r.U64(), r.U64()
-	s.ReplRecordsSent, s.ReplRecordsApplied = r.I64(), r.I64()
-	s.ReplReconnects, s.ReplDemotions = r.I64(), r.I64()
-	n := int(r.U16())
-	for i := 0; i < n && r.Err() == nil; i++ {
-		var rs ReplicaStat
-		rs.ID, rs.Connected, rs.Demoted = r.Str(), r.Bool(), r.Bool()
-		rs.AppliedLSN, rs.PinnedSTS, rs.FloorSegment = r.U64(), ts.CID(r.U64()), r.U64()
-		rs.SegmentLag, rs.LastReportAge = r.I64(), time.Duration(r.I64())
-		s.Replicas = append(s.Replicas, rs)
-	}
-	n = int(r.U16())
-	for i := 0; i < n && r.Err() == nil; i++ {
-		var sh ShardStat
-		sh.VersionsLive, sh.VersionsReclaimed = r.I64(), r.I64()
-		sh.ActiveSnapshots, sh.TxnsCommitted = r.I64(), r.I64()
-		sh.CurrentCID, sh.GlobalHorizon = ts.CID(r.U64()), ts.CID(r.U64())
-		sh.FailStop = r.Bool()
-		s.Shards = append(s.Shards, sh)
-	}
-	// The HTAP trailer is absent in frames from pre-lane peers.
-	if r.Err() == nil && r.Rest() > 0 {
-		n = int(r.U16())
-		for i := 0; i < n && r.Err() == nil; i++ {
-			var h HTAPStat
-			h.Name, h.Table = r.Str(), r.U32()
-			h.Chunks, h.ChunkRows, h.DeltaRows, h.DirtyRows = r.I64(), r.I64(), r.I64(), r.I64()
-			h.MigratedRows, h.Watermark, h.Lag, h.Passes = r.I64(), r.U64(), r.U64(), r.I64()
-			s.HTAP = append(s.HTAP, h)
-		}
-	}
-	// The read-gate trailer is absent in frames from pre-token peers.
-	if r.Err() == nil && r.Rest() > 0 {
-		s.ReadGateWaits, s.ReadGateBounces = r.I64(), r.I64()
-	}
-	return s
 }

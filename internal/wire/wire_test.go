@@ -4,10 +4,8 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
-	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"hybridgc/internal/core"
 )
@@ -131,40 +129,6 @@ func TestWireErrorUnwrapsToSentinel(t *testing.T) {
 	}
 	if (&Error{Code: ECodeGeneric, Msg: "x"}).Unwrap() != nil {
 		t.Fatal("generic errors unwrap to nil")
-	}
-}
-
-func TestStatsRoundTrip(t *testing.T) {
-	in := Stats{
-		Statements: 10, VersionsLive: 20, VersionsLiveBytes: 30,
-		VersionsCreated: 40, VersionsReclaimed: 50, VersionsMigrated: 60,
-		ActiveSnapshots: 2, CurrentCID: 99, GlobalHorizon: 88, ActiveCIDRange: 11,
-		TxnsCommitted: 5, GroupsCommitted: 4, FailStop: true,
-		PressureEnabled: true, PressureLevel: "soft",
-		PressureLive: 7, PressureSoft: 8, PressureHard: 9,
-		PressureSoftTrips: 1, PressureEmergencies: 2, PressureBackpressured: 3,
-		PressureRejected: 4, PressureEvicted: 5,
-		Conns: 3, ConnsTotal: 30, Requests: 1000, RequestErrors: 1,
-		BytesIn: 12345, BytesOut: 54321, CursorsOpen: 2, CursorsReaped: 6,
-		LatMean: time.Millisecond, LatP50: 2 * time.Millisecond,
-		LatP95: 3 * time.Millisecond, LatP99: 4 * time.Millisecond,
-		ReplRole: "primary", ReplUpstream: "", ReplAppliedLSN: 77, ReplPrimaryLSN: 78,
-		ReplRecordsSent: 79, ReplRecordsApplied: 80, ReplReconnects: 2, ReplDemotions: 1,
-		Replicas: []ReplicaStat{
-			{ID: "r1", Connected: true, Demoted: false, AppliedLSN: 4<<32 | 7,
-				PinnedSTS: 42, FloorSegment: 4, SegmentLag: 1, LastReportAge: 250 * time.Millisecond},
-			{ID: "r2", Connected: false, Demoted: true},
-		},
-	}
-	w := &Builder{}
-	in.Encode(w)
-	r := NewParser(w.Take())
-	out := DecodeStats(r)
-	if r.Err() != nil || r.Rest() != 0 {
-		t.Fatalf("err=%v rest=%d", r.Err(), r.Rest())
-	}
-	if !reflect.DeepEqual(out, in) {
-		t.Fatalf("stats round trip:\n in=%+v\nout=%+v", in, out)
 	}
 }
 
