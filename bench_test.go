@@ -455,51 +455,6 @@ func BenchmarkAblationChainTraversalDepth(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationCooperativeGC measures whether Hekaton-style cooperative
-// collection helps under latest-first chains (§6.1's discussion): OLTP-style
-// reads hit the chain head, so handoffs almost never fire and cooperative
-// mode neither helps nor hurts; it only contributes on deep (old-snapshot)
-// traversals.
-func BenchmarkAblationCooperativeGC(b *testing.B) {
-	for _, coop := range []bool{false, true} {
-		name := "off"
-		if coop {
-			name = "on"
-		}
-		b.Run(name, func(b *testing.B) {
-			db := MustOpen(Config{
-				Txn:           TxnConfig{SynchronousPropagation: true},
-				CooperativeGC: coop,
-			})
-			defer db.Close()
-			tid, _ := db.CreateTable("T")
-			var rid RID
-			db.Exec(StmtSI, nil, func(tx *Tx) error {
-				var err error
-				rid, err = tx.Insert(tid, []byte("v"))
-				return err
-			})
-			// Garbage accumulates behind the head; OLTP reads stay at depth 1.
-			for i := 0; i < 64; i++ {
-				db.Exec(StmtSI, nil, func(tx *Tx) error {
-					return tx.Update(tid, rid, []byte("w"))
-				})
-			}
-			tx := db.Begin(StmtSI)
-			defer tx.Abort()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := tx.Get(tid, rid); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(db.CooperativelyReclaimed()), "coop-reclaimed")
-		})
-	}
-}
-
 // BenchmarkAblationGroupCommitWindow measures group-commit batching:
 // concurrent writers commit with and without a window for the group's leader
 // to wait out, reporting transactions per commit group. Larger groups mean fewer

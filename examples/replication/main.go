@@ -101,7 +101,7 @@ func main() {
 	}
 	time.Sleep(60 * time.Millisecond) // a couple of report intervals
 	fmt.Printf("replica cursor open at snapshot %d; primary horizon now %d\n",
-		cur.SnapshotTS(), pdb.Manager().GlobalHorizon())
+		cur.SnapshotTS(), pdb.Manager().View().Horizon())
 
 	// OLTP churn on the primary while the remote snapshot is open.
 	for i := 1; i <= 300; i++ {
@@ -121,7 +121,7 @@ func main() {
 		log.Fatal(err)
 	}
 	time.Sleep(100 * time.Millisecond)
-	fmt.Printf("cursor closed; primary horizon advanced to %d\n", pdb.Manager().GlobalHorizon())
+	fmt.Printf("cursor closed; primary horizon advanced to %d\n", pdb.Manager().View().Horizon())
 
 	// Drain both sides: the replica's applier stops and its server drains;
 	// the primary's stream ends with a drain notice and its pins release.

@@ -147,7 +147,7 @@ func main() {
 	for i := 0; i < shards; i++ {
 		c.Shard(i).GC().RunGT()
 		fmt.Printf("  shard %d: live versions=%d horizon=%d\n",
-			i, c.Shard(i).Space().Live(), c.Shard(i).Manager().GlobalHorizon())
+			i, c.Shard(i).Space().Live(), c.Shard(i).Manager().View().Horizon())
 	}
 	cur.Close()
 	c.Shard(0).GC().RunGT()

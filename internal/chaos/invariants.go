@@ -250,9 +250,9 @@ func checkHorizonLiveness(c *cluster, opt Options, rep *Report) {
 			}
 			return wire.ReplicaStat{}
 		}
-		if !waitUntil(2*time.Second, func() bool { return ours().PinnedSTS == pin && m.GlobalHorizon() <= pin }) {
+		if !waitUntil(2*time.Second, func() bool { return ours().PinnedSTS == pin && m.View().Horizon() <= pin }) {
 			rep.violatef("horizon: replica snapshot %v never pinned the primary (horizon %v) — probe is not valid",
-				pin, m.GlobalHorizon())
+				pin, m.View().Horizon())
 			return
 		}
 
@@ -260,9 +260,9 @@ func checkHorizonLiveness(c *cluster, opt Options, rep *Report) {
 		start := time.Now()
 		n.proxy.SetPartition(true, true)
 		defer n.proxy.SetPartition(false, false)
-		if !waitUntil(opt.HorizonBound, func() bool { return m.GlobalHorizon() > pin }) {
+		if !waitUntil(opt.HorizonBound, func() bool { return m.View().Horizon() > pin }) {
 			rep.violatef("horizon: dead replica still pins GC horizon at %v after %s (horizon %v)",
-				pin, opt.HorizonBound, m.GlobalHorizon())
+				pin, opt.HorizonBound, m.View().Horizon())
 			return
 		}
 		rep.PinReleaseMS = time.Since(start).Milliseconds()

@@ -175,7 +175,7 @@ func RunSharded(opt ShardedOptions) (*Report, error) {
 	// the moment of the partition.
 	mark := make([]ts.CID, opt.Shards)
 	for i := range mark {
-		mark[i] = cl.Shard(i).Manager().GlobalHorizon()
+		mark[i] = cl.Shard(i).Manager().View().Horizon()
 	}
 	reclaimedBefore := int64(0)
 	for i := 0; i < opt.Shards; i++ {
@@ -189,9 +189,9 @@ func RunSharded(opt ShardedOptions) (*Report, error) {
 			continue
 		}
 		m := cl.Shard(i).Manager()
-		if !waitUntil(opt.HorizonBound, func() bool { return m.GlobalHorizon() > mark[i] }) {
+		if !waitUntil(opt.HorizonBound, func() bool { return m.View().Horizon() > mark[i] }) {
 			rep.violatef("independence: shard %d horizon stuck at %d while shard %d is partitioned",
-				i, m.GlobalHorizon(), victim)
+				i, m.View().Horizon(), victim)
 		}
 		rep.ConservationChecks++
 	}
@@ -207,7 +207,7 @@ func RunSharded(opt ShardedOptions) (*Report, error) {
 	}
 
 	// Invariant 2: the stranded snapshot holds the victim's horizon.
-	if h := cl.Shard(victim).Manager().GlobalHorizon(); h > pin {
+	if h := cl.Shard(victim).Manager().View().Horizon(); h > pin {
 		rep.violatef("containment: victim shard %d horizon %d advanced past its pinned snapshot %d", victim, h, pin)
 	}
 
@@ -218,9 +218,9 @@ func RunSharded(opt ShardedOptions) (*Report, error) {
 	rep.Schedule = append(rep.Schedule, fmt.Sprintf("heal shard %d", victim))
 	vm := cl.Shard(victim).Manager()
 	start := time.Now()
-	if !waitUntil(opt.HorizonBound, func() bool { return vm.GlobalHorizon() > pin }) {
+	if !waitUntil(opt.HorizonBound, func() bool { return vm.View().Horizon() > pin }) {
 		rep.violatef("recovery: victim shard %d horizon still at %d (pin %d) %s after the heal",
-			victim, vm.GlobalHorizon(), pin, opt.HorizonBound)
+			victim, vm.View().Horizon(), pin, opt.HorizonBound)
 	} else {
 		// Floor at 1ms: zero is the "never measured" sentinel, and an
 		// in-process heal can release the pin inside a millisecond.

@@ -70,16 +70,6 @@ type Config struct {
 	// (§2.1's common persistency). Open recovers the table space from the
 	// directory's checkpoint and log before serving.
 	Persistence *Persistence
-	// CooperativeGC enables Hekaton-style cooperative collection (§6.1's
-	// comparison point): readers that traverse more than
-	// CooperativeThreshold versions hand the chain to a background
-	// reclaimer. The paper argues this pays off less under latest-first
-	// chains — readers usually stop at the head — which
-	// BenchmarkAblationCooperativeGC quantifies.
-	CooperativeGC bool
-	// CooperativeThreshold is the traversal depth that triggers a handoff
-	// (default 8).
-	CooperativeThreshold int
 	// ReadOnly opens the engine as a replica target: every public write path
 	// (CreateTable, Insert, Update, Delete) fails with ErrReadOnly, while the
 	// replication Apply* methods still mutate state. Reads, snapshots,
@@ -98,7 +88,6 @@ type Config struct {
 type DB struct {
 	cat    *table.Catalog
 	space  *mvcc.Space
-	reg    *sts.Registry
 	m      *txn.Manager
 	hybrid *gc.Hybrid
 
@@ -130,15 +119,6 @@ type DB struct {
 	retentionMu sync.Mutex
 	retention   func() (lowestSeg uint64, ok bool)
 
-	// Cooperative GC plumbing: readers enqueue long chains, one worker
-	// reclaims them with the current horizons. The channel is never closed
-	// (readers may race with Close); the worker exits on coopQuit.
-	coopCh        chan *mvcc.Chain
-	coopQuit      chan struct{}
-	coopThreshold int
-	coopDone      chan struct{}
-	coopReclaimed atomic.Int64
-
 	watchdogStop chan struct{}
 	watchdogDone chan struct{}
 
@@ -166,7 +146,6 @@ type HTAPLaneMeta struct {
 // table space from the directory's checkpoint and log, then resumes logging.
 func Open(cfg Config) (*DB, error) {
 	space := mvcc.NewSpace(cfg.HashBuckets)
-	reg := sts.NewRegistry()
 	cat := table.NewCatalog()
 
 	// The fail-stop latch is allocated before the manager because the
@@ -192,14 +171,13 @@ func Open(cfg Config) (*DB, error) {
 		persistDir = p.Dir
 	}
 
-	m := txn.NewManager(space, reg, cfg.Txn)
+	m := txn.NewManager(space, sts.NewRegistry(), cfg.Txn)
 	if recovered > 0 {
 		m.SetCommitTS(recovered)
 	}
 	db := &DB{
 		cat:        cat,
 		space:      space,
-		reg:        reg,
 		m:          m,
 		hybrid:     gc.NewHybrid(m, cfg.GC, cfg.LongLivedThreshold),
 		log:        lg,
@@ -215,16 +193,6 @@ func Open(cfg Config) (*DB, error) {
 		}
 	}
 	db.hybrid.TG.Resolver = db.partitionResolver
-	if cfg.CooperativeGC {
-		db.coopThreshold = cfg.CooperativeThreshold
-		if db.coopThreshold <= 0 {
-			db.coopThreshold = 8
-		}
-		db.coopCh = make(chan *mvcc.Chain, 256)
-		db.coopQuit = make(chan struct{})
-		db.coopDone = make(chan struct{})
-		go db.cooperativeReclaimer()
-	}
 	if cfg.AutoGC {
 		db.hybrid.Start()
 	}
@@ -257,13 +225,12 @@ func (db *DB) watchdog(maxAge, period time.Duration) {
 	for {
 		select {
 		case <-tick.C:
-			for _, s := range db.m.Monitor().Active() {
-				if s.Kind() == txn.KindStatement || s.Age() < maxAge {
-					continue
+			db.m.View().Snapshots(func(s *txn.Snapshot) {
+				if s.Kind() != txn.KindStatement && s.Age() >= maxAge {
+					s.Kill()
+					db.killed.Add(1)
 				}
-				s.Kill()
-				db.killed.Add(1)
-			}
+			})
 		case <-db.watchdogStop:
 			return
 		}
@@ -272,43 +239,6 @@ func (db *DB) watchdog(maxAge, period time.Duration) {
 
 // SnapshotsKilled returns how many snapshots the watchdog force-closed.
 func (db *DB) SnapshotsKilled() int64 { return db.killed.Load() }
-
-// cooperativeReclaimer drains chains handed over by readers and reclaims
-// them against the current per-table horizon — the cooperative mechanism
-// Hekaton pairs with oldest-first chains (§6.1). It deliberately runs the
-// timestamp decision only; interval work stays with the scheduled SI.
-func (db *DB) cooperativeReclaimer() {
-	defer close(db.coopDone)
-	for {
-		select {
-		case ch := <-db.coopCh:
-			min := db.m.TableHorizon(ch.Key.Table)
-			res := db.space.ReclaimBelow(ch, min)
-			db.coopReclaimed.Add(int64(res.Versions))
-		case <-db.coopQuit:
-			return
-		}
-	}
-}
-
-// CooperativelyReclaimed returns how many versions reader handoffs
-// reclaimed.
-func (db *DB) CooperativelyReclaimed() int64 { return db.coopReclaimed.Load() }
-
-// maybeCooperate hands a chain to the cooperative reclaimer when a read
-// traversed deep enough to suggest reclaimable garbage. Non-blocking: a
-// full queue drops the hint.
-func (db *DB) maybeCooperate(key ts.RecordKey, steps int) {
-	if db.coopCh == nil || steps < db.coopThreshold {
-		return
-	}
-	if ch := db.space.HT.Get(key); ch != nil {
-		select {
-		case db.coopCh <- ch:
-		default:
-		}
-	}
-}
 
 // Close stops garbage collection and the transaction manager. Idempotent.
 func (db *DB) Close() {
@@ -324,10 +254,6 @@ func (db *DB) Close() {
 		db.pressure.close()
 	}
 	db.hybrid.Stop()
-	if db.coopQuit != nil {
-		close(db.coopQuit)
-		<-db.coopDone
-	}
 	db.m.Close()
 	if db.log != nil {
 		// The manager is closed: no commit can log anymore.
@@ -582,14 +508,18 @@ type Stats struct {
 	VersionsMigrated  int64
 	VersionsTraversed int64
 	Hash              mvcc.HashStats
-	ActiveSnapshots   int
-	CurrentCID        ts.CID
-	GlobalHorizon     ts.CID
-	// ActiveCIDRange is CurrentCID minus the oldest active snapshot
-	// timestamp — the "Active Commit ID Range" indicator of Figure 2.
-	ActiveCIDRange ts.CID
-	Txn            txn.Stats
-	GroupListLen   int
+	// ActiveSnapshots, CurrentCID, GlobalHorizon and ActiveCIDRange are read
+	// from one view, so they describe one instant: the announcements (this
+	// engine's snapshots and any replica's horizon pin), the commit
+	// timestamp the view was bounded by, the oldest announcement or
+	// CurrentCID+1 when there is none, and — the "Active Commit ID Range"
+	// indicator of Figure 2 — CurrentCID minus that oldest announcement.
+	ActiveSnapshots int
+	CurrentCID      ts.CID
+	GlobalHorizon   ts.CID
+	ActiveCIDRange  ts.CID
+	Txn             txn.Stats
+	GroupListLen    int
 	// FailStop reports the engine latched into read-only mode after a
 	// durability failure.
 	FailStop bool
@@ -600,11 +530,7 @@ type Stats struct {
 
 // Stats gathers current engine statistics.
 func (db *DB) Stats() Stats {
-	// The oldest snapshot timestamp is read before the commit timestamp:
-	// timestamps only grow, so CurrentCID below can only be at or above it.
-	// Read the other way round, a snapshot acquired in between made the
-	// unsigned difference wrap.
-	active, oldest := db.m.Monitor().Summary()
+	view := db.m.View()
 	st := Stats{
 		Statements:        db.statements.Load(),
 		VersionsLive:      db.space.Live(),
@@ -614,16 +540,16 @@ func (db *DB) Stats() Stats {
 		VersionsMigrated:  db.space.MigratedTotal(),
 		VersionsTraversed: db.traversed.Load(),
 		Hash:              db.space.HT.Stats(),
-		ActiveSnapshots:   active,
-		CurrentCID:        db.m.CurrentTS(),
-		GlobalHorizon:     db.m.GlobalHorizon(),
+		ActiveSnapshots:   view.Len(),
+		CurrentCID:        view.Bound(),
+		GlobalHorizon:     view.Horizon(),
 		Txn:               db.m.Stats(),
 		GroupListLen:      db.space.Groups.Len(),
 		FailStop:          db.fail.failed.Load(),
 		Pressure:          db.PressureStats(),
 	}
-	if active > 0 {
-		st.ActiveCIDRange = st.CurrentCID - oldest
+	if view.Len() > 0 {
+		st.ActiveCIDRange = st.CurrentCID - st.GlobalHorizon
 	}
 	return st
 }
@@ -758,7 +684,6 @@ func (db *DB) readRec(rec *table.Record, at ts.CID, own *mvcc.TransContext, trav
 			if traversed != nil {
 				*traversed += int64(steps)
 			}
-			db.maybeCooperate(key, steps)
 			if v != nil {
 				if v.Op == mvcc.OpDelete {
 					return nil, false

@@ -677,45 +677,3 @@ func TestPartitionCursorValidation(t *testing.T) {
 		t.Fatal("out-of-range partition must fail")
 	}
 }
-
-func TestCooperativeGC(t *testing.T) {
-	db := openTest(t, Config{CooperativeGC: true, CooperativeThreshold: 4})
-	tid := mustCreate(t, db, "T")
-	rid := insert1(t, db, tid, "v0")
-	for i := 1; i <= 20; i++ {
-		update1(t, db, tid, rid, fmt.Sprintf("v%d", i))
-	}
-	// No scheduled GC runs; a read traverses one step (latest-first: the
-	// newest version is at the head), so no handoff fires — the paper's
-	// §6.1 point about latest-first ordering.
-	if got, _ := get1(t, db, tid, rid); got != "v20" {
-		t.Fatalf("read = %q", got)
-	}
-	if n := db.CooperativelyReclaimed(); n != 0 {
-		t.Fatalf("head read must not trigger cooperation, reclaimed %d", n)
-	}
-	// A deep read (an old cursor walking past the threshold) does trigger
-	// the handoff, and the chain collapses once no snapshot needs it.
-	cur, err := db.OpenCursor(tid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pin := cur.SnapshotTS()
-	_ = pin
-	cur.Close() // release immediately: nothing pins the chain anymore
-	// Bury the visible version so a low-timestamp read walks deep.
-	old := db.Manager().CurrentTS() - 15
-	if _, ok := db.ReadAt(tid, rid, old); !ok {
-		t.Fatal("deep read missed")
-	}
-	deadline := time.Now().Add(time.Second)
-	for db.CooperativelyReclaimed() == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if db.CooperativelyReclaimed() == 0 {
-		t.Fatal("deep traversal never triggered cooperative reclamation")
-	}
-	if got, _ := get1(t, db, tid, rid); got != "v20" {
-		t.Fatalf("read after cooperative GC = %q", got)
-	}
-}

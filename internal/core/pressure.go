@@ -252,14 +252,14 @@ func (p *pressure) evaluate() {
 // statement and are never the long-lived blocker (§1).
 func (p *pressure) oldestPinning() *txn.Snapshot {
 	var victim *txn.Snapshot
-	for _, s := range p.db.m.Monitor().Active() {
+	p.db.m.View().Snapshots(func(s *txn.Snapshot) {
 		if s.Kind() == txn.KindStatement || s.Released() || s.Killed() {
-			continue
+			return
 		}
 		if victim == nil || s.Started().Before(victim.Started()) {
 			victim = s
 		}
-	}
+	})
 	return victim
 }
 

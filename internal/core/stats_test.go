@@ -3,7 +3,11 @@ package core
 import (
 	"math"
 	"reflect"
+	"runtime"
+	"sync"
 	"testing"
+
+	"hybridgc/internal/txn"
 )
 
 // mergeRule names the leaves of Stats that MergeStats does not sum. Anything
@@ -113,4 +117,64 @@ func TestMergeStatsEveryField(t *testing.T) {
 	if got := MergeStats(nil); got != (Stats{}) {
 		t.Fatalf("empty merge = %+v", got)
 	}
+}
+
+// TestStatsOneInstantStress reads Stats 10 000 times against writers that
+// acquire, commit and release statement snapshots and readers that hold
+// Trans-SI snapshots for a while. The snapshot indicators of one reading come
+// from one view, so they must fit together every time: the commit ID range
+// never exceeds (or wraps around) the commit timestamp, the horizon is never
+// past the head, and when anything is active the horizon is exactly the range
+// below the head. Read as two scans and a separate timestamp load — the shape
+// this replaced — a snapshot acquired or released in between breaks the last
+// and, one way round, wraps the first.
+func TestStatsOneInstantStress(t *testing.T) {
+	db := openTest(t, Config{HashBuckets: 256})
+	tid := mustCreate(t, db, "T")
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	spin := func(body func()) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					body()
+				}
+			}
+		}()
+	}
+	for w := 0; w < 2; w++ {
+		rid := insert1(t, db, tid, "v")
+		spin(func() {
+			if err := db.Exec(txn.StmtSI, nil, func(tx *Tx) error { return tx.Update(tid, rid, []byte("w")) }); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+	for r := 0; r < 2; r++ {
+		spin(func() {
+			tx := db.Begin(txn.TransSI)
+			runtime.Gosched()
+			tx.Abort()
+		})
+	}
+	for i := 0; i < 10000 && !t.Failed(); i++ {
+		st := db.Stats()
+		if st.ActiveCIDRange > st.CurrentCID {
+			t.Errorf("reading %d: ActiveCIDRange %d > CurrentCID %d", i, st.ActiveCIDRange, st.CurrentCID)
+		}
+		if st.GlobalHorizon > st.CurrentCID+1 {
+			t.Errorf("reading %d: GlobalHorizon %d past the head %d", i, st.GlobalHorizon, st.CurrentCID)
+		}
+		if st.ActiveSnapshots > 0 && st.GlobalHorizon != st.CurrentCID-st.ActiveCIDRange {
+			t.Errorf("reading %d: %d snapshots, GlobalHorizon %d != CurrentCID %d - ActiveCIDRange %d",
+				i, st.ActiveSnapshots, st.GlobalHorizon, st.CurrentCID, st.ActiveCIDRange)
+		}
+	}
+	close(stop)
+	wg.Wait()
 }

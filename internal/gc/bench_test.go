@@ -83,6 +83,34 @@ func BenchmarkPassPinnedWindow(b *testing.B) {
 	}
 }
 
+// BenchmarkPassEmpty prices one Hybrid pass that finds nothing to collect —
+// what the loop pays for being woken — on nine tables (one partitioned) with
+// 64 live snapshots: two long cursors, already scoped, that make TG keep a
+// horizon for every table and partition, and 62 statement snapshots at the
+// head. scans/op is how many times the pass reads the announcement array.
+func BenchmarkPassEmpty(b *testing.B) {
+	e := newEnv(b)
+	h, _, _, held := nineTables(e)
+	for len(held) < 64 {
+		held = append(held, e.m.AcquireSnapshot(txn.KindStatement, nil))
+	}
+	time.Sleep(time.Millisecond) // the cursors are past the 1 ns threshold
+	h.Collect()                  // scopes them, meets every table, leaves nothing
+	scans := e.m.Scans()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if st := h.Collect(); st.Versions != 0 {
+			b.Fatalf("an empty pass reclaimed %d versions", st.Versions)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(e.m.Scans()-scans)/float64(b.N), "scans/op")
+	for _, s := range held {
+		s.Release()
+	}
+}
+
 // update2 commits one transaction updating a record in each of two tables.
 func (e *env) update2(t1 *table.Table, r1 ts.RID, t2 *table.Table, r2 ts.RID) {
 	e.t.Helper()

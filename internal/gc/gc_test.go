@@ -536,7 +536,7 @@ func TestRegionsFigure9(t *testing.T) {
 
 	// Scope the cursor: versions between the cursor ts and the statement
 	// snapshot move from C to B.
-	long.Handle().ScopeToTables([]ts.TableID{stock.ID})
+	e.m.View().ScopeLongLived(0)
 	r = CurrentRegions(e.m)
 	if r.B == 0 {
 		t.Fatalf("region B after scoping = 0: %s", r)
@@ -585,5 +585,95 @@ func TestPassesSerializeOnTheLatch(t *testing.T) {
 	}
 	if live := e.space.Live(); live != 0 {
 		t.Fatalf("live = %d after four passes with no snapshot", live)
+	}
+}
+
+// nineTables builds what the one-scan test and BenchmarkPassEmpty run on:
+// TPC-C's table count, one row each (four in the last table, which is
+// partitioned four ways), a Hybrid whose table collector resolves
+// partitions, and a table-scoped and a partition-scoped cursor, both older
+// than the two rounds of updates that follow them.
+func nineTables(e *env) (h *Hybrid, tables []*table.Table, rids []ts.RID, held []*txn.Snapshot) {
+	for i := 0; i < 9; i++ {
+		tbl := e.createTable(fmt.Sprintf("T%d", i))
+		tables, rids = append(tables, tbl), append(rids, e.insert(tbl, "v0"))
+	}
+	parted := tables[8]
+	parted.SetPartitions(4)
+	for p := 1; p < 4; p++ {
+		tables, rids = append(tables, parted), append(rids, e.insert(parted, "v0"))
+	}
+	h = NewHybrid(e.m, Periods{}, time.Nanosecond)
+	h.TG.Resolver = func(key ts.RecordKey) (ts.PartitionID, bool) {
+		return parted.PartitionOf(key.RID), key.Table == parted.ID
+	}
+	held = []*txn.Snapshot{
+		e.m.AcquireSnapshot(txn.KindCursor, []ts.TableID{tables[0].ID}),
+		e.m.AcquireSnapshotPartitions(txn.KindCursor, parted.ID, []ts.PartitionID{1}),
+	}
+	for round := 1; round <= 2; round++ {
+		for i, tbl := range tables {
+			e.update(tbl, rids[i], fmt.Sprintf("v%d", round))
+		}
+	}
+	return h, tables, rids, held
+}
+
+// TestHybridPassIsOneScan: a pass is one decision over one state of the
+// snapshot trackers (§4.4, Fig. 9), so it reads them once — whatever the
+// number of tables and partitions TG keeps a horizon for — and a snapshot it
+// finds long-lived is scoped and stops constraining the other tables in that
+// same pass.
+func TestHybridPassIsOneScan(t *testing.T) {
+	e := newEnv(t)
+	h, tables, rids, held := nineTables(e)
+	held = append(held, e.m.AcquireSnapshot(txn.KindTransaction, nil)) // unscoped, newest
+	for _, s := range held {
+		defer s.Release()
+	}
+	for i, tbl := range tables {
+		e.update(tbl, rids[i], "v3")
+	}
+	time.Sleep(time.Millisecond) // every snapshot is past the 1 ns threshold
+
+	before := e.m.Scans()
+	st := h.Collect()
+	if got := e.m.Scans() - before; got != 1 {
+		t.Fatalf("one Collect took %d scans of the announcement array, want 1", got)
+	}
+	if st.SnapshotsScoped != 2 {
+		t.Fatalf("scoped %d snapshots, want the two cursors", st.SnapshotsScoped)
+	}
+	// Tables 1..7 and partitions 0, 2, 3 are constrained only by the unscoped
+	// snapshot now: TG, in the pass that scoped the cursors, took everything
+	// below it there (v2, which it reads, is the table-space image now, and
+	// only v3 is left in the chain — but for the last row, whose v2 commit is
+	// the snapshot's own timestamp). Table 0 and partition 1 keep their
+	// cursor's v0 as the image and v2, v3 in the chain; SI took v1.
+	unscoped := held[2].TS()
+	for i, tbl := range tables {
+		pinned := i == 0 || tbl == tables[8] && tbl.PartitionOf(rids[i]) == 1
+		want := 1
+		if pinned || i == len(tables)-1 {
+			want = 2
+		}
+		if n := e.space.HT.Get(ts.RecordKey{Table: tbl.ID, RID: rids[i]}).Len(); n != want {
+			t.Errorf("%s rid %d (pinned %v): chain length %d, want %d", tbl.Name, rids[i], pinned, n, want)
+		}
+		if img, ok := e.read(tbl, rids[i], unscoped); !ok || img != "v2" {
+			t.Errorf("%s rid %d: the unscoped snapshot reads %q,%v, want v2", tbl.Name, rids[i], img, ok)
+		}
+		if img, ok := e.read(tbl, rids[i], held[0].TS()); pinned && (!ok || img != "v0") {
+			t.Errorf("%s rid %d: its cursor reads %q,%v, want v0", tbl.Name, rids[i], img, ok)
+		}
+	}
+	if h.TG.Totals.Versions() == 0 || h.SI.Totals.Versions() == 0 {
+		t.Fatalf("per-collector totals: GT=%d TG=%d SI=%d", h.GT.Totals.Versions(), h.TG.Totals.Versions(), h.SI.Totals.Versions())
+	}
+
+	// A pass with nothing to do is one scan too.
+	before = e.m.Scans()
+	if st := h.Collect(); st.Versions != 0 || e.m.Scans()-before != 1 {
+		t.Fatalf("idle pass: reclaimed %d in %d scans, want 0 in 1", st.Versions, e.m.Scans()-before)
 	}
 }

@@ -27,23 +27,26 @@ func DefaultPeriods() Periods {
 }
 
 // batchVersions is how many freshly published versions wake the collector
-// loop. A pass costs a dozen registry scans however little there is to
-// collect, and a loop woken for every handful of versions is a busy poll on
-// the cores the workers want; a large batch keeps versions waiting for
-// company. The recorded sweep (CHANGES.md, PR 19: 32 … 32768 on htap_pin and
-// oltp_mem, two seeds each) is flat in both version_residence_ms and
-// txn_per_s from 128 to 512, loses throughput at 32 and residence from 1024
-// up (8192: +5 ms on oltp_mem, +11 ms on htap_pin); 512 is the largest value
-// on the flat part. What is left of residence there is not the batch: it is
-// the collector goroutine waiting for a core on a saturated box, and under a
-// held cursor a version waiting for its successor.
+// loop. A loop woken for every handful of versions is a busy poll on the
+// cores the workers want; a large batch keeps versions waiting for company.
+// The recorded sweep (CHANGES.md, PR 19: 32 … 32768 on htap_pin and
+// oltp_mem, two seeds each) predates the one-scan pass — a pass then cost a
+// scan of the announcement array per table on top — and has not been redone.
+// It is flat in both version_residence_ms and txn_per_s from 128 to 512,
+// loses throughput at 32 and residence from 1024 up (8192: +5 ms on
+// oltp_mem, +11 ms on htap_pin); 512 is the largest value on the flat part.
+// What is left of residence there is not the batch: it is the collector
+// goroutine waiting for a core on a saturated box, and under a held cursor a
+// version waiting for its successor.
 const batchVersions = 512
 
 // Hybrid is the HybridGC of §4.4: the global group collector (GT), the table
 // collector (TG) and the interval collector (SI). A pass runs them in that
 // order — "when the table garbage collector or the interval garbage
 // collector is invoked, it internally executes the global group garbage
-// collector first" — and passes are serialized on one latch; versions are
+// collector first" — over one view of the active snapshots, so the three
+// decide over one state of the trackers (Fig. 9) and a pass costs one scan of
+// the announcement array. Passes are serialized on one latch; versions are
 // reclaimed concurrently with transaction processing.
 //
 // Once started, one goroutine runs the passes, and it is driven by work, not
@@ -63,6 +66,7 @@ type Hybrid struct {
 	periods Periods
 
 	mu      sync.Mutex // serializes collector passes
+	view    txn.View   // the pass's view, refilled under mu
 	startMu sync.Mutex
 	stop    chan struct{}
 	done    chan struct{}
@@ -114,16 +118,20 @@ func (h *Hybrid) RunSI() RunStats {
 	return st
 }
 
-// pass runs GT and then the collectors asked for, under the latch.
+// pass takes one view and runs GT and then the collectors asked for over it,
+// under the latch. By the time SI runs the view is two collectors old, which
+// is safe: no later snapshot sits below its bound, and every collector treats
+// what lies above the bound as not its to touch.
 func (h *Hybrid) pass(tg, si bool) (gtStats, tgStats, siStats RunStats) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	gtStats = h.GT.Collect()
+	h.m.ViewInto(&h.view)
+	gtStats = h.GT.collect(&h.view)
 	if tg {
-		tgStats = h.TG.Collect()
+		tgStats = h.TG.collect(&h.view)
 	}
 	if si {
-		siStats = h.SI.Collect()
+		siStats = h.SI.collect(&h.view)
 	}
 	return
 }

@@ -98,16 +98,19 @@ func stillHeld(v *mvcc.Version, by ts.CID) bool {
 	return ok && h == by && !v.Reclaimed()
 }
 
-// Collect implements Collector.
-func (c *Interval) Collect() RunStats {
+// Collect implements Collector, over a view of its own.
+func (c *Interval) Collect() RunStats { return c.collect(c.m.View()) }
+
+// collect is one run over the pass's view.
+func (c *Interval) collect(view *txn.View) RunStats {
 	start := time.Now()
 	st := RunStats{Collector: c.Name()}
-	// Step 1: retrieve the full active snapshot timestamp set, atomically
-	// with the commit timestamp that bounds how far interval reclamation may
+	// Step 1: the full active snapshot timestamp set, read atomically with
+	// the commit timestamp that bounds how far interval reclamation may
 	// reach (§4.2 bounds by max(S); the commit-timestamp bound collects
-	// strictly more and stays safe because snapshots registered after this
-	// point cannot sit below it).
-	snaps, bound := c.m.SnapshotSetAndBound()
+	// strictly more and stays safe because snapshots registered after the
+	// view was taken cannot sit below it).
+	snaps, bound := view.Set(), view.Bound()
 	st.Horizon = bound
 	space := c.m.Space()
 	// Step 4, per chain: reclaim the versions whose visible interval
@@ -202,7 +205,8 @@ func (c *GroupInterval) Name() string { return "GI" }
 func (c *GroupInterval) Collect() RunStats {
 	start := time.Now()
 	st := RunStats{Collector: c.Name()}
-	snaps, bound := c.m.SnapshotSetAndBound()
+	view := c.m.View()
+	snaps, bound := view.Set(), view.Bound()
 	if len(snaps) < 1 {
 		st.Duration = time.Since(start)
 		c.Totals.record(st)

@@ -19,14 +19,9 @@ import (
 // the unscoped minimum, oldest first, every live version against its table's
 // or partition's horizon.
 func modelTableGC(m *txn.Manager, threshold time.Duration, resolve gc.PartitionResolver) (reclaimed int) {
-	for _, s := range m.Monitor().LongLived(threshold) {
-		if tid, parts, ok := s.PartitionScope(); ok {
-			s.Handle().ScopeToPartitions(tid, parts)
-			continue
-		}
-		s.Handle().ScopeToTables(s.Scope())
-	}
-	bound := m.GlobalTrackerHorizon()
+	view := m.View()
+	view.ScopeLongLived(threshold)
+	bound := view.UnscopedHorizon()
 	tables := make(map[ts.TableID]ts.CID)
 	parts := make(map[ts.PartKey]ts.CID)
 	horizonFor := func(key ts.RecordKey) ts.CID {
@@ -35,7 +30,7 @@ func modelTableGC(m *txn.Manager, threshold time.Duration, resolve gc.PartitionR
 				pk := ts.PartKey{Table: key.Table, Partition: p}
 				h, cached := parts[pk]
 				if !cached {
-					h = m.PartitionHorizon(key.Table, p)
+					h = view.PartitionHorizon(key.Table, p)
 					parts[pk] = h
 				}
 				return h
@@ -43,7 +38,7 @@ func modelTableGC(m *txn.Manager, threshold time.Duration, resolve gc.PartitionR
 		}
 		h, cached := tables[key.Table]
 		if !cached {
-			h = m.TableHorizon(key.Table)
+			h = view.TableHorizon(key.Table)
 			tables[key.Table] = h
 		}
 		return h
@@ -70,7 +65,8 @@ func modelTableGC(m *txn.Manager, threshold time.Duration, resolve gc.PartitionR
 // modelInterval is the full-window interval collector of §4.2: every chain
 // reachable from a group in (min(S), bound], Algorithm 1 over each.
 func modelInterval(m *txn.Manager) (reclaimed int) {
-	snaps, bound := m.SnapshotSetAndBound()
+	view := m.View()
+	snaps, bound := view.Set(), view.Bound()
 	if len(snaps) == 0 {
 		return 0
 	}

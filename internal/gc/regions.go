@@ -39,8 +39,8 @@ func (r Regions) String() string {
 // version into its Figure 9 region. It is a diagnostic: the scan takes the
 // same locks the collectors take and is priced accordingly.
 func CurrentRegions(m *txn.Manager) Regions {
-	unionMin := m.GlobalHorizon()
-	globalMin := m.GlobalTrackerHorizon()
+	view := m.View()
+	unionMin, globalMin := view.Horizon(), view.UnscopedHorizon()
 	r := Regions{UnionMin: uint64(unionMin), GlobalMin: uint64(globalMin)}
 	m.Space().Groups.Ascending(func(g *mvcc.GroupCommitContext) bool {
 		cid := g.CID()

@@ -21,7 +21,7 @@ type PartitionResolver func(ts.RecordKey) (ts.PartitionID, bool)
 //
 //  1. it discovers long-lived snapshots whose complete table scope is known
 //     a priori (always under Stmt-SI; under Trans-SI for declared-table
-//     transactions and precompiled procedures) via the system monitor;
+//     transactions and precompiled procedures) in the pass's view;
 //  2. it narrows their announcements to their scope tables (the paper moves
 //     the timestamp from the global STS tracker to per-table trackers; here
 //     the timestamp stays in its slot and gains a scope);
@@ -77,28 +77,22 @@ func NewTableGC(m *txn.Manager, threshold time.Duration) *TableGC {
 // Name implements Collector.
 func (c *TableGC) Name() string { return "TG" }
 
-// Collect implements Collector.
-func (c *TableGC) Collect() RunStats {
+// Collect implements Collector, over a view of its own.
+func (c *TableGC) Collect() RunStats { return c.collect(c.m.View()) }
+
+// collect is one run over the pass's view.
+func (c *TableGC) collect(view *txn.View) RunStats {
 	start := time.Now()
 	st := RunStats{Collector: c.Name()}
 
 	// Steps 1+2: classify long-lived snapshots and narrow them to their
-	// tables (or, when the plan's partition pruning is known, partitions).
-	for _, s := range c.m.Monitor().LongLived(c.Threshold) {
-		if tid, parts, ok := s.PartitionScope(); ok {
-			if s.Handle().ScopeToPartitions(tid, parts) {
-				st.SnapshotsScoped++
-			}
-			continue
-		}
-		if s.Handle().ScopeToTables(s.Scope()) {
-			st.SnapshotsScoped++
-		}
-	}
+	// tables or partitions — in the view too, so step 3 already sees them
+	// scoped.
+	st.SnapshotsScoped = view.ScopeLongLived(c.Threshold)
 
 	// Step 3: reclaim with per-table minimums. Scan groups up to the global
 	// tracker's minimum — versions beyond it are pinned globally anyway.
-	bound := c.m.GlobalTrackerHorizon()
+	bound := view.UnscopedHorizon()
 	st.Horizon = bound
 	// Refresh the remembered horizons; one that advanced reopens the groups
 	// from its old value on. A horizon can also step back (a snapshot taken
@@ -112,10 +106,10 @@ func (c *TableGC) Collect() RunStats {
 		return h
 	}
 	for tid, old := range c.tables {
-		c.tables[tid] = moved(old, c.m.TableHorizon(tid))
+		c.tables[tid] = moved(old, view.TableHorizon(tid))
 	}
 	for pk, old := range c.parts {
-		c.parts[pk] = moved(old, c.m.PartitionHorizon(pk.Table, pk.Partition))
+		c.parts[pk] = moved(old, view.PartitionHorizon(pk.Table, pk.Partition))
 	}
 	// A table or partition met for the first time has nothing in the groups
 	// already visited, so reading its horizon now is reading it in time —
@@ -129,7 +123,7 @@ func (c *TableGC) Collect() RunStats {
 				pk := ts.PartKey{Table: key.Table, Partition: p}
 				h, known := c.parts[pk]
 				if !known {
-					h = c.m.PartitionHorizon(key.Table, p)
+					h = view.PartitionHorizon(key.Table, p)
 					c.parts[pk] = h
 					if th, met := c.tables[key.Table]; met && th < h && th < next {
 						next = th
@@ -140,7 +134,7 @@ func (c *TableGC) Collect() RunStats {
 		}
 		h, known := c.tables[key.Table]
 		if !known {
-			h = c.m.TableHorizon(key.Table)
+			h = view.TableHorizon(key.Table)
 			c.tables[key.Table] = h
 		}
 		return h

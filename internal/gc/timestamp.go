@@ -31,7 +31,7 @@ func (c *SingleTimestamp) Name() string { return "ST" }
 // unlinked as their last version goes, like everyone else's.
 func (c *SingleTimestamp) Collect() RunStats {
 	start := time.Now()
-	min := c.m.GlobalHorizon()
+	min := c.m.View().Horizon()
 	st := RunStats{Collector: c.Name(), Horizon: min}
 	space := c.m.Space()
 	space.HT.ForEach(func(ch *mvcc.Chain) bool {
@@ -66,10 +66,13 @@ func NewGroupTimestamp(m *txn.Manager) *GroupTimestamp {
 // Name implements Collector.
 func (c *GroupTimestamp) Name() string { return "GT" }
 
-// Collect implements Collector.
-func (c *GroupTimestamp) Collect() RunStats {
+// Collect implements Collector, over a view of its own.
+func (c *GroupTimestamp) Collect() RunStats { return c.collect(c.m.View()) }
+
+// collect is one run over the pass's view.
+func (c *GroupTimestamp) collect(view *txn.View) RunStats {
 	start := time.Now()
-	min, pinned := c.m.PinnedGlobalHorizon()
+	min, pinned := view.Horizon(), view.Len() > 0
 	st := RunStats{Collector: c.Name(), Horizon: min}
 	space := c.m.Space()
 	blocked := false

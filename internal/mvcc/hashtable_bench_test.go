@@ -1,8 +1,6 @@
 package mvcc
 
 import (
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"hybridgc/internal/ts"
@@ -34,59 +32,6 @@ func BenchmarkHashGetParallel(b *testing.B) {
 		for pb.Next() {
 			x = x*6364136223846793005 + 1442695040888963407
 			if c := ht.Get(ts.RecordKey{Table: 1, RID: ts.RID(x%benchKeys + 1)}); c == nil {
-				b.Fatal("missing chain")
-			}
-		}
-	})
-}
-
-// lockedTable reproduces the pre-conversion lookup cost model — bucket
-// mutex held across the collision-list walk, two process-global atomic stat
-// counters bumped per lookup — so the before/after comparison can be rerun
-// on any machine without checking out old code. On a multi-core host the
-// global counters make every Get from every core RMW the same two cache
-// lines; that transfer cost is absent on a single-core host, so the gap
-// between Locked and lock-free understates the win there.
-type lockedTable struct {
-	ht        *HashTable
-	mus       []sync.Mutex
-	lookups   atomic.Int64
-	extraHops atomic.Int64
-}
-
-func (l *lockedTable) get(key ts.RecordKey) *Chain {
-	hk := hashKey(key)
-	bi := hk & l.ht.mask
-	l.mus[bi].Lock()
-	var found *Chain
-	hops := int64(0)
-	for c := l.ht.buckets[bi].head.Load(); c != nil; c = c.bucketNext.Load() {
-		if c.Key == key {
-			found = c
-			break
-		}
-		hops++
-	}
-	l.mus[bi].Unlock()
-	l.lookups.Add(1)
-	if hops > 0 {
-		l.extraHops.Add(hops)
-	}
-	return found
-}
-
-// BenchmarkHashGetParallelLocked runs the same workload as
-// BenchmarkHashGetParallel through the pre-conversion cost model.
-func BenchmarkHashGetParallelLocked(b *testing.B) {
-	ht := benchTable(b)
-	lt := &lockedTable{ht: ht, mus: make([]sync.Mutex, len(ht.buckets))}
-	b.ReportAllocs()
-	b.SetParallelism(8)
-	b.RunParallel(func(pb *testing.PB) {
-		x := uint64(0x9e3779b97f4a7c15)
-		for pb.Next() {
-			x = x*6364136223846793005 + 1442695040888963407
-			if c := lt.get(ts.RecordKey{Table: 1, RID: ts.RID(x%benchKeys + 1)}); c == nil {
 				b.Fatal("missing chain")
 			}
 		}

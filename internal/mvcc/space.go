@@ -246,7 +246,7 @@ func (s *Space) ReclaimBelow(c *Chain, min ts.CID) ReclaimResult {
 // CID is at or below bound are considered, where bound must be a commit
 // timestamp captured atomically with snaps such that every snapshot
 // registered afterwards has timestamp >= bound (the transaction manager's
-// SnapshotSetAndBound provides exactly this). A version above the bound
+// View provides exactly this). A version above the bound
 // could still become visible to a snapshot acquired after snaps was
 // collected — §4.2 step 2 bounds its group scan by max(S) for the same
 // reason; using the commit timestamp collects strictly more while remaining

@@ -254,7 +254,7 @@ func TestReplicaSnapshotPinsClusterHorizon(t *testing.T) {
 	}
 	pin := cur.SnapshotTS()
 	waitFor(t, 5*time.Second, "replica pin to reach the primary", func() bool {
-		return p.db.Manager().GlobalHorizon() == pin
+		return p.db.Manager().View().Horizon() == pin
 	})
 
 	// Churn on the primary builds a version chain the pinned horizon keeps
@@ -267,19 +267,64 @@ func TestReplicaSnapshotPinsClusterHorizon(t *testing.T) {
 	if got := p.db.Stats().VersionsReclaimed - before; got != 0 {
 		t.Fatalf("GT reclaimed %d versions under a remote pin", got)
 	}
-	if h := p.db.Manager().GlobalHorizon(); h != pin {
+	if h := p.db.Manager().View().Horizon(); h != pin {
 		t.Fatalf("horizon drifted to %d while the replica cursor is open (pin %d)", h, pin)
 	}
 
 	// Releasing the replica's snapshot clears the pin and GC catches up.
 	cur.Close()
 	waitFor(t, 5*time.Second, "pin release to reach the primary", func() bool {
-		return p.db.Manager().GlobalHorizon() > pin
+		return p.db.Manager().View().Horizon() > pin
 	})
 	p.db.GC().RunGT()
 	if got := p.db.Stats().VersionsReclaimed - before; got < 25 {
 		t.Fatalf("GT reclaimed only %d versions after the pin cleared", got)
 	}
+}
+
+// TestReplicaPinReleaseRingsTheBell: a replica's horizon pin that goes away
+// wakes the primary's collector loop the way a released snapshot does. The
+// collectors' idle periods are 10 s, so inside this test only the bell can
+// start a pass; the pin is the sole minimum, with more than a batch (512) of
+// versions behind it; once the replica closes its cursor they are reclaimed
+// within a second, not an idle period later.
+func TestReplicaPinReleaseRingsTheBell(t *testing.T) {
+	const idle = 10 * time.Second
+	p := startPrimary(t, fastSource(), func(cfg *core.Config) {
+		cfg.GC = gc.Periods{GT: idle, TG: idle, SI: idle}
+		cfg.AutoGC = true
+	})
+	tid := mustCreateTable(t, p.db, "accounts")
+	rids := make([]ts.RID, 600)
+	for i := range rids {
+		rids[i] = mustInsert(t, p.db, tid, "v0")
+	}
+	r := startReplica(t, p.addr, "r1")
+	waitCaughtUp(t, p, r)
+	cur, err := r.db.OpenCursor(tid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pin := cur.SnapshotTS()
+	waitFor(t, 5*time.Second, "replica pin to reach the primary", func() bool {
+		return p.db.Manager().View().Horizon() == pin
+	})
+
+	// One new version per row, each the only one of its chain above the pin:
+	// the interval collector has nothing to close, and nothing but the pin's
+	// going away makes any of them collectable.
+	for _, rid := range rids {
+		mustUpdate(t, p.db, tid, rid, "v1")
+	}
+	p.db.GC().RunGT() // runs into the pin with all of them behind it
+	if live := p.db.Space().Live(); live < int64(len(rids)) {
+		t.Fatalf("%d live versions behind the pin, want at least %d", live, len(rids))
+	}
+
+	cur.Close()
+	waitFor(t, time.Second, "the released pin's versions to be reclaimed", func() bool {
+		return p.db.Space().Live() == 0
+	})
 }
 
 func TestSegmentRetentionAndRestartRebootstrap(t *testing.T) {
@@ -544,7 +589,7 @@ func TestTPCCUnderReplicaPinnedCursor(t *testing.T) {
 	}
 	pin := cur.SnapshotTS()
 	waitFor(t, 5*time.Second, "replica pin to reach the primary", func() bool {
-		return p.db.Manager().GlobalHorizon() <= pin
+		return p.db.Manager().View().Horizon() <= pin
 	})
 	waitFor(t, 5*time.Second, "workload to advance past the pin", func() bool {
 		return p.db.Manager().CurrentTS() > pin+20
@@ -556,14 +601,14 @@ func TestTPCCUnderReplicaPinnedCursor(t *testing.T) {
 		return p.db.Stats().VersionsReclaimed > before
 	})
 	// And through all of it, reclamation never crossed the remote snapshot.
-	if h := p.db.Manager().GlobalHorizon(); h > pin {
+	if h := p.db.Manager().View().Horizon(); h > pin {
 		t.Fatalf("primary horizon %d passed the replica's open snapshot %d", h, pin)
 	}
 
 	stopWorkers()
 	cur.Close()
 	waitFor(t, 5*time.Second, "horizon to clear after release", func() bool {
-		return p.db.Manager().GlobalHorizon() > pin
+		return p.db.Manager().View().Horizon() > pin
 	})
 
 	// Converge, then run the consistency checks against the replica.

@@ -67,13 +67,11 @@ type replicaState struct {
 	connected bool
 	demoted   bool
 	applied   wal.LSN
-	openSnaps int64
 	// pin holds the replica's oldest open snapshot timestamp in the
 	// primary's snapshot-timestamp registry, making every GC variant
 	// respect remote readers. Nil while the replica reports no snapshots;
 	// always released on stream detach.
-	pin   *sts.Handle
-	pinTS ts.CID
+	pin *sts.Handle
 	// floor is the lowest log segment this replica still needs: 0 during
 	// bootstrap (everything), then the segment of its applied LSN. It
 	// survives disconnects so a briefly-absent replica can resume, and is
@@ -199,9 +197,8 @@ func (s *Source) releasePinLocked(st *replicaState) {
 	if fault.Hit(FPPinLeak) != nil {
 		return
 	}
-	st.pin.Release()
+	s.db.Manager().Unpin(st.pin)
 	st.pin = nil
-	st.pinTS = 0
 }
 
 // admit registers the stream under Source.mu and sets the replica's initial
@@ -512,33 +509,30 @@ func (s *Source) readReports(nc net.Conn, br *bufio.Reader, st *replicaState, do
 
 // handleReport is where a replica's snapshots become cluster state: its
 // oldest open snapshot timestamp is pinned in (or released from) the
-// primary's registry, and its applied LSN advances the segment floor.
+// primary's registry — through the manager, so a pin that goes away or moves
+// up wakes the collector loop like a released snapshot does — and its applied
+// LSN advances the segment floor.
 func (s *Source) handleReport(st *replicaState, rep wire.ReplReport) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st.lastReport = time.Now()
 	st.applied = wal.LSN(rep.AppliedLSN)
-	st.openSnaps = rep.OpenSnapshots
 	if seg := st.applied.Segment(); st.hasFloor && seg > st.floor {
 		st.floor = seg
 	}
-	switch {
-	case rep.HasSnapshots:
-		min := ts.CID(rep.MinSTS)
-		if st.pin != nil && st.pinTS == min {
-			return
-		}
-		// Acquire-then-release so the horizon never transiently clears
-		// while the replica still holds snapshots.
-		next := s.db.Manager().Registry().Acquire(min)
-		if st.pin != nil {
-			st.pin.Release()
-		}
-		st.pin, st.pinTS = next, min
-	case st.pin != nil:
-		st.pin.Release()
-		st.pin = nil
-		st.pinTS = 0
+	min := ts.CID(rep.MinSTS)
+	if rep.HasSnapshots && st.pin != nil && st.pin.TS() == min {
+		return
+	}
+	// Pin-then-unpin so the horizon never transiently clears while the
+	// replica still holds snapshots.
+	m, old := s.db.Manager(), st.pin
+	st.pin = nil
+	if rep.HasSnapshots {
+		st.pin = m.Pin(min)
+	}
+	if old != nil {
+		m.Unpin(old)
 	}
 }
 
@@ -585,8 +579,10 @@ func (s *Source) PopulateStats(out *wire.Stats) {
 			Connected:     st.connected,
 			Demoted:       st.demoted,
 			AppliedLSN:    uint64(st.applied),
-			PinnedSTS:     st.pinTS,
 			LastReportAge: time.Since(st.lastReport),
+		}
+		if st.pin != nil {
+			rs.PinnedSTS = st.pin.TS()
 		}
 		if st.hasFloor {
 			rs.FloorSegment = st.floor

@@ -69,14 +69,14 @@ func TestDrainEndsReplicationStreamAndReleasesPin(t *testing.T) {
 	defer cur.Close()
 	pin := cur.SnapshotTS()
 	deadline := time.Now().Add(5 * time.Second)
-	for pdb.Manager().GlobalHorizon() != pin {
+	for pdb.Manager().View().Horizon() != pin {
 		if time.Now().After(deadline) {
 			t.Fatal("timed out waiting for the replica pin to reach the primary")
 		}
 		time.Sleep(3 * time.Millisecond)
 	}
 	insert("after-pin") // give the horizon somewhere to go
-	if h := pdb.Manager().GlobalHorizon(); h != pin {
+	if h := pdb.Manager().View().Horizon(); h != pin {
 		t.Fatalf("horizon %d, want pin %d", h, pin)
 	}
 

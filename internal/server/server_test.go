@@ -318,8 +318,8 @@ func TestConnLimit(t *testing.T) {
 // TestAbruptDisconnectReleasesCursor is the GC-correctness property of the
 // service layer: a client that opens a query cursor, fetches a chunk, and
 // vanishes without QCLOSE must not pin the snapshot horizon — the server
-// releases the cursor when the TCP connection dies, and the transaction
-// monitor's oldest-active-snapshot clears.
+// releases the cursor when the TCP connection dies, and its announcement is
+// retracted.
 func TestAbruptDisconnectReleasesCursor(t *testing.T) {
 	srv, db, addr := newTestServer(t, Config{})
 
@@ -352,8 +352,8 @@ func TestAbruptDisconnectReleasesCursor(t *testing.T) {
 	if srv.cursorsOpen.Load() != 1 {
 		t.Fatalf("cursorsOpen = %d", srv.cursorsOpen.Load())
 	}
-	if _, ok := db.Manager().Monitor().OldestTS(); !ok {
-		t.Fatal("cursor snapshot not registered with the monitor")
+	if db.Manager().View().Len() == 0 {
+		t.Fatal("cursor snapshot not announced")
 	}
 
 	// Abrupt death: TCP close, no QCLOSE verb.
@@ -361,7 +361,7 @@ func TestAbruptDisconnectReleasesCursor(t *testing.T) {
 
 	deadline := time.Now().Add(3 * time.Second)
 	for {
-		_, pinned := db.Manager().Monitor().OldestTS()
+		pinned := db.Manager().View().Len() > 0
 		if srv.cursorsOpen.Load() == 0 && !pinned {
 			break
 		}
@@ -453,7 +453,7 @@ func TestGracefulDrain(t *testing.T) {
 	if got := srv.cursorsOpen.Load(); got != 0 {
 		t.Fatalf("cursorsOpen = %d after drain", got)
 	}
-	if _, pinned := db.Manager().Monitor().OldestTS(); pinned {
+	if db.Manager().View().Len() > 0 {
 		t.Fatal("snapshot still pinned after drain")
 	}
 	// The drained connection is closed.
@@ -558,8 +558,8 @@ func TestSlowReaderWriteTimeoutReapsConn(t *testing.T) {
 	if srv.cursorsOpen.Load() != 1 {
 		t.Fatalf("cursorsOpen = %d", srv.cursorsOpen.Load())
 	}
-	if _, ok := db.Manager().Monitor().OldestTS(); !ok {
-		t.Fatal("cursor snapshot not registered with the monitor")
+	if db.Manager().View().Len() == 0 {
+		t.Fatal("cursor snapshot not announced")
 	}
 	for i := 0; i < 20; i++ { // ~10MB of pending responses: far past any socket buffer
 		rc.send(t, wire.OpExec, sqlBody("SELECT id, pad FROM t", 0))
@@ -569,7 +569,7 @@ func TestSlowReaderWriteTimeoutReapsConn(t *testing.T) {
 	// session: cursor closed, snapshot released, horizon free to advance.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		_, pinned := db.Manager().Monitor().OldestTS()
+		pinned := db.Manager().View().Len() > 0
 		if srv.cursorsOpen.Load() == 0 && !pinned {
 			break
 		}

@@ -79,7 +79,7 @@ var views = map[string]view{
 		build: func(s *Session) [][]Datum {
 			var snaps []*txn.Snapshot
 			for i := 0; i < s.eng.Shards(); i++ {
-				snaps = append(snaps, s.eng.Shard(i).Manager().Monitor().Active()...)
+				s.eng.Shard(i).Manager().View().Snapshots(func(sn *txn.Snapshot) { snaps = append(snaps, sn) })
 			}
 			sort.Slice(snaps, func(i, j int) bool { return snaps[i].TS() < snaps[j].TS() })
 			rows := make([][]Datum, 0, len(snaps))

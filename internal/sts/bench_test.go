@@ -1,15 +1,10 @@
 package sts
 
-import (
-	"sync"
-	"testing"
-)
+import "testing"
 
 // BenchmarkSnapshotAcquireParallel measures the per-slot announcement hot
 // path under parallel load: each acquire/release pair is one CAS plus one
-// atomic store into a padded slot, with no shared mutex. Compare against
-// BenchmarkSnapshotAcquireParallelLocked — the acceptance bar for the
-// slot-array design is >=2x its throughput at GOMAXPROCS=4.
+// atomic store into a padded slot, with no shared mutex.
 func BenchmarkSnapshotAcquireParallel(b *testing.B) {
 	r := NewRegistry()
 	b.ReportAllocs()
@@ -18,28 +13,6 @@ func BenchmarkSnapshotAcquireParallel(b *testing.B) {
 		for pb.Next() {
 			r.AcquireInto(&h, 42)
 			h.Release()
-		}
-	})
-}
-
-// BenchmarkSnapshotAcquireParallelLocked is the retained cost model of the
-// pre-slot-array design (the same role the locked hash benchmark plays for
-// the lock-free RID hash): one global latch around the timestamp read plus
-// refcounted inserts into the global and union ordered lists — exactly what
-// every statement snapshot used to pay.
-func BenchmarkSnapshotAcquireParallelLocked(b *testing.B) {
-	var mu sync.Mutex
-	global := NewTracker()
-	union := NewTracker()
-	b.ReportAllocs()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			mu.Lock()
-			g := global.Acquire(42)
-			u := union.Acquire(42)
-			mu.Unlock()
-			g.Release()
-			u.Release()
 		}
 	})
 }

@@ -4,8 +4,9 @@
 // atomic store; the table collector narrows it to the tables it can read
 // with one more. Everything a collector asks for — the global minimum
 // (Fig. 6), the per-table and per-partition minimums (Fig. 8), the union of
-// §4.4 and the sorted set S of Algorithm 1 — is a filtered scan of those
-// slots, so no per-table state outlives the snapshot that caused it.
+// §4.4 and the sorted set S of Algorithm 1 — is answered from one scan of
+// those slots (View), so no per-table state outlives the snapshot that caused
+// it.
 package sts
 
 import (
@@ -65,9 +66,9 @@ func (h *Handle) Scoped() []ts.TableID {
 	return nil
 }
 
-// Acquire pins timestamp c and returns a fresh handle. The replication layer
-// uses this form; the transaction manager embeds the handle in its Snapshot
-// and calls AcquireInto to avoid the allocation.
+// Acquire pins timestamp c and returns a fresh handle. A replica's horizon
+// pin (txn.Manager.Pin) uses this form; a Snapshot embeds its handle and
+// calls AcquireInto to avoid the allocation.
 func (r *Registry) Acquire(c ts.CID) *Handle {
 	h := new(Handle)
 	r.AcquireInto(h, c)
@@ -98,11 +99,9 @@ func (h *Handle) Release() {
 
 // ScopeToTables is the table collector's step 2 (§4.3): from now on the
 // snapshot constrains only the given tables. The timestamp never moves, so
-// it stays pinned throughout; a scope only narrows, so a collector that
-// reads GlobalMin and then a table's EffectiveMin finds the timestamp in at
-// least one of them however the store interleaves. Scoping an
-// already-scoped or released handle is a no-op; callers pass the complete
-// table set once. It reports whether the scope was set.
+// it stays pinned throughout. Scoping an already-scoped or released handle
+// is a no-op; callers pass the complete table set once. It reports whether
+// the scope was set.
 func (h *Handle) ScopeToTables(tables []ts.TableID) bool {
 	if len(tables) == 0 {
 		return false
@@ -138,97 +137,4 @@ func (r *Registry) Scan(f func(c ts.CID, h *Handle)) {
 			}
 		}
 	}
-}
-
-// The filters below decide which announcements a view covers. An
-// announcement without a visible owner or scope counts as unscoped, which
-// makes it constrain everything — the conservative side.
-
-func unscoped(sc *scope) bool { return sc == nil }
-
-func everything(*scope) bool { return true }
-
-func constrainsTable(tid ts.TableID) func(*scope) bool {
-	return func(sc *scope) bool { return sc == nil || slices.Contains(sc.tables, tid) }
-}
-
-// constrainsPartition is constrainsTable at partition grain: a snapshot
-// scoped to other partitions of tid does not constrain p.
-func constrainsPartition(tid ts.TableID, p ts.PartitionID) func(*scope) bool {
-	return func(sc *scope) bool {
-		return sc == nil || slices.Contains(sc.tables, tid) && (sc.parts == nil || slices.Contains(sc.parts, p))
-	}
-}
-
-// min returns the smallest announced timestamp the filter keeps; ok is false
-// when there is none.
-func (r *Registry) min(keep func(*scope) bool) (best ts.CID, ok bool) {
-	r.Scan(func(c ts.CID, h *Handle) {
-		if (!ok || c < best) && keep(h.visibleScope()) {
-			best, ok = c, true
-		}
-	})
-	return best, ok
-}
-
-// sorted returns the distinct announced timestamps the filter keeps, in
-// ascending order.
-func (r *Registry) sorted(keep func(*scope) bool) []ts.CID {
-	var out []ts.CID
-	r.Scan(func(c ts.CID, h *Handle) {
-		if keep(h.visibleScope()) {
-			out = append(out, c)
-		}
-	})
-	slices.Sort(out)
-	// Concurrent statements frequently share a timestamp.
-	return slices.Compact(out)
-}
-
-func (h *Handle) visibleScope() *scope {
-	if h == nil {
-		return nil
-	}
-	return h.scope.Load()
-}
-
-// GlobalMin returns the minimum over unscoped snapshots — the timestamp
-// below which only table-scoped snapshots can still pin versions. ok is
-// false when no unscoped snapshot is active.
-func (r *Registry) GlobalMin() (ts.CID, bool) { return r.min(unscoped) }
-
-// GlobalSnapshot returns the ascending distinct timestamps of all unscoped
-// snapshots.
-func (r *Registry) GlobalSnapshot() []ts.CID { return r.sorted(unscoped) }
-
-// UnionMin returns the minimum over every active snapshot, scoped or not
-// (§4.4) — the timestamp below which the group collector may reclaim whole
-// groups. ok is false when no snapshot is active.
-func (r *Registry) UnionMin() (ts.CID, bool) { return r.min(everything) }
-
-// UnionSnapshot returns the ascending distinct timestamps of every active
-// snapshot — the S sequence the interval collector consumes (§4.2 step 1).
-func (r *Registry) UnionSnapshot() []ts.CID { return r.sorted(everything) }
-
-// EffectiveMin returns the reclamation horizon for versions of table tid:
-// the minimum over the snapshots that are unscoped or whose scope names tid
-// (a partition-scoped snapshot constrains the whole table at this
-// granularity). Snapshots scoped to other tables do not constrain tid (§4.3
-// step 3). ok is false when nothing constrains the table at all.
-func (r *Registry) EffectiveMin(tid ts.TableID) (ts.CID, bool) {
-	return r.min(constrainsTable(tid))
-}
-
-// EffectiveMinAt returns the reclamation horizon for versions inside one
-// partition — the finer horizon the partition-level table collector uses.
-func (r *Registry) EffectiveMinAt(tid ts.TableID, p ts.PartitionID) (ts.CID, bool) {
-	return r.min(constrainsPartition(tid, p))
-}
-
-// SnapshotFor returns the ascending set of snapshot timestamps that
-// constrain table tid. This is the table-aware S sequence for interval
-// collection; the paper's implementation uses the full union instead, which
-// UnionSnapshot provides.
-func (r *Registry) SnapshotFor(tid ts.TableID) []ts.CID {
-	return r.sorted(constrainsTable(tid))
 }

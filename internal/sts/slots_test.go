@@ -11,6 +11,35 @@ import (
 	"hybridgc/internal/ts"
 )
 
+// testBound is the bound the tests read their views under: the largest
+// announceable timestamp, so testBound+1 (ts.Infinity) is never a snapshot's.
+const testBound = ts.Infinity - 1
+
+// view reads a fresh view of r: what Manager.View does, minus the seqlock.
+func view(r *Registry) *View {
+	v := new(View)
+	v.Read(r, testBound)
+	return v
+}
+
+// pinned turns a view's horizon back into (minimum, whether anything sets
+// it), which is how the tracker model answers.
+func pinned(h ts.CID) (ts.CID, bool) {
+	if h == testBound+1 {
+		return 0, false
+	}
+	return h, true
+}
+
+func unionMin(r *Registry) (ts.CID, bool)    { return pinned(view(r).Horizon()) }
+func unscopedMin(r *Registry) (ts.CID, bool) { return pinned(view(r).UnscopedHorizon()) }
+func tableMin(r *Registry, tid ts.TableID) (ts.CID, bool) {
+	return pinned(view(r).TableHorizon(tid))
+}
+func partitionMin(r *Registry, tid ts.TableID, p ts.PartitionID) (ts.CID, bool) {
+	return pinned(view(r).PartitionHorizon(tid, p))
+}
+
 // segments counts the segments of the announcement array.
 func (r *Registry) segments() int {
 	n := 0
@@ -22,25 +51,25 @@ func (r *Registry) segments() int {
 
 func TestRegistryBasics(t *testing.T) {
 	r := NewRegistry()
-	if _, ok := r.UnionMin(); ok {
+	if _, ok := unionMin(r); ok {
 		t.Fatal("empty registry must report no minimum")
 	}
 	h0 := r.Acquire(0) // CID 0 is valid: the commit counter starts there
 	h5 := r.Acquire(5)
 	h3 := r.Acquire(3)
-	if m, ok := r.GlobalMin(); !ok || m != 0 {
+	if m, ok := unscopedMin(r); !ok || m != 0 {
 		t.Fatalf("min = %d,%v want 0,true", m, ok)
 	}
-	if got, want := r.GlobalSnapshot(), []ts.CID{0, 3, 5}; !reflect.DeepEqual(got, want) {
+	if got, want := view(r).Set(), []ts.CID{0, 3, 5}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("sorted = %v, want %v", got, want)
 	}
 	h0.Release()
-	if m, _ := r.GlobalMin(); m != 3 {
+	if m, _ := unscopedMin(r); m != 3 {
 		t.Fatalf("min after release = %d, want 3", m)
 	}
 	h3.Release()
 	h5.Release()
-	if _, ok := r.UnionMin(); ok {
+	if _, ok := unionMin(r); ok {
 		t.Fatal("registry should be empty")
 	}
 }
@@ -50,7 +79,7 @@ func TestSnapshotDedups(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		r.Acquire(42)
 	}
-	if got, want := r.UnionSnapshot(), []ts.CID{42}; !reflect.DeepEqual(got, want) {
+	if got, want := view(r).Set(), []ts.CID{42}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("sorted = %v, want %v", got, want)
 	}
 }
@@ -81,23 +110,23 @@ func TestRegistryGrowsPastOneSegment(t *testing.T) {
 	if n := r.segments(); n != 2 {
 		t.Fatalf("%d segments after exhausting the first, want 2", n)
 	}
-	if m, _ := r.GlobalMin(); m != 500 {
-		t.Fatalf("GlobalMin = %d, want 500", m)
+	if m, _ := unscopedMin(r); m != 500 {
+		t.Fatalf("UnscopedHorizon = %d, want 500", m)
 	}
-	if m, _ := r.UnionMin(); m != 500 {
-		t.Fatalf("UnionMin = %d, want 500", m)
+	if m, _ := unionMin(r); m != 500 {
+		t.Fatalf("Horizon = %d, want 500", m)
 	}
-	if got, want := r.GlobalSnapshot(), []ts.CID{500, 1000}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("GlobalSnapshot = %v, want %v", got, want)
+	if got, want := view(r).Set(), []ts.CID{500, 1000}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("Set = %v, want %v", got, want)
 	}
 	if !over.ScopeToTables([]ts.TableID{3}) {
 		t.Fatal("scoping a handle of the second segment must succeed")
 	}
-	if m, _ := r.GlobalMin(); m != 1000 {
-		t.Fatalf("GlobalMin after scope = %d, want 1000", m)
+	if m, _ := unscopedMin(r); m != 1000 {
+		t.Fatalf("UnscopedHorizon after scope = %d, want 1000", m)
 	}
-	if m, _ := r.EffectiveMin(3); m != 500 {
-		t.Fatalf("EffectiveMin(3) = %d, want 500", m)
+	if m, _ := tableMin(r, 3); m != 500 {
+		t.Fatalf("TableHorizon(3) = %d, want 500", m)
 	}
 	over.Release()
 	r.Acquire(700).Release()
@@ -107,7 +136,7 @@ func TestRegistryGrowsPastOneSegment(t *testing.T) {
 	for _, h := range handles {
 		h.Release()
 	}
-	if _, ok := r.UnionMin(); ok {
+	if _, ok := unionMin(r); ok {
 		t.Fatal("registry should be empty")
 	}
 }
@@ -132,17 +161,17 @@ func TestRegistryGrowthConcurrent(t *testing.T) {
 		wg.Wait()
 	}
 	hold()
-	got := r.UnionSnapshot()
+	got := view(r).Set()
 	if len(got) != n {
-		t.Fatalf("UnionSnapshot holds %d timestamps, want %d", len(got), n)
+		t.Fatalf("Set holds %d timestamps, want %d", len(got), n)
 	}
 	for i, c := range got {
 		if c != ts.CID(i) {
-			t.Fatalf("UnionSnapshot[%d] = %d", i, c)
+			t.Fatalf("Set[%d] = %d", i, c)
 		}
 	}
-	if m, ok := r.UnionMin(); !ok || m != 0 {
-		t.Fatalf("UnionMin = %d,%v want 0,true", m, ok)
+	if m, ok := unionMin(r); !ok || m != 0 {
+		t.Fatalf("Horizon = %d,%v want 0,true", m, ok)
 	}
 	want := (n + segSlots - 1) / segSlots
 	if segs := r.segments(); segs != want {
@@ -151,10 +180,10 @@ func TestRegistryGrowthConcurrent(t *testing.T) {
 	for _, h := range handles {
 		h.Release()
 	}
-	if got := r.UnionSnapshot(); len(got) != 0 {
-		t.Fatalf("UnionSnapshot after release = %v", got)
+	if got := view(r).Set(); len(got) != 0 {
+		t.Fatalf("Set after release = %v", got)
 	}
-	if _, ok := r.GlobalMin(); ok {
+	if _, ok := unscopedMin(r); ok {
 		t.Fatal("registry should be empty")
 	}
 	hold()
@@ -183,12 +212,12 @@ func TestAcquireIntoReuse(t *testing.T) {
 	var h Handle
 	for i := 0; i < 3*segSlots; i++ {
 		r.AcquireInto(&h, ts.CID(i))
-		if m, ok := r.GlobalMin(); !ok || m != ts.CID(i) {
-			t.Fatalf("GlobalMin = %d,%v want %d", m, ok, i)
+		if m, ok := unscopedMin(r); !ok || m != ts.CID(i) {
+			t.Fatalf("UnscopedHorizon = %d,%v want %d", m, ok, i)
 		}
 		h.Release()
 	}
-	if _, ok := r.GlobalMin(); ok {
+	if _, ok := unscopedMin(r); ok {
 		t.Fatal("registry should be empty")
 	}
 }
@@ -196,9 +225,10 @@ func TestAcquireIntoReuse(t *testing.T) {
 // TestScopedSnapshotNeverUnpinned races the table collector's scoping (twice,
 // as two collectors would) and the owner's release of one snapshot against
 // collector-side readers. The snapshot sits at timestamp c and may read only
-// table T: until it is released, a collector that reads GlobalMin and then
-// T's horizon must find c in at least one of them; table U's horizon may
-// rise above c only once the scope is set; and nothing stays pinned after.
+// table T: no view taken while it is held omits c from T's horizon (or from
+// the union's); table U's horizon may rise above c only once the scope is
+// set, and then the unscoped horizon rises with it — a view reads the scope
+// once, so the two always agree; and nothing stays pinned after.
 func TestScopedSnapshotNeverUnpinned(t *testing.T) {
 	const (
 		c     = ts.CID(5)
@@ -245,21 +275,23 @@ func TestScopedSnapshotNeverUnpinned(t *testing.T) {
 				defer readers.Done()
 				for !released.Load() {
 					wasScoped := scoped.Load()
-					gm, _ := r.GlobalMin()
-					tm, _ := r.EffectiveMin(T)
-					um, _ := r.EffectiveMin(U)
+					v := view(r)
 					if releasing.Load() {
 						return
 					}
-					// The snapshot was held across all three reads.
-					if gm > c && tm > c {
-						t.Errorf("iteration %d: unpinned while held: GlobalMin %d, EffectiveMin(T) %d, snapshot at %d", i, gm, tm, c)
+					// The snapshot was held across the whole scan.
+					gm, tm, um := v.UnscopedHorizon(), v.TableHorizon(T), v.TableHorizon(U)
+					if tm != c || v.Horizon() != c {
+						t.Errorf("iteration %d: unpinned while held: horizon %d, TableHorizon(T) %d, snapshot at %d", i, v.Horizon(), tm, c)
+					}
+					if (gm > c) != (um > c) {
+						t.Errorf("iteration %d: one view has the snapshot both scoped and not: UnscopedHorizon %d, TableHorizon(U) %d", i, gm, um)
 					}
 					if um > c && !scoping.Load() {
-						t.Errorf("iteration %d: EffectiveMin(U) = %d above %d before any scoping began", i, um, c)
+						t.Errorf("iteration %d: TableHorizon(U) = %d above %d before any scoping began", i, um, c)
 					}
 					if um <= c && wasScoped {
-						t.Errorf("iteration %d: EffectiveMin(U) = %d still pinned after scoping to T", i, um)
+						t.Errorf("iteration %d: TableHorizon(U) = %d still pinned after scoping to T", i, um)
 					}
 				}
 			}()
@@ -270,7 +302,7 @@ func TestScopedSnapshotNeverUnpinned(t *testing.T) {
 			t.Fatalf("iteration %d: scope set %d times", i, wins.Load())
 		}
 		guard.Release()
-		if m, ok := r.UnionMin(); ok {
+		if m, ok := unionMin(r); ok {
 			t.Fatalf("iteration %d: leaked pin at %d", i, m)
 		}
 	}
@@ -290,13 +322,13 @@ func TestRegistryConcurrentAcquireRelease(t *testing.T) {
 			for i := 0; i < 2000; i++ {
 				c := ts.CID(rng.Intn(64) + 1)
 				r.AcquireInto(&h, c)
-				if m, ok := r.GlobalMin(); !ok || m > c {
-					t.Errorf("GlobalMin %d,%v exceeds live pin %d", m, ok, c)
+				if m, ok := unscopedMin(r); !ok || m > c {
+					t.Errorf("UnscopedHorizon %d,%v exceeds live pin %d", m, ok, c)
 					h.Release()
 					return
 				}
-				if m, ok := r.UnionMin(); !ok || m > c {
-					t.Errorf("UnionMin %d,%v exceeds live pin %d", m, ok, c)
+				if m, ok := unionMin(r); !ok || m > c {
+					t.Errorf("Horizon %d,%v exceeds live pin %d", m, ok, c)
 					h.Release()
 					return
 				}
@@ -305,7 +337,7 @@ func TestRegistryConcurrentAcquireRelease(t *testing.T) {
 		}(int64(g))
 	}
 	wg.Wait()
-	if _, ok := r.UnionMin(); ok {
+	if _, ok := unionMin(r); ok {
 		t.Fatal("registry should be empty")
 	}
 }

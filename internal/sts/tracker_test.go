@@ -22,9 +22,8 @@ type node struct {
 
 // Tracker is the paper's ordered list of reference-counted snapshot timestamp
 // values (§4.1, Figure 6) — the structure the announcement array replaced. It
-// stays here as the reference model the differential test compares the
-// registry against, and as the locked cost model of
-// BenchmarkSnapshotAcquireParallelLocked.
+// stays here only as the reference model the differential test compares the
+// registry's views against.
 //
 // When a snapshot starts it acquires its timestamp value; equal values share
 // one node whose reference count is incremented, so the list stays as short
@@ -282,37 +281,37 @@ func TestRegistryScopeMovesSnapshot(t *testing.T) {
 	h1 := r.Acquire(100) // will become the long-lived, scoped snapshot
 	h2 := r.Acquire(200)
 
-	if m, ok := r.UnionMin(); !ok || m != 100 {
-		t.Fatalf("UnionMin = %d,%v want 100", m, ok)
+	if m, ok := unionMin(r); !ok || m != 100 {
+		t.Fatalf("Horizon = %d,%v want 100", m, ok)
 	}
 	if !h1.ScopeToTables([]ts.TableID{1}) {
 		t.Fatal("scoping must succeed")
 	}
 	// The unscoped view no longer holds 100.
-	if m, ok := r.GlobalMin(); !ok || m != 200 {
-		t.Fatalf("GlobalMin = %d,%v want 200", m, ok)
+	if m, ok := unscopedMin(r); !ok || m != 200 {
+		t.Fatalf("UnscopedHorizon = %d,%v want 200", m, ok)
 	}
 	// Union still does.
-	if m, _ := r.UnionMin(); m != 100 {
-		t.Fatalf("UnionMin = %d, want 100", m)
+	if m, _ := unionMin(r); m != 100 {
+		t.Fatalf("Horizon = %d, want 100", m)
 	}
 	// Table 1 is constrained at 100, table 2 only by the global tracker.
-	if m, _ := r.EffectiveMin(1); m != 100 {
-		t.Fatalf("EffectiveMin(1) = %d, want 100", m)
+	if m, _ := tableMin(r, 1); m != 100 {
+		t.Fatalf("TableHorizon(1) = %d, want 100", m)
 	}
-	if m, _ := r.EffectiveMin(2); m != 200 {
-		t.Fatalf("EffectiveMin(2) = %d, want 200", m)
+	if m, _ := tableMin(r, 2); m != 200 {
+		t.Fatalf("TableHorizon(2) = %d, want 200", m)
 	}
 	if got := h1.Scoped(); !reflect.DeepEqual(got, []ts.TableID{1}) {
 		t.Fatalf("Scoped = %v", got)
 	}
 
 	h1.Release()
-	if m, _ := r.EffectiveMin(1); m != 200 {
-		t.Fatalf("EffectiveMin(1) after release = %d, want 200", m)
+	if m, _ := tableMin(r, 1); m != 200 {
+		t.Fatalf("TableHorizon(1) after release = %d, want 200", m)
 	}
 	h2.Release()
-	if _, ok := r.UnionMin(); ok {
+	if _, ok := unionMin(r); ok {
 		t.Fatal("registry should be empty")
 	}
 }
@@ -331,27 +330,30 @@ func TestRegistryFigure8(t *testing.T) {
 	s1.ScopeToTables([]ts.TableID{1})
 	s2.ScopeToTables([]ts.TableID{2})
 
-	if m, _ := r.EffectiveMin(1); m != 2057 {
+	if m, _ := tableMin(r, 1); m != 2057 {
 		t.Errorf("table 1 min = %d, want 2057", m)
 	}
-	if m, _ := r.EffectiveMin(2); m != 2089 {
+	if m, _ := tableMin(r, 2); m != 2089 {
 		t.Errorf("table 2 min = %d, want 2089", m)
 	}
-	if m, _ := r.EffectiveMin(3); m != 2100 {
+	if m, _ := tableMin(r, 3); m != 2100 {
 		t.Errorf("table 3 min = %d, want 2100", m)
 	}
-	if m, _ := r.UnionMin(); m != 2057 {
+	if m, _ := unionMin(r); m != 2057 {
 		t.Errorf("union min = %d, want 2057", m)
 	}
 	want := []ts.CID{2057, 2089, 2100}
-	if got := r.UnionSnapshot(); !reflect.DeepEqual(got, want) {
+	if got := view(r).Set(); !reflect.DeepEqual(got, want) {
 		t.Errorf("union snapshot = %v, want %v", got, want)
 	}
 	s1.Release()
 	s2.Release()
 }
 
-func TestRegistrySnapshotFor(t *testing.T) {
+// TestViewSetKeepsScopedSnapshots: S is the union — scoping a snapshot to
+// one table takes it out of every other table's horizon, never out of the
+// set the interval collector works from.
+func TestViewSetKeepsScopedSnapshots(t *testing.T) {
 	r := NewRegistry()
 	a := r.Acquire(10)
 	b := r.Acquire(20)
@@ -360,15 +362,23 @@ func TestRegistrySnapshotFor(t *testing.T) {
 	defer c.Release()
 	a.ScopeToTables([]ts.TableID{7})
 
-	if got, want := r.SnapshotFor(7), []ts.CID{10, 20, 30}; !reflect.DeepEqual(got, want) {
-		t.Errorf("SnapshotFor(7) = %v, want %v", got, want)
+	v := view(r)
+	if got, want := v.Set(), []ts.CID{10, 20, 30}; !reflect.DeepEqual(got, want) {
+		t.Errorf("Set = %v, want %v", got, want)
 	}
-	if got, want := r.SnapshotFor(8), []ts.CID{20, 30}; !reflect.DeepEqual(got, want) {
-		t.Errorf("SnapshotFor(8) = %v, want %v", got, want)
+	if h7, h8 := v.TableHorizon(7), v.TableHorizon(8); h7 != 10 || h8 != 20 {
+		t.Errorf("TableHorizon(7), (8) = %d, %d, want 10, 20", h7, h8)
+	}
+	if v.Len() != 3 || v.Bound() != testBound {
+		t.Errorf("Len, Bound = %d, %d", v.Len(), v.Bound())
 	}
 	a.Release()
-	if got, want := r.SnapshotFor(7), []ts.CID{20, 30}; !reflect.DeepEqual(got, want) {
-		t.Errorf("SnapshotFor(7) after release = %v, want %v", got, want)
+	if got, want := view(r).Set(), []ts.CID{20, 30}; !reflect.DeepEqual(got, want) {
+		t.Errorf("Set after release = %v, want %v", got, want)
+	}
+	// The view read before the release is unchanged by it.
+	if got, want := v.Set(), []ts.CID{10, 20, 30}; !reflect.DeepEqual(got, want) {
+		t.Errorf("earlier view's Set = %v, want %v", got, want)
 	}
 }
 
@@ -385,13 +395,13 @@ func TestScopeEdgeCases(t *testing.T) {
 		t.Error("second scope must be a no-op")
 	}
 	// Scope to two tables: both constrained.
-	if m, _ := r.EffectiveMin(1); m != 5 {
+	if m, _ := tableMin(r, 1); m != 5 {
 		t.Error("table 1 must be constrained")
 	}
-	if m, _ := r.EffectiveMin(2); m != 5 {
+	if m, _ := tableMin(r, 2); m != 5 {
 		t.Error("table 2 must be constrained")
 	}
-	if _, ok := r.EffectiveMin(3); ok {
+	if _, ok := tableMin(r, 3); ok {
 		t.Error("table 3 must be unconstrained")
 	}
 	h.Release()
@@ -413,41 +423,38 @@ func TestPartitionScoping(t *testing.T) {
 		t.Fatal("second scope must be refused")
 	}
 	// The unscoped view no longer holds 50; the union still does.
-	if m, _ := r.GlobalMin(); m != 100 {
+	if m, _ := unscopedMin(r); m != 100 {
 		t.Fatalf("global min = %d", m)
 	}
-	if m, _ := r.UnionMin(); m != 50 {
+	if m, _ := unionMin(r); m != 50 {
 		t.Fatalf("union min = %d", m)
 	}
 	// Partition-granular horizons: scoped partitions pinned at 50, the
 	// others only by the global tracker.
-	if m, _ := r.EffectiveMinAt(7, 0); m != 50 {
-		t.Fatalf("EffectiveMinAt(7,0) = %d", m)
+	if m, _ := partitionMin(r, 7, 0); m != 50 {
+		t.Fatalf("PartitionHorizon(7,0) = %d", m)
 	}
-	if m, _ := r.EffectiveMinAt(7, 2); m != 50 {
-		t.Fatalf("EffectiveMinAt(7,2) = %d", m)
+	if m, _ := partitionMin(r, 7, 2); m != 50 {
+		t.Fatalf("PartitionHorizon(7,2) = %d", m)
 	}
-	if m, _ := r.EffectiveMinAt(7, 1); m != 100 {
-		t.Fatalf("EffectiveMinAt(7,1) = %d", m)
+	if m, _ := partitionMin(r, 7, 1); m != 100 {
+		t.Fatalf("PartitionHorizon(7,1) = %d", m)
 	}
 	// Table-level horizon stays conservative (min over partitions).
-	if m, _ := r.EffectiveMin(7); m != 50 {
-		t.Fatalf("EffectiveMin(7) = %d", m)
+	if m, _ := tableMin(r, 7); m != 50 {
+		t.Fatalf("TableHorizon(7) = %d", m)
 	}
 	// Other tables unaffected.
-	if m, _ := r.EffectiveMin(8); m != 100 {
-		t.Fatalf("EffectiveMin(8) = %d", m)
+	if m, _ := tableMin(r, 8); m != 100 {
+		t.Fatalf("TableHorizon(8) = %d", m)
 	}
-	// Table-aware snapshot set includes the partition trackers.
-	if got := r.SnapshotFor(7); fmt.Sprint(got) != "[50 100]" {
-		t.Fatalf("SnapshotFor(7) = %v", got)
-	}
-	if got := r.SnapshotFor(8); fmt.Sprint(got) != "[100]" {
-		t.Fatalf("SnapshotFor(8) = %v", got)
+	// S still holds the partition-scoped snapshot.
+	if got := view(r).Set(); fmt.Sprint(got) != "[50 100]" {
+		t.Fatalf("Set = %v", got)
 	}
 	long.Release()
-	if m, _ := r.EffectiveMinAt(7, 0); m != 100 {
-		t.Fatalf("EffectiveMinAt after release = %d", m)
+	if m, _ := partitionMin(r, 7, 0); m != 100 {
+		t.Fatalf("PartitionHorizon after release = %d", m)
 	}
 }
 
@@ -612,25 +619,11 @@ func modelMin(trs ...*Tracker) (best ts.CID, ok bool) {
 	return best, ok
 }
 
-func modelSnapshot(trs ...*Tracker) []ts.CID {
-	seen := map[ts.CID]bool{}
-	var out []ts.CID
-	for _, tr := range trs {
-		for _, c := range tr.Snapshot() {
-			if !seen[c] {
-				seen[c] = true
-				out = append(out, c)
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // TestRegistryMatchesTrackerModel drives the registry and the tracker model
 // through the same seeded random sequences of acquire, scope-to-tables,
-// scope-to-partitions and release, and requires every collector-facing view
-// to agree after every step. One seed front-loads acquires so the live set
+// scope-to-partitions and release, and requires every answer of a view —
+// union minimum, unscoped minimum, every table's and partition's, S, the
+// count — to agree after every step. One seed front-loads acquires so the live set
 // crosses a segment boundary.
 func TestRegistryMatchesTrackerModel(t *testing.T) {
 	const (
@@ -649,6 +642,7 @@ func TestRegistryMatchesTrackerModel(t *testing.T) {
 	for seed := int64(1); seed <= seeds; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		r, m := NewRegistry(), newModelRegistry()
+		var v View
 		var live []pair
 		for step := 0; step < steps; step++ {
 			acquireBias := 45
@@ -687,36 +681,35 @@ func TestRegistryMatchesTrackerModel(t *testing.T) {
 			}
 
 			at := fmt.Sprintf("seed %d step %d (%d live)", seed, step, len(live))
-			sameMin := func(view string, got ts.CID, gok bool, want ts.CID, wok bool) {
+			// One view, refilled in place, answers everything — as in a
+			// collector pass. The model says "no minimum" where a horizon
+			// falls back to bound+1.
+			sameMin := func(name string, got, want ts.CID, wok bool) {
 				t.Helper()
-				if gok != wok || got != want {
-					t.Fatalf("%s: %s = %d,%v, model %d,%v", at, view, got, gok, want, wok)
+				if !wok {
+					want = testBound + 1
+				}
+				if got != want {
+					t.Fatalf("%s: %s = %d, model %d (pinned %v)", at, name, got, want, wok)
 				}
 			}
-			sameSet := func(view string, got, want []ts.CID) {
-				t.Helper()
-				if len(got) != len(want) || len(got) > 0 && !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s: %s = %v, model %v", at, view, got, want)
-				}
-			}
-			gm, gok := r.GlobalMin()
+			v.Read(r, testBound)
 			wm, wok := m.global.Min()
-			sameMin("GlobalMin", gm, gok, wm, wok)
-			sameSet("GlobalSnapshot", r.GlobalSnapshot(), m.global.Snapshot())
-			gm, gok = r.UnionMin()
+			sameMin("UnscopedHorizon", v.UnscopedHorizon(), wm, wok)
 			wm, wok = m.union.Min()
-			sameMin("UnionMin", gm, gok, wm, wok)
-			sameSet("UnionSnapshot", r.UnionSnapshot(), m.union.Snapshot())
+			sameMin("Horizon", v.Horizon(), wm, wok)
+			if want := m.union.Snapshot(); len(v.Set()) != len(want) || len(want) > 0 && !reflect.DeepEqual(v.Set(), want) {
+				t.Fatalf("%s: Set = %v, model %v", at, v.Set(), want)
+			}
+			if v.Len() != len(live) {
+				t.Fatalf("%s: Len = %d", at, v.Len())
+			}
 			for tid := ts.TableID(1); tid <= tables+1; tid++ {
-				forTable := m.trackersFor(tid, 0, true)
-				gm, gok = r.EffectiveMin(tid)
-				wm, wok = modelMin(forTable...)
-				sameMin(fmt.Sprintf("EffectiveMin(%d)", tid), gm, gok, wm, wok)
-				sameSet(fmt.Sprintf("SnapshotFor(%d)", tid), r.SnapshotFor(tid), modelSnapshot(forTable...))
+				wm, wok = modelMin(m.trackersFor(tid, 0, true)...)
+				sameMin(fmt.Sprintf("TableHorizon(%d)", tid), v.TableHorizon(tid), wm, wok)
 				for p := ts.PartitionID(0); p < parts; p++ {
-					gm, gok = r.EffectiveMinAt(tid, p)
 					wm, wok = modelMin(m.trackersFor(tid, p, false)...)
-					sameMin(fmt.Sprintf("EffectiveMinAt(%d,%d)", tid, p), gm, gok, wm, wok)
+					sameMin(fmt.Sprintf("PartitionHorizon(%d,%d)", tid, p), v.PartitionHorizon(tid, p), wm, wok)
 				}
 			}
 		}

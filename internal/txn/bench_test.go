@@ -11,9 +11,8 @@ import (
 
 // BenchmarkSnapshotAcquireStmtParallel measures the full statement-snapshot
 // path — seqlock-validated timestamp read and slot-array announcement —
-// under parallel load. The registry-layer comparison
-// against the locked cost model lives in internal/sts
-// (BenchmarkSnapshotAcquireParallel vs ...ParallelLocked).
+// under parallel load. The bare registry layer is internal/sts's
+// BenchmarkSnapshotAcquireParallel.
 func BenchmarkSnapshotAcquireStmtParallel(b *testing.B) {
 	m := NewManager(mvcc.NewSpace(256), sts.NewRegistry(), Config{})
 	defer m.Close()

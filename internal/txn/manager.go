@@ -3,8 +3,8 @@
 // write-write conflict detection, abort/undo, and the group commit protocol
 // that assigns one CID per commit group through a single atomic store on the
 // GroupCommitContext (§2.2), followed by asynchronous backward CID
-// propagation. It also hosts the system monitor that tracks every active
-// snapshot's age and table scope for the table garbage collector (§4.3).
+// propagation. It also takes the one view of the active snapshots (view.go)
+// that the collectors, the monitors and the replica report all read.
 //
 // The two hot paths are built to scale across cores (DESIGN.md §15): snapshot
 // acquisition publishes into the sts announcement array guarded only by a
@@ -117,18 +117,17 @@ type Manager struct {
 	cfg   Config
 	space *mvcc.Space
 	reg   *sts.Registry
-	mon   Monitor
 
 	commitTS  atomic.Uint64
 	nextTxnID atomic.Uint64
 
-	// scanMu + scanSeq form the seqlock that replaces the old global
-	// snapshot mutex: GC-side scans (SnapshotSetAndBound and the horizon
-	// reads) serialize on scanMu and bracket their work with two scanSeq
-	// increments (odd while scanning); snapshot acquirers never take the
-	// mutex — they publish into the registry lock-free and retry if scanSeq
-	// moved, so a scan observes every snapshot either in the registry or
-	// with a timestamp at or above the bound it read. See DESIGN.md §15.
+	// scanMu + scanSeq form the seqlock around the one reader of the
+	// registry, ViewInto: views serialize on scanMu and bracket their scan
+	// with two scanSeq increments (odd while scanning); snapshot acquirers
+	// never take the mutex — they publish into the registry lock-free and
+	// retry if scanSeq moved, so a view holds every snapshot either among its
+	// announcements or with a timestamp at or above its bound. See DESIGN.md
+	// §15.
 	scanMu  sync.Mutex
 	scanSeq atomic.Uint64
 
@@ -155,7 +154,6 @@ func NewManager(space *mvcc.Space, reg *sts.Registry, cfg Config) *Manager {
 		cfg:    cfg,
 		space:  space,
 		reg:    reg,
-		mon:    Monitor{reg: reg},
 		bell:   gcBell{ring: make(chan struct{}, 1)},
 		propCh: make(chan *mvcc.GroupCommitContext, 1024),
 		quit:   make(chan struct{}),
@@ -181,18 +179,12 @@ func (m *Manager) Close() {
 // Space returns the version space the manager commits into.
 func (m *Manager) Space() *mvcc.Space { return m.space }
 
-// Registry returns the snapshot timestamp registry.
-func (m *Manager) Registry() *sts.Registry { return m.reg }
-
-// Monitor returns the active-snapshot monitor.
-func (m *Manager) Monitor() *Monitor { return &m.mon }
-
 // CurrentTS returns the latest assigned commit identifier — the value a new
 // snapshot adopts as its timestamp.
 func (m *Manager) CurrentTS() ts.CID { return ts.CID(m.commitTS.Load()) }
 
-// beginScan/endScan bracket a GC-side read of the snapshot registry. The
-// mutex serializes scanners against each other; the sequence counter is what
+// beginScan/endScan bracket ViewInto's read of the snapshot registry. The
+// mutex serializes views against each other; the sequence counter is what
 // acquirers validate against (odd = scan in progress).
 func (m *Manager) beginScan() {
 	m.scanMu.Lock()
@@ -202,83 +194,6 @@ func (m *Manager) beginScan() {
 func (m *Manager) endScan() {
 	m.scanSeq.Add(1)
 	m.scanMu.Unlock()
-}
-
-// GlobalHorizon returns the timestamp below which whole versions are
-// invisible to every active snapshot: the minimum over every snapshot
-// announcement (§4.4), or CurrentTS()+1 when no snapshot is active.
-func (m *Manager) GlobalHorizon() ts.CID {
-	min, _ := m.PinnedGlobalHorizon()
-	return min
-}
-
-// PinnedGlobalHorizon is GlobalHorizon that also reports whether a snapshot
-// sets it (pinned) or nothing is active and it is the head of the commit
-// sequence.
-func (m *Manager) PinnedGlobalHorizon() (min ts.CID, pinned bool) {
-	m.beginScan()
-	defer m.endScan()
-	if min, ok := m.reg.UnionMin(); ok {
-		return min, true
-	}
-	return m.CurrentTS() + 1, false
-}
-
-// TableHorizon returns the reclamation horizon for one table: the minimum of
-// the unscoped snapshots and those scoped to that table (§4.3 step 3), or
-// CurrentTS()+1 when nothing constrains the table.
-func (m *Manager) TableHorizon(tid ts.TableID) ts.CID {
-	m.beginScan()
-	defer m.endScan()
-	if min, ok := m.reg.EffectiveMin(tid); ok {
-		return min
-	}
-	return m.CurrentTS() + 1
-}
-
-// PartitionHorizon returns the reclamation horizon for versions inside one
-// partition of a table, or CurrentTS()+1 when nothing constrains it.
-func (m *Manager) PartitionHorizon(tid ts.TableID, p ts.PartitionID) ts.CID {
-	m.beginScan()
-	defer m.endScan()
-	if min, ok := m.reg.EffectiveMinAt(tid, p); ok {
-		return min
-	}
-	return m.CurrentTS() + 1
-}
-
-// GlobalTrackerHorizon returns the bound below which only table- or
-// partition-scoped snapshots can still pin versions: the minimum over the
-// unscoped snapshot announcements, or CurrentTS()+1 when there are none.
-// The table collector uses it to size the gap table GC opened up.
-func (m *Manager) GlobalTrackerHorizon() ts.CID {
-	m.beginScan()
-	defer m.endScan()
-	if min, ok := m.reg.GlobalMin(); ok {
-		return min
-	}
-	return m.CurrentTS() + 1
-}
-
-// ActiveTimestamps returns the ascending set of all active snapshot
-// timestamps — the S sequence of the interval collector.
-func (m *Manager) ActiveTimestamps() []ts.CID {
-	m.beginScan()
-	defer m.endScan()
-	return m.reg.UnionSnapshot()
-}
-
-// SnapshotSetAndBound captures the active snapshot timestamp set together
-// with the current commit timestamp. Snapshot acquisition validates against
-// the scan's seqlock window, so every snapshot held across or registered
-// after this call either appears in the returned set or has a timestamp >=
-// the returned bound — the safety condition interval reclamation needs to
-// collect versions above max(S) up to the bound.
-func (m *Manager) SnapshotSetAndBound() ([]ts.CID, ts.CID) {
-	m.beginScan()
-	defer m.endScan()
-	bound := m.CurrentTS()
-	return m.reg.UnionSnapshot(), bound
 }
 
 // Stats returns current counters.

@@ -9,8 +9,8 @@ import (
 	"hybridgc/internal/ts"
 )
 
-// SnapshotKind distinguishes how a snapshot came to exist, which the monitor
-// reports and the table collector uses when deciding what can be scoped.
+// SnapshotKind distinguishes how a snapshot came to exist, which m_snapshots
+// reports and the watchdog and the pressure ladder use when picking victims.
 type SnapshotKind int
 
 const (
@@ -68,13 +68,13 @@ func (m *Manager) AcquireSnapshot(kind SnapshotKind, scope []ts.TableID) *Snapsh
 }
 
 // acquireSnapshot fully constructs the snapshot — including any partition
-// scope — before announcing it: from then on the monitor's scans find it
-// behind its slot, and the table collector may read it concurrently.
+// scope — before announcing it: from then on a view finds it behind its
+// slot, and the table collector may read it concurrently.
 //
 // The hot path takes no lock: the timestamp read and the registry publish
-// are validated against the GC scan seqlock and retried on interference, so
-// SnapshotSetAndBound observes either the registered snapshot or a commit
-// timestamp at or below its bound (proof sketch in DESIGN.md §15).
+// are validated against the scan seqlock and retried on interference, so a
+// View holds either the registered snapshot or a bound at or below its
+// timestamp (proof sketch in DESIGN.md §15).
 func (m *Manager) acquireSnapshot(kind SnapshotKind, scope []ts.TableID, parts []ts.PartitionID) *Snapshot {
 	s := &Snapshot{
 		m:       m,
@@ -117,9 +117,6 @@ func (s *Snapshot) TS() ts.CID { return s.h.TS() }
 // Kind returns how the snapshot was created.
 func (s *Snapshot) Kind() SnapshotKind { return s.kind }
 
-// Scope returns the declared table scope, or nil when unknown.
-func (s *Snapshot) Scope() []ts.TableID { return s.scope }
-
 // ScopeKnown reports whether the complete table set is known a priori.
 func (s *Snapshot) ScopeKnown() bool { return len(s.scope) > 0 }
 
@@ -147,24 +144,11 @@ func (m *Manager) AcquireSnapshotPartitions(kind SnapshotKind, table ts.TableID,
 	return m.acquireSnapshot(kind, []ts.TableID{table}, parts)
 }
 
-// PartitionScope returns the partition-granular scope, when one was
-// declared: the scope table and its partitions.
-func (s *Snapshot) PartitionScope() (ts.TableID, []ts.PartitionID, bool) {
-	if len(s.parts) == 0 || len(s.scope) != 1 {
-		return 0, nil, false
-	}
-	return s.scope[0], s.parts, true
-}
-
 // Age returns how long the snapshot has been active.
 func (s *Snapshot) Age() time.Duration { return time.Since(s.started) }
 
 // Started returns the acquisition time.
 func (s *Snapshot) Started() time.Time { return s.started }
-
-// Handle exposes the registry handle (the table collector attaches the
-// scope to it).
-func (s *Snapshot) Handle() *sts.Handle { return &s.h }
 
 // Scoped reports whether the table collector already narrowed this snapshot
 // to its declared tables or partitions.

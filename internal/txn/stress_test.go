@@ -17,14 +17,14 @@ import (
 // TestSnapshotSetAndBoundInvariantStress hammers lock-free snapshot
 // Acquire/Release on all cores against concurrent commits, a scanning
 // goroutine, and an interval-GC loop, and asserts the seqlock's safety
-// condition: for every completed SnapshotSetAndBound scan, a snapshot held
-// afterwards either appears in the scan's set or sits at or above its bound.
+// condition: for every completed View, a snapshot held afterwards either
+// appears in the view's set or sits at or above its bound.
 // That is exactly what interval reclamation relies on to collect versions
 // between max(S) and the bound — a timestamp slipping under the bound
 // unannounced would let GC reclaim a version the snapshot can still read.
 //
 // Red-test property: reverting the seqlock (publishing snapshots without
-// validating against scanSeq, or scanning without beginScan/endScan) makes
+// validating against scanSeq, or taking a view without beginScan/endScan) makes
 // this fail within a few hundred milliseconds on a multicore run, because an
 // acquirer can read the commit timestamp before a scan captures its bound
 // and announce itself only after the scan's set was built.
@@ -39,8 +39,8 @@ func TestSnapshotSetAndBoundInvariantStress(t *testing.T) {
 		duration = 300 * time.Millisecond
 	}
 
-	// scan is one published SnapshotSetAndBound result. set is a map for
-	// O(1) membership checks on the assert path.
+	// scan is one published view's set and bound. set is a map for O(1)
+	// membership checks on the assert path.
 	type scan struct {
 		bound ts.CID
 		set   map[ts.CID]struct{}
@@ -85,15 +85,16 @@ func TestSnapshotSetAndBoundInvariantStress(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		var view txn.View
 		for {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			set, bound := m.SnapshotSetAndBound()
-			s := &scan{bound: bound, set: make(map[ts.CID]struct{}, len(set))}
-			for _, c := range set {
+			m.ViewInto(&view) // refilled in place, as the collector loop does
+			s := &scan{bound: view.Bound(), set: make(map[ts.CID]struct{}, view.Len())}
+			for _, c := range view.Set() {
 				s.set[c] = struct{}{}
 			}
 			latest.Store(s)

@@ -111,14 +111,14 @@ func TestGroupCommitShareSingleCID(t *testing.T) {
 func TestReadOnlyCommit(t *testing.T) {
 	m := newTestManager(t, Config{})
 	txn := m.Begin(TransSI, nil)
-	if len(m.Registry().GlobalSnapshot()) != 1 {
+	if m.View().Len() != 1 {
 		t.Fatal("Trans-SI begin must register a snapshot")
 	}
 	cid, err := txn.Commit()
 	if err != nil || cid != ts.Invalid {
 		t.Fatalf("read-only commit = %d,%v", cid, err)
 	}
-	if len(m.Registry().GlobalSnapshot()) != 0 {
+	if m.View().Len() != 0 {
 		t.Fatal("snapshot must be released at commit")
 	}
 	if _, err := txn.Commit(); err != ErrNotActive {
@@ -147,11 +147,11 @@ func TestTransSISnapshotPinsHorizon(t *testing.T) {
 		t.Fatal(err)
 	}
 	w2.Commit()
-	if h := m.GlobalHorizon(); h != cid1 {
+	if h := m.View().Horizon(); h != cid1 {
 		t.Fatalf("horizon = %d, want pinned at %d", h, cid1)
 	}
 	long.Commit()
-	if h := m.GlobalHorizon(); h != m.CurrentTS()+1 {
+	if h := m.View().Horizon(); h != m.CurrentTS()+1 {
 		t.Fatalf("horizon after release = %d, want %d", h, m.CurrentTS()+1)
 	}
 }
@@ -234,7 +234,7 @@ func TestAbortUndoesVersions(t *testing.T) {
 	}
 }
 
-func TestSnapshotScopeAndMonitor(t *testing.T) {
+func TestSnapshotScopeAndView(t *testing.T) {
 	m := newTestManager(t, Config{})
 	s := m.AcquireSnapshot(KindCursor, []ts.TableID{3})
 	defer s.Release()
@@ -246,34 +246,40 @@ func TestSnapshotScopeAndMonitor(t *testing.T) {
 	if !unscoped.InScope(99) {
 		t.Fatal("unscoped snapshot may access anything")
 	}
-	if m.Monitor().ActiveCount() != 2 {
-		t.Fatalf("monitor count = %d", m.Monitor().ActiveCount())
+	if n := m.View().Len(); n != 2 {
+		t.Fatalf("view holds %d snapshots", n)
 	}
-	// Long-lived detection: only the scoped, unreleased, unscoped-by-TG one
-	// with known tables qualifies.
+	// Long-lived detection: only the unreleased, not-yet-narrowed one with
+	// known tables qualifies, and the view that narrows it already answers
+	// with it scoped.
 	time.Sleep(5 * time.Millisecond)
-	ll := m.Monitor().LongLived(time.Millisecond)
-	if len(ll) != 1 || ll[0] != s {
-		t.Fatalf("LongLived = %v", ll)
+	v := m.View()
+	if h := v.TableHorizon(4); h != s.TS() {
+		t.Fatalf("TableHorizon(4) before scoping = %d, want %d", h, s.TS())
 	}
-	s.Handle().ScopeToTables(s.Scope())
-	if got := m.Monitor().LongLived(time.Millisecond); len(got) != 0 {
-		t.Fatal("already-scoped snapshot must not reappear")
+	if n := v.ScopeLongLived(time.Millisecond); n != 1 || !s.Scoped() || unscoped.Scoped() {
+		t.Fatalf("ScopeLongLived = %d, scoped %v/%v", n, s.Scoped(), unscoped.Scoped())
 	}
-	if min, ok := m.Monitor().OldestTS(); !ok || min != s.TS() {
-		t.Fatalf("OldestTS = %d,%v", min, ok)
+	if h3, h4 := v.TableHorizon(3), v.TableHorizon(4); h3 != s.TS() || h4 != unscoped.TS() {
+		t.Fatalf("same view after scoping: TableHorizon(3), (4) = %d, %d, want %d, %d", h3, h4, s.TS(), unscoped.TS())
+	}
+	if n := m.View().ScopeLongLived(time.Millisecond); n != 0 {
+		t.Fatal("already-scoped snapshot must not be narrowed again")
+	}
+	if v := m.View(); v.Len() != 2 || v.Horizon() != s.TS() {
+		t.Fatalf("Len, Horizon = %d, %d", v.Len(), v.Horizon())
 	}
 }
 
-// TestMonitorSeesEverySnapshotAcrossSegments holds 1000 snapshots at once —
+// TestViewSeesEverySnapshotAcrossSegments holds 1000 snapshots at once —
 // four segments of the announcement array — acquired concurrently, next to a
-// bare registry pin like a replica's, and checks the monitor's scans report
-// exactly the snapshots.
-func TestMonitorSeesEverySnapshotAcrossSegments(t *testing.T) {
+// bare pin like a replica's, and checks a view counts them all, sets its
+// horizon by the pin, and visits exactly the snapshots.
+func TestViewSeesEverySnapshotAcrossSegments(t *testing.T) {
 	const n = 1000
 	m := newTestManager(t, Config{})
-	pin := m.Registry().Acquire(0) // no Snapshot behind it: not the monitor's business
-	defer pin.Release()
+	pin := m.Pin(0) // no Snapshot behind it: counted, never visited
+	defer m.Unpin(pin)
 	snaps := make([]*Snapshot, n)
 	var wg sync.WaitGroup
 	for i := range snaps {
@@ -284,29 +290,27 @@ func TestMonitorSeesEverySnapshotAcrossSegments(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	if got := m.Monitor().ActiveCount(); got != n {
-		t.Fatalf("ActiveCount = %d, want %d", got, n)
+	v := m.View()
+	if got := v.Len(); got != n+1 {
+		t.Fatalf("Len = %d, want %d snapshots and the pin", got, n)
 	}
 	seen := make(map[*Snapshot]bool, n)
-	for _, s := range m.Monitor().Active() {
-		seen[s] = true
-	}
+	v.Snapshots(func(s *Snapshot) { seen[s] = true })
 	for i, s := range snaps {
 		if !seen[s] {
-			t.Fatalf("snapshot %d missing from Active()", i)
+			t.Fatalf("snapshot %d missing from Snapshots()", i)
 		}
 	}
 	if len(seen) != n {
-		t.Fatalf("Active() reported %d distinct snapshots, want %d", len(seen), n)
+		t.Fatalf("Snapshots() visited %d distinct snapshots, want %d", len(seen), n)
 	}
 	for _, s := range snaps {
 		s.Release()
 	}
-	if active, _ := m.Monitor().Summary(); active != 0 {
-		t.Fatalf("%d snapshots still active after release", active)
-	}
-	if min, ok := m.Registry().UnionMin(); !ok || min != 0 {
-		t.Fatalf("UnionMin = %d,%v: the bare pin must survive", min, ok)
+	v = m.View()
+	v.Snapshots(func(s *Snapshot) { t.Fatalf("snapshot at %d still active after release", s.TS()) })
+	if v.Len() != 1 || v.Horizon() != 0 {
+		t.Fatalf("Len, Horizon = %d, %d: the bare pin must survive", v.Len(), v.Horizon())
 	}
 }
 
@@ -344,27 +348,30 @@ func TestHorizonsWithTableScoping(t *testing.T) {
 		w.Commit()
 	}
 	cur := m.CurrentTS()
-	if h := m.GlobalHorizon(); h != cur+1 {
+	if h := m.View().Horizon(); h != cur+1 {
 		t.Fatalf("idle horizon = %d, want %d", h, cur+1)
 	}
 	long := m.AcquireSnapshot(KindCursor, []ts.TableID{7})
-	if h := m.GlobalHorizon(); h != long.TS() {
+	if h := m.View().Horizon(); h != long.TS() {
 		t.Fatalf("horizon = %d, want %d", h, long.TS())
 	}
-	long.Handle().ScopeToTables(long.Scope())
+	m.View().ScopeLongLived(0)
 	// Global horizon (union) still pinned; table horizons split.
-	if h := m.GlobalHorizon(); h != long.TS() {
+	if h := m.View().Horizon(); h != long.TS() {
 		t.Fatalf("union horizon = %d, want %d", h, long.TS())
 	}
-	if h := m.TableHorizon(7); h != long.TS() {
+	v := m.View()
+	if h := v.TableHorizon(7); h != long.TS() {
 		t.Fatalf("TableHorizon(7) = %d", h)
 	}
-	if h := m.TableHorizon(8); h != cur+1 {
+	if h := v.TableHorizon(8); h != cur+1 {
 		t.Fatalf("TableHorizon(8) = %d, want %d", h, cur+1)
 	}
-	got := m.ActiveTimestamps()
-	if len(got) != 1 || got[0] != long.TS() {
-		t.Fatalf("ActiveTimestamps = %v", got)
+	if h := v.UnscopedHorizon(); h != cur+1 {
+		t.Fatalf("UnscopedHorizon = %d, want %d", h, cur+1)
+	}
+	if got := v.Set(); len(got) != 1 || got[0] != long.TS() || v.Bound() != cur {
+		t.Fatalf("Set, Bound = %v, %d", got, v.Bound())
 	}
 	long.Release()
 }

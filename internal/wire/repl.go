@@ -65,7 +65,9 @@ func DecodeReplStreamRequest(r *Parser) ReplStreamRequest {
 // ReplReport is the body of an RmReport message: the replica's applied
 // position and its local snapshot horizon. MinSTS is meaningful only when
 // HasSnapshots is true; a report without snapshots releases the replica's
-// pin on the cluster GC horizon (its floor segment is kept).
+// pin on the cluster GC horizon (its floor segment is kept). OpenSnapshots
+// counts the replica's open snapshots — announcements, not distinct
+// timestamps — at the instant MinSTS was read.
 type ReplReport struct {
 	AppliedLSN    uint64
 	MinSTS        uint64
