@@ -20,10 +20,10 @@ test:
 # space, the snapshot announcement array, pressure controller, the network
 # service layer, replication, the node assembly and its end-to-end smokes in
 # cmd/tpcc, the sharded engine and its 2PC path, the lock-free hash table and
-# table space, and the WAL/wire hot paths) with -short to keep CI latency
-# sane.
+# table space, the WAL/wire hot paths, and the row codec and chunks the HTAP
+# migrator and its scans share) with -short to keep CI latency sane.
 race:
-	$(GO) test -race -short ./internal/table/... ./internal/core/... ./internal/txn/... ./internal/gc/... ./internal/mvcc/... ./internal/sts/... ./internal/sql/... ./internal/server/... ./internal/client/... ./internal/repl/... ./internal/node/... ./cmd/tpcc/... ./internal/wal/... ./internal/wire/... ./internal/netfault/... ./internal/chaos/... ./internal/shard/... ./internal/htap/...
+	$(GO) test -race -short ./internal/table/... ./internal/core/... ./internal/txn/... ./internal/gc/... ./internal/mvcc/... ./internal/sts/... ./internal/sql/... ./internal/server/... ./internal/client/... ./internal/repl/... ./internal/node/... ./cmd/tpcc/... ./internal/wal/... ./internal/wire/... ./internal/netfault/... ./internal/chaos/... ./internal/shard/... ./internal/htap/... ./internal/colstore/...
 
 check: vet build test race
 
@@ -59,13 +59,16 @@ benchmark-test:
 chaos-smoke:
 	$(GO) run ./cmd/chaos -seeds 1,2,3,4,5 -duration 1200ms
 
-# CI smoke: every internal/wire fuzz target for 10 s each (go test takes one
-# -fuzz per invocation). DecodeStats is a reflective walker over bytes from
-# the network: arbitrary input must fail the parser, never panic or allocate
-# what a length prefix claims.
+# CI smoke: every fuzz target in the tree for 10 s each (go test takes one
+# -fuzz per invocation and one package per -fuzz). The targets are decoders of
+# bytes from outside the process — wire frames, STATS bodies, row images from
+# the WAL and the replication stream: arbitrary input must fail the parser,
+# never panic or allocate what a length prefix claims.
 fuzz-smoke:
-	@for f in $$($(GO) test -list '^Fuzz' ./internal/wire | grep '^Fuzz'); do \
-		$(GO) test -run '^$$' -fuzz "^$$f$$" -fuzztime 10s ./internal/wire || exit 1; \
+	@for p in $$(grep -rl --include='*_test.go' '^func Fuzz' . | xargs -n1 dirname | sort -u); do \
+		for f in $$($(GO) test -list '^Fuzz' $$p | grep '^Fuzz'); do \
+			$(GO) test -run '^$$' -fuzz "^$$f$$" -fuzztime 10s $$p || exit 1; \
+		done; \
 	done
 
 clean:

@@ -15,6 +15,7 @@ import (
 	"hybridgc/internal/bench"
 	"hybridgc/internal/colstore"
 	"hybridgc/internal/gc"
+	"hybridgc/internal/htap"
 	"hybridgc/internal/tpcc"
 	"hybridgc/internal/txn"
 	"hybridgc/internal/workload"
@@ -130,7 +131,7 @@ func BenchmarkFig19PeriodSweepCursor(b *testing.B) {
 // versions, for collector ablations.
 func gcWorkloadDB(b *testing.B, records, versionsPer int) (*DB, func()) {
 	b.Helper()
-	db := MustOpen(Config{Txn: TxnConfig{SynchronousPropagation: true}})
+	db := MustOpen(Config{})
 	tid, err := db.CreateTable("T")
 	if err != nil {
 		b.Fatal(err)
@@ -246,7 +247,7 @@ func BenchmarkEngineUpdate(b *testing.B) {
 // BenchmarkEngineGet measures the read path: statement snapshot, chain
 // traversal, decode-free image return.
 func BenchmarkEngineGet(b *testing.B) {
-	db := MustOpen(Config{Txn: TxnConfig{SynchronousPropagation: true}})
+	db := MustOpen(Config{})
 	defer db.Close()
 	tid, _ := db.CreateTable("T")
 	var rid RID
@@ -275,7 +276,7 @@ func BenchmarkCursorFetch(b *testing.B) {
 			name = "collected"
 		}
 		b.Run(name, func(b *testing.B) {
-			db := MustOpen(Config{Txn: TxnConfig{SynchronousPropagation: true}})
+			db := MustOpen(Config{})
 			defer db.Close()
 			tid, _ := db.CreateTable("T")
 			var rids []RID
@@ -346,44 +347,50 @@ func BenchmarkWorkloadThroughputByMode(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationColumnVsRowAggregate compares a SUM aggregate over the
-// column store's settled vectors against the same aggregate decoding
-// row-store payloads — the §2.1 reason HANA pairs a column store with the
-// row store for OLAP.
+// BenchmarkAblationColumnVsRowAggregate compares a SUM aggregate served by
+// the HTAP lane from migrated column chunks against the same aggregate
+// decoding row-store payloads — the §2.1 reason HANA pairs a column store
+// with the row store for OLAP. The column leg is htap.Store.Aggregate, the
+// call a SQL or wire client's aggregate reaches.
 func BenchmarkAblationColumnVsRowAggregate(b *testing.B) {
 	const rows = 4096
 	b.Run("column", func(b *testing.B) {
-		db := MustOpen(Config{Txn: TxnConfig{SynchronousPropagation: true}})
+		db := MustOpen(Config{})
 		defer db.Close()
-		m := db.Manager()
-		cs := colstore.New(m)
-		tbl, err := cs.CreateTable("FACTS", colstore.Schema{
-			Names: []string{"amount"}, Types: []colstore.ColumnType{colstore.Int64}})
+		tid, _ := db.CreateTable("FACTS")
+		schema := colstore.Schema{{Name: "amount", Type: colstore.Int64}}
+		lane, err := htap.NewStore(db, htap.Config{ChunkSlots: rows})
 		if err != nil {
 			b.Fatal(err)
 		}
+		if err := lane.EnableTable(tid, schema); err != nil {
+			b.Fatal(err)
+		}
 		for i := 0; i < rows; i++ {
-			tx := m.Begin(StmtSI, nil)
-			if _, err := cs.Insert(tx, tbl, colstore.Row{colstore.IntV(int64(i))}); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := tx.Commit(); err != nil {
+			img, _ := colstore.EncodeRow(schema, colstore.Row{colstore.IntV(int64(i))})
+			if err := db.Exec(StmtSI, nil, func(tx *Tx) error {
+				_, err := tx.Insert(tid, img)
+				return err
+			}); err != nil {
 				b.Fatal(err)
 			}
 		}
-		db.GC().Collect() // settle into vectors
+		db.GC().Collect() // settle the images,
+		lane.Migrate()    // then ship them into chunks
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			tx := m.Begin(TransSI, nil)
-			if _, err := cs.SumInt64(tx, tbl, 0); err != nil {
+			res, err := lane.Aggregate(tid, htap.AggSpec{Op: htap.AggSum, Col: "amount"})
+			if err != nil {
 				b.Fatal(err)
 			}
-			tx.Abort()
+			if res.ChunkRows != rows {
+				b.Fatalf("%d of %d rows served from chunks", res.ChunkRows, rows)
+			}
 		}
 	})
 	b.Run("row", func(b *testing.B) {
-		db := MustOpen(Config{Txn: TxnConfig{SynchronousPropagation: true}})
+		db := MustOpen(Config{})
 		defer db.Close()
 		tid, _ := db.CreateTable("FACTS")
 		for i := 0; i < rows; i++ {
@@ -427,7 +434,7 @@ func BenchmarkAblationColumnVsRowAggregate(b *testing.B) {
 func BenchmarkAblationChainTraversalDepth(b *testing.B) {
 	for _, depth := range []int{1, 8, 64, 512} {
 		b.Run(fmt.Sprintf("depth-%d", depth), func(b *testing.B) {
-			db := MustOpen(Config{Txn: TxnConfig{SynchronousPropagation: true}})
+			db := MustOpen(Config{})
 			defer db.Close()
 			tid, _ := db.CreateTable("T")
 			var rid RID

@@ -24,8 +24,8 @@ import (
 )
 
 var schema = colstore.Schema{
-	Names: []string{"region", "amount"},
-	Types: []colstore.ColumnType{colstore.String, colstore.Int64},
+	{Name: "region", Type: colstore.String},
+	{Name: "amount", Type: colstore.Int64},
 }
 
 func encode(region string, amount int64) []byte {
@@ -37,7 +37,7 @@ func encode(region string, amount int64) []byte {
 }
 
 func main() {
-	db := hybridgc.MustOpen(hybridgc.Config{Txn: hybridgc.TxnConfig{SynchronousPropagation: true}})
+	db := hybridgc.MustOpen(hybridgc.Config{})
 	defer db.Close()
 	m := db.Manager()
 

@@ -22,7 +22,7 @@ func must(res *sql.Result, err error) *sql.Result {
 }
 
 func main() {
-	db := hybridgc.MustOpen(hybridgc.Config{Txn: hybridgc.TxnConfig{SynchronousPropagation: true}})
+	db := hybridgc.MustOpen(hybridgc.Config{})
 	defer db.Close()
 	cat, err := sql.NewCatalog(db)
 	if err != nil {

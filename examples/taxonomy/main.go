@@ -16,7 +16,7 @@ import (
 // buildHistory creates two tables, pins an old cursor over one of them, and
 // piles updates onto both; it returns the database and the open snapshots.
 func buildHistory() (*hybridgc.DB, func()) {
-	db := hybridgc.MustOpen(hybridgc.Config{Txn: hybridgc.TxnConfig{SynchronousPropagation: true}})
+	db := hybridgc.MustOpen(hybridgc.Config{})
 	hot, err := db.CreateTable("HOT")
 	if err != nil {
 		log.Fatal(err)

@@ -27,8 +27,8 @@ type ext2Result struct {
 }
 
 var ext2Schema = colstore.Schema{
-	Names: []string{"amount", "region"},
-	Types: []colstore.ColumnType{colstore.Int64, colstore.String},
+	{Name: "amount", Type: colstore.Int64},
+	{Name: "region", Type: colstore.String},
 }
 
 // ext2Leg runs one leg: OLTP writers updating random fact rows (version
@@ -42,7 +42,6 @@ func (s *Suite) ext2Leg(laneOn bool) (*ext2Result, error) {
 	cfg := core.Config{
 		GC:                 workloadPeriods(s.cfg.Base),
 		LongLivedThreshold: s.cfg.LongLive,
-		Txn:                txn.Config{SynchronousPropagation: true},
 	}
 	db, err := core.Open(cfg)
 	if err != nil {

@@ -2,8 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"io"
-	"sort"
 	"sync"
 	"time"
 
@@ -206,20 +204,4 @@ func (s *Suite) Run(id string) (*Report, error) {
 	default:
 		return nil, fmt.Errorf("bench: unknown figure %q (have %v)", id, Figures())
 	}
-}
-
-// RunAll writes every figure's report to w, in paper order.
-func (s *Suite) RunAll(w io.Writer) error {
-	ids := Figures()
-	sort.Strings(ids)
-	for _, id := range ids {
-		rep, err := s.Run(id)
-		if err != nil {
-			return err
-		}
-		if _, err := rep.WriteTo(w); err != nil {
-			return err
-		}
-	}
-	return nil
 }

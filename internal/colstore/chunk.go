@@ -27,25 +27,17 @@ var ErrDictOverflow = errors.New("colstore: chunk string dictionary exceeds boun
 // builder is given no explicit bound.
 const DefaultMaxDictSize = 1 << 16
 
-// EncodeRow serializes a row in the version-payload layout (int64 as 8
-// little-endian bytes, strings length-prefixed). The layout is shared with
-// the SQL row codec, so SQL row images decode directly into column vectors.
-func EncodeRow(s Schema, row Row) ([]byte, error) { return encodeRow(s, row) }
-
-// DecodeRow parses a version payload back into cells.
-func DecodeRow(s Schema, b []byte) (Row, error) { return decodeRow(s, b) }
-
 // Spec renders the schema as a compact string ("id:int,name:str"), the form
 // the engine's HTAP lane record carries through the log.
 func (s Schema) Spec() string {
 	var b strings.Builder
-	for i, n := range s.Names {
+	for i, c := range s {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		b.WriteString(n)
+		b.WriteString(c.Name)
 		b.WriteByte(':')
-		if s.Types[i] == Int64 {
+		if c.Type == Int64 {
 			b.WriteString("int")
 		} else {
 			b.WriteString("str")
@@ -65,17 +57,16 @@ func ParseSpec(spec string) (Schema, error) {
 		if !ok || name == "" {
 			return s, fmt.Errorf("colstore: bad schema spec column %q", part)
 		}
-		s.Names = append(s.Names, name)
 		switch typ {
 		case "int":
-			s.Types = append(s.Types, Int64)
+			s = append(s, Column{name, Int64})
 		case "str":
-			s.Types = append(s.Types, String)
+			s = append(s, Column{name, String})
 		default:
 			return s, fmt.Errorf("colstore: bad schema spec type %q", typ)
 		}
 	}
-	return s, s.Validate()
+	return s, nil
 }
 
 // chunkInts is one Int64 column of a chunk: a plain vector, one slot per
@@ -92,7 +83,8 @@ type chunkStrings struct {
 	codes []uint32
 }
 
-// Chunk is one sealed columnar batch covering RIDs [BaseRID, BaseRID+Slots).
+// Chunk is one sealed columnar batch covering the dense RID range that
+// starts at BaseRID, one slot per RID.
 type Chunk struct {
 	schema    Schema
 	baseRID   ts.RID
@@ -108,9 +100,6 @@ func (c *Chunk) Schema() Schema { return c.schema }
 
 // BaseRID returns the first RID of the chunk's range.
 func (c *Chunk) BaseRID() ts.RID { return c.baseRID }
-
-// Slots returns the length of the chunk's RID range (present or not).
-func (c *Chunk) Slots() int { return len(c.present) }
 
 // Rows returns the number of present rows.
 func (c *Chunk) Rows() int { return c.rows }
@@ -198,8 +187,8 @@ func NewChunkBuilder(schema Schema, baseRID ts.RID, slots, maxDict int) (*ChunkB
 		ints:    map[int]*chunkInts{},
 		strs:    map[int]*builderStrings{},
 	}
-	for i, t := range schema.Types {
-		switch t {
+	for i, c := range schema {
+		switch c.Type {
 		case Int64:
 			b.ints[i] = &chunkInts{vals: make([]int64, slots)}
 		case String:
@@ -217,22 +206,22 @@ func (b *ChunkBuilder) Set(rid ts.RID, row Row) error {
 	if rid < b.baseRID || slot >= len(b.present) {
 		return fmt.Errorf("colstore: RID %d outside chunk range [%d,%d)", rid, b.baseRID, b.baseRID+ts.RID(len(b.present)))
 	}
-	if len(row) != len(b.schema.Types) {
-		return fmt.Errorf("%w: %d values for %d columns", ErrSchemaMismatch, len(row), len(b.schema.Types))
+	if len(row) != len(b.schema) {
+		return fmt.Errorf("%w: %d values for %d columns", ErrSchemaMismatch, len(row), len(b.schema))
 	}
 	// Check every dictionary bound before mutating anything, so an overflow
 	// leaves the builder unchanged.
-	for i, t := range b.schema.Types {
-		if t != String {
+	for i, c := range b.schema {
+		if c.Type != String {
 			continue
 		}
 		bs := b.strs[i]
 		if _, known := bs.index[row[i].S]; !known && len(bs.dict) >= b.maxDict {
-			return fmt.Errorf("%w: column %q at %d entries", ErrDictOverflow, b.schema.Names[i], b.maxDict)
+			return fmt.Errorf("%w: column %q at %d entries", ErrDictOverflow, c.Name, b.maxDict)
 		}
 	}
-	for i, t := range b.schema.Types {
-		switch t {
+	for i, c := range b.schema {
+		switch c.Type {
 		case Int64:
 			b.ints[i].vals[slot] = row[i].I
 		case String:

@@ -10,10 +10,7 @@ import (
 
 func tsRID(i int) ts.RID { return ts.RID(i) }
 
-var chunkSchema = Schema{
-	Names: []string{"id", "city"},
-	Types: []ColumnType{Int64, String},
-}
+var chunkSchema = Schema{{"id", Int64}, {"city", String}}
 
 // TestChunkDictDuplicatesAcrossChunks checks that dictionaries are strictly
 // per-chunk: the same value repeated in two chunks gets one entry in each,

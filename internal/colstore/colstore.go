@@ -1,94 +1,112 @@
-// Package colstore implements the in-memory column store of §2.1: SAP HANA
-// keeps a row store for high-performance OLTP and a column store for
-// high-performance OLAP, "seamlessly integrated" under the unified
-// transaction manager — transactions across both stores share commit
-// timestamps and snapshots while "each store has its own version space
-// layout".
+// Package colstore declares the engine's row once — a column's type, a
+// typed value, a schema and the byte layout of a row image — and the
+// columnar form the HTAP lane settles rows into: immutable,
+// dictionary-encoded chunks (chunk.go).
 //
-// This column store shares the transaction manager, the snapshot registry
-// and the version space with the row-store engine: recent changes live as
-// ordinary version chains (playing the delta-store role), and garbage
-// collection migrates settled images into columnar main storage — typed
-// column vectors with dictionary-encoded strings. Once a row's chain is
-// collected, scans read the vectors directly with no per-row decoding,
-// which is the column store's OLAP advantage. All collectors, including the
-// table collector's per-table snapshot scoping (§4.3's row/column
-// separation argument), work on column tables unchanged.
+// §2.1 pairs a row store for OLTP with a column store for OLAP under one
+// transaction manager. Here rows are written and read through core.Tx only;
+// internal/htap migrates their settled images into chunks and serves
+// aggregates from the vectors. The SQL layer, the lane and the wire all use
+// the declarations below, so a value keeps one struct and one type tag from
+// the parser to the chunk to the frame.
 package colstore
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
-
-	"hybridgc/internal/mvcc"
-	"hybridgc/internal/ts"
-	"hybridgc/internal/txn"
+	"strconv"
 )
 
-// Errors returned by the column store.
-var (
-	ErrTableExists    = errors.New("colstore: table already exists")
-	ErrSchemaMismatch = errors.New("colstore: row does not match schema")
-	ErrNotFound       = errors.New("colstore: record not found")
-)
+// ErrSchemaMismatch reports a row whose arity or value types differ from the
+// schema it is encoded or placed under.
+var ErrSchemaMismatch = errors.New("colstore: row does not match schema")
 
-// baseTableID is where column-store table IDs start, keeping them disjoint
-// from row-store IDs inside the shared per-table snapshot trackers.
-const baseTableID ts.TableID = 1 << 16
-
-// ColumnType is a column's value type.
+// ColumnType is the type of a column and of the values in it.
 type ColumnType uint8
 
 const (
 	// Int64 is a 64-bit integer column.
 	Int64 ColumnType = iota + 1
-	// String is a dictionary-encoded string column.
+	// String is a string column, dictionary-encoded inside a chunk.
 	String
 )
 
-// Schema describes a column table's layout.
-type Schema struct {
-	Names []string
-	Types []ColumnType
+// String implements fmt.Stringer with the SQL spelling.
+func (t ColumnType) String() string {
+	if t == Int64 {
+		return "INT"
+	}
+	return "TEXT"
 }
 
-// Validate checks internal consistency.
+// Column is one column of a schema.
+type Column struct {
+	Name string
+	Type ColumnType
+}
+
+// Schema is a table's columns in row order.
+type Schema []Column
+
+// Validate checks the schema is non-empty and every type is known.
 func (s Schema) Validate() error {
-	if len(s.Names) == 0 || len(s.Names) != len(s.Types) {
-		return fmt.Errorf("colstore: invalid schema: %d names, %d types", len(s.Names), len(s.Types))
+	if len(s) == 0 {
+		return errors.New("colstore: invalid schema: no columns")
 	}
-	for _, t := range s.Types {
-		if t != Int64 && t != String {
-			return fmt.Errorf("colstore: unknown column type %d", t)
+	for _, c := range s {
+		if c.Type != Int64 && c.Type != String {
+			return fmt.Errorf("colstore: unknown column type %d", c.Type)
 		}
 	}
 	return nil
 }
 
-// Value is one typed cell.
+// Value is one typed cell: I holds an Int64, S a String. It is comparable,
+// so it keys the aggregate executor's group maps.
 type Value struct {
-	I int64
-	S string
+	Type ColumnType
+	I    int64
+	S    string
 }
 
 // IntV and StrV build cells.
-func IntV(v int64) Value  { return Value{I: v} }
-func StrV(v string) Value { return Value{S: v} }
+func IntV(v int64) Value  { return Value{Type: Int64, I: v} }
+func StrV(v string) Value { return Value{Type: String, S: v} }
+
+// String implements fmt.Stringer.
+func (v Value) String() string {
+	if v.Type == Int64 {
+		return strconv.FormatInt(v.I, 10)
+	}
+	return v.S
+}
+
+// Less orders values of the same type (ints numerically, strings bytewise).
+func (v Value) Less(o Value) bool {
+	if v.Type == Int64 {
+		return v.I < o.I
+	}
+	return v.S < o.S
+}
 
 // Row is one row's cells in schema order.
 type Row []Value
 
-// encodeRow serializes a row as the version payload.
-func encodeRow(s Schema, row Row) ([]byte, error) {
-	if len(row) != len(s.Types) {
-		return nil, fmt.Errorf("%w: %d values for %d columns", ErrSchemaMismatch, len(row), len(s.Types))
+// EncodeRow serializes a row as its image, the payload of a record version:
+// an Int64 as 8 little-endian bytes, a String as a u32 little-endian length
+// and the bytes. WAL directories, checkpoints and the replication stream
+// carry these images, so the layout is pinned by TestRowImageGolden.
+func EncodeRow(s Schema, row Row) ([]byte, error) {
+	if len(row) != len(s) {
+		return nil, fmt.Errorf("%w: %d values for %d columns", ErrSchemaMismatch, len(row), len(s))
 	}
 	var b []byte
-	for i, t := range s.Types {
-		switch t {
+	for i, c := range s {
+		if row[i].Type != c.Type {
+			return nil, fmt.Errorf("%w: column %s is %s, value is %s", ErrSchemaMismatch, c.Name, c.Type, row[i].Type)
+		}
+		switch c.Type {
 		case Int64:
 			b = binary.LittleEndian.AppendUint64(b, uint64(row[i].I))
 		case String:
@@ -99,29 +117,31 @@ func encodeRow(s Schema, row Row) ([]byte, error) {
 	return b, nil
 }
 
-// decodeRow parses a version payload back into cells.
-func decodeRow(s Schema, b []byte) (Row, error) {
-	row := make(Row, len(s.Types))
+// DecodeRow parses a row image back into cells. Images arrive from the WAL
+// and the replication stream: a length prefix is checked against the bytes
+// that are there before anything is allocated for it.
+func DecodeRow(s Schema, b []byte) (Row, error) {
+	row := make(Row, len(s))
 	off := 0
-	for i, t := range s.Types {
-		switch t {
+	for i, c := range s {
+		switch c.Type {
 		case Int64:
-			if off+8 > len(b) {
-				return nil, fmt.Errorf("colstore: truncated row at column %d", i)
+			if len(b)-off < 8 {
+				return nil, fmt.Errorf("colstore: truncated row at column %s", c.Name)
 			}
-			row[i].I = int64(binary.LittleEndian.Uint64(b[off:]))
+			row[i] = IntV(int64(binary.LittleEndian.Uint64(b[off:])))
 			off += 8
 		case String:
-			if off+4 > len(b) {
-				return nil, fmt.Errorf("colstore: truncated row at column %d", i)
+			if len(b)-off < 4 {
+				return nil, fmt.Errorf("colstore: truncated row at column %s", c.Name)
 			}
-			n := int(binary.LittleEndian.Uint32(b[off:]))
+			n := binary.LittleEndian.Uint32(b[off:])
 			off += 4
-			if off+n > len(b) {
-				return nil, fmt.Errorf("colstore: truncated string at column %d", i)
+			if uint64(len(b)-off) < uint64(n) {
+				return nil, fmt.Errorf("colstore: truncated string at column %s", c.Name)
 			}
-			row[i].S = string(b[off : off+n])
-			off += n
+			row[i] = StrV(string(b[off : off+int(n)]))
+			off += int(n)
 		}
 	}
 	if off != len(b) {
@@ -129,132 +149,3 @@ func decodeRow(s Schema, b []byte) (Row, error) {
 	}
 	return row, nil
 }
-
-// column is one typed vector.
-type column interface {
-	set(slot int, v Value)
-	get(slot int) Value
-	grow(n int)
-}
-
-// int64Column is a plain vector.
-type int64Column struct {
-	vals []int64
-}
-
-func (c *int64Column) grow(n int) {
-	for len(c.vals) < n {
-		c.vals = append(c.vals, 0)
-	}
-}
-func (c *int64Column) set(slot int, v Value) { c.vals[slot] = v.I }
-func (c *int64Column) get(slot int) Value    { return Value{I: c.vals[slot]} }
-
-// stringColumn is dictionary-encoded: distinct values live once in dict,
-// rows store codes.
-type stringColumn struct {
-	dict  []string
-	index map[string]uint32
-	codes []uint32
-}
-
-func newStringColumn() *stringColumn {
-	return &stringColumn{index: make(map[string]uint32)}
-}
-
-func (c *stringColumn) grow(n int) {
-	for len(c.codes) < n {
-		c.codes = append(c.codes, 0)
-	}
-}
-
-func (c *stringColumn) set(slot int, v Value) {
-	code, ok := c.index[v.S]
-	if !ok {
-		code = uint32(len(c.dict))
-		c.dict = append(c.dict, v.S)
-		c.index[v.S] = code
-	}
-	c.codes[slot] = code
-}
-
-func (c *stringColumn) get(slot int) Value {
-	return Value{S: c.dict[c.codes[slot]]}
-}
-
-// DictSize returns the number of distinct values (dictionary cardinality).
-func (c *stringColumn) DictSize() int { return len(c.dict) }
-
-// Table is one column-store table: columnar main storage plus the shared
-// version space for unsettled changes.
-type Table struct {
-	ID     ts.TableID
-	Name   string
-	schema Schema
-
-	store *Store
-
-	mu      sync.RWMutex
-	cols    []column
-	present []bool
-	refs    map[ts.RID]*recordRef
-	nextRID atomic.Uint64
-}
-
-// Schema returns the table's schema.
-func (t *Table) Schema() Schema { return t.schema }
-
-// Store owns the column-store catalog over a shared transaction manager.
-type Store struct {
-	m     *txn.Manager
-	space *mvcc.Space
-
-	mu     sync.RWMutex
-	tables map[string]*Table
-	nextID uint32
-}
-
-// New creates a column store sharing the given transaction manager (and
-// through it, the version space, snapshot registry and garbage collectors).
-func New(m *txn.Manager) *Store {
-	return &Store{m: m, space: m.Space(), tables: make(map[string]*Table)}
-}
-
-// CreateTable registers a column table.
-func (s *Store) CreateTable(name string, schema Schema) (*Table, error) {
-	if err := schema.Validate(); err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, dup := s.tables[name]; dup {
-		return nil, fmt.Errorf("%w: %s", ErrTableExists, name)
-	}
-	s.nextID++
-	t := &Table{
-		ID:     baseTableID + ts.TableID(s.nextID),
-		Name:   name,
-		schema: schema,
-		store:  s,
-	}
-	for _, ct := range schema.Types {
-		switch ct {
-		case Int64:
-			t.cols = append(t.cols, &int64Column{})
-		case String:
-			t.cols = append(t.cols, newStringColumn())
-		}
-	}
-	s.tables[name] = t
-	return t, nil
-}
-
-// Table resolves a column table by name, or nil.
-func (s *Store) Table(name string) *Table {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.tables[name]
-}
-
-// Manager returns the shared transaction manager.
-func (s *Store) Manager() *txn.Manager { return s.m }

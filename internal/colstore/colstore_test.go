@@ -1,89 +1,62 @@
 package colstore
 
 import (
+	"bytes"
+	"encoding/hex"
 	"errors"
-	"fmt"
+	"os"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
-	"time"
-
-	"hybridgc/internal/gc"
-	"hybridgc/internal/mvcc"
-	"hybridgc/internal/sts"
-	"hybridgc/internal/ts"
-	"hybridgc/internal/txn"
 )
 
-func newStore(t *testing.T) (*Store, *txn.Manager) {
-	t.Helper()
-	m := txn.NewManager(mvcc.NewSpace(256), sts.NewRegistry(), txn.Config{SynchronousPropagation: true})
-	t.Cleanup(m.Close)
-	return New(m), m
-}
-
-func salesSchema() Schema {
-	return Schema{
-		Names: []string{"region", "amount"},
-		Types: []ColumnType{String, Int64},
-	}
-}
-
-func exec(t *testing.T, m *txn.Manager, fn func(tx *txn.Txn) error) {
-	t.Helper()
-	tx := m.Begin(txn.StmtSI, nil)
-	if err := fn(tx); err != nil {
-		tx.Abort()
-		t.Fatal(err)
-	}
-	if _, err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-}
+var salesSchema = Schema{{"region", String}, {"amount", Int64}}
 
 func TestSchemaValidation(t *testing.T) {
 	if err := (Schema{}).Validate(); err == nil {
 		t.Fatal("empty schema must fail")
 	}
-	if err := (Schema{Names: []string{"a"}, Types: []ColumnType{99}}).Validate(); err == nil {
+	if err := (Schema{{"a", 99}}).Validate(); err == nil {
 		t.Fatal("unknown type must fail")
 	}
-	if err := salesSchema().Validate(); err != nil {
+	if err := salesSchema.Validate(); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRowCodecRoundTrip(t *testing.T) {
-	s := salesSchema()
 	row := Row{StrV("EMEA"), IntV(-42)}
-	b, err := encodeRow(s, row)
+	b, err := EncodeRow(salesSchema, row)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := decodeRow(s, b)
+	got, err := DecodeRow(salesSchema, b)
 	if err != nil || !reflect.DeepEqual(got, row) {
 		t.Fatalf("roundtrip = %v, %v", got, err)
 	}
-	if _, err := encodeRow(s, Row{IntV(1)}); !errors.Is(err, ErrSchemaMismatch) {
+	if _, err := EncodeRow(salesSchema, Row{IntV(1)}); !errors.Is(err, ErrSchemaMismatch) {
 		t.Fatalf("arity mismatch = %v", err)
 	}
-	if _, err := decodeRow(s, b[:3]); err == nil {
+	if _, err := EncodeRow(salesSchema, Row{IntV(1), IntV(2)}); !errors.Is(err, ErrSchemaMismatch) {
+		t.Fatalf("type mismatch = %v", err)
+	}
+	if _, err := DecodeRow(salesSchema, b[:3]); err == nil {
 		t.Fatal("truncated row must fail")
 	}
 }
 
 func TestRowCodecQuick(t *testing.T) {
-	s := salesSchema()
 	f := func(str string, n int64) bool {
 		if len(str) > 4096 {
 			return true
 		}
 		row := Row{StrV(str), IntV(n)}
-		b, err := encodeRow(s, row)
+		b, err := EncodeRow(salesSchema, row)
 		if err != nil {
 			return false
 		}
-		got, err := decodeRow(s, b)
+		got, err := DecodeRow(salesSchema, b)
 		return err == nil && reflect.DeepEqual(got, row)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -91,209 +64,64 @@ func TestRowCodecQuick(t *testing.T) {
 	}
 }
 
-func TestCRUDThroughVersionSpace(t *testing.T) {
-	s, m := newStore(t)
-	tbl, err := s.CreateTable("SALES", salesSchema())
+// goldenSchema and goldenRow cover what the layout distinguishes: a positive
+// and a negative int, an empty string and one longer than a byte can count.
+var (
+	goldenSchema = Schema{{"a", Int64}, {"e", String}, {"n", Int64}, {"s", String}}
+	goldenRow    = Row{IntV(42), StrV(""), IntV(-7), StrV(strings.Repeat("y", 300))}
+)
+
+// TestRowImageGolden pins the row image bytes. The golden file was written
+// by the two encoders the tree had before they became one (they agreed);
+// every WAL directory, checkpoint and replica stream holds images in this
+// layout, so a diff here is a format break, not a test to update.
+func TestRowImageGolden(t *testing.T) {
+	text, err := os.ReadFile("testdata/row_image.golden.hex")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.CreateTable("SALES", salesSchema()); !errors.Is(err, ErrTableExists) {
-		t.Fatal("duplicate table must fail")
-	}
-	if tbl.ID < baseTableID {
-		t.Fatalf("column table ID %d collides with row-store range", tbl.ID)
-	}
-
-	var rid ts.RID
-	exec(t, m, func(tx *txn.Txn) error {
-		var err error
-		rid, err = s.Insert(tx, tbl, Row{StrV("EMEA"), IntV(100)})
-		return err
-	})
-	// Before GC, the row is served from the version chain (the delta).
-	if tbl.SettledRows() != 0 {
-		t.Fatal("row must not be in main before migration")
-	}
-	readTx := m.Begin(txn.StmtSI, nil)
-	defer readTx.Abort()
-	row, err := s.Get(readTx, tbl, rid)
-	if err != nil || row[0].S != "EMEA" || row[1].I != 100 {
-		t.Fatalf("get = %v, %v", row, err)
-	}
-
-	exec(t, m, func(tx *txn.Txn) error {
-		return s.Update(tx, tbl, rid, Row{StrV("EMEA"), IntV(150)})
-	})
-	row, _ = s.Get(readTx, tbl, rid)
-	if row[1].I != 150 {
-		t.Fatalf("updated read = %v", row)
-	}
-
-	exec(t, m, func(tx *txn.Txn) error { return s.Delete(tx, tbl, rid) })
-	if _, err := s.Get(readTx, tbl, rid); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("deleted get = %v", err)
-	}
-	if err := s.Update(readTx, tbl, 999, Row{StrV("x"), IntV(1)}); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("update missing = %v", err)
-	}
-}
-
-func TestGCMigratesIntoColumnVectors(t *testing.T) {
-	s, m := newStore(t)
-	tbl, _ := s.CreateTable("SALES", salesSchema())
-	regions := []string{"EMEA", "APJ", "AMER"}
-	var want int64
-	for i := 0; i < 30; i++ {
-		i := i
-		exec(t, m, func(tx *txn.Txn) error {
-			_, err := s.Insert(tx, tbl, Row{StrV(regions[i%3]), IntV(int64(i))})
-			return err
-		})
-		want += int64(i)
-	}
-	// Everything lives in chains until the group collector migrates it.
-	if live := m.Space().Live(); live != 30 {
-		t.Fatalf("live = %d", live)
-	}
-	gc.NewGroupTimestamp(m).Collect()
-	if live := m.Space().Live(); live != 0 {
-		t.Fatalf("live after GC = %d", live)
-	}
-	if got := tbl.SettledRows(); got != 30 {
-		t.Fatalf("settled = %d, want 30", got)
-	}
-	// Dictionary encoding: 3 distinct regions over 30 rows.
-	if card := tbl.DictCardinality(0); card != 3 {
-		t.Fatalf("dictionary cardinality = %d, want 3", card)
-	}
-	// Columnar aggregate over main storage.
-	tx := m.Begin(txn.StmtSI, nil)
-	defer tx.Abort()
-	sum, err := s.SumInt64(tx, tbl, 1)
-	if err != nil || sum != want {
-		t.Fatalf("sum = %d, %v (want %d)", sum, err, want)
-	}
-	if _, err := s.SumInt64(tx, tbl, 0); !errors.Is(err, ErrSchemaMismatch) {
-		t.Fatal("summing a string column must fail")
-	}
-}
-
-func TestColumnScanSeesConsistentSnapshot(t *testing.T) {
-	s, m := newStore(t)
-	tbl, _ := s.CreateTable("SALES", salesSchema())
-	var rids []ts.RID
-	for i := 0; i < 10; i++ {
-		exec(t, m, func(tx *txn.Txn) error {
-			rid, err := s.Insert(tx, tbl, Row{StrV("r"), IntV(1)})
-			rids = append(rids, rid)
-			return err
-		})
-	}
-	gc.NewGroupTimestamp(m).Collect()
-
-	// A Trans-SI reader pins its snapshot; concurrent updates double every
-	// amount; the reader's sum must stay at the old values.
-	reader := m.Begin(txn.TransSI, nil)
-	defer reader.Abort()
-	for _, rid := range rids {
-		exec(t, m, func(tx *txn.Txn) error {
-			return s.Update(tx, tbl, rid, Row{StrV("r"), IntV(2)})
-		})
-	}
-	sum, err := s.SumInt64(reader, tbl, 1)
-	if err != nil || sum != 10 {
-		t.Fatalf("pinned sum = %d, %v (want 10)", sum, err)
-	}
-	fresh := m.Begin(txn.StmtSI, nil)
-	defer fresh.Abort()
-	sum, _ = s.SumInt64(fresh, tbl, 1)
-	if sum != 20 {
-		t.Fatalf("fresh sum = %d, want 20", sum)
-	}
-}
-
-// TestRowColumnSeparationUnderTG reproduces §4.3's motivating scenario with
-// an actual column store: a long-lived OLAP snapshot over a column table
-// must not block reclamation of the row-store-style OLTP tables once the
-// table collector scopes it.
-func TestRowColumnSeparationUnderTG(t *testing.T) {
-	s, m := newStore(t)
-	colTbl, _ := s.CreateTable("FACTS", salesSchema())
-	exec(t, m, func(tx *txn.Txn) error {
-		_, err := s.Insert(tx, colTbl, Row{StrV("EMEA"), IntV(1)})
-		return err
-	})
-
-	// An OLTP "row table" lives in the same version space under a row-store
-	// table ID; we emulate its writes directly through the shared space.
-	rowTableID := ts.TableID(1)
-	writeRow := func(rid ts.RID, img string) {
-		tx := m.Begin(txn.StmtSI, nil)
-		rec := &nopRef{}
-		v := mvcc.NewVersion(mvcc.OpUpdate, ts.RecordKey{Table: rowTableID, RID: rid}, []byte(img), tx.Context())
-		tx.Context().Add(v)
-		if _, err := m.Space().Prepend(rec, v, tx.ConflictCheck()); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := tx.Commit(); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// Long OLAP snapshot over the column table only.
-	olap := m.AcquireSnapshot(txn.KindCursor, []ts.TableID{colTbl.ID})
-	defer olap.Release()
-
-	for i := 0; i < 50; i++ {
-		writeRow(ts.RID(1+i%5), fmt.Sprintf("v%d", i))
-	}
-	gt := gc.NewGroupTimestamp(m)
-	gt.Collect()
-	blocked := m.Space().Live()
-	if blocked < 50 {
-		t.Fatalf("GT must be blocked by the OLAP snapshot, live=%d", blocked)
-	}
-
-	tg := gc.NewTableGC(m, time.Nanosecond)
-	time.Sleep(time.Millisecond)
-	st := tg.Collect()
-	if st.SnapshotsScoped != 1 {
-		t.Fatalf("TG scoped %d snapshots", st.SnapshotsScoped)
-	}
-	if st.Versions == 0 {
-		t.Fatal("TG must reclaim the row tables' versions")
-	}
-	// The OLAP reader still sees its pinned column data.
-	reader := m.Begin(txn.TransSI, nil)
-	defer reader.Abort()
-	if got := m.Space().Live(); got >= blocked {
-		t.Fatalf("row-table versions not reclaimed: %d >= %d", got, blocked)
-	}
-}
-
-type nopRef struct{}
-
-func (*nopRef) InstallImage([]byte) {}
-func (*nopRef) DropRecord()         {}
-func (*nopRef) SetVersioned(bool)   {}
-
-func TestWriteConflictAcrossStores(t *testing.T) {
-	s, m := newStore(t)
-	tbl, _ := s.CreateTable("SALES", salesSchema())
-	var rid ts.RID
-	exec(t, m, func(tx *txn.Txn) error {
-		var err error
-		rid, err = s.Insert(tx, tbl, Row{StrV("x"), IntV(1)})
-		return err
-	})
-	t1 := m.Begin(txn.StmtSI, nil)
-	defer t1.Abort()
-	t2 := m.Begin(txn.StmtSI, nil)
-	defer t2.Abort()
-	if err := s.Update(t1, tbl, rid, Row{StrV("x"), IntV(2)}); err != nil {
+	want, err := hex.DecodeString(strings.TrimSpace(string(text)))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Update(t2, tbl, rid, Row{StrV("x"), IntV(3)}); !errors.Is(err, txn.ErrWriteConflict) {
-		t.Fatalf("conflict = %v", err)
+	got, err := EncodeRow(goldenSchema, goldenRow)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("row image moved:\n got %x\nwant %x", got, want)
+	}
+	back, err := DecodeRow(goldenSchema, want)
+	if err != nil || !reflect.DeepEqual(back, goldenRow) {
+		t.Fatalf("golden image decodes to %v, %v", back, err)
+	}
+}
+
+// FuzzDecodeRow feeds arbitrary bytes to the decoder under a fixed schema:
+// it must fail or round-trip, never panic, and never allocate what a length
+// prefix merely claims.
+func FuzzDecodeRow(f *testing.F) {
+	img, _ := EncodeRow(goldenSchema, goldenRow)
+	f.Add(img)
+	f.Add(img[:11])
+	f.Add([]byte{})
+	// An int, then a string claiming 4 GiB with nothing behind it.
+	f.Add(append(make([]byte, 8), 0xff, 0xff, 0xff, 0xff))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		row, err := DecodeRow(goldenSchema, b)
+		if err != nil {
+			return
+		}
+		size := 0
+		for _, v := range row {
+			size += len(v.S)
+		}
+		if size > len(b) {
+			t.Fatalf("decoded %d string bytes from a %d-byte image", size, len(b))
+		}
+		again, err := EncodeRow(goldenSchema, row)
+		if err != nil || !bytes.Equal(again, b) {
+			t.Fatalf("accepted image does not round-trip: %x -> %v -> %x (%v)", b, row, again, err)
+		}
+	})
 }

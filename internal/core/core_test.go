@@ -14,7 +14,6 @@ import (
 
 func openTest(t *testing.T, cfg Config) *DB {
 	t.Helper()
-	cfg.Txn.SynchronousPropagation = true
 	db, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)

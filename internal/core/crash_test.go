@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"hybridgc/internal/ts"
-	"hybridgc/internal/txn"
 )
 
 // copyDir snapshots the persistence directory while the database is live —
@@ -58,7 +57,6 @@ func copyDir(t *testing.T, src, dst string) {
 func TestCrashRecoveryPrefix(t *testing.T) {
 	dir := t.TempDir()
 	db, err := Open(Config{
-		Txn:         txn.Config{SynchronousPropagation: true},
 		Persistence: &Persistence{Dir: dir},
 	})
 	if err != nil {
@@ -108,7 +106,6 @@ func TestCrashRecoveryPrefix(t *testing.T) {
 	for i := 0; i < n; i++ {
 		crashDir := filepath.Join(dir, "..", fmt.Sprintf("crash-%d", i))
 		rec, err := Open(Config{
-			Txn:         txn.Config{SynchronousPropagation: true},
 			Persistence: &Persistence{Dir: crashDir},
 		})
 		if err != nil {
@@ -160,7 +157,6 @@ func TestCrashRecoveryPrefix(t *testing.T) {
 func TestCrashDuringCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	db, err := Open(Config{
-		Txn:         txn.Config{SynchronousPropagation: true},
 		Persistence: &Persistence{Dir: dir},
 	})
 	if err != nil {

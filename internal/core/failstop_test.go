@@ -19,7 +19,6 @@ func TestFailStopOnCommitLogError(t *testing.T) {
 	defer fault.Reset()
 	dir := t.TempDir()
 	db, err := Open(Config{
-		Txn:         txn.Config{SynchronousPropagation: true},
 		Persistence: &Persistence{Dir: dir, Sync: true},
 	})
 	if err != nil {
@@ -86,7 +85,6 @@ func TestFailStopOnCommitLogError(t *testing.T) {
 
 	// Recovery sees the acked prefix only.
 	db2, err := Open(Config{
-		Txn:         txn.Config{SynchronousPropagation: true},
 		Persistence: &Persistence{Dir: dir, Sync: true},
 	})
 	if err != nil {
@@ -119,7 +117,6 @@ func TestFailStopOnPublishFailure(t *testing.T) {
 	defer fault.Reset()
 	dir := t.TempDir()
 	db, err := Open(Config{
-		Txn:         txn.Config{SynchronousPropagation: true},
 		Persistence: &Persistence{Dir: dir, Sync: true},
 	})
 	if err != nil {
@@ -157,7 +154,6 @@ func TestFailStopOnPublishFailure(t *testing.T) {
 	// or absent) is permitted for an unacknowledged commit — but the row
 	// must be a consistent, committed image, not a torn partial.
 	db2, err := Open(Config{
-		Txn:         txn.Config{SynchronousPropagation: true},
 		Persistence: &Persistence{Dir: dir, Sync: true},
 	})
 	if err != nil {

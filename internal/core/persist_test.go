@@ -17,7 +17,6 @@ import (
 func openPersistent(t *testing.T, dir string) *DB {
 	t.Helper()
 	db, err := Open(Config{
-		Txn:         txn.Config{SynchronousPropagation: true},
 		Persistence: &Persistence{Dir: dir},
 	})
 	if err != nil {
@@ -177,7 +176,6 @@ func TestRecoveryVersionSpaceStartsEmpty(t *testing.T) {
 func TestPersistentWorkloadWithGCSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
 	db, err := Open(Config{
-		Txn:                txn.Config{SynchronousPropagation: true},
 		Persistence:        &Persistence{Dir: dir},
 		GC:                 gc.Periods{GT: time.Millisecond, TG: 2 * time.Millisecond, SI: 4 * time.Millisecond},
 		LongLivedThreshold: time.Millisecond,

@@ -20,7 +20,6 @@ func TestTornTailDDLRecovery(t *testing.T) {
 	defer fault.Reset()
 	dir := t.TempDir()
 	cfg := Config{
-		Txn:         txn.Config{SynchronousPropagation: true},
 		Persistence: &Persistence{Dir: dir, Sync: true},
 	}
 	db, err := Open(cfg)
@@ -86,7 +85,6 @@ func TestCrashBetweenCheckpointSyncAndRename(t *testing.T) {
 	defer fault.Reset()
 	dir := t.TempDir()
 	cfg := Config{
-		Txn:         txn.Config{SynchronousPropagation: true},
 		Persistence: &Persistence{Dir: dir, Sync: true},
 	}
 	db, err := Open(cfg)

@@ -116,7 +116,6 @@ type runner struct {
 
 func dbConfig(dir string) core.Config {
 	return core.Config{
-		Txn:         txn.Config{SynchronousPropagation: true},
 		Persistence: &core.Persistence{Dir: dir, Sync: true},
 	}
 }

@@ -232,17 +232,6 @@ func FiredCount(name string) int64 {
 	return 0
 }
 
-// HitCount reports how many times the named site has been passed since the
-// failpoint was (re-)enabled. Hits are only counted while armed.
-func HitCount(name string) int64 {
-	mu.Lock()
-	defer mu.Unlock()
-	if p := points[name]; p != nil {
-		return p.hits
-	}
-	return 0
-}
-
 // Declare registers an injection site in the inventory and returns its name,
 // so subsystems declare their sites as package-level constants:
 //

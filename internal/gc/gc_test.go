@@ -24,7 +24,7 @@ type env struct {
 func newEnv(t testing.TB) *env {
 	t.Helper()
 	space := mvcc.NewSpace(1 << 10)
-	m := txn.NewManager(space, sts.NewRegistry(), txn.Config{SynchronousPropagation: true})
+	m := txn.NewManager(space, sts.NewRegistry(), txn.Config{})
 	t.Cleanup(m.Close)
 	return &env{t: t, cat: table.NewCatalog(), space: space, m: m}
 }

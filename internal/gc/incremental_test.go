@@ -50,7 +50,6 @@ const (
 func newHistory(t *testing.T, seed int64) *history {
 	db, err := core.Open(core.Config{
 		HashBuckets:        1 << 6,
-		Txn:                txn.Config{SynchronousPropagation: true},
 		LongLivedThreshold: longLived,
 	})
 	if err != nil {

@@ -18,7 +18,7 @@ func BenchmarkOLAPScan(b *testing.B) {
 	const rows = 20000
 	setup := func(b *testing.B, migrate int) (*Store, ts.TableID) {
 		b.Helper()
-		db, err := core.Open(core.Config{Txn: txn.Config{SynchronousPropagation: true}})
+		db, err := core.Open(core.Config{})
 		if err != nil {
 			b.Fatal(err)
 		}

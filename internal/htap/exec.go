@@ -159,8 +159,8 @@ type plan struct {
 func compile(schema colstore.Schema, spec AggSpec) (plan, error) {
 	p := plan{op: spec.Op, colIdx: -1, groupIdx: -1}
 	find := func(name string) (int, error) {
-		for i, n := range schema.Names {
-			if n == name {
+		for i, c := range schema {
+			if c.Name == name {
 				return i, nil
 			}
 		}
@@ -171,7 +171,7 @@ func compile(schema colstore.Schema, spec AggSpec) (plan, error) {
 		if err != nil {
 			return p, err
 		}
-		if spec.Op != AggCount && schema.Types[i] != colstore.Int64 {
+		if spec.Op != AggCount && schema[i].Type != colstore.Int64 {
 			return p, fmt.Errorf("htap: %s requires an int column, %q is a string", spec.Op, spec.Col)
 		}
 		p.colIdx = i
@@ -184,7 +184,7 @@ func compile(schema colstore.Schema, spec AggSpec) (plan, error) {
 			return p, err
 		}
 		p.groupIdx = i
-		p.groupStr = schema.Types[i] == colstore.String
+		p.groupStr = schema[i].Type == colstore.String
 	}
 	return p, nil
 }
@@ -242,13 +242,7 @@ func (a *acc) cellFor(key colstore.Value) *cell {
 func (a *acc) addRow(row colstore.Row) {
 	c := &a.scalar
 	if a.p.groupIdx >= 0 {
-		key := row[a.p.groupIdx]
-		if a.p.groupStr {
-			key = colstore.StrV(key.S)
-		} else {
-			key = colstore.IntV(key.I)
-		}
-		c = a.cellFor(key)
+		c = a.cellFor(row[a.p.groupIdx])
 	}
 	var v int64
 	if a.p.colIdx >= 0 {

@@ -9,19 +9,19 @@ import (
 	"hybridgc/internal/colstore"
 	"hybridgc/internal/core"
 	"hybridgc/internal/engine"
+	"hybridgc/internal/gc"
 	"hybridgc/internal/shard"
 	"hybridgc/internal/ts"
 	"hybridgc/internal/txn"
 )
 
 var laneSchema = colstore.Schema{
-	Names: []string{"amount", "region"},
-	Types: []colstore.ColumnType{colstore.Int64, colstore.String},
+	{Name: "amount", Type: colstore.Int64},
+	{Name: "region", Type: colstore.String},
 }
 
 func openTest(t *testing.T, cfg core.Config) *core.DB {
 	t.Helper()
-	cfg.Txn.SynchronousPropagation = true
 	db, err := core.Open(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -123,7 +123,11 @@ func TestMigrateAndAggregate(t *testing.T) {
 		t.Fatalf("MAX = %d, want %d", mx, n)
 	}
 
-	// GROUP BY over the dictionary column.
+	if _, err := st.Aggregate(tid, AggSpec{Op: AggSum, Col: "region"}); err == nil {
+		t.Fatal("SUM over a string column must fail")
+	}
+
+	// GROUP BY over the dictionary column: the keys come back typed.
 	res, err := st.Aggregate(tid, AggSpec{Op: AggSum, Col: "amount", GroupBy: "region"})
 	if err != nil {
 		t.Fatal(err)
@@ -133,6 +137,9 @@ func TestMigrateAndAggregate(t *testing.T) {
 	}
 	var groupTotal int64
 	for _, g := range res.Groups {
+		if g.Key.Type != colstore.String || g.Key.I != 0 {
+			t.Fatalf("group key %+v is not a string value", g.Key)
+		}
 		groupTotal += g.Sum
 	}
 	if groupTotal != wantSum {
@@ -355,6 +362,56 @@ func TestPinnedCursorBlocksMigration(t *testing.T) {
 	}
 }
 
+// TestLaneCursorLeavesRowTablesToTG is §4.3's row/column separation on the
+// served path: a long OLAP cursor over a lane-enabled table blocks the group
+// collector everywhere, and once the table collector has scoped it to FACTS
+// the row table's garbage goes while the cursor still aggregates its own
+// snapshot of the lane.
+func TestLaneCursorLeavesRowTablesToTG(t *testing.T) {
+	db := openTest(t, core.Config{})
+	facts, _ := db.CreateTable("FACTS")
+	orders, _ := db.CreateTable("ORDERS")
+	st := newTestStore(t, db)
+	if err := st.EnableTable(facts, laneSchema); err != nil {
+		t.Fatal(err)
+	}
+	const n = 16
+	for i := 0; i < n; i++ {
+		insertRow(t, db, facts, 10, "emea")
+	}
+	order := insertRow(t, db, orders, 0, "o")
+	db.GC().Collect()
+	st.Migrate()
+
+	olap := db.Manager().AcquireSnapshot(txn.KindCursor, []ts.TableID{facts})
+	defer olap.Release()
+	for i := 1; i <= 50; i++ {
+		updateRow(t, db, orders, order, int64(i), "o")
+	}
+	gc.NewGroupTimestamp(db.Manager()).Collect()
+	blocked := db.Space().Live()
+	if blocked < 50 {
+		t.Fatalf("GT must be blocked by the OLAP cursor, live=%d", blocked)
+	}
+	tg := gc.NewTableGC(db.Manager(), time.Nanosecond)
+	time.Sleep(time.Millisecond)
+	run := tg.Collect()
+	if run.SnapshotsScoped != 1 || run.Versions == 0 {
+		t.Fatalf("TG did not confine the lane cursor: %s", run)
+	}
+	if live := db.Space().Live(); live >= blocked {
+		t.Fatalf("ORDERS versions not reclaimed: %d >= %d", live, blocked)
+	}
+	p, err := compile(laneSchema, AggSpec{Op: AggSum, Col: "amount"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := st.aggregateAt(st.lane(facts), p, AggSum, olap.TS())
+	if err != nil || res.Groups[0].Sum != n*10 || res.RowRows != 0 {
+		t.Fatalf("cursor-TS SUM over the lane = %+v, %v; want %d from chunks", res, err, n*10)
+	}
+}
+
 // TestVisibilityGuardRegression is the red test: with the guard reverted
 // (guardOff), the migrator copies a still-chained row's table-space image
 // into a chunk — and a scan after the in-flight transaction commits reads a
@@ -465,7 +522,7 @@ func TestManagerShardedAggregate(t *testing.T) {
 	eng, err := shard.Open(shard.Config{
 		Shards: 3,
 		Configure: func(int) core.Config {
-			return core.Config{Txn: txn.Config{SynchronousPropagation: true}}
+			return core.Config{}
 		},
 	})
 	if err != nil {

@@ -27,11 +27,6 @@ type Striped struct {
 	s [stripeCount]stripe
 }
 
-// AddAt adds n to the stripe selected by hint.
-func (c *Striped) AddAt(hint uint64, n int64) {
-	c.s[hint&(stripeCount-1)].v.Add(n)
-}
-
 // Sum returns the total over all stripes.
 func (c *Striped) Sum() int64 {
 	var t int64

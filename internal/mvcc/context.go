@@ -84,6 +84,23 @@ func (tc *TransContext) CID() ts.CID {
 	return g.CID()
 }
 
+// Propagate writes the transaction's commit identifier into each of its
+// version entries (the backward CID propagation of §2.2), so later visibility
+// checks chase no pointers. The committing goroutine calls it on its own
+// transaction once its group is published; it returns the number of versions
+// stamped, zero before the group has a CID.
+func (tc *TransContext) Propagate() int {
+	c := tc.CID()
+	if c == ts.Invalid {
+		return 0
+	}
+	vs := tc.Versions()
+	for _, v := range vs {
+		v.SetCID(c)
+	}
+	return len(vs)
+}
+
 // GroupCommitContext represents one group commit operation (§2.2, Figure 7):
 // the set of transactions whose versions all share a single CID. Contexts
 // are kept in a global list ordered by CID so that the group collector can
@@ -129,27 +146,6 @@ func (g *GroupCommitContext) AssignCID(c ts.CID) { g.cid.Store(uint64(c)) }
 
 // CID returns the group's commit identifier, or ts.Invalid before assignment.
 func (g *GroupCommitContext) CID() ts.CID { return ts.CID(g.cid.Load()) }
-
-// Transactions returns the member transaction contexts.
-func (g *GroupCommitContext) Transactions() []*TransContext { return g.txns }
-
-// Propagate writes the group CID into every member version entry (the
-// asynchronous backward CID propagation of §2.2), so later visibility checks
-// do not chase pointers. It returns the number of versions touched.
-func (g *GroupCommitContext) Propagate() int {
-	c := g.CID()
-	if c == ts.Invalid {
-		return 0
-	}
-	n := 0
-	for _, tc := range g.txns {
-		for _, v := range tc.Versions() {
-			v.SetCID(c)
-			n++
-		}
-	}
-	return n
-}
 
 // Each calls fn on every version entry belonging to the group, across all
 // member transactions, reclaimed or not. A committed group's version set is

@@ -117,7 +117,7 @@ func TestBackwardPropagation(t *testing.T) {
 	}
 	g := NewGroup([]*TransContext{tc})
 	g.AssignCID(7)
-	if n := g.Propagate(); n != 5 {
+	if n := tc.Propagate(); n != 5 {
 		t.Fatalf("Propagate touched %d versions, want 5", n)
 	}
 	for _, v := range vs {
@@ -125,9 +125,11 @@ func TestBackwardPropagation(t *testing.T) {
 			t.Fatalf("version %v not propagated", v)
 		}
 	}
-	// Propagate on an unassigned group is a no-op.
-	g2 := NewGroup([]*TransContext{NewTransContext(2)})
-	if n := g2.Propagate(); n != 0 {
+	// Propagate before the group has a CID is a no-op.
+	tc2 := NewTransContext(2)
+	tc2.Add(NewVersion(OpUpdate, key(9), []byte("y"), tc2))
+	NewGroup([]*TransContext{tc2})
+	if n := tc2.Propagate(); n != 0 {
 		t.Fatalf("Propagate on unassigned group = %d, want 0", n)
 	}
 }

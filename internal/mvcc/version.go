@@ -47,7 +47,8 @@ func (op OpType) String() string {
 // The CID is not stored directly at commit time. It is resolved indirectly
 // through the creator's TransContext and its GroupCommitContext, and cached
 // in cid once known (the paper's atomic indirect CID assignment with
-// asynchronous backward propagation).
+// backward propagation: the committer stamps it, a reader that gets there
+// first caches it).
 type Version struct {
 	Op      OpType
 	Key     ts.RecordKey
@@ -129,12 +130,6 @@ func (v *Version) HeldBy() (by ts.CID, ok bool) {
 // already flagged (idempotence guard for collectors).
 func (v *Version) markReclaimed() bool {
 	return v.reclaimed.CompareAndSwap(false, true)
-}
-
-// OwnedBy reports whether the version was created by the given context and is
-// still uncommitted — the write-write conflict test.
-func (v *Version) OwnedBy(tc *TransContext) bool {
-	return v.tctx == tc && !v.Committed()
 }
 
 // String implements fmt.Stringer for debugging and test failure output.

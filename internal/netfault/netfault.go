@@ -74,7 +74,6 @@ type Injector struct {
 
 	kills    atomic.Int64
 	partials atomic.Int64
-	stalls   atomic.Int64
 }
 
 // NewInjector builds an Injector over a seeded source. The injector starts
@@ -85,20 +84,9 @@ func NewInjector(seed int64, plan Plan) *Injector {
 	return in
 }
 
-// SetArmed toggles injection without discarding the decision stream.
-func (in *Injector) SetArmed(on bool) {
-	if in == nil {
-		return
-	}
-	in.mu.Lock()
-	in.armed.Store(on && in.plan.enabled())
-	in.mu.Unlock()
-}
-
-// Kills, Partials and Stalls report how many times each fault class fired.
+// Kills and Partials report how many times each fault class fired.
 func (in *Injector) Kills() int64    { return in.kills.Load() }
 func (in *Injector) Partials() int64 { return in.partials.Load() }
-func (in *Injector) Stalls() int64   { return in.stalls.Load() }
 
 // decision is one I/O operation's drawn fate.
 type decision struct {
@@ -128,9 +116,6 @@ func (in *Injector) draw(isWrite bool) decision {
 		d.partial = true
 	}
 	in.mu.Unlock()
-	if d.stall > 0 {
-		in.stalls.Add(1)
-	}
 	if d.kill {
 		in.kills.Add(1)
 	}

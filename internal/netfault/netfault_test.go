@@ -78,8 +78,13 @@ func TestProxyRelaysTransparently(t *testing.T) {
 	if !bytes.Equal(got, msg) {
 		t.Fatalf("echo = %q, want %q", got, msg)
 	}
-	if p.BytesRelayed(Upstream) == 0 || p.BytesRelayed(Downstream) == 0 {
-		t.Fatal("proxy counted no relayed bytes")
+	// A relay counts a chunk after writing it, so the echo can arrive first.
+	deadline := time.Now().Add(2 * time.Second)
+	for p.BytesRelayed(Upstream) == 0 || p.BytesRelayed(Downstream) == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("proxy counted no relayed bytes")
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

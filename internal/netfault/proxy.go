@@ -50,11 +50,10 @@ type Proxy struct {
 	closed bool
 	wg     sync.WaitGroup
 
-	accepted atomic.Int64
-	refused  atomic.Int64
-	dropped  atomic.Int64
-	bytesUp  atomic.Int64
-	bytesDn  atomic.Int64
+	refused atomic.Int64
+	dropped atomic.Int64
+	bytesUp atomic.Int64
+	bytesDn atomic.Int64
 }
 
 // link is one dialer↔target pairing.
@@ -86,9 +85,6 @@ func (p *Proxy) SetPartition(up, down bool) {
 	p.cutUp.Store(up)
 	p.cutDown.Store(down)
 }
-
-// Partitioned reports whether either direction is currently cut.
-func (p *Proxy) Partitioned() bool { return p.cutUp.Load() || p.cutDown.Load() }
 
 // SetRefuse makes the proxy reject (true) or accept (false) new connections.
 func (p *Proxy) SetRefuse(on bool) { p.refuse.Store(on) }
@@ -132,18 +128,10 @@ func (p *Proxy) Close() {
 	p.wg.Wait()
 }
 
-// Links reports the number of live proxied connections.
-func (p *Proxy) Links() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.links)
-}
-
-// Accepted, Refused and Dropped report connection-lifecycle counts;
-// BytesRelayed reports per-direction forwarded bytes.
-func (p *Proxy) Accepted() int64 { return p.accepted.Load() }
-func (p *Proxy) Refused() int64  { return p.refused.Load() }
-func (p *Proxy) Dropped() int64  { return p.dropped.Load() }
+// Refused and Dropped report connection-lifecycle counts; BytesRelayed
+// reports per-direction forwarded bytes.
+func (p *Proxy) Refused() int64 { return p.refused.Load() }
+func (p *Proxy) Dropped() int64 { return p.dropped.Load() }
 func (p *Proxy) BytesRelayed(d Direction) int64 {
 	if d == Upstream {
 		return p.bytesUp.Load()
@@ -177,7 +165,6 @@ func (p *Proxy) acceptLoop() {
 			return
 		}
 		p.links[l] = struct{}{}
-		p.accepted.Add(1)
 		p.mu.Unlock()
 
 		p.wg.Add(2)

@@ -71,9 +71,6 @@ func (m *Model) Keys() []ts.RecordKey {
 	return out
 }
 
-// MaxCID returns the largest commit identifier applied.
-func (m *Model) MaxCID() ts.CID { return m.max }
-
 // Clone returns an independent copy (the crash harness forks the model to
 // build the with-pending-commit alternative).
 func (m *Model) Clone() *Model {

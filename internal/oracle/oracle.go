@@ -62,8 +62,7 @@ func (h *heldSnap) covers(o *Oracle, rid ts.RID) bool {
 // every divergence is attributable.
 func New(seed int64) (*Oracle, error) {
 	db, err := core.Open(core.Config{
-		HashBuckets:        1 << 8, // tiny table: exercise bucket collisions too
-		Txn:                txn.Config{SynchronousPropagation: true},
+		HashBuckets:        1 << 8,          // tiny table: exercise bucket collisions too
 		LongLivedThreshold: time.Nanosecond, // every held snapshot is TG-eligible
 	})
 	if err != nil {

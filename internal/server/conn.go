@@ -465,7 +465,7 @@ func (c *conn) exec(r *wire.Parser) (byte, []byte) {
 	w := c.b()
 	w.Str(res.Message).U32(uint32(res.Affected))
 	wire.PutStrings(w, res.Columns)
-	wire.PutRows(w, toWireRows(res.Rows))
+	wire.PutRows(w, res.Rows)
 	// Consistency token: the stream head after this statement, ≥ the
 	// commit LSN of an autocommitted write.
 	w.U64(c.srv.tokenLSN())
@@ -499,7 +499,7 @@ func (c *conn) aggregate(r *wire.Parser) (byte, []byte) {
 	}
 	w := c.b()
 	wire.PutStrings(w, res.Columns)
-	wire.PutRows(w, toWireRows(res.Rows))
+	wire.PutRows(w, res.Rows)
 	return ok(w)
 }
 
@@ -541,7 +541,7 @@ func (c *conn) qfetch(r *wire.Parser) (byte, []byte) {
 		return fail(err)
 	}
 	w := c.b().Bool(qc.Exhausted()).U64(uint64(fst.Traversed)).U64(uint64(fst.Duration))
-	wire.PutRows(w, toWireRows(rows))
+	wire.PutRows(w, rows)
 	return ok(w)
 }
 
@@ -558,21 +558,4 @@ func (c *conn) qclose(r *wire.Parser) (byte, []byte) {
 	delete(c.cursors, id)
 	c.srv.cursorsOpen.Add(-1)
 	return ok(nil)
-}
-
-// toWireRows converts SQL result rows to their wire form.
-func toWireRows(rows [][]sql.Datum) [][]wire.Datum {
-	out := make([][]wire.Datum, len(rows))
-	for i, row := range rows {
-		wr := make([]wire.Datum, len(row))
-		for j, d := range row {
-			if d.Type == sql.TInt {
-				wr[j] = wire.Datum{Tag: wire.DatumInt, I: d.I}
-			} else {
-				wr[j] = wire.Datum{Tag: wire.DatumText, S: d.S}
-			}
-		}
-		out[i] = wr
-	}
-	return out
 }

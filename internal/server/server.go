@@ -44,7 +44,8 @@ type ReplHandler interface {
 
 // Config tunes a Server.
 type Config struct {
-	// Addr is the TCP listen address (ListenAndServe only).
+	// Addr is the TCP listen address; the server itself only ever serves a
+	// listener it is handed, node.Start opens one here.
 	Addr string
 	// Token, when non-empty, must be presented in HELLO.
 	Token string
@@ -167,15 +168,6 @@ func (s *Server) tokenLSN() uint64 {
 
 // Catalog exposes the server's SQL catalog (in-process callers and tests).
 func (s *Server) Catalog() *sql.Catalog { return s.cat }
-
-// ListenAndServe listens on cfg.Addr and serves until Shutdown.
-func (s *Server) ListenAndServe() error {
-	ln, err := net.Listen("tcp", s.cfg.Addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(ln)
-}
 
 // Serve accepts connections on ln until the listener is closed by Shutdown.
 // It returns nil after a graceful drain.

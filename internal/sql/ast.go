@@ -1,62 +1,24 @@
 package sql
 
-import "fmt"
+import "hybridgc/internal/colstore"
 
-// ColType is a SQL column type.
-type ColType int
-
-const (
-	// TInt is a 64-bit integer column.
-	TInt ColType = iota + 1
-	// TText is a string column.
-	TText
+// The SQL layer's values, column types and column definitions are the
+// engine's own row declarations under the names SQL gives them.
+type (
+	ColType   = colstore.ColumnType
+	Datum     = colstore.Value
+	ColumnDef = colstore.Column
 )
 
-// String implements fmt.Stringer.
-func (t ColType) String() string {
-	if t == TInt {
-		return "INT"
-	}
-	return "TEXT"
-}
-
-// Datum is one SQL value: an integer or a string.
-type Datum struct {
-	Type ColType
-	I    int64
-	S    string
-}
+// Column types.
+const (
+	TInt  = colstore.Int64
+	TText = colstore.String
+)
 
 // IntD and TextD construct datums.
-func IntD(v int64) Datum   { return Datum{Type: TInt, I: v} }
-func TextD(v string) Datum { return Datum{Type: TText, S: v} }
-
-// String implements fmt.Stringer.
-func (d Datum) String() string {
-	if d.Type == TInt {
-		return fmt.Sprint(d.I)
-	}
-	return d.S
-}
-
-// Equal compares datums by type and value.
-func (d Datum) Equal(o Datum) bool {
-	return d.Type == o.Type && d.I == o.I && d.S == o.S
-}
-
-// Less orders datums of the same type (ints numerically, text bytewise).
-func (d Datum) Less(o Datum) bool {
-	if d.Type == TInt {
-		return d.I < o.I
-	}
-	return d.S < o.S
-}
-
-// ColumnDef is one column in CREATE TABLE.
-type ColumnDef struct {
-	Name string
-	Type ColType
-}
+func IntD(v int64) Datum   { return colstore.IntV(v) }
+func TextD(v string) Datum { return colstore.StrV(v) }
 
 // CmpOp is a comparison operator in a predicate.
 type CmpOp int

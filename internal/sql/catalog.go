@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 
+	"hybridgc/internal/colstore"
 	"hybridgc/internal/core"
 	"hybridgc/internal/engine"
 	"hybridgc/internal/htap"
@@ -252,57 +253,14 @@ func (c *Catalog) DB() *core.DB { return c.eng.Shard(0) }
 
 // --- row and schema codecs ---
 
-// encodeRow serializes datums per the schema.
+// encodeRow serializes datums per the schema through the engine's one row
+// codec; a row the schema rejects is the SQL layer's type mismatch.
 func encodeRow(cols []ColumnDef, row []Datum) ([]byte, error) {
-	if len(row) != len(cols) {
-		return nil, fmt.Errorf("%w: %d values for %d columns", ErrTypeMismatch, len(row), len(cols))
+	img, err := colstore.EncodeRow(cols, row)
+	if errors.Is(err, colstore.ErrSchemaMismatch) {
+		err = fmt.Errorf("%w: %v", ErrTypeMismatch, err)
 	}
-	var b []byte
-	for i, col := range cols {
-		if row[i].Type != col.Type {
-			return nil, fmt.Errorf("%w: column %s is %s, value is %s",
-				ErrTypeMismatch, col.Name, col.Type, row[i].Type)
-		}
-		switch col.Type {
-		case TInt:
-			b = binary.LittleEndian.AppendUint64(b, uint64(row[i].I))
-		case TText:
-			b = binary.LittleEndian.AppendUint32(b, uint32(len(row[i].S)))
-			b = append(b, row[i].S...)
-		}
-	}
-	return b, nil
-}
-
-// decodeRow parses a stored row.
-func decodeRow(cols []ColumnDef, b []byte) ([]Datum, error) {
-	row := make([]Datum, len(cols))
-	off := 0
-	for i, col := range cols {
-		switch col.Type {
-		case TInt:
-			if off+8 > len(b) {
-				return nil, fmt.Errorf("sql: truncated row at column %s", col.Name)
-			}
-			row[i] = IntD(int64(binary.LittleEndian.Uint64(b[off:])))
-			off += 8
-		case TText:
-			if off+4 > len(b) {
-				return nil, fmt.Errorf("sql: truncated row at column %s", col.Name)
-			}
-			n := int(binary.LittleEndian.Uint32(b[off:]))
-			off += 4
-			if off+n > len(b) {
-				return nil, fmt.Errorf("sql: truncated text at column %s", col.Name)
-			}
-			row[i] = TextD(string(b[off : off+n]))
-			off += n
-		}
-	}
-	if off != len(b) {
-		return nil, fmt.Errorf("sql: %d trailing bytes in row", len(b)-off)
-	}
-	return row, nil
+	return img, err
 }
 
 // encodeSchema serializes a schema row for the meta table.

@@ -3,6 +3,7 @@ package sql
 import (
 	"fmt"
 
+	"hybridgc/internal/colstore"
 	"hybridgc/internal/core"
 	"hybridgc/internal/engine"
 	"hybridgc/internal/ts"
@@ -118,7 +119,7 @@ func (qc *QueryCursor) Fetch(n int) ([][]Datum, core.FetchStats, error) {
 			return out, total, err
 		}
 		for _, img := range imgs {
-			row, err := decodeRow(qc.t.Columns, img)
+			row, err := colstore.DecodeRow(qc.t.Columns, img)
 			if err != nil {
 				return out, total, err
 			}

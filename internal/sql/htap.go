@@ -50,19 +50,12 @@ func (c *Catalog) EnableHTAP(table string) error {
 	return m.EnableTable(t.ID, laneSchema(t.Columns))
 }
 
-// laneSchema converts a SQL schema to the column lane's layout. The byte
-// codecs agree (int64 little-endian, length-prefixed strings), so row
-// images written by SQL decode directly into column vectors. Column names
-// are lower-cased to match the parser's normalization.
+// laneSchema is the table's schema with the column names lower-cased, as the
+// parser normalizes the names an aggregate refers to.
 func laneSchema(cols []ColumnDef) colstore.Schema {
-	var sch colstore.Schema
-	for _, c := range cols {
-		sch.Names = append(sch.Names, strings.ToLower(c.Name))
-		if c.Type == TInt {
-			sch.Types = append(sch.Types, colstore.Int64)
-		} else {
-			sch.Types = append(sch.Types, colstore.String)
-		}
+	sch := make(colstore.Schema, len(cols))
+	for i, c := range cols {
+		sch[i] = ColumnDef{Name: strings.ToLower(c.Name), Type: c.Type}
 	}
 	return sch
 }
@@ -98,18 +91,9 @@ func (s *Session) laneAggregate(t *TableInfo, st *SelectStmt) (*Result, bool, er
 			Rows:    [][]Datum{{IntD(res.Groups[0].Result(op))}},
 		}, true, nil
 	}
-	gi, err := t.ColumnIndex(st.GroupBy)
-	if err != nil {
-		return nil, true, err
-	}
-	groupText := t.Columns[gi].Type == TText
 	out := &Result{Columns: []string{st.GroupBy, aggName}}
 	for _, g := range res.Groups {
-		key := IntD(g.Key.I)
-		if groupText {
-			key = TextD(g.Key.S)
-		}
-		out.Rows = append(out.Rows, []Datum{key, IntD(g.Result(op))})
+		out.Rows = append(out.Rows, []Datum{g.Key, IntD(g.Result(op))})
 	}
 	return out, true, nil
 }

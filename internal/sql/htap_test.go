@@ -85,16 +85,23 @@ func TestLaneFastPathMatchesRowPath(t *testing.T) {
 		"SELECT COUNT(*) FROM pay",
 		"SELECT MIN(amount) FROM pay",
 		"SELECT SUM(amount) FROM pay GROUP BY region",
+		"SELECT MAX(amount) FROM pay GROUP BY region",
+		"SELECT COUNT(*) FROM pay GROUP BY amount",
 	}
 	for _, q := range queries {
-		fast := rowsToStrings(mustExec(t, s, q))
-		// Detach to force the row path, then compare shapes exactly.
+		fast := mustExec(t, s, q)
+		// Detach to force the row path, then compare the typed rows exactly:
+		// a text group key must come back a TEXT datum, an int key an INT.
 		s.cat.AttachHTAP(nil)
-		slow := rowsToStrings(mustExec(t, s, q))
+		slow := mustExec(t, s, q)
 		s.cat.AttachHTAP(m)
-		if !reflect.DeepEqual(fast, slow) {
-			t.Errorf("%s: lane %v != row %v", q, fast, slow)
+		if !reflect.DeepEqual(fast.Rows, slow.Rows) {
+			t.Errorf("%s: lane %+v != row %+v", q, fast.Rows, slow.Rows)
 		}
+	}
+	grouped := mustExec(t, s, "SELECT SUM(amount) FROM pay GROUP BY region")
+	if want := [][]Datum{{TextD("east"), IntD(200)}, {TextD("west"), IntD(200)}}; !reflect.DeepEqual(grouped.Rows, want) {
+		t.Errorf("text GROUP BY through the lane: %+v, want %+v", grouped.Rows, want)
 	}
 	// WHERE / ORDER BY / LIMIT and explicit transactions stay on the row path.
 	if got := rowsToStrings(mustExec(t, s, "SELECT SUM(amount) FROM pay WHERE region = 'east'")); got[0] != "200" {

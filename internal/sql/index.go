@@ -161,14 +161,14 @@ func (ix *OrderedIndex) CandidatesFor(c Condition) ([]ts.RID, bool) {
 	case OpEq:
 		lo = ix.lowerBound(c.Value)
 		hi = lo
-		for hi < len(ix.keys) && ix.keys[hi].Equal(c.Value) {
+		for hi < len(ix.keys) && ix.keys[hi] == c.Value {
 			hi++
 		}
 	case OpLt:
 		lo, hi = 0, ix.lowerBound(c.Value)
 	case OpGt:
 		lo = ix.lowerBound(c.Value)
-		for lo < len(ix.keys) && ix.keys[lo].Equal(c.Value) {
+		for lo < len(ix.keys) && ix.keys[lo] == c.Value {
 			lo++
 		}
 		hi = len(ix.keys)

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 
+	"hybridgc/internal/colstore"
 	"hybridgc/internal/core"
 	"hybridgc/internal/engine"
 	"hybridgc/internal/ts"
@@ -219,7 +220,7 @@ func matchRow(t *TableInfo, row []Datum, conds []Condition) (bool, error) {
 		case OpGt:
 			ok = c.Value.Less(row[i])
 		default:
-			ok = row[i].Equal(c.Value)
+			ok = row[i] == c.Value
 		}
 		if !ok {
 			return false, nil
@@ -269,7 +270,7 @@ func (s *Session) forEachMatch(tx engine.Tx, t *TableInfo, conds []Condition, fn
 			if err != nil {
 				return err
 			}
-			row, err := decodeRow(t.Columns, img)
+			row, err := colstore.DecodeRow(t.Columns, img)
 			if err != nil {
 				return err
 			}
@@ -289,7 +290,7 @@ func (s *Session) forEachMatch(tx engine.Tx, t *TableInfo, conds []Condition, fn
 	}
 	var inner error
 	err := tx.Scan(t.ID, func(rid ts.RID, img []byte) bool {
-		row, err := decodeRow(t.Columns, img)
+		row, err := colstore.DecodeRow(t.Columns, img)
 		if err != nil {
 			inner = err
 			return false
@@ -627,7 +628,7 @@ func (s *Session) createIndex(st *CreateIndexStmt) (*Result, error) {
 	}
 	err = s.eng.Exec(txn.StmtSI, nil, func(tx engine.Tx) error {
 		return tx.Scan(t.ID, func(rid ts.RID, img []byte) bool {
-			if row, err := decodeRow(t.Columns, img); err == nil {
+			if row, err := colstore.DecodeRow(t.Columns, img); err == nil {
 				ix.Add(row[ci], rid)
 			}
 			return true

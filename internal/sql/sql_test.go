@@ -11,12 +11,11 @@ import (
 
 	"hybridgc/internal/core"
 	"hybridgc/internal/gc"
-	"hybridgc/internal/txn"
 )
 
 func newSession(t *testing.T) *Session {
 	t.Helper()
-	db, err := core.Open(core.Config{Txn: txn.Config{SynchronousPropagation: true}})
+	db, err := core.Open(core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,7 +373,6 @@ func TestSchemaSurvivesRecovery(t *testing.T) {
 	dir := t.TempDir()
 	open := func() *core.DB {
 		db, err := core.Open(core.Config{
-			Txn:         txn.Config{SynchronousPropagation: true},
 			Persistence: &core.Persistence{Dir: dir},
 		})
 		if err != nil {

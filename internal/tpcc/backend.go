@@ -135,11 +135,11 @@ func (d *Driver) checkBackend() Backend {
 // Trans-SI the second writer gets ErrWriteConflict and the retry re-runs it.
 func (d *Driver) snapshot() bool { return d.cfg.CrossWarehouse }
 
-// exec runs fn inside one transaction on the backend, committing on success
+// runTxn runs fn inside the transaction begin opens, committing on success
 // and aborting on error or panic — the backend-agnostic form of
 // core.DB.Exec.
-func (d *Driver) exec(fn func(tx Txn) error) error {
-	tx, err := d.be.Begin(d.snapshot())
+func runTxn(begin func() (Txn, error), fn func(tx Txn) error) error {
+	tx, err := begin()
 	if err != nil {
 		return err
 	}
@@ -159,12 +159,9 @@ func (d *Driver) exec(fn func(tx Txn) error) error {
 	return err
 }
 
-// execRetry runs one transaction profile with backoff on transient failures
-// (write conflicts and version pressure, local or wire-carried).
-func (d *Driver) execRetry(fn func(tx Txn) error) error {
-	return core.Retry(txnRetries, retryBase, func() error {
-		return d.exec(fn)
-	})
+// exec runs fn in one routed transaction on the backend.
+func (d *Driver) exec(fn func(tx Txn) error) error {
+	return runTxn(func() (Txn, error) { return d.be.Begin(d.snapshot()) }, fn)
 }
 
 // execOn runs fn in one transaction pinned to warehouse w's home shard — the
@@ -176,27 +173,11 @@ func (d *Driver) execOn(w uint32, cross bool, fn func(tx Txn) error) error {
 	if !ok || d.shards <= 1 || cross {
 		return d.exec(fn)
 	}
-	tx, err := sb.BeginShard(d.shardOfW(w), d.snapshot())
-	if err != nil {
-		return err
-	}
-	done := false
-	defer func() {
-		if !done {
-			tx.Abort()
-		}
-	}()
-	if err := fn(tx); err != nil {
-		tx.Abort()
-		done = true
-		return err
-	}
-	err = tx.Commit()
-	done = true
-	return err
+	return runTxn(func() (Txn, error) { return sb.BeginShard(d.shardOfW(w), d.snapshot()) }, fn)
 }
 
-// execRetryOn is execOn with the transient-failure retry policy.
+// execRetryOn is execOn with the transient-failure retry policy: backoff on
+// write conflicts and version pressure, local or wire-carried.
 func (d *Driver) execRetryOn(w uint32, cross bool, fn func(tx Txn) error) error {
 	return core.Retry(txnRetries, retryBase, func() error {
 		return d.execOn(w, cross, fn)

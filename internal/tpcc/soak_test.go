@@ -25,7 +25,6 @@ func TestSoakEverything(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{Warehouses: 3, Districts: 3, CustomersPerDistrict: 12, Items: 80, Seed: 99}
 	db, err := core.Open(core.Config{
-		Txn:                txn.Config{SynchronousPropagation: true},
 		Persistence:        &core.Persistence{Dir: dir},
 		GC:                 gc.Periods{GT: 2 * time.Millisecond, TG: 6 * time.Millisecond, SI: 20 * time.Millisecond},
 		LongLivedThreshold: 5 * time.Millisecond,
@@ -141,7 +140,6 @@ func TestSoakEverything(t *testing.T) {
 
 	// Restart from the persistency and re-check everything.
 	db2, err := core.Open(core.Config{
-		Txn:         txn.Config{SynchronousPropagation: true},
 		Persistence: &core.Persistence{Dir: dir},
 	})
 	if err != nil {

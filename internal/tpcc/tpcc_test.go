@@ -16,7 +16,6 @@ import (
 
 func newLoaded(t *testing.T, cfg Config, dbCfg core.Config) *Driver {
 	t.Helper()
-	dbCfg.Txn.SynchronousPropagation = true
 	db, err := core.Open(dbCfg)
 	if err != nil {
 		t.Fatal(err)
@@ -305,7 +304,6 @@ func TestAttachAfterRecovery(t *testing.T) {
 	cfg := smallCfg()
 	open := func() *core.DB {
 		db, err := core.Open(core.Config{
-			Txn:         txn.Config{SynchronousPropagation: true},
 			Persistence: &core.Persistence{Dir: dir},
 		})
 		if err != nil {

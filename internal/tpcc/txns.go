@@ -18,8 +18,16 @@ var errRollback = errors.New("tpcc: intentional rollback (invalid item)")
 // write-write conflicts, writes rejected under version-space pressure — back
 // off and re-run the whole profile. Profile closures must therefore reset any
 // state they populate at the top of each attempt.
+//
+// The budget has to outlast a stalled winner. A conflict's other side is a
+// worker holding an uncommitted head, and on a saturated 2-CPU box that
+// worker can sit mid-transaction for longer than 10 ms (measured on
+// shard_cross: five attempts over 4.6–11.3 ms all met the same uncommitted
+// head while its shard committed nothing). Ten attempts let the jittered
+// windows (0.5 ms, doubling) reach core.Retry's 100 ms cap: ≈ 114 ms of
+// backoff in the mean, 228 ms at most.
 const (
-	txnRetries = 5
+	txnRetries = 10
 	retryBase  = 500 * time.Microsecond
 )
 

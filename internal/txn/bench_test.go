@@ -61,7 +61,7 @@ func BenchmarkCommitParallel(b *testing.B) {
 
 // BenchmarkCommitSerial is the uncontended path: one goroutine, so every
 // commit leads a group of one and touches no channel and no other goroutine
-// on its way (the propagator is fed, not waited for).
+// on its way.
 func BenchmarkCommitSerial(b *testing.B) {
 	m := NewManager(mvcc.NewSpace(1<<16), sts.NewRegistry(), Config{})
 	defer m.Close()

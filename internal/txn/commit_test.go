@@ -102,7 +102,7 @@ func checkGroupsDense(t *testing.T, m *Manager, want ts.CID) {
 // of one group share its CID.
 func TestLeaderFollowerFormsGroups(t *testing.T) {
 	log := &testLogger{t: t, sleep: 2 * time.Millisecond}
-	m := newTestManager(t, Config{CommitLogger: log, SynchronousPropagation: true})
+	m := newTestManager(t, Config{CommitLogger: log})
 	const committers, rounds = 8, 10
 	perCID := make(map[ts.CID]int)
 	var mu sync.Mutex
@@ -210,7 +210,7 @@ func TestBarrierCoversEarlierSubmissions(t *testing.T) {
 		iterations = 200
 	}
 	log := &testLogger{t: t, entered: make(chan struct{}), gate: make(chan struct{})}
-	m := newTestManager(t, Config{CommitLogger: log, SynchronousPropagation: true})
+	m := newTestManager(t, Config{CommitLogger: log})
 	const committers = 4
 	for it := 0; it < iterations; it++ {
 		var wg sync.WaitGroup
@@ -327,7 +327,7 @@ func TestCommitAllocatesGroupOnly(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	m := newTestManager(t, Config{SynchronousPropagation: true})
+	m := newTestManager(t, Config{})
 	const runs = 200
 	txns := make([]*Txn, runs+1) // AllocsPerRun calls once more to warm up
 	for i := range txns {

@@ -24,7 +24,7 @@ func commitVersions(t *testing.T, m *Manager, from, n int) {
 // listens, one ring as the count crosses the batch, not one per commit past
 // it, and rings that find one pending coalesce with it.
 func TestGCBellBatch(t *testing.T) {
-	m := newTestManager(t, Config{SynchronousPropagation: true})
+	m := newTestManager(t, Config{})
 	commitVersions(t, m, 0, 10)
 	if len(m.bell.ring) != 0 || m.bell.fresh.Load() != 0 {
 		t.Fatal("the bell counted or rang with nobody listening")
@@ -63,7 +63,7 @@ func TestGCBellBatch(t *testing.T) {
 // minimum rings once and disarms; other timestamps, a minimum that held back
 // less than a batch, and a scan nothing held back do not.
 func TestGCBellRelease(t *testing.T) {
-	m := newTestManager(t, Config{SynchronousPropagation: true})
+	m := newTestManager(t, Config{})
 	ring := m.ListenGC(4)
 	pin := m.AcquireSnapshot(KindCursor, nil)
 	commitVersions(t, m, 0, 3) // three live versions behind the pin: under a batch

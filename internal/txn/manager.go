@@ -2,9 +2,10 @@
 // acquisition for statement-level and transaction-level snapshot isolation,
 // write-write conflict detection, abort/undo, and the group commit protocol
 // that assigns one CID per commit group through a single atomic store on the
-// GroupCommitContext (§2.2), followed by asynchronous backward CID
-// propagation. It also takes the one view of the active snapshots (view.go)
-// that the collectors, the monitors and the replica report all read.
+// GroupCommitContext (§2.2), followed by backward CID propagation on each
+// committing goroutine. It also takes the one view of the active snapshots
+// (view.go) that the collectors, the monitors and the replica report all
+// read.
 //
 // The two hot paths are built to scale across cores (DESIGN.md §15): snapshot
 // acquisition publishes into the sts announcement array guarded only by a
@@ -80,10 +81,6 @@ type Config struct {
 	// queued, which keeps single-threaded commits fast while still grouping
 	// concurrent ones.
 	GroupCommitWindow time.Duration
-	// SynchronousPropagation makes backward CID propagation happen inside
-	// the commit call instead of on the background propagator. Used by
-	// deterministic tests.
-	SynchronousPropagation bool
 	// CommitLogger, when set, makes commit groups durable before they become
 	// visible (write-ahead logging).
 	CommitLogger CommitLogger
@@ -131,11 +128,8 @@ type Manager struct {
 	scanMu  sync.Mutex
 	scanSeq atomic.Uint64
 
-	cq     commitQueue
-	bell   gcBell
-	propCh chan *mvcc.GroupCommitContext
-	quit   chan struct{}
-	wg     sync.WaitGroup
+	cq   commitQueue
+	bell gcBell
 	// closed is written under cq.mu (so submission and shutdown are ordered
 	// by the queue's mutex) and read lock-free by PublishReplicated.
 	closed atomic.Bool
@@ -147,34 +141,22 @@ type Manager struct {
 }
 
 // NewManager creates a manager over the given version space and snapshot
-// registry, and starts the CID propagator.
+// registry. It owns no goroutine: commit groups form on the committers.
 func NewManager(space *mvcc.Space, reg *sts.Registry, cfg Config) *Manager {
 	cfg.fill()
-	m := &Manager{
-		cfg:    cfg,
-		space:  space,
-		reg:    reg,
-		bell:   gcBell{ring: make(chan struct{}, 1)},
-		propCh: make(chan *mvcc.GroupCommitContext, 1024),
-		quit:   make(chan struct{}),
+	return &Manager{
+		cfg:   cfg,
+		space: space,
+		reg:   reg,
+		bell:  gcBell{ring: make(chan struct{}, 1)},
 	}
-	m.wg.Add(1)
-	go m.propagator()
-	return m
 }
 
 // Close shuts the manager down. It is the last request through the commit
 // queue: commits accepted before it are published (or failed by their
-// logger) before Close returns, commits submitted after it fail with
-// ErrClosed, and only then does the propagator stop. Safe to call more than
-// once.
-func (m *Manager) Close() {
-	if res := m.submit(nil, true); res.err != nil {
-		return // already closed
-	}
-	close(m.quit)
-	m.wg.Wait()
-}
+// logger) before Close returns, and commits submitted after it fail with
+// ErrClosed. Safe to call more than once.
+func (m *Manager) Close() { m.submit(nil, true) }
 
 // Space returns the version space the manager commits into.
 func (m *Manager) Space() *mvcc.Space { return m.space }
@@ -383,18 +365,6 @@ func (m *Manager) commitBatch(lead *commitReq, n int) commitResult {
 	m.bell.published(versions)
 	m.groupsCommitted.Add(1)
 	m.txnsCommitted.Add(int64(len(tcs)))
-	// Hand the group to the propagator before releasing anyone, so a Close
-	// that rode in this group cannot stop the propagator ahead of it.
-	if m.cfg.SynchronousPropagation {
-		m.propagated.Add(int64(gcc.Propagate()))
-	} else {
-		select {
-		case m.propCh <- gcc:
-		default:
-			// Propagator backlogged; propagate inline rather than dropping.
-			m.propagated.Add(int64(gcc.Propagate()))
-		}
-	}
 	return answer(lead, commitResult{cid: cid})
 }
 
@@ -479,30 +449,6 @@ func (m *Manager) PublishReplicated(cid ts.CID, tc *mvcc.TransContext) error {
 	m.bell.published(versions)
 	m.groupsCommitted.Add(1)
 	m.txnsCommitted.Add(1)
-	// Propagation is synchronous: the applier is one goroutine and the next
-	// record may depend on the chain state this group produced.
-	m.propagated.Add(int64(gcc.Propagate()))
+	m.propagated.Add(int64(tc.Propagate()))
 	return nil
-}
-
-// propagator performs the asynchronous backward CID propagation of §2.2:
-// writing the group CID into each member version so later visibility checks
-// need no pointer chase.
-func (m *Manager) propagator() {
-	defer m.wg.Done()
-	for {
-		select {
-		case g := <-m.propCh:
-			m.propagated.Add(int64(g.Propagate()))
-		case <-m.quit:
-			for {
-				select {
-				case g := <-m.propCh:
-					m.propagated.Add(int64(g.Propagate()))
-				default:
-					return
-				}
-			}
-		}
-	}
 }

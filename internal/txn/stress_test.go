@@ -31,7 +31,7 @@ import (
 func TestSnapshotSetAndBoundInvariantStress(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 
-	m := txn.NewManager(mvcc.NewSpace(1<<16), sts.NewRegistry(), txn.Config{SynchronousPropagation: true})
+	m := txn.NewManager(mvcc.NewSpace(1<<16), sts.NewRegistry(), txn.Config{})
 	defer m.Close()
 
 	duration := 2 * time.Second

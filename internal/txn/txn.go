@@ -20,11 +20,10 @@ const (
 // end; under Stmt-SI the engine acquires a fresh snapshot per statement and
 // the transaction only scopes writes and commit/abort.
 type Txn struct {
-	m        *Manager
-	id       uint64
-	iso      Isolation
-	snap     *Snapshot
-	declared []ts.TableID
+	m    *Manager
+	id   uint64
+	iso  Isolation
+	snap *Snapshot
 
 	tctx  *mvcc.TransContext
 	state atomic.Int32
@@ -35,12 +34,7 @@ type Txn struct {
 // transaction's snapshot eligible for table GC); pass nil when unknown.
 // Stmt-SI transactions take no snapshot here.
 func (m *Manager) Begin(iso Isolation, declared []ts.TableID) *Txn {
-	t := &Txn{
-		m:        m,
-		id:       m.nextTxnID.Add(1),
-		iso:      iso,
-		declared: append([]ts.TableID(nil), declared...),
-	}
+	t := &Txn{m: m, id: m.nextTxnID.Add(1), iso: iso}
 	if iso == TransSI {
 		t.snap = m.AcquireSnapshot(KindTransaction, declared)
 	}
@@ -56,9 +50,6 @@ func (t *Txn) Isolation() Isolation { return t.iso }
 // Snapshot returns the transaction snapshot (Trans-SI), or nil under
 // Stmt-SI.
 func (t *Txn) Snapshot() *Snapshot { return t.snap }
-
-// Declared returns the declared table scope, or nil.
-func (t *Txn) Declared() []ts.TableID { return t.declared }
 
 // Active reports whether the transaction can still read and write.
 func (t *Txn) Active() bool { return txnState(t.state.Load()) == stateActive }
@@ -128,6 +119,11 @@ func (t *Txn) Commit() (ts.CID, error) {
 		t.m.txnsAborted.Add(1)
 		return ts.Invalid, res.err
 	}
+	// Backward CID propagation (§2.2), off the leader's serial section: each
+	// member stamps its own, cache-hot versions with the CID it was answered
+	// with, so every version resolves without a pointer chase by the time
+	// Commit returns.
+	t.m.propagated.Add(int64(t.tctx.Propagate()))
 	// The snapshot is released only after the commit is durable in the
 	// version space, so under Trans-SI the tracker reflects the paper's
 	// observation that the timestamp is reclaimed at transaction end.

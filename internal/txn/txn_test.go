@@ -81,6 +81,13 @@ func TestGroupCommitShareSingleCID(t *testing.T) {
 				t.Error(err)
 				return
 			}
+			// Leader or follower, a member has stamped its own versions by
+			// the time Commit returns.
+			for _, v := range txn.Context().Versions() {
+				if !v.Propagated() {
+					t.Errorf("version %v not stamped when Commit returned", v)
+				}
+			}
 			cidCh <- cid
 		}(uint64(i))
 	}
@@ -89,6 +96,9 @@ func TestGroupCommitShareSingleCID(t *testing.T) {
 	distinct := map[ts.CID]bool{}
 	for c := range cidCh {
 		distinct[c] = true
+	}
+	if got := m.Stats().Propagated; got != n {
+		t.Fatalf("Propagated = %d, want %d", got, n)
 	}
 	groups := m.Stats().GroupsCommitted
 	if int64(len(distinct)) != groups {
@@ -127,7 +137,7 @@ func TestReadOnlyCommit(t *testing.T) {
 }
 
 func TestTransSISnapshotPinsHorizon(t *testing.T) {
-	m := newTestManager(t, Config{SynchronousPropagation: true})
+	m := newTestManager(t, Config{})
 	rec := &nopRecord{}
 
 	// Commit something to advance the timestamp.
@@ -179,7 +189,7 @@ func TestWriteConflictUncommitted(t *testing.T) {
 }
 
 func TestFirstCommitterWinsUnderTransSI(t *testing.T) {
-	m := newTestManager(t, Config{SynchronousPropagation: true})
+	m := newTestManager(t, Config{})
 	rec := &nopRecord{}
 	seed := m.Begin(StmtSI, nil)
 	if err := write(t, m, seed, rec, 1, "v0"); err != nil {
@@ -338,7 +348,7 @@ func TestManagerClose(t *testing.T) {
 }
 
 func TestHorizonsWithTableScoping(t *testing.T) {
-	m := newTestManager(t, Config{SynchronousPropagation: true})
+	m := newTestManager(t, Config{})
 	rec := &nopRecord{}
 	for i := 0; i < 3; i++ {
 		w := m.Begin(StmtSI, nil)

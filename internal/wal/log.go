@@ -291,52 +291,11 @@ func (l *Log) Failed() error {
 
 // Append frames, writes and flushes one record; with Sync set it also
 // fsyncs, making the record durable before the caller acknowledges commit.
-// Any I/O error fail-stops the log permanently (see Log).
+// It is a batch of one that is not a commit group. Any I/O error fail-stops
+// the log permanently (see Log).
 func (l *Log) Append(r *Record) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.f == nil {
-		return errors.New("wal: log closed")
-	}
-	if l.failErr != nil {
-		return fmt.Errorf("%w: %v", ErrLogFailed, l.failErr)
-	}
-	if err := fault.Hit(FPAppend); err != nil {
-		return l.failLocked(err)
-	}
-	payload := r.EncodePayload()
-	framed := Frame(payload)
-	if err := fault.Hit(FPAppendTorn); err != nil {
-		// Simulate a torn write: the first half of the frame reaches the OS,
-		// then the device dies. Recovery must stop replay at the torn frame.
-		if _, werr := l.w.Write(framed[:len(framed)/2]); werr == nil {
-			_ = l.w.Flush()
-		}
-		return l.failLocked(err)
-	}
-	if _, err := l.w.Write(framed); err != nil {
-		return l.failLocked(err)
-	}
-	l.size += int64(len(framed))
-	if err := l.w.Flush(); err != nil {
-		return l.failLocked(err)
-	}
-	if l.opts.Sync {
-		if err := fault.Hit(FPSync); err != nil {
-			return l.failLocked(err)
-		}
-		if err := l.f.Sync(); err != nil {
-			return l.failLocked(err)
-		}
-	}
-	lsn := MakeLSN(l.seq, l.recs)
-	l.recs++
-	l.ctrRecords++
-	if l.opts.Sync {
-		l.ctrSyncs++
-	}
-	l.publishLocked(Appended{LSN: lsn, Payload: payload})
-	return nil
+	_, err := l.appendRecords([]*Record{r}, false)
+	return err
 }
 
 // maxBatchBufRetain caps the assembly buffer kept across AppendBatch calls;
@@ -349,7 +308,7 @@ const maxBatchBufRetain = 1 << 20
 // across calls, so the steady-state allocation cost is the returned LSN
 // slice. LSNs are assigned and published to subscribers in record order
 // before the lock is released, so no concurrent Append can interleave inside
-// the group. Errors fail-stop the log exactly like Append.
+// the group. Any I/O error fail-stops the log permanently (see Log).
 //
 // Durability is all-or-nothing per write call, not per record: a crash
 // mid-write can leave a prefix of the group's frames on disk, which is why
@@ -359,6 +318,13 @@ func (l *Log) AppendBatch(recs []*Record) ([]LSN, error) {
 	if len(recs) == 0 {
 		return nil, nil
 	}
+	return l.appendRecords(recs, true)
+}
+
+// appendRecords is the one append path: open check, failpoints, frame, write,
+// flush, sync, LSNs, publish. group marks a commit group, which has a
+// mid-batch torn-write failpoint of its own and is what ctrBatches counts.
+func (l *Log) appendRecords(recs []*Record, group bool) ([]LSN, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.f == nil {
@@ -371,8 +337,9 @@ func (l *Log) AppendBatch(recs []*Record) ([]LSN, error) {
 		return nil, l.failLocked(err)
 	}
 	buf := l.batchBuf[:0]
-	// Frame every record back-to-back; starts[i] is where record i's frame
-	// begins, so payloads can be sliced back out for publishing.
+	// Frame every record back-to-back — [u32 length][u32 crc32c][payload] —
+	// with starts[i] where record i's frame begins, so payloads can be sliced
+	// back out for publishing.
 	starts := make([]int, len(recs)+1)
 	for i, r := range recs {
 		starts[i] = len(buf)
@@ -392,22 +359,24 @@ func (l *Log) AppendBatch(recs []*Record) ([]LSN, error) {
 		l.batchBuf = nil
 	}
 	if err := fault.Hit(FPAppendTorn); err != nil {
-		// Simulate a torn write of the group's first frame: no member record
-		// survives whole. Same site as the single-record path so the torn-tail
-		// matrix covers both.
+		// Simulate a torn write of the first frame — the first half reaches
+		// the OS, then the device dies: no record of the call survives whole,
+		// and recovery must stop replay at the torn frame.
 		if _, werr := l.w.Write(buf[:starts[1]/2]); werr == nil {
 			_ = l.w.Flush()
 		}
 		return nil, l.failLocked(err)
 	}
-	if err := fault.Hit(FPAppendBatchTorn); err != nil {
-		// Simulate a power cut mid-batch: half the bytes reach the OS, then
-		// the device dies. Some member records are whole on disk, the rest are
-		// missing or torn — recovery must discard them all.
-		if _, werr := l.w.Write(buf[:len(buf)/2]); werr == nil {
-			_ = l.w.Flush()
+	if group {
+		if err := fault.Hit(FPAppendBatchTorn); err != nil {
+			// Simulate a power cut mid-batch: half the bytes reach the OS,
+			// then the device dies. Some member records are whole on disk, the
+			// rest are missing or torn — recovery must discard them all.
+			if _, werr := l.w.Write(buf[:len(buf)/2]); werr == nil {
+				_ = l.w.Flush()
+			}
+			return nil, l.failLocked(err)
 		}
-		return nil, l.failLocked(err)
 	}
 	if _, err := l.w.Write(buf); err != nil {
 		return nil, l.failLocked(err)
@@ -438,7 +407,9 @@ func (l *Log) AppendBatch(recs []*Record) ([]LSN, error) {
 		}
 	}
 	l.ctrRecords += int64(len(recs))
-	l.ctrBatches++
+	if group {
+		l.ctrBatches++
+	}
 	return lsns, nil
 }
 

@@ -333,17 +333,3 @@ func DecodePayload(b []byte) (*Record, error) {
 
 // crcTable is the Castagnoli table used for record checksums.
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
-// Frame wraps an encoded payload with its length and checksum:
-// [u32 length][u32 crc32c][payload].
-func Frame(payload []byte) []byte {
-	return AppendFrame(make([]byte, 0, 8+len(payload)), payload)
-}
-
-// AppendFrame appends the framed payload to dst. payload must not alias the
-// tail of dst (the checksum is computed before the copy).
-func AppendFrame(dst, payload []byte) []byte {
-	dst = appendU32(dst, uint32(len(payload)))
-	dst = appendU32(dst, crc32.Checksum(payload, crcTable))
-	return append(dst, payload...)
-}

@@ -21,6 +21,7 @@ import (
 	"io"
 	"sync"
 
+	"hybridgc/internal/colstore"
 	"hybridgc/internal/core"
 )
 
@@ -475,9 +476,10 @@ func (r *Parser) Rest() int { return len(r.b) - r.off }
 
 // --- datum codec ---
 //
-// SQL values travel as a type tag byte followed by the value. The tags
-// mirror sql.ColType but are fixed here so the wire format is independent
-// of that package's internals.
+// A value travels as a type tag byte followed by the value. Datum is the
+// engine's own value struct, so result rows are framed as the SQL layer
+// produced them; the tag bytes are protocol constants fixed here, whatever
+// the in-memory type enum does.
 
 // Datum type tags.
 const (
@@ -485,38 +487,24 @@ const (
 	DatumText byte = 2
 )
 
-// Datum is one SQL value in wire form.
-type Datum struct {
-	Tag byte
-	I   int64
-	S   string
-}
-
-// String renders the datum for display.
-func (d Datum) String() string {
-	if d.Tag == DatumInt {
-		return fmt.Sprint(d.I)
-	}
-	return d.S
-}
+// Datum is one SQL value.
+type Datum = colstore.Value
 
 // PutDatum appends one datum.
 func PutDatum(w *Builder, d Datum) {
-	w.U8(d.Tag)
-	if d.Tag == DatumInt {
-		w.I64(d.I)
+	if d.Type == colstore.Int64 {
+		w.U8(DatumInt).I64(d.I)
 	} else {
-		w.Str(d.S)
+		w.U8(DatumText).Str(d.S)
 	}
 }
 
 // GetDatum reads one datum.
 func GetDatum(r *Parser) Datum {
-	tag := r.U8()
-	if tag == DatumInt {
-		return Datum{Tag: DatumInt, I: r.I64()}
+	if r.U8() == DatumInt {
+		return colstore.IntV(r.I64())
 	}
-	return Datum{Tag: DatumText, S: r.Str()}
+	return colstore.StrV(r.Str())
 }
 
 // PutRows appends a row block: u32 row count, then per row a u16 datum

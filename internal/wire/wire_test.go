@@ -3,10 +3,14 @@ package wire
 import (
 	"bufio"
 	"bytes"
+	"encoding/hex"
 	"errors"
+	"os"
+	"reflect"
 	"strings"
 	"testing"
 
+	"hybridgc/internal/colstore"
 	"hybridgc/internal/core"
 )
 
@@ -76,8 +80,8 @@ func TestValueRoundTrip(t *testing.T) {
 
 func TestRowsRoundTrip(t *testing.T) {
 	rows := [][]Datum{
-		{{Tag: DatumInt, I: 42}, {Tag: DatumText, S: "x"}},
-		{{Tag: DatumInt, I: -1}, {Tag: DatumText, S: strings.Repeat("y", 300)}},
+		{colstore.IntV(42), colstore.StrV("x")},
+		{colstore.IntV(-1), colstore.StrV(strings.Repeat("y", 300))},
 	}
 	w := &Builder{}
 	PutRows(w, rows)
@@ -87,6 +91,33 @@ func TestRowsRoundTrip(t *testing.T) {
 	}
 	if got[0][1].String() != "x" || got[0][0].String() != "42" {
 		t.Fatal("datum String broke")
+	}
+}
+
+// TestRowBlockGolden pins the row-block frame bytes against a file written
+// by the tree that still had its own wire.Datum struct: carrying the
+// engine's rows as they are must not move a byte, or wire.Version has to.
+func TestRowBlockGolden(t *testing.T) {
+	text, err := os.ReadFile("testdata/row_block.golden.hex")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := hex.DecodeString(strings.TrimSpace(string(text)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := [][]Datum{
+		{colstore.IntV(42), colstore.StrV("")},
+		{colstore.IntV(-7), colstore.StrV(strings.Repeat("y", 300))},
+		{},
+	}
+	w := &Builder{}
+	PutRows(w, rows)
+	if got := w.Take(); !bytes.Equal(got, want) {
+		t.Fatalf("row block moved:\n got %x\nwant %x", got, want)
+	}
+	if back := GetRows(NewParser(want)); !reflect.DeepEqual(back, rows) {
+		t.Fatalf("golden block decodes to %+v", back)
 	}
 }
 
