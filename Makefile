@@ -20,10 +20,11 @@ test:
 # space, the snapshot announcement array, pressure controller, the network
 # service layer, replication, the node assembly and its end-to-end smokes in
 # cmd/tpcc, the sharded engine and its 2PC path, the lock-free hash table and
-# table space, the WAL/wire hot paths, and the row codec and chunks the HTAP
-# migrator and its scans share) with -short to keep CI latency sane.
+# table space, the WAL/wire hot paths, the row codec and chunks the HTAP
+# migrator and its scans share, and the crash matrix, which drives commit,
+# fail-stop and recovery concurrently) with -short to keep CI latency sane.
 race:
-	$(GO) test -race -short ./internal/table/... ./internal/core/... ./internal/txn/... ./internal/gc/... ./internal/mvcc/... ./internal/sts/... ./internal/sql/... ./internal/server/... ./internal/client/... ./internal/repl/... ./internal/node/... ./cmd/tpcc/... ./internal/wal/... ./internal/wire/... ./internal/netfault/... ./internal/chaos/... ./internal/shard/... ./internal/htap/... ./internal/colstore/...
+	$(GO) test -race -short ./internal/table/... ./internal/core/... ./internal/txn/... ./internal/gc/... ./internal/mvcc/... ./internal/sts/... ./internal/sql/... ./internal/server/... ./internal/client/... ./internal/repl/... ./internal/node/... ./cmd/tpcc/... ./internal/wal/... ./internal/wire/... ./internal/netfault/... ./internal/chaos/... ./internal/shard/... ./internal/htap/... ./internal/colstore/... ./internal/crashmatrix/...
 
 check: vet build test race
 

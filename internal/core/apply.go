@@ -34,22 +34,10 @@ func (db *DB) ApplyCheckpoint(ck *wal.Checkpoint) error {
 	if db.m.CurrentTS() != 0 || len(db.cat.Tables()) != 0 {
 		return ErrNotEmpty
 	}
-	for _, t := range ck.Tables {
-		tbl, err := db.cat.Restore(t.ID, t.Name)
-		if err != nil {
-			return err
-		}
-		for _, r := range t.Records {
-			rec, err := tbl.CreateRecord(r.RID)
-			if err != nil {
-				return err
-			}
-			rec.InstallImage(r.Image)
-		}
-		tbl.EnsureNextRID(t.NextRID)
+	if err := installCheckpoint(db.cat, ck); err != nil {
+		return err
 	}
 	db.m.SetCommitTS(ck.CID)
-	db.asm.Reset()
 	return nil
 }
 
@@ -111,31 +99,19 @@ func (db *DB) ApplyGroup(cid ts.CID, ops []wal.Op) error {
 }
 
 // ApplyRecord replays one WAL record (the unit the replication stream
-// ships), dispatching on its kind. Multi-part commit groups are buffered in
-// the engine's assembler and applied only once complete: the stream can
-// legitimately carry the torn prefix of a batch (the tail of a crashed
-// primary's segment, shipped verbatim during catch-up), and such a group —
-// whose commit was never acknowledged — must vanish, not half-apply. The
-// assembler's drop/error rules are documented on wal.GroupAssembler.
+// ships), dispatching on its kind. Nothing is buffered across records: a
+// commit group is one record, so when ApplyRecord returns nil the record is
+// applied.
 func (db *DB) ApplyRecord(r *wal.Record) error {
 	switch r.Kind {
 	case wal.KindDDL:
-		db.asm.Abandon()
 		return db.ApplyDDL(r.TableID, r.TableName)
 	case wal.KindGroup:
-		cid, ops, done, err := db.asm.Feed(r)
-		if err != nil {
-			return err
-		}
-		if !done {
-			return nil
-		}
-		return db.ApplyGroup(cid, ops)
+		return db.ApplyGroup(r.CID, r.Ops)
 	case wal.KindHTAPLane:
 		// Lane enablement replicates as metadata only: the replica remembers
 		// it (rememberLane) so a promoted replica re-enables the same lanes;
 		// chunks rebuild locally from the applied table state.
-		db.asm.Abandon()
 		db.rememberLane(r.TableID, r.TableName, r.CID)
 		return nil
 	default:

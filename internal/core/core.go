@@ -106,13 +106,6 @@ type DB struct {
 	// cross-shard transactions before serving.
 	recovery *RecoverySummary
 
-	// asm reassembles multi-part commit groups arriving over the replication
-	// stream (ApplyRecord). It lives on the engine, not on the stream: a
-	// reconnect resumes from the applied cursor, which may sit between the
-	// parts of a group, and the buffered prefix must survive to meet the rest.
-	// Single applier goroutine; no locking.
-	asm wal.GroupAssembler
-
 	// retention, when set, lower-bounds which log segments Checkpoint may
 	// prune: it returns the lowest segment sequence still needed (by the
 	// slowest replica) and whether a constraint exists at all.

@@ -35,54 +35,38 @@ var ErrNoPersistence = errors.New("core: persistence not configured")
 // walLogger adapts the WAL to the transaction manager's CommitLogger hook.
 type walLogger struct {
 	log *wal.Log
-	// recs/pool are reused record scaffolding. LogCommit is called by the
-	// commit group's leader, one leader at a time, ordered by the commit
-	// queue's mutex (txn.Manager.submit), so no locking is layered.
-	recs []*wal.Record
-	pool []wal.Record
+	// rec is the reused group record. LogCommit is called by the commit
+	// group's leader, one leader at a time (txn.Manager.commitBatch), so no
+	// locking is layered.
+	rec wal.Record
 }
 
 // LogCommit implements txn.CommitLogger: the commit group becomes one
-// KindGroup record per member transaction, all sharing the group CID and
-// stamped Part/Parts, appended as one batch — one write, one fsync — before
-// the leader publishes the group. Recovery and the replication applier
-// replay the group only once every part is present, so a batch torn by a
-// crash (which was never acknowledged) disappears instead of surfacing a
-// partial commit.
+// KindGroup record — the CID, then every member's operations in member order
+// — appended with one write and one fsync before the leader publishes the
+// group. One record is one checksummed frame, so a group torn by a crash
+// (which was never acknowledged) fails its checksum and disappears whole.
 // Members whose write set is already durable (two-phase-commit participants,
 // whose prepare record logged it) are skipped; their CID reaches the log via
 // the KindResolve record the coordinator appends after publication.
 func (w *walLogger) LogCommit(cid ts.CID, members []*mvcc.TransContext) error {
-	if cap(w.pool) < len(members) {
-		w.pool = make([]wal.Record, len(members))
-		w.recs = make([]*wal.Record, len(members))
-	}
-	recs := w.recs[:0]
+	w.rec = wal.Record{Kind: wal.KindGroup, CID: cid, Ops: w.rec.Ops[:0]}
+	logged := false
 	for _, tc := range members {
 		if tc.SkipLog() {
 			continue
 		}
-		rec := &w.pool[len(recs)]
-		*rec = wal.Record{
-			Kind: wal.KindGroup, CID: cid,
-			Part: uint32(len(recs)),
-			Ops:  rec.Ops[:0],
-		}
+		logged = true
 		for _, v := range tc.Versions() {
-			rec.Ops = append(rec.Ops, wal.Op{
+			w.rec.Ops = append(w.rec.Ops, wal.Op{
 				Op: v.Op, Table: v.Key.Table, RID: v.Key.RID, Payload: v.Payload,
 			})
 		}
-		recs = append(recs, rec)
 	}
-	if len(recs) == 0 {
+	if !logged {
 		return nil
 	}
-	for _, rec := range recs {
-		rec.Parts = uint32(len(recs))
-	}
-	_, err := w.log.AppendBatch(recs)
-	return err
+	return w.log.Append(&w.rec)
 }
 
 // RecoverySummary is the two-phase-commit state recovery found in the log:
@@ -127,19 +111,8 @@ func recoverInto(cat *table.Catalog, dir string) (ts.CID, *RecoverySummary, erro
 	switch {
 	case err == nil:
 		recovered = ck.CID
-		for _, t := range ck.Tables {
-			tbl, err := cat.Restore(t.ID, t.Name)
-			if err != nil {
-				return 0, nil, err
-			}
-			for _, r := range t.Records {
-				rec, err := tbl.CreateRecord(r.RID)
-				if err != nil {
-					return 0, nil, err
-				}
-				rec.InstallImage(r.Image)
-			}
-			tbl.EnsureNextRID(t.NextRID)
+		if err := installCheckpoint(cat, ck); err != nil {
+			return 0, nil, err
 		}
 	case errors.Is(err, wal.ErrNoCheckpoint):
 		// Cold start or checkpoint-less log: replay everything.
@@ -192,15 +165,10 @@ func recoverInto(cat *table.Catalog, dir string) (ts.CID, *RecoverySummary, erro
 		return nil
 	}
 
-	// Pass 2: multi-part commit groups replay only once every part is
-	// present; parts still pending when the log ends are the torn tail of a
-	// batch whose commit was never acknowledged, and are dropped by simply
-	// never applying them (see wal.GroupAssembler for the full contract).
-	var asm wal.GroupAssembler
+	// Pass 2: replay DDL and commit groups in log order.
 	err = wal.ReadAll(dir, func(r *wal.Record) error {
 		switch r.Kind {
 		case wal.KindDDL:
-			asm.Abandon()
 			if cat.ByID(r.TableID) != nil {
 				return nil // covered by the checkpoint
 			}
@@ -210,26 +178,15 @@ func recoverInto(cat *table.Catalog, dir string) (ts.CID, *RecoverySummary, erro
 			if r.CID <= recovered {
 				return nil // covered by the checkpoint
 			}
-			cid, ops, done, err := asm.Feed(r)
-			if err != nil {
+			if err := applyResolvesBelow(r.CID); err != nil {
 				return err
 			}
-			if !done {
-				return nil
-			}
-			if err := applyResolvesBelow(cid); err != nil {
-				return err
-			}
-			for _, op := range ops {
+			for _, op := range r.Ops {
 				if err := replayOp(cat, op); err != nil {
-					return fmt.Errorf("replaying CID %d: %w", cid, err)
+					return fmt.Errorf("replaying CID %d: %w", r.CID, err)
 				}
 			}
-			if cid > recovered {
-				recovered = cid
-			}
-		case wal.KindPrepare, wal.KindDecision, wal.KindResolve, wal.KindHTAPLane:
-			asm.Abandon()
+			recovered = r.CID
 		}
 		return nil
 	})
@@ -240,6 +197,27 @@ func recoverInto(cat *table.Catalog, dir string) (ts.CID, *RecoverySummary, erro
 		return 0, nil, err
 	}
 	return recovered, sum, err
+}
+
+// installCheckpoint loads a checkpoint's tables, record images and RID
+// allocator positions into an empty catalog — at recovery and at a replica's
+// bootstrap alike.
+func installCheckpoint(cat *table.Catalog, ck *wal.Checkpoint) error {
+	for _, t := range ck.Tables {
+		tbl, err := cat.Restore(t.ID, t.Name)
+		if err != nil {
+			return err
+		}
+		for _, r := range t.Records {
+			rec, err := tbl.CreateRecord(r.RID)
+			if err != nil {
+				return err
+			}
+			rec.InstallImage(r.Image)
+		}
+		tbl.EnsureNextRID(t.NextRID)
+	}
+	return nil
 }
 
 // replayOp applies one logged operation directly to the table space.

@@ -129,6 +129,10 @@ func TestCheckpointWithoutPersistenceFails(t *testing.T) {
 	}
 }
 
+// TestRecoveryIgnoresTornTail is three opens: write and tear the tail;
+// recover across it and commit; recover again. The second open starts a fresh
+// segment, so it must first cut the torn record off the old one — a torn
+// record is only legal at the end of the final segment.
 func TestRecoveryIgnoresTornTail(t *testing.T) {
 	dir := t.TempDir()
 	db := openPersistent(t, dir)
@@ -146,10 +150,17 @@ func TestRecoveryIgnoresTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	db2 := openPersistent(t, dir)
-	defer db2.Close()
 	// The torn record (the update) is lost; the insert survives.
 	if got, _ := get1(t, db2, db2.TableID("T"), rid); got != "good" {
 		t.Fatalf("recovered %q, want pre-torn image", got)
+	}
+	update1(t, db2, tid, rid, "best")
+	db2.Close()
+
+	db3 := openPersistent(t, dir)
+	defer db3.Close()
+	if got, _ := get1(t, db3, db3.TableID("T"), rid); got != "best" {
+		t.Fatalf("third open recovered %q, want the update committed after the torn tail", got)
 	}
 }
 
@@ -249,9 +260,9 @@ func TestDDLAfterCheckpointRecovered(t *testing.T) {
 
 // TestConcurrentCommitLogIsDenseAndAscending drives the WAL from eight
 // committing goroutines at once. LogCommit keeps no lock of its own: its
-// reused scaffolding is safe only because commit groups are led one at a
-// time (run under -race), and the log must show it — group CIDs dense and
-// ascending in log order, every group whole — and recover to the same state.
+// reused record is safe only because commit groups are led one at a time
+// (run under -race), and the log must show it — one record per group, CIDs
+// dense and ascending in log order — and recover to the same state.
 func TestConcurrentCommitLogIsDenseAndAscending(t *testing.T) {
 	dir := t.TempDir()
 	db, err := Open(Config{Persistence: &Persistence{Dir: dir, Sync: false}})
@@ -283,30 +294,24 @@ func TestConcurrentCommitLogIsDenseAndAscending(t *testing.T) {
 		t.Fatalf("committed %d transactions, want %d", st.TxnsCommitted, writers*perWriter)
 	}
 
-	// last is the CID of the group being read, next/total its part cursor.
 	var last ts.CID
-	var next, total uint32
 	members := 0
 	if err := wal.ReadAll(dir, func(r *wal.Record) error {
 		if r.Kind != wal.KindGroup {
 			return nil
 		}
-		if next == total && r.CID == last+1 && r.Parts > 0 {
-			last, next, total = r.CID, 0, r.Parts
+		if r.CID != last+1 {
+			return fmt.Errorf("group record CID %d follows CID %d", r.CID, last)
 		}
-		if r.CID != last || r.Part != next || r.Parts != total {
-			return fmt.Errorf("group record CID %d part %d/%d where CID %d part %d/%d belongs",
-				r.CID, r.Part, r.Parts, last, next, total)
-		}
-		next++
-		members++
+		last = r.CID
+		members += len(r.Ops) // one insert per transaction
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if next != total || last != st.LastCID || int64(last) != st.GroupsCommitted || members != writers*perWriter {
-		t.Fatalf("log ends at CID %d part %d/%d with %d member records; engine committed %d transactions in %d groups up to CID %d",
-			last, next, total, members, st.TxnsCommitted, st.GroupsCommitted, st.LastCID)
+	if last != st.LastCID || int64(last) != st.GroupsCommitted || members != writers*perWriter {
+		t.Fatalf("log ends at CID %d with %d member operations; engine committed %d transactions in %d groups up to CID %d",
+			last, members, st.TxnsCommitted, st.GroupsCommitted, st.LastCID)
 	}
 
 	db2 := openPersistent(t, dir)

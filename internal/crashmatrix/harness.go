@@ -65,7 +65,7 @@ const (
 // Classify maps a site to its expected reaction.
 func Classify(site string) Class {
 	switch site {
-	case wal.FPAppend, wal.FPAppendTorn, wal.FPAppendBatchTorn, wal.FPSync, wal.FPRotate, txn.FPPublish:
+	case wal.FPAppend, wal.FPAppendTorn, wal.FPSync, wal.FPRotate, txn.FPPublish:
 		return ClassFatal
 	case core.FPRecover:
 		return ClassRecovery
@@ -76,13 +76,10 @@ func Classify(site string) Class {
 
 // strictlyAbsent reports whether a site fails before any byte of the commit
 // record is durably framed, so the rejected commit must NOT survive recovery.
-// FPAppendBatchTorn qualifies too: it flushes whole frames of the batch's
-// prefix, but recovery drops an incomplete group entirely, so the torn commit
-// must still be absent. The remaining fatal sites (fsync, publish) fail after
-// the full record reached the OS, where either outcome is legal for an
-// unacknowledged commit.
+// The remaining fatal sites (fsync, publish) fail after the full record
+// reached the OS, where either outcome is legal for an unacknowledged commit.
 func strictlyAbsent(site string) bool {
-	return site == wal.FPAppend || site == wal.FPAppendTorn || site == wal.FPAppendBatchTorn
+	return site == wal.FPAppend || site == wal.FPAppendTorn
 }
 
 // Report summarizes one scenario run for the test to assert on.
@@ -329,7 +326,9 @@ func armOpts(s Scenario) []fault.Option {
 	return opts
 }
 
-// validate reopens dir and checks the recovered state against the model.
+// validate reopens dir and checks the recovered state against the model, then
+// commits once more and recovers again: the image must stay openable after
+// the recovered engine appended behind whatever the crash left at the tail.
 func (r *runner) validate(dir string, s Scenario, pend *pendingOp, rep *Report) error {
 	rec, err := core.Open(dbConfig(dir))
 	if err != nil {
@@ -393,6 +392,28 @@ func (r *runner) validate(dir string, s Scenario, pend *pendingOp, rep *Report) 
 			return fmt.Errorf("table %q: %d live rows recovered, want %d",
 				r.names[origID], n, perTable[origID])
 		}
+	}
+
+	t0 := recTID[r.t0]
+	var rid ts.RID
+	if err := rec.Exec(txn.StmtSI, nil, func(tx *core.Tx) error {
+		var e error
+		rid, e = tx.Insert(t0, []byte("after-recovery"))
+		return e
+	}); err != nil {
+		return fmt.Errorf("commit on the recovered engine: %w", err)
+	}
+	rec.Close()
+	again, err := core.Open(dbConfig(dir))
+	if err != nil {
+		return fmt.Errorf("second recovery of the crash image: %w", err)
+	}
+	defer again.Close()
+	if got := again.Manager().CurrentTS(); got != R+1 {
+		return fmt.Errorf("second recovery reached CID %d, want %d", got, R+1)
+	}
+	if img, ok := again.ReadAt(t0, rid, R+1); !ok || string(img) != "after-recovery" {
+		return fmt.Errorf("row committed after the first recovery: %q,%v", img, ok)
 	}
 	return nil
 }

@@ -23,7 +23,6 @@ func TestInventoryComplete(t *testing.T) {
 		txn.FPPublish,
 		wal.FPAppend,
 		wal.FPAppendTorn,
-		wal.FPAppendBatchTorn,
 		wal.FPCheckpointRename,
 		wal.FPCheckpointSync,
 		wal.FPCheckpointWrite,

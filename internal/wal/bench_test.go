@@ -7,61 +7,30 @@ import (
 	"hybridgc/internal/ts"
 )
 
-// benchGroup builds one commit group's worth of records: members transactions
-// of ops operations each, payload bytes per operation.
-func benchGroup(members, ops, payload int) []*Record {
-	img := make([]byte, payload)
-	recs := make([]*Record, members)
-	for m := range recs {
-		r := &Record{Kind: KindGroup, CID: 1, Part: uint32(m), Parts: uint32(members)}
-		for o := 0; o < ops; o++ {
-			r.Ops = append(r.Ops, Op{
-				Op: mvcc.OpUpdate, Table: 1, RID: ts.RID(m*ops + o + 1), Payload: img,
-			})
-		}
-		recs[m] = r
-	}
-	return recs
-}
-
-// BenchmarkWALAppendLoop is the per-record append path: one Write and one
-// Sync per record — the baseline AppendBatch replaces for commit groups.
-func BenchmarkWALAppendLoop(b *testing.B) {
+// BenchmarkWALAppendGroup is the commit-group path through a Sync log: a
+// group of 16 members x 4 ops x 64 B framed as one record in the reused
+// buffer, one Write, one fsync.
+func BenchmarkWALAppendGroup(b *testing.B) {
 	l, err := Open(Options{Dir: b.TempDir(), Sync: true})
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer l.Close()
-	recs := benchGroup(16, 4, 64)
+	const members, ops = 16, 4
+	img := make([]byte, 64)
+	group := &Record{Kind: KindGroup, CID: 1}
+	for i := 0; i < members*ops; i++ {
+		group.Ops = append(group.Ops, Op{Op: mvcc.OpUpdate, Table: 1, RID: ts.RID(i + 1), Payload: img})
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, r := range recs {
-			if err := l.Append(r); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
-// BenchmarkWALAppendBatch is the batched commit-group path: the whole group
-// assembled in one reused buffer, one Write, one Sync. Same workload shape as
-// BenchmarkWALAppendLoop (16 members x 4 ops x 64B) for a direct comparison.
-func BenchmarkWALAppendBatch(b *testing.B) {
-	l, err := Open(Options{Dir: b.TempDir(), Sync: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer l.Close()
-	recs := benchGroup(16, 4, 64)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := l.AppendBatch(recs); err != nil {
+		if err := l.Append(group); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.StopTimer()
 	m := l.MetricsSnapshot()
 	b.ReportMetric(float64(m.Syncs)/float64(m.Batches), "syncs/group")
+	b.ReportMetric(float64(l.Size())/float64(m.Batches), "bytes/group")
 }

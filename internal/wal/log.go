@@ -26,13 +26,9 @@ var (
 	// failure here loses the record entirely.
 	FPAppend = fault.Declare("wal/append", "before writing a log record")
 	// FPAppendTorn writes only the first half of the frame before failing —
-	// the classic torn tail a power cut mid-write leaves behind.
+	// the classic torn tail a power cut mid-write leaves behind. A commit
+	// group is one frame, so this is also the half-written group.
 	FPAppendTorn = fault.Declare("wal/append-torn", "write half a frame, then fail (torn tail)")
-	// FPAppendBatchTorn writes only the first half of a batched commit
-	// group's frames before failing: some member records of the group reach
-	// the disk, the rest do not. Recovery must treat the whole group as
-	// absent — it was never acknowledged.
-	FPAppendBatchTorn = fault.Declare("wal/append-batch-torn", "write half a commit-group batch, then fail")
 	// FPSync fires after the record is flushed to the OS but before fsync:
 	// the commit is not acknowledged, yet the record may survive the crash
 	// (commit ambiguity).
@@ -140,14 +136,11 @@ type Log struct {
 	failErr error
 	subs    map[*Subscription]struct{}
 
-	// batchBuf is AppendBatch's reused frame-assembly buffer: the whole
-	// commit group is encoded and framed here, then written with one Write
-	// and made durable with one Sync.
-	batchBuf []byte
+	// frameBuf is Append's reused buffer: a record is encoded and framed
+	// here, then written with one Write and made durable with one Sync.
+	frameBuf []byte
 
-	// Write-path counters (guarded by mu): appended records, batch calls,
-	// and fsyncs issued. records/syncs is the "fsyncs per group" indicator
-	// the batched group commit exists to push down to 1.
+	// Write-path counters (guarded by mu).
 	ctrRecords int64
 	ctrBatches int64
 	ctrSyncs   int64
@@ -155,9 +148,9 @@ type Log struct {
 
 // Metrics is a snapshot of the log's write-path counters.
 type Metrics struct {
-	// Records is the number of records appended (batched or not).
+	// Records is the number of records appended.
 	Records int64
-	// Batches counts AppendBatch calls that wrote at least one record.
+	// Batches counts the commit-group records among them.
 	Batches int64
 	// Syncs counts fsyncs issued on the append path.
 	Syncs int64
@@ -176,7 +169,9 @@ var ErrLogFailed = errors.New("wal: log fail-stopped after I/O error")
 
 // Open creates (or continues) the log in dir, appending to a fresh segment
 // after the highest existing one — recovery reads old segments, new writes
-// never touch them.
+// never touch them. A torn record at the end of the highest existing segment
+// (a crash mid-append) is cut off first: that segment stops being the final
+// one here, and only the final segment may end torn (see ReadAll).
 func Open(opts Options) (*Log, error) {
 	if opts.Dir == "" {
 		return nil, errors.New("wal: empty directory")
@@ -190,6 +185,9 @@ func Open(opts Options) (*Log, error) {
 	}
 	next := uint64(1)
 	if n := len(segs); n > 0 {
+		if err := truncateTornTail(segs[n-1].Path); err != nil {
+			return nil, err
+		}
 		next = segs[n-1].Seq + 1
 	}
 	l := &Log{opts: opts, seq: next}
@@ -217,17 +215,15 @@ func (l *Log) openSegmentLocked() error {
 // primary it is the stream head replicas chase — and, since PR 9, the
 // session consistency token stamped on COMMIT/EXEC responses.
 //
-// Memory-ordering contract: NextLSN acquires the same mutex Append and
-// AppendBatch assign LSNs and write under, so it is safe from any goroutine
-// and its result is a *publication barrier* — when NextLSN returns head,
-// every record with LSN < head has fully completed its Append: its bytes
-// were written (and, with Sync, fsynced) and its subscribers notified before
-// the lock was released. A batch assigns all of its LSNs under one lock
-// acquisition, so a token observed after a group commit can never split the
-// group: either the whole group is below the token or none of it is. This
-// happens-before edge is what lets a replica compare its applied LSN against
-// a token from another machine — applied ≥ token implies every write the
-// token covers has been replayed.
+// Memory-ordering contract: NextLSN acquires the same mutex Append assigns
+// LSNs and writes under, so it is safe from any goroutine and its result is a
+// *publication barrier* — when NextLSN returns head, every record with
+// LSN < head has fully completed its Append: its bytes were written (and,
+// with Sync, fsynced) and its subscribers notified before the lock was
+// released. A commit group is one record, hence one LSN: it is wholly below a
+// token or wholly above it. This happens-before edge is what lets a replica
+// compare its applied LSN against a token from another machine — applied ≥
+// token implies every write the token covers has been replayed.
 func (l *Log) NextLSN() LSN {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -289,128 +285,76 @@ func (l *Log) Failed() error {
 	return l.failErr
 }
 
-// Append frames, writes and flushes one record; with Sync set it also
+// maxFrameBufRetain caps the frame buffer kept across Append calls; one
+// unusually large group should not pin its buffer forever.
+const maxFrameBufRetain = 1 << 20
+
+// Append frames one record — [u32 length][u32 crc32c][payload] — in a buffer
+// reused across calls, writes it with one Write, flushes, and with Sync set
 // fsyncs, making the record durable before the caller acknowledges commit.
-// It is a batch of one that is not a commit group. Any I/O error fail-stops
-// the log permanently (see Log).
+// The LSN is assigned and the payload published to subscribers before the
+// lock is released. Any I/O error fail-stops the log permanently (see Log).
 func (l *Log) Append(r *Record) error {
-	_, err := l.appendRecords([]*Record{r}, false)
-	return err
-}
-
-// maxBatchBufRetain caps the assembly buffer kept across AppendBatch calls;
-// one unusually large group should not pin its buffer forever.
-const maxBatchBufRetain = 1 << 20
-
-// AppendBatch frames and writes a whole commit group — one record per member
-// transaction — as a single Write and, with Sync set, a single fsync, all
-// under one lock acquisition. The group is assembled in a buffer reused
-// across calls, so the steady-state allocation cost is the returned LSN
-// slice. LSNs are assigned and published to subscribers in record order
-// before the lock is released, so no concurrent Append can interleave inside
-// the group. Any I/O error fail-stops the log permanently (see Log).
-//
-// Durability is all-or-nothing per write call, not per record: a crash
-// mid-write can leave a prefix of the group's frames on disk, which is why
-// group records carry Part/Parts and recovery drops incomplete groups (the
-// commit was never acknowledged).
-func (l *Log) AppendBatch(recs []*Record) ([]LSN, error) {
-	if len(recs) == 0 {
-		return nil, nil
-	}
-	return l.appendRecords(recs, true)
-}
-
-// appendRecords is the one append path: open check, failpoints, frame, write,
-// flush, sync, LSNs, publish. group marks a commit group, which has a
-// mid-batch torn-write failpoint of its own and is what ctrBatches counts.
-func (l *Log) appendRecords(recs []*Record, group bool) ([]LSN, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.f == nil {
-		return nil, errors.New("wal: log closed")
+		return errors.New("wal: log closed")
 	}
 	if l.failErr != nil {
-		return nil, fmt.Errorf("%w: %v", ErrLogFailed, l.failErr)
+		return fmt.Errorf("%w: %v", ErrLogFailed, l.failErr)
 	}
 	if err := fault.Hit(FPAppend); err != nil {
-		return nil, l.failLocked(err)
+		return l.failLocked(err)
 	}
-	buf := l.batchBuf[:0]
-	// Frame every record back-to-back — [u32 length][u32 crc32c][payload] —
-	// with starts[i] where record i's frame begins, so payloads can be sliced
-	// back out for publishing.
-	starts := make([]int, len(recs)+1)
-	for i, r := range recs {
-		starts[i] = len(buf)
-		// Reserve the 8-byte frame header, encode the payload in place, then
-		// backfill length and checksum — no per-record staging buffer.
-		buf = append(buf, 0, 0, 0, 0, 0, 0, 0, 0)
-		pstart := len(buf)
-		buf = r.AppendPayload(buf)
-		payload := buf[pstart:]
-		binary.LittleEndian.PutUint32(buf[starts[i]:], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(buf[starts[i]+4:], crc32.Checksum(payload, crcTable))
-	}
-	starts[len(recs)] = len(buf)
-	if cap(buf) <= maxBatchBufRetain {
-		l.batchBuf = buf
+	// Reserve the 8-byte frame header, encode the payload in place, then
+	// backfill length and checksum — no staging buffer.
+	buf := append(l.frameBuf[:0], 0, 0, 0, 0, 0, 0, 0, 0)
+	buf = r.AppendPayload(buf)
+	payload := buf[8:]
+	binary.LittleEndian.PutUint32(buf[0:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(buf[4:], crc32.Checksum(payload, crcTable))
+	if cap(buf) <= maxFrameBufRetain {
+		l.frameBuf = buf
 	} else {
-		l.batchBuf = nil
+		l.frameBuf = nil
 	}
 	if err := fault.Hit(FPAppendTorn); err != nil {
-		// Simulate a torn write of the first frame — the first half reaches
-		// the OS, then the device dies: no record of the call survives whole,
-		// and recovery must stop replay at the torn frame.
-		if _, werr := l.w.Write(buf[:starts[1]/2]); werr == nil {
+		// Simulate a torn write — the first half of the frame reaches the OS,
+		// then the device dies: the record does not survive, and recovery
+		// must stop replay at the torn frame.
+		if _, werr := l.w.Write(buf[:len(buf)/2]); werr == nil {
 			_ = l.w.Flush()
 		}
-		return nil, l.failLocked(err)
-	}
-	if group {
-		if err := fault.Hit(FPAppendBatchTorn); err != nil {
-			// Simulate a power cut mid-batch: half the bytes reach the OS,
-			// then the device dies. Some member records are whole on disk, the
-			// rest are missing or torn — recovery must discard them all.
-			if _, werr := l.w.Write(buf[:len(buf)/2]); werr == nil {
-				_ = l.w.Flush()
-			}
-			return nil, l.failLocked(err)
-		}
+		return l.failLocked(err)
 	}
 	if _, err := l.w.Write(buf); err != nil {
-		return nil, l.failLocked(err)
+		return l.failLocked(err)
 	}
 	l.size += int64(len(buf))
 	if err := l.w.Flush(); err != nil {
-		return nil, l.failLocked(err)
+		return l.failLocked(err)
 	}
 	if l.opts.Sync {
 		if err := fault.Hit(FPSync); err != nil {
-			return nil, l.failLocked(err)
+			return l.failLocked(err)
 		}
 		if err := l.f.Sync(); err != nil {
-			return nil, l.failLocked(err)
+			return l.failLocked(err)
 		}
 		l.ctrSyncs++
 	}
-	lsns := make([]LSN, len(recs))
-	publish := len(l.subs) > 0
-	for i := range recs {
-		lsns[i] = MakeLSN(l.seq, l.recs)
-		l.recs++
-		if publish {
-			// The assembly buffer is reused by the next batch, but a payload
-			// handed to a subscription channel outlives this call — copy.
-			payload := append([]byte(nil), buf[starts[i]+8:starts[i+1]]...)
-			l.publishLocked(Appended{LSN: lsns[i], Payload: payload})
-		}
+	lsn := MakeLSN(l.seq, l.recs)
+	l.recs++
+	if len(l.subs) > 0 {
+		// The frame buffer is reused by the next Append, but a payload handed
+		// to a subscription channel outlives this call — copy.
+		l.publishLocked(Appended{LSN: lsn, Payload: append([]byte(nil), payload...)})
 	}
-	l.ctrRecords += int64(len(recs))
-	if group {
+	l.ctrRecords++
+	if r.Kind == KindGroup {
 		l.ctrBatches++
 	}
-	return lsns, nil
+	return nil
 }
 
 // Rotate closes the current segment and starts the next one, returning the
@@ -537,13 +481,13 @@ var ErrCorrupt = errors.New("wal: corrupt record")
 
 // readFrames streams one segment's frames as (index, payload) pairs. It
 // returns torn=true when iteration stopped at a truncated or checksum-failed
-// record that sits at the very end of the file — the torn-tail case. A bad
-// checksum with more log behind it is mid-segment corruption and returns
-// ErrCorrupt.
-func readFrames(path string, fn func(idx uint64, payload []byte) error) (torn bool, err error) {
+// record that sits at the very end of the file — the torn-tail case — and
+// whole, the byte length of the whole frames before it. A bad checksum with
+// more log behind it is mid-segment corruption and returns ErrCorrupt.
+func readFrames(path string, fn func(idx uint64, payload []byte) error) (whole int64, torn bool, err error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return false, err
+		return 0, false, err
 	}
 	defer f.Close()
 	// Reads are bounded to the file size observed at open. The active
@@ -558,41 +502,74 @@ func readFrames(path string, fn func(idx uint64, payload []byte) error) (torn bo
 	// failure strictly inside it is genuine damage.
 	fi, err := f.Stat()
 	if err != nil {
-		return false, err
+		return 0, false, err
 	}
-	r := bufio.NewReaderSize(io.LimitReader(f, fi.Size()), 1<<16)
+	size := fi.Size()
+	r := bufio.NewReaderSize(io.LimitReader(f, size), 1<<16)
 	var head [8]byte
 	for idx := uint64(0); ; idx++ {
 		if _, err := io.ReadFull(r, head[:]); err != nil {
 			if err == io.EOF {
-				return false, nil // clean end
+				return whole, false, nil // clean end
 			}
 			if err == io.ErrUnexpectedEOF {
-				return true, nil // torn frame header at the tail
+				return whole, true, nil // torn frame header at the tail
 			}
-			return false, err
+			return whole, false, err
 		}
-		length := binary.LittleEndian.Uint32(head[0:4])
+		length := int64(binary.LittleEndian.Uint32(head[0:4]))
 		sum := binary.LittleEndian.Uint32(head[4:8])
+		if length > size-whole-8 {
+			// The prefix claims more than the bound leaves: a payload cut
+			// short, known before allocating what a damaged header asks for.
+			return whole, true, nil
+		}
 		payload := make([]byte, length)
 		if _, err := io.ReadFull(r, payload); err != nil {
-			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				return true, nil // torn payload at the tail
-			}
-			return false, err
+			return whole, false, err
 		}
 		if crc32.Checksum(payload, crcTable) != sum {
 			// A checksum failure is only a tolerable torn tail if nothing
-			// follows it; probe one byte to find out.
-			if _, err := r.ReadByte(); err == io.EOF {
-				return true, nil
+			// follows it.
+			if whole+8+length == size {
+				return whole, true, nil
 			}
-			return false, fmt.Errorf("%w: checksum mismatch at record %d of %s", ErrCorrupt, idx, filepath.Base(path))
+			return whole, false, fmt.Errorf("%w: checksum mismatch at record %d of %s", ErrCorrupt, idx, filepath.Base(path))
 		}
 		if err := fn(idx, payload); err != nil {
-			return false, err
+			return whole, false, err
 		}
+		whole += 8 + length
 	}
+}
+
+// truncateTornTail cuts the segment at path back to its last whole frame and
+// makes the cut durable.
+func truncateTornTail(path string) error {
+	whole, torn, err := readFrames(path, func(uint64, []byte) error { return nil })
+	if err != nil || !torn {
+		return err
+	}
+	f, err := os.OpenFile(path, os.O_WRONLY, 0)
+	if err != nil {
+		return err
+	}
+	err = f.Truncate(whole)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return err
+	}
+	d, err := os.Open(filepath.Dir(path))
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
 }
 
 // ReadSegment streams the records of one segment file, calling fn for each.
@@ -600,14 +577,21 @@ func readFrames(path string, fn func(idx uint64, payload []byte) error) (torn bo
 // iteration without error, exactly the crash-recovery contract; corruption
 // in the middle of the segment returns ErrCorrupt.
 func ReadSegment(path string, fn func(*Record) error) error {
-	_, err := readFrames(path, func(_ uint64, payload []byte) error {
-		rec, derr := DecodePayload(payload)
-		if derr != nil {
-			return fmt.Errorf("%w: %v", ErrCorrupt, derr)
+	_, _, err := readFrames(path, decoded(fn))
+	return err
+}
+
+// decoded adapts a record callback to readFrames: a payload that passed its
+// checksum and still does not parse is ErrCorrupt, wrapping the decoder's
+// reason (ErrRetiredFormat stays matchable).
+func decoded(fn func(*Record) error) func(uint64, []byte) error {
+	return func(_ uint64, payload []byte) error {
+		rec, err := DecodePayload(payload)
+		if err != nil {
+			return fmt.Errorf("%w: %w", ErrCorrupt, err)
 		}
 		return fn(rec)
-	})
-	return err
+	}
 }
 
 // ReadSegmentPayloads streams one segment's raw encoded payloads with their
@@ -615,27 +599,22 @@ func ReadSegment(path string, fn func(*Record) error) error {
 // payloads to replicas without decoding them. Torn-tail semantics match
 // ReadSegment.
 func ReadSegmentPayloads(path string, fn func(idx uint64, payload []byte) error) error {
-	_, err := readFrames(path, fn)
+	_, _, err := readFrames(path, fn)
 	return err
 }
 
 // ReadAll streams every record of every segment in dir, in order. A torn
 // tail is tolerated only on the final segment: rotation closes a segment
-// cleanly, so a truncated entry inside any earlier segment means damage, not
-// a crash, and returns ErrCorrupt.
+// cleanly and Open cuts a torn tail off before starting the next one, so a
+// truncated entry inside any earlier segment means damage, not a crash, and
+// returns ErrCorrupt.
 func ReadAll(dir string, fn func(*Record) error) error {
 	segs, err := Segments(dir)
 	if err != nil {
 		return err
 	}
 	for i, s := range segs {
-		torn, err := readFrames(s.Path, func(_ uint64, payload []byte) error {
-			rec, derr := DecodePayload(payload)
-			if derr != nil {
-				return fmt.Errorf("%w: %v", ErrCorrupt, derr)
-			}
-			return fn(rec)
-		})
+		_, torn, err := readFrames(s.Path, decoded(fn))
 		if err != nil {
 			return err
 		}

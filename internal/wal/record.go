@@ -10,6 +10,7 @@ package wal
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 
@@ -20,36 +21,45 @@ import (
 // Kind tags a log record.
 type Kind uint8
 
+// The kind byte is the first byte of every record on disk and on the
+// replication stream, so values are fixed; a layout change takes a fresh one.
 const (
 	// KindDDL records a table creation.
-	KindDDL Kind = iota + 1
-	// KindGroup records one commit group: the CID and every operation of
-	// every member transaction, in execution order.
-	KindGroup
+	KindDDL Kind = 1
+	// kindGroupPart is retired: it tagged one member's share of a commit group
+	// logged as several records. DecodePayload refuses it by name.
+	kindGroupPart Kind = 2
 	// KindPrepare records a cross-shard participant's prepared write set
 	// (two-phase commit, phase one). XID identifies the distributed
 	// transaction; Ops is the participant-local write set. A prepare with no
 	// matching KindResolve in the same log is in doubt and is settled at
 	// recovery against the coordinator's decision record.
-	KindPrepare
+	KindPrepare Kind = 3
 	// KindDecision records the coordinator's verdict for a distributed
 	// transaction (commit or abort). It lives in the coordinator shard's log
 	// only; the protocol is presumed-abort, so a missing decision record
 	// means abort.
-	KindDecision
+	KindDecision Kind = 4
 	// KindResolve marks a prepared transaction settled in this participant's
 	// log. On commit it carries the CID the participant published the write
 	// set under, so replay can order it against surrounding group records;
 	// on abort CID is ts.Invalid and the prepared write set is dropped.
-	KindResolve
+	KindResolve Kind = 5
 	// KindHTAPLane records that the HTAP column lane is enabled for a table:
 	// TableID names the table, TableName carries the lane's schema spec (the
 	// column layout the migrator decodes row images with), and CID is the
 	// chunk watermark at log time. Chunks themselves are not logged — recovery
 	// re-enables the lane and the migrator rebuilds chunks from the recovered
 	// table state, so the watermark record is the only durability addition.
-	KindHTAPLane
+	KindHTAPLane Kind = 6
+	// KindGroup records one commit group: the CID and every operation of
+	// every member transaction, in member order. A group is one record, so
+	// the frame checksum makes it atomic: it is replayed whole or not at all.
+	KindGroup Kind = 7
 )
+
+// ErrRetiredFormat reports a record kind this version no longer reads.
+var ErrRetiredFormat = errors.New("wal: log written with multi-part commit groups (record kind 2), which this version does not read")
 
 // Op is one logged data operation.
 type Op struct {
@@ -67,17 +77,9 @@ type Record struct {
 	TableID   ts.TableID
 	TableName string
 
-	// Group fields. A commit group is logged as Parts consecutive records
-	// sharing one CID — one record per member transaction, batched into a
-	// single write and fsync by AppendBatch. Part is this record's 0-based
-	// position in the group; Parts is the group size. Parts==1 (or the
-	// legacy 0) is a whole group in one record. A group is replayed only
-	// when all of its parts arrived: a crash can tear a batch mid-write,
-	// and the torn prefix belongs to a commit that was never acknowledged.
-	CID   ts.CID
-	Part  uint32
-	Parts uint32
-	Ops   []Op
+	// Group fields.
+	CID ts.CID
+	Ops []Op
 
 	// Two-phase-commit fields (KindPrepare, KindDecision, KindResolve). XID
 	// is the cluster-wide distributed transaction identifier; Commit is the
@@ -98,8 +100,7 @@ func (r *Record) EncodePayload() []byte {
 }
 
 // AppendPayload serializes the record body onto b — the allocation-free form
-// the batch append path uses to assemble a whole commit group in one reused
-// buffer.
+// the append path uses to frame a record in its reused buffer.
 func (r *Record) AppendPayload(b []byte) []byte {
 	b = append(b, byte(r.Kind))
 	switch r.Kind {
@@ -109,8 +110,6 @@ func (r *Record) AppendPayload(b []byte) []byte {
 		b = append(b, r.TableName...)
 	case KindGroup:
 		b = appendU64(b, uint64(r.CID))
-		b = appendU32(b, r.Part)
-		b = appendU32(b, r.Parts)
 		b = appendOps(b, r.Ops)
 	case KindPrepare:
 		b = appendU64(b, r.XID)
@@ -194,7 +193,10 @@ func (c *decodeCursor) bytes(n int) ([]byte, error) {
 
 func (c *decodeCursor) bool() (bool, error) {
 	v, err := c.u8()
-	return v != 0, err
+	if err == nil && v > 1 {
+		err = fmt.Errorf("wal: boolean byte %d at offset %d", v, c.off-1)
+	}
+	return v == 1, err
 }
 
 func (c *decodeCursor) ops() ([]Op, error) {
@@ -267,12 +269,6 @@ func DecodePayload(b []byte) (*Record, error) {
 			return nil, err
 		}
 		r.CID = ts.CID(cid)
-		if r.Part, err = c.u32(); err != nil {
-			return nil, err
-		}
-		if r.Parts, err = c.u32(); err != nil {
-			return nil, err
-		}
 		if r.Ops, err = c.ops(); err != nil {
 			return nil, err
 		}
@@ -322,6 +318,8 @@ func DecodePayload(b []byte) (*Record, error) {
 		r.TableID = ts.TableID(id)
 		r.TableName = string(spec)
 		r.CID = ts.CID(cid)
+	case kindGroupPart:
+		return nil, ErrRetiredFormat
 	default:
 		return nil, fmt.Errorf("wal: unknown record kind %d", kind)
 	}

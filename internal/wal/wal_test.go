@@ -2,10 +2,16 @@ package wal
 
 import (
 	"bytes"
+	"encoding/hex"
+	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -369,11 +375,8 @@ func TestReadSegmentConcurrentWithAppend(t *testing.T) {
 }
 
 // TestNextLSNConcurrentContract exercises NextLSN's memory-ordering contract
-// under the race detector: polled concurrently with single Appends and
-// AppendBatch groups, the observed head must be monotonically non-decreasing
-// and must never land strictly inside a batch's LSN range — a group's LSNs
-// are assigned under one lock acquisition, so a consistency token taken from
-// NextLSN can never split a commit group.
+// under the race detector: polled concurrently with Append, the observed head
+// never regresses, and a record whose Append has returned is below it.
 func TestNextLSNConcurrentContract(t *testing.T) {
 	l, err := Open(Options{Dir: t.TempDir()})
 	if err != nil {
@@ -381,60 +384,190 @@ func TestNextLSNConcurrentContract(t *testing.T) {
 	}
 	defer l.Close()
 
-	stop := make(chan struct{})
-	var mu sync.Mutex
-	var batches [][2]LSN // [first, last] of every appended batch
+	var appended atomic.Uint64 // records whose Append has returned
 	appErr := make(chan error, 1)
 	go func() {
 		defer close(appErr)
 		for i := 0; i < 400; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			rec := func(cid int) *Record {
-				return &Record{Kind: KindGroup, CID: ts.CID(cid), Ops: []Op{
-					{Op: mvcc.OpUpdate, Table: 1, RID: ts.RID(cid), Payload: []byte("x")},
-				}}
-			}
-			if i%4 == 0 {
-				lsns, err := l.AppendBatch([]*Record{rec(3*i + 1), rec(3*i + 2), rec(3*i + 3)})
-				if err != nil {
-					appErr <- err
-					return
-				}
-				mu.Lock()
-				batches = append(batches, [2]LSN{lsns[0], lsns[len(lsns)-1]})
-				mu.Unlock()
-			} else if err := l.Append(rec(3*i + 1)); err != nil {
+			if err := l.Append(&Record{Kind: KindGroup, CID: ts.CID(i + 1), Ops: []Op{
+				{Op: mvcc.OpUpdate, Table: 1, RID: ts.RID(i + 1), Payload: []byte("x")},
+			}}); err != nil {
 				appErr <- err
 				return
 			}
+			appended.Add(1)
 		}
 	}()
 
 	var prev LSN
-	deadline := time.Now().Add(300 * time.Millisecond)
-	for time.Now().Before(deadline) {
+	for done := false; !done; {
+		select {
+		case err := <-appErr:
+			if err != nil {
+				t.Fatal(err)
+			}
+			done = true
+		default:
+		}
+		n := appended.Load()
 		head := l.NextLSN()
 		if head < prev {
 			t.Fatalf("NextLSN regressed: %s after %s", head, prev)
 		}
+		if head.Index() < n {
+			t.Fatalf("NextLSN %s below %d completed appends", head, n)
+		}
 		prev = head
-		mu.Lock()
-		for _, b := range batches {
-			if head > b[0] && head <= b[1] {
-				t.Errorf("NextLSN %s splits batch [%s, %s]", head, b[0], b[1])
-			}
-		}
-		mu.Unlock()
-		if t.Failed() {
-			break
-		}
 	}
-	close(stop)
-	if err := <-appErr; err != nil {
+}
+
+// goldenGroup is a three-member commit group as LogCommit lays it out: the
+// CID, then each member's operations in member order — an insert and an
+// update, a delete (no image), an insert longer than a byte can count.
+var goldenGroup = &Record{Kind: KindGroup, CID: 0x0102030405060708, Ops: []Op{
+	{Op: mvcc.OpInsert, Table: 1, RID: 10, Payload: []byte("first")},
+	{Op: mvcc.OpUpdate, Table: 2, RID: 20, Payload: []byte("second")},
+	{Op: mvcc.OpDelete, Table: 3, RID: 0x1122334455},
+	{Op: mvcc.OpInsert, Table: 1, RID: 11, Payload: bytes.Repeat([]byte("y"), 300)},
+}}
+
+// TestGroupRecordGolden pins the commit-group record bytes: kind, u64 CID,
+// u32 op count, then per op {u8 op, u32 table, u64 RID, u32 length, image},
+// little-endian. Every WAL directory and replication stream holds groups in
+// this layout, so a diff here is a format break — it takes a fresh kind byte,
+// not an updated golden file.
+func TestGroupRecordGolden(t *testing.T) {
+	text, err := os.ReadFile("testdata/group_record.golden.hex")
+	if err != nil {
 		t.Fatal(err)
+	}
+	want, err := hex.DecodeString(strings.TrimSpace(string(text)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := goldenGroup.EncodePayload(); !bytes.Equal(got, want) {
+		t.Fatalf("group record moved:\n got %x\nwant %x", got, want)
+	}
+	back, err := DecodePayload(want)
+	if err != nil || !reflect.DeepEqual(back, goldenGroup) {
+		t.Fatalf("golden record decodes to %+v, %v", back, err)
+	}
+}
+
+// retiredGroupPart is a record in the retired multi-part layout: kind 2, CID,
+// part 0 of 3, no operations.
+var retiredGroupPart = []byte{2,
+	9, 0, 0, 0, 0, 0, 0, 0,
+	0, 0, 0, 0, 3, 0, 0, 0,
+	0, 0, 0, 0}
+
+// TestRetiredGroupKindRefused: a log written with multi-part commit groups
+// is refused by name, from a payload (the replication stream) and from a
+// segment (recovery), not mis-parsed under the new layout.
+func TestRetiredGroupKindRefused(t *testing.T) {
+	_, err := DecodePayload(retiredGroupPart)
+	if !errors.Is(err, ErrRetiredFormat) || !strings.Contains(err.Error(), "multi-part commit groups") {
+		t.Fatalf("retired kind: %v, want ErrRetiredFormat naming the old layout", err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "log-0000000000000001.wal"), frame(retiredGroupPart), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err = ReadAll(dir, func(*Record) error { return nil })
+	if !errors.Is(err, ErrRetiredFormat) {
+		t.Fatalf("segment in the retired layout: %v, want ErrRetiredFormat", err)
+	}
+}
+
+// frame wraps a payload the way Append does.
+func frame(payload []byte) []byte {
+	b := appendU32(nil, uint32(len(payload)))
+	b = appendU32(b, crc32.Checksum(payload, crcTable))
+	return append(b, payload...)
+}
+
+// FuzzDecodePayload feeds arbitrary bytes — what a damaged disk or a hostile
+// replication peer can supply — to the record decoder: it must fail or
+// re-encode to exactly its input, never panic, and never allocate what a
+// length prefix merely claims.
+func FuzzDecodePayload(f *testing.F) {
+	f.Add(goldenGroup.EncodePayload())
+	f.Add((&Record{Kind: KindDDL, TableID: 7, TableName: "STOCK"}).EncodePayload())
+	f.Add((&Record{Kind: KindPrepare, XID: 5, Ops: goldenGroup.Ops[:2]}).EncodePayload())
+	f.Add((&Record{Kind: KindDecision, XID: 5, Commit: true}).EncodePayload())
+	f.Add((&Record{Kind: KindResolve, XID: 5, Commit: true, CID: 9}).EncodePayload())
+	f.Add((&Record{Kind: KindHTAPLane, TableID: 7, TableName: "a:INT", CID: 9}).EncodePayload())
+	f.Add(retiredGroupPart)
+	// A group claiming 4 Gi operations with nothing behind the count.
+	f.Add(append([]byte{byte(KindGroup), 1, 0, 0, 0, 0, 0, 0, 0}, 0xff, 0xff, 0xff, 0xff))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		rec, err := DecodePayload(b)
+		if err != nil {
+			return
+		}
+		size := len(rec.TableName)
+		for _, op := range rec.Ops {
+			size += len(op.Payload)
+		}
+		if size > len(b) {
+			t.Fatalf("decoded %d image bytes from a %d-byte payload", size, len(b))
+		}
+		if again := rec.EncodePayload(); !bytes.Equal(again, b) {
+			t.Fatalf("accepted payload does not round-trip: %x -> %+v -> %x", b, rec, again)
+		}
+	})
+}
+
+// TestLengthPrefixBeyondSegmentIsTornTail: a final segment ending in a frame
+// header that claims 4 GiB — a torn or damaged header — reads as a torn tail
+// without allocating what the prefix claims, and Open cuts it off so the
+// segment stays readable once it is no longer the last.
+func TestLengthPrefixBeyondSegmentIsTornTail(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeRecords(t, l, 3, 1)
+	l.Close()
+	segs, _ := Segments(dir)
+	whole, err := os.ReadFile(segs[0].Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	torn := append(append([]byte(nil), whole...), 0xff, 0xff, 0xff, 0xff, 1, 2, 3, 4)
+	if err := os.WriteFile(segs[0].Path, torn, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	count := func() (n int) {
+		t.Helper()
+		if err := ReadAll(dir, func(*Record) error { n++; return nil }); err != nil {
+			t.Fatalf("reading past a 4 GiB length prefix: %v", err)
+		}
+		return n
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	n := count()
+	runtime.ReadMemStats(&after)
+	if n != 3 {
+		t.Fatalf("replayed %d records, want the 3 whole ones", n)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Fatalf("reading a %d-byte segment allocated %d bytes", len(torn), got)
+	}
+
+	l2, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b, _ := os.ReadFile(segs[0].Path); !bytes.Equal(b, whole) {
+		t.Fatalf("Open left %d bytes in the torn segment, want its %d whole ones", len(b), len(whole))
+	}
+	writeRecords(t, l2, 1, 50)
+	l2.Close()
+	if n := count(); n != 4 {
+		t.Fatalf("replayed %d records across the repaired segment, want 4", n)
 	}
 }
