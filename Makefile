@@ -41,9 +41,11 @@ bench:
 # scans/op: 1 — a pass reads the announcement array once), and
 # BenchmarkPassPinnedWindow the TG and SI pass cost behind a held scoped
 # snapshot at window widths 1 k / 10 k / 100 k groups: flat while the
-# collectors are incremental.
+# collectors are incremental. From internal/repl: BenchmarkStreamTail, a
+# replica's 50 k-record catch-up (records/s) and the commit→applied p50 at
+# the head, over loopback.
 bench-smoke:
-	GOMAXPROCS=4 $(GO) test -run '^$$' -bench 'BenchmarkOLAPScan|BenchmarkHashGet|BenchmarkTableGet|BenchmarkCatalogByID|BenchmarkWireFrame|BenchmarkWALAppend|BenchmarkGroupCommit|BenchmarkShardedCommit|BenchmarkSnapshotAcquire|BenchmarkPassEmpty|BenchmarkPassPinnedWindow' -benchtime=1x . ./internal/mvcc ./internal/table ./internal/wire ./internal/wal ./internal/shard ./internal/htap ./internal/sts ./internal/txn ./internal/gc
+	GOMAXPROCS=4 $(GO) test -run '^$$' -bench 'BenchmarkOLAPScan|BenchmarkHashGet|BenchmarkTableGet|BenchmarkCatalogByID|BenchmarkWireFrame|BenchmarkWALAppend|BenchmarkGroupCommit|BenchmarkShardedCommit|BenchmarkSnapshotAcquire|BenchmarkPassEmpty|BenchmarkPassPinnedWindow|BenchmarkStreamTail' -benchtime=1x . ./internal/mvcc ./internal/table ./internal/wire ./internal/wal ./internal/shard ./internal/htap ./internal/sts ./internal/txn ./internal/gc ./internal/repl
 	$(GO) test -run '^$$' -bench 'BenchmarkCommit(Parallel|Serial)$$' -benchtime=1x -cpu 1,2,4 ./internal/txn
 
 # The repository benchmark is a nested module that `go test ./...` at the

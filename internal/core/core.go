@@ -269,7 +269,7 @@ func (db *DB) Space() *mvcc.Space { return db.space }
 func (db *DB) ReadOnly() bool { return db.readOnly }
 
 // WAL exposes the write-ahead log, or nil without persistence. The
-// replication source subscribes to it for live tailing.
+// replication source reads it through a cursor.
 func (db *DB) WAL() *wal.Log { return db.log }
 
 // PersistDir returns the persistence directory ("" without persistence).

@@ -2,11 +2,11 @@
 //
 // The primary runs a Source: each replica's OpReplStream request hijacks its
 // server connection, bootstraps from a checkpoint (or resumes from an LSN),
-// catches up from on-disk segments, then tails live appends through a
-// wal.Subscription. The replica runs a Replica: it replays the stream into a
-// read-only engine through the core.Apply* path — versioned, at the
-// primary's CIDs — so local snapshot readers keep full isolation while the
-// stream advances.
+// then ships what one wal.Cursor yields — the segment files from that LSN to
+// the head, and on as the log grows. The replica runs a Replica: it replays
+// the stream into a read-only engine through the core.Apply* path —
+// versioned, at the primary's CIDs — so local snapshot readers keep full
+// isolation while the stream advances.
 //
 // Replication extends the paper's central quantity — the global minimum
 // snapshot timestamp that gates every garbage collector — across the
@@ -33,8 +33,9 @@ var (
 	// FPStreamDrop fires on the primary's heartbeat tick: the stream is torn
 	// down abruptly — no RmEnd — as if the network died mid-stream.
 	FPStreamDrop = fault.Declare("repl/stream-drop", "drop a replication stream without an end message")
-	// FPPartialSegment fires during segment catch-up, aborting mid-segment —
-	// the replica is left with a prefix and must resume from its applied LSN.
+	// FPPartialSegment fires before each record is shipped, aborting the
+	// stream mid-segment — the replica is left with a prefix and must resume
+	// from its applied LSN.
 	FPPartialSegment = fault.Declare("repl/partial-segment", "abort segment catch-up partway through")
 	// FPApplyStall fires in the replica's apply loop before each record —
 	// with a Sleep option it models a stalled applier that falls behind the

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -36,7 +37,7 @@ type primary struct {
 // startPrimary opens a persistent engine, wraps it in a replication source
 // and serves it on a loopback listener. tweak, when set, adjusts the engine
 // config (GC periods for the workload test) before Open.
-func startPrimary(t *testing.T, scfg SourceConfig, tweak func(*core.Config)) *primary {
+func startPrimary(t testing.TB, scfg SourceConfig, tweak func(*core.Config)) *primary {
 	t.Helper()
 	cfg := core.Config{Persistence: &core.Persistence{Dir: t.TempDir()}}
 	if tweak != nil {
@@ -82,7 +83,7 @@ type replica struct {
 
 // startReplica opens a fresh read-only engine and streams the primary into
 // it until shutdown.
-func startReplica(t *testing.T, addr, id string) *replica {
+func startReplica(t testing.TB, addr, id string) *replica {
 	t.Helper()
 	rdb, err := core.Open(core.Config{ReadOnly: true})
 	if err != nil {
@@ -130,7 +131,7 @@ func (r *replica) waitExit(t *testing.T, timeout time.Duration) error {
 	}
 }
 
-func waitFor(t *testing.T, timeout time.Duration, what string, cond func() bool) {
+func waitFor(t testing.TB, timeout time.Duration, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
 	for !cond() {
@@ -141,14 +142,14 @@ func waitFor(t *testing.T, timeout time.Duration, what string, cond func() bool)
 	}
 }
 
-func waitCaughtUp(t *testing.T, p *primary, r *replica) {
+func waitCaughtUp(t testing.TB, p *primary, r *replica) {
 	t.Helper()
 	if err := r.rep.WaitLSN(p.db.WAL().NextLSN(), 10*time.Second); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func mustCreateTable(t *testing.T, db *core.DB, name string) ts.TableID {
+func mustCreateTable(t testing.TB, db *core.DB, name string) ts.TableID {
 	t.Helper()
 	tid, err := db.CreateTable(name)
 	if err != nil {
@@ -157,7 +158,7 @@ func mustCreateTable(t *testing.T, db *core.DB, name string) ts.TableID {
 	return tid
 }
 
-func mustInsert(t *testing.T, db *core.DB, tid ts.TableID, img string) ts.RID {
+func mustInsert(t testing.TB, db *core.DB, tid ts.TableID, img string) ts.RID {
 	t.Helper()
 	var rid ts.RID
 	err := db.Exec(txn.StmtSI, nil, func(tx *core.Tx) error {
@@ -171,7 +172,7 @@ func mustInsert(t *testing.T, db *core.DB, tid ts.TableID, img string) ts.RID {
 	return rid
 }
 
-func mustUpdate(t *testing.T, db *core.DB, tid ts.TableID, rid ts.RID, img string) {
+func mustUpdate(t testing.TB, db *core.DB, tid ts.TableID, rid ts.RID, img string) {
 	t.Helper()
 	err := db.Exec(txn.StmtSI, nil, func(tx *core.Tx) error {
 		return tx.Update(tid, rid, []byte(img))
@@ -388,6 +389,27 @@ func TestSegmentRetentionAndRestartRebootstrap(t *testing.T) {
 	}
 	if len(segs) == 0 || segs[0].Seq <= floor {
 		t.Fatalf("segments %v still retained below a dead floor %d", segs, floor)
+	}
+
+	// An incarnation that kept its engine and asks to resume inside the
+	// pruned segment: the cursor finds no file, which is ErrReplTooOld on the
+	// wire and a re-bootstrap on the replica.
+	gdb, err := core.Open(core.Config{ReadOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gdb.Close()
+	ghost, err := NewReplica(gdb, ReplicaConfig{Upstream: p.addr, ReplicaID: "ghost"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ghost.Stop()
+	ghost.applied.Store(uint64(wal.MakeLSN(floor, 0)))
+	if err := ghost.streamOnce(); !errors.Is(err, ErrBootstrapRequired) || !strings.Contains(err.Error(), wire.ErrReplTooOld.Error()) {
+		t.Fatalf("resume inside a pruned segment: %v, want ErrBootstrapRequired over ErrReplTooOld", err)
+	}
+	if _, ok := p.src.lowestNeeded(); !ok {
+		t.Fatal("the refused resume disturbed the live replica's floor")
 	}
 }
 
@@ -747,4 +769,164 @@ func TestDrainDuringCatchUpEndsPromptly(t *testing.T) {
 		t.Fatalf("shutdown during catch-up took %v", elapsed)
 	}
 	r.shutdown()
+}
+
+// replicaStat is the primary's STATS row for its only replica.
+func replicaStat(t *testing.T, p *primary) wire.ReplicaStat {
+	t.Helper()
+	var st wire.Stats
+	p.src.PopulateStats(&st)
+	if len(st.Replicas) != 1 {
+		t.Fatalf("primary reports %d replicas, want 1", len(st.Replicas))
+	}
+	return st.Replicas[0]
+}
+
+// TestSlowReplicaLagsWithoutTeardown: a replica whose applier stops while the
+// primary commits a burst — more records than any side buffer was ever sized
+// for, more bytes than the socket holds — simply lags. The stream is not torn
+// down, nothing ships twice, and the replica's open snapshot stays pinned in
+// the primary's view for the whole burst.
+func TestSlowReplicaLagsWithoutTeardown(t *testing.T) {
+	p := startPrimary(t, fastSource(), nil)
+	tid := mustCreateTable(t, p.db, "accounts")
+	rid := mustInsert(t, p.db, tid, "v0")
+	r := startReplica(t, p.addr, "slow")
+	waitCaughtUp(t, p, r)
+	cur, err := r.db.OpenCursor(tid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cur.Close()
+	waitFor(t, 5*time.Second, "replica pin to reach the primary", func() bool {
+		return replicaStat(t, p).PinnedSTS != 0
+	})
+
+	const burst, size = 12000, 2048
+	fault.Enable(FPApplyStall, fault.Once(), fault.Sleep(300*time.Millisecond))
+	t.Cleanup(func() { fault.Disable(FPApplyStall) })
+	img := strings.Repeat("x", size)
+	for i := 0; i < burst; i++ {
+		mustUpdate(t, p.db, tid, rid, img)
+		if i%64 == 0 {
+			if st := replicaStat(t, p); !st.Connected || st.PinnedSTS == 0 {
+				t.Fatalf("after %d commits of the burst the replica's row is %+v: its pin left the view", i, st)
+			}
+		}
+	}
+	waitCaughtUp(t, p, r)
+	if n := r.rep.reconnects.Load(); n != 0 {
+		t.Fatalf("the slow replica's stream was torn down %d times", n)
+	}
+	if sent, applied := p.src.recordsSent.Load(), r.rep.recordsApplied.Load(); sent != applied {
+		t.Fatalf("%d records sent for %d applied", sent, applied)
+	}
+}
+
+// TestFloorNeverPassesTheCursor: the segment floor is the lower of the applied
+// LSN's segment and the cursor's, so a record that has not shipped is never
+// prunable — first as the rule itself, then end to end: a record sits
+// unshipped behind a stalled stream while the log rotates and checkpoints,
+// the stream dies, and the replica resumes from its applied LSN.
+func TestFloorNeverPassesTheCursor(t *testing.T) {
+	p := startPrimary(t, fastSource(), nil)
+	tid := mustCreateTable(t, p.db, "accounts")
+	mustInsert(t, p.db, tid, "seed")
+
+	// A replica that applied everything shipped, (3,5), while the log rotated
+	// with record (3,5) appended and not yet read by the cursor: the floor
+	// stays on segment 3, and no resume point is claimed.
+	st := &replicaState{id: "rule", hasFloor: true, floor: 3, applied: wal.MakeLSN(3, 5)}
+	at, head := wal.MakeLSN(3, 5), wal.MakeLSN(4, 0)
+	if resume, demoted := p.src.assess(st, at, at, at, head); resume != 0 || demoted || st.floor != 3 {
+		t.Fatalf("cursor behind the head: resume %s demoted %v floor %d, want none, false, 3", resume, demoted, st.floor)
+	}
+	// Had the rotation been record-free, the cursor stands at the head: the
+	// replica is told so, and the floor waits for it to report the new position.
+	if resume, demoted := p.src.assess(st, head, at, at, head); resume != head || demoted || st.floor != 3 {
+		t.Fatalf("cursor at the head: resume %s demoted %v floor %d, want %s, false, 3", resume, demoted, st.floor, head)
+	}
+
+	r := startReplica(t, p.addr, "r1")
+	waitCaughtUp(t, p, r)
+	active := p.db.WAL().NextLSN().Segment()
+	waitFor(t, 5*time.Second, "floor to reach the active segment", func() bool {
+		low, ok := p.src.lowestNeeded()
+		return ok && low == active
+	})
+
+	// The stream stalls with the next record in hand, then dies without
+	// shipping it.
+	fault.Enable(FPPartialSegment, fault.Once(), fault.Sleep(150*time.Millisecond), fault.ReturnErr(errors.New("injected stream death")))
+	t.Cleanup(func() { fault.Disable(FPPartialSegment) })
+	rid := mustInsert(t, p.db, tid, "unshipped")
+	waitFor(t, 5*time.Second, "the stream to stall on the record", func() bool {
+		return fault.FiredCount(FPPartialSegment) == 1
+	})
+	if _, err := p.db.WAL().Rotate(); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 5*time.Second, "replica to notice the dead stream", func() bool {
+		return r.rep.reconnects.Load() >= 1
+	})
+	waitCaughtUp(t, p, r)
+	if img, ok := readRow(r.db, tid, rid); !ok || img != "unshipped" {
+		t.Fatalf("row behind the stall: %q ok=%v", img, ok)
+	}
+	select {
+	case err := <-r.runErr:
+		t.Fatalf("replica gave up with %v; it should have resumed from its applied LSN", err)
+	default:
+	}
+}
+
+// TestWaitLSNReleasedByAdvance: parked WaitLSN callers wake on the applier's
+// advance, not on a poll — all of them on the one that reaches their target,
+// none on one below it.
+func TestWaitLSNReleasedByAdvance(t *testing.T) {
+	rdb, err := core.Open(core.Config{ReadOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rdb.Close()
+	rep, err := NewReplica(rdb, ReplicaConfig{Upstream: "unused:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const waiters = 16
+	done := make(chan error, waiters)
+	for i := 0; i < waiters; i++ {
+		go func() { done <- rep.WaitLSN(100, 10*time.Second) }()
+	}
+	waitFor(t, 5*time.Second, "a waiter to park", func() bool {
+		rep.mu.Lock()
+		defer rep.mu.Unlock()
+		return rep.advanced != nil
+	})
+	rep.advance(99)
+	select {
+	case err := <-done:
+		t.Fatalf("a waiter for LSN 100 returned (%v) at applied 99", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	start := time.Now()
+	rep.advance(100)
+	for i := 0; i < waiters; i++ {
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("releasing %d waiters took %v", waiters, d)
+	}
+	if err := rep.WaitLSN(200, 20*time.Millisecond); err == nil {
+		t.Fatal("WaitLSN past the applied cursor did not time out")
+	}
+	rep.Stop()
+	if err := rep.WaitLSN(200, 10*time.Second); err == nil {
+		t.Fatal("WaitLSN on a stopped replica did not return")
+	}
 }

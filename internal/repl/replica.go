@@ -86,6 +86,9 @@ type Replica struct {
 	conn    net.Conn
 	stopped bool
 	stop    chan struct{}
+	// advanced, when non-nil, is held by parked WaitLSN callers; the next
+	// advance closes it.
+	advanced chan struct{}
 }
 
 // NewReplica builds a replica over an empty read-only engine.
@@ -173,19 +176,31 @@ func (r *Replica) AppliedLSN() wal.LSN { return wal.LSN(r.applied.Load()) }
 // WaitLSN blocks until the applied cursor reaches target (the primary's
 // NextLSN at some instant) or the timeout expires.
 func (r *Replica) WaitLSN(target wal.LSN, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for wal.LSN(r.applied.Load()) < target {
-		if time.Now().After(deadline) {
-			return fmt.Errorf("repl: applied %s did not reach %s within %v",
-				wal.LSN(r.applied.Load()), target, timeout)
+	if r.AppliedLSN() >= target {
+		return nil
+	}
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
+	for {
+		// Take the channel before looking at the cursor: an advance between
+		// the two closes it.
+		r.mu.Lock()
+		if r.advanced == nil {
+			r.advanced = make(chan struct{})
+		}
+		advanced := r.advanced
+		r.mu.Unlock()
+		if r.AppliedLSN() >= target {
+			return nil
 		}
 		select {
+		case <-advanced:
 		case <-r.stop:
 			return errors.New("repl: replica stopped")
-		case <-time.After(2 * time.Millisecond):
+		case <-timer.C:
+			return fmt.Errorf("repl: applied %s did not reach %s within %v", r.AppliedLSN(), target, timeout)
 		}
 	}
-	return nil
 }
 
 // streamOnce runs one stream attempt: dial, HELLO, OpReplStream, then apply
@@ -321,14 +336,24 @@ func (r *Replica) streamOnce() error {
 	}
 }
 
-// advance moves the applied cursor monotonically.
+// advance moves the applied cursor monotonically and releases the WaitLSN
+// callers parked on it.
 func (r *Replica) advance(next uint64) {
 	for {
 		cur := r.applied.Load()
-		if next <= cur || r.applied.CompareAndSwap(cur, next) {
+		if next <= cur {
 			return
 		}
+		if r.applied.CompareAndSwap(cur, next) {
+			break
+		}
 	}
+	r.mu.Lock()
+	if r.advanced != nil {
+		close(r.advanced)
+		r.advanced = nil
+	}
+	r.mu.Unlock()
 }
 
 // reporter periodically tells the primary where this replica stands: the

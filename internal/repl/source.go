@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
+	"io/fs"
 	"net"
 	"sort"
 	"sync"
@@ -40,10 +41,6 @@ type SourceConfig struct {
 	// it after StaleAfter). Without this bound a partition could pin the GC
 	// horizon for as long as the partition lasts.
 	WriteTimeout time.Duration
-	// SubscriptionBuffer sizes the live-tail channel per stream (<=0
-	// selects the wal default, 4096). A stream that cannot drain it is torn
-	// down rather than ever blocking commits.
-	SubscriptionBuffer int
 }
 
 func (c *SourceConfig) fill() {
@@ -73,9 +70,9 @@ type replicaState struct {
 	// always released on stream detach.
 	pin *sts.Handle
 	// floor is the lowest log segment this replica still needs: 0 during
-	// bootstrap (everything), then the segment of its applied LSN. It
-	// survives disconnects so a briefly-absent replica can resume, and is
-	// dropped on demotion.
+	// bootstrap (everything), then the segment of its applied LSN, never
+	// past its stream's cursor (see assess). It survives disconnects so a
+	// briefly-absent replica can resume, and is dropped on demotion.
 	floor      uint64
 	hasFloor   bool
 	lastReport time.Time
@@ -271,14 +268,8 @@ func (s *Source) ServeStream(nc net.Conn, br *bufio.Reader, bw *bufio.Writer, re
 	}
 	defer s.detach(st)
 
-	// Subscribe to live appends before looking at the disk so nothing falls
-	// between catch-up and tailing; duplicates are skipped by LSN order.
-	sub := s.log.Subscribe(s.cfg.SubscriptionBuffer)
-	defer sub.Close()
-
 	var ck *wal.Checkpoint
-	bootstrap := req.StartLSN == 0
-	if bootstrap {
+	if req.StartLSN == 0 {
 		// The floor registered by admit (0) keeps Checkpoint from pruning
 		// anything while the bootstrap is in flight.
 		ck, err = wal.ReadCheckpoint(s.db.PersistDir())
@@ -292,32 +283,26 @@ func (s *Source) ServeStream(nc net.Conn, br *bufio.Reader, bw *bufio.Writer, re
 		}
 	}
 
-	segs, err := wal.Segments(s.db.PersistDir())
+	// The stream is one cursor over the log, from StartLSN (0: the oldest
+	// retained segment) to the head and on. Resume is only possible while
+	// the starting segment is retained and the position is not past the head.
+	catchUp := s.log.NextLSN()
+	cur, err := s.log.OpenCursor(wal.LSN(req.StartLSN))
 	if err != nil {
+		s.mu.Lock()
+		st.hasFloor = false // the floor admit set points at nothing
+		s.mu.Unlock()
+		if errors.Is(err, fs.ErrNotExist) || wal.LSN(req.StartLSN) > catchUp {
+			err = wire.ErrReplTooOld
+		}
 		return s.refuse(nc, bw, err)
 	}
-	startSeg := wal.LSN(req.StartLSN).Segment()
-	if !bootstrap {
-		// Resume is only possible while the starting segment is retained
-		// and the cursor is not past the head.
-		found := false
-		for _, seg := range segs {
-			if seg.Seq == startSeg {
-				found = true
-				break
-			}
-		}
-		if !found || wal.LSN(req.StartLSN) > s.log.NextLSN() {
-			s.mu.Lock()
-			st.hasFloor = false // the floor admit set points at nothing
-			s.mu.Unlock()
-			return s.refuse(nc, bw, wire.ErrReplTooOld)
-		}
-	}
+	defer cur.Close()
 
 	// Accept: the StOK body carries the stream head so the replica can see
-	// its lag immediately.
-	ack := (&wire.Builder{}).U64(uint64(s.log.NextLSN())).Take()
+	// its lag immediately. Everything below it is the initial catch-up, which
+	// exempts the replica from the lag bound until applied (see assess).
+	ack := (&wire.Builder{}).U64(uint64(catchUp)).Take()
 	if _, err := wire.WriteFrame(bw, wire.StOK, ack); err != nil {
 		return err
 	}
@@ -328,105 +313,62 @@ func (s *Source) ServeStream(nc net.Conn, br *bufio.Reader, bw *bufio.Writer, re
 	readerErr := make(chan error, 1)
 	go s.readReports(nc, br, st, readerErr)
 
-	if bootstrap {
+	if ck != nil {
 		if err := s.send(nc, bw, wire.RmCheckpoint, wal.EncodeCheckpoint(ck)); err != nil {
 			return err
 		}
 	}
 
-	// Catch-up: ship retained segments from the cursor. Records the
-	// checkpoint already covers are skipped CID-wise by the applier. The
-	// drain flag is checked per record: a long catch-up throttled by a slow
-	// replica's TCP backpressure must end promptly on server shutdown, not
-	// when a per-message write deadline eventually fires.
-	lastSent, sentAny := wal.LSN(0), false
-	for _, seg := range segs {
-		if seg.Seq < startSeg {
-			continue
+	// Ship what the cursor yields and, at the head, wait for the log to move.
+	// Records the checkpoint already covers are skipped CID-wise by the
+	// applier. The drain flag is checked per record as well as per tick: a
+	// long catch-up throttled by a slow replica's TCP backpressure must end
+	// promptly on server shutdown, not when a per-message write deadline
+	// eventually fires. shipped is the position after the last record sent: a
+	// replica whose applied LSN has reached it holds everything this stream
+	// gave it.
+	shipped := wal.LSN(req.StartLSN)
+	hb := time.NewTicker(s.cfg.HeartbeatEvery)
+	defer hb.Stop()
+	for {
+		if draining() {
+			_ = s.send(nc, bw, wire.RmEnd, endBody(wire.EndDrain, "primary draining"))
+			return nil
 		}
-		err := wal.ReadSegmentPayloads(seg.Path, func(idx uint64, payload []byte) error {
-			lsn := wal.MakeLSN(seg.Seq, idx)
-			if uint64(lsn) < req.StartLSN {
-				return nil
-			}
-			if draining() {
-				return errDrainedCatchup
-			}
+		lsn, payload, wake, err := cur.Next()
+		if err != nil {
+			return err
+		}
+		if catchUp > shipped && (wake != nil || lsn >= catchUp) {
+			// The cursor has passed the head seen at accept: the initial
+			// catch-up ends after the last record shipped, not at a head that
+			// record-free rotations may have moved on from it.
+			catchUp = shipped
+		}
+		if wake == nil {
 			if err := fault.Hit(FPPartialSegment); err != nil {
 				return err
 			}
 			if err := s.sendRecord(nc, bw, lsn, payload); err != nil {
 				return err
 			}
-			lastSent, sentAny = lsn, true
-			return nil
-		})
-		if errors.Is(err, errDrainedCatchup) {
-			_ = s.send(nc, bw, wire.RmEnd, endBody(wire.EndDrain, "primary draining"))
-			return nil
+			shipped = lsn + 1
+			wake = ready // poll the reader and the ticker, do not park
 		}
-		if err != nil {
-			return err
-		}
-	}
-
-	// The initial catch-up ends here; until the replica has applied
-	// everything it shipped, the lag bound stays out of the picture (see
-	// lagging). The live tail below keeps extending lastSent, so the
-	// catch-up horizon is captured now.
-	catchupEnd, catchupSent := lastSent, sentAny
-
-	// Live tail.
-	hb := time.NewTicker(s.cfg.HeartbeatEvery)
-	defer hb.Stop()
-	for {
 		select {
 		case err := <-readerErr:
 			return err
-		case a, ok := <-sub.C():
-			if !ok {
-				_ = s.send(nc, bw, wire.RmEnd, endBody(wire.EndError, "wal subscription cancelled"))
-				return fmt.Errorf("repl: stream %q lost its wal subscription (overflow=%v)", st.id, sub.Overflowed())
-			}
-			if (sentAny && a.LSN <= lastSent) || uint64(a.LSN) < req.StartLSN {
-				continue // already shipped during catch-up
-			}
-			if err := s.sendRecord(nc, bw, a.LSN, a.Payload); err != nil {
-				return err
-			}
-			lastSent, sentAny = a.LSN, true
+		case <-wake:
 		case <-hb.C:
-			if draining() {
-				_ = s.send(nc, bw, wire.RmEnd, endBody(wire.EndDrain, "primary draining"))
-				return nil
-			}
 			if err := fault.Hit(FPStreamDrop); err != nil {
 				nc.Close()
 				return err
 			}
-			s.refreshFloor(st, lastSent, sentAny)
-			if s.lagging(st, catchupEnd, catchupSent) {
-				s.mu.Lock()
-				s.demoteLocked(st)
-				s.mu.Unlock()
+			head := s.log.NextLSN()
+			resume, demoted := s.assess(st, cur.LSN(), shipped, catchUp, head)
+			if demoted {
 				_ = s.send(nc, bw, wire.RmEnd, endBody(wire.EndDemoted, "exceeded segment lag bound"))
 				return nil
-			}
-			head := s.log.NextLSN()
-			// LSN assignment and subscriber publish happen under one WAL
-			// lock, so once NextLSN returned head, every record below head
-			// is already in this stream's channel or consumed. Empty channel
-			// plus a replica that applied everything sent means it holds
-			// everything below head — the heartbeat then carries head as a
-			// resume point, advancing the replica's cursor across
-			// record-free rotations (idle periodic checkpoints).
-			resume := wal.LSN(0)
-			if len(sub.C()) == 0 {
-				s.mu.Lock()
-				if !sentAny || st.applied > lastSent {
-					resume = head
-				}
-				s.mu.Unlock()
 			}
 			body := (&wire.Builder{}).U64(uint64(head)).U64(uint64(resume)).Take()
 			if err := s.send(nc, bw, wire.RmHeartbeat, body); err != nil {
@@ -436,50 +378,45 @@ func (s *Source) ServeStream(nc net.Conn, br *bufio.Reader, bw *bufio.Writer, re
 	}
 }
 
-// refreshFloor advances the replica's segment floor to the active segment
-// once it has applied everything this stream shipped — the floor normally
-// tracks the applied LSN, which goes stale on an idle primary that keeps
-// rotating (periodic checkpoints with no writes) and would otherwise drift a
-// fully caught-up replica into the lag bound. A record appended around a
-// concurrent rotation can sit briefly below the refreshed floor before it
-// ships; it still arrives through the live subscription, and the worst case
-// on a disconnect in that window is a re-bootstrap, never a gap.
-func (s *Source) refreshFloor(st *replicaState, lastSent wal.LSN, sentAny bool) {
-	active := s.log.NextLSN().Segment()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !st.hasFloor {
-		return
-	}
-	if (!sentAny || st.applied > lastSent) && active > st.floor {
-		st.floor = active
-	}
-}
+// ready is a closed channel: what a stream with more to ship waits on.
+var ready = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
 
-// errDrainedCatchup aborts the segment catch-up iteration when server drain
-// begins; ServeStream turns it into a clean RmEnd(Drain).
-var errDrainedCatchup = errors.New("repl: drain during catch-up")
-
-// lagging applies the lag bound to a connected replica: how many segments
-// its floor trails the primary's active segment. A stream still working
-// through its initial catch-up is exempt — during a bootstrap the floor
+// assess is the heartbeat tick's judgement of one stream, from the cursor's
+// position pos, the shipped mark, the applied LSN last reported and the head.
+//
+// The floor is the segment of whichever is lower, applied or cursor: the
+// replica resumes from its applied LSN, and nothing the cursor has yet to
+// ship is ever prunable.
+//
+// A replica is caught up when the cursor stands at the head and everything
+// shipped is applied; it then holds everything below head, and the heartbeat
+// carries head as a resume point, advancing the replica's cursor across
+// record-free rotations (idle periodic checkpoints) so that its next report
+// moves the floor.
+//
+// Otherwise the lag bound applies: how many segments the floor trails the
+// active one. A stream still working through its initial catch-up — applied
+// below catchUp, the head at accept — is exempt: during a bootstrap the floor
 // starts at 0 (and on a resume, at the reconnect segment), so on a mature
-// primary the raw distance to the active segment exceeds any bound before
-// the replica has had a chance to apply a single record, and demoting it
-// there would only send it back into another bootstrap, forever. The bound
-// engages once the replica's applied cursor passes the last record catch-up
-// shipped (immediately, when catch-up shipped nothing).
-func (s *Source) lagging(st *replicaState, catchupEnd wal.LSN, catchupSent bool) bool {
-	active := s.log.NextLSN().Segment()
+// primary the raw distance exceeds any bound before the replica has had a
+// chance to apply a single record, and demoting it there would only send it
+// back into another bootstrap, forever.
+func (s *Source) assess(st *replicaState, pos, shipped, catchUp, head wal.LSN) (resume wal.LSN, demoted bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !st.hasFloor {
-		return false
+	st.floor = min(st.applied.Segment(), pos.Segment())
+	switch {
+	case pos == head && st.applied >= shipped:
+		return head, false
+	case st.applied >= catchUp && head.Segment()-st.floor > uint64(s.cfg.MaxSegmentLag):
+		s.demoteLocked(st)
+		return 0, true
 	}
-	if catchupSent && st.applied <= catchupEnd {
-		return false
-	}
-	return active > st.floor && active-st.floor > uint64(s.cfg.MaxSegmentLag)
+	return 0, false
 }
 
 // readReports consumes the replica's report messages until the connection
@@ -511,15 +448,12 @@ func (s *Source) readReports(nc net.Conn, br *bufio.Reader, st *replicaState, do
 // oldest open snapshot timestamp is pinned in (or released from) the
 // primary's registry — through the manager, so a pin that goes away or moves
 // up wakes the collector loop like a released snapshot does — and its applied
-// LSN advances the segment floor.
+// LSN is what the next heartbeat tick derives the segment floor from.
 func (s *Source) handleReport(st *replicaState, rep wire.ReplReport) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st.lastReport = time.Now()
 	st.applied = wal.LSN(rep.AppliedLSN)
-	if seg := st.applied.Segment(); st.hasFloor && seg > st.floor {
-		st.floor = seg
-	}
 	min := ts.CID(rep.MinSTS)
 	if rep.HasSnapshots && st.pin != nil && st.pin.TS() == min {
 		return

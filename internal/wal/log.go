@@ -67,46 +67,6 @@ func (l LSN) Index() uint64 { return uint64(l) & 0xffffffff }
 
 func (l LSN) String() string { return fmt.Sprintf("%d/%d", l.Segment(), l.Index()) }
 
-// Appended is one record as the append path saw it: the LSN it was assigned
-// and its encoded (unframed) payload. This is exactly what a replication
-// stream ships, so subscribers never re-encode.
-type Appended struct {
-	LSN     LSN
-	Payload []byte
-}
-
-// Subscription delivers every record appended after the subscription was
-// taken, in order, on a bounded channel. If the subscriber falls behind and
-// the buffer fills, the subscription is cancelled by the appender (the
-// channel is closed and Overflowed reports true) — a replication stream then
-// tears down and the replica reconnects from its applied LSN, rather than
-// the WAL blocking commits on a slow consumer.
-type Subscription struct {
-	l          *Log
-	ch         chan Appended
-	closed     bool // guarded by l.mu
-	overflowed bool // guarded by l.mu
-}
-
-// C is the delivery channel; it is closed on Close or on overflow.
-func (s *Subscription) C() <-chan Appended { return s.ch }
-
-// Overflowed reports whether the appender cancelled the subscription because
-// the buffer filled.
-func (s *Subscription) Overflowed() bool {
-	s.l.mu.Lock()
-	defer s.l.mu.Unlock()
-	return s.overflowed
-}
-
-// Close cancels the subscription. Safe to call more than once, and safe
-// concurrently with Append.
-func (s *Subscription) Close() {
-	s.l.mu.Lock()
-	defer s.l.mu.Unlock()
-	s.l.dropSubLocked(s)
-}
-
 // Options configures a Log.
 type Options struct {
 	// Dir is the persistency directory.
@@ -134,7 +94,9 @@ type Log struct {
 	w       *bufio.Writer
 	size    int64
 	failErr error
-	subs    map[*Subscription]struct{}
+	// wake, when non-nil, is held by the cursors parked at the head; the
+	// next Append, Rotate or Close closes it.
+	wake chan struct{}
 
 	// frameBuf is Append's reused buffer: a record is encoded and framed
 	// here, then written with one Write and made durable with one Sync.
@@ -167,6 +129,8 @@ func (l *Log) MetricsSnapshot() Metrics {
 // operation and fail-stopped.
 var ErrLogFailed = errors.New("wal: log fail-stopped after I/O error")
 
+var errClosed = errors.New("wal: log closed")
+
 // Open creates (or continues) the log in dir, appending to a fresh segment
 // after the highest existing one — recovery reads old segments, new writes
 // never touch them. A torn record at the end of the highest existing segment
@@ -197,9 +161,12 @@ func Open(opts Options) (*Log, error) {
 	return l, nil
 }
 
+func segmentPath(dir string, seq uint64) string {
+	return filepath.Join(dir, fmt.Sprintf("%s%016d%s", segmentPrefix, seq, segmentSuffix))
+}
+
 func (l *Log) openSegmentLocked() error {
-	name := filepath.Join(l.opts.Dir, fmt.Sprintf("%s%016d%s", segmentPrefix, l.seq, segmentSuffix))
-	f, err := os.OpenFile(name, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(segmentPath(l.opts.Dir, l.seq), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return err
 	}
@@ -219,54 +186,22 @@ func (l *Log) openSegmentLocked() error {
 // LSNs and writes under, so it is safe from any goroutine and its result is a
 // *publication barrier* — when NextLSN returns head, every record with
 // LSN < head has fully completed its Append: its bytes were written (and,
-// with Sync, fsynced) and its subscribers notified before the lock was
-// released. A commit group is one record, hence one LSN: it is wholly below a
-// token or wholly above it. This happens-before edge is what lets a replica
-// compare its applied LSN against a token from another machine — applied ≥
-// token implies every write the token covers has been replayed.
+// with Sync, fsynced) before the lock was released. A commit group is one
+// record, hence one LSN: it is wholly below a token or wholly above it. This
+// happens-before edge is what lets a replica compare its applied LSN against
+// a token from another machine — applied ≥ token implies every write the
+// token covers has been replayed — and what bounds a Cursor.
 func (l *Log) NextLSN() LSN {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return MakeLSN(l.seq, l.recs)
 }
 
-// Subscribe registers a live tail over subsequent appends with the given
-// channel capacity (<=0 selects 4096). The caller must drain C() promptly;
-// see Subscription for the overflow contract.
-func (l *Log) Subscribe(buf int) *Subscription {
-	if buf <= 0 {
-		buf = 4096
-	}
-	s := &Subscription{l: l, ch: make(chan Appended, buf)}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.subs == nil {
-		l.subs = make(map[*Subscription]struct{})
-	}
-	l.subs[s] = struct{}{}
-	return s
-}
-
-// dropSubLocked removes and closes a subscription; idempotent.
-func (l *Log) dropSubLocked(s *Subscription) {
-	if s.closed {
-		return
-	}
-	s.closed = true
-	delete(l.subs, s)
-	close(s.ch)
-}
-
-// publishLocked hands one appended record to every subscriber without ever
-// blocking the append path: a subscriber whose buffer is full is cancelled.
-func (l *Log) publishLocked(a Appended) {
-	for s := range l.subs {
-		select {
-		case s.ch <- a:
-		default:
-			s.overflowed = true
-			l.dropSubLocked(s)
-		}
+// wakeLocked releases the cursors parked at the head, if there are any.
+func (l *Log) wakeLocked() {
+	if l.wake != nil {
+		close(l.wake)
+		l.wake = nil
 	}
 }
 
@@ -292,13 +227,14 @@ const maxFrameBufRetain = 1 << 20
 // Append frames one record — [u32 length][u32 crc32c][payload] — in a buffer
 // reused across calls, writes it with one Write, flushes, and with Sync set
 // fsyncs, making the record durable before the caller acknowledges commit.
-// The LSN is assigned and the payload published to subscribers before the
-// lock is released. Any I/O error fail-stops the log permanently (see Log).
+// The head — NextLSN and the segment's byte count — moves only once all of
+// that succeeded, so every byte below it belongs to an Append that returned.
+// Any I/O error fail-stops the log permanently (see Log).
 func (l *Log) Append(r *Record) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.f == nil {
-		return errors.New("wal: log closed")
+		return errClosed
 	}
 	if l.failErr != nil {
 		return fmt.Errorf("%w: %v", ErrLogFailed, l.failErr)
@@ -306,11 +242,11 @@ func (l *Log) Append(r *Record) error {
 	if err := fault.Hit(FPAppend); err != nil {
 		return l.failLocked(err)
 	}
-	// Reserve the 8-byte frame header, encode the payload in place, then
+	// Reserve the frame header, encode the payload in place, then
 	// backfill length and checksum — no staging buffer.
 	buf := append(l.frameBuf[:0], 0, 0, 0, 0, 0, 0, 0, 0)
 	buf = r.AppendPayload(buf)
-	payload := buf[8:]
+	payload := buf[frameHeader:]
 	binary.LittleEndian.PutUint32(buf[0:], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(buf[4:], crc32.Checksum(payload, crcTable))
 	if cap(buf) <= maxFrameBufRetain {
@@ -330,7 +266,6 @@ func (l *Log) Append(r *Record) error {
 	if _, err := l.w.Write(buf); err != nil {
 		return l.failLocked(err)
 	}
-	l.size += int64(len(buf))
 	if err := l.w.Flush(); err != nil {
 		return l.failLocked(err)
 	}
@@ -343,13 +278,9 @@ func (l *Log) Append(r *Record) error {
 		}
 		l.ctrSyncs++
 	}
-	lsn := MakeLSN(l.seq, l.recs)
 	l.recs++
-	if len(l.subs) > 0 {
-		// The frame buffer is reused by the next Append, but a payload handed
-		// to a subscription channel outlives this call — copy.
-		l.publishLocked(Appended{LSN: lsn, Payload: append([]byte(nil), payload...)})
-	}
+	l.size += int64(len(buf))
+	l.wakeLocked()
 	l.ctrRecords++
 	if r.Kind == KindGroup {
 		l.ctrBatches++
@@ -365,7 +296,7 @@ func (l *Log) Rotate() (closedSeq uint64, err error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.f == nil {
-		return 0, errors.New("wal: log closed")
+		return 0, errClosed
 	}
 	if l.failErr != nil {
 		return 0, fmt.Errorf("%w: %v", ErrLogFailed, l.failErr)
@@ -384,6 +315,7 @@ func (l *Log) Rotate() (closedSeq uint64, err error) {
 	if err := l.openSegmentLocked(); err != nil {
 		return 0, l.failLocked(err)
 	}
+	l.wakeLocked()
 	return closedSeq, nil
 }
 
@@ -403,9 +335,7 @@ func (l *Log) Close() error {
 	if l.f == nil {
 		return nil
 	}
-	for s := range l.subs {
-		l.dropSubLocked(s)
-	}
+	l.wakeLocked()
 	if l.failErr == nil {
 		if err := l.w.Flush(); err != nil {
 			_ = l.f.Close()
@@ -472,74 +402,48 @@ func RemoveSegmentsThrough(dir string, through uint64) error {
 }
 
 // ErrCorrupt marks a record that failed its checksum or framing somewhere a
-// torn tail write cannot explain: mid-segment, or at the tail of any segment
-// that is not the last. A truncated final entry at the very end of a segment
-// is the expected residue of a crash (or of tailing a live append) and is
-// tolerated silently; anything else means the log is damaged and replaying
-// past it would silently drop acknowledged commits.
+// torn tail write cannot explain: mid-segment, at the tail of any segment
+// that is not the last, or below the head of an open log. A truncated final
+// entry at the very end of the last segment is the expected residue of a
+// crash and is tolerated silently; anything else means the log is damaged and
+// replaying past it would silently drop acknowledged commits.
 var ErrCorrupt = errors.New("wal: corrupt record")
 
-// readFrames streams one segment's frames as (index, payload) pairs. It
-// returns torn=true when iteration stopped at a truncated or checksum-failed
-// record that sits at the very end of the file — the torn-tail case — and
-// whole, the byte length of the whole frames before it. A bad checksum with
-// more log behind it is mid-segment corruption and returns ErrCorrupt.
+// readFrames streams one cold segment's frames as (index, payload) pairs; the
+// payload is valid until fn returns. It returns torn=true when iteration
+// stopped at a truncated or checksum-failed record that sits at the very end
+// of the file — the torn-tail case — and whole, the byte length of the whole
+// frames before it. A bad checksum with more log behind it is mid-segment
+// corruption and returns ErrCorrupt. The bound is the file size observed at
+// open — on a cold file all there is, and on one still being appended to a
+// point every byte below which was written before the observation, so a frame
+// the bound cuts short is a torn tail there too, never damage.
 func readFrames(path string, fn func(idx uint64, payload []byte) error) (whole int64, torn bool, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, false, err
 	}
 	defer f.Close()
-	// Reads are bounded to the file size observed at open. The active
-	// segment may be receiving concurrent appends (replication catch-up
-	// tails it), and a frame only partially flushed at open time would fail
-	// its checksum; if the appender then completed it before the torn-tail
-	// probe below ran, the probe would see trailing bytes and misreport the
-	// benign in-flight tail as mid-segment corruption. The appender writes
-	// frames under one lock to an O_APPEND file, so every byte below the
-	// observed size belongs to writes that completed before the snapshot —
-	// a frame cut short by the bound is exactly a torn tail, and a checksum
-	// failure strictly inside it is genuine damage.
 	fi, err := f.Stat()
 	if err != nil {
 		return 0, false, err
 	}
-	size := fi.Size()
-	r := bufio.NewReaderSize(io.LimitReader(f, size), 1<<16)
-	var head [8]byte
+	r := bufio.NewReaderSize(f, 1<<16)
+	var buf []byte
 	for idx := uint64(0); ; idx++ {
-		if _, err := io.ReadFull(r, head[:]); err != nil {
-			if err == io.EOF {
-				return whole, false, nil // clean end
-			}
-			if err == io.ErrUnexpectedEOF {
-				return whole, true, nil // torn frame header at the tail
-			}
-			return whole, false, err
-		}
-		length := int64(binary.LittleEndian.Uint32(head[0:4]))
-		sum := binary.LittleEndian.Uint32(head[4:8])
-		if length > size-whole-8 {
-			// The prefix claims more than the bound leaves: a payload cut
-			// short, known before allocating what a damaged header asks for.
+		payload, err := readFrame(r, fi.Size()-whole, &buf)
+		switch {
+		case err == io.EOF:
+			return whole, false, nil
+		case err == errTorn:
 			return whole, true, nil
-		}
-		payload := make([]byte, length)
-		if _, err := io.ReadFull(r, payload); err != nil {
-			return whole, false, err
-		}
-		if crc32.Checksum(payload, crcTable) != sum {
-			// A checksum failure is only a tolerable torn tail if nothing
-			// follows it.
-			if whole+8+length == size {
-				return whole, true, nil
-			}
-			return whole, false, fmt.Errorf("%w: checksum mismatch at record %d of %s", ErrCorrupt, idx, filepath.Base(path))
+		case err != nil:
+			return whole, false, fmt.Errorf("%w at record %d of %s", err, idx, filepath.Base(path))
 		}
 		if err := fn(idx, payload); err != nil {
 			return whole, false, err
 		}
-		whole += 8 + length
+		whole += frameHeader + int64(len(payload))
 	}
 }
 
@@ -583,21 +487,24 @@ func ReadSegment(path string, fn func(*Record) error) error {
 
 // decoded adapts a record callback to readFrames: a payload that passed its
 // checksum and still does not parse is ErrCorrupt, wrapping the decoder's
-// reason (ErrRetiredFormat stays matchable).
+// reason — except ErrRetiredFormat, which is an older version's intact log,
+// not damage, and is returned under its own name.
 func decoded(fn func(*Record) error) func(uint64, []byte) error {
 	return func(_ uint64, payload []byte) error {
 		rec, err := DecodePayload(payload)
-		if err != nil {
+		switch {
+		case errors.Is(err, ErrRetiredFormat):
+			return err
+		case err != nil:
 			return fmt.Errorf("%w: %w", ErrCorrupt, err)
 		}
 		return fn(rec)
 	}
 }
 
-// ReadSegmentPayloads streams one segment's raw encoded payloads with their
-// in-segment record indexes — the replication catch-up path, which ships
-// payloads to replicas without decoding them. Torn-tail semantics match
-// ReadSegment.
+// ReadSegmentPayloads streams one cold segment's raw encoded payloads with
+// their in-segment record indexes; a payload is valid until fn returns.
+// Torn-tail semantics match ReadSegment.
 func ReadSegmentPayloads(path string, fn func(idx uint64, payload []byte) error) error {
 	_, _, err := readFrames(path, fn)
 	return err

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"hash/crc32"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -357,6 +359,39 @@ func TestReadSegmentConcurrentWithAppend(t *testing.T) {
 	}
 	path := segs[len(segs)-1].Path
 	deadline := time.Now().Add(300 * time.Millisecond)
+
+	// A cursor tails the same segment: bounded by the head, it meets every
+	// frame whole and in order, the 96 KiB ones included.
+	curDone := make(chan error, 1)
+	go func() {
+		c, err := l.OpenCursor(0)
+		if err != nil {
+			curDone <- err
+			return
+		}
+		defer c.Close()
+		for want := c.LSN(); time.Now().Before(deadline); {
+			lsn, payload, wake, err := c.Next()
+			switch {
+			case err != nil:
+				curDone <- err
+				return
+			case wake != nil:
+				<-wake
+			case lsn != want:
+				curDone <- fmt.Errorf("cursor yielded %s, want %s", lsn, want)
+				return
+			default:
+				if rec, err := DecodePayload(payload); err != nil || rec.CID != ts.CID(lsn.Index()+1) {
+					curDone <- fmt.Errorf("record %s decodes to %+v, %v", lsn, rec, err)
+					return
+				}
+				want++
+			}
+		}
+		curDone <- nil
+	}()
+
 	reads := 0
 	for time.Now().Before(deadline) {
 		err := ReadSegmentPayloads(path, func(uint64, []byte) error { return nil })
@@ -364,6 +399,10 @@ func TestReadSegmentConcurrentWithAppend(t *testing.T) {
 			t.Fatalf("concurrent segment read: %v", err)
 		}
 		reads++
+	}
+	// The appender outlives the cursor, whose last wait an append must end.
+	if err := <-curDone; err != nil {
+		t.Fatalf("concurrent cursor: %v", err)
 	}
 	close(stop)
 	if err := <-appErr; err != nil {
@@ -399,6 +438,12 @@ func TestNextLSNConcurrentContract(t *testing.T) {
 		}
 	}()
 
+	c, err := l.OpenCursor(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
 	var prev LSN
 	for done := false; !done; {
 		select {
@@ -418,6 +463,20 @@ func TestNextLSNConcurrentContract(t *testing.T) {
 			t.Fatalf("NextLSN %s below %d completed appends", head, n)
 		}
 		prev = head
+		// The cursor side of the same barrier: whatever it yields is below a
+		// head read afterwards, and a cursor that reports the head has
+		// yielded every append that completed before the call.
+		n = appended.Load()
+		lsn, _, wake, err := c.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wake == nil && lsn >= l.NextLSN() {
+			t.Fatalf("cursor yielded %s, not below the head %s", lsn, l.NextLSN())
+		}
+		if wake != nil && c.LSN().Index() < n {
+			t.Fatalf("cursor reports the head at %s with %d appends completed", c.LSN(), n)
+		}
 	}
 }
 
@@ -474,8 +533,8 @@ func TestRetiredGroupKindRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	err = ReadAll(dir, func(*Record) error { return nil })
-	if !errors.Is(err, ErrRetiredFormat) {
-		t.Fatalf("segment in the retired layout: %v, want ErrRetiredFormat", err)
+	if !errors.Is(err, ErrRetiredFormat) || errors.Is(err, ErrCorrupt) {
+		t.Fatalf("segment in the retired layout: %v, want ErrRetiredFormat and not ErrCorrupt", err)
 	}
 }
 
@@ -569,5 +628,179 @@ func TestLengthPrefixBeyondSegmentIsTornTail(t *testing.T) {
 	l2.Close()
 	if n := count(); n != 4 {
 		t.Fatalf("replayed %d records across the repaired segment, want 4", n)
+	}
+}
+
+// drain reads the cursor to the head and returns the LSNs it yielded and the
+// wake channel it was handed there.
+func drain(t *testing.T, c *Cursor) (lsns []LSN, wake <-chan struct{}) {
+	t.Helper()
+	for {
+		lsn, payload, wake, err := c.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wake != nil {
+			return lsns, wake
+		}
+		if _, err := DecodePayload(payload); err != nil {
+			t.Fatalf("record %s: %v", lsn, err)
+		}
+		lsns = append(lsns, lsn)
+	}
+}
+
+// TestCursorTailsAcrossRotations: one cursor reads from a start LSN inside a
+// closed segment through a rotation, then through rotations that closed
+// record-free segments (idle periodic checkpoints), and ends at the new head
+// each time; a waiter parked at the head is released by Append, by Rotate and
+// by Close; a following segment that was pruned is fs.ErrNotExist.
+func TestCursorTailsAcrossRotations(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeRecords(t, l, 4, 1)
+	mustRotate := func() {
+		t.Helper()
+		if _, err := l.Rotate(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mustRotate()
+	writeRecords(t, l, 2, 10)
+
+	c, err := l.OpenCursor(MakeLSN(1, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	got, wake := drain(t, c)
+	want := []LSN{MakeLSN(1, 2), MakeLSN(1, 3), MakeLSN(2, 0), MakeLSN(2, 1)}
+	if !reflect.DeepEqual(got, want) || c.LSN() != l.NextLSN() {
+		t.Fatalf("cursor yielded %v and stands at %s; want %v and the head %s", got, c.LSN(), want, l.NextLSN())
+	}
+	parked := func(what string) {
+		t.Helper()
+		select {
+		case <-wake:
+			t.Fatalf("wake channel closed before %s", what)
+		default:
+		}
+	}
+	released := func(what string) {
+		t.Helper()
+		select {
+		case <-wake:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("waiter not released by %s", what)
+		}
+	}
+
+	parked("Append")
+	writeRecords(t, l, 1, 20)
+	released("Append")
+	if got, wake = drain(t, c); !reflect.DeepEqual(got, []LSN{MakeLSN(2, 2)}) {
+		t.Fatalf("after the append the cursor yielded %v", got)
+	}
+
+	// Three rotations, the last two closing empty segments.
+	parked("Rotate")
+	mustRotate()
+	released("Rotate")
+	mustRotate()
+	mustRotate()
+	if got, wake = drain(t, c); len(got) != 0 || c.LSN() != MakeLSN(5, 0) || c.LSN() != l.NextLSN() {
+		t.Fatalf("across record-free rotations the cursor yielded %v and stands at %s, head %s", got, c.LSN(), l.NextLSN())
+	}
+	writeRecords(t, l, 1, 30)
+	if got, wake = drain(t, c); !reflect.DeepEqual(got, []LSN{MakeLSN(5, 0)}) {
+		t.Fatalf("in the new segment the cursor yielded %v", got)
+	}
+
+	// A start past the end of a closed segment, or past the head, names no
+	// record; a start in a pruned segment is a missing file.
+	for _, start := range []LSN{MakeLSN(1, 9), MakeLSN(5, 2), MakeLSN(6, 0)} {
+		if bad, err := l.OpenCursor(start); err == nil {
+			bad.Close()
+			t.Fatalf("OpenCursor(%s) succeeded with the head at %s", start, l.NextLSN())
+		}
+	}
+
+	// The segment after the cursor's own is pruned before it gets there.
+	mustRotate()
+	mustRotate()
+	if err := os.Remove(segmentPath(dir, 6)); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := c.Next(); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("cursor stepping into a pruned segment: %v, want fs.ErrNotExist", err)
+	}
+	if _, err := l.OpenCursor(MakeLSN(6, 0)); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("OpenCursor in a pruned segment: %v, want fs.ErrNotExist", err)
+	}
+
+	c2, err := l.OpenCursor(l.NextLSN())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Close()
+	_, wake = drain(t, c2)
+	parked("Close")
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	released("Close")
+	if _, _, _, err := c2.Next(); err == nil {
+		t.Fatal("cursor over a closed log reported no error")
+	}
+}
+
+// TestAppendDoesNothingForReaders: a cursor parked at the head costs Append
+// the close of one channel — no allocation, no copy.
+func TestAppendDoesNothingForReaders(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	l, err := Open(Options{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	c, err := l.OpenCursor(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	rec := &Record{Kind: KindGroup, CID: 1, Ops: []Op{
+		{Op: mvcc.OpUpdate, Table: 1, RID: 1, Payload: bytes.Repeat([]byte("x"), 2048)},
+	}}
+	// appendAllocs counts the mallocs of 100 Appends alone, each with the
+	// cursor parked at the head first or not.
+	appendAllocs := func(park bool) (n uint64) {
+		var before, after runtime.MemStats
+		for i := 0; i < 100; i++ {
+			var wake <-chan struct{}
+			if park {
+				_, wake = drain(t, c)
+			}
+			runtime.ReadMemStats(&before)
+			if err := l.Append(rec); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			n += after.Mallocs - before.Mallocs
+			if park {
+				select {
+				case <-wake:
+				default:
+					t.Fatal("Append left the parked cursor asleep")
+				}
+			}
+		}
+		return n
+	}
+	appendAllocs(false) // size the frame buffer
+	if alone, parked := appendAllocs(false), appendAllocs(true); alone != parked {
+		t.Fatalf("100 Appends allocate %d times alone and %d with a cursor parked at the head", alone, parked)
 	}
 }
