@@ -43,9 +43,13 @@ bench:
 # snapshot at window widths 1 k / 10 k / 100 k groups: flat while the
 # collectors are incremental. From internal/repl: BenchmarkStreamTail, a
 # replica's 50 k-record catch-up (records/s) and the commit→applied p50 at
-# the head, over loopback.
+# the head, over loopback. From internal/server: BenchmarkRemoteTxn, the TPC-C
+# standard mix with one closed-loop worker — over loopback through the client
+# (txn/s, and frames/txn: request frames the server read per committed
+# transaction, ≈ 2 while a transaction's operations travel together) and in
+# process (allocs/op of the same profiles where no frame is saved).
 bench-smoke:
-	GOMAXPROCS=4 $(GO) test -run '^$$' -bench 'BenchmarkOLAPScan|BenchmarkHashGet|BenchmarkTableGet|BenchmarkCatalogByID|BenchmarkWireFrame|BenchmarkWALAppend|BenchmarkGroupCommit|BenchmarkShardedCommit|BenchmarkSnapshotAcquire|BenchmarkPassEmpty|BenchmarkPassPinnedWindow|BenchmarkStreamTail' -benchtime=1x . ./internal/mvcc ./internal/table ./internal/wire ./internal/wal ./internal/shard ./internal/htap ./internal/sts ./internal/txn ./internal/gc ./internal/repl
+	GOMAXPROCS=4 $(GO) test -run '^$$' -bench 'BenchmarkOLAPScan|BenchmarkHashGet|BenchmarkTableGet|BenchmarkCatalogByID|BenchmarkWireFrame|BenchmarkWALAppend|BenchmarkGroupCommit|BenchmarkShardedCommit|BenchmarkSnapshotAcquire|BenchmarkPassEmpty|BenchmarkPassPinnedWindow|BenchmarkStreamTail|BenchmarkRemoteTxn' -benchtime=1x . ./internal/mvcc ./internal/table ./internal/wire ./internal/wal ./internal/shard ./internal/htap ./internal/sts ./internal/txn ./internal/gc ./internal/repl ./internal/server
 	$(GO) test -run '^$$' -bench 'BenchmarkCommit(Parallel|Serial)$$' -benchtime=1x -cpu 1,2,4 ./internal/txn
 
 # The repository benchmark is a nested module that `go test ./...` at the

@@ -131,39 +131,34 @@ func (b *bank) worker(id int, rng *rand.Rand) {
 
 // transferOnce is one transactional attempt: move amount between two
 // accounts and record the movement in the ledger, all under transaction-level
-// snapshot isolation.
+// snapshot isolation, in two frames — [BEGIN, both reads], then [both
+// updates, the ledger insert, COMMIT]. Under the nemesis either frame can
+// stop at any operation or lose its connection.
 func (b *bank) transferOnce(from, to int, amount int64, lid string) error {
 	tx, err := b.c.cl.Begin(true)
 	if err != nil {
 		return err
 	}
 	defer tx.Abort()
-	fb, err := b.readBalance(tx, b.c.acctRIDs[from])
+	fromRID, toRID := b.c.acctRIDs[from], b.c.acctRIDs[to]
+	q := tx.Batch()
+	fromGet, toGet := q.Get(b.c.accounts, fromRID), q.Get(b.c.accounts, toRID)
+	if err := q.Do(); err != nil {
+		return err
+	}
+	fb, err := parseBalance(q.Image(fromGet))
 	if err != nil {
 		return err
 	}
-	tb, err := b.readBalance(tx, b.c.acctRIDs[to])
+	tb, err := parseBalance(q.Image(toGet))
 	if err != nil {
 		return err
 	}
-	if err := tx.Update(b.c.accounts, b.c.acctRIDs[from], formatBalance(fb-amount)); err != nil {
-		return err
-	}
-	if err := tx.Update(b.c.accounts, b.c.acctRIDs[to], formatBalance(tb+amount)); err != nil {
-		return err
-	}
-	if _, err := tx.Insert(b.c.ledger, []byte(lid+":"+strconv.FormatInt(amount, 10))); err != nil {
-		return err
-	}
-	return tx.Commit()
-}
-
-func (b *bank) readBalance(tx *client.Tx, rid ts.RID) (int64, error) {
-	img, err := tx.Get(b.c.accounts, rid)
-	if err != nil {
-		return 0, err
-	}
-	return parseBalance(img)
+	q.Update(b.c.accounts, fromRID, formatBalance(fb-amount))
+	q.Update(b.c.accounts, toRID, formatBalance(tb+amount))
+	q.Insert(b.c.ledger, []byte(lid+":"+strconv.FormatInt(amount, 10)))
+	q.Commit()
+	return q.Do()
 }
 
 // remoteChecker verifies conservation through the client path: a snapshot

@@ -2,7 +2,10 @@
 // stdlib-only client for the wire protocol. A Client owns up to MaxConns
 // TCP connections, reused across calls; transactions and query cursors pin
 // one connection (they are per-session state on the server) until
-// Commit/Abort/Close returns it to the pool.
+// Commit/Abort/Close returns it to the pool. A transaction sends BATCH frames
+// and nothing else: Tx.Batch queues operations that do not depend on each
+// other and pays one round trip for them, BEGIN riding at the head of the
+// first frame and COMMIT at the tail of the last.
 //
 // Engine errors cross the wire as codes and rehydrate into the canonical
 // sentinels (core.ErrWriteConflict, core.ErrVersionPressure,
@@ -416,39 +419,46 @@ func (c *Client) TableIDs(names ...string) ([]ts.TableID, error) {
 }
 
 // Begin starts a remote transaction, pinning one connection until
-// Commit/Abort. transSI selects transaction-level snapshot isolation.
+// Commit/Abort. transSI selects transaction-level snapshot isolation. The
+// BEGIN itself costs no round trip: it heads the transaction's first frame,
+// so the server opens the transaction (and takes a Trans-SI snapshot) when
+// that frame arrives.
 func (c *Client) Begin(transSI bool) (*Tx, error) {
-	cn, err := c.get()
+	tx, err := c.newTx()
 	if err != nil {
 		return nil, err
 	}
-	if _, err := cn.roundTripB(wire.OpBegin, wire.GetBuilder().Bool(transSI)); err != nil {
-		c.put(cn)
-		// A broken BEGIN started nothing: safe to retry as a fresh txn.
-		if isTransportErr(err) {
-			err = fmt.Errorf("%w: %v", core.ErrTxnBroken, err)
-		}
-		return nil, err
-	}
-	return &Tx{c: c, cn: cn}, nil
+	tx.b.op(wire.OpBegin).Bool(transSI)
+	tx.b.end()
+	return tx, nil
 }
 
 // BeginShard starts a remote transaction pinned to one shard — the
 // single-shard fast path on a sharded server, bypassing the cross-shard
-// router. Operations referencing records on other shards fail.
+// router. Operations referencing records on other shards fail. Like Begin it
+// sends nothing yet; a shard the server does not have fails the first frame.
 func (c *Client) BeginShard(shard int, transSI bool) (*Tx, error) {
+	tx, err := c.newTx()
+	if err != nil {
+		return nil, err
+	}
+	tx.b.op(wire.OpBeginShard).U32(uint32(shard)).Bool(transSI)
+	tx.b.end()
+	return tx, nil
+}
+
+// newTx pins a connection for a transaction whose BEGIN the caller queues
+// next.
+func (c *Client) newTx() (*Tx, error) {
 	cn, err := c.get()
 	if err != nil {
 		return nil, err
 	}
-	if _, err := cn.roundTripB(wire.OpBeginShard, wire.GetBuilder().U32(uint32(shard)).Bool(transSI)); err != nil {
-		c.put(cn)
-		if isTransportErr(err) {
-			err = fmt.Errorf("%w: %v", core.ErrTxnBroken, err)
-		}
-		return nil, err
-	}
-	return &Tx{c: c, cn: cn}, nil
+	tx := &Tx{c: c, cn: cn}
+	tx.b.tx = tx
+	tx.b.reset()
+	tx.b.begin = true
+	return tx, nil
 }
 
 // SetPlacement installs a table's shard-placement policy on the server; it
@@ -527,106 +537,311 @@ func (c *Client) QueryAt(sqlText string, minLSN uint64) (*Cursor, error) {
 }
 
 // Tx is a remote transaction bound to one pooled connection. Its record
-// operations mirror core.Tx, so code written against that shape (the TPC-C
-// driver) runs remotely unchanged.
+// operations mirror core.Tx, so code written against that shape runs
+// remotely unchanged — one frame per call. Code that knows which of its
+// operations do not depend on each other queues them on Batch and pays one
+// round trip for all of them.
 //
-// Failure classification: a transport failure on any operation before
-// COMMIT surfaces core.ErrTxnBroken — transient, because the server aborts
-// the session's transaction the moment its connection dies, so nothing of
-// the attempt survives and core.Retry can safely re-run the whole
-// transaction from scratch. A transport failure while COMMIT itself is in
-// flight surfaces core.ErrCommitAmbiguous — NOT transient, because the
-// commit may have become durable before the connection died, and a blind
-// re-run could apply the transaction twice.
+// Everything a transaction sends is a BATCH frame, and its failures are
+// classified per frame. A transport failure on a frame that carries COMMIT
+// surfaces core.ErrCommitAmbiguous — NOT transient, because the commit may
+// have become durable before the connection died, and a blind re-run could
+// apply the transaction twice. On any other frame it surfaces
+// core.ErrTxnBroken — transient, because the server aborts the session's
+// transaction the moment its connection dies, so nothing of the attempt
+// survives and core.Retry can safely re-run the whole transaction. Either
+// way the Tx is finished. A failure the server reports (the first failed
+// operation's error; nothing after it ran) leaves the transaction open for
+// Abort, with two exceptions that finish it: the failed operation is the
+// queued BEGIN — no transaction exists, and anything sent afterwards would
+// reach the server as an autocommit write — or it is the COMMIT itself.
 type Tx struct {
 	c         *Client
 	cn        *Conn
 	done      bool
 	commitLSN uint64
+	b         Batch
 }
 
-func (tx *Tx) round(op byte, body []byte) (*wire.Parser, error) {
+var errTxFinished = errors.New("client: transaction finished")
+
+// finish returns the connection to the pool (a broken one is discarded
+// there).
+func (tx *Tx) finish() {
+	tx.done = true
+	tx.c.put(tx.cn)
+}
+
+// Batch returns the transaction's operation queue. It belongs to the
+// transaction and is reused from frame to frame; the Tx's own record methods
+// go through it too, each sending whatever is queued plus its one operation.
+func (tx *Tx) Batch() *Batch { return &tx.b }
+
+// Batch queues a transaction's operations and sends them as one frame. The
+// queueing methods return the operation's index, which reads its result
+// after Do. Results alias the response buffer the Batch owns: they are valid
+// until the next Do.
+type Batch struct {
+	tx *Tx
+
+	begin  bool  // the transaction's BEGIN heads the frame being built
+	commit bool  // COMMIT ends it
+	n      int   // operations queued, the BEGIN included
+	mark   int   // the open item, between op and end
+	err    error // misuse while queueing; Do reports it and rolls back
+
+	// The last Do: lead is 1 when the BEGIN headed it (result indexes skip
+	// it), ran counts the operations that succeeded, the BEGIN excluded.
+	lead int
+	ran  int
+	rbuf []byte
+	res  []batchResult
+}
+
+type batchResult struct {
+	status byte
+	body   []byte
+}
+
+// reset empties the queue; the last Do's results stay readable.
+func (b *Batch) reset() {
+	b.commit, b.n, b.err = false, 0, nil
+	b.tx.cn.req.Reset().BeginBatch()
+}
+
+// op opens the next operation and returns the builder its request body goes
+// to; end closes it.
+func (b *Batch) op(verb byte) *wire.Builder {
+	switch {
+	case b.tx.done:
+		return new(wire.Builder) // Do will refuse; keep off a connection that is no longer ours
+	case b.commit:
+		b.err = errors.New("client: operation queued after COMMIT")
+	case b.n == 1<<16-1:
+		b.err = errors.New("client: batch holds 65535 operations")
+	}
+	req := &b.tx.cn.req
+	b.mark = req.BeginItem(verb)
+	return req
+}
+
+func (b *Batch) end() int {
+	if b.tx.done {
+		return -1
+	}
+	b.tx.cn.req.EndItem(b.mark)
+	b.n++
+	if b.begin {
+		return b.n - 2
+	}
+	return b.n - 1
+}
+
+// Get queues a record read; Image reads its result.
+func (b *Batch) Get(tid ts.TableID, rid ts.RID) int {
+	b.op(wire.OpGet).U32(uint32(tid)).U64(uint64(rid))
+	return b.end()
+}
+
+// Insert queues a record insert; RID reads its result.
+func (b *Batch) Insert(tid ts.TableID, img []byte) int {
+	b.op(wire.OpInsert).U32(uint32(tid)).Bytes(img)
+	return b.end()
+}
+
+// InsertAt is Insert with a shard-placement hint — the sharded server places
+// the record on hint's shard; a single-node server ignores the hint.
+func (b *Batch) InsertAt(tid ts.TableID, img []byte, hint int) int {
+	b.op(wire.OpInsertAt).U32(uint32(tid)).U32(uint32(hint)).Bytes(img)
+	return b.end()
+}
+
+// Update queues the installation of a new image.
+func (b *Batch) Update(tid ts.TableID, rid ts.RID, img []byte) int {
+	b.op(wire.OpUpdate).U32(uint32(tid)).U64(uint64(rid)).Bytes(img)
+	return b.end()
+}
+
+// Delete queues a record removal.
+func (b *Batch) Delete(tid ts.TableID, rid ts.RID) int {
+	b.op(wire.OpDelete).U32(uint32(tid)).U64(uint64(rid))
+	return b.end()
+}
+
+// Commit queues the COMMIT. It must be the last operation of the frame: the
+// server runs it only if everything before it succeeded.
+func (b *Batch) Commit() {
+	b.op(wire.OpCommit)
+	b.end()
+	b.commit = true
+}
+
+// Do sends the queued operations in one round trip and returns the first
+// failed operation's error; Ran then tells which it was. See Tx for what a
+// failure does to the transaction.
+func (b *Batch) Do() error {
+	tx := b.tx
 	if tx.done {
-		return nil, fmt.Errorf("client: transaction finished")
+		return errTxFinished
 	}
-	r, err := tx.cn.roundTrip(op, body)
-	if isTransportErr(err) {
-		// The connection (and with it the server-side transaction) is gone:
-		// finish the Tx now so the poisoned conn returns to the pool for
-		// discarding instead of waiting for a deferred Abort.
-		tx.done = true
-		tx.c.put(tx.cn)
-		return nil, fmt.Errorf("%w: %v", core.ErrTxnBroken, err)
+	if err := b.err; err != nil {
+		tx.Abort() // a frame the caller mis-built is not sent in part
+		return err
 	}
-	return r, err
+	if b.n == 0 {
+		b.ran = 0
+		return nil
+	}
+	cn, n, commit := tx.cn, b.n, b.commit
+	b.lead = 0
+	if b.begin {
+		b.lead = 1
+	}
+	cn.req.EndBatch(0, n)
+	status, resp, rbuf, err := cn.exchange(wire.OpBatch, cn.req.Take(), b.rbuf)
+	b.rbuf = rbuf
+	b.begin = false
+	b.reset()
+	b.res, b.ran = b.res[:0], 0
+	if err == nil && status == wire.StOK {
+		err = b.index(resp, n)
+	}
+	if err != nil {
+		// Transport failure, or a response that is not an answer to the
+		// frame: the transaction's fate is the connection's.
+		cn.broken = true
+		tx.finish()
+		if commit {
+			return fmt.Errorf("%w: %v", core.ErrCommitAmbiguous, err)
+		}
+		return fmt.Errorf("%w: %v", core.ErrTxnBroken, err)
+	}
+	if status == wire.StErr {
+		// The frame was refused whole; nothing ran.
+		err = decodeError(resp, cn)
+		if b.lead == 1 {
+			tx.finish()
+		}
+		return err
+	}
+	m := len(b.res)
+	if last := b.res[m-1]; last.status == wire.StErr {
+		b.ran = max(m-1-b.lead, 0)
+		err = decodeError(last.body, cn)
+		if m == b.lead || (commit && m == n) {
+			tx.finish() // the BEGIN failed, or the COMMIT did
+		}
+		return err
+	}
+	b.ran = n - b.lead
+	if commit {
+		r := wire.NewParser(b.res[n-1].body)
+		tx.commitLSN = r.U64()
+		tx.finish()
+		return r.Err()
+	}
+	return nil
 }
 
-// roundB is round with a pooled request builder, released after the write.
-func (tx *Tx) roundB(op byte, b *wire.Builder) (*wire.Parser, error) {
-	r, err := tx.round(op, b.Take())
-	wire.PutBuilder(b)
-	return r, err
+// index splits a BATCH response into b.res and checks it answers a frame of
+// n operations: every operation, or a prefix ending in the failure.
+func (b *Batch) index(resp []byte, n int) error {
+	items, err := wire.ReadBatch(resp)
+	if err != nil {
+		return err
+	}
+	if m := items.Len(); m == 0 || m > n {
+		return fmt.Errorf("client: %d results for a batch of %d", m, n)
+	}
+	for items.Len() > 0 {
+		status, body := items.Next()
+		b.res = append(b.res, batchResult{status, body})
+	}
+	if m := len(b.res); m < n && b.res[m-1].status != wire.StErr {
+		return fmt.Errorf("client: batch of %d stopped after %d without a failure", n, m)
+	}
+	return nil
 }
+
+// Ran reports how many operations of the last Do succeeded — after a
+// failure, the index of the operation that failed.
+func (b *Batch) Ran() int { return b.ran }
+
+// result returns operation i's response body from the last Do, nil unless
+// the operation ran and succeeded.
+func (b *Batch) result(i int) []byte {
+	if i < 0 || i >= b.ran {
+		return nil
+	}
+	return b.res[i+b.lead].body
+}
+
+// Image returns the record image operation i (a Get) read. It aliases the
+// Batch's response buffer: valid until the next Do.
+func (b *Batch) Image(i int) []byte { return wire.NewParser(b.result(i)).View() }
+
+// RID returns the record ID operation i (an Insert or InsertAt) created.
+func (b *Batch) RID(i int) ts.RID { return ts.RID(wire.NewParser(b.result(i)).U64()) }
 
 // Exec runs one SQL statement inside the transaction.
 func (tx *Tx) Exec(sqlText string) (*Result, error) {
-	r, err := tx.roundB(wire.OpExec, wire.GetBuilder().Str(sqlText).U64(0))
-	if err != nil {
+	tx.b.op(wire.OpExec).Str(sqlText).U64(0)
+	i := tx.b.end()
+	if err := tx.b.Do(); err != nil {
 		return nil, err
 	}
-	return decodeResult(r)
+	return decodeResult(wire.NewParser(tx.b.result(i)))
 }
 
 // Get reads one record image.
 func (tx *Tx) Get(tid ts.TableID, rid ts.RID) ([]byte, error) {
-	r, err := tx.roundB(wire.OpGet, wire.GetBuilder().U32(uint32(tid)).U64(uint64(rid)))
-	if err != nil {
+	i := tx.b.Get(tid, rid)
+	if err := tx.b.Do(); err != nil {
 		return nil, err
 	}
-	img := r.Bytes()
-	return img, r.Err()
+	return append([]byte(nil), tx.b.Image(i)...), nil
 }
 
 // Insert creates a record and returns its RID.
 func (tx *Tx) Insert(tid ts.TableID, img []byte) (ts.RID, error) {
-	r, err := tx.roundB(wire.OpInsert, wire.GetBuilder().U32(uint32(tid)).Bytes(img))
-	if err != nil {
+	i := tx.b.Insert(tid, img)
+	if err := tx.b.Do(); err != nil {
 		return 0, err
 	}
-	rid := ts.RID(r.U64())
-	return rid, r.Err()
+	return tx.b.RID(i), nil
 }
 
 // InsertAt is Insert with a shard-placement hint — the sharded server places
 // the record on hint's shard; a single-node server ignores the hint.
 func (tx *Tx) InsertAt(tid ts.TableID, img []byte, hint int) (ts.RID, error) {
-	r, err := tx.roundB(wire.OpInsertAt, wire.GetBuilder().U32(uint32(tid)).U32(uint32(hint)).Bytes(img))
-	if err != nil {
+	i := tx.b.InsertAt(tid, img, hint)
+	if err := tx.b.Do(); err != nil {
 		return 0, err
 	}
-	rid := ts.RID(r.U64())
-	return rid, r.Err()
+	return tx.b.RID(i), nil
 }
 
 // Update installs a new image.
 func (tx *Tx) Update(tid ts.TableID, rid ts.RID, img []byte) error {
-	_, err := tx.roundB(wire.OpUpdate, wire.GetBuilder().U32(uint32(tid)).U64(uint64(rid)).Bytes(img))
-	return err
+	tx.b.Update(tid, rid, img)
+	return tx.b.Do()
 }
 
 // Delete removes a record.
 func (tx *Tx) Delete(tid ts.TableID, rid ts.RID) error {
-	_, err := tx.roundB(wire.OpDelete, wire.GetBuilder().U32(uint32(tid)).U64(uint64(rid)))
-	return err
+	tx.b.Delete(tid, rid)
+	return tx.b.Do()
 }
 
 // Scan visits every visible record of the table in RID order. The whole
 // result crosses the wire in one response.
 func (tx *Tx) Scan(tid ts.TableID, fn func(rid ts.RID, img []byte) bool) error {
-	r, err := tx.roundB(wire.OpScan, wire.GetBuilder().U32(uint32(tid)))
-	if err != nil {
+	tx.b.op(wire.OpScan).U32(uint32(tid))
+	i := tx.b.end()
+	if err := tx.b.Do(); err != nil {
 		return err
 	}
+	r := wire.NewParser(tx.b.result(i))
 	n := int(r.U32())
 	for i := 0; i < n; i++ {
 		rid := ts.RID(r.U64())
@@ -647,20 +862,8 @@ func (tx *Tx) Scan(tid ts.TableID, fn func(rid ts.RID, img []byte) bool) error {
 // non-transient core.ErrCommitAmbiguous; callers must reconcile before
 // retrying.
 func (tx *Tx) Commit() error {
-	if tx.done {
-		return fmt.Errorf("client: transaction finished")
-	}
-	r, err := tx.cn.roundTrip(wire.OpCommit, nil)
-	tx.done = true
-	tx.c.put(tx.cn)
-	if isTransportErr(err) {
-		return fmt.Errorf("%w: %v", core.ErrCommitAmbiguous, err)
-	}
-	if err != nil {
-		return err
-	}
-	tx.commitLSN = r.U64()
-	return r.Err()
+	tx.b.Commit()
+	return tx.b.Do()
 }
 
 // CommitLSN returns the session consistency token from a successful Commit:
@@ -670,14 +873,22 @@ func (tx *Tx) Commit() error {
 func (tx *Tx) CommitLSN() uint64 { return tx.commitLSN }
 
 // Abort rolls the transaction back and returns the connection to the pool.
-// Safe to call after Commit (no-op), so `defer tx.Abort()` works.
+// Safe to call after Commit (no-op), so `defer tx.Abort()` works. A
+// transaction whose BEGIN is still queued has nothing to roll back and sends
+// nothing.
 func (tx *Tx) Abort() {
 	if tx.done {
 		return
 	}
-	_, _ = tx.cn.roundTrip(wire.OpRollback, nil)
-	tx.done = true
-	tx.c.put(tx.cn)
+	if !tx.b.begin {
+		tx.b.reset()
+		tx.b.op(wire.OpRollback)
+		tx.b.end()
+		_ = tx.b.Do() // the server drops the transaction with the connection if this fails
+	}
+	if !tx.done {
+		tx.finish()
+	}
 }
 
 // Cursor is a remote SQL query cursor bound to one pooled connection.
@@ -748,35 +959,56 @@ type Conn struct {
 	br      *bufio.Reader
 	timeout time.Duration
 	broken  bool
+	// req is the BATCH request body the transaction pinning the connection
+	// is building; it is dead once written, so it outlives the transaction.
+	req wire.Builder
 }
 
-// roundTrip writes one request frame and reads its response. Transport
-// failures poison the connection; StErr responses decode into *wire.Error
-// so sentinel matching (and core.IsTransient) works on the caller's side.
-func (cn *Conn) roundTrip(op byte, body []byte) (*wire.Parser, error) {
+// exchange writes one request frame and reads its response into scratch,
+// as wire.ReadFrameInto does: the response aliases the returned buffer,
+// which the caller keeps for its next exchange or drops. Transport failures
+// poison the connection.
+func (cn *Conn) exchange(op byte, body, scratch []byte) (status byte, resp, scratch2 []byte, err error) {
 	if cn.broken {
-		return nil, fmt.Errorf("client: connection is broken")
+		return 0, nil, scratch, fmt.Errorf("client: connection is broken")
 	}
 	deadline := time.Now().Add(cn.timeout)
 	_ = cn.nc.SetWriteDeadline(deadline)
 	if _, err := wire.WriteFrame(cn.nc, op, body); err != nil {
 		cn.broken = true
-		return nil, err
+		return 0, nil, scratch, err
 	}
 	_ = cn.nc.SetReadDeadline(deadline)
-	status, resp, err := wire.ReadFrame(cn.br)
+	status, resp, scratch, err = wire.ReadFrameInto(cn.br, scratch)
 	if err != nil {
 		cn.broken = true
+	}
+	return status, resp, scratch, err
+}
+
+// decodeError rehydrates a StErr body into *wire.Error, so sentinel matching
+// (and core.IsTransient) works on the caller's side; an undecodable one
+// poisons the connection.
+func decodeError(body []byte, cn *Conn) error {
+	r := wire.NewParser(body)
+	code, msg := r.U16(), r.Str()
+	if err := r.Err(); err != nil {
+		cn.broken = true
+		return err
+	}
+	return &wire.Error{Code: code, Msg: msg}
+}
+
+// roundTrip is exchange for everything that is not a transaction: the
+// response body is freshly allocated and a StErr response comes back as its
+// error.
+func (cn *Conn) roundTrip(op byte, body []byte) (*wire.Parser, error) {
+	status, resp, _, err := cn.exchange(op, body, nil)
+	if err != nil {
 		return nil, err
 	}
 	if status == wire.StErr {
-		r := wire.NewParser(resp)
-		code, msg := r.U16(), r.Str()
-		if err := r.Err(); err != nil {
-			cn.broken = true
-			return nil, err
-		}
-		return nil, &wire.Error{Code: code, Msg: msg}
+		return nil, decodeError(resp, cn)
 	}
 	return wire.NewParser(resp), nil
 }

@@ -233,6 +233,28 @@ func TestTxBreakageIsTransient(t *testing.T) {
 	if err := tx2.Commit(); err != nil {
 		t.Fatal(err)
 	}
+
+	// The same holds for a frame of several operations, as long as COMMIT is
+	// not among them.
+	tx3, err := cl.Begin(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := tx3.Batch()
+	first := b.Insert(tid, []byte("v4"))
+	b.Insert(tid, []byte("v5"))
+	if err := b.Do(); err != nil || b.RID(first) == 0 {
+		t.Fatalf("batch of two inserts: rid %d, err %v", b.RID(first), err)
+	}
+	p.DropLinks()
+	b.Get(tid, b.RID(first))
+	b.Update(tid, b.RID(first), []byte("v6"))
+	if err := b.Do(); !errors.Is(err, core.ErrTxnBroken) || !core.IsTransient(err) {
+		t.Fatalf("batch without COMMIT on dropped link = %v, want transient core.ErrTxnBroken", err)
+	}
+	if err := b.Do(); err == nil {
+		t.Fatal("Do on a broken-finished tx succeeded")
+	}
 }
 
 // TestCommitBreakageIsAmbiguous: a connection killed while COMMIT is in
@@ -258,6 +280,62 @@ func TestCommitBreakageIsAmbiguous(t *testing.T) {
 	}
 	if core.IsTransient(err) {
 		t.Fatal("ambiguous commit must not be transient")
+	}
+
+	// A frame that carries COMMIT behind other operations is as ambiguous:
+	// the server may have run all of it.
+	waitFor(t, 5*time.Second, "pool recovery", func() bool { return cl.Ping() == nil })
+	tx2, err := cl.Begin(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := tx2.Batch()
+	b.Insert(tid, []byte("w"))
+	b.Commit()
+	p.DropLinks()
+	err = b.Do()
+	if !errors.Is(err, core.ErrCommitAmbiguous) || core.IsTransient(err) {
+		t.Fatalf("batch with COMMIT on dropped link = %v, want non-transient core.ErrCommitAmbiguous", err)
+	}
+}
+
+// TestFailedBeginFinishesTx: BEGIN travels with the transaction's first
+// frame. When it fails the server ran nothing of that frame, and the Tx must
+// refuse everything after — a write sent now would reach the server outside
+// any transaction and commit by itself.
+func TestFailedBeginFinishesTx(t *testing.T) {
+	addr, db := startServer(t, server.Config{})
+	cl, err := client.Dial(client.Config{Addr: addr, MaxConns: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	tid, err := cl.CreateTable("KV")
+	if err != nil {
+		t.Fatal(err)
+	}
+	created := db.Stats().VersionsCreated
+
+	tx, err := cl.BeginShard(7, false) // a single-node server has shard 0 only
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tx.Insert(tid, []byte("stray")); err == nil || !strings.Contains(err.Error(), "shard 7") {
+		t.Fatalf("insert behind a failed BEGINSHARD = %v, want the shard error", err)
+	}
+	if _, err := tx.Insert(tid, []byte("stray")); err == nil {
+		t.Fatal("the Tx accepted an operation after its BEGIN failed")
+	}
+	if err := tx.Commit(); err == nil {
+		t.Fatal("the Tx committed after its BEGIN failed")
+	}
+	tx.Abort()
+	if got := db.Stats().VersionsCreated; got != created {
+		t.Fatalf("VersionsCreated %d -> %d: a write landed outside a transaction", created, got)
+	}
+	// The connection went back to the pool (MaxConns is 1) in working order.
+	if err := cl.Ping(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -358,17 +358,15 @@ func (r *Replica) advance(next uint64) {
 
 // reporter periodically tells the primary where this replica stands: the
 // applied cursor plus, from one view, the local snapshot horizon (oldest
-// open snapshot timestamp), which is what pins the cluster-wide GC minimum,
-// and how many snapshots are open.
+// open snapshot timestamp), which is what pins the cluster-wide GC minimum.
 func (r *Replica) reporter(nc net.Conn, bw *bufio.Writer, done chan<- struct{}) {
 	defer close(done)
 	send := func() error {
 		view := r.db.Manager().View()
 		rep := wire.ReplReport{
-			AppliedLSN:    r.applied.Load(),
-			MinSTS:        uint64(view.Horizon()),
-			HasSnapshots:  view.Len() > 0,
-			OpenSnapshots: int64(view.Len()),
+			AppliedLSN:   r.applied.Load(),
+			MinSTS:       uint64(view.Horizon()),
+			HasSnapshots: view.Len() > 0,
 		}
 		b := &wire.Builder{}
 		rep.Encode(b)

@@ -41,15 +41,19 @@ type conn struct {
 
 	// rbuf is the connection's reusable request-frame buffer: the serve loop
 	// is strictly read → dispatch → write, so the previous request body is
-	// dead by the next read. resp is the reusable response builder — valid
-	// until the response frame is written, which also happens before the
-	// next read. Both are single-goroutine state.
+	// dead by the next read. resp is the reusable response builder — emptied
+	// before each frame is dispatched and valid until the response frame is
+	// written, which also happens before the next read. Both are
+	// single-goroutine state.
 	rbuf []byte
 	resp wire.Builder
 }
 
-// b returns the connection's response builder, emptied for this response.
-func (c *conn) b() *wire.Builder { return c.resp.Reset() }
+// b returns the connection's response builder. A handler appends its
+// response body to it only once it can no longer fail, so that fail finds
+// the builder as the handler was given it: inside a BATCH the bodies of the
+// operations before this one are already there.
+func (c *conn) b() *wire.Builder { return &c.resp }
 
 func newConn(s *Server, nc net.Conn) *conn {
 	return &conn{
@@ -109,13 +113,14 @@ func (c *conn) serve() {
 			return
 		}
 		start := time.Now()
-		status, resp := c.dispatch(op, body)
+		c.resp.Reset()
+		status := c.dispatch(op, body)
 		c.srv.requests.Inc()
 		if status == wire.StErr {
 			c.srv.requestErrors.Inc()
 		}
 		_ = c.nc.SetWriteDeadline(time.Now().Add(c.srv.cfg.WriteTimeout))
-		n, err := wire.WriteFrame(c.bw, status, resp)
+		n, err := wire.WriteFrame(c.bw, status, c.resp.Take())
 		if err == nil {
 			err = c.bw.Flush()
 		}
@@ -136,10 +141,11 @@ func (c *conn) serve() {
 // handler drives the socket until the stream ends.
 func (c *conn) serveReplStream(body []byte) {
 	writeErr := func(err error) {
-		status, resp := fail(err)
+		c.resp.Reset()
+		status := c.fail(err)
 		c.srv.requestErrors.Inc()
 		_ = c.nc.SetWriteDeadline(time.Now().Add(c.srv.cfg.WriteTimeout))
-		if n, werr := wire.WriteFrame(c.bw, status, resp); werr == nil {
+		if n, werr := wire.WriteFrame(c.bw, status, c.resp.Take()); werr == nil {
 			_ = c.bw.Flush()
 			c.srv.bytesOut.Add(int64(n))
 		}
@@ -169,8 +175,8 @@ func (c *conn) serveReplStream(body []byte) {
 	}
 }
 
-// fail encodes an error response.
-func fail(err error) (byte, []byte) {
+// fail appends an error response body and returns its status.
+func (c *conn) fail(err error) byte {
 	code := wire.ErrorCode(err)
 	switch {
 	case errors.Is(err, sql.ErrInTransaction):
@@ -178,20 +184,15 @@ func fail(err error) (byte, []byte) {
 	case errors.Is(err, sql.ErrNoTransaction):
 		code = wire.ECodeNoTransaction
 	}
-	return wire.StErr, (&wire.Builder{}).U16(code).Str(err.Error()).Take()
+	c.b().U16(code).Str(err.Error())
+	return wire.StErr
 }
 
-func ok(w *wire.Builder) (byte, []byte) {
-	if w == nil {
-		return wire.StOK, nil
-	}
-	return wire.StOK, w.Take()
-}
-
-// dispatch executes one request and returns the response frame.
-func (c *conn) dispatch(op byte, body []byte) (byte, []byte) {
+// dispatch executes one request, appends its response body to the
+// connection's builder and returns the response status.
+func (c *conn) dispatch(op byte, body []byte) byte {
 	if !c.authed && op != wire.OpHello {
-		return fail(fmt.Errorf("%w: HELLO required", wire.ErrBadRequest))
+		return c.fail(fmt.Errorf("%w: HELLO required", wire.ErrBadRequest))
 	}
 	// No draining check here: a frame only reaches dispatch if the drain
 	// flag was clear when the serve loop read it, and such an in-flight
@@ -202,44 +203,45 @@ func (c *conn) dispatch(op byte, body []byte) (byte, []byte) {
 	case wire.OpHello:
 		return c.hello(r)
 	case wire.OpPing:
-		return ok(nil)
+		return wire.StOK
 	case wire.OpStats:
 		w := c.b()
 		st := c.srv.Stats()
 		st.Encode(w)
-		return ok(w)
+		return wire.StOK
 	case wire.OpExec:
 		return c.exec(r)
 	case wire.OpBegin:
 		transSI := r.Bool()
 		if err := firstErr(r); err != nil {
-			return fail(err)
+			return c.fail(err)
 		}
 		if err := c.sess.Begin(transSI); err != nil {
-			return fail(err)
+			return c.fail(err)
 		}
-		return ok(nil)
+		return wire.StOK
 	case wire.OpBeginShard:
 		shard, transSI := int(r.U32()), r.Bool()
 		if err := firstErr(r); err != nil {
-			return fail(err)
+			return c.fail(err)
 		}
 		if err := c.sess.BeginShard(shard, transSI); err != nil {
-			return fail(err)
+			return c.fail(err)
 		}
-		return ok(nil)
+		return wire.StOK
 	case wire.OpCommit:
 		if err := c.sess.Commit(); err != nil {
-			return fail(err)
+			return c.fail(err)
 		}
 		// Consistency token: the stream head right after the commit, so it
 		// covers the whole commit group the transaction rode in.
-		return ok(c.b().U64(c.srv.tokenLSN()))
+		c.b().U64(c.srv.tokenLSN())
+		return wire.StOK
 	case wire.OpRollback:
 		if err := c.sess.Rollback(); err != nil {
-			return fail(err)
+			return c.fail(err)
 		}
-		return ok(nil)
+		return wire.StOK
 	case wire.OpQOpen:
 		return c.qopen(r)
 	case wire.OpQFetch:
@@ -249,31 +251,32 @@ func (c *conn) dispatch(op byte, body []byte) (byte, []byte) {
 	case wire.OpCreateTable:
 		name := r.Str()
 		if err := firstErr(r); err != nil {
-			return fail(err)
+			return c.fail(err)
 		}
 		tid, err := c.srv.eng.CreateTable(name)
 		if err != nil {
-			return fail(err)
+			return c.fail(err)
 		}
-		return ok(c.b().U32(uint32(tid)))
+		c.b().U32(uint32(tid))
+		return wire.StOK
 	case wire.OpTableIDs:
 		names := wire.GetStrings(r)
 		if err := firstErr(r); err != nil {
-			return fail(err)
+			return c.fail(err)
 		}
 		ids, err := c.srv.eng.TableIDs(names...)
 		if err != nil {
-			return fail(err)
+			return c.fail(err)
 		}
 		w := c.b().U16(uint16(len(ids)))
 		for _, id := range ids {
 			w.U32(uint32(id))
 		}
-		return ok(w)
+		return wire.StOK
 	case wire.OpGet:
 		tid, rid := ts.TableID(r.U32()), ts.RID(r.U64())
 		if err := firstErr(r); err != nil {
-			return fail(err)
+			return c.fail(err)
 		}
 		var img []byte
 		err := c.kv(func(tx engine.Tx) error {
@@ -282,13 +285,14 @@ func (c *conn) dispatch(op byte, body []byte) (byte, []byte) {
 			return err
 		})
 		if err != nil {
-			return fail(err)
+			return c.fail(err)
 		}
-		return ok(c.b().Bytes(img))
+		c.b().Bytes(img)
+		return wire.StOK
 	case wire.OpInsert:
 		tid, img := ts.TableID(r.U32()), r.Bytes()
 		if err := firstErr(r); err != nil {
-			return fail(err)
+			return c.fail(err)
 		}
 		var rid ts.RID
 		err := c.kv(func(tx engine.Tx) error {
@@ -297,13 +301,14 @@ func (c *conn) dispatch(op byte, body []byte) (byte, []byte) {
 			return err
 		})
 		if err != nil {
-			return fail(err)
+			return c.fail(err)
 		}
-		return ok(c.b().U64(uint64(rid)))
+		c.b().U64(uint64(rid))
+		return wire.StOK
 	case wire.OpInsertAt:
 		tid, hint, img := ts.TableID(r.U32()), int(r.U32()), r.Bytes()
 		if err := firstErr(r); err != nil {
-			return fail(err)
+			return c.fail(err)
 		}
 		var rid ts.RID
 		err := c.kv(func(tx engine.Tx) error {
@@ -312,52 +317,53 @@ func (c *conn) dispatch(op byte, body []byte) (byte, []byte) {
 			return err
 		})
 		if err != nil {
-			return fail(err)
+			return c.fail(err)
 		}
-		return ok(c.b().U64(uint64(rid)))
+		c.b().U64(uint64(rid))
+		return wire.StOK
 	case wire.OpHTAPEnable:
 		name := r.Str()
 		if err := firstErr(r); err != nil {
-			return fail(err)
+			return c.fail(err)
 		}
 		if err := c.srv.cat.EnableHTAP(name); err != nil {
-			return fail(err)
+			return c.fail(err)
 		}
-		return ok(nil)
+		return wire.StOK
 	case wire.OpAggregate:
 		return c.aggregate(r)
 	case wire.OpSetPlacement:
 		tid := ts.TableID(r.U32())
 		p := engine.Placement{Kind: engine.PlacementKind(r.U8()), Size: r.U64(), Shard: int(r.U32())}
 		if err := firstErr(r); err != nil {
-			return fail(err)
+			return c.fail(err)
 		}
 		if err := c.srv.eng.SetPlacement(tid, p); err != nil {
-			return fail(err)
+			return c.fail(err)
 		}
-		return ok(nil)
+		return wire.StOK
 	case wire.OpUpdate:
 		tid, rid, img := ts.TableID(r.U32()), ts.RID(r.U64()), r.Bytes()
 		if err := firstErr(r); err != nil {
-			return fail(err)
+			return c.fail(err)
 		}
 		if err := c.kv(func(tx engine.Tx) error { return tx.Update(tid, rid, img) }); err != nil {
-			return fail(err)
+			return c.fail(err)
 		}
-		return ok(nil)
+		return wire.StOK
 	case wire.OpDelete:
 		tid, rid := ts.TableID(r.U32()), ts.RID(r.U64())
 		if err := firstErr(r); err != nil {
-			return fail(err)
+			return c.fail(err)
 		}
 		if err := c.kv(func(tx engine.Tx) error { return tx.Delete(tid, rid) }); err != nil {
-			return fail(err)
+			return c.fail(err)
 		}
-		return ok(nil)
+		return wire.StOK
 	case wire.OpScan:
 		tid := ts.TableID(r.U32())
 		if err := firstErr(r); err != nil {
-			return fail(err)
+			return c.fail(err)
 		}
 		type pair struct {
 			rid ts.RID
@@ -372,16 +378,35 @@ func (c *conn) dispatch(op byte, body []byte) (byte, []byte) {
 			})
 		})
 		if err != nil {
-			return fail(err)
+			return c.fail(err)
 		}
 		w := c.b().U32(uint32(len(pairs)))
 		for _, p := range pairs {
 			w.U64(uint64(p.rid)).Bytes(p.img)
 		}
-		return ok(w)
+		return wire.StOK
+	case wire.OpBatch:
+		failed, err := wire.RunBatch(body, c.b(), c.batchOp)
+		if err != nil {
+			return c.fail(err)
+		}
+		if failed {
+			c.srv.requestErrors.Inc()
+		}
+		return wire.StOK
 	default:
-		return fail(fmt.Errorf("%w: unknown opcode %d", wire.ErrBadRequest, op))
+		return c.fail(fmt.Errorf("%w: unknown opcode %d", wire.ErrBadRequest, op))
 	}
+}
+
+// batchOp dispatches one operation of a BATCH: any verb but the ones that
+// change what the connection is (HELLO, REPLSTREAM) or nest.
+func (c *conn) batchOp(op byte, body []byte) byte {
+	switch op {
+	case wire.OpHello, wire.OpReplStream, wire.OpBatch:
+		return c.fail(fmt.Errorf("%w: opcode %d inside a batch", wire.ErrBadRequest, op))
+	}
+	return c.dispatch(op, body)
 }
 
 // gate raises the session token to min and, on a gated server (a replica),
@@ -426,41 +451,42 @@ func (c *conn) kv(fn func(tx engine.Tx) error) error {
 	return c.srv.eng.Exec(txn.StmtSI, nil, fn)
 }
 
-func (c *conn) hello(r *wire.Parser) (byte, []byte) {
+func (c *conn) hello(r *wire.Parser) byte {
 	// Magic and version first: a peer of another version lays the rest of
 	// the body out differently, and is told so rather than "bad handshake".
 	magic, ver := string(r.Raw(4)), r.U8()
 	if r.Err() != nil || magic != wire.Magic {
-		return fail(fmt.Errorf("%w: bad handshake", wire.ErrBadRequest))
+		return c.fail(fmt.Errorf("%w: bad handshake", wire.ErrBadRequest))
 	}
 	if ver != wire.Version {
-		return fail(fmt.Errorf("%w: protocol version %d, want %d", wire.ErrBadRequest, ver, wire.Version))
+		return c.fail(fmt.Errorf("%w: protocol version %d, want %d", wire.ErrBadRequest, ver, wire.Version))
 	}
 	token, minLSN := r.Str(), r.U64()
 	if err := firstErr(r); err != nil {
-		return fail(fmt.Errorf("%w: bad handshake", wire.ErrBadRequest))
+		return c.fail(fmt.Errorf("%w: bad handshake", wire.ErrBadRequest))
 	}
 	if c.srv.cfg.Token != "" && token != c.srv.cfg.Token {
-		return fail(wire.ErrAuth)
+		return c.fail(wire.ErrAuth)
 	}
 	if err := c.gate(minLSN); err != nil {
-		return fail(err)
+		return c.fail(err)
 	}
 	c.authed = true
-	return ok(c.b().U8(wire.Version).U32(uint32(c.srv.eng.Shards())))
+	c.b().U8(wire.Version).U32(uint32(c.srv.eng.Shards()))
+	return wire.StOK
 }
 
-func (c *conn) exec(r *wire.Parser) (byte, []byte) {
+func (c *conn) exec(r *wire.Parser) byte {
 	text, minLSN := r.Str(), r.U64()
 	if err := firstErr(r); err != nil {
-		return fail(err)
+		return c.fail(err)
 	}
 	if err := c.gate(minLSN); err != nil {
-		return fail(err)
+		return c.fail(err)
 	}
 	res, err := c.sess.Execute(text)
 	if err != nil {
-		return fail(err)
+		return c.fail(err)
 	}
 	w := c.b()
 	w.Str(res.Message).U32(uint32(res.Affected))
@@ -469,7 +495,7 @@ func (c *conn) exec(r *wire.Parser) (byte, []byte) {
 	// Consistency token: the stream head after this statement, ≥ the
 	// commit LSN of an autocommitted write.
 	w.U64(c.srv.tokenLSN())
-	return ok(w)
+	return wire.StOK
 }
 
 // aggNames maps OpAggregate's op byte to the SQL aggregate keyword; the
@@ -479,14 +505,14 @@ var aggNames = [...]string{"COUNT", "SUM", "MIN", "MAX"}
 // aggregate serves OpAggregate: a synthesized aggregate SELECT that takes
 // the column lane when one is enabled for the table and the row path
 // otherwise. Pure read, so clients treat it as idempotent.
-func (c *conn) aggregate(r *wire.Parser) (byte, []byte) {
+func (c *conn) aggregate(r *wire.Parser) byte {
 	table, op := r.Str(), int(r.U8())
 	col, groupBy := r.Str(), r.Str()
 	if err := firstErr(r); err != nil {
-		return fail(err)
+		return c.fail(err)
 	}
 	if op < 0 || op >= len(aggNames) {
-		return fail(fmt.Errorf("%w: aggregate op %d", wire.ErrBadRequest, op))
+		return c.fail(fmt.Errorf("%w: aggregate op %d", wire.ErrBadRequest, op))
 	}
 	res, err := c.sess.Run(&sql.SelectStmt{
 		Table:     table,
@@ -495,25 +521,25 @@ func (c *conn) aggregate(r *wire.Parser) (byte, []byte) {
 		GroupBy:   groupBy,
 	})
 	if err != nil {
-		return fail(err)
+		return c.fail(err)
 	}
 	w := c.b()
 	wire.PutStrings(w, res.Columns)
 	wire.PutRows(w, res.Rows)
-	return ok(w)
+	return wire.StOK
 }
 
-func (c *conn) qopen(r *wire.Parser) (byte, []byte) {
+func (c *conn) qopen(r *wire.Parser) byte {
 	text, minLSN := r.Str(), r.U64()
 	if err := firstErr(r); err != nil {
-		return fail(err)
+		return c.fail(err)
 	}
 	if err := c.gate(minLSN); err != nil {
-		return fail(err)
+		return c.fail(err)
 	}
 	qc, err := c.sess.OpenQueryCursor(text)
 	if err != nil {
-		return fail(err)
+		return c.fail(err)
 	}
 	c.nextCursor++
 	id := c.nextCursor
@@ -521,41 +547,41 @@ func (c *conn) qopen(r *wire.Parser) (byte, []byte) {
 	c.srv.cursorsOpen.Add(1)
 	w := c.b().U32(id).U64(uint64(qc.SnapshotTS()))
 	wire.PutStrings(w, qc.Columns())
-	return ok(w)
+	return wire.StOK
 }
 
-func (c *conn) qfetch(r *wire.Parser) (byte, []byte) {
+func (c *conn) qfetch(r *wire.Parser) byte {
 	id, n := r.U32(), int(r.U32())
 	if err := firstErr(r); err != nil {
-		return fail(err)
+		return c.fail(err)
 	}
 	qc, okc := c.cursors[id]
 	if !okc {
-		return fail(fmt.Errorf("%w: cursor %d", core.ErrCursorClosed, id))
+		return c.fail(fmt.Errorf("%w: cursor %d", core.ErrCursorClosed, id))
 	}
 	if n <= 0 || n > 1<<16 {
 		n = 1 << 10
 	}
 	rows, fst, err := qc.Fetch(n)
 	if err != nil {
-		return fail(err)
+		return c.fail(err)
 	}
 	w := c.b().Bool(qc.Exhausted()).U64(uint64(fst.Traversed)).U64(uint64(fst.Duration))
 	wire.PutRows(w, rows)
-	return ok(w)
+	return wire.StOK
 }
 
-func (c *conn) qclose(r *wire.Parser) (byte, []byte) {
+func (c *conn) qclose(r *wire.Parser) byte {
 	id := r.U32()
 	if err := firstErr(r); err != nil {
-		return fail(err)
+		return c.fail(err)
 	}
 	qc, okc := c.cursors[id]
 	if !okc {
-		return fail(fmt.Errorf("%w: cursor %d", core.ErrCursorClosed, id))
+		return c.fail(fmt.Errorf("%w: cursor %d", core.ErrCursorClosed, id))
 	}
 	qc.Close()
 	delete(c.cursors, id)
 	c.srv.cursorsOpen.Add(-1)
-	return ok(nil)
+	return wire.StOK
 }

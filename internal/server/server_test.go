@@ -75,7 +75,7 @@ func helloBody(token string) []byte {
 	return (&wire.Builder{}).Hello(token, 0).Take()
 }
 
-// sqlBody is a v2 EXEC/QOPEN request body: the statement, then the min-LSN
+// sqlBody is an EXEC/QOPEN request body: the statement, then the min-LSN
 // token (zero: none).
 func sqlBody(text string, minLSN uint64) []byte {
 	return (&wire.Builder{}).Str(text).U64(minLSN).Take()
@@ -377,22 +377,27 @@ func TestAbruptDisconnectReleasesCursor(t *testing.T) {
 }
 
 // TestGracefulDrain covers Shutdown: the request in flight when drain begins
-// completes with its real response, new connections are refused, and every
-// session resource (cursors, their pinned snapshots) is released by the time
-// Shutdown returns.
+// — a frame of one operation or a BATCH of several — completes with its real
+// response, new connections are refused, and every session resource (cursors,
+// their pinned snapshots) is released by the time Shutdown returns.
 func TestGracefulDrain(t *testing.T) {
-	// Hold the first PING in flight via the request hook, configured before
-	// the server starts so the seam is immutable while connections run.
-	inFlight := make(chan struct{})
+	// Hold the first PING and the first BATCH in flight via the request
+	// hook, configured before the server starts so the seam is immutable
+	// while connections run.
+	inFlight := make(chan struct{}, 2)
 	release := make(chan struct{})
-	var once sync.Once
+	var pingOnce, batchOnce sync.Once
+	hold := func() {
+		inFlight <- struct{}{}
+		<-release
+	}
 	srv, db, addr := newTestServer(t, Config{
 		testHookRequest: func(op byte) {
-			if op == wire.OpPing {
-				once.Do(func() {
-					close(inFlight)
-					<-release
-				})
+			switch op {
+			case wire.OpPing:
+				pingOnce.Do(hold)
+			case wire.OpBatch:
+				batchOnce.Do(hold)
 			}
 		},
 	})
@@ -418,6 +423,20 @@ func TestGracefulDrain(t *testing.T) {
 	}
 
 	rc.send(t, wire.OpPing, nil)
+	<-inFlight
+
+	// A second session with a whole transaction read off the socket.
+	tid, err := cl.CreateTable("KV")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rb := dialRaw(t, addr)
+	rb.hello(t, "")
+	rb.sendBatch(t,
+		batchOp{wire.OpBegin, []byte{0}},
+		batchOp{wire.OpInsert, (&wire.Builder{}).U32(uint32(tid)).Bytes([]byte("v")).Take()},
+		batchOp{wire.OpCommit, nil},
+	)
 	<-inFlight
 
 	done := make(chan struct{})
@@ -448,6 +467,11 @@ func TestGracefulDrain(t *testing.T) {
 	if status != wire.StOK {
 		t.Fatalf("in-flight response status %d", status)
 	}
+	// So does the batch, every operation of it.
+	rb.nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if statuses, _ := rb.recvBatch(t); len(statuses) != 3 || statuses[2] != wire.StOK {
+		t.Fatalf("in-flight batch answered %v, want three OKs", statuses)
+	}
 
 	<-done
 	if got := srv.cursorsOpen.Load(); got != 0 {
@@ -456,10 +480,12 @@ func TestGracefulDrain(t *testing.T) {
 	if db.Manager().View().Len() > 0 {
 		t.Fatal("snapshot still pinned after drain")
 	}
-	// The drained connection is closed.
-	rc.nc.SetReadDeadline(time.Now().Add(time.Second))
-	if _, _, err := wire.ReadFrame(rc.br); err == nil {
-		t.Fatal("connection survived drain")
+	// The drained connections are closed.
+	for _, c := range []*rawConn{rc, rb} {
+		c.nc.SetReadDeadline(time.Now().Add(time.Second))
+		if _, _, err := wire.ReadFrame(c.br); err == nil {
+			t.Fatal("connection survived drain")
+		}
 	}
 }
 

@@ -142,7 +142,7 @@ func TestReadGateWaitsAndBounces(t *testing.T) {
 
 // TestVersionGate: the protocol version is the only compatibility rule. A
 // HELLO carrying another version is refused with a message naming both, and
-// the connection is not authenticated by it; within v2 every layout is
+// the connection is not authenticated by it; within a version every layout is
 // fixed, so a request with bytes past its last field is refused too.
 func TestVersionGate(t *testing.T) {
 	_, _, addr := newTestServer(t, Config{})
@@ -166,14 +166,26 @@ func TestVersionGate(t *testing.T) {
 		t.Fatal("connection served a request after a refused handshake")
 	}
 
-	// A v2 HELLO without the (always present) min-LSN field is malformed.
+	// The version before this one framed HELLO exactly as this one does; it
+	// is refused by its number all the same — there is no fallback to
+	// per-operation frames for a peer that cannot send a BATCH.
+	rc = dialRaw(t, addr)
+	rc.send(t, wire.OpHello, (&wire.Builder{}).Raw([]byte(wire.Magic)).U8(wire.Version-1).Str("").U64(0).Take())
+	status, r = rc.recv(t)
+	if code, msg := r.U16(), r.Str(); status != wire.StErr || code != wire.ECodeBadRequest ||
+		!strings.Contains(msg, fmt.Sprintf("version %d, want %d", wire.Version-1, wire.Version)) {
+		t.Fatalf("HELLO of version %d: status %d code %d %q", wire.Version-1, status, code, msg)
+	}
+
+	// A HELLO of this version without the (always present) min-LSN field is
+	// malformed.
 	rc = dialRaw(t, addr)
 	rc.send(t, wire.OpHello, (&wire.Builder{}).Raw([]byte(wire.Magic)).U8(wire.Version).Str("").Take())
 	if status, r := rc.recv(t); status != wire.StErr || r.U16() != wire.ECodeBadRequest {
-		t.Fatalf("token-less v2 HELLO: status %d", status)
+		t.Fatalf("token-less HELLO: status %d", status)
 	}
 
-	// v2 EXEC: statement and token, nothing after; a token-less body is
+	// EXEC: statement and token, nothing after; a token-less body is
 	// short, a longer one has trailing bytes — both refused, session intact.
 	rc = dialRaw(t, addr)
 	rc.hello(t, "")

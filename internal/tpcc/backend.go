@@ -8,9 +8,10 @@ import (
 	"hybridgc/internal/txn"
 )
 
-// Txn is the transaction surface one TPC-C profile needs. *core.Tx satisfies
-// it directly; client.Tx satisfies it over the wire, so the same driver code
-// measures local and remote throughput.
+// Txn is the transaction surface the driver needs. *core.Tx satisfies it
+// directly; client.Tx satisfies it over the wire, so the same driver code
+// measures local and remote throughput. The profiles reach it through a
+// batch (batch.go).
 type Txn interface {
 	Get(tid ts.TableID, rid ts.RID) ([]byte, error)
 	Insert(tid ts.TableID, img []byte) (ts.RID, error)
@@ -135,13 +136,21 @@ func (d *Driver) checkBackend() Backend {
 // Trans-SI the second writer gets ErrWriteConflict and the retry re-runs it.
 func (d *Driver) snapshot() bool { return d.cfg.CrossWarehouse }
 
-// runTxn runs fn inside the transaction begin opens, committing on success
-// and aborting on error or panic — the backend-agnostic form of
-// core.DB.Exec.
-func runTxn(begin func() (Txn, error), fn func(tx Txn) error) error {
+// runTxn runs fn over the transaction begin opens and aborts it if fn fails
+// or panics. fn queues the COMMIT itself, with its last operations. The batch
+// surface follows from what the transaction is: one that can send its
+// operations together (client.Tx) brings its own, any other gets eager.
+func runTxn(begin func() (Txn, error), eager *eagerBatch, fn func(b batch) error) error {
 	tx, err := begin()
 	if err != nil {
 		return err
+	}
+	var b batch
+	if bt, ok := tx.(interface{ Batch() *client.Batch }); ok {
+		b = bt.Batch()
+	} else {
+		eager.reset(tx)
+		b = eager
 	}
 	done := false
 	defer func() {
@@ -149,37 +158,33 @@ func runTxn(begin func() (Txn, error), fn func(tx Txn) error) error {
 			tx.Abort()
 		}
 	}()
-	if err := fn(tx); err != nil {
-		tx.Abort()
-		done = true
-		return err
-	}
-	err = tx.Commit()
-	done = true
+	err = fn(b)
+	done = err == nil
 	return err
 }
 
 // exec runs fn in one routed transaction on the backend.
-func (d *Driver) exec(fn func(tx Txn) error) error {
-	return runTxn(func() (Txn, error) { return d.be.Begin(d.snapshot()) }, fn)
+func (d *Driver) exec(eager *eagerBatch, fn func(b batch) error) error {
+	return runTxn(func() (Txn, error) { return d.be.Begin(d.snapshot()) }, eager, fn)
 }
 
 // execOn runs fn in one transaction pinned to warehouse w's home shard — the
 // single-shard fast path — when the backend is sharded and the profile is
 // known to stay home. Cross-warehouse profiles (and unsharded backends) go
 // through the routed exec path instead.
-func (d *Driver) execOn(w uint32, cross bool, fn func(tx Txn) error) error {
+func (d *Driver) execOn(w uint32, cross bool, eager *eagerBatch, fn func(b batch) error) error {
 	sb, ok := d.be.(ShardedBackend)
 	if !ok || d.shards <= 1 || cross {
-		return d.exec(fn)
+		return d.exec(eager, fn)
 	}
-	return runTxn(func() (Txn, error) { return sb.BeginShard(d.shardOfW(w), d.snapshot()) }, fn)
+	return runTxn(func() (Txn, error) { return sb.BeginShard(d.shardOfW(w), d.snapshot()) }, eager, fn)
 }
 
-// execRetryOn is execOn with the transient-failure retry policy: backoff on
-// write conflicts and version pressure, local or wire-carried.
-func (d *Driver) execRetryOn(w uint32, cross bool, fn func(tx Txn) error) error {
+// exec is execOn for the worker's home warehouse with the transient-failure
+// retry policy: backoff on write conflicts and version pressure, local or
+// wire-carried.
+func (wk *Worker) exec(cross bool, fn func(b batch) error) error {
 	return core.Retry(txnRetries, retryBase, func() error {
-		return d.execOn(w, cross, fn)
+		return wk.d.execOn(wk.w, cross, &wk.eager, fn)
 	})
 }

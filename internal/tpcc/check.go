@@ -32,6 +32,16 @@ func (d *Driver) Check() error {
 	return nil
 }
 
+// getDecoded loads and decodes one row.
+func getDecoded[T any](tx Txn, tid ts.TableID, rid ts.RID, decode func([]byte) (T, error)) (T, error) {
+	var zero T
+	img, err := tx.Get(tid, rid)
+	if err != nil {
+		return zero, err
+	}
+	return decode(img)
+}
+
 func (d *Driver) checkWarehouse(tx Txn, w uint32) error {
 	wrow, err := getDecoded(tx, d.t.warehouse, d.warehouseRID(w), DecodeWarehouse)
 	if err != nil {

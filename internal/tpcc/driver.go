@@ -216,20 +216,21 @@ func (d *Driver) stockRID(w, i uint32) ts.RID {
 func (d *Driver) Load() error {
 	r := rand.New(rand.NewSource(d.cfg.Seed + 17))
 	now := time.Now().UnixNano()
+	var eb eagerBatch
 
 	// ITEM.
 	for i := 1; i <= d.cfg.Items; i++ {
 		row := Item{ID: uint32(i), ImID: uint32(randRange(r, 1, 10000)),
 			Name: alphaString(r, 14, 24), Price: int64(randRange(r, 100, 10000)),
 			Data: alphaString(r, 26, 50)}
-		if err := d.load(d.t.item, d.itemRID(uint32(i)), row.Encode()); err != nil {
+		if err := d.load(&eb, d.t.item, d.itemRID(uint32(i)), row.Encode()); err != nil {
 			return err
 		}
 	}
 	for w := 1; w <= d.cfg.Warehouses; w++ {
 		wh := Warehouse{ID: uint32(w), Name: alphaString(r, 6, 10),
 			Tax: int64(randRange(r, 0, 2000)), YTD: 30000000}
-		if err := d.load(d.t.warehouse, d.warehouseRID(uint32(w)), wh.Encode()); err != nil {
+		if err := d.load(&eb, d.t.warehouse, d.warehouseRID(uint32(w)), wh.Encode()); err != nil {
 			return err
 		}
 	}
@@ -238,7 +239,7 @@ func (d *Driver) Load() error {
 			row := District{W: uint32(w), ID: uint32(dist), Name: alphaString(r, 6, 10),
 				Tax: int64(randRange(r, 0, 2000)),
 				YTD: 30000000 / int64(d.cfg.Districts), NextOID: 1}
-			if err := d.load(d.t.district, d.districtRID(uint32(w), uint32(dist)), row.Encode()); err != nil {
+			if err := d.load(&eb, d.t.district, d.districtRID(uint32(w), uint32(dist)), row.Encode()); err != nil {
 				return err
 			}
 		}
@@ -262,7 +263,7 @@ func (d *Driver) Load() error {
 					Credit: credit, CreditLim: 5000000,
 					Discount: int64(randRange(r, 0, 5000)), Balance: -1000,
 					YTDPayment: 1000, PaymentCnt: 1, Data: alphaString(r, 30, 60)}
-				if err := d.load(d.t.customer, d.customerRID(uint32(w), uint32(dist), uint32(c)), row.Encode()); err != nil {
+				if err := d.load(&eb, d.t.customer, d.customerRID(uint32(w), uint32(dist), uint32(c)), row.Encode()); err != nil {
 					return err
 				}
 				st.byLastName[last] = append(st.byLastName[last], uint32(c))
@@ -274,7 +275,7 @@ func (d *Driver) Load() error {
 			row := Stock{W: uint32(w), ItemID: uint32(i),
 				Qty: int32(randRange(r, 10, 100)), Dist: alphaString(r, 24, 24),
 				Data: alphaString(r, 26, 50)}
-			if err := d.load(d.t.stock, d.stockRID(uint32(w), uint32(i)), row.Encode()); err != nil {
+			if err := d.load(&eb, d.t.stock, d.stockRID(uint32(w), uint32(i)), row.Encode()); err != nil {
 				return err
 			}
 		}
@@ -287,9 +288,10 @@ func (d *Driver) Load() error {
 					W: uint32(w), D: uint32(dist), Date: now, Amount: 1000,
 					Data: alphaString(r, 12, 24)}
 				hint := d.shardOfW(uint32(w))
-				err := d.exec(func(tx Txn) error {
-					_, err := insertAt(tx, d.t.history, h.Encode(), hint)
-					return err
+				err := d.exec(&eb, func(b batch) error {
+					b.InsertAt(d.t.history, h.Encode(), hint)
+					b.Commit()
+					return b.Do()
 				})
 				if err != nil {
 					return err
@@ -301,17 +303,19 @@ func (d *Driver) Load() error {
 }
 
 // load inserts one fixed-cardinality row and verifies the RID formula.
-func (d *Driver) load(tid ts.TableID, want ts.RID, img []byte) error {
-	return d.exec(func(tx Txn) error {
-		rid, err := tx.Insert(tid, img)
-		if err != nil {
-			return err
-		}
-		if rid != want {
-			return fmt.Errorf("tpcc: load order broke RID formula: got %d want %d", rid, want)
-		}
-		return nil
+func (d *Driver) load(eb *eagerBatch, tid ts.TableID, want ts.RID, img []byte) error {
+	var rid ts.RID
+	err := d.exec(eb, func(b batch) error {
+		insert := b.Insert(tid, img)
+		b.Commit()
+		err := b.Do()
+		rid = b.RID(insert)
+		return err
 	})
+	if err == nil && rid != want {
+		err = fmt.Errorf("tpcc: load order broke RID formula: got %d want %d", rid, want)
+	}
+	return err
 }
 
 func (d *Driver) state(w, dist uint32) *districtState {

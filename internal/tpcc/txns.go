@@ -31,32 +31,31 @@ const (
 	retryBase  = 500 * time.Microsecond
 )
 
-// getDecoded loads and decodes one row.
-func getDecoded[T any](tx Txn, tid ts.TableID, rid ts.RID, decode func([]byte) (T, error)) (T, error) {
-	var zero T
-	img, err := tx.Get(tid, rid)
-	if err != nil {
-		return zero, err
-	}
-	return decode(img)
-}
-
 // newOrderResult carries the driver-state updates applied after commit.
 type newOrderResult struct {
-	dist       uint32
-	oid        uint32
-	cid        uint32
-	orderRID   ts.RID
-	noRID      ts.RID
-	olRIDs     []ts.RID
-	rolledBack bool
+	dist     uint32
+	oid      uint32
+	cid      uint32
+	orderRID ts.RID
+	noRID    ts.RID
+	olRIDs   []ts.RID
+}
+
+// orderLineDraft is one New-Order line between its draw and its insert.
+type orderLineDraft struct {
+	itemID uint32
+	qty    int32
+	srid   ts.RID // the STOCK row the line draws from
+	stock  Stock  // that row once the line has drawn from it
+	// Operation indexes: the ITEM and STOCK reads, the ORDER-LINE insert.
+	itemGet, stockGet, insert int
 }
 
 // NewOrder runs one New-Order transaction against the worker's home
-// warehouse. It reads warehouse/district/customer, increments the
-// district's next order id, inserts ORDERS, NEW-ORDER and one ORDER-LINE
-// per item, and updates each item's STOCK row (the update stream Figure 13
-// attributes the stable chain count to).
+// warehouse. It reads warehouse, district, customer and every line's ITEM
+// and STOCK row together, then writes together: the district's next order
+// id, ORDERS, NEW-ORDER, and per line the STOCK update (the update stream
+// Figure 13 attributes the stable chain count to) and the ORDER-LINE insert.
 func (wk *Worker) NewOrder() error {
 	d := wk.d
 	r := wk.r
@@ -69,10 +68,10 @@ func (wk *Worker) NewOrder() error {
 	// warehouse (when enabled), making ~10% of New-Orders remote overall.
 	// Remote supply decided before Begin so the routing path is fixed per
 	// profile: home-only orders pin to the home shard's fast path.
-	supply := make([]uint32, olCnt)
+	supply := wk.supply[:0]
 	remote := false
-	for i := range supply {
-		supply[i] = wk.w
+	for i := 0; i < olCnt; i++ {
+		supply = append(supply, wk.w)
 		if d.cfg.CrossWarehouse && d.cfg.Warehouses > 1 && r.Intn(100) == 0 {
 			supply[i] = wk.remoteWarehouse()
 			remote = true
@@ -81,79 +80,104 @@ func (wk *Worker) NewOrder() error {
 			}
 		}
 	}
+	wk.supply = supply
 	homeHint := d.shardOfW(wk.w)
+	drid := d.districtRID(wk.w, dist)
 
 	var res newOrderResult
-	err := d.execRetryOn(wk.w, remote, func(tx Txn) error {
-		// Reset per attempt: a retried attempt must not keep RIDs (olRIDs
-		// especially) accumulated by the conflicted one.
-		res = newOrderResult{dist: dist, cid: cid}
-		if _, err := getDecoded(tx, d.t.warehouse, d.warehouseRID(wk.w), DecodeWarehouse); err != nil {
+	err := wk.exec(remote, func(b batch) error {
+		// The intentional rollback is an unused item number on the last
+		// line: every line before it runs, then the whole txn rolls back.
+		lines := wk.lines[:0]
+		for line := 1; line <= olCnt && !(rollback && line == olCnt); line++ {
+			itemID := d.nu.randItemID(r, d.cfg.Items)
+			qty := int32(randRange(r, 1, 10))
+			lines = append(lines, orderLineDraft{itemID: itemID, qty: qty,
+				srid: d.stockRID(supply[line-1], itemID)})
+		}
+		wk.lines = lines
+
+		wGet := b.Get(d.t.warehouse, d.warehouseRID(wk.w))
+		dGet := b.Get(d.t.district, drid)
+		cGet := b.Get(d.t.customer, d.customerRID(wk.w, dist, cid))
+		for i := range lines {
+			lines[i].itemGet = b.Get(d.t.item, d.itemRID(lines[i].itemID))
+		}
+		for i := range lines {
+			lines[i].stockGet = b.Get(d.t.stock, lines[i].srid)
+		}
+		if err := b.Do(); err != nil {
 			return err
 		}
-		drow, err := getDecoded(tx, d.t.district, d.districtRID(wk.w, dist), DecodeDistrict)
+		if _, err := DecodeWarehouse(b.Image(wGet)); err != nil {
+			return err
+		}
+		drow, err := DecodeDistrict(b.Image(dGet))
 		if err != nil {
 			return err
 		}
-		res.oid = drow.NextOID
+		if _, err := DecodeCustomer(b.Image(cGet)); err != nil {
+			return err
+		}
+
+		// Reset per attempt: a retried attempt must not keep the RIDs of the
+		// conflicted one.
+		res = newOrderResult{dist: dist, cid: cid, oid: drow.NextOID}
 		drow.NextOID++
-		if err := tx.Update(d.t.district, d.districtRID(wk.w, dist), drow.Encode()); err != nil {
-			return err
-		}
-		if _, err := getDecoded(tx, d.t.customer, d.customerRID(wk.w, dist, cid), DecodeCustomer); err != nil {
-			return err
-		}
+		b.Update(d.t.district, drid, drow.Encode())
 		order := Order{W: wk.w, D: dist, ID: res.oid, CID: cid,
 			EntryD: time.Now().UnixNano(), OLCnt: uint32(olCnt), AllLocal: !remote}
-		res.orderRID, err = insertAt(tx, d.t.orders, order.Encode(), homeHint)
-		if err != nil {
-			return err
-		}
+		oInsert := b.InsertAt(d.t.orders, order.Encode(), homeHint)
 		no := NewOrderRow{W: wk.w, D: dist, OID: res.oid}
-		res.noRID, err = insertAt(tx, d.t.newOrder, no.Encode(), homeHint)
-		if err != nil {
+		noInsert := b.InsertAt(d.t.newOrder, no.Encode(), homeHint)
+		for i := range lines {
+			ln := &lines[i]
+			item, err := DecodeItem(b.Image(ln.itemGet))
+			if err != nil {
+				return err
+			}
+			if ln.stock, err = DecodeStock(b.Image(ln.stockGet)); err != nil {
+				return err
+			}
+			// Every read of this frame came before every write, so a line
+			// that repeats an item read the row as it was before the earlier
+			// line drew from it: continue from that line's row instead.
+			for j := range lines[:i] {
+				if lines[j].srid == ln.srid {
+					ln.stock = lines[j].stock
+				}
+			}
+			stock := &ln.stock
+			if stock.Qty >= ln.qty+10 {
+				stock.Qty -= ln.qty
+			} else {
+				stock.Qty = stock.Qty - ln.qty + 91
+			}
+			stock.YTD += int64(ln.qty)
+			stock.OrderCnt++
+			b.Update(d.t.stock, ln.srid, stock.Encode())
+			ol := OrderLine{W: wk.w, D: dist, OID: res.oid, Number: uint32(i + 1),
+				ItemID: ln.itemID, SupplyW: supply[i], Qty: uint32(ln.qty),
+				Amount: int64(ln.qty) * item.Price, DistInfo: stock.Dist[:24]}
+			ln.insert = b.InsertAt(d.t.orderLine, ol.Encode(), homeHint)
+		}
+		if rollback {
+			if err := b.Do(); err != nil {
+				return err
+			}
+			return errRollback
+		}
+		b.Commit()
+		if err := b.Do(); err != nil {
 			return err
 		}
-		for line := 1; line <= olCnt; line++ {
-			if rollback && line == olCnt {
-				return errRollback // unused item number → whole txn rolls back
-			}
-			itemID := d.nu.randItemID(r, d.cfg.Items)
-			item, err := getDecoded(tx, d.t.item, d.itemRID(itemID), DecodeItem)
-			if err != nil {
-				return err
-			}
-			srid := d.stockRID(supply[line-1], itemID)
-			stock, err := getDecoded(tx, d.t.stock, srid, DecodeStock)
-			if err != nil {
-				return err
-			}
-			qty := int32(randRange(r, 1, 10))
-			if stock.Qty >= qty+10 {
-				stock.Qty -= qty
-			} else {
-				stock.Qty = stock.Qty - qty + 91
-			}
-			stock.YTD += int64(qty)
-			stock.OrderCnt++
-			if err := tx.Update(d.t.stock, srid, stock.Encode()); err != nil {
-				return err
-			}
-			ol := OrderLine{W: wk.w, D: dist, OID: res.oid, Number: uint32(line),
-				ItemID: itemID, SupplyW: supply[line-1], Qty: uint32(qty),
-				Amount: int64(qty) * item.Price, DistInfo: stock.Dist[:24]}
-			olRID, err := insertAt(tx, d.t.orderLine, ol.Encode(), homeHint)
-			if err != nil {
-				return err
-			}
-			res.olRIDs = append(res.olRIDs, olRID)
+		res.orderRID, res.noRID = b.RID(oInsert), b.RID(noInsert)
+		res.olRIDs = make([]ts.RID, len(lines))
+		for i := range lines {
+			res.olRIDs[i] = b.RID(lines[i].insert)
 		}
 		return nil
 	})
-	if errors.Is(err, errRollback) {
-		res.rolledBack = true
-		return errRollback
-	}
 	if err != nil {
 		return err
 	}
@@ -212,26 +236,28 @@ func (wk *Worker) Payment() error {
 	cid := wk.lookupCustomerAt(cw, cd)
 	amount := int64(randRange(wk.r, 100, 500000))
 	homeHint := d.shardOfW(wk.w)
+	wrid, drid, crid := d.warehouseRID(wk.w), d.districtRID(wk.w, dist), d.customerRID(cw, cd, cid)
 
-	return d.execRetryOn(wk.w, remote, func(tx Txn) error {
-		wrow, err := getDecoded(tx, d.t.warehouse, d.warehouseRID(wk.w), DecodeWarehouse)
+	return wk.exec(remote, func(b batch) error {
+		wGet := b.Get(d.t.warehouse, wrid)
+		dGet := b.Get(d.t.district, drid)
+		cGet := b.Get(d.t.customer, crid)
+		if err := b.Do(); err != nil {
+			return err
+		}
+		wrow, err := DecodeWarehouse(b.Image(wGet))
 		if err != nil {
 			return err
 		}
 		wrow.YTD += amount
-		if err := tx.Update(d.t.warehouse, d.warehouseRID(wk.w), wrow.Encode()); err != nil {
-			return err
-		}
-		drow, err := getDecoded(tx, d.t.district, d.districtRID(wk.w, dist), DecodeDistrict)
+		b.Update(d.t.warehouse, wrid, wrow.Encode())
+		drow, err := DecodeDistrict(b.Image(dGet))
 		if err != nil {
 			return err
 		}
 		drow.YTD += amount
-		if err := tx.Update(d.t.district, d.districtRID(wk.w, dist), drow.Encode()); err != nil {
-			return err
-		}
-		crid := d.customerRID(cw, cd, cid)
-		crow, err := getDecoded(tx, d.t.customer, crid, DecodeCustomer)
+		b.Update(d.t.district, drid, drow.Encode())
+		crow, err := DecodeCustomer(b.Image(cGet))
 		if err != nil {
 			return err
 		}
@@ -245,13 +271,12 @@ func (wk *Worker) Payment() error {
 			}
 			crow.Data = data
 		}
-		if err := tx.Update(d.t.customer, crid, crow.Encode()); err != nil {
-			return err
-		}
+		b.Update(d.t.customer, crid, crow.Encode())
 		h := History{CW: cw, CD: cd, CID: cid, W: wk.w, D: dist,
 			Date: time.Now().UnixNano(), Amount: amount, Data: "payment"}
-		_, err = insertAt(tx, d.t.history, h.Encode(), homeHint)
-		return err
+		b.InsertAt(d.t.history, h.Encode(), homeHint)
+		b.Commit()
+		return b.Do()
 	})
 }
 
@@ -265,25 +290,38 @@ func (wk *Worker) OrderStatus() error {
 	st.mu.Lock()
 	oid, has := st.lastOrderOf[cid]
 	var orid ts.RID
-	var olRIDs []ts.RID
+	olRIDs := wk.rids[:0]
 	if has {
 		orid = st.orderRID[oid]
-		olRIDs = append([]ts.RID(nil), st.orderLines[oid]...)
+		olRIDs = append(olRIDs, st.orderLines[oid]...)
 	}
 	st.mu.Unlock()
+	wk.rids = olRIDs
 
-	return d.execRetryOn(wk.w, false, func(tx Txn) error {
-		if _, err := getDecoded(tx, d.t.customer, d.customerRID(wk.w, dist, cid), DecodeCustomer); err != nil {
+	return wk.exec(false, func(b batch) error {
+		cGet := b.Get(d.t.customer, d.customerRID(wk.w, dist, cid))
+		oGet := -1
+		if has {
+			oGet = b.Get(d.t.orders, orid)
+			for _, rid := range olRIDs {
+				b.Get(d.t.orderLine, rid)
+			}
+		}
+		b.Commit()
+		if err := b.Do(); err != nil {
+			return err
+		}
+		if _, err := DecodeCustomer(b.Image(cGet)); err != nil {
 			return err
 		}
 		if !has {
 			return nil
 		}
-		if _, err := getDecoded(tx, d.t.orders, orid, DecodeOrder); err != nil {
+		if _, err := DecodeOrder(b.Image(oGet)); err != nil {
 			return err
 		}
-		for _, rid := range olRIDs {
-			if _, err := getDecoded(tx, d.t.orderLine, rid, DecodeOrderLine); err != nil {
+		for i := range olRIDs {
+			if _, err := DecodeOrderLine(b.Image(oGet + 1 + i)); err != nil {
 				return err
 			}
 		}
@@ -291,22 +329,30 @@ func (wk *Worker) OrderStatus() error {
 	})
 }
 
+// delivery is one district's share of a Delivery transaction.
+type delivery struct {
+	dist, oid   uint32
+	noRID, orid ts.RID
+	olLo, olHi  int // its order lines, as a window of the worker's rids
+	crid        ts.RID
+	total       int64
+	// Operation indexes: the ORDERS read (the ORDER-LINE reads follow it),
+	// then the CUSTOMER read.
+	oGet, cGet int
+}
+
 // Delivery runs one Delivery transaction: per district, the oldest
 // undelivered order is removed from NEW-ORDER (the benchmark's only DELETE
 // stream), the order and its lines are stamped, and the customer is
-// credited.
+// credited. The customer is known only once the order is read and credited
+// only once it is read itself, hence three steps.
 func (wk *Worker) Delivery() error {
 	d := wk.d
 	carrier := uint32(randRange(wk.r, 1, 10))
 	now := time.Now().UnixNano()
 
-	type delivered struct {
-		dist uint32
-		oid  uint32
-	}
-	var done []delivered
-	err := d.execRetryOn(wk.w, false, func(tx Txn) error {
-		done = done[:0]
+	err := wk.exec(false, func(b batch) error {
+		dlv, rids := wk.dlv[:0], wk.rids[:0]
 		for dist := uint32(1); dist <= uint32(d.cfg.Districts); dist++ {
 			st := d.state(wk.w, dist)
 			st.mu.Lock()
@@ -315,58 +361,72 @@ func (wk *Worker) Delivery() error {
 				continue
 			}
 			oid := st.pending[0]
-			noRID := st.newOrderRID[oid]
-			orid := st.orderRID[oid]
-			olRIDs := append([]ts.RID(nil), st.orderLines[oid]...)
+			lo := len(rids)
+			rids = append(rids, st.orderLines[oid]...)
+			dlv = append(dlv, delivery{dist: dist, oid: oid,
+				noRID: st.newOrderRID[oid], orid: st.orderRID[oid], olLo: lo, olHi: len(rids)})
 			st.mu.Unlock()
+		}
+		wk.dlv, wk.rids = dlv, rids
 
-			if err := tx.Delete(d.t.newOrder, noRID); err != nil {
-				return err
+		for i := range dlv {
+			dl := &dlv[i]
+			b.Delete(d.t.newOrder, dl.noRID)
+			dl.oGet = b.Get(d.t.orders, dl.orid)
+			for _, rid := range rids[dl.olLo:dl.olHi] {
+				b.Get(d.t.orderLine, rid)
 			}
-			order, err := getDecoded(tx, d.t.orders, orid, DecodeOrder)
+		}
+		if err := b.Do(); err != nil {
+			return err
+		}
+		for i := range dlv {
+			dl := &dlv[i]
+			order, err := DecodeOrder(b.Image(dl.oGet))
 			if err != nil {
 				return err
 			}
 			order.Carrier = carrier
-			if err := tx.Update(d.t.orders, orid, order.Encode()); err != nil {
-				return err
-			}
-			var total int64
-			for _, rid := range olRIDs {
-				ol, err := getDecoded(tx, d.t.orderLine, rid, DecodeOrderLine)
+			b.Update(d.t.orders, dl.orid, order.Encode())
+			dl.total = 0
+			for j, rid := range rids[dl.olLo:dl.olHi] {
+				ol, err := DecodeOrderLine(b.Image(dl.oGet + 1 + j))
 				if err != nil {
 					return err
 				}
 				ol.DeliveryD = now
-				total += ol.Amount
-				if err := tx.Update(d.t.orderLine, rid, ol.Encode()); err != nil {
-					return err
-				}
+				dl.total += ol.Amount
+				b.Update(d.t.orderLine, rid, ol.Encode())
 			}
-			crid := d.customerRID(wk.w, dist, order.CID)
-			crow, err := getDecoded(tx, d.t.customer, crid, DecodeCustomer)
+			dl.crid = d.customerRID(wk.w, dl.dist, order.CID)
+			dl.cGet = b.Get(d.t.customer, dl.crid)
+		}
+		if err := b.Do(); err != nil {
+			return err
+		}
+		for i := range dlv {
+			dl := &dlv[i]
+			crow, err := DecodeCustomer(b.Image(dl.cGet))
 			if err != nil {
 				return err
 			}
-			crow.Balance += total
+			crow.Balance += dl.total
 			crow.DeliveryCnt++
-			if err := tx.Update(d.t.customer, crid, crow.Encode()); err != nil {
-				return err
-			}
-			done = append(done, delivered{dist: dist, oid: oid})
+			b.Update(d.t.customer, dl.crid, crow.Encode())
 		}
-		return nil
+		b.Commit()
+		return b.Do()
 	})
 	if err != nil {
 		return err
 	}
 	// Commit succeeded: pop the delivered orders from the FIFOs.
-	for _, dd := range done {
-		st := d.state(wk.w, dd.dist)
+	for _, dl := range wk.dlv {
+		st := d.state(wk.w, dl.dist)
 		st.mu.Lock()
-		if len(st.pending) > 0 && st.pending[0] == dd.oid {
+		if len(st.pending) > 0 && st.pending[0] == dl.oid {
 			st.pending = st.pending[1:]
-			delete(st.newOrderRID, dd.oid)
+			delete(st.newOrderRID, dl.oid)
 		}
 		st.mu.Unlock()
 	}
@@ -381,8 +441,12 @@ func (wk *Worker) StockLevel() error {
 	dist := uint32(randRange(wk.r, 1, d.cfg.Districts))
 	threshold := int32(randRange(wk.r, 10, 20))
 
-	return d.execRetryOn(wk.w, false, func(tx Txn) error {
-		drow, err := getDecoded(tx, d.t.district, d.districtRID(wk.w, dist), DecodeDistrict)
+	return wk.exec(false, func(b batch) error {
+		dGet := b.Get(d.t.district, d.districtRID(wk.w, dist))
+		if err := b.Do(); err != nil {
+			return err
+		}
+		drow, err := DecodeDistrict(b.Image(dGet))
 		if err != nil {
 			return err
 		}
@@ -391,28 +455,55 @@ func (wk *Worker) StockLevel() error {
 			lo = drow.NextOID - 20
 		}
 		st := d.state(wk.w, dist)
-		var olRIDs []ts.RID
+		olRIDs := wk.rids[:0]
 		st.mu.Lock()
 		for oid := lo; oid < drow.NextOID; oid++ {
 			olRIDs = append(olRIDs, st.orderLines[oid]...)
 		}
 		st.mu.Unlock()
+		wk.rids = olRIDs
 
-		low := make(map[uint32]bool)
-		for _, rid := range olRIDs {
-			ol, err := getDecoded(tx, d.t.orderLine, rid, DecodeOrderLine)
-			if err != nil {
-				if errors.Is(err, core.ErrRecordNotFound) {
-					continue // line from an order newer than our snapshot
-				}
+		// A line from an order newer than our snapshot is not there to read.
+		// It stops the batch it is in: keep what ran, skip it, and go on
+		// after it.
+		items := wk.items[:0]
+		for next := 0; next < len(olRIDs); {
+			for _, rid := range olRIDs[next:] {
+				b.Get(d.t.orderLine, rid)
+			}
+			err := b.Do()
+			if err != nil && !errors.Is(err, core.ErrRecordNotFound) {
 				return err
 			}
-			stock, err := getDecoded(tx, d.t.stock, d.stockRID(wk.w, ol.ItemID), DecodeStock)
+			for i := 0; i < b.Ran(); i++ {
+				ol, err := DecodeOrderLine(b.Image(i))
+				if err != nil {
+					return err
+				}
+				items = append(items, ol.ItemID)
+			}
+			next += b.Ran()
+			if err != nil {
+				next++
+			}
+		}
+		wk.items = items
+
+		for _, itemID := range items {
+			b.Get(d.t.stock, d.stockRID(wk.w, itemID))
+		}
+		b.Commit()
+		if err := b.Do(); err != nil {
+			return err
+		}
+		low := make(map[uint32]bool)
+		for i, itemID := range items {
+			stock, err := DecodeStock(b.Image(i))
 			if err != nil {
 				return err
 			}
 			if stock.Qty < threshold {
-				low[ol.ItemID] = true
+				low[itemID] = true
 			}
 		}
 		return nil

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"hybridgc/internal/core"
+	"hybridgc/internal/ts"
 )
 
 // TxnType enumerates the five TPC-C transaction profiles.
@@ -79,6 +80,16 @@ type Worker struct {
 	// cross is set by a profile when its current execution took a remote
 	// clause that crossed shards; RunOne reads it after commit.
 	cross bool
+
+	// eager is the batch surface of every transaction that does not bring its
+	// own; the rest is what a profile keeps between drawing a transaction and
+	// committing it. All of it is reused from one transaction to the next.
+	eager  eagerBatch
+	supply []uint32
+	lines  []orderLineDraft
+	rids   []ts.RID
+	dlv    []delivery
+	items  []uint32
 }
 
 // NewWorker builds the worker for warehouse w (1-based).

@@ -65,29 +65,21 @@ func DecodeReplStreamRequest(r *Parser) ReplStreamRequest {
 // ReplReport is the body of an RmReport message: the replica's applied
 // position and its local snapshot horizon. MinSTS is meaningful only when
 // HasSnapshots is true; a report without snapshots releases the replica's
-// pin on the cluster GC horizon (its floor segment is kept). OpenSnapshots
-// counts the replica's open snapshots — announcements, not distinct
-// timestamps — at the instant MinSTS was read.
+// pin on the cluster GC horizon (its floor segment is kept).
 type ReplReport struct {
-	AppliedLSN    uint64
-	MinSTS        uint64
-	HasSnapshots  bool
-	OpenSnapshots int64
+	AppliedLSN   uint64
+	MinSTS       uint64
+	HasSnapshots bool
 }
 
 // Encode appends the report body to b.
 func (p ReplReport) Encode(b *Builder) {
-	b.U64(p.AppliedLSN).U64(p.MinSTS).Bool(p.HasSnapshots).I64(p.OpenSnapshots)
+	b.U64(p.AppliedLSN).U64(p.MinSTS).Bool(p.HasSnapshots)
 }
 
 // DecodeReplReport parses an RmReport body.
 func DecodeReplReport(r *Parser) ReplReport {
-	return ReplReport{
-		AppliedLSN:    r.U64(),
-		MinSTS:        r.U64(),
-		HasSnapshots:  r.Bool(),
-		OpenSnapshots: r.I64(),
-	}
+	return ReplReport{AppliedLSN: r.U64(), MinSTS: r.U64(), HasSnapshots: r.Bool()}
 }
 
 // MaxStreamMessage bounds a single stream message (a checkpoint of a large

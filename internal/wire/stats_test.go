@@ -61,7 +61,7 @@ func TestStatsRoundTripEveryField(t *testing.T) {
 	}
 }
 
-// TestStatsLayoutIsFixed: v2 has no optional tail. A frame cut anywhere —
+// TestStatsLayoutIsFixed: the layout has no optional tail. A frame cut anywhere —
 // the byte before the end included — and a frame with a byte too many both
 // fail the parser instead of decoding to a shorter or longer struct.
 func TestStatsLayoutIsFixed(t *testing.T) {
@@ -154,7 +154,7 @@ func FuzzDecodeStats(f *testing.F) {
 	})
 }
 
-// FuzzExecTokenSuffix: the v2 EXEC/QOPEN request body is the statement then
+// FuzzExecTokenSuffix: the EXEC/QOPEN request body is the statement then
 // the min-LSN token, always both; any pair survives, zero token included, and
 // a body missing the token is an error rather than "no token".
 func FuzzExecTokenSuffix(f *testing.F) {

@@ -11,7 +11,8 @@
 // opcode; responses carry StOK or StErr. The protocol is strictly
 // request/response in order, which makes pipelining trivial: a client may
 // write any number of request frames before reading responses, and the
-// server answers them in arrival order.
+// server answers them in arrival order. A transaction's operations travel
+// together in one BATCH frame (batch.go).
 package wire
 
 import (
@@ -32,7 +33,7 @@ const (
 	// Version is the protocol revision: HELLO carries it in both directions
 	// and either side refuses any other value. Every frame layout is a fixed
 	// field list, so a layout change bumps Version.
-	Version = 2
+	Version = 3
 	// MaxFrame bounds one frame so a corrupt length prefix cannot make
 	// either end allocate unboundedly.
 	MaxFrame = 16 << 20
@@ -79,6 +80,9 @@ const (
 	// empty). The response carries a SELECT-shaped result: PutStrings
 	// column names, then PutRows. Idempotent, so clients may retry it.
 	OpAggregate
+	// OpBatch carries several requests in one frame, answered by one frame
+	// that stops at the first failure (see batch.go).
+	OpBatch
 )
 
 // Response statuses.
@@ -450,6 +454,13 @@ func (r *Parser) Bytes() []byte {
 		return nil
 	}
 	return append([]byte(nil), v...)
+}
+
+// View reads a length-prefixed byte slice without copying it: the result
+// aliases the body and is valid for as long as the body's buffer is.
+func (r *Parser) View() []byte {
+	n := int(r.U32())
+	return r.take(n)
 }
 
 // Str reads a length-prefixed string.
