@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race check bench bench-smoke benchmark-test chaos-smoke fuzz-smoke clean
+.PHONY: all build vet test race check bench bench-smoke benchmark-test chaos-smoke fuzz-smoke figures clean
 
 all: check
 
@@ -22,9 +22,10 @@ test:
 # cmd/tpcc, the sharded engine and its 2PC path, the lock-free hash table and
 # table space, the WAL/wire hot paths, the row codec and chunks the HTAP
 # migrator and its scans share, and the crash matrix, which drives commit,
-# fail-stop and recovery concurrently) with -short to keep CI latency sane.
+# fail-stop and recovery concurrently, and the TPC-C load harness's worker,
+# reader and sampler goroutines) with -short to keep CI latency sane.
 race:
-	$(GO) test -race -short ./internal/table/... ./internal/core/... ./internal/txn/... ./internal/gc/... ./internal/mvcc/... ./internal/sts/... ./internal/sql/... ./internal/server/... ./internal/client/... ./internal/repl/... ./internal/node/... ./cmd/tpcc/... ./internal/wal/... ./internal/wire/... ./internal/netfault/... ./internal/chaos/... ./internal/shard/... ./internal/htap/... ./internal/colstore/... ./internal/crashmatrix/...
+	$(GO) test -race -short ./internal/workload/... ./internal/table/... ./internal/core/... ./internal/txn/... ./internal/gc/... ./internal/mvcc/... ./internal/sts/... ./internal/sql/... ./internal/server/... ./internal/client/... ./internal/repl/... ./internal/node/... ./cmd/tpcc/... ./internal/wal/... ./internal/wire/... ./internal/netfault/... ./internal/chaos/... ./internal/shard/... ./internal/htap/... ./internal/colstore/... ./internal/crashmatrix/...
 
 check: vet build test race
 
@@ -77,6 +78,12 @@ fuzz-smoke:
 			$(GO) test -run '^$$' -fuzz "^$$f$$" -fuzztime 10s $$p || exit 1; \
 		done; \
 	done
+
+# Every figure of the paper's evaluation at default scale, recorded with the
+# commit, date and CPU it ran on; EXPERIMENTS.md quotes its numbers.
+figures:
+	{ echo "# commit $$(git describe --always --dirty) $$(date -u +%Y-%m-%dT%H:%MZ) $$(nproc) CPUs:$$(grep -m1 'model name' /proc/cpuinfo | cut -d: -f2)"; \
+	  $(GO) run ./cmd/hybridgc-bench -fig all; } > EXPERIMENTS.out
 
 clean:
 	$(GO) clean ./...

@@ -16,9 +16,7 @@ import (
 	"hybridgc/internal/colstore"
 	"hybridgc/internal/gc"
 	"hybridgc/internal/htap"
-	"hybridgc/internal/tpcc"
 	"hybridgc/internal/txn"
-	"hybridgc/internal/workload"
 )
 
 func quickSuite() *bench.Suite {
@@ -320,29 +318,6 @@ func BenchmarkCursorFetch(b *testing.B) {
 				fresh.Close()
 			}
 			b.ReportMetric(float64(traversed)/float64(b.N), "versions-traversed/scan")
-		})
-	}
-}
-
-// BenchmarkWorkloadThroughputByMode runs the plain TPC-C workload briefly
-// under each GC mode and reports statements/s — the overhead comparison of
-// §5.6 at the left edge of Figure 18.
-func BenchmarkWorkloadThroughputByMode(b *testing.B) {
-	for _, m := range []workload.Mode{workload.ModeGT, workload.ModeGTTG, workload.ModeHG} {
-		b.Run(m.String(), func(b *testing.B) {
-			var tput float64
-			for i := 0; i < b.N; i++ {
-				res, err := workload.Run(workload.Options{
-					Mode:     m,
-					TPCC:     tpcc.Config{Warehouses: 2, Districts: 2, CustomersPerDistrict: 8, Items: 60, Seed: 7},
-					Duration: 400 * time.Millisecond,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				tput = res.AvgThroughput()
-			}
-			b.ReportMetric(tput, "stmts/s")
 		})
 	}
 }

@@ -22,11 +22,11 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sync"
 	"time"
 
 	"hybridgc/internal/client"
 	"hybridgc/internal/core"
+	"hybridgc/internal/engine"
 	"hybridgc/internal/gc"
 	"hybridgc/internal/server"
 	"hybridgc/internal/tpcc"
@@ -60,17 +60,15 @@ func main() {
 		return
 	}
 
-	m, err := workload.ParseMode(*mode)
+	m, err := gc.ParseMode(*mode)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 
-	base := gc.Periods{GT: 50 * time.Millisecond, TG: 150 * time.Millisecond, SI: 500 * time.Millisecond}
 	db, err := core.Open(core.Config{
-		GC:                 m.Periods(base),
-		LongLivedThreshold: 100 * time.Millisecond,
-		VersionBudget:      core.VersionBudget{Soft: *soft, Hard: *hard},
+		GC:            m.Periods(gc.DefaultPeriods()),
+		VersionBudget: core.VersionBudget{Soft: *soft, Hard: *hard},
 	})
 	if err != nil {
 		fatal(err)
@@ -83,27 +81,12 @@ func main() {
 	if err := driver.Load(); err != nil {
 		fatal(err)
 	}
-	if m != workload.ModeNone {
-		db.GC().Start()
-		defer db.GC().Stop()
+	db.GC().Start()
+	load, err := workload.Start(driver, engine.NewSingle(db), workload.Options{LongCursor: *cursor})
+	if err != nil {
+		fatal(err)
 	}
-	if *cursor {
-		cur, err := db.OpenCursor(driver.StockTableID())
-		if err != nil {
-			fatal(err)
-		}
-		defer cur.Close()
-	}
-
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for w := 1; w <= driver.Config().Warehouses; w++ {
-		wg.Add(1)
-		go func(wk *tpcc.Worker) {
-			defer wg.Done()
-			_ = wk.Run(1<<62, stop)
-		}(driver.NewWorker(w))
-	}
+	defer load.Stop()
 
 	// The in-process source is the server's own STATS assembly, minus the
 	// listener: the same wire.Stats a remote gcmon would be sent.
@@ -115,8 +98,10 @@ func main() {
 
 	fmt.Printf("gcmon: GC=%s cursor=%v budget=%v — the Figure 2 indicators\n", m, *cursor, db.PressureStats().Enabled)
 	watch(os.Stdout, src, *duration, *interval)
-	close(stop)
-	wg.Wait()
+	// The workers stop; the cursor stays open for the closing reading.
+	if err := load.Group.Stop(); err != nil {
+		fmt.Fprintln(os.Stderr, "gcmon: load:", err)
+	}
 	printFinal(os.Stdout, src)
 	fmt.Println("Figure 9 regions:", gc.CurrentRegions(db.Manager()))
 }

@@ -20,40 +20,16 @@ import (
 
 	"hybridgc/internal/bench"
 	"hybridgc/internal/profiling"
-	"hybridgc/internal/tpcc"
 )
 
 func main() {
-	var (
-		fig        = flag.String("fig", "all", "figure number(s) to regenerate: e.g. 10 or 10,12,19 or all")
-		quick      = flag.Bool("quick", false, "smoke-test scale (sub-second runs)")
-		duration   = flag.Duration("duration", 0, "per-run workload duration (default 3s, quick 500ms)")
-		warehouses = flag.Int("warehouses", 0, "TPC-C warehouses (default 4)")
-		items      = flag.Int("items", 0, "TPC-C items per warehouse (default 200)")
-		customers  = flag.Int("customers", 0, "TPC-C customers per district (default 30)")
-		seed       = flag.Int64("seed", 7, "workload random seed")
-	)
-	var prof profiling.Flags
-	prof.Register(flag.CommandLine)
-	flag.Parse()
+	// flag.CommandLine exits on a bad command line itself.
+	cfg, fig, prof, _ := parse(flag.CommandLine, os.Args[1:])
 	if err := profiling.Start(prof); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 	defer profiling.Stop()
-
-	cfg := bench.SuiteConfig{
-		Quick:    *quick,
-		Duration: *duration,
-	}
-	if *warehouses > 0 || *items > 0 || *customers > 0 {
-		cfg.TPCC = tpcc.Config{
-			Warehouses:           *warehouses,
-			Items:                *items,
-			CustomersPerDistrict: *customers,
-			Seed:                 *seed,
-		}
-	}
 	suite := bench.NewSuite(cfg)
 
 	eff := suite.Config()
@@ -62,7 +38,7 @@ func main() {
 	fmt.Printf("GC periods: GT=%v TG=%v SI=%v (paper: 1s/3s/10s)\n\n",
 		eff.Base.GT, eff.Base.TG, eff.Base.SI)
 
-	ids, err := resolveFigures(*fig)
+	ids, err := resolveFigures(fig)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -84,17 +60,33 @@ func main() {
 	fmt.Printf("done in %v\n", time.Since(start).Round(time.Millisecond))
 }
 
+// parse turns the command line into the suite's configuration and the
+// -fig selection. A size flag left at 0 keeps the suite's default for it;
+// -seed always applies.
+func parse(fs *flag.FlagSet, args []string) (cfg bench.SuiteConfig, fig string, prof profiling.Flags, err error) {
+	fs.StringVar(&fig, "fig", "all", "figure number(s) to regenerate: e.g. 10 or 10,12,19 or all")
+	fs.BoolVar(&cfg.Quick, "quick", false, "smoke-test scale (sub-second runs)")
+	fs.DurationVar(&cfg.Duration, "duration", 0, "per-run workload duration (default 3s, quick 500ms)")
+	fs.IntVar(&cfg.TPCC.Warehouses, "warehouses", 0, "TPC-C warehouses (default 4)")
+	fs.IntVar(&cfg.TPCC.Items, "items", 0, "TPC-C items per warehouse (default 200)")
+	fs.IntVar(&cfg.TPCC.CustomersPerDistrict, "customers", 0, "TPC-C customers per district (default 30)")
+	fs.Int64Var(&cfg.TPCC.Seed, "seed", 7, "workload random seed")
+	prof.Register(fs)
+	err = fs.Parse(args)
+	return cfg, fig, prof, err
+}
+
 // digitsOnly reports whether s is a plain figure number like "10".
-func digitsOnly(s string) (string, bool) {
+func digitsOnly(s string) bool {
 	if s == "" {
-		return s, false
+		return false
 	}
 	for _, r := range s {
 		if r < '0' || r > '9' {
-			return s, false
+			return false
 		}
 	}
-	return s, true
+	return true
 }
 
 func resolveFigures(arg string) ([]string, error) {
@@ -108,7 +100,7 @@ func resolveFigures(arg string) ([]string, error) {
 			continue
 		}
 		id := part
-		if _, numeric := digitsOnly(part); numeric {
+		if digitsOnly(part) {
 			id = "fig" + part
 		}
 		found := false

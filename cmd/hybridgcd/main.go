@@ -44,10 +44,10 @@ import (
 	"syscall"
 	"time"
 
+	"hybridgc/internal/gc"
 	"hybridgc/internal/node"
 	"hybridgc/internal/profiling"
 	"hybridgc/internal/wal"
-	"hybridgc/internal/workload"
 )
 
 // parse turns the command line into a validated node.Config. Which settings
@@ -87,7 +87,7 @@ func parse(fs *flag.FlagSet, args []string) (node.Config, profiling.Flags, error
 	}
 
 	var err error
-	if cfg.GC, err = workload.ParseMode(*mode); err != nil {
+	if cfg.GC, err = gc.ParseMode(*mode); err != nil {
 		return cfg, prof, err
 	}
 	set := map[string]bool{}

@@ -9,10 +9,10 @@ import (
 	"testing"
 	"time"
 
+	"hybridgc/internal/gc"
 	"hybridgc/internal/node"
 	"hybridgc/internal/repl"
 	"hybridgc/internal/server"
-	"hybridgc/internal/workload"
 )
 
 func parseArgs(args ...string) (node.Config, *flag.FlagSet, error) {
@@ -49,14 +49,14 @@ func TestParse(t *testing.T) {
 		want node.Config
 		err  string
 	}{
-		{args: "", want: node.Config{GC: workload.ModeHG, Shards: 1, Server: srv}},
+		{args: "", want: node.Config{GC: gc.ModeHG, Shards: 1, Server: srv}},
 		{args: "-gc gt -shards 4 -htap",
-			want: node.Config{GC: workload.ModeGT, Shards: 4, HTAP: true, HTAPEvery: 25 * time.Millisecond, Server: srv}},
+			want: node.Config{GC: gc.ModeGT, Shards: 4, HTAP: true, HTAPEvery: 25 * time.Millisecond, Server: srv}},
 		{args: "-data d -sync -checkpoint-every 30s -repl-stale-after 2s -repl-write-timeout 1s",
-			want: node.Config{GC: workload.ModeHG, Shards: 1, Data: "d", Sync: true, CheckpointEvery: 30 * time.Second,
+			want: node.Config{GC: gc.ModeHG, Shards: 1, Data: "d", Sync: true, CheckpointEvery: 30 * time.Second,
 				Server: srv, Source: repl.SourceConfig{StaleAfter: 2 * time.Second, WriteTimeout: time.Second}}},
 		{args: "-replica-of p:1 -upstream-token s -repl-stale-after 2s",
-			want: node.Config{GC: workload.ModeHG, Shards: 1, TokenWait: 150 * time.Millisecond, Server: srv,
+			want: node.Config{GC: gc.ModeHG, Shards: 1, TokenWait: 150 * time.Millisecond, Server: srv,
 				Replica: repl.ReplicaConfig{Upstream: "p:1", ReplicaID: "replica", Token: "s", StallTimeout: 2 * time.Second}}},
 		{args: "-gc bogus", err: `unknown -gc mode "bogus"`},
 		{args: "-replica-of p:1 -shards 2", err: "-shards"},

@@ -21,7 +21,7 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sync"
+	"strings"
 	"time"
 
 	"hybridgc/internal/client"
@@ -41,7 +41,7 @@ import (
 type options struct {
 	warehouses, items, customers, districts int
 	duration                                time.Duration
-	mode                                    workload.Mode
+	mode                                    gc.Mode
 	seed                                    int64
 	cursor, check, cross                    bool
 	shards, olap, readers                   int
@@ -86,7 +86,7 @@ func main() {
 	flag.Parse()
 
 	var err error
-	if o.mode, err = workload.ParseMode(*mode); err == nil {
+	if o.mode, err = gc.ParseMode(*mode); err == nil {
 		err = o.validate()
 	}
 	if err != nil {
@@ -154,11 +154,7 @@ func run(o options, w io.Writer) (*report, error) {
 		cfg.CrossWarehouse = o.cross || cl.ShardCount() > 1
 		driver, err = tpcc.NewWithBackend(tpcc.RemoteBackend(cl), cfg)
 	} else {
-		base := gc.Periods{GT: 50 * time.Millisecond, TG: 150 * time.Millisecond, SI: 500 * time.Millisecond}
-		engCfg := core.Config{
-			GC:                 m.Periods(base),
-			LongLivedThreshold: 100 * time.Millisecond,
-		}
+		engCfg := core.Config{GC: m.Periods(gc.DefaultPeriods())}
 		if o.shards > 1 {
 			var clu *shard.Cluster
 			clu, err = shard.Open(shard.Config{
@@ -195,23 +191,26 @@ func run(o options, w io.Writer) (*report, error) {
 		return nil, err
 	}
 
-	if !remote && m != workload.ModeNone {
+	if !remote {
 		for i := 0; i < eng.Shards(); i++ {
 			eng.Shard(i).GC().Start()
 		}
-	}
-	var cur engine.Cursor
-	if o.cursor {
-		cur, err = eng.OpenCursor(driver.StockTableID())
-		if err != nil {
-			return nil, err
-		}
-		fmt.Fprintf(w, "long-duration cursor opened on STOCK at snapshot %d\n", cur.SnapshotTS())
 	}
 
 	before, err := stats()
 	if err != nil {
 		return nil, err
+	}
+	start := time.Now()
+	load, err := workload.Start(driver, eng, workload.Options{LongCursor: o.cursor})
+	if err != nil {
+		return nil, err
+	}
+	// Stop also runs on the error returns between here and the end of the
+	// measured window; everything below joins the load's group.
+	defer load.Stop()
+	if load.Cursor != nil {
+		fmt.Fprintf(w, "long-duration cursor opened on STOCK at snapshot %d\n", load.Cursor.SnapshotTS())
 	}
 	switch {
 	case remote:
@@ -221,50 +220,36 @@ func run(o options, w io.Writer) (*report, error) {
 	default:
 		fmt.Fprintf(w, "running %v with GC mode %s...\n", o.duration, m)
 	}
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	// halt ends every load goroutine; it also runs on the error returns
-	// between here and the end of the measured window.
-	halt := sync.OnceFunc(func() { close(stop); wg.Wait() })
-	defer halt()
 	var ol *olapLoad
 	if o.olap > 0 {
-		if ol, err = startOLAP(cl, o.olap, o.warehouses, stop, &wg); err != nil {
+		if ol, err = startOLAP(load.Group, cl, o.olap, o.warehouses); err != nil {
 			return nil, err
 		}
 		fmt.Fprintf(w, "olap: %d analysts aggregating over the column lane\n", o.olap)
 	}
-	var rl *readLoad
+	var (
+		pool *client.ReadPool
+		rp   *workload.ReadPool
+	)
 	if o.readReplicas != "" {
-		if rl, err = startReadPool(o.addr, o.token, o.readReplicas, o.readers, stop, &wg); err != nil {
+		if pool, err = client.NewReadPool(client.PoolConfig{
+			Primary:  o.addr,
+			Replicas: strings.FieldsFunc(o.readReplicas, func(r rune) bool { return r == ',' || r == ' ' }),
+			Client:   client.Config{Token: o.token, MaxConns: o.readers + 2},
+		}); err != nil {
 			return nil, err
 		}
-		defer rl.pool.Close()
+		defer pool.Close()
+		if rp, err = workload.StartReadPool(load.Group, pool, o.readers); err != nil {
+			return nil, err
+		}
 		fmt.Fprintf(w, "readpool: %d analysts reading through the replica pool\n", o.readers)
 	}
-	workers := make([]*tpcc.Worker, o.warehouses)
-	start := time.Now()
-	for wh := 1; wh <= o.warehouses; wh++ {
-		workers[wh-1] = driver.NewWorker(wh)
-		wg.Add(1)
-		go func(wk *tpcc.Worker) {
-			defer wg.Done()
-			if err := wk.Run(1<<62, stop); err != nil {
-				fmt.Fprintf(os.Stderr, "worker %d: %v\n", wk.Warehouse(), err)
-			}
-		}(workers[wh-1])
-	}
 	time.Sleep(o.duration)
-	halt()
+	if err := load.Stop(); err != nil {
+		fmt.Fprintln(os.Stderr, "tpcc: load:", err)
+	}
 	elapsed := time.Since(start)
-	if cur != nil {
-		cur.Close()
-	}
-	if !remote && m != workload.ModeNone {
-		for i := 0; i < eng.Shards(); i++ {
-			eng.Shard(i).GC().Stop()
-		}
-	}
 
 	st, err := stats()
 	if err != nil {
@@ -277,15 +262,17 @@ func run(o options, w io.Writer) (*report, error) {
 		ol.report(w, st.HTAP, elapsed)
 		rep.lanes = st.HTAP
 	}
-	if rl != nil {
-		rl.report(w, elapsed)
-		rep.pool = rl.pool.Counters()
-		rep.sessionReads = rl.sessionReads.Load()
-		rep.rywViolations = rl.rywViolation.Load()
+	if rp != nil {
+		rep.pool = pool.Counters()
+		rep.sessionReads, rep.rywViolations = rp.Reads.Load(), rp.Violations.Load()
+		fmt.Fprintf(w, "readpool: %.0f reads/s (%d session reads over %d rows) replica=%d primary=%d bounces=%d failovers=%d\n",
+			float64(rep.sessionReads)/elapsed.Seconds(), rep.sessionReads, rp.Inserts.Load(),
+			rep.pool.ReplicaReads, rep.pool.PrimaryReads, rep.pool.Bounces, rep.pool.Failovers)
+		fmt.Fprintf(w, "readpool: ryw-violations=%d token=%d\n", rep.rywViolations, pool.Token())
 	}
 	for t := tpcc.TxnNewOrder; t <= tpcc.TxnStockLevel; t++ {
 		var committed, aborted, crossed int64
-		for _, wk := range workers {
+		for _, wk := range load.Workers {
 			committed += wk.Stats.Committed[t].Load()
 			aborted += wk.Stats.Aborted[t].Load()
 			crossed += wk.Stats.Cross[t].Load()
@@ -302,7 +289,7 @@ func run(o options, w io.Writer) (*report, error) {
 	// committed transactions that crossed shards and went through two-phase
 	// commit (~10% of NewOrder+Payment when the remote clauses are on).
 	fmt.Fprintln(w, "\nper-warehouse:")
-	for _, wk := range workers {
+	for _, wk := range load.Workers {
 		committed := wk.Stats.TotalCommitted()
 		crossed := wk.Stats.TotalCross()
 		var aborted int64

@@ -3,13 +3,12 @@ package main
 import (
 	"fmt"
 	"io"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"hybridgc/internal/client"
-	"hybridgc/internal/core"
 	"hybridgc/internal/htap"
+	"hybridgc/internal/workload"
 )
 
 // olapTable is the SQL fact table the OLAP leg aggregates over. One feeder
@@ -24,10 +23,10 @@ type olapLoad struct {
 	rowsRead atomic.Int64
 }
 
-// startOLAP creates the fact table, arms its column lane, and spawns one
-// feeder plus n analysts on wg until stop closes. The server must run the
-// migrator (-htap) or EnableHTAP fails here with its error.
-func startOLAP(cl *client.Client, n, warehouses int, stop <-chan struct{}, wg *sync.WaitGroup) (*olapLoad, error) {
+// startOLAP creates the fact table, arms its column lane, and runs one
+// feeder plus n analysts on g. The server must run the migrator (-htap) or
+// EnableHTAP fails here with its error.
+func startOLAP(g *workload.Group, cl *client.Client, n, warehouses int) (*olapLoad, error) {
 	if _, err := cl.Exec("CREATE TABLE " + olapTable + " (amount INT, warehouse TEXT)"); err != nil {
 		return nil, fmt.Errorf("olap table: %w", err)
 	}
@@ -37,55 +36,36 @@ func startOLAP(cl *client.Client, n, warehouses int, stop <-chan struct{}, wg *s
 	ol := &olapLoad{}
 
 	// Feeder: steady inserts give the migrator a moving delta tail to chase.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		i := 0
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			q := fmt.Sprintf("INSERT INTO %s VALUES (%d, 'W%d')", olapTable, 1+i%97, 1+i%warehouses)
-			if _, err := cl.Exec(q); err == nil {
-				ol.inserts.Add(1)
-			} else if !core.IsTransient(err) {
-				return
-			}
-			i++
+	i := 0
+	g.Loop(func() error {
+		q := fmt.Sprintf("INSERT INTO %s VALUES (%d, 'W%d')", olapTable, 1+i%97, 1+i%warehouses)
+		i++
+		if _, err := cl.Exec(q); err != nil {
+			return err
 		}
-	}()
-
+		ol.inserts.Add(1)
+		return nil
+	})
 	for a := 0; a < n; a++ {
-		wg.Add(1)
-		go func(a int) {
-			defer wg.Done()
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				var (
-					res *client.Result
-					err error
-				)
-				if i%2 == 0 {
-					res, err = cl.Aggregate(olapTable, client.AggSum, "amount", "")
-				} else {
-					res, err = cl.Aggregate(olapTable, client.AggCount, "", "warehouse")
-				}
-				if err != nil {
-					if core.IsTransient(err) {
-						continue
-					}
-					return
-				}
-				ol.queries.Add(1)
-				ol.rowsRead.Add(int64(len(res.Rows)))
+		sum := true
+		g.Loop(func() error {
+			var (
+				res *client.Result
+				err error
+			)
+			if sum {
+				res, err = cl.Aggregate(olapTable, client.AggSum, "amount", "")
+			} else {
+				res, err = cl.Aggregate(olapTable, client.AggCount, "", "warehouse")
 			}
-		}(a)
+			sum = !sum
+			if err != nil {
+				return err
+			}
+			ol.queries.Add(1)
+			ol.rowsRead.Add(int64(len(res.Rows)))
+			return nil
+		})
 	}
 	return ol, nil
 }

@@ -9,15 +9,15 @@ import (
 	"testing"
 	"time"
 
+	"hybridgc/internal/gc"
 	"hybridgc/internal/node"
 	"hybridgc/internal/repl"
 	"hybridgc/internal/server"
-	"hybridgc/internal/workload"
 )
 
 func startNode(t *testing.T, cfg node.Config) *node.Node {
 	t.Helper()
-	cfg.GC = workload.ModeHG
+	cfg.GC = gc.ModeHG
 	cfg.Server = server.Config{Addr: "127.0.0.1:0"}
 	n, err := node.Start(cfg)
 	if err != nil {
@@ -32,7 +32,7 @@ func startNode(t *testing.T, cfg node.Config) *node.Node {
 func smokeOptions(addr string, warehouses int) options {
 	o := options{
 		warehouses: warehouses, items: 100, customers: 10, districts: 10,
-		duration: time.Second, mode: workload.ModeHG, check: true, seed: 1,
+		duration: time.Second, mode: gc.ModeHG, check: true, seed: 1,
 		shards: 1, readers: 2, addr: addr,
 	}
 	if testing.Short() {
@@ -76,9 +76,9 @@ func TestHTAPSmoke(t *testing.T) {
 }
 
 // TestReplicaReadSmoke: a persistent primary and two replica nodes; OLTP
-// writes to the primary while pooled analysts split Session and bounded
-// reads across the replicas, re-checking read-your-writes on every acked
-// row, and the final consistency check runs against a replica.
+// writes to the primary while pooled analysts spread Session reads across
+// the replicas, re-checking read-your-writes on every acked row, and the
+// final consistency check runs against a replica.
 func TestReplicaReadSmoke(t *testing.T) {
 	p := startNode(t, node.Config{Data: t.TempDir()})
 	o := smokeOptions(p.Addr(), 2)

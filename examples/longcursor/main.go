@@ -10,13 +10,14 @@ import (
 	"log"
 	"time"
 
+	"hybridgc/internal/gc"
 	"hybridgc/internal/tpcc"
 	"hybridgc/internal/workload"
 )
 
 func main() {
 	cfg := tpcc.Config{Warehouses: 2, Districts: 4, CustomersPerDistrict: 15, Items: 100, Seed: 3}
-	run := func(m workload.Mode) *workload.Result {
+	run := func(m gc.Mode) *workload.Result {
 		res, err := workload.Run(workload.Options{
 			Mode:       m,
 			TPCC:       cfg,
@@ -30,8 +31,8 @@ func main() {
 	}
 
 	fmt.Println("running TPC-C with a long-duration cursor on STOCK...")
-	gt := run(workload.ModeGT)
-	hg := run(workload.ModeHG)
+	gt := run(gc.ModeGT)
+	hg := run(gc.ModeHG)
 
 	fmt.Printf("\n%-8s %-14s %-14s\n", "t", "GT versions", "HG versions")
 	n := len(gt.Versions.Points)

@@ -15,16 +15,16 @@ import (
 	"time"
 
 	"hybridgc/internal/client"
+	"hybridgc/internal/gc"
 	"hybridgc/internal/node"
 	"hybridgc/internal/server"
-	"hybridgc/internal/workload"
 )
 
 func main() {
 	// One node, as `hybridgcd -token quickstart` starts it: the engine with
 	// all three collectors running behind a loopback server.
 	n, err := node.Start(node.Config{
-		GC:     workload.ModeHG,
+		GC:     gc.ModeHG,
 		Server: server.Config{Addr: "127.0.0.1:0", Token: "quickstart"},
 	})
 	if err != nil {

@@ -10,6 +10,7 @@ import (
 	"log"
 	"time"
 
+	"hybridgc/internal/gc"
 	"hybridgc/internal/tpcc"
 	"hybridgc/internal/workload"
 )
@@ -18,7 +19,7 @@ const versionOverheadBytes = 96
 
 func main() {
 	cfg := tpcc.Config{Warehouses: 2, Districts: 4, CustomersPerDistrict: 15, Items: 100, Seed: 9}
-	for _, m := range []workload.Mode{workload.ModeNone, workload.ModeHG} {
+	for _, m := range []gc.Mode{gc.ModeNone, gc.ModeHG} {
 		fmt.Printf("=== GC: %s ===\n", m)
 		res, err := workload.Run(workload.Options{
 			Mode:       m,

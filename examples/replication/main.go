@@ -15,10 +15,10 @@ import (
 	"time"
 
 	"hybridgc/internal/client"
+	"hybridgc/internal/gc"
 	"hybridgc/internal/node"
 	"hybridgc/internal/repl"
 	"hybridgc/internal/server"
-	"hybridgc/internal/workload"
 )
 
 func main() {
@@ -30,7 +30,7 @@ func main() {
 	}
 	defer os.RemoveAll(dir)
 	primary, err := node.Start(node.Config{
-		GC:     workload.ModeHG,
+		GC:     gc.ModeHG,
 		Data:   dir,
 		Server: server.Config{Addr: "127.0.0.1:0"},
 		Source: repl.SourceConfig{HeartbeatEvery: 20 * time.Millisecond},
@@ -63,7 +63,7 @@ func main() {
 	// that bootstraps from the primary's checkpoint, tails its WAL, and
 	// serves ordinary clients read-only.
 	replica, err := node.Start(node.Config{
-		GC:     workload.ModeHG,
+		GC:     gc.ModeHG,
 		Server: server.Config{Addr: "127.0.0.1:0"},
 		Replica: repl.ReplicaConfig{
 			Upstream:    primary.Addr(),

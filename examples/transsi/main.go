@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"hybridgc"
+	"hybridgc/internal/gc"
 	"hybridgc/internal/tpcc"
 	"hybridgc/internal/workload"
 )
@@ -20,7 +21,7 @@ import (
 func main() {
 	cfg := tpcc.Config{Warehouses: 2, Districts: 4, CustomersPerDistrict: 15, Items: 100, Seed: 5}
 	fmt.Println("running TPC-C with repeated long Trans-SI transactions over STOCK...")
-	for _, m := range []workload.Mode{workload.ModeGT, workload.ModeGTTG, workload.ModeHG} {
+	for _, m := range []gc.Mode{gc.ModeGT, gc.ModeGTTG, gc.ModeHG} {
 		res, err := workload.Run(workload.Options{
 			Mode:     m,
 			TPCC:     cfg,

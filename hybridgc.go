@@ -167,8 +167,8 @@ func MustOpen(cfg Config) *DB {
 	return db
 }
 
-// DefaultPeriods returns the paper's GT/TG/SI period configuration at 1/10
-// time scale (100 ms / 300 ms / 1 s).
+// DefaultPeriods returns the paper's GT/TG/SI period configuration at 1/20
+// time scale (50 ms / 150 ms / 500 ms).
 func DefaultPeriods() GCPeriods { return gc.DefaultPeriods() }
 
 // NewSingleTimestamp builds the conventional ST baseline collector over a

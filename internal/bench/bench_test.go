@@ -23,6 +23,7 @@ func TestFiguresList(t *testing.T) {
 
 func TestCursorFigures(t *testing.T) {
 	s := quickSuite()
+	reps := map[string]*Report{}
 	for _, id := range []string{"fig10", "fig11", "fig12", "fig13"} {
 		rep, err := s.Run(id)
 		if err != nil {
@@ -42,11 +43,24 @@ func TestCursorFigures(t *testing.T) {
 		if !strings.Contains(out, rep.ID) || !strings.Contains(out, wantLabel) {
 			t.Fatalf("%s report incomplete:\n%s", id, out)
 		}
+		reps[id] = rep
 	}
 	// Figures 10-13 share one experiment: the cursor runs exactly once per
 	// mode, so the cached map is reused.
-	if s.cursorRes == nil {
+	if s.runs["cursor"] == nil {
 		t.Fatal("cursor results not cached")
+	}
+	// Figure 10's shape: with the long cursor, GT's version count keeps
+	// growing while HG stays near-flat.
+	if gt, hg := reps["fig10"].Series[0], reps["fig10"].Series[2]; gt.Series.Last() < 3*hg.Series.Last() {
+		t.Fatalf("%s versions %.0f should dwarf %s versions %.0f", gt.Label, gt.Series.Last(), hg.Label, hg.Series.Last())
+	}
+	// Figure 11's shape: under HG, TG and SI do real work in the presence of
+	// a cursor (GT is mostly blocked).
+	for _, ls := range reps["fig11"].Series[1:] {
+		if ls.Series.Last() == 0 {
+			t.Fatalf("HG's %s reclaimed nothing: %s", ls.Label, reps["fig11"].Notes[1])
+		}
 	}
 }
 
@@ -61,6 +75,17 @@ func TestFetchFigures(t *testing.T) {
 			t.Fatalf("%s produced no rows", id)
 		}
 	}
+	// Every mode's cursor fetched incrementally, observations in index order.
+	for m, res := range s.runs["fetch"] {
+		if len(res.Fetches) < 3 {
+			t.Fatalf("%s: only %d fetches", m, len(res.Fetches))
+		}
+		for i, f := range res.Fetches {
+			if f.Index != i {
+				t.Fatalf("%s: fetch indices out of order: %+v", m, res.Fetches)
+			}
+		}
+	}
 }
 
 func TestTransFigures(t *testing.T) {
@@ -73,6 +98,17 @@ func TestTransFigures(t *testing.T) {
 	rep, _ := s.Fig16()
 	if len(rep.Rows) != 3 {
 		t.Fatalf("fig16 needs one row per mode: %v", rep.Rows)
+	}
+	// Every mode completed Trans-SI scans, each taking measurable time.
+	for m, res := range s.runs["trans-SI"] {
+		if len(res.TransSIScans) == 0 {
+			t.Fatalf("%s: no Trans-SI scans completed", m)
+		}
+		for _, lat := range res.TransSIScans {
+			if lat <= 0 {
+				t.Fatalf("%s: bad scan latency %v", m, lat)
+			}
+		}
 	}
 }
 

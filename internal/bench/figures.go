@@ -10,7 +10,7 @@ import (
 	"hybridgc/internal/workload"
 )
 
-func labeled(res map[workload.Mode]*workload.Result, pick func(*workload.Result) LabeledSeries) []LabeledSeries {
+func labeled(res map[gc.Mode]*workload.Result, pick func(*workload.Result) LabeledSeries) []LabeledSeries {
 	out := make([]LabeledSeries, 0, len(compared))
 	for _, m := range compared {
 		ls := pick(res[m])
@@ -36,9 +36,9 @@ func (s *Suite) Fig10() (*Report, error) {
 		Notes: []string{
 			"paper shape: GT and GT+TG grow; HG stays almost constant",
 			fmt.Sprintf("final versions: GT=%.0f GT+TG=%.0f HG=%.0f",
-				res[workload.ModeGT].Versions.Last(),
-				res[workload.ModeGTTG].Versions.Last(),
-				res[workload.ModeHG].Versions.Last()),
+				res[gc.ModeGT].Versions.Last(),
+				res[gc.ModeGTTG].Versions.Last(),
+				res[gc.ModeHG].Versions.Last()),
 		},
 	}, nil
 }
@@ -50,7 +50,7 @@ func (s *Suite) Fig11() (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	hg := res[workload.ModeHG]
+	hg := res[gc.ModeHG]
 	return &Report{
 		ID:    "fig11",
 		Title: "accumulated reclaimed versions per collector under HG",
@@ -83,9 +83,9 @@ func (s *Suite) Fig12() (*Report, error) {
 		Notes: []string{
 			"paper shape: GT degrades over time (hash collisions); HG stays high",
 			fmt.Sprintf("avg stmts/s: GT=%.0f GT+TG=%.0f HG=%.0f",
-				res[workload.ModeGT].AvgThroughput(),
-				res[workload.ModeGTTG].AvgThroughput(),
-				res[workload.ModeHG].AvgThroughput()),
+				res[gc.ModeGT].AvgThroughput(),
+				res[gc.ModeGTTG].AvgThroughput(),
+				res[gc.ModeHG].AvgThroughput()),
 		},
 	}, nil
 }
@@ -110,7 +110,7 @@ func (s *Suite) Fig13() (*Report, error) {
 }
 
 // fetchTable renders per-FETCH observations for the three modes.
-func fetchTable(res map[workload.Mode]*workload.Result, value func(workload.FetchSample) string) (header []string, rows [][]string) {
+func fetchTable(res map[gc.Mode]*workload.Result, value func(workload.FetchSample) string) (header []string, rows [][]string) {
 	header = []string{"fetch#"}
 	longest := 0
 	for _, m := range compared {
@@ -245,7 +245,7 @@ func (s *Suite) Fig17() (*Report, error) {
 // version population stays a fraction of the table-scoped run — without SI.
 func (s *Suite) Ext1() (*Report, error) {
 	run := func(parts []ts.PartitionID) (*workload.Result, error) {
-		o := s.baseOptions(workload.ModeGTTG)
+		o := s.baseOptions(gc.ModeGTTG)
 		o.LongCursor = true
 		o.StockPartitions = 4
 		o.CursorPartitions = parts
@@ -327,17 +327,18 @@ func (s *Suite) sweep(longCursor bool) (*Report, error) {
 	for _, k := range multipliers {
 		row := []string{fmt.Sprintf("x%d", k)}
 		for _, m := range compared {
-			base := s.cfg.Base
-			var p gc.Periods
+			// The mode's collectors at their base periods, its own last one
+			// stretched k times.
+			p := m.Periods(s.cfg.Base)
 			switch m {
-			case workload.ModeGT:
-				p = gc.Periods{GT: time.Duration(k) * base.GT}
-			case workload.ModeGTTG:
-				p = gc.Periods{GT: base.GT, TG: time.Duration(k) * base.TG}
-			default: // HG
-				p = gc.Periods{GT: base.GT, TG: base.TG, SI: time.Duration(k) * base.SI}
+			case gc.ModeGT:
+				p.GT *= time.Duration(k)
+			case gc.ModeGTTG:
+				p.TG *= time.Duration(k)
+			default:
+				p.SI *= time.Duration(k)
 			}
-			o := s.baseOptions(workload.ModeHG)
+			o := s.baseOptions(gc.ModeHG)
 			o.StartGC = pace(p)
 			o.LongCursor = longCursor
 			res, err := workload.Run(o)

@@ -3,17 +3,16 @@ package bench
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"hybridgc/internal/colstore"
 	"hybridgc/internal/core"
-	"hybridgc/internal/gc"
 	"hybridgc/internal/htap"
 	"hybridgc/internal/metrics"
 	"hybridgc/internal/ts"
 	"hybridgc/internal/txn"
+	"hybridgc/internal/workload"
 )
 
 // ext2Result is one leg of the HTAP experiment: mixed OLTP updates and OLAP
@@ -39,11 +38,7 @@ var ext2Schema = colstore.Schema{
 // serves every aggregate through MVCC row reads (nothing is ever migrated),
 // which is exactly the row-store baseline.
 func (s *Suite) ext2Leg(laneOn bool) (*ext2Result, error) {
-	cfg := core.Config{
-		GC:                 workloadPeriods(s.cfg.Base),
-		LongLivedThreshold: s.cfg.LongLive,
-	}
-	db, err := core.Open(cfg)
+	db, err := core.Open(core.Config{GC: s.cfg.Base, LongLivedThreshold: s.cfg.LongLive})
 	if err != nil {
 		return nil, err
 	}
@@ -91,105 +86,69 @@ func (s *Suite) ext2Leg(laneOn bool) (*ext2Result, error) {
 		return nil, err
 	}
 	db.GC().Start()
-	defer db.GC().Stop()
 	if laneOn {
 		store.Start()
 		defer store.Stop()
 	}
 
-	var (
-		queries atomic.Int64
-		writes  atomic.Int64
-		stop    = make(chan struct{})
-		wg      sync.WaitGroup
-	)
-	// OLTP: two writers keep a slice of the table hot, creating versions the
-	// GC must chase and the migrator must treat as dirty.
+	var queries, writes atomic.Int64
+	g := workload.NewGroup()
+	// OLTP: two writers keep an eighth of the table hot, creating versions
+	// the GC must chase and the migrator must treat as dirty; the rest
+	// settles into chunks.
 	for w := 0; w < 2; w++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				rid := rids[rng.Intn(len(rids))]
-				img, err := encode(int64(rng.Intn(100)), regions[rng.Intn(len(regions))])
-				if err != nil {
-					return
-				}
-				_ = db.Exec(txn.StmtSI, nil, func(tx *core.Tx) error {
-					return tx.Update(tid, rid, img)
-				})
-				writes.Add(1)
+		rng := rand.New(rand.NewSource(int64(w + 1)))
+		g.Loop(func() error {
+			rid := rids[rng.Intn(len(rids)/8)]
+			img, err := encode(int64(rng.Intn(100)), regions[rng.Intn(len(regions))])
+			if err != nil {
+				return err
 			}
-		}(int64(w + 1))
+			_ = db.Exec(txn.StmtSI, nil, func(tx *core.Tx) error {
+				return tx.Update(tid, rid, img)
+			})
+			writes.Add(1)
+			return nil
+		})
 	}
 	// Snapshot churn: registered statement snapshots opened and released at
 	// high frequency — the §4 condition the migrator's watermark discipline
 	// must hold under.
 	for c := 0; c < 2; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				snap := db.Manager().AcquireSnapshot(txn.KindStatement, []ts.TableID{tid})
-				snap.Release()
-			}
-		}()
+		g.Loop(func() error {
+			db.Manager().AcquireSnapshot(txn.KindStatement, []ts.TableID{tid}).Release()
+			return nil
+		})
 	}
 	// OLAP: two analysts alternating a scalar SUM and a grouped COUNT.
 	for a := 0; a < 2; a++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				spec := htap.AggSpec{Op: htap.AggSum, Col: "amount"}
-				if i%2 == 1 {
-					spec = htap.AggSpec{Op: htap.AggCount, GroupBy: "region"}
-				}
-				if _, err := store.Aggregate(tid, spec); err != nil {
-					return
-				}
-				queries.Add(1)
+		grouped := false
+		g.Loop(func() error {
+			spec := htap.AggSpec{Op: htap.AggSum, Col: "amount"}
+			if grouped {
+				spec = htap.AggSpec{Op: htap.AggCount, GroupBy: "region"}
 			}
-		}()
+			grouped = !grouped
+			if _, err := store.Aggregate(tid, spec); err != nil {
+				return err
+			}
+			queries.Add(1)
+			return nil
+		})
 	}
 
 	// Sample OLAP throughput and live-version accumulation over the run.
 	res := &ext2Result{}
-	interval := s.cfg.Duration / 30
-	if interval <= 0 {
-		interval = 10 * time.Millisecond
-	}
-	start := time.Now()
-	lastQ, lastT := int64(0), start
-	deadline := start.Add(s.cfg.Duration)
-	for now := start; now.Before(deadline); now = time.Now() {
-		time.Sleep(interval)
+	var lastQ int64
+	workload.Sample(s.cfg.Duration, s.cfg.Duration/30, func(at, dt time.Duration) {
 		q := queries.Load()
-		t := time.Now()
-		qps := float64(q-lastQ) / t.Sub(lastT).Seconds()
-		lastQ, lastT = q, t
-		res.olapQPS.Points = append(res.olapQPS.Points, metrics.Point{Elapsed: t.Sub(start), Value: qps})
-		res.versions.Points = append(res.versions.Points,
-			metrics.Point{Elapsed: t.Sub(start), Value: float64(db.Stats().VersionsLive)})
+		res.olapQPS.Add(at, float64(q-lastQ)/dt.Seconds())
+		lastQ = q
+		res.versions.Add(at, float64(db.Stats().VersionsLive))
+	})
+	if err := g.Stop(); err != nil {
+		return nil, err
 	}
-	close(stop)
-	wg.Wait()
 	res.queries = queries.Load()
 	res.writes = writes.Load()
 	if st := store.Stats(); len(st) == 1 {
@@ -197,10 +156,6 @@ func (s *Suite) ext2Leg(laneOn bool) (*ext2Result, error) {
 	}
 	return res, nil
 }
-
-// workloadPeriods masks the base periods the way ModeHG runs them: all three
-// collectors on.
-func workloadPeriods(base gc.Periods) gc.Periods { return base }
 
 // Ext2 regenerates this reproduction's HTAP extension figure: mixed
 // OLTP/OLAP throughput and version accumulation with the column lane on

@@ -1,19 +1,18 @@
 package bench
 
 // Ext3: read scale-out. One persistent primary plus 0..3 streaming replicas,
-// all served on loopback, with a ReadPool splitting the workload — writes to
-// the primary, Session reads across the replica set behind the consistency
-// token. The figure is pooled read throughput per replica count.
+// all served on loopback, with the read-pool load of cmd/tpcc -read-replicas
+// splitting the work — writes to the primary, Session reads across the
+// replica set behind the consistency token. The figure is pooled read
+// throughput per replica count.
 
 import (
 	"fmt"
-	"math/rand"
 	"os"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"hybridgc/internal/client"
+	"hybridgc/internal/gc"
 	"hybridgc/internal/metrics"
 	"hybridgc/internal/node"
 	"hybridgc/internal/repl"
@@ -21,38 +20,32 @@ import (
 	"hybridgc/internal/workload"
 )
 
-type ext3Result struct {
-	qps      metrics.Series // pooled reads/s over time
-	reads    int64
-	writes   int64
-	counters client.PoolCounters
-}
-
-// ext3Leg measures pooled read throughput against nReplicas read replicas.
-func (s *Suite) ext3Leg(nReplicas int) (*ext3Result, error) {
+// ext3Leg measures pooled read throughput against nReplicas read replicas:
+// the series of reads/s, and a note of where the reads were served.
+func (s *Suite) ext3Leg(nReplicas int) (qps metrics.Series, note string, err error) {
 	dir, err := os.MkdirTemp("", "ext3-*")
 	if err != nil {
-		return nil, err
+		return qps, "", err
 	}
 	defer os.RemoveAll(dir)
 
 	// Nodes as hybridgcd runs them: the daemon's collector periods, a
 	// persistent primary serving streams, token-gated replicas.
 	primary, err := node.Start(node.Config{
-		GC:     workload.ModeHG,
+		GC:     gc.ModeHG,
 		Data:   dir,
 		Server: server.Config{Addr: "127.0.0.1:0"},
 		Source: repl.SourceConfig{HeartbeatEvery: 20 * time.Millisecond, StaleAfter: 30 * time.Second},
 	})
 	if err != nil {
-		return nil, err
+		return qps, "", err
 	}
 	defer primary.Shutdown()
 
 	var addrs []string
 	for i := 0; i < nReplicas; i++ {
 		r, err := node.Start(node.Config{
-			GC:        workload.ModeHG,
+			GC:        gc.ModeHG,
 			TokenWait: 500 * time.Millisecond,
 			Server:    server.Config{Addr: "127.0.0.1:0"},
 			Replica: repl.ReplicaConfig{
@@ -64,7 +57,7 @@ func (s *Suite) ext3Leg(nReplicas int) (*ext3Result, error) {
 			},
 		})
 		if err != nil {
-			return nil, err
+			return qps, "", err
 		}
 		defer r.Shutdown()
 		addrs = append(addrs, r.Addr())
@@ -77,87 +70,28 @@ func (s *Suite) ext3Leg(nReplicas int) (*ext3Result, error) {
 		HeartbeatInterval: 20 * time.Millisecond,
 	})
 	if err != nil {
-		return nil, err
+		return qps, "", err
 	}
 	defer pool.Close()
 
-	rows := 256
-	if s.cfg.Quick {
-		rows = 64
+	g := workload.NewGroup()
+	rp, err := workload.StartReadPool(g, pool, 4)
+	if err != nil {
+		return qps, "", err
 	}
-	if _, err := pool.Exec("CREATE TABLE ext3_kv (id INT, v INT)"); err != nil {
-		return nil, err
+	var last int64
+	workload.Sample(s.cfg.Duration, s.cfg.Duration/30, func(at, dt time.Duration) {
+		r := rp.Reads.Load()
+		qps.Add(at, float64(r-last)/dt.Seconds())
+		last = r
+	})
+	if err := g.Stop(); err != nil {
+		return qps, "", err
 	}
-	for i := 0; i < rows; i++ {
-		if _, err := pool.Exec(fmt.Sprintf("INSERT INTO ext3_kv VALUES (%d, %d)", i, i)); err != nil {
-			return nil, err
-		}
-	}
-	var (
-		reads  atomic.Int64
-		writes atomic.Int64
-		stop   = make(chan struct{})
-		wg     sync.WaitGroup
-	)
-	// One writer keeps tokens moving: the read side is never just replaying
-	// a frozen snapshot, every Session read is gated behind a live token.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := rows; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if _, err := pool.Exec(fmt.Sprintf("INSERT INTO ext3_kv VALUES (%d, %d)", i, i)); err == nil {
-				writes.Add(1)
-			}
-			time.Sleep(2 * time.Millisecond)
-		}
-	}()
-	// Analysts: point Session reads spread over the seeded rows.
-	for a := 0; a < 4; a++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				q := fmt.Sprintf("SELECT v FROM ext3_kv WHERE id = %d", rng.Intn(rows))
-				if _, err := pool.Read(q, client.Session); err == nil {
-					reads.Add(1)
-				}
-			}
-		}(int64(nReplicas*10 + a))
-	}
-
-	res := &ext3Result{}
-	interval := s.cfg.Duration / 30
-	if interval <= 0 {
-		interval = 10 * time.Millisecond
-	}
-	start := time.Now()
-	lastR, lastT := int64(0), start
-	deadline := start.Add(s.cfg.Duration)
-	for now := start; now.Before(deadline); now = time.Now() {
-		time.Sleep(interval)
-		r := reads.Load()
-		t := time.Now()
-		res.qps.Points = append(res.qps.Points,
-			metrics.Point{Elapsed: t.Sub(start), Value: float64(r-lastR) / t.Sub(lastT).Seconds()})
-		lastR, lastT = r, t
-	}
-	close(stop)
-	wg.Wait()
-	res.reads = reads.Load()
-	res.writes = writes.Load()
-	res.counters = pool.Counters()
-	return res, nil
+	c := pool.Counters()
+	return qps, fmt.Sprintf("%d replicas: %d reads (%.0f/s) %d writes; served replica=%d primary=%d bounces=%d failovers=%d",
+		nReplicas, rp.Reads.Load(), float64(rp.Reads.Load())/s.cfg.Duration.Seconds(), rp.Inserts.Load(),
+		c.ReplicaReads, c.PrimaryReads, c.Bounces, c.Failovers), nil
 }
 
 // Ext3 generates this reproduction's read scale-out extension figure: pooled
@@ -167,19 +101,12 @@ func (s *Suite) Ext3() (*Report, error) {
 	var series []LabeledSeries
 	var notes []string
 	for _, n := range counts {
-		leg, err := s.ext3Leg(n)
+		qps, note, err := s.ext3Leg(n)
 		if err != nil {
 			return nil, fmt.Errorf("ext3 leg %d: %w", n, err)
 		}
-		series = append(series, LabeledSeries{
-			Label:  fmt.Sprintf("reads/s(%dr)", n),
-			Series: leg.qps,
-		})
-		notes = append(notes, fmt.Sprintf(
-			"%d replicas: %d reads (%.0f/s) %d writes; served replica=%d primary=%d bounces=%d failovers=%d",
-			n, leg.reads, float64(leg.reads)/s.cfg.Duration.Seconds(), leg.writes,
-			leg.counters.ReplicaReads, leg.counters.PrimaryReads,
-			leg.counters.Bounces, leg.counters.Failovers))
+		series = append(series, LabeledSeries{Label: fmt.Sprintf("reads/s(%dr)", n), Series: qps})
+		notes = append(notes, note)
 	}
 	notes = append(notes,
 		"extension of §4: replicas serve Session reads behind the commit-LSN consistency token; the primary serves writes and any read no replica can satisfy",

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"cmp"
 	"fmt"
 	"sync"
 	"time"
@@ -10,8 +11,9 @@ import (
 	"hybridgc/internal/workload"
 )
 
-// SuiteConfig scales the experiment suite. Zero values select the full
-// defaults; Quick shrinks everything for smoke runs and testing.B use.
+// SuiteConfig scales the experiment suite. A zero field — or a zero size or
+// seed inside TPCC — selects its default; Quick selects the smoke-test
+// defaults instead, for quick runs and testing.B use.
 type SuiteConfig struct {
 	TPCC     tpcc.Config
 	Base     gc.Periods
@@ -26,61 +28,53 @@ type SuiteConfig struct {
 }
 
 func (c *SuiteConfig) fill() {
+	def := SuiteConfig{
+		TPCC:     tpcc.Config{Warehouses: 4, Districts: 4, CustomersPerDistrict: 30, Items: 200, Seed: 7},
+		Base:     gc.DefaultPeriods(),
+		LongLive: gc.DefaultLongLivedThreshold,
+		Duration: 3 * time.Second,
+	}
 	if c.Quick {
-		if c.Duration <= 0 {
-			c.Duration = 500 * time.Millisecond
-		}
-		if c.TPCC == (tpcc.Config{}) {
-			c.TPCC = tpcc.Config{Warehouses: 2, Districts: 2, CustomersPerDistrict: 8, Items: 60, Seed: 7}
-		}
-		if c.Base == (gc.Periods{}) {
-			c.Base = gc.Periods{GT: 10 * time.Millisecond, TG: 30 * time.Millisecond, SI: 100 * time.Millisecond}
-		}
-		if c.LongLive <= 0 {
-			c.LongLive = 20 * time.Millisecond
+		def = SuiteConfig{
+			TPCC:     tpcc.Config{Warehouses: 2, Districts: 2, CustomersPerDistrict: 8, Items: 60, Seed: 7},
+			Base:     gc.Periods{GT: 10 * time.Millisecond, TG: 30 * time.Millisecond, SI: 100 * time.Millisecond},
+			LongLive: 20 * time.Millisecond,
+			Duration: 500 * time.Millisecond,
 		}
 	}
-	if c.Duration <= 0 {
-		c.Duration = 3 * time.Second
-	}
-	if c.TPCC == (tpcc.Config{}) {
-		c.TPCC = tpcc.Config{Warehouses: 4, Districts: 4, CustomersPerDistrict: 30, Items: 200, Seed: 7}
-	}
-	if c.Base == (gc.Periods{}) {
-		// The paper's 1 s / 3 s / 10 s at 1/20 time scale.
-		c.Base = gc.Periods{GT: 50 * time.Millisecond, TG: 150 * time.Millisecond, SI: 500 * time.Millisecond}
-	}
-	if c.LongLive <= 0 {
-		c.LongLive = 100 * time.Millisecond
-	}
-	if c.HashBuckets <= 0 {
-		c.HashBuckets = 1 << 12
-	}
+	t := &c.TPCC
+	t.Warehouses = cmp.Or(t.Warehouses, def.TPCC.Warehouses)
+	t.Districts = cmp.Or(t.Districts, def.TPCC.Districts)
+	t.CustomersPerDistrict = cmp.Or(t.CustomersPerDistrict, def.TPCC.CustomersPerDistrict)
+	t.Items = cmp.Or(t.Items, def.TPCC.Items)
+	t.Seed = cmp.Or(t.Seed, def.TPCC.Seed)
+	c.Base = cmp.Or(c.Base, def.Base)
+	c.LongLive = cmp.Or(c.LongLive, def.LongLive)
+	c.Duration = cmp.Or(c.Duration, def.Duration)
+	c.HashBuckets = cmp.Or(c.HashBuckets, 1<<12)
 }
 
 // Modes compared throughout §5.
-var compared = []workload.Mode{workload.ModeGT, workload.ModeGTTG, workload.ModeHG}
+var compared = []gc.Mode{gc.ModeGT, gc.ModeGTTG, gc.ModeHG}
 
 // Suite runs and caches the experiments behind the figures.
 type Suite struct {
 	cfg SuiteConfig
 
-	mu        sync.Mutex
-	cursorRes map[workload.Mode]*workload.Result
-	fetchRes  map[workload.Mode]*workload.Result
-	transRes  map[workload.Mode]*workload.Result
+	mu   sync.Mutex
+	runs map[string]map[gc.Mode]*workload.Result // experiment name → mode → result
 }
 
 // NewSuite creates a suite with the given configuration.
 func NewSuite(cfg SuiteConfig) *Suite {
 	cfg.fill()
-	return &Suite{cfg: cfg}
+	return &Suite{cfg: cfg, runs: make(map[string]map[gc.Mode]*workload.Result)}
 }
 
 // Config returns the effective configuration.
 func (s *Suite) Config() SuiteConfig { return s.cfg }
 
-func (s *Suite) baseOptions(m workload.Mode) workload.Options {
+func (s *Suite) baseOptions(m gc.Mode) workload.Options {
 	return workload.Options{
 		Mode:               m,
 		Base:               s.cfg.Base,
@@ -92,116 +86,79 @@ func (s *Suite) baseOptions(m workload.Mode) workload.Options {
 	}
 }
 
-// cursor lazily runs the §5.2 experiment (TPC-C + long-duration cursor on
-// STOCK) for every compared mode.
-func (s *Suite) cursor() (map[workload.Mode]*workload.Result, error) {
+// experiment lazily runs the named experiment once per compared mode, with
+// the readers configure adds to the base options; figures that share an
+// experiment share its runs.
+func (s *Suite) experiment(name string, configure func(*workload.Options)) (map[gc.Mode]*workload.Result, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.cursorRes != nil {
-		return s.cursorRes, nil
+	if out, ok := s.runs[name]; ok {
+		return out, nil
 	}
-	out := make(map[workload.Mode]*workload.Result, len(compared))
+	out := make(map[gc.Mode]*workload.Result, len(compared))
 	for _, m := range compared {
 		o := s.baseOptions(m)
-		o.LongCursor = true
+		configure(&o)
 		res, err := workload.Run(o)
 		if err != nil {
-			return nil, fmt.Errorf("cursor experiment, mode %s: %w", m, err)
+			return nil, fmt.Errorf("%s experiment, mode %s: %w", name, m, err)
 		}
 		out[m] = res
 	}
-	s.cursorRes = out
+	s.runs[name] = out
 	return out, nil
 }
 
-// fetch lazily runs the §5.4 incremental query processing experiment.
-func (s *Suite) fetch() (map[workload.Mode]*workload.Result, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.fetchRes != nil {
-		return s.fetchRes, nil
-	}
-	// Size the FETCH loop so the cursor stays busy for the whole run:
-	// stock rows = warehouses*items, split across ~20 fetches.
-	stockRows := s.cfg.TPCC.Warehouses * s.cfg.TPCC.Items
-	size := stockRows / 20
-	if size < 5 {
-		size = 5
-	}
-	think := s.cfg.Duration / 25
-	out := make(map[workload.Mode]*workload.Result, len(compared))
-	for _, m := range compared {
-		o := s.baseOptions(m)
-		o.LongCursor = true
-		o.Fetch = &workload.FetchOptions{Size: size, Think: think}
-		res, err := workload.Run(o)
-		if err != nil {
-			return nil, fmt.Errorf("fetch experiment, mode %s: %w", m, err)
-		}
-		out[m] = res
-	}
-	s.fetchRes = out
-	return out, nil
+// cursor is the §5.2 experiment: TPC-C plus a long-duration cursor on STOCK.
+func (s *Suite) cursor() (map[gc.Mode]*workload.Result, error) {
+	return s.experiment("cursor", func(o *workload.Options) { o.LongCursor = true })
 }
 
-// trans lazily runs the §5.5 Trans-SI experiment.
-func (s *Suite) trans() (map[workload.Mode]*workload.Result, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.transRes != nil {
-		return s.transRes, nil
+// fetch is the §5.4 incremental query processing experiment. The FETCH size
+// keeps the cursor busy for the whole run: STOCK's rows over ~20 fetches.
+func (s *Suite) fetch() (map[gc.Mode]*workload.Result, error) {
+	f := &workload.FetchOptions{
+		Size:  max(s.cfg.TPCC.Warehouses*s.cfg.TPCC.Items/20, 5),
+		Think: s.cfg.Duration / 25,
 	}
-	out := make(map[workload.Mode]*workload.Result, len(compared))
-	for _, m := range compared {
-		o := s.baseOptions(m)
-		o.TransSI = &workload.TransSIOptions{Sleep: s.cfg.Duration / 6}
-		res, err := workload.Run(o)
-		if err != nil {
-			return nil, fmt.Errorf("trans-SI experiment, mode %s: %w", m, err)
-		}
-		out[m] = res
-	}
-	s.transRes = out
-	return out, nil
+	return s.experiment("fetch", func(o *workload.Options) { o.LongCursor, o.Fetch = true, f })
+}
+
+// trans is the §5.5 Trans-SI experiment.
+func (s *Suite) trans() (map[gc.Mode]*workload.Result, error) {
+	a := &workload.TransSIOptions{Sleep: s.cfg.Duration / 6}
+	return s.experiment("trans-SI", func(o *workload.Options) { o.TransSI = a })
+}
+
+// figures are the figure IDs in paper order, plus this reproduction's
+// extension experiments (ext*), with what generates each.
+var figures = []struct {
+	id  string
+	run func(*Suite) (*Report, error)
+}{
+	{"fig10", (*Suite).Fig10}, {"fig11", (*Suite).Fig11}, {"fig12", (*Suite).Fig12},
+	{"fig13", (*Suite).Fig13}, {"fig14", (*Suite).Fig14}, {"fig15", (*Suite).Fig15},
+	{"fig16", (*Suite).Fig16}, {"fig17", (*Suite).Fig17}, {"fig18", (*Suite).Fig18},
+	{"fig19", (*Suite).Fig19}, {"ext1", (*Suite).Ext1}, {"ext2", (*Suite).Ext2},
+	{"ext3", (*Suite).Ext3},
 }
 
 // Figures lists the available figure IDs in paper order, plus this
 // reproduction's extension experiments (ext*).
 func Figures() []string {
-	return []string{"fig10", "fig11", "fig12", "fig13", "fig14",
-		"fig15", "fig16", "fig17", "fig18", "fig19", "ext1", "ext2", "ext3"}
+	ids := make([]string, len(figures))
+	for i, f := range figures {
+		ids[i] = f.id
+	}
+	return ids
 }
 
 // Run generates the named figure.
 func (s *Suite) Run(id string) (*Report, error) {
-	switch id {
-	case "fig10":
-		return s.Fig10()
-	case "fig11":
-		return s.Fig11()
-	case "fig12":
-		return s.Fig12()
-	case "fig13":
-		return s.Fig13()
-	case "fig14":
-		return s.Fig14()
-	case "fig15":
-		return s.Fig15()
-	case "fig16":
-		return s.Fig16()
-	case "fig17":
-		return s.Fig17()
-	case "fig18":
-		return s.Fig18()
-	case "fig19":
-		return s.Fig19()
-	case "ext1":
-		return s.Ext1()
-	case "ext2":
-		return s.Ext2()
-	case "ext3":
-		return s.Ext3()
-	default:
-		return nil, fmt.Errorf("bench: unknown figure %q (have %v)", id, Figures())
+	for _, f := range figures {
+		if f.id == id {
+			return f.run(s)
+		}
 	}
+	return nil, fmt.Errorf("bench: unknown figure %q (have %v)", id, Figures())
 }

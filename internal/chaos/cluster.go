@@ -7,12 +7,12 @@ import (
 
 	"hybridgc/internal/client"
 	"hybridgc/internal/core"
+	"hybridgc/internal/gc"
 	"hybridgc/internal/netfault"
 	"hybridgc/internal/node"
 	"hybridgc/internal/repl"
 	"hybridgc/internal/server"
 	"hybridgc/internal/ts"
-	"hybridgc/internal/workload"
 )
 
 // Timing profile for chaos runs: tight enough that partitions, demotions and
@@ -62,7 +62,7 @@ type replicaNode struct {
 // topologies use it, with their own staleness bound.
 func startPrimary(dir string, staleAfter time.Duration) (*node.Node, error) {
 	return node.Start(node.Config{
-		GC:     workload.ModeHG,
+		GC:     gc.ModeHG,
 		Data:   dir,
 		Server: server.Config{Addr: "127.0.0.1:0", WriteTimeout: clientRequestTO},
 		Source: repl.SourceConfig{
@@ -186,7 +186,7 @@ func startReplicaNode(id, primaryAddr string) (*replicaNode, error) {
 		return nil, err
 	}
 	n, err := node.Start(node.Config{
-		GC:     workload.ModeHG,
+		GC:     gc.ModeHG,
 		Server: server.Config{Addr: "127.0.0.1:0"},
 		Replica: repl.ReplicaConfig{
 			Upstream:      proxy.Addr(),

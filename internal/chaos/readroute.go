@@ -26,11 +26,11 @@ import (
 
 	"hybridgc/internal/client"
 	"hybridgc/internal/core"
+	"hybridgc/internal/gc"
 	"hybridgc/internal/netfault"
 	"hybridgc/internal/node"
 	"hybridgc/internal/repl"
 	"hybridgc/internal/server"
-	"hybridgc/internal/workload"
 )
 
 // ReadRouteOptions configures one read-routing chaos run. The zero value
@@ -137,7 +137,7 @@ func RunReadRoute(opt ReadRouteOptions) (*ReadRouteReport, error) {
 	var poolReplicas []string
 	for i := 0; i < opt.Replicas; i++ {
 		n, err := node.Start(node.Config{
-			GC:        workload.ModeHG,
+			GC:        gc.ModeHG,
 			TokenWait: 500 * time.Millisecond,
 			Server:    server.Config{Addr: "127.0.0.1:0", WriteTimeout: clientRequestTO},
 			Replica: repl.ReplicaConfig{

@@ -20,10 +20,11 @@ type Periods struct {
 	SI time.Duration
 }
 
-// DefaultPeriods mirrors the paper's configuration at 1/10 time scale so
-// laptop-scale runs exercise the same ratios.
+// DefaultPeriods mirrors the paper's configuration at 1/20 time scale so
+// laptop-scale runs exercise the same ratios. The daemon, the TPC-C
+// commands and the figures all run these.
 func DefaultPeriods() Periods {
-	return Periods{GT: 100 * time.Millisecond, TG: 300 * time.Millisecond, SI: time.Second}
+	return Periods{GT: 50 * time.Millisecond, TG: 150 * time.Millisecond, SI: 500 * time.Millisecond}
 }
 
 // batchVersions is how many freshly published versions wake the collector

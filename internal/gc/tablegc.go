@@ -9,8 +9,9 @@ import (
 )
 
 // DefaultLongLivedThreshold is the age past which a snapshot counts as
-// long-lived for the table collector when no threshold is configured.
-const DefaultLongLivedThreshold = 500 * time.Millisecond
+// long-lived for the table collector when no threshold is configured: two
+// group-collector periods of DefaultPeriods.
+const DefaultLongLivedThreshold = 100 * time.Millisecond
 
 // PartitionResolver maps a record to its partition, when its table is
 // partitioned. The engine wires its catalog in; a nil resolver (or a false

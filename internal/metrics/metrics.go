@@ -1,26 +1,28 @@
 // Package metrics provides the measurement plumbing for the evaluation
-// harness: periodic time-series sampling of engine gauges (active versions,
-// hash collision ratio), rate tracking over monotonic counters (committed
-// statements per second), and a small latency recorder with percentiles.
+// harness: time series of sampled values (the figures' curves), monotonic
+// and striped counters, and a bounded latency recorder with percentiles.
 package metrics
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 	"time"
 )
 
-// Point is one sample: elapsed time since the sampler started, and a value.
+// Point is one sample: elapsed time since sampling began, and a value.
 type Point struct {
 	Elapsed time.Duration
 	Value   float64
 }
 
-// Series is a named sequence of samples in time order.
+// Series is a sequence of samples in time order.
 type Series struct {
-	Name   string
 	Points []Point
+}
+
+// Add appends the sample v taken at elapsed time at.
+func (s *Series) Add(at time.Duration, v float64) {
+	s.Points = append(s.Points, Point{Elapsed: at, Value: v})
 }
 
 // Last returns the most recent value (0 for an empty series).
@@ -29,17 +31,6 @@ func (s Series) Last() float64 {
 		return 0
 	}
 	return s.Points[len(s.Points)-1].Value
-}
-
-// Max returns the largest sampled value.
-func (s Series) Max() float64 {
-	m := 0.0
-	for _, p := range s.Points {
-		if p.Value > m {
-			m = p.Value
-		}
-	}
-	return m
 }
 
 // Mean returns the average sampled value.
@@ -52,158 +43,6 @@ func (s Series) Mean() float64 {
 		sum += p.Value
 	}
 	return sum / float64(len(s.Points))
-}
-
-// String renders the series compactly for logs.
-func (s Series) String() string {
-	return fmt.Sprintf("%s: %d points, last=%.1f max=%.1f", s.Name, len(s.Points), s.Last(), s.Max())
-}
-
-// gaugeSource produces the current value of a gauge.
-type gaugeSource struct {
-	name string
-	fn   func() float64
-}
-
-// rateSource converts a monotonic counter into a per-second rate.
-type rateSource struct {
-	name string
-	fn   func() int64
-	prev int64
-	last time.Time
-}
-
-// Sampler periodically samples registered gauges and counter rates into
-// named series.
-type Sampler struct {
-	interval time.Duration
-
-	mu     sync.Mutex
-	start  time.Time
-	gauges []gaugeSource
-	rates  []*rateSource
-	series map[string]*Series
-
-	stop    chan struct{}
-	wg      sync.WaitGroup
-	running bool
-}
-
-// NewSampler creates a sampler with the given period.
-func NewSampler(interval time.Duration) *Sampler {
-	return &Sampler{interval: interval, series: make(map[string]*Series)}
-}
-
-// TrackGauge samples fn's instantaneous value each tick.
-func (s *Sampler) TrackGauge(name string, fn func() float64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.gauges = append(s.gauges, gaugeSource{name: name, fn: fn})
-	s.series[name] = &Series{Name: name}
-}
-
-// TrackRate samples the per-second increase of a monotonic counter each
-// tick.
-func (s *Sampler) TrackRate(name string, fn func() int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.rates = append(s.rates, &rateSource{name: name, fn: fn})
-	s.series[name] = &Series{Name: name}
-}
-
-// Start begins periodic sampling; the first tick establishes rate baselines.
-func (s *Sampler) Start() {
-	s.mu.Lock()
-	if s.running {
-		s.mu.Unlock()
-		return
-	}
-	s.running = true
-	s.start = time.Now()
-	now := s.start
-	for _, r := range s.rates {
-		r.prev = r.fn()
-		r.last = now
-	}
-	s.stop = make(chan struct{})
-	s.mu.Unlock()
-
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		tick := time.NewTicker(s.interval)
-		defer tick.Stop()
-		for {
-			select {
-			case <-tick.C:
-				s.Sample()
-			case <-s.stop:
-				return
-			}
-		}
-	}()
-}
-
-// Sample records one sample of every source immediately.
-func (s *Sampler) Sample() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	now := time.Now()
-	elapsed := now.Sub(s.start)
-	for _, g := range s.gauges {
-		ser := s.series[g.name]
-		ser.Points = append(ser.Points, Point{Elapsed: elapsed, Value: g.fn()})
-	}
-	for _, r := range s.rates {
-		cur := r.fn()
-		dt := now.Sub(r.last).Seconds()
-		var rate float64
-		if dt > 0 {
-			rate = float64(cur-r.prev) / dt
-		}
-		r.prev = cur
-		r.last = now
-		ser := s.series[r.name]
-		ser.Points = append(ser.Points, Point{Elapsed: elapsed, Value: rate})
-	}
-}
-
-// Stop halts periodic sampling after taking one final sample.
-func (s *Sampler) Stop() {
-	s.mu.Lock()
-	if !s.running {
-		s.mu.Unlock()
-		return
-	}
-	s.running = false
-	close(s.stop)
-	s.mu.Unlock()
-	s.wg.Wait()
-	s.Sample()
-}
-
-// Get returns a copy of the named series.
-func (s *Sampler) Get(name string) Series {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ser, ok := s.series[name]
-	if !ok {
-		return Series{Name: name}
-	}
-	out := Series{Name: name, Points: append([]Point(nil), ser.Points...)}
-	return out
-}
-
-// Names lists the registered series names, sorted.
-func (s *Sampler) Names() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.series))
-	for n := range s.series {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // DefaultHistogramCap is the reservoir size a zero-value Histogram uses.

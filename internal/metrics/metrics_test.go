@@ -1,65 +1,9 @@
 package metrics
 
 import (
-	"sync/atomic"
 	"testing"
 	"time"
 )
-
-func TestSamplerGaugeAndRate(t *testing.T) {
-	s := NewSampler(time.Hour) // periodic ticks disabled in practice
-	var gauge atomic.Int64
-	var counter atomic.Int64
-	s.TrackGauge("g", func() float64 { return float64(gauge.Load()) })
-	s.TrackRate("r", counter.Load)
-	s.Start()
-
-	gauge.Store(5)
-	counter.Store(100)
-	time.Sleep(2 * time.Millisecond)
-	s.Sample()
-	gauge.Store(9)
-	counter.Store(300)
-	time.Sleep(2 * time.Millisecond)
-	s.Stop()
-
-	g := s.Get("g")
-	if len(g.Points) < 2 || g.Points[0].Value != 5 || g.Last() != 9 {
-		t.Fatalf("gauge series = %+v", g)
-	}
-	if g.Max() != 9 || g.Mean() <= 0 {
-		t.Fatalf("gauge aggregates wrong: %s", g)
-	}
-	r := s.Get("r")
-	for _, p := range r.Points {
-		if p.Value < 0 {
-			t.Fatalf("negative rate: %+v", r)
-		}
-	}
-	if r.Points[0].Value == 0 {
-		t.Fatalf("first rate sample should observe 100 increments: %+v", r)
-	}
-	if len(s.Names()) != 2 {
-		t.Fatalf("names = %v", s.Names())
-	}
-	if unk := s.Get("missing"); len(unk.Points) != 0 {
-		t.Fatal("missing series must be empty")
-	}
-	// Stop twice is safe; Start after Stop is a fresh run.
-	s.Stop()
-}
-
-func TestSamplerPeriodic(t *testing.T) {
-	s := NewSampler(time.Millisecond)
-	var n atomic.Int64
-	s.TrackGauge("n", func() float64 { return float64(n.Add(1)) })
-	s.Start()
-	time.Sleep(20 * time.Millisecond)
-	s.Stop()
-	if got := len(s.Get("n").Points); got < 3 {
-		t.Fatalf("periodic sampling produced %d points", got)
-	}
-}
 
 func TestHistogram(t *testing.T) {
 	var h Histogram

@@ -26,7 +26,6 @@ import (
 	"hybridgc/internal/shard"
 	"hybridgc/internal/wal"
 	"hybridgc/internal/wire"
-	"hybridgc/internal/workload"
 )
 
 // drainTimeout bounds how long Shutdown (and a re-bootstrap) waits for
@@ -38,7 +37,7 @@ const drainTimeout = 5 * time.Second
 // passed through whole. Replica.Upstream selects the replica role.
 type Config struct {
 	// GC selects the collectors (-gc); the zero value runs none.
-	GC workload.Mode
+	GC gc.Mode
 	// Soft/Hard are the version-budget watermarks (-soft, -hard).
 	Soft, Hard int64
 	// Shards > 1 serves a sharded engine (-shards); primary role only.
@@ -194,11 +193,6 @@ func (n *Node) build() (engine.Engine, *repl.Replica, *server.Server, error) {
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	if n.cfg.GC != workload.ModeNone {
-		for i := 0; i < eng.Shards(); i++ {
-			eng.Shard(i).GC().Start()
-		}
-	}
 	fail := func(err error) (engine.Engine, *repl.Replica, *server.Server, error) {
 		if n.src != nil {
 			n.src.Close()
@@ -231,12 +225,11 @@ func (n *Node) build() (engine.Engine, *repl.Replica, *server.Server, error) {
 }
 
 func (n *Node) openEngine() (engine.Engine, error) {
-	base := gc.Periods{GT: 50 * time.Millisecond, TG: 150 * time.Millisecond, SI: 500 * time.Millisecond}
 	ecfg := core.Config{
-		GC:                 n.cfg.GC.Periods(base),
-		LongLivedThreshold: 100 * time.Millisecond,
-		VersionBudget:      core.VersionBudget{Soft: n.cfg.Soft, Hard: n.cfg.Hard},
-		ReadOnly:           n.cfg.replica(),
+		GC:            n.cfg.GC.Periods(gc.DefaultPeriods()),
+		AutoGC:        true,
+		VersionBudget: core.VersionBudget{Soft: n.cfg.Soft, Hard: n.cfg.Hard},
+		ReadOnly:      n.cfg.replica(),
 	}
 	if n.cfg.Data != "" {
 		ecfg.Persistence = &core.Persistence{Dir: n.cfg.Data, Sync: n.cfg.Sync}

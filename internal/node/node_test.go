@@ -12,11 +12,11 @@ import (
 	"hybridgc/internal/core"
 	"hybridgc/internal/engine"
 	"hybridgc/internal/fault"
+	"hybridgc/internal/gc"
 	"hybridgc/internal/node"
 	"hybridgc/internal/repl"
 	"hybridgc/internal/server"
 	"hybridgc/internal/wal"
-	"hybridgc/internal/workload"
 )
 
 func start(t *testing.T, cfg node.Config) *node.Node {
@@ -59,12 +59,12 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // succeeds once the rebuilt one has caught up.
 func TestReplicaRebootstrap(t *testing.T) {
 	p := start(t, node.Config{
-		GC:     workload.ModeHG,
+		GC:     gc.ModeHG,
 		Data:   t.TempDir(),
 		Source: repl.SourceConfig{MaxSegmentLag: 1, HeartbeatEvery: 10 * time.Millisecond},
 	})
 	r := start(t, node.Config{
-		GC:        workload.ModeHG,
+		GC:        gc.ModeHG,
 		TokenWait: 20 * time.Millisecond,
 		Replica: repl.ReplicaConfig{
 			Upstream: p.Addr(), ReplicaID: "r1",

@@ -1,84 +1,29 @@
-// Package workload drives the paper's evaluation scenario (§5.1): the
-// modified TPC-C benchmark with one dedicated worker per warehouse bound to
-// its home warehouse, plus an emulated OLAP component — a long-duration
-// cursor under Stmt-SI (optionally with incremental FETCH processing) or
-// repeated long Trans-SI transactions — while sampling the indicators each
-// figure plots: active versions, committed statements per second, hash
-// collision ratio, FETCH latency and traversal counts, Trans-SI query
-// latency, and per-collector reclamation totals.
+// Package workload is the one harness that runs the paper's evaluation
+// scenario (§5.1) beside an engine: the modified TPC-C benchmark with one
+// dedicated worker per warehouse bound to its home warehouse, plus the
+// emulated OLAP component — a long-duration cursor on STOCK under Stmt-SI
+// (held, fetching incrementally, or pruned to partitions) or repeated long
+// Trans-SI transactions. Start starts that load for cmd/tpcc, cmd/gcmon and
+// Run; Run is one figure's experiment, sampling the indicators each figure
+// plots: active versions, committed statements per second, hash collision
+// ratio, FETCH latency and traversal counts, Trans-SI query latency, and
+// per-collector reclamation totals. StartReadPool is the read scale-out
+// load of cmd/tpcc -read-replicas and the ext3 figure.
 package workload
 
 import (
-	"fmt"
-	"strings"
+	"cmp"
 	"sync"
 	"time"
 
 	"hybridgc/internal/core"
+	"hybridgc/internal/engine"
 	"hybridgc/internal/gc"
 	"hybridgc/internal/metrics"
 	"hybridgc/internal/tpcc"
 	"hybridgc/internal/ts"
 	"hybridgc/internal/txn"
 )
-
-// Mode selects which collectors run, matching the paper's three compared
-// configurations (§5): GT, GT+TG, and HG (=GT+TG+SI). ModeNone disables
-// collection entirely (the Figure 2 overflow demonstration).
-type Mode int
-
-// The compared garbage collection configurations.
-const (
-	ModeNone Mode = iota
-	ModeGT
-	ModeGTTG
-	ModeHG
-)
-
-// String implements fmt.Stringer.
-func (m Mode) String() string {
-	switch m {
-	case ModeNone:
-		return "none"
-	case ModeGT:
-		return "GT"
-	case ModeGTTG:
-		return "GT+TG"
-	case ModeHG:
-		return "HG"
-	default:
-		return fmt.Sprintf("Mode(%d)", int(m))
-	}
-}
-
-// ParseMode reads a -gc flag value.
-func ParseMode(s string) (Mode, error) {
-	switch strings.ToLower(s) {
-	case "none":
-		return ModeNone, nil
-	case "gt":
-		return ModeGT, nil
-	case "gttg", "gt+tg":
-		return ModeGTTG, nil
-	case "hg", "hybrid":
-		return ModeHG, nil
-	}
-	return ModeNone, fmt.Errorf("unknown -gc mode %q", s)
-}
-
-// Periods masks the base periods down to the collectors the mode enables.
-func (m Mode) Periods(base gc.Periods) gc.Periods {
-	switch m {
-	case ModeGT:
-		return gc.Periods{GT: base.GT}
-	case ModeGTTG:
-		return gc.Periods{GT: base.GT, TG: base.TG}
-	case ModeHG:
-		return base
-	default:
-		return gc.Periods{}
-	}
-}
 
 // FetchOptions emulates incremental query processing (§5.4): the cursor
 // fetches Size rows, then the client "processes" them for Think before the
@@ -97,11 +42,12 @@ type TransSIOptions struct {
 
 // Options configures one experiment run.
 type Options struct {
-	Mode Mode
+	Mode gc.Mode
 	// Base holds the three collectors' invocation periods before the mode
-	// masks them. Zero selects scaled defaults (50 ms / 150 ms / 500 ms,
-	// the paper's 1 s / 3 s / 10 s at 1/20 time scale).
-	Base               gc.Periods
+	// masks them; zero selects gc.DefaultPeriods.
+	Base gc.Periods
+	// LongLivedThreshold is TG's cutoff; zero selects the collector's
+	// default.
 	LongLivedThreshold time.Duration
 	TPCC               tpcc.Config
 	HashBuckets        int
@@ -119,29 +65,14 @@ type Options struct {
 	// partition-level table GC extension (§4.3's "finer-granular object").
 	StockPartitions  int
 	CursorPartitions []ts.PartitionID
-	// TransSI, when non-nil, replaces the cursor blocker with the repeated
-	// long Trans-SI transaction of §5.5.
+	// TransSI, when non-nil, runs the repeated long Trans-SI transaction of
+	// §5.5.
 	TransSI *TransSIOptions
 	// StartGC, when non-nil, is called in place of the engine's own
 	// work-driven collector loop and returns what stops it again. The
 	// invocation-period sweep of Figures 18–19 paces the collectors itself
 	// through it: there the period is the independent variable.
 	StartGC func(*gc.Hybrid) (stop func())
-}
-
-func (o *Options) fill() {
-	if o.Base == (gc.Periods{}) {
-		o.Base = gc.Periods{GT: 50 * time.Millisecond, TG: 150 * time.Millisecond, SI: 500 * time.Millisecond}
-	}
-	if o.LongLivedThreshold <= 0 {
-		o.LongLivedThreshold = 100 * time.Millisecond
-	}
-	if o.Duration <= 0 {
-		o.Duration = 2 * time.Second
-	}
-	if o.SampleInterval <= 0 {
-		o.SampleInterval = 50 * time.Millisecond
-	}
 }
 
 // FetchSample is one FETCH observation (Figures 14 and 15).
@@ -151,9 +82,193 @@ type FetchSample struct {
 	Traversed int64
 }
 
+// Group is a set of goroutines that run until Stop — the load beside an
+// engine. The first error one of them returns is Stop's.
+type Group struct {
+	stop  chan struct{}
+	close func()
+	wg    sync.WaitGroup
+	mu    sync.Mutex
+	err   error
+}
+
+// NewGroup returns an empty, running group.
+func NewGroup() *Group {
+	g := &Group{stop: make(chan struct{})}
+	g.close = sync.OnceFunc(func() { close(g.stop) })
+	return g
+}
+
+// spawn runs fn in a goroutine of the group; fn must return once stop closes.
+func (g *Group) spawn(fn func(stop <-chan struct{}) error) {
+	g.wg.Add(1)
+	go func() {
+		defer g.wg.Done()
+		if err := fn(g.stop); err != nil {
+			g.mu.Lock()
+			g.err = cmp.Or(g.err, err)
+			g.mu.Unlock()
+		}
+	}()
+}
+
+// Loop runs step over and over in a goroutine of the group until Stop, or
+// until step fails with an error that is not transient: a write conflict or
+// version pressure is the load going on, not failing.
+func (g *Group) Loop(step func() error) {
+	g.spawn(func(stop <-chan struct{}) error {
+		for {
+			select {
+			case <-stop:
+				return nil
+			default:
+			}
+			if err := step(); err != nil && !core.IsTransient(err) {
+				return err
+			}
+		}
+	})
+}
+
+// pause waits for d, or less if the group is stopped meanwhile; it reports
+// whether the group still runs.
+func (g *Group) pause(d time.Duration) bool {
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-g.stop:
+		return false
+	case <-t.C:
+		return true
+	}
+}
+
+// Stop ends every goroutine of the group, waits for them and returns the
+// first error one of them returned. Stop may be called more than once.
+func (g *Group) Stop() error {
+	g.close()
+	g.wg.Wait()
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.err
+}
+
+// Load is TPC-C running beside an engine: one worker per warehouse and the
+// long readers its Options asked for.
+type Load struct {
+	*Group
+	Workers []*tpcc.Worker
+	// Cursor is the long STOCK cursor, nil unless one is held.
+	Cursor engine.Cursor
+	// Fetches are the FETCH observations and Scans the Trans-SI scan
+	// latencies (Figure 16); read them after Stop.
+	Fetches []FetchSample
+	Scans   []time.Duration
+}
+
+// Start starts a loaded driver's workers and, given an engine (nil over the
+// wire, where only the workers run), the long readers o asks for: STOCK
+// partitioned o.StockPartitions ways, the held cursor of o.LongCursor with
+// o.Fetch's loop over it, and o.TransSI's analyst. The cursor is opened
+// before any goroutine starts, so an error leaves nothing running.
+func Start(d *tpcc.Driver, eng engine.Engine, o Options) (*Load, error) {
+	l := &Load{Group: NewGroup()}
+	stock := d.StockTableID()
+	if eng != nil && o.StockPartitions >= 2 {
+		if err := eng.Shard(0).SetTablePartitions(stock, o.StockPartitions); err != nil {
+			return nil, err
+		}
+	}
+	if eng != nil && o.LongCursor {
+		var err error
+		if l.Cursor, err = openCursor(eng, stock, o.CursorPartitions); err != nil {
+			return nil, err
+		}
+	}
+	for w := 1; w <= d.Config().Warehouses; w++ {
+		wk := d.NewWorker(w)
+		l.Workers = append(l.Workers, wk)
+		l.spawn(func(stop <-chan struct{}) error { return wk.Run(1<<62, stop) })
+	}
+	if f := o.Fetch; f != nil && l.Cursor != nil {
+		l.Loop(func() error {
+			if !l.Cursor.Exhausted() {
+				_, st, err := l.Cursor.Fetch(f.Size)
+				if err != nil {
+					return err
+				}
+				l.Fetches = append(l.Fetches, FetchSample{Index: len(l.Fetches), Latency: st.Duration, Traversed: st.Traversed})
+			}
+			l.pause(f.Think)
+			return nil
+		})
+	}
+	if a := o.TransSI; a != nil && eng != nil {
+		l.Loop(func() error {
+			tx := eng.Begin(txn.TransSI)
+			if !l.pause(a.Sleep) {
+				tx.Abort()
+				return nil
+			}
+			t0 := time.Now()
+			if err := tx.Scan(stock, func(ts.RID, []byte) bool { return true }); err != nil {
+				tx.Abort()
+				return err
+			}
+			lat := time.Since(t0)
+			if err := tx.Commit(); err != nil {
+				return err
+			}
+			l.Scans = append(l.Scans, lat)
+			return nil
+		})
+	}
+	return l, nil
+}
+
+// openCursor opens the long STOCK cursor: over the whole table, or pruned to
+// parts of a partitioned one (partition scopes are a single-shard feature).
+func openCursor(eng engine.Engine, stock ts.TableID, parts []ts.PartitionID) (engine.Cursor, error) {
+	if len(parts) == 0 {
+		return eng.OpenCursor(stock)
+	}
+	cur, err := eng.Shard(0).OpenPartitionCursor(stock, parts...)
+	if err != nil {
+		return nil, err
+	}
+	return cur, nil
+}
+
+// Stop ends the workers and readers, waits for them, releases the cursor and
+// returns the first error one of them met.
+func (l *Load) Stop() error {
+	err := l.Group.Stop()
+	if l.Cursor != nil {
+		l.Cursor.Close()
+	}
+	return err
+}
+
+// Sample calls fn once per interval until d has passed, with the time since
+// it began and since the previous call: the sampling loop behind every
+// figure's series.
+func Sample(d, interval time.Duration, fn func(at, dt time.Duration)) {
+	tick := time.NewTicker(interval)
+	defer tick.Stop()
+	start := time.Now()
+	last := start
+	for at := time.Duration(0); at < d; {
+		<-tick.C
+		now := time.Now()
+		at = now.Sub(start)
+		fn(at, now.Sub(last))
+		last = now
+	}
+}
+
 // Result carries everything the figures plot.
 type Result struct {
-	Mode Mode
+	Mode gc.Mode
 	// Versions is the active record version count over time (Figures 10, 17).
 	Versions metrics.Series
 	// Throughput is committed statements per second over time (Figure 12).
@@ -174,7 +289,7 @@ type Result struct {
 	// Elapsed it yields the average throughput of Figures 18/19.
 	Committed int64
 	Elapsed   time.Duration
-	// Final is the engine's closing statistics snapshot.
+	// Final is the engine's statistics at the last sample.
 	Final core.Stats
 	// Workers aggregates per-profile transaction outcomes.
 	WorkersCommitted int64
@@ -190,17 +305,17 @@ func (r *Result) AvgThroughput() float64 {
 
 // Run executes one experiment and returns its measurements.
 func Run(o Options) (*Result, error) {
-	o.fill()
+	o.Duration = cmp.Or(o.Duration, 2*time.Second)
+	o.SampleInterval = cmp.Or(o.SampleInterval, 50*time.Millisecond)
 	db, err := core.Open(core.Config{
 		HashBuckets:        o.HashBuckets,
-		GC:                 o.Mode.Periods(o.Base),
+		GC:                 o.Mode.Periods(cmp.Or(o.Base, gc.DefaultPeriods())),
 		LongLivedThreshold: o.LongLivedThreshold,
 	})
 	if err != nil {
 		return nil, err
 	}
 	defer db.Close()
-
 	driver, err := tpcc.New(db, o.TPCC)
 	if err != nil {
 		return nil, err
@@ -208,184 +323,37 @@ func Run(o Options) (*Result, error) {
 	if err := driver.Load(); err != nil {
 		return nil, err
 	}
+	h := db.GC()
+	stopGC := h.Stop
+	if o.StartGC != nil {
+		stopGC = o.StartGC(h)
+	} else {
+		h.Start()
+	}
+	defer stopGC()
+	load, err := Start(driver, engine.NewSingle(db), o)
+	if err != nil {
+		return nil, err
+	}
 
 	res := &Result{Mode: o.Mode}
-	sampler := metrics.NewSampler(o.SampleInterval)
-	sampler.TrackGauge("versions", func() float64 { return float64(db.Space().Live()) })
-	sampler.TrackGauge("collision", func() float64 { return db.Space().HT.Stats().CollisionRatio })
-	sampler.TrackRate("throughput", db.StatementCount)
-	h := db.GC()
-	sampler.TrackGauge("reclaimed.GT", func() float64 { return float64(h.ReclaimedByGT()) })
-	sampler.TrackGauge("reclaimed.TG", func() float64 { return float64(h.ReclaimedByTG()) })
-	sampler.TrackGauge("reclaimed.SI", func() float64 { return float64(h.ReclaimedBySI()) })
-
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	errOnce := sync.Once{}
-	var runErr error
-	fail := func(err error) {
-		errOnce.Do(func() { runErr = err })
-	}
-
-	startStatements := db.StatementCount()
-	start := time.Now()
-	sampler.Start()
-	stopGC := func() {}
-	switch {
-	case o.Mode == ModeNone:
-	case o.StartGC != nil:
-		stopGC = o.StartGC(h)
-	default:
-		h.Start()
-		stopGC = h.Stop
-	}
-
-	// OLTP: one worker per warehouse, home warehouse only.
-	workers := make([]*tpcc.Worker, driver.Config().Warehouses)
-	for w := 1; w <= driver.Config().Warehouses; w++ {
-		workers[w-1] = driver.NewWorker(w)
-		wg.Add(1)
-		go func(wk *tpcc.Worker) {
-			defer wg.Done()
-			if err := wk.Run(1<<62, stop); err != nil {
-				fail(err)
-			}
-		}(workers[w-1])
-	}
-
-	// OLAP: long cursor (optionally with incremental FETCH).
-	var fetchMu sync.Mutex
-	if o.StockPartitions >= 2 {
-		if err := db.SetTablePartitions(driver.StockTableID(), o.StockPartitions); err != nil {
-			return nil, err
-		}
-	}
-	if o.LongCursor {
-		var cur *core.Cursor
-		var err error
-		if len(o.CursorPartitions) > 0 {
-			cur, err = db.OpenPartitionCursor(driver.StockTableID(), o.CursorPartitions...)
-		} else {
-			cur, err = db.OpenCursor(driver.StockTableID())
-		}
-		if err != nil {
-			return nil, err
-		}
-		if o.Fetch != nil {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				idx := 0
-				for {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					if cur.Exhausted() {
-						// Restart the scan from a fresh cursor position but
-						// keep the original snapshot open by reopening only
-						// after the run — emulate by idling.
-						select {
-						case <-stop:
-						case <-time.After(o.Fetch.Think):
-						}
-						continue
-					}
-					_, st, err := cur.Fetch(o.Fetch.Size)
-					if err != nil {
-						fail(err)
-						return
-					}
-					fetchMu.Lock()
-					res.Fetches = append(res.Fetches, FetchSample{
-						Index: idx, Latency: st.Duration, Traversed: st.Traversed})
-					fetchMu.Unlock()
-					idx++
-					select {
-					case <-stop:
-						return
-					case <-time.After(o.Fetch.Think):
-					}
-				}
-			}()
-		}
-		defer cur.Close()
-	}
-
-	// OLAP: repeated long Trans-SI transactions.
-	if o.TransSI != nil {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				tx := db.Begin(txn.TransSI)
-				select {
-				case <-stop:
-					tx.Abort()
-					return
-				case <-time.After(o.TransSI.Sleep):
-				}
-				t0 := time.Now()
-				err := tx.Scan(driver.StockTableID(), func(_ ts.RID, _ []byte) bool { return true })
-				lat := time.Since(t0)
-				if err != nil {
-					tx.Abort()
-					fail(err)
-					return
-				}
-				if err := tx.Commit(); err != nil {
-					fail(err)
-					return
-				}
-				fetchMu.Lock()
-				res.TransSIScans = append(res.TransSIScans, lat)
-				fetchMu.Unlock()
-			}
-		}()
-	}
-
-	time.Sleep(o.Duration)
-	// The last throughput-rate sample must land while workers still run;
-	// sampling after the stop would append a meaningless ~0 rate.
-	sampler.Sample()
-	close(stop)
-	wg.Wait()
-	res.Elapsed = time.Since(start)
-	res.Committed = db.StatementCount() - startStatements
-	stopGC()
-	sampler.Stop()
-
-	res.Versions = sampler.Get("versions")
-	res.Collision = sampler.Get("collision")
-	res.Throughput = sampler.Get("throughput")
-	// Drop the post-stop rate sample, then any trailing rate samples whose
-	// measurement window was shorter than half the sample interval — a
-	// ticker firing next to the final explicit sample yields a meaningless
-	// near-zero-width rate. Gauge series keep their final points: versions
-	// and reclaim totals are meaningful after the stop.
-	pts := res.Throughput.Points
-	if n := len(pts); n >= 2 {
-		pts = pts[:n-1]
-	}
-	for len(pts) >= 2 && pts[len(pts)-1].Elapsed-pts[len(pts)-2].Elapsed < o.SampleInterval/2 {
-		pts = pts[:len(pts)-1]
-	}
-	res.Throughput.Points = pts
-	res.ReclaimedGT = sampler.Get("reclaimed.GT")
-	res.ReclaimedTG = sampler.Get("reclaimed.TG")
-	res.ReclaimedSI = sampler.Get("reclaimed.SI")
-	res.Final = db.Stats()
-	for _, wk := range workers {
+	first := db.StatementCount()
+	prev := first
+	Sample(o.Duration, o.SampleInterval, func(at, dt time.Duration) {
+		st := db.Stats()
+		res.Versions.Add(at, float64(st.VersionsLive))
+		res.Throughput.Add(at, float64(st.Statements-prev)/dt.Seconds())
+		res.Collision.Add(at, st.Hash.CollisionRatio)
+		res.ReclaimedGT.Add(at, float64(h.ReclaimedByGT()))
+		res.ReclaimedTG.Add(at, float64(h.ReclaimedByTG()))
+		res.ReclaimedSI.Add(at, float64(h.ReclaimedBySI()))
+		prev, res.Elapsed, res.Final = st.Statements, at, st
+	})
+	res.Committed = prev - first
+	err = load.Stop()
+	res.Fetches, res.TransSIScans = load.Fetches, load.Scans
+	for _, wk := range load.Workers {
 		res.WorkersCommitted += wk.Stats.TotalCommitted()
 	}
-	if runErr != nil {
-		return res, runErr
-	}
-	return res, nil
+	return res, err
 }
