@@ -48,9 +48,13 @@ bench:
 # standard mix with one closed-loop worker — over loopback through the client
 # (txn/s, and frames/txn: request frames the server read per committed
 # transaction, ≈ 2 while a transaction's operations travel together) and in
-# process (allocs/op of the same profiles where no frame is saved).
+# process (allocs/op of the same profiles where no frame is saved). From
+# internal/core: BenchmarkStatementGetParallel, warm Stmt-SI transactions
+# issuing Gets (ns/op, allocs/op: 0 while a statement re-arms its
+# transaction's snapshot). From internal/mvcc: BenchmarkHashStats at 1 k and
+# 64 k buckets, flat while Stats reads counters instead of the buckets.
 bench-smoke:
-	GOMAXPROCS=4 $(GO) test -run '^$$' -bench 'BenchmarkOLAPScan|BenchmarkHashGet|BenchmarkTableGet|BenchmarkCatalogByID|BenchmarkWireFrame|BenchmarkWALAppend|BenchmarkGroupCommit|BenchmarkShardedCommit|BenchmarkSnapshotAcquire|BenchmarkPassEmpty|BenchmarkPassPinnedWindow|BenchmarkStreamTail|BenchmarkRemoteTxn' -benchtime=1x . ./internal/mvcc ./internal/table ./internal/wire ./internal/wal ./internal/shard ./internal/htap ./internal/sts ./internal/txn ./internal/gc ./internal/repl ./internal/server
+	GOMAXPROCS=4 $(GO) test -run '^$$' -bench 'BenchmarkOLAPScan|BenchmarkHashGet|BenchmarkHashStats|BenchmarkTableGet|BenchmarkCatalogByID|BenchmarkWireFrame|BenchmarkWALAppend|BenchmarkGroupCommit|BenchmarkShardedCommit|BenchmarkSnapshotAcquire|BenchmarkStatementGetParallel|BenchmarkPassEmpty|BenchmarkPassPinnedWindow|BenchmarkStreamTail|BenchmarkRemoteTxn' -benchtime=1x . ./internal/mvcc ./internal/table ./internal/wire ./internal/wal ./internal/shard ./internal/htap ./internal/sts ./internal/txn ./internal/core ./internal/gc ./internal/repl ./internal/server
 	$(GO) test -run '^$$' -bench 'BenchmarkCommit(Parallel|Serial)$$' -benchtime=1x -cpu 1,2,4 ./internal/txn
 
 # The repository benchmark is a nested module that `go test ./...` at the

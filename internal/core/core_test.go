@@ -134,6 +134,60 @@ func TestStmtSISeesLatestCommitted(t *testing.T) {
 	}
 }
 
+// TestNestedStatementTakesItsOwnSnapshot: a statement that begins inside
+// another's callback on the same Stmt-SI transaction — sql's UPDATE inside a
+// Scan — finds the transaction's statement snapshot armed and reads at a
+// fresh one of its own, leaving the outer scan's snapshot armed and where it
+// was; nothing stays announced after commit.
+func TestNestedStatementTakesItsOwnSnapshot(t *testing.T) {
+	db := openTest(t, Config{})
+	tid := mustCreate(t, db, "T")
+	scanned := insert1(t, db, tid, "a")
+	other := insert1(t, db, tid, "b")
+
+	tx := db.Begin(txn.StmtSI)
+	calls := 0
+	err := tx.Scan(tid, func(rid ts.RID, _ []byte) bool {
+		if rid != scanned {
+			return true
+		}
+		calls++
+		v := db.Manager().View()
+		var outer *txn.Snapshot
+		v.Snapshots(func(s *txn.Snapshot) { outer = s })
+		if v.Len() != 1 || outer == nil {
+			t.Fatalf("inside the scan: %d announcements, want the scan's statement", v.Len())
+		}
+		at := outer.TS()
+		update1(t, db, tid, other, "b2") // commits above the scan's snapshot
+		if img, err := tx.Get(tid, other); err != nil || string(img) != "b2" {
+			t.Fatalf("nested Get read %q,%v: it must read at a fresh snapshot", img, err)
+		}
+		if err := tx.Update(tid, scanned, []byte("a2")); err != nil {
+			t.Fatalf("nested Update: %v", err)
+		}
+		if outer.Released() || outer.TS() != at {
+			t.Fatalf("the nested statements moved the scan's snapshot: released %v, ts %d → %d", outer.Released(), at, outer.TS())
+		}
+		if n := db.Manager().View().Len(); n != 1 {
+			t.Fatalf("after the nested statements: %d announcements, want 1", n)
+		}
+		return true
+	})
+	if err != nil || calls != 1 {
+		t.Fatalf("Scan = %v after %d callbacks on the scanned row", err, calls)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if n := db.Manager().View().Len(); n != 0 {
+		t.Fatalf("%d announcements after commit, want 0", n)
+	}
+	if got, _ := get1(t, db, tid, scanned); got != "a2" {
+		t.Fatalf("nested update lost: %q", got)
+	}
+}
+
 func TestTransSISeesFixedSnapshot(t *testing.T) {
 	db := openTest(t, Config{})
 	tid := mustCreate(t, db, "T")

@@ -9,7 +9,7 @@ import (
 	"hybridgc/internal/txn"
 )
 
-// Tx is a transaction handle. Under Stmt-SI every operation acquires its own
+// Tx is a transaction handle. Under Stmt-SI every operation reads at its own
 // statement snapshot scoped to the table it touches (the scope is known from
 // the "compiled plan", i.e. the call itself); under Trans-SI the snapshot
 // taken at Begin covers all reads, and a declared table list both enables
@@ -48,7 +48,8 @@ func (tx *Tx) Commit() error {
 func (tx *Tx) Abort() { tx.inner.Abort() }
 
 // beginStatement returns the snapshot an operation on tid reads at; the
-// caller hands it back to endStatement. Under Trans-SI it validates the
+// caller hands it back to endStatement. Under Stmt-SI it re-arms the
+// transaction's statement snapshot on tid; under Trans-SI it validates the
 // declared scope and reuses the transaction snapshot.
 func (tx *Tx) beginStatement(tid ts.TableID) (*txn.Snapshot, error) {
 	if s := tx.inner.Snapshot(); s != nil {
@@ -60,7 +61,7 @@ func (tx *Tx) beginStatement(tid ts.TableID) (*txn.Snapshot, error) {
 		}
 		return s, nil
 	}
-	return tx.db.m.AcquireSnapshot(txn.KindStatement, []ts.TableID{tid}), nil
+	return tx.inner.Statement(tid), nil
 }
 
 // endStatement releases a statement snapshot; the transaction snapshot of a

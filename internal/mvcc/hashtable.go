@@ -26,6 +26,11 @@ type HashTable struct {
 	buckets []hashBucket
 	mask    uint64
 	chains  atomic.Int64
+	// occupied counts the non-empty buckets and maxLen is the longest any
+	// bucket has been; the mutators keep both under the bucket mutex they
+	// already hold, so Stats reads them instead of walking the buckets.
+	occupied atomic.Int64
+	maxLen   atomic.Int64
 	// stats fuses the lookup and extra-hop counters, striped so the
 	// statistics do not serialize lock-free readers on a shared cache line;
 	// the key hash (already computed for bucket selection) spreads
@@ -108,15 +113,25 @@ func (h *HashTable) GetOrCreate(key ts.RecordKey, rec RecordRef) *Chain {
 	b := &h.buckets[hashKey(key)&h.mask]
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	n := int64(1) // the bucket's length once c is in
 	for c := b.head.Load(); c != nil; c = c.bucketNext.Load() {
 		if c.Key == key {
 			return c
 		}
+		n++
 	}
 	c := &Chain{Key: key, Rec: rec}
 	c.bucketNext.Store(b.head.Load())
 	b.head.Store(c)
 	h.chains.Add(1)
+	if n == 1 {
+		h.occupied.Add(1)
+	}
+	for m := h.maxLen.Load(); n > m; m = h.maxLen.Load() {
+		if h.maxLen.CompareAndSwap(m, n) {
+			break
+		}
+	}
 	return c
 }
 
@@ -135,7 +150,11 @@ func (h *HashTable) Remove(c *Chain) {
 	defer b.mu.Unlock()
 	switch {
 	case b.head.Load() == c:
-		b.head.Store(c.bucketNext.Load())
+		next := c.bucketNext.Load()
+		b.head.Store(next)
+		if next == nil {
+			h.occupied.Add(-1)
+		}
 	default:
 		for p := b.head.Load(); p != nil; p = p.bucketNext.Load() {
 			if p.bucketNext.Load() == c {
@@ -174,7 +193,9 @@ type HashStats struct {
 	Buckets         int
 	Chains          int64
 	OccupiedBuckets int
-	MaxBucketLen    int
+	// MaxBucketLen is a high-water mark: the longest any bucket has been
+	// since the table was created.
+	MaxBucketLen int
 	// CollisionRatio is the average number of version chains per bucket —
 	// the metric of Figure 13 (a ratio of 10 means 10 chains share a bucket
 	// on average).
@@ -185,25 +206,17 @@ type HashStats struct {
 	ExtraHops      int64
 }
 
-// Stats scans the buckets and returns collision statistics.
+// Stats returns collision statistics: a few counter loads, whatever the
+// bucket count. The counters are read one after another, so under concurrent
+// mutation they may describe slightly different instants.
 func (h *HashTable) Stats() HashStats {
-	st := HashStats{Buckets: len(h.buckets), Chains: h.chains.Load()}
-	st.Lookups, st.ExtraHops = h.stats.Sums()
-	for i := range h.buckets {
-		b := &h.buckets[i]
-		b.mu.Lock()
-		n := 0
-		for c := b.head.Load(); c != nil; c = c.bucketNext.Load() {
-			n++
-		}
-		b.mu.Unlock()
-		if n > 0 {
-			st.OccupiedBuckets++
-			if n > st.MaxBucketLen {
-				st.MaxBucketLen = n
-			}
-		}
+	st := HashStats{
+		Buckets:         len(h.buckets),
+		Chains:          h.chains.Load(),
+		OccupiedBuckets: int(h.occupied.Load()),
+		MaxBucketLen:    int(h.maxLen.Load()),
 	}
+	st.Lookups, st.ExtraHops = h.stats.Sums()
 	st.CollisionRatio = float64(st.Chains) / float64(st.Buckets)
 	if st.OccupiedBuckets > 0 {
 		st.AvgPerOccupied = float64(st.Chains) / float64(st.OccupiedBuckets)

@@ -1,6 +1,7 @@
 package mvcc
 
 import (
+	"fmt"
 	"testing"
 
 	"hybridgc/internal/ts"
@@ -36,6 +37,28 @@ func BenchmarkHashGetParallel(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkHashStats reads the collision statistics of a table at two bucket
+// counts, half the buckets occupied. Stats reads counters the mutators keep,
+// so ns/op must not grow with the bucket count: the sampler and every
+// read-pool endpoint call it several times a second.
+func BenchmarkHashStats(b *testing.B) {
+	for _, buckets := range []int{1 << 10, 1 << 16} {
+		b.Run(fmt.Sprintf("buckets=%d", buckets), func(b *testing.B) {
+			ht := NewHashTable(buckets)
+			for i := 0; i < buckets/2; i++ {
+				ht.GetOrCreate(ts.RecordKey{Table: 1, RID: ts.RID(i + 1)}, &fakeRecord{})
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if ht.Stats().Chains == 0 {
+					b.Fatal("empty table")
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkHashGetSerial is the single-goroutine baseline for the same

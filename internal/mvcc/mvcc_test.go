@@ -2,6 +2,7 @@ package mvcc
 
 import (
 	"fmt"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -505,6 +506,39 @@ func TestHashTableCollisions(t *testing.T) {
 	}
 	if st := h.Stats(); st.Lookups != 33 {
 		t.Fatalf("lookups = %d, want 33", st.Lookups)
+	}
+}
+
+// TestHashStatsCounters checks the counters Stats reads against a walk of
+// the buckets through random inserts and removals: OccupiedBuckets is exact
+// and MaxBucketLen is the high-water mark of every bucket's length.
+func TestHashStatsCounters(t *testing.T) {
+	h := NewHashTable(16)
+	rng := rand.New(rand.NewSource(1))
+	live := map[uint64]*Chain{}
+	high := 0
+	for step := 0; step < 2000; step++ {
+		k := uint64(rng.Intn(64))
+		if c, ok := live[k]; ok && rng.Intn(2) == 0 {
+			h.Remove(c)
+			delete(live, k)
+		} else if !ok {
+			live[k] = h.GetOrCreate(key(k), &fakeRecord{})
+		}
+		occupied := 0
+		for i := range h.buckets {
+			n := 0
+			for c := h.buckets[i].head.Load(); c != nil; c = c.bucketNext.Load() {
+				n++
+			}
+			if n > 0 {
+				occupied++
+			}
+			high = max(high, n)
+		}
+		if st := h.Stats(); st.OccupiedBuckets != occupied || st.MaxBucketLen != high || st.Chains != int64(len(live)) {
+			t.Fatalf("step %d: stats %+v, walk: %d occupied, high-water %d, %d chains", step, st, occupied, high, len(live))
+		}
 	}
 }
 

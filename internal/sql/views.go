@@ -72,6 +72,9 @@ var views = map[string]view{
 			return rows
 		},
 	},
+	// A statement's age_us is its transaction's age since its first
+	// statement: a Stmt-SI transaction re-arms one statement snapshot, which
+	// keeps the start of the first.
 	"m_snapshots": {
 		info: viewInfo("m_snapshots", []ColumnDef{
 			{Name: "kind", Type: TText}, {Name: "timestamp", Type: TInt},

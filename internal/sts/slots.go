@@ -1,19 +1,17 @@
 package sts
 
 import (
-	"sync"
+	"math/rand/v2"
 	"sync/atomic"
-
-	"hybridgc/internal/ts"
 )
 
 // Per-slot snapshot announcement (Ben-David et al., "Space and Time Bounded
-// Multiversion Garbage Collection"; Wei & Fatourou): a snapshot publishes its
-// timestamp into one padded slot with a single CAS and retracts it with a
-// single atomic store. The ordered views the collectors need (min / sorted
-// set) are rebuilt by scanning the slots only when a GC pass asks — the
-// per-statement hot path is contention-free per-slot atomics, the O(#slots)
-// cost sits on the rare reader side.
+// Multiversion Garbage Collection"; Wei & Fatourou): a snapshot publishes
+// itself into one padded slot with a single CAS and retracts with a single
+// CAS. The ordered views the collectors need (min / sorted set) are rebuilt
+// by scanning the slots only when a GC pass asks — the per-statement hot path
+// is contention-free per-slot atomics, the O(#slots) cost sits on the rare
+// reader side.
 
 const (
 	// segSlots is the size of one segment of the announcement array: 256
@@ -24,18 +22,12 @@ const (
 )
 
 // slot is one announcement cell, padded to its own cache line so concurrent
-// snapshots on different cores never false-share.
+// snapshots on different cores never false-share. owner is the handle
+// announcing through it, nil while the slot is free; the timestamp and scope
+// are the handle's, stored before the CAS that claims the slot.
 type slot struct {
-	// v holds the announced timestamp encoded as CID+1; 0 means empty. The
-	// +1 shift is load-bearing: CID 0 is a valid snapshot timestamp (the
-	// commit counter starts at 0), so the empty sentinel must live outside
-	// the CID domain.
-	v atomic.Uint64
-	// owner is the handle announcing through this slot, stored after v is
-	// claimed and cleared before v is. A scan that finds v set and owner
-	// nil treats the announcement as unscoped — the conservative reading.
 	owner atomic.Pointer[Handle]
-	_     [48]byte
+	_     [56]byte
 }
 
 // segment is a fixed block of slots. Segments form a list that only grows:
@@ -47,37 +39,24 @@ type segment struct {
 	next  atomic.Pointer[segment]
 }
 
-// slotHint carries the slot index a P last acquired successfully. Boxes
-// travel through a sync.Pool, which gives per-P affinity without goroutine
-// IDs: the common statement pattern (acquire, release, acquire again on the
-// same core) re-probes the slot it just freed and hits on the first CAS
-// against a cache line it already owns.
-type slotHint struct{ idx uint32 }
-
-var slotHintSeed atomic.Uint32
-
-var slotHintPool = sync.Pool{New: func() any {
-	// Spread initial probe points so cold-start acquirers do not pile onto
-	// slot 0 (Fibonacci hashing of a global counter).
-	return &slotHint{idx: slotHintSeed.Add(1) * 0x9E3779B1 & slotMask}
-}}
-
-// claim publishes c into a free slot of the list starting at seg, appending
-// a segment when all are full, and returns the slot.
-func (seg *segment) claim(c ts.CID) *slot {
-	v := uint64(c) + 1
-	if v == 0 {
-		panic("sts: snapshot timestamp outside the announceable domain")
+// claim publishes h into a free slot of the list starting at seg, appending
+// a segment when all are full, and returns the slot and its index within its
+// segment. A handle that is acquired again (a transaction's re-armed
+// statement snapshot) probes first the slot it freed last and hits on the
+// first CAS, against a cache line its core already owns. A fresh handle
+// starts at a random slot, so cold acquirers spread over the segment without
+// sharing a counter.
+func (seg *segment) claim(h *Handle) (*slot, uint32) {
+	start := h.probe - 1
+	if h.probe == 0 {
+		start = rand.Uint32()
 	}
-	h := slotHintPool.Get().(*slotHint)
 	for {
 		for i := uint32(0); i < segSlots; i++ {
-			idx := (h.idx + i) & slotMask
+			idx := (start + i) & slotMask
 			s := &seg.slots[idx]
-			if s.v.Load() == 0 && s.v.CompareAndSwap(0, v) {
-				h.idx = idx
-				slotHintPool.Put(h)
-				return s
+			if s.owner.Load() == nil && s.owner.CompareAndSwap(nil, h) {
+				return s, idx
 			}
 		}
 		next := seg.next.Load()

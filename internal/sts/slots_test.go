@@ -40,6 +40,25 @@ func partitionMin(r *Registry, tid ts.TableID, p ts.PartitionID) (ts.CID, bool) 
 	return pinned(view(r).PartitionHorizon(tid, p))
 }
 
+// ScopeToTables narrows a handle acquired with no declared scope straight to
+// tables: the model tests' form of the table collector's step 2. It is
+// refused for no tables, a released handle, or one already scoped.
+func (h *Handle) ScopeToTables(tables []ts.TableID) bool {
+	return h.scopeTo(NewScope(tables, nil))
+}
+
+// ScopeToPartitions is ScopeToTables at partition grain.
+func (h *Handle) ScopeToPartitions(table ts.TableID, parts []ts.PartitionID) bool {
+	if len(parts) == 0 {
+		return false
+	}
+	return h.scopeTo(NewScope([]ts.TableID{table}, parts))
+}
+
+func (h *Handle) scopeTo(sc *Scope) bool {
+	return sc != nil && h.Held() && h.scope.CompareAndSwap(nil, sc.narrowed)
+}
+
 // segments counts the segments of the announcement array.
 func (r *Registry) segments() int {
 	n := 0
@@ -87,7 +106,7 @@ func TestSnapshotDedups(t *testing.T) {
 func TestAcquireOutsideDomainPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Infinity+1 wraps onto the empty sentinel and must not be announced")
+			t.Fatal("ts.Infinity ends the timestamp domain and must not be announced")
 		}
 	}()
 	NewRegistry().Acquire(ts.Infinity)
@@ -211,7 +230,7 @@ func TestAcquireIntoReuse(t *testing.T) {
 	r := NewRegistry()
 	var h Handle
 	for i := 0; i < 3*segSlots; i++ {
-		r.AcquireInto(&h, ts.CID(i))
+		r.AcquireInto(&h, ts.CID(i), nil)
 		if m, ok := unscopedMin(r); !ok || m != ts.CID(i) {
 			t.Fatalf("UnscopedHorizon = %d,%v want %d", m, ok, i)
 		}
@@ -220,6 +239,58 @@ func TestAcquireIntoReuse(t *testing.T) {
 	if _, ok := unscopedMin(r); ok {
 		t.Fatal("registry should be empty")
 	}
+}
+
+// TestDeclaredScopeNarrowsPerAcquisition walks one handle through the life
+// of a transaction's statement snapshot: the interned declared scope
+// constrains every table until Narrow swaps in its twin, narrowing is once
+// per acquisition, a re-acquisition on the same table keeps the narrowing
+// (it states the new scope exactly), one on another table starts unnarrowed
+// again, and a narrowing computed for an earlier acquisition cannot land on
+// it.
+func TestDeclaredScopeNarrowsPerAcquisition(t *testing.T) {
+	const A, B = ts.TableID(1), ts.TableID(2)
+	r := NewRegistry()
+	if r.TableScope(A) != r.TableScope(A) || r.TableScope(A) == r.TableScope(B) {
+		t.Fatal("single-table scopes must be interned per table")
+	}
+	if big := ts.TableID(maxInterned); r.TableScope(big) == r.TableScope(big) {
+		t.Fatal("IDs past the interning bound get a record per call")
+	}
+	guard := r.Acquire(20)
+	defer guard.Release()
+	var h Handle
+	r.AcquireInto(&h, 10, r.TableScope(A))
+	if h.Scoped() != nil || !reflect.DeepEqual(h.Tables(), []ts.TableID{A}) {
+		t.Fatalf("declared: Scoped %v, Tables %v", h.Scoped(), h.Tables())
+	}
+	if m, _ := tableMin(r, B); m != 10 {
+		t.Fatalf("a declared scope constrains every table: TableHorizon(B) = %d, want 10", m)
+	}
+	stale := h.scope.Load()
+	if !h.Narrow() || h.Narrow() {
+		t.Fatal("Narrow must succeed exactly once per acquisition")
+	}
+	if m, _ := tableMin(r, B); m != 20 {
+		t.Fatalf("narrowed to A: TableHorizon(B) = %d, want 20", m)
+	}
+	h.Release()
+	if h.Held() || h.Narrow() || h.Retract() {
+		t.Fatal("a released handle must be neither held, narrowed nor retracted")
+	}
+	r.AcquireInto(&h, 12, r.TableScope(A))
+	if m, _ := tableMin(r, B); m != 20 || !h.Held() || !reflect.DeepEqual(h.Scoped(), []ts.TableID{A}) {
+		t.Fatalf("re-acquired on A: TableHorizon(B) = %d, Scoped %v", m, h.Scoped())
+	}
+	h.Release()
+	r.AcquireInto(&h, 15, r.TableScope(B))
+	if h.scope.CompareAndSwap(stale, stale.narrowed) {
+		t.Fatal("a narrowing read under A's acquisition landed on B's")
+	}
+	if m, _ := tableMin(r, B); m != 15 || h.Scoped() != nil {
+		t.Fatalf("re-acquired on B: TableHorizon(B) = %d, Scoped %v", m, h.Scoped())
+	}
+	h.Release()
 }
 
 // TestScopedSnapshotNeverUnpinned races the table collector's scoping (twice,
@@ -321,7 +392,7 @@ func TestRegistryConcurrentAcquireRelease(t *testing.T) {
 			var h Handle
 			for i := 0; i < 2000; i++ {
 				c := ts.CID(rng.Intn(64) + 1)
-				r.AcquireInto(&h, c)
+				r.AcquireInto(&h, c, nil)
 				if m, ok := unscopedMin(r); !ok || m > c {
 					t.Errorf("UnscopedHorizon %d,%v exceeds live pin %d", m, ok, c)
 					h.Release()

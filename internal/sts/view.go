@@ -24,12 +24,12 @@ type View struct {
 	set   []ts.CID // the distinct timestamps of es
 }
 
-// entry is one announcement as the scan found it. A nil scope is an unscoped
-// snapshot — or one whose owner or scope was not visible yet, which makes it
-// constrain everything: the conservative side.
+// entry is one announcement as the scan found it. sc is the narrowed scope;
+// nil is an unscoped or not yet narrowed snapshot, which constrains
+// everything: the conservative side.
 type entry struct {
 	cid ts.CID
-	sc  *scope
+	sc  *Scope
 	h   *Handle
 }
 
@@ -45,7 +45,7 @@ func (v *View) Read(r *Registry, bound ts.CID) {
 	v.es, v.set = v.es[:0], v.set[:0]
 	r.Scan(func(c ts.CID, h *Handle) {
 		if c <= bound {
-			v.es = append(v.es, entry{cid: c, sc: h.visibleScope(), h: h})
+			v.es = append(v.es, entry{cid: c, sc: h.constraint(), h: h})
 		}
 	})
 	slices.SortFunc(v.es, func(a, b entry) int { return cmp.Compare(a.cid, b.cid) })
@@ -55,13 +55,6 @@ func (v *View) Read(r *Registry, bound ts.CID) {
 			v.set = append(v.set, e.cid)
 		}
 	}
-}
-
-func (h *Handle) visibleScope() *scope {
-	if h == nil {
-		return nil
-	}
-	return h.scope.Load()
 }
 
 // Bound returns the commit timestamp the view was read under.
@@ -121,7 +114,7 @@ func (v *View) horizonFor(tid ts.TableID, p ts.PartitionID, atPart bool) ts.CID 
 }
 
 // Each calls f for every announcement, oldest first, with its timestamp and
-// owning handle; h is nil for one whose owner was not visible yet.
+// handle.
 func (v *View) Each(f func(c ts.CID, h *Handle)) {
 	for _, e := range v.es {
 		f(e.cid, e.h)
@@ -135,7 +128,7 @@ func (v *View) Each(f func(c ts.CID, h *Handle)) {
 func (v *View) Rescope(h *Handle) {
 	for i := range v.es {
 		if v.es[i].h == h {
-			v.es[i].sc = h.scope.Load()
+			v.es[i].sc = h.constraint()
 		}
 	}
 }

@@ -33,24 +33,31 @@ func TestBarrierAllocFree(t *testing.T) {
 	}
 }
 
-// TestStatementSnapshotOneAlloc pins the Stmt-SI statement path: acquiring
-// and releasing a snapshot scoped to one table allocates the Snapshot and
-// nothing else — the scope literal stays on the caller's stack and its copy
-// lives inline in the Snapshot.
-func TestStatementSnapshotOneAlloc(t *testing.T) {
+// TestStatementSnapshotAllocFree pins the Stmt-SI statement path: re-arming
+// a transaction's statement snapshot on a table and releasing it allocates
+// nothing — the declared scope is the registry's interned record — and a
+// standalone single-table snapshot is the Snapshot alone.
+func TestStatementSnapshotAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	m := NewManager(mvcc.NewSpace(256), sts.NewRegistry(), Config{})
 	defer m.Close()
 	tid := ts.TableID(3)
+	tx := m.Begin(StmtSI, nil)
+	defer tx.Abort()
 	if n := testing.AllocsPerRun(200, func() {
-		s := m.AcquireSnapshot(KindStatement, []ts.TableID{tid})
+		s := tx.Statement(tid)
 		if !s.InScope(tid) || s.InScope(tid+1) {
 			t.Fatal("single-table scope lost")
 		}
 		s.Release()
+	}); n != 0 {
+		t.Fatalf("re-armed statement snapshot allocated %.1f objects/op, want 0", n)
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		m.AcquireSnapshot(KindCursor, []ts.TableID{tid}).Release()
 	}); n != 1 {
-		t.Fatalf("statement snapshot allocated %.1f objects/op, want 1", n)
+		t.Fatalf("single-table snapshot allocated %.1f objects/op, want 1", n)
 	}
 }

@@ -10,17 +10,18 @@ import (
 )
 
 // BenchmarkSnapshotAcquireStmtParallel measures the full statement-snapshot
-// path — seqlock-validated timestamp read and slot-array announcement —
-// under parallel load. The bare registry layer is internal/sts's
-// BenchmarkSnapshotAcquireParallel.
+// path — re-arming a transaction's statement snapshot: seqlock-validated
+// timestamp read and slot-array announcement — under parallel load. The bare
+// registry layer is internal/sts's BenchmarkSnapshotAcquireParallel.
 func BenchmarkSnapshotAcquireStmtParallel(b *testing.B) {
 	m := NewManager(mvcc.NewSpace(256), sts.NewRegistry(), Config{})
 	defer m.Close()
 	b.ReportAllocs()
 	b.RunParallel(func(pb *testing.PB) {
+		tx := m.Begin(StmtSI, nil)
+		defer tx.Abort()
 		for pb.Next() {
-			s := m.AcquireSnapshot(KindStatement, nil)
-			s.Release()
+			tx.Statement(1).Release()
 		}
 	})
 }

@@ -2,6 +2,7 @@ package txn
 
 import (
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -36,60 +37,65 @@ func (k SnapshotKind) String() string {
 }
 
 // Snapshot is one active read view. It pins its timestamp in the snapshot
-// registry until released; the registry handle is embedded by value so a
-// statement snapshot costs one allocation, not two. A snapshot whose table
-// scope is known a priori (always under Stmt-SI, where the compiled plan
-// names the tables; under Trans-SI only for declared-table transactions) is
-// eligible for table GC.
+// registry until released; the registry handle is embedded by value and
+// holds the declared scope. A snapshot whose table scope is known a priori
+// (always under Stmt-SI, where the compiled plan names the table; under
+// Trans-SI only for declared-table transactions; a cursor, possibly down to
+// the partitions its plan pruned to) is eligible for table GC.
+//
+// A Stmt-SI transaction's statement snapshot is re-armed for each statement
+// (Txn.Statement): between two statements it is released and armed again on
+// another table at a later timestamp. Everything another goroutine may read
+// of it is therefore either atomic or fixed before it was first announced:
+// its kind, and started, which for a statement is its transaction's first.
 type Snapshot struct {
-	m     *Manager
-	h     sts.Handle
-	kind  SnapshotKind
-	scope []ts.TableID
-	// scope1 backs scope when it names one table — every Stmt-SI statement
-	// and cursor — so those snapshots are a single allocation.
-	scope1 [1]ts.TableID
-	// parts, when non-nil, narrows the scope below table granularity: the
-	// snapshot accesses only these partitions of the (single) scope table —
-	// the partition-pruning knowledge §4.3 mentions. The table collector
-	// then scopes it to those partitions.
-	parts   []ts.PartitionID
+	m       *Manager
+	h       sts.Handle
+	kind    SnapshotKind
 	started time.Time
-
-	released atomic.Bool
-	killed   atomic.Bool
+	killed  atomic.Bool
 }
 
 // AcquireSnapshot registers a new snapshot at the current commit timestamp.
 // scope lists the tables the snapshot will access when known a priori, or
 // nil when unpredictable (plain Trans-SI transactions, §4.3).
 func (m *Manager) AcquireSnapshot(kind SnapshotKind, scope []ts.TableID) *Snapshot {
-	return m.acquireSnapshot(kind, scope, nil)
+	return m.newSnapshot(kind, m.declare(scope), time.Now())
 }
 
-// acquireSnapshot fully constructs the snapshot — including any partition
-// scope — before announcing it: from then on a view finds it behind its
-// slot, and the table collector may read it concurrently.
+// AcquireSnapshotPartitions registers a snapshot whose scope is a set of
+// partitions of one table — known a priori from the query plan's
+// partition-pruning result (§4.3).
+func (m *Manager) AcquireSnapshotPartitions(kind SnapshotKind, table ts.TableID, parts []ts.PartitionID) *Snapshot {
+	return m.newSnapshot(kind, sts.NewScope([]ts.TableID{table}, parts), time.Now())
+}
+
+// declare returns the declared scope of a snapshot that reads tables:
+// interned for one table, nil when unknown.
+func (m *Manager) declare(tables []ts.TableID) *sts.Scope {
+	if len(tables) == 1 {
+		return m.reg.TableScope(tables[0])
+	}
+	return sts.NewScope(tables, nil)
+}
+
+func (m *Manager) newSnapshot(kind SnapshotKind, sc *sts.Scope, started time.Time) *Snapshot {
+	s := &Snapshot{m: m, kind: kind, started: started}
+	s.h.Owner = s
+	s.arm(sc)
+	return s
+}
+
+// arm announces s at the current commit timestamp with declared scope sc.
+// Everything else about s is set before: from the announcement on a view
+// finds it behind its slot, and the table collector may narrow it.
 //
 // The hot path takes no lock: the timestamp read and the registry publish
 // are validated against the scan seqlock and retried on interference, so a
 // View holds either the registered snapshot or a bound at or below its
 // timestamp (proof sketch in DESIGN.md §15).
-func (m *Manager) acquireSnapshot(kind SnapshotKind, scope []ts.TableID, parts []ts.PartitionID) *Snapshot {
-	s := &Snapshot{
-		m:       m,
-		kind:    kind,
-		parts:   append([]ts.PartitionID(nil), parts...),
-		started: time.Now(),
-	}
-	s.h.Owner = s
-	// The scope is copied either way: the caller keeps its slice.
-	if len(scope) == 1 {
-		s.scope1[0] = scope[0]
-		s.scope = s.scope1[:]
-	} else {
-		s.scope = append([]ts.TableID(nil), scope...)
-	}
+func (s *Snapshot) arm(sc *sts.Scope) {
+	m := s.m
 	for {
 		seq := m.scanSeq.Load()
 		if seq&1 == 1 {
@@ -98,17 +104,15 @@ func (m *Manager) acquireSnapshot(kind SnapshotKind, scope []ts.TableID, parts [
 			runtime.Gosched()
 			continue
 		}
-		cur := m.CurrentTS()
-		m.reg.AcquireInto(&s.h, cur)
+		m.reg.AcquireInto(&s.h, m.CurrentTS(), sc)
 		if m.scanSeq.Load() == seq {
-			break
+			return
 		}
 		// A scan started (and possibly finished) while we published: it may
 		// have read its bound after our timestamp read but before our
 		// announcement landed. Retract and retry with a fresh timestamp.
 		s.h.Release()
 	}
-	return s
 }
 
 // TS returns the snapshot timestamp: reads see versions with CID <= TS.
@@ -117,37 +121,22 @@ func (s *Snapshot) TS() ts.CID { return s.h.TS() }
 // Kind returns how the snapshot was created.
 func (s *Snapshot) Kind() SnapshotKind { return s.kind }
 
-// ScopeKnown reports whether the complete table set is known a priori.
-func (s *Snapshot) ScopeKnown() bool { return len(s.scope) > 0 }
-
 // InScope reports whether the snapshot may access table tid. Snapshots with
 // unknown scope may access anything; scoped snapshots are restricted, and
 // the engine reports an error on out-of-scope access, mirroring HANA's
 // declared-table API ("if the transaction tries to access a non-declared
 // table object, an error is reported", §4.3).
 func (s *Snapshot) InScope(tid ts.TableID) bool {
-	if len(s.scope) == 0 {
-		return true
-	}
-	for _, t := range s.scope {
-		if t == tid {
-			return true
-		}
-	}
-	return false
+	tables := s.h.Tables()
+	return tables == nil || slices.Contains(tables, tid)
 }
 
-// AcquireSnapshotPartitions registers a snapshot whose scope is a set of
-// partitions of one table — known a priori from the query plan's
-// partition-pruning result (§4.3).
-func (m *Manager) AcquireSnapshotPartitions(kind SnapshotKind, table ts.TableID, parts []ts.PartitionID) *Snapshot {
-	return m.acquireSnapshot(kind, []ts.TableID{table}, parts)
-}
-
-// Age returns how long the snapshot has been active.
+// Age returns how long the snapshot has been active; a statement's counts
+// from its transaction's first statement.
 func (s *Snapshot) Age() time.Duration { return time.Since(s.started) }
 
-// Started returns the acquisition time.
+// Started returns the acquisition time; a statement's is its transaction's
+// first statement's.
 func (s *Snapshot) Started() time.Time { return s.started }
 
 // Scoped reports whether the table collector already narrowed this snapshot
@@ -157,15 +146,14 @@ func (s *Snapshot) Scoped() bool { return s.h.Scoped() != nil }
 // Release ends the snapshot by retracting its announcement. Releasing twice
 // is a harmless no-op.
 func (s *Snapshot) Release() {
-	if !s.released.CompareAndSwap(false, true) {
-		return
+	if s.h.Retract() {
+		s.m.bell.released(s.h.TS())
 	}
-	s.h.Release()
-	s.m.bell.released(s.h.TS())
 }
 
-// Released reports whether the snapshot has ended.
-func (s *Snapshot) Released() bool { return s.released.Load() }
+// Released reports whether the snapshot has ended (a statement snapshot:
+// whether it is between two statements).
+func (s *Snapshot) Released() bool { return !s.h.Held() }
 
 // Kill force-closes the snapshot: its announcement is retracted so
 // garbage collection can proceed, and subsequent operations that depend on

@@ -2,6 +2,7 @@ package txn
 
 import (
 	"sync/atomic"
+	"time"
 
 	"hybridgc/internal/mvcc"
 	"hybridgc/internal/ts"
@@ -17,12 +18,14 @@ const (
 )
 
 // Txn is one transaction. Under Trans-SI it owns a snapshot from begin to
-// end; under Stmt-SI the engine acquires a fresh snapshot per statement and
-// the transaction only scopes writes and commit/abort.
+// end; under Stmt-SI it owns one statement snapshot that every statement
+// re-arms (Statement), and scopes writes and commit/abort.
 type Txn struct {
-	m    *Manager
-	id   uint64
-	iso  Isolation
+	m   *Manager
+	id  uint64
+	iso Isolation
+	// snap is the transaction snapshot under Trans-SI and, once the first
+	// statement ran, the statement snapshot under Stmt-SI.
 	snap *Snapshot
 
 	tctx  *mvcc.TransContext
@@ -36,9 +39,29 @@ type Txn struct {
 func (m *Manager) Begin(iso Isolation, declared []ts.TableID) *Txn {
 	t := &Txn{m: m, id: m.nextTxnID.Add(1), iso: iso}
 	if iso == TransSI {
-		t.snap = m.AcquireSnapshot(KindTransaction, declared)
+		t.snap = m.newSnapshot(KindTransaction, m.declare(declared), time.Now())
 	}
 	return t
+}
+
+// Statement returns the snapshot a Stmt-SI statement on table tid reads at,
+// announced at the current commit timestamp; the caller releases it when the
+// statement ends. The first statement allocates the transaction's statement
+// snapshot and reads the clock once; every later one re-arms it, which costs
+// neither, so a statement's age is counted from its transaction's first. A
+// statement that begins while that snapshot is still armed — one nested in
+// another's callback — gets a fresh snapshot of its own.
+func (t *Txn) Statement(tid ts.TableID) *Snapshot {
+	sc := t.m.reg.TableScope(tid)
+	switch s := t.snap; {
+	case s == nil:
+		t.snap = t.m.newSnapshot(KindStatement, sc, time.Now())
+	case !s.Released():
+		return t.m.newSnapshot(KindStatement, sc, s.started)
+	default:
+		s.arm(sc)
+	}
+	return t.snap
 }
 
 // ID returns the transaction identifier.
@@ -49,7 +72,12 @@ func (t *Txn) Isolation() Isolation { return t.iso }
 
 // Snapshot returns the transaction snapshot (Trans-SI), or nil under
 // Stmt-SI.
-func (t *Txn) Snapshot() *Snapshot { return t.snap }
+func (t *Txn) Snapshot() *Snapshot {
+	if t.iso == TransSI {
+		return t.snap
+	}
+	return nil
+}
 
 // Active reports whether the transaction can still read and write.
 func (t *Txn) Active() bool { return txnState(t.state.Load()) == stateActive }

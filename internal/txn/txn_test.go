@@ -248,7 +248,7 @@ func TestSnapshotScopeAndView(t *testing.T) {
 	m := newTestManager(t, Config{})
 	s := m.AcquireSnapshot(KindCursor, []ts.TableID{3})
 	defer s.Release()
-	if !s.ScopeKnown() || !s.InScope(3) || s.InScope(4) {
+	if !s.InScope(3) || s.InScope(4) {
 		t.Fatal("scope checks broken")
 	}
 	unscoped := m.AcquireSnapshot(KindStatement, nil)

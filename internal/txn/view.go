@@ -39,13 +39,9 @@ func (m *Manager) Scans() uint64 { return m.scanSeq.Load() / 2 }
 
 // Snapshots calls f for every announcement that is a snapshot of this
 // engine, oldest first. Announcements no Snapshot owns (a replica's horizon
-// pin, an acquire in flight) count in Len and in every horizon but are not
-// visited.
+// pin) count in Len and in every horizon but are not visited.
 func (v *View) Snapshots(f func(*Snapshot)) {
 	v.Each(func(_ ts.CID, h *sts.Handle) {
-		if h == nil {
-			return
-		}
 		if s, ok := h.Owner.(*Snapshot); ok {
 			f(s)
 		}
@@ -58,18 +54,16 @@ func (v *View) Snapshots(f func(*Snapshot)) {
 // plan's partition pruning is known, partitions), in the registry and in
 // this view, so the pass that discovers a long-lived snapshot already
 // reclaims past it. It returns how many it narrowed.
+//
+// A statement snapshot may be re-armed on another table while this runs;
+// what makes that safe is that the scope is read and narrowed through the
+// handle alone (sts.Handle.Narrow), never from a field of the snapshot. A
+// statement's age counts from its transaction's first statement, so
+// re-arming can only make one look older than it is — narrowing it earlier,
+// which its exact one-table scope always allows.
 func (v *View) ScopeLongLived(threshold time.Duration) (scoped int64) {
 	v.Snapshots(func(s *Snapshot) {
-		if s.Age() < threshold || !s.ScopeKnown() || s.Scoped() || s.Released() {
-			return
-		}
-		var ok bool
-		if len(s.parts) > 0 { // partitions of the one scope table
-			ok = s.h.ScopeToPartitions(s.scope[0], s.parts)
-		} else {
-			ok = s.h.ScopeToTables(s.scope)
-		}
-		if ok {
+		if s.Age() >= threshold && s.h.Narrow() {
 			v.Rescope(&s.h)
 			scoped++
 		}
