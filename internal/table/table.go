@@ -4,22 +4,28 @@
 // collection migrates them here. Each record carries the is_versioned flag
 // that lets readers skip the RID hash table when a record has no chain.
 //
-// Records live inline in fixed-size pages addressed by RID, so a lookup is
-// two index operations behind atomic loads: no lock, no hash, no allocation
-// and no write to shared memory (DESIGN.md §10.4).
+// Records live inline in fixed-size pages addressed by RID, and a record
+// holds its image inline as a data pointer and a length under a sequence
+// word. A lookup is two index operations behind atomic loads and reading an
+// image is three loads on the record: no lock, no hash, no allocation and no
+// write to shared memory; migrating an image allocates nothing (DESIGN.md
+// §10.4).
 package table
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"hybridgc/internal/ts"
 )
 
 // Page geometry. A page is one heap object of pageSize 32-byte records plus
-// a 16-byte header, which lands in Go's 18 KiB size class (36 B per row). It
-// is a constant and not a setting: nothing a caller knows would let it pick
+// a 24-byte header, which lands in Go's 18 KiB size class: 36 B per row, the
+// whole cost of the table space per row beyond the image bytes. It is a
+// constant and not a setting: nothing a caller knows would let it pick
 // better, and the retirement rule below only needs "small against a table".
 const (
 	pageShift = 9
@@ -27,34 +33,49 @@ const (
 	pageMask  = pageSize - 1
 )
 
-// Slot states. A slot only ever moves forward: empty → present by
+// Record.state holds the slot state in its low bits and the is_versioned
+// flag above them. A slot only ever moves forward: empty → present by
 // CreateRecord, present → dropped by DropRecord. RIDs are never reused, so a
 // dropped slot stays dropped.
 const (
 	slotEmpty uint32 = iota
 	slotPresent
 	slotDropped
+
+	slotMask      = 3
+	flagVersioned = 4
 )
+
+// seqOdd is the low bit of the sequence half of Record.seq; the low half
+// holds the image length. An image is at most 4 GiB, as everywhere it is
+// framed (WAL records, checkpoints).
+const seqOdd = 1 << 32
 
 // Record is one row slot in the table space. Its image is the oldest
 // retained version of the row; a nil image means the row's INSERT has not
 // been migrated out of the version space yet (so readers that find no
 // visible chain version treat the record as nonexistent).
 type Record struct {
-	// rid and pg are written once, before the page is linked into the
+	// pg and slot are written once, before the page is linked into the
 	// directory, and never again: every later read is ordered after them by
 	// the atomic load that found the page.
-	rid ts.RID
-	pg  *page
+	pg *page
 
-	image     atomic.Pointer[[]byte]
-	versioned atomic.Bool
-	state     atomic.Uint32
+	// data points at the image's first byte (nil for no image) and seq
+	// packs a sequence number (high half) with the image's length (low
+	// half). Writers serialise on the CAS that makes the sequence odd;
+	// a reader that loads the same even seq before and after data holds a
+	// pointer and a length that were stored together.
+	data  atomic.Pointer[byte]
+	seq   atomic.Uint64
+	state atomic.Uint32
+	slot  uint16
 }
 
 // page holds the records of one aligned run of pageSize RIDs.
 type page struct {
-	tbl *Table
+	tbl  *Table
+	base ts.RID // RID of recs[0]
 	// counts packs the slots that ever left the empty state (high half) and
 	// the slots currently present (low half) into one word, so one add moves
 	// both and its result is a consistent view of the pair.
@@ -75,11 +96,11 @@ const maxRID = 1 << 36
 // slot returns the slot of rid, which must lie in the page's RID range.
 func (p *page) slot(rid ts.RID) *Record { return &p.recs[(uint64(rid)-1)&pageMask] }
 
-// count applies one slot transition of rid to the page's counters, and
-// retires the page if that was the transition that left it dead.
-func (p *page) count(delta uint32, rid ts.RID) {
+// count applies one slot transition to the page's counters, and retires the
+// page if that was the transition that left it dead.
+func (p *page) count(delta uint32) {
 	if p.counts.Add(delta) == countDead {
-		p.tbl.retire(pageIndex(rid))
+		p.tbl.retire(pageIndex(p.base))
 	}
 }
 
@@ -89,33 +110,49 @@ func (p *page) count(delta uint32, rid ts.RID) {
 var retired = new(page)
 
 // Key returns the record's (table, RID) identity.
-func (r *Record) Key() ts.RecordKey { return ts.RecordKey{Table: r.pg.tbl.ID, RID: r.rid} }
+func (r *Record) Key() ts.RecordKey { return ts.RecordKey{Table: r.pg.tbl.ID, RID: r.RID()} }
 
 // RID returns the record's identifier within its table.
-func (r *Record) RID() ts.RID { return r.rid }
+func (r *Record) RID() ts.RID { return r.pg.base + ts.RID(r.slot) }
 
 // Image returns the current table-space image, or nil when the row has no
-// migrated image yet.
+// migrated image yet. The slice's capacity is its length.
 func (r *Record) Image() []byte {
-	p := r.image.Load()
-	if p == nil {
-		return nil
+	for {
+		s := r.seq.Load()
+		p := r.data.Load()
+		if s&seqOdd == 0 && r.seq.Load() == s {
+			// A nil data pointer is always stored with length 0.
+			return unsafe.Slice(p, uint32(s))
+		}
+		runtime.Gosched()
 	}
-	return *p
+}
+
+// setImage stores img as the record's image. It allocates nothing: the
+// record keeps img's data pointer, not a copy of its slice header.
+func (r *Record) setImage(img []byte) {
+	s := r.seq.Load()
+	for s&seqOdd != 0 || !r.seq.CompareAndSwap(s, s+seqOdd) {
+		runtime.Gosched()
+		s = r.seq.Load()
+	}
+	r.data.Store(unsafe.SliceData(img))
+	r.seq.Store(s&^(seqOdd-1) + 2*seqOdd | uint64(uint32(len(img))))
 }
 
 // Versioned reports the is_versioned flag: whether the record has a version
 // chain in the version space that readers must consult.
-func (r *Record) Versioned() bool { return r.versioned.Load() }
+func (r *Record) Versioned() bool { return r.state.Load()&flagVersioned != 0 }
 
 // Dropped reports whether the record has been removed from its table.
-func (r *Record) Dropped() bool { return r.state.Load() == slotDropped }
+func (r *Record) Dropped() bool { return r.state.Load()&slotMask == slotDropped }
 
 // InstallImage implements mvcc.RecordRef: garbage collection migrates the
 // newest reclaimable image into the table space.
 func (r *Record) InstallImage(img []byte) {
-	r.image.Store(&img)
-	r.pg.tbl.notifyWrite(r.rid)
+	r.setImage(img)
+	r.pg.tbl.notifyWrite(r.RID())
 }
 
 // DropRecord implements mvcc.RecordRef: a migrated DELETE (or a rolled-back
@@ -123,20 +160,35 @@ func (r *Record) InstallImage(img []byte) {
 // Holders of the *Record (a version chain being unlinked) may keep using it:
 // the pointer keeps its page alive even after the page is retired.
 func (r *Record) DropRecord() {
-	if !r.state.CompareAndSwap(slotPresent, slotDropped) {
-		return
+	for {
+		s := r.state.Load()
+		if s&slotMask != slotPresent {
+			return
+		}
+		if r.state.CompareAndSwap(s, s&^slotMask|slotDropped) {
+			break
+		}
 	}
-	r.image.Store(nil)
+	r.setImage(nil)
 	t := r.pg.tbl
 	t.live.Add(-1)
-	r.pg.count(countDrop, r.rid)
-	t.notifyWrite(r.rid)
+	r.pg.count(countDrop)
+	t.notifyWrite(r.RID())
 }
 
 // SetVersioned implements mvcc.RecordRef.
 func (r *Record) SetVersioned(v bool) {
-	r.versioned.Store(v)
-	r.pg.tbl.notifyWrite(r.rid)
+	for {
+		s := r.state.Load()
+		n := s &^ flagVersioned
+		if v {
+			n |= flagVersioned
+		}
+		if n == s || r.state.CompareAndSwap(s, n) {
+			break
+		}
+	}
+	r.pg.tbl.notifyWrite(r.RID())
 }
 
 // Table is one table's slice of the table space. RIDs are allocated densely
@@ -256,7 +308,7 @@ func (t *Table) Get(rid ts.RID) *Record {
 		return nil
 	}
 	r := p.slot(rid)
-	if r.state.Load() != slotPresent {
+	if r.state.Load()&slotMask != slotPresent {
 		return nil
 	}
 	return r
@@ -279,7 +331,7 @@ func (t *Table) CreateRecord(rid ts.RID) (*Record, error) {
 	t.live.Add(1)
 	// A concurrent Get may hand the record out, and its holder drop it,
 	// before this count; then this one is the count that completes the page.
-	p.count(countCreate, rid)
+	p.count(countCreate)
 	return r, nil
 }
 
@@ -304,14 +356,13 @@ func (t *Table) pageFor(pi uint64) *page {
 	}
 	p := dir[pi].Load()
 	if p == nil {
-		p = &page{tbl: t}
-		base := ts.RID(pi<<pageShift) + 1
+		p = &page{tbl: t, base: ts.RID(pi<<pageShift) + 1}
 		for i := range p.recs {
-			p.recs[i].rid = base + ts.RID(i)
 			p.recs[i].pg = p
+			p.recs[i].slot = uint16(i)
 		}
 		// The store publishes the initialised page: whoever loads it from
-		// the directory reads rid and pg without a race.
+		// the directory reads base, pg and slot without a race.
 		dir[pi].Store(p)
 	}
 	return p
@@ -349,7 +400,7 @@ func (t *Table) Range(from, to ts.RID, fn func(*Record) bool) bool {
 		}
 		for stop := min(pageEnd, end); i < stop; i++ {
 			r := &p.recs[i&pageMask]
-			if r.state.Load() == slotPresent && !fn(r) {
+			if r.state.Load()&slotMask == slotPresent && !fn(r) {
 				return false
 			}
 		}

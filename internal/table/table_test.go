@@ -469,24 +469,46 @@ func TestCatalogRestore(t *testing.T) {
 	}
 }
 
-// TestLookupsAllocFree pins the two per-statement lookups at zero
-// allocations.
+// TestLookupsAllocFree pins the two per-statement lookups, the image read
+// and the three writes the collector makes to a record at zero allocations.
 func TestLookupsAllocFree(t *testing.T) {
 	c := NewCatalog()
 	tbl, _ := c.Create("T")
+	img := []byte("img")
 	for i := 0; i < 3*pageSize; i++ {
-		if _, err := tbl.CreateRecord(tbl.AllocRID()); err != nil {
+		r, err := tbl.CreateRecord(tbl.AllocRID())
+		if err != nil {
 			t.Fatal(err)
 		}
+		r.InstallImage(img)
 	}
 	rid := ts.RID(0)
-	if n := testing.AllocsPerRun(1000, func() {
+	next := func() *Record {
 		rid = rid%(3*pageSize) + 1
-		if c.ByID(tbl.ID) != tbl || tbl.Get(rid) == nil {
-			t.Fatal("lookup failed")
+		return tbl.Get(rid)
+	}
+	for _, op := range []struct {
+		name string
+		fn   func()
+	}{
+		{"ByID + Get", func() {
+			if c.ByID(tbl.ID) != tbl || next() == nil {
+				t.Fatal("lookup failed")
+			}
+		}},
+		{"InstallImage", func() { next().InstallImage(img) }},
+		{"SetVersioned", func() { next().SetVersioned(rid%2 == 0) }},
+		{"Image", func() {
+			if next().Image() == nil {
+				t.Fatal("image lost")
+			}
+		}},
+		// Each run drops another record, across page retirements.
+		{"DropRecord", func() { next().DropRecord() }},
+	} {
+		if n := testing.AllocsPerRun(1000, op.fn); n != 0 {
+			t.Fatalf("%s allocated %.1f objects/op, want 0", op.name, n)
 		}
-	}); n != 0 {
-		t.Fatalf("ByID + Get allocated %.1f objects/op, want 0", n)
 	}
 }
 
