@@ -53,13 +53,16 @@ bench:
 # process (allocs/op of the same profiles where no frame is saved). From
 # internal/core: BenchmarkStatementGetParallel, warm Stmt-SI transactions
 # issuing Gets (ns/op, allocs/op: 0 while a statement re-arms its
-# transaction's snapshot). From internal/mvcc: BenchmarkHashStats at 1 k and
+# transaction's snapshot), and BenchmarkWriteParallel, one-row Update+Commit
+# transactions on disjoint rows with the collector running (ns/op: what the
+# write path's shared lines cost while its accounting is tallied per
+# transaction). From internal/mvcc: BenchmarkHashStats at 1 k and
 # 64 k buckets, flat while Stats reads counters instead of the buckets. From
 # internal/table: BenchmarkRecordImage, parallel image reads of 20 k
 # unversioned rows while one goroutine re-installs their images (ns/op, and
 # allocs/op: 0 while a record holds its image inline).
 bench-smoke:
-	GOMAXPROCS=4 $(GO) test -run '^$$' -bench 'BenchmarkOLAPScan|BenchmarkHashGet|BenchmarkHashStats|BenchmarkTableGet|BenchmarkRecordImage|BenchmarkCatalogByID|BenchmarkWireFrame|BenchmarkWALAppend|BenchmarkGroupCommit|BenchmarkShardedCommit|BenchmarkSnapshotAcquire|BenchmarkStatementGetParallel|BenchmarkPassEmpty|BenchmarkPassPinnedWindow|BenchmarkStreamTail|BenchmarkRemoteTxn' -benchtime=1x . ./internal/mvcc ./internal/table ./internal/wire ./internal/wal ./internal/shard ./internal/htap ./internal/sts ./internal/txn ./internal/core ./internal/gc ./internal/repl ./internal/server
+	GOMAXPROCS=4 $(GO) test -run '^$$' -bench 'BenchmarkOLAPScan|BenchmarkHashGet|BenchmarkHashStats|BenchmarkTableGet|BenchmarkRecordImage|BenchmarkCatalogByID|BenchmarkWireFrame|BenchmarkWALAppend|BenchmarkGroupCommit|BenchmarkShardedCommit|BenchmarkSnapshotAcquire|BenchmarkStatementGetParallel|BenchmarkWriteParallel|BenchmarkPassEmpty|BenchmarkPassPinnedWindow|BenchmarkStreamTail|BenchmarkRemoteTxn' -benchtime=1x . ./internal/mvcc ./internal/table ./internal/wire ./internal/wal ./internal/shard ./internal/htap ./internal/sts ./internal/txn ./internal/core ./internal/gc ./internal/repl ./internal/server
 	$(GO) test -run '^$$' -bench 'BenchmarkCommit(Parallel|Serial)$$' -benchtime=1x -cpu 1,2,4 ./internal/txn
 
 # The repository benchmark is a nested module that `go test ./...` at the

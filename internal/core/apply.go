@@ -94,7 +94,7 @@ func (db *DB) ApplyGroup(cid ts.CID, ops []wal.Op) error {
 		}
 		tc.Add(v)
 	}
-	db.statements.Add(int64(len(ops)))
+	db.count(int64(len(ops)), 0)
 	return db.m.PublishReplicated(cid, tc)
 }
 

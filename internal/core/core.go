@@ -86,11 +86,19 @@ type Config struct {
 
 // DB is one in-memory MVCC database instance.
 type DB struct {
-	cat    *table.Catalog
-	space  *mvcc.Space
-	m      *txn.Manager
-	hybrid *gc.Hybrid
+	// Every operation reads these; they are written only by Open.
+	cat      *table.Catalog
+	space    *mvcc.Space
+	m        *txn.Manager
+	hybrid   *gc.Hybrid
+	fail     *failState
+	pressure *pressure // the version-budget controller, nil when unconfigured
+	readOnly bool
 
+	// The pad keeps the counters below off the line(s) above. A transaction
+	// adds its statements and traversal steps once, when it finishes (Tx);
+	// a cursor once per fetch.
+	_          [64]byte
 	statements atomic.Int64
 	traversed  atomic.Int64
 	killed     atomic.Int64
@@ -98,8 +106,6 @@ type DB struct {
 
 	log        *wal.Log
 	persistDir string
-	fail       *failState
-	readOnly   bool
 
 	// recovery is the two-phase-commit state found in the log at Open, nil
 	// without persistence. The shard cluster consumes it to settle in-doubt
@@ -114,9 +120,6 @@ type DB struct {
 
 	watchdogStop chan struct{}
 	watchdogDone chan struct{}
-
-	// pressure is the version-budget controller, nil when unconfigured.
-	pressure *pressure
 
 	// lanes records HTAP column-lane enablement per table — seeded from
 	// recovered KindHTAPLane records, extended by EnableHTAPLane, re-logged by
@@ -616,8 +619,21 @@ func ratio(a, b int64) float64 {
 	return float64(a) / float64(b)
 }
 
-// StatementCount returns the number of committed statements so far (the
-// throughput numerator of Figures 12, 18 and 19).
+// count adds statements run and chain versions traversed to the engine's
+// counters: a transaction's when it finishes, a cursor's per fetch, a
+// diagnostic read's per call.
+func (db *DB) count(stmts, traversed int64) {
+	if stmts != 0 {
+		db.statements.Add(stmts)
+	}
+	if traversed != 0 {
+		db.traversed.Add(traversed)
+	}
+}
+
+// StatementCount returns the number of statements run so far (the
+// throughput numerator of Figures 12, 18 and 19). A transaction's statements
+// count when it commits or aborts, a cursor's fetch when it returns.
 func (db *DB) StatementCount() int64 { return db.statements.Load() }
 
 // ReadAt resolves one record's image at an explicit snapshot timestamp,
@@ -631,7 +647,10 @@ func (db *DB) ReadAt(tid ts.TableID, rid ts.RID, at ts.CID) ([]byte, bool) {
 	if tbl == nil {
 		return nil, false
 	}
-	return db.readRecord(tbl, rid, at, nil, nil)
+	var traversed int64
+	img, ok := db.readRecord(tbl, rid, at, nil, &traversed)
+	db.count(0, traversed)
+	return img, ok
 }
 
 // ScanCountAt counts the records visible at an explicit snapshot timestamp.
@@ -642,12 +661,14 @@ func (db *DB) ScanCountAt(tid ts.TableID, at ts.CID) int {
 		return 0
 	}
 	n := 0
+	var traversed int64
 	tbl.ForEach(func(rec *table.Record) bool {
-		if _, ok := db.readRec(rec, at, nil, nil); ok {
+		if _, ok := db.readRec(rec, at, nil, &traversed); ok {
 			n++
 		}
 		return true
 	})
+	db.count(0, traversed)
 	return n
 }
 
@@ -665,18 +686,16 @@ func (db *DB) readRecord(tbl *table.Table, rid ts.RID, at ts.CID, own *mvcc.Tran
 // following §2.2's read path: consult the is_versioned flag, traverse the
 // version chain latest-first (uncommitted versions owned by own are visible
 // — a transaction sees its own writes), fall back to the table-space image.
-// It accounts chain traversal steps (Figure 15's metric) into the engine
-// counter and the optional per-operation counter. Scans hand it the records
-// their page walk finds, so no RID is looked up twice.
+// It adds the chain traversal steps (Figure 15's metric) to *traversed, which
+// the caller adds to the engine's counter when its transaction, fetch or
+// call ends. Scans hand it the records their page walk finds, so no RID is
+// looked up twice.
 func (db *DB) readRec(rec *table.Record, at ts.CID, own *mvcc.TransContext, traversed *int64) ([]byte, bool) {
 	if rec.Versioned() {
 		key := rec.Key()
 		if ch := db.space.HT.Get(key); ch != nil {
 			v, steps := ch.VisibleAs(at, own)
-			db.traversed.Add(int64(steps))
-			if traversed != nil {
-				*traversed += int64(steps)
-			}
+			*traversed += int64(steps)
 			if v != nil {
 				if v.Op == mvcc.OpDelete {
 					return nil, false

@@ -116,7 +116,7 @@ func (c *Cursor) Fetch(n int) ([][]byte, FetchStats, error) {
 	}
 	stats.Rows = len(rows)
 	stats.Duration = time.Since(start)
-	c.db.statements.Add(1)
+	c.db.count(1, stats.Traversed)
 	return rows, stats, nil
 }
 

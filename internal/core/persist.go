@@ -281,10 +281,11 @@ func (db *DB) Checkpoint() error {
 	at := snap.TS()
 
 	ck := &wal.Checkpoint{CID: at}
+	var traversed int64
 	for _, tbl := range db.cat.Tables() {
 		ct := wal.CheckpointTable{ID: tbl.ID, Name: tbl.Name, NextRID: tbl.MaxRID()}
 		tbl.Range(1, ct.NextRID, func(rec *table.Record) bool {
-			if img, ok := db.readRec(rec, at, nil, nil); ok {
+			if img, ok := db.readRec(rec, at, nil, &traversed); ok {
 				ct.Records = append(ct.Records, wal.CheckpointRecord{
 					RID: rec.RID(), Image: append([]byte(nil), img...)})
 			}
@@ -292,6 +293,7 @@ func (db *DB) Checkpoint() error {
 		})
 		ck.Tables = append(ck.Tables, ct)
 	}
+	db.count(0, traversed)
 	if err := wal.WriteCheckpoint(db.persistDir, ck); err != nil {
 		return err
 	}

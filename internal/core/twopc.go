@@ -30,7 +30,10 @@ func (tx *Tx) PendingOps() []wal.Op {
 
 // CommitCID commits the transaction through group commit and returns the CID
 // its versions published under.
-func (tx *Tx) CommitCID() (ts.CID, error) { return tx.inner.Commit() }
+func (tx *Tx) CommitCID() (ts.CID, error) {
+	tx.flush()
+	return tx.inner.Commit()
+}
 
 // MarkPrepared flags the transaction's write set as already durable: the
 // group committer will publish it without logging a KindGroup record.

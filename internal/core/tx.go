@@ -17,6 +17,10 @@ import (
 type Tx struct {
 	db    *DB
 	inner *txn.Txn
+	// stmts counts the statements the transaction ran and traversed the
+	// chain versions they stepped over; both go on the engine's counters
+	// when it commits or aborts (flush), not per operation.
+	stmts, traversed int64
 }
 
 // Begin starts a transaction. declaredTables may be nil for Trans-SI
@@ -40,12 +44,22 @@ func (tx *Tx) SnapshotTS() ts.CID {
 
 // Commit finishes the transaction through group commit.
 func (tx *Tx) Commit() error {
-	_, err := tx.inner.Commit()
+	_, err := tx.CommitCID()
 	return err
 }
 
 // Abort rolls the transaction back.
-func (tx *Tx) Abort() { tx.inner.Abort() }
+func (tx *Tx) Abort() {
+	tx.inner.Abort()
+	tx.flush()
+}
+
+// flush adds the transaction's statement and traversal counts to the
+// engine's.
+func (tx *Tx) flush() {
+	tx.db.count(tx.stmts, tx.traversed)
+	tx.stmts, tx.traversed = 0, 0
+}
 
 // beginStatement returns the snapshot an operation on tid reads at; the
 // caller hands it back to endStatement. Under Stmt-SI it re-arms the
@@ -83,11 +97,11 @@ func (tx *Tx) Get(tid ts.TableID, rid ts.RID) ([]byte, error) {
 		return nil, err
 	}
 	defer tx.endStatement(snap)
-	img, ok := tx.db.readRecord(tbl, rid, snap.TS(), tx.inner.MaybeContext(), nil)
+	img, ok := tx.db.readRecord(tbl, rid, snap.TS(), tx.inner.MaybeContext(), &tx.traversed)
 	if !ok {
 		return nil, ErrRecordNotFound
 	}
-	tx.db.statements.Add(1)
+	tx.stmts++
 	return img, nil
 }
 
@@ -105,13 +119,13 @@ func (tx *Tx) Scan(tid ts.TableID, fn func(rid ts.RID, img []byte) bool) error {
 	defer tx.endStatement(snap)
 	at := snap.TS()
 	tbl.ForEach(func(rec *table.Record) bool {
-		img, ok := tx.db.readRec(rec, at, tx.inner.MaybeContext(), nil)
+		img, ok := tx.db.readRec(rec, at, tx.inner.MaybeContext(), &tx.traversed)
 		if !ok {
 			return true
 		}
 		return fn(rec.RID(), img)
 	})
-	tx.db.statements.Add(1)
+	tx.stmts++
 	return nil
 }
 
@@ -141,7 +155,7 @@ func (tx *Tx) Insert(tid ts.TableID, img []byte) (ts.RID, error) {
 		return 0, err
 	}
 	tx.inner.Context().Add(v)
-	tx.db.statements.Add(1)
+	tx.stmts++
 	return rid, nil
 }
 
@@ -177,7 +191,7 @@ func (tx *Tx) write(op mvcc.OpType, tid ts.TableID, rid ts.RID, img []byte) erro
 	rec := tbl.Get(rid)
 	visible := false
 	if rec != nil {
-		_, visible = tx.db.readRec(rec, snap.TS(), tx.inner.MaybeContext(), nil)
+		_, visible = tx.db.readRec(rec, snap.TS(), tx.inner.MaybeContext(), &tx.traversed)
 	}
 	tx.endStatement(snap)
 	if !visible {
@@ -188,7 +202,7 @@ func (tx *Tx) write(op mvcc.OpType, tid ts.TableID, rid ts.RID, img []byte) erro
 		return err
 	}
 	tx.inner.Context().Add(v)
-	tx.db.statements.Add(1)
+	tx.stmts++
 	return nil
 }
 

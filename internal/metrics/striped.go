@@ -6,36 +6,6 @@ import "sync/atomic"
 // counter. A power of two so the hint maps with a mask.
 const stripeCount = 64
 
-// stripe is one padded counter cell. The padding keeps adjacent stripes on
-// different cache lines, so concurrent writers with different hints never
-// bounce a line between cores.
-type stripe struct {
-	v atomic.Int64
-	_ [120]byte
-}
-
-// Striped is a monotonic counter sharded over padded stripes. A plain
-// atomic counter serializes every writer on one cache line; on read-hot
-// paths that line becomes the bottleneck, not the data structure. Striped
-// spreads writers over stripeCount cells keyed by a caller-supplied hint —
-// any value that varies across concurrent callers, such as a key hash
-// already in hand — and sums the cells on read. Add is wait-free; Sum is
-// O(stripeCount) and only monotonically approximate under concurrent
-// writers, which is exactly what statistics counters need. The zero value
-// is ready to use.
-type Striped struct {
-	s [stripeCount]stripe
-}
-
-// Sum returns the total over all stripes.
-func (c *Striped) Sum() int64 {
-	var t int64
-	for i := range c.s {
-		t += c.s[i].v.Load()
-	}
-	return t
-}
-
 // pairStripe is one padded cell of a StripedPair: both counters share the
 // cell's cache line, so a caller updating both pays one line acquisition
 // instead of two.
@@ -45,11 +15,14 @@ type pairStripe struct {
 	_ [112]byte
 }
 
-// StripedPair is two Striped counters fused stripe-by-stripe. Hot paths
-// that maintain a pair of related statistics (the RID hash table counts
-// lookups and the extra hops those lookups spent) would touch two distinct
-// cache lines with two separate Striped counters; fusing them keeps each
-// hint's pair on one line. The zero value is ready to use.
+// StripedPair is two monotonic counters sharded over padded stripes. A
+// writer adds to the stripe its hint selects — any value that varies across
+// concurrent callers, such as a key hash already in hand — so writers on
+// different cores rarely share a cache line; Sums adds the stripes up, which
+// is only monotonically approximate under concurrent writers. Both counters of
+// a stripe share its line, so a caller that updates both (the RID hash table
+// counts lookups and the extra hops they spent) pays one line. The zero value
+// is ready to use.
 type StripedPair struct {
 	s [stripeCount]pairStripe
 }

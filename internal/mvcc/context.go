@@ -24,6 +24,10 @@ type TransContext struct {
 
 	mu       sync.Mutex
 	versions []*Version
+
+	// tally is the version-space accounting of the transaction's writes not
+	// yet added to the shared counters (Space.Flush).
+	tally tally
 }
 
 // NewTransContext returns a context for the given transaction ID.

@@ -25,12 +25,21 @@ import (
 type HashTable struct {
 	buckets []hashBucket
 	mask    uint64
-	chains  atomic.Int64
-	// occupied counts the non-empty buckets and maxLen is the longest any
-	// bucket has been; the mutators keep both under the bucket mutex they
-	// already hold, so Stats reads them instead of walking the buckets.
+	// maxLen is the longest any bucket has been, kept under the bucket mutex
+	// GetOrCreate already holds. Every insert reads it and only a new
+	// high-water mark writes it, so it sits with the fields every operation
+	// reads.
+	maxLen atomic.Int64
+
+	// The pad keeps the counters below off the line every lookup loads
+	// buckets and mask from.
+	_ [64]byte
+	// chains counts the registered chains and occupied the non-empty
+	// buckets. GetOrCreate and Remove report what they change instead of
+	// counting it: a writer's transaction tallies its share and adds it when
+	// it finishes (Space.Flush), a collector adds its own per call (add).
+	chains   atomic.Int64
 	occupied atomic.Int64
-	maxLen   atomic.Int64
 	// stats fuses the lookup and extra-hop counters, striped so the
 	// statistics do not serialize lock-free readers on a shared cache line;
 	// the key hash (already computed for bucket selection) spreads
@@ -109,42 +118,46 @@ func (h *HashTable) Get(key ts.RecordKey) *Chain {
 // one bound to rec if absent. The scan and insert run under the bucket
 // mutex, serialized against other mutators; the new chain is published with
 // an atomic store so lock-free readers observe a fully initialized Chain.
-func (h *HashTable) GetOrCreate(key ts.RecordKey, rec RecordRef) *Chain {
+// chains and occupied are what the call added to the table's chain and
+// occupied-bucket counts, for the caller to count (add): 1 and 0 or 1 for a
+// new chain, 0 and 0 for a found one.
+func (h *HashTable) GetOrCreate(key ts.RecordKey, rec RecordRef) (c *Chain, chains, occupied int64) {
 	b := &h.buckets[hashKey(key)&h.mask]
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	n := int64(1) // the bucket's length once c is in
 	for c := b.head.Load(); c != nil; c = c.bucketNext.Load() {
 		if c.Key == key {
-			return c
+			return c, 0, 0
 		}
 		n++
 	}
-	c := &Chain{Key: key, Rec: rec}
+	c = &Chain{Key: key, Rec: rec}
 	c.bucketNext.Store(b.head.Load())
 	b.head.Store(c)
-	h.chains.Add(1)
 	if n == 1 {
-		h.occupied.Add(1)
+		occupied = 1
 	}
 	for m := h.maxLen.Load(); n > m; m = h.maxLen.Load() {
 		if h.maxLen.CompareAndSwap(m, n) {
 			break
 		}
 	}
-	return c
+	return c, 1, occupied
 }
 
 // Remove unlinks chain c from its bucket. The caller must have marked the
 // chain dead under its latch first, so racing writers retry GetOrCreate and
-// observe a fresh chain rather than resurrecting this one.
+// observe a fresh chain rather than resurrecting this one. Like GetOrCreate
+// it returns what it took off the counts for the caller to count: -1 chain,
+// and -1 occupied bucket when c was the last chain in its bucket.
 //
 // The unlinked chain's bucketNext is deliberately left intact: a lock-free
 // reader that loaded c just before the unlink keeps following it to the rest
 // of the bucket. New lookups can no longer reach c, and Go's garbage
 // collector reclaims it once the last reader moves on — no epoch or hazard
 // scheme is needed.
-func (h *HashTable) Remove(c *Chain) {
+func (h *HashTable) Remove(c *Chain) (chains, occupied int64) {
 	b := &h.buckets[hashKey(c.Key)&h.mask]
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -153,7 +166,7 @@ func (h *HashTable) Remove(c *Chain) {
 		next := c.bucketNext.Load()
 		b.head.Store(next)
 		if next == nil {
-			h.occupied.Add(-1)
+			occupied = -1
 		}
 	default:
 		for p := b.head.Load(); p != nil; p = p.bucketNext.Load() {
@@ -163,7 +176,18 @@ func (h *HashTable) Remove(c *Chain) {
 			}
 		}
 	}
-	h.chains.Add(-1)
+	return -1, occupied
+}
+
+// add moves the chain and occupied-bucket counts by what GetOrCreate and
+// Remove reported.
+func (h *HashTable) add(chains, occupied int64) {
+	if chains != 0 {
+		h.chains.Add(chains)
+	}
+	if occupied != 0 {
+		h.occupied.Add(occupied)
+	}
 }
 
 // ForEach visits every registered chain until fn returns false. Buckets are
@@ -208,7 +232,9 @@ type HashStats struct {
 
 // Stats returns collision statistics: a few counter loads, whatever the
 // bucket count. The counters are read one after another, so under concurrent
-// mutation they may describe slightly different instants.
+// mutation they may describe slightly different instants, and a chain a
+// running transaction created counts once that transaction flushes its
+// tally.
 func (h *HashTable) Stats() HashStats {
 	st := HashStats{
 		Buckets:         len(h.buckets),

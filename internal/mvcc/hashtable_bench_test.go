@@ -48,7 +48,7 @@ func BenchmarkHashStats(b *testing.B) {
 		b.Run(fmt.Sprintf("buckets=%d", buckets), func(b *testing.B) {
 			ht := NewHashTable(buckets)
 			for i := 0; i < buckets/2; i++ {
-				ht.GetOrCreate(ts.RecordKey{Table: 1, RID: ts.RID(i + 1)}, &fakeRecord{})
+				create(ht, ts.RecordKey{Table: 1, RID: ts.RID(i + 1)})
 			}
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -26,7 +26,8 @@ func TestHashGetRacesGetOrCreate(t *testing.T) {
 			for i := 0; i < 20000; i++ {
 				x = x*6364136223846793005 + 1442695040888963407
 				k := ts.RecordKey{Table: 1, RID: ts.RID(x%keys + 1)}
-				c := ht.GetOrCreate(k, &fakeRecord{})
+				c, chains, occupied := ht.GetOrCreate(k, &fakeRecord{})
+				ht.add(chains, occupied)
 				if c.Key != k {
 					t.Errorf("GetOrCreate returned chain for %v, want %v", c.Key, k)
 					return
@@ -80,7 +81,7 @@ func TestHashGetRacesRemove(t *testing.T) {
 	const keys = 512
 	mk := func(i int) ts.RecordKey { return ts.RecordKey{Table: 1, RID: ts.RID(i + 1)} }
 	for i := 0; i < keys; i++ {
-		ht.GetOrCreate(mk(i), &fakeRecord{})
+		create(ht, mk(i))
 	}
 
 	var wg sync.WaitGroup
@@ -117,13 +118,13 @@ func TestHashGetRacesRemove(t *testing.T) {
 			c.mu.Lock()
 			c.dead = true
 			c.mu.Unlock()
-			ht.Remove(c)
+			ht.add(ht.Remove(c))
 		}
 		if got := ht.ChainCount(); got != 0 {
 			t.Fatalf("round %d: ChainCount = %d after removing all", round, got)
 		}
 		for i := 0; i < keys; i++ {
-			ht.GetOrCreate(mk(i), &fakeRecord{})
+			create(ht, mk(i))
 		}
 	}
 	close(stop)

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"hybridgc/internal/ts"
 )
@@ -55,9 +56,19 @@ func groupOfOne(rid uint64) *GroupCommitContext {
 
 func key(rid uint64) ts.RecordKey { return ts.RecordKey{Table: 1, RID: ts.RID(rid)} }
 
+// create registers key's chain and counts it at once, as the flush of the
+// transaction whose write created it would.
+func create(h *HashTable, k ts.RecordKey) *Chain {
+	c, chains, occupied := h.GetOrCreate(k, &fakeRecord{})
+	h.add(chains, occupied)
+	return c
+}
+
 // commitOne wraps a single version in its own single-transaction group with
-// the given CID and registers the group.
+// the given CID and registers the group, flushing the transaction's tally
+// first as the commit leader does.
 func commitOne(s *Space, v *Version, cid ts.CID) *GroupCommitContext {
+	s.Flush(v.tctx)
 	g := NewGroup([]*TransContext{v.tctx})
 	g.AssignCID(cid)
 	s.Groups.Append(g)
@@ -256,6 +267,7 @@ func TestRollbackUpdate(t *testing.T) {
 	if s.Rollback(v) {
 		t.Fatal("second rollback must be a no-op")
 	}
+	s.Flush(tc)
 	c := s.HT.Get(key(1))
 	if c == nil || c.Len() != 1 {
 		t.Fatalf("chain must retain the committed insert")
@@ -280,6 +292,7 @@ func TestRollbackInsertDropsRecord(t *testing.T) {
 	if !s.Rollback(v) {
 		t.Fatal("rollback failed")
 	}
+	s.Flush(tc)
 	if _, exists, _ := rec.state(); exists {
 		t.Fatal("rolled-back insert must drop the record")
 	}
@@ -483,7 +496,7 @@ func TestHashTableCollisions(t *testing.T) {
 		t.Fatalf("bucket count = %d, want 4", len(h.buckets))
 	}
 	for i := 0; i < 32; i++ {
-		h.GetOrCreate(key(uint64(i)), &fakeRecord{})
+		create(h, key(uint64(i)))
 	}
 	st := h.Stats()
 	if st.Chains != 32 {
@@ -520,10 +533,10 @@ func TestHashStatsCounters(t *testing.T) {
 	for step := 0; step < 2000; step++ {
 		k := uint64(rng.Intn(64))
 		if c, ok := live[k]; ok && rng.Intn(2) == 0 {
-			h.Remove(c)
+			h.add(h.Remove(c))
 			delete(live, k)
 		} else if !ok {
-			live[k] = h.GetOrCreate(key(k), &fakeRecord{})
+			live[k] = create(h, key(k))
 		}
 		occupied := 0
 		for i := range h.buckets {
@@ -544,20 +557,65 @@ func TestHashStatsCounters(t *testing.T) {
 
 func TestHashTableRemove(t *testing.T) {
 	h := NewHashTable(2)
-	a := h.GetOrCreate(key(1), &fakeRecord{})
-	b := h.GetOrCreate(key(2), &fakeRecord{})
-	cch := h.GetOrCreate(key(3), &fakeRecord{})
-	h.Remove(b)
+	a := create(h, key(1))
+	b := create(h, key(2))
+	cch := create(h, key(3))
+	h.add(h.Remove(b))
 	if h.Get(key(2)) != nil {
 		t.Fatal("removed chain still found")
 	}
 	if h.Get(key(1)) != a || h.Get(key(3)) != cch {
 		t.Fatal("other chains must survive removal")
 	}
-	h.Remove(a)
-	h.Remove(cch)
+	h.add(h.Remove(a))
+	h.add(h.Remove(cch))
 	if h.ChainCount() != 0 {
 		t.Fatalf("chain count = %d", h.ChainCount())
+	}
+}
+
+// TestTallyLagBound: one transaction links 200 versions, each on a new chain,
+// and rolls them all back. Live() and the chain count stay within tallyFlush
+// of what is linked at every step — the tally flushes by itself — and after
+// the final flush every counter is exact.
+func TestTallyLagBound(t *testing.T) {
+	s := NewSpace(64)
+	tc := NewTransContext(1)
+	const n = 200
+	var vs []*Version
+	lag := func(step string, linked int) {
+		t.Helper()
+		if d := int64(linked) - s.Live(); d <= -tallyFlush || d >= tallyFlush {
+			t.Fatalf("%s: %d linked, Live() = %d", step, linked, s.Live())
+		}
+		if d := int64(linked) - s.HT.ChainCount(); d <= -tallyFlush || d >= tallyFlush {
+			t.Fatalf("%s: %d chains, ChainCount() = %d", step, linked, s.HT.ChainCount())
+		}
+	}
+	for i := 0; i < n; i++ {
+		v := NewVersion(OpInsert, key(uint64(i+1)), []byte("x"), tc)
+		tc.Add(v)
+		if _, err := s.Prepend(&fakeRecord{exists: true}, v, nil); err != nil {
+			t.Fatal(err)
+		}
+		vs = append(vs, v)
+		lag(fmt.Sprintf("link %d", i), i+1)
+	}
+	if s.Live() == 0 {
+		t.Fatal("a tally past tallyFlush versions never flushed")
+	}
+	for i := n - 1; i >= 0; i-- {
+		if !s.Rollback(vs[i]) {
+			t.Fatalf("rollback %d failed", i)
+		}
+		lag(fmt.Sprintf("rollback %d", i), i)
+	}
+	s.Flush(tc)
+	if s.Live() != 0 || s.LiveBytes() != 0 || s.Created() != n || s.RolledBackTotal() != n {
+		t.Fatalf("after flush: live=%d bytes=%d created=%d rolled=%d", s.Live(), s.LiveBytes(), s.Created(), s.RolledBackTotal())
+	}
+	if st := s.HT.Stats(); st.Chains != 0 || st.OccupiedBuckets != 0 {
+		t.Fatalf("after flush: %+v", st)
 	}
 }
 
@@ -793,10 +851,16 @@ func TestLiveBytesAccounting(t *testing.T) {
 	if _, err := s.Prepend(rec2, d, nil); err != nil {
 		t.Fatal(err)
 	}
+	// An uncommitted version counts once its transaction flushes.
+	if got := s.LiveBytes(); got != 0 {
+		t.Fatalf("LiveBytes before the flush = %d", got)
+	}
+	s.Flush(tc)
 	if got := s.LiveBytes(); got != versionHeaderBytes+1 {
 		t.Fatalf("LiveBytes = %d", got)
 	}
 	s.Rollback(d)
+	s.Flush(tc)
 	if got := s.LiveBytes(); got != 0 {
 		t.Fatalf("LiveBytes after rollback = %d", got)
 	}
@@ -843,4 +907,41 @@ func TestReclaimIntervalsNamesTheHolderOnce(t *testing.T) {
 	if got := c.CommittedCIDs(); fmt.Sprint(got) != "[30]" {
 		t.Fatalf("remaining = %v, want [30]", got)
 	}
+}
+
+// TestCountersOffTheReadLine pins the padding of Space and HashTable: every
+// counter a flush or a collector adds to sits at least a cache line past the
+// fields every operation reads, so the adds never invalidate the line those
+// reads load.
+func TestCountersOffTheReadLine(t *testing.T) {
+	check := func(typ string, readEnd uintptr, counters map[string]uintptr) {
+		t.Helper()
+		for name, off := range counters {
+			if off < readEnd+64 {
+				t.Errorf("%s.%s at offset %d, within a cache line of the read-mostly fields ending at %d", typ, name, off, readEnd)
+			}
+		}
+	}
+	var s Space
+	check("Space", max(
+		unsafe.Offsetof(s.HT)+unsafe.Sizeof(s.HT),
+		unsafe.Offsetof(s.Groups)+unsafe.Sizeof(s.Groups),
+	), map[string]uintptr{
+		"live":      unsafe.Offsetof(s.live),
+		"liveBytes": unsafe.Offsetof(s.liveBytes),
+		"created":   unsafe.Offsetof(s.created),
+		"reclaimed": unsafe.Offsetof(s.reclaimed),
+		"rolled":    unsafe.Offsetof(s.rolled),
+		"migrated":  unsafe.Offsetof(s.migrated),
+	})
+	var h HashTable
+	check("HashTable", max(
+		unsafe.Offsetof(h.buckets)+unsafe.Sizeof(h.buckets),
+		unsafe.Offsetof(h.mask)+unsafe.Sizeof(h.mask),
+		unsafe.Offsetof(h.maxLen)+unsafe.Sizeof(h.maxLen),
+	), map[string]uintptr{
+		"chains":   unsafe.Offsetof(h.chains),
+		"occupied": unsafe.Offsetof(h.occupied),
+		"stats":    unsafe.Offsetof(h.stats),
+	})
 }

@@ -7,8 +7,9 @@ import (
 	"hybridgc/internal/ts"
 )
 
-// ErrRetry is returned internally when a chain was removed during a race;
-// Space methods loop on it and callers never observe it.
+// errDeadChain is what the link step of Prepend reports when a collector
+// removed the chain between its lookup and its latch; Prepend looks the
+// chain up again, so no caller ever observes it.
 var errDeadChain = errors.New("mvcc: chain removed concurrently")
 
 // Space is the version space: the RID hash table of version chains, the
@@ -18,6 +19,10 @@ type Space struct {
 	HT     *HashTable
 	Groups *GroupList
 
+	// The pad keeps the counters below off the line every operation loads HT
+	// and Groups from. Writers add to them once per transaction (Flush),
+	// collectors once per call.
+	_         [64]byte
 	live      atomic.Int64 // versions currently linked in chains
 	liveBytes atomic.Int64 // payload + header bytes of live versions
 	created   atomic.Int64 // versions ever created
@@ -26,13 +31,58 @@ type Space struct {
 	migrated  atomic.Int64 // images migrated into the table space
 }
 
+// tally is what one transaction's links and rollbacks since its last flush
+// owe the shared counters: versions linked and rolled back, their net
+// footprint, and the chains and occupied buckets its lookups created and its
+// rollbacks removed. It lives on the TransContext and is touched only by
+// whoever owns the transaction — its own goroutine, or the commit leader
+// while the transaction waits in the commit queue — so it takes no atomic.
+// The counts are small between flushes, so 32 bits hold them; that keeps the
+// TransContext, which outlives its transaction while its group holds a live
+// version, in the 80-byte size class.
+type tally struct {
+	bytes                             int64
+	created, rolled, chains, occupied int32
+}
+
+// tallyFlush is how many links and rollbacks a tally accrues before it
+// flushes by itself, which bounds how far Live() strays from the versions
+// actually linked: by fewer than tallyFlush per unfinished transaction —
+// for the pressure ladder, the collector's bell, and a bulk load that links
+// thousands of versions in one transaction alike.
+const tallyFlush = 64
+
+// Flush adds tc's tally to the shared counters and clears it. The commit
+// leader flushes every member of a group before it assigns the group's CID
+// (and a replica's applier before it publishes), and a transaction that
+// rolls back flushes after its rollback, so a collector never takes a
+// version off the counters before its transaction put it on.
+func (s *Space) Flush(tc *TransContext) {
+	t := tc.tally
+	tc.tally = tally{}
+	if n := t.created - t.rolled; n != 0 {
+		s.live.Add(int64(n))
+	}
+	if t.bytes != 0 {
+		s.liveBytes.Add(t.bytes)
+	}
+	if t.created != 0 {
+		s.created.Add(int64(t.created))
+	}
+	if t.rolled != 0 {
+		s.rolled.Add(int64(t.rolled))
+	}
+	s.HT.add(int64(t.chains), int64(t.occupied))
+}
+
 // versionHeaderBytes approximates the fixed per-version cost (header,
 // pointers, bookkeeping) added to the payload when accounting memory — the
 // "Used Memory" indicator of Figure 2.
 const versionHeaderBytes = 96
 
-// footprint is one version's accounted size.
-func footprint(v *Version) int64 {
+// Footprint is the version's accounted size: LiveBytes is the sum of it over
+// the versions linked.
+func (v *Version) Footprint() int64 {
 	return versionHeaderBytes + int64(len(v.Payload))
 }
 
@@ -43,7 +93,9 @@ func NewSpace(buckets int) *Space {
 }
 
 // Live returns the number of record versions currently in the version space
-// (the "number of record versions" series of Figures 10 and 17).
+// (the "number of record versions" series of Figures 10 and 17). A version
+// counts from when its transaction flushes its tally (Flush): when the
+// transaction commits or aborts, or sooner once it has linked tallyFlush.
 func (s *Space) Live() int64 { return s.live.Load() }
 
 // LiveBytes returns the accounted memory of live versions (payloads plus a
@@ -65,10 +117,15 @@ func (s *Space) RolledBackTotal() int64 { return s.rolled.Load() }
 // Prepend links v as the newest version of its record. check, if non-nil,
 // runs under the chain latch against the current head and may veto the write
 // (write-write conflict detection); a veto aborts the link and returns the
-// veto error. The record's is_versioned flag is raised.
+// veto error. The record's is_versioned flag is raised. The version, and the
+// chain its lookup may have created, go on the tally of v's TransContext,
+// which every linked version carries.
 func (s *Space) Prepend(rec RecordRef, v *Version, check func(head *Version) error) (*Chain, error) {
+	t := &v.tctx.tally
 	for {
-		c := s.HT.GetOrCreate(v.Key, rec)
+		c, chains, occupied := s.HT.GetOrCreate(v.Key, rec)
+		t.chains += int32(chains)
+		t.occupied += int32(occupied)
 		err := func() error {
 			c.mu.Lock()
 			defer c.mu.Unlock()
@@ -86,9 +143,11 @@ func (s *Space) Prepend(rec RecordRef, v *Version, check func(head *Version) err
 		}()
 		switch {
 		case err == nil:
-			s.live.Add(1)
-			s.liveBytes.Add(footprint(v))
-			s.created.Add(1)
+			t.created++
+			t.bytes += v.Footprint()
+			if t.created+t.rolled >= tallyFlush {
+				s.Flush(v.tctx)
+			}
 			return c, nil
 		case errors.Is(err, errDeadChain):
 			continue // chain was collected out from under us; retry lookup
@@ -102,7 +161,9 @@ func (s *Space) Prepend(rec RecordRef, v *Version, check func(head *Version) err
 // and when that empties the chain the chain is dropped from the hash table.
 // For a rolled-back INSERT the record itself is dropped from the table
 // space; otherwise the record's is_versioned flag is cleared when the chain
-// disappears. Reports whether the version was actually unlinked.
+// disappears. Reports whether the version was actually unlinked. What it
+// undoes nets against the tally of v's TransContext; only the transaction's
+// owner may call it.
 func (s *Space) Rollback(v *Version) bool {
 	c := v.chain
 	if c == nil {
@@ -123,12 +184,17 @@ func (s *Space) Rollback(v *Version) bool {
 		}
 	}
 	c.mu.Unlock()
+	t := &v.tctx.tally
 	if emptied {
-		s.HT.Remove(c)
+		chains, occupied := s.HT.Remove(c)
+		t.chains += int32(chains)
+		t.occupied += int32(occupied)
 	}
-	s.live.Add(-1)
-	s.liveBytes.Add(-footprint(v))
-	s.rolled.Add(1)
+	t.rolled++
+	t.bytes -= v.Footprint()
+	if t.created+t.rolled >= tallyFlush {
+		s.Flush(v.tctx)
+	}
 	return true
 }
 
@@ -208,7 +274,7 @@ func (s *Space) ReclaimBelow(c *Chain, min ts.CID) ReclaimResult {
 	for cur := boundary; cur != nil; cur = cur.Older() {
 		if ok, drained := s.retire(cur); ok {
 			res.Versions++
-			freed += footprint(cur)
+			freed += cur.Footprint()
 			if drained {
 				res.Groups++
 			}
@@ -225,7 +291,7 @@ func (s *Space) ReclaimBelow(c *Chain, min ts.CID) ReclaimResult {
 	c.mu.Unlock()
 
 	if res.Emptied {
-		s.HT.Remove(c)
+		s.HT.add(s.HT.Remove(c))
 	}
 	s.live.Add(int64(-res.Versions))
 	s.liveBytes.Add(-freed)
@@ -304,7 +370,7 @@ func (s *Space) ReclaimIntervals(c *Chain, snaps []ts.CID, bound ts.CID, held fu
 		newer.older.Store(v.Older())
 		if ok, drained := s.retire(v); ok {
 			res.Versions++
-			freed += footprint(v)
+			freed += v.Footprint()
 			if drained {
 				res.Groups++
 			}
@@ -356,7 +422,7 @@ func (s *Space) ReclaimVersionIf(v *Version, decide func(self, successor ts.CID)
 	}
 	c.mu.Unlock()
 	s.live.Add(int64(-res.Versions))
-	s.liveBytes.Add(int64(-res.Versions) * footprint(v))
+	s.liveBytes.Add(int64(-res.Versions) * v.Footprint())
 	s.reclaimed.Add(int64(res.Versions))
 	return res
 }

@@ -92,6 +92,29 @@ func TestRecordLayout(t *testing.T) {
 	}
 }
 
+// TestTableCountersOffTheReadLine pins the padding of Table: what every
+// insert and drop writes sits at least a cache line past the fields every
+// lookup reads, so those writes never invalidate the line the lookups load.
+func TestTableCountersOffTheReadLine(t *testing.T) {
+	var tbl Table
+	readEnd := max(
+		unsafe.Offsetof(tbl.ID)+unsafe.Sizeof(tbl.ID),
+		unsafe.Offsetof(tbl.Name)+unsafe.Sizeof(tbl.Name),
+		unsafe.Offsetof(tbl.dir)+unsafe.Sizeof(tbl.dir),
+		unsafe.Offsetof(tbl.partitions)+unsafe.Sizeof(tbl.partitions),
+		unsafe.Offsetof(tbl.writeObs)+unsafe.Sizeof(tbl.writeObs),
+	)
+	for name, off := range map[string]uintptr{
+		"dirMu":   unsafe.Offsetof(tbl.dirMu),
+		"nextRID": unsafe.Offsetof(tbl.nextRID),
+		"live":    unsafe.Offsetof(tbl.live),
+	} {
+		if off < readEnd+64 {
+			t.Errorf("Table.%s at offset %d, within a cache line of the read-mostly fields ending at %d", name, off, readEnd)
+		}
+	}
+}
+
 // TestBytesPerRow measures the heap a table space adds per row beyond the
 // images themselves: the page share (36 B) and the directory, and nothing
 // per image.

@@ -201,11 +201,7 @@ type Table struct {
 	// into an entry or of a grown copy — happens under dirMu, so a copy
 	// never loses an entry. Entries go nil → page → retired. The directory
 	// only grows: 8 bytes per pageSize RIDs ever allocated.
-	dir   atomic.Pointer[[]atomic.Pointer[page]]
-	dirMu sync.Mutex
-
-	nextRID atomic.Uint64
-	live    atomic.Int64
+	dir atomic.Pointer[[]atomic.Pointer[page]]
 	// partitions is the partition count; 0 means unpartitioned. Records are
 	// assigned round-robin by RID, so a partition is a deterministic RID
 	// residue class — enough structure for partition pruning and
@@ -218,6 +214,13 @@ type Table struct {
 	// sticky dirty set over chunk-covered rows; it fires under the chain
 	// latch, so observers must be cheap and must not re-enter the engine.
 	writeObs atomic.Pointer[func(ts.RID)]
+
+	// The pad keeps what every insert and drop writes off the line every
+	// lookup loads dir (and every Record.Key the table ID) from.
+	_       [64]byte
+	dirMu   sync.Mutex
+	nextRID atomic.Uint64
+	live    atomic.Int64
 }
 
 func newTable(id ts.TableID, name string) *Table {

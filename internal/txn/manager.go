@@ -350,6 +350,11 @@ func (m *Manager) commitBatch(lead *commitReq, n int) commitResult {
 		// is unrecoverable without restarting through recovery: fail-stop.
 		return m.failBatch(lead, tcs, fmt.Errorf("txn: publish failed after durable logging: %w", err))
 	}
+	// The members' tallies go on the version-space counters before the CID
+	// makes their versions collectable, so no collector subtracts first.
+	for _, tc := range tcs {
+		m.space.Flush(tc)
+	}
 	gcc := mvcc.NewGroup(tcs)
 	versions := gcc.Live()
 	// Publish the CID on the group first: the single store below makes every
@@ -404,12 +409,14 @@ func (m *Manager) failBatch(lead *commitReq, tcs []*mvcc.TransContext, err error
 	return answer(lead, commitResult{err: err})
 }
 
-// rollback unlinks a transaction's versions newest-first.
+// rollback unlinks a transaction's versions newest-first and flushes its
+// tally, which they net against.
 func (m *Manager) rollback(tc *mvcc.TransContext) {
 	vs := tc.Versions()
 	for i := len(vs) - 1; i >= 0; i-- {
 		m.space.Rollback(vs[i])
 	}
+	m.space.Flush(tc)
 }
 
 // Barrier blocks until every commit submitted before it has been published
@@ -441,6 +448,7 @@ func (m *Manager) PublishReplicated(cid ts.CID, tc *mvcc.TransContext) error {
 	if cur := ts.CID(m.commitTS.Load()); cid <= cur {
 		return fmt.Errorf("txn: replicated CID %d not above current %d", cid, cur)
 	}
+	m.space.Flush(tc)
 	gcc := mvcc.NewGroup([]*mvcc.TransContext{tc})
 	versions := gcc.Live()
 	gcc.AssignCID(cid)

@@ -134,6 +134,9 @@ func (t *Txn) Commit() (ts.CID, error) {
 		return ts.Invalid, ErrNotActive
 	}
 	if !t.WroteAnything() {
+		// Nothing to roll back, but a write that lost its chain to another
+		// writer may have tallied the chain it created.
+		t.undo()
 		t.releaseSnapshot()
 		return ts.Invalid, nil
 	}
@@ -170,7 +173,7 @@ func (t *Txn) Abort() {
 	t.m.txnsAborted.Add(1)
 }
 
-// undo rolls back whatever the transaction wrote.
+// undo rolls back whatever the transaction wrote and flushes its tally.
 func (t *Txn) undo() {
 	if t.tctx != nil {
 		t.m.rollback(t.tctx)

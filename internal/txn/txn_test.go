@@ -219,21 +219,34 @@ func TestFirstCommitterWinsUnderTransSI(t *testing.T) {
 	late.Abort()
 }
 
+// TestAbortUndoesVersions: a transaction's versions count in the version
+// space when it finishes — five after a commit — and an aborted one's leave
+// it as they came, counted as created and rolled back.
 func TestAbortUndoesVersions(t *testing.T) {
 	m := newTestManager(t, Config{})
 	rec := &nopRecord{}
-	txn := m.Begin(StmtSI, nil)
+	kept := m.Begin(StmtSI, nil)
 	for rid := uint64(1); rid <= 5; rid++ {
+		if err := write(t, m, kept, rec, rid, "clean"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := kept.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if m.Space().Live() != 5 {
+		t.Fatalf("live after commit = %d, want 5", m.Space().Live())
+	}
+	txn := m.Begin(StmtSI, nil)
+	for rid := uint64(6); rid <= 10; rid++ {
 		if err := write(t, m, txn, rec, rid, "dirty"); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if m.Space().Live() != 5 {
-		t.Fatalf("live = %d", m.Space().Live())
-	}
 	txn.Abort()
-	if m.Space().Live() != 0 {
-		t.Fatalf("live after abort = %d, want 0", m.Space().Live())
+	sp := m.Space()
+	if sp.Live() != 5 || sp.Created() != 10 || sp.RolledBackTotal() != 5 {
+		t.Fatalf("after abort: live=%d created=%d rolled=%d, want 5, 10, 5", sp.Live(), sp.Created(), sp.RolledBackTotal())
 	}
 	if m.Stats().TxnsAborted != 1 {
 		t.Fatal("abort not counted")
