@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race check bench bench-smoke benchmark-test chaos-smoke fuzz-smoke figures clean
+.PHONY: all build vet test race check bench-smoke benchmark-test chaos-smoke fuzz-smoke figures clean
 
 all: check
 
@@ -31,9 +31,6 @@ race:
 
 check: vet build test race
 
-bench:
-	$(GO) test -bench=. -benchtime=1x -run '^$$' .
-
 # CI smoke: one iteration of every hot-path micro-benchmark, so bench code
 # cannot rot without failing the build. GOMAXPROCS=4 makes the parallel
 # benchmarks actually interleave; the commit path runs at -cpu 1,2,4 because
@@ -60,9 +57,11 @@ bench:
 # 64 k buckets, flat while Stats reads counters instead of the buckets. From
 # internal/table: BenchmarkRecordImage, parallel image reads of 20 k
 # unversioned rows while one goroutine re-installs their images (ns/op, and
-# allocs/op: 0 while a record holds its image inline).
+# allocs/op: 0 while a record holds its image inline). From the root package:
+# the collector, chain-depth, column-lane and group-commit ablations and the
+# engine Update/Get and cursor FETCH micro-benchmarks.
 bench-smoke:
-	GOMAXPROCS=4 $(GO) test -run '^$$' -bench 'BenchmarkOLAPScan|BenchmarkHashGet|BenchmarkHashStats|BenchmarkTableGet|BenchmarkRecordImage|BenchmarkCatalogByID|BenchmarkWireFrame|BenchmarkWALAppend|BenchmarkGroupCommit|BenchmarkShardedCommit|BenchmarkSnapshotAcquire|BenchmarkStatementGetParallel|BenchmarkWriteParallel|BenchmarkPassEmpty|BenchmarkPassPinnedWindow|BenchmarkStreamTail|BenchmarkRemoteTxn' -benchtime=1x . ./internal/mvcc ./internal/table ./internal/wire ./internal/wal ./internal/shard ./internal/htap ./internal/sts ./internal/txn ./internal/core ./internal/gc ./internal/repl ./internal/server
+	GOMAXPROCS=4 $(GO) test -run '^$$' -bench 'BenchmarkAblation|BenchmarkEngine|BenchmarkCursorFetch|BenchmarkOLAPScan|BenchmarkHashGet|BenchmarkHashStats|BenchmarkTableGet|BenchmarkRecordImage|BenchmarkCatalogByID|BenchmarkWireFrame|BenchmarkWALAppend|BenchmarkGroupCommit|BenchmarkShardedCommit|BenchmarkSnapshotAcquire|BenchmarkStatementGetParallel|BenchmarkWriteParallel|BenchmarkPassEmpty|BenchmarkPassPinnedWindow|BenchmarkStreamTail|BenchmarkRemoteTxn' -benchtime=1x . ./internal/mvcc ./internal/table ./internal/wire ./internal/wal ./internal/shard ./internal/htap ./internal/sts ./internal/txn ./internal/core ./internal/gc ./internal/repl ./internal/server
 	$(GO) test -run '^$$' -bench 'BenchmarkCommit(Parallel|Serial)$$' -benchtime=1x -cpu 1,2,4 ./internal/txn
 
 # The repository benchmark is a nested module that `go test ./...` at the

@@ -1,9 +1,6 @@
-// Benchmarks regenerating every figure of the paper's evaluation section
-// (§5), one testing.B benchmark per figure, plus ablation benchmarks for
-// the design choices DESIGN.md calls out. Each figure iteration runs the
-// full experiment at smoke scale and reports the figure's headline numbers
-// as custom metrics; `cmd/hybridgc-bench` runs the same experiments at full
-// scale with complete series output.
+// Ablation benchmarks for the design choices DESIGN.md calls out, and engine
+// micro-benchmarks. The paper's figures are run by `cmd/hybridgc-bench -fig`
+// and shape-checked by internal/bench's tests.
 package hybridgc
 
 import (
@@ -12,118 +9,11 @@ import (
 	"testing"
 	"time"
 
-	"hybridgc/internal/bench"
 	"hybridgc/internal/colstore"
 	"hybridgc/internal/gc"
 	"hybridgc/internal/htap"
 	"hybridgc/internal/txn"
 )
-
-func quickSuite() *bench.Suite {
-	return bench.NewSuite(bench.SuiteConfig{Quick: true})
-}
-
-// runFigure executes one figure per iteration and returns the last report.
-func runFigure(b *testing.B, id string) *bench.Report {
-	b.Helper()
-	var rep *bench.Report
-	for i := 0; i < b.N; i++ {
-		var err error
-		rep, err = quickSuite().Run(id)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	return rep
-}
-
-// lastOf extracts the final value of the labeled series.
-func lastOf(rep *bench.Report, label string) float64 {
-	for _, s := range rep.Series {
-		if s.Label == label {
-			return s.Series.Last()
-		}
-	}
-	return 0
-}
-
-// BenchmarkFig10VersionSpace regenerates Figure 10: record versions over
-// time with a long-duration cursor, per collector configuration.
-func BenchmarkFig10VersionSpace(b *testing.B) {
-	rep := runFigure(b, "fig10")
-	b.ReportMetric(lastOf(rep, "GT"), "GT-final-versions")
-	b.ReportMetric(lastOf(rep, "GT+TG"), "GTTG-final-versions")
-	b.ReportMetric(lastOf(rep, "HG"), "HG-final-versions")
-}
-
-// BenchmarkFig11ReclaimBreakdown regenerates Figure 11: accumulated
-// reclaimed versions per collector under HG.
-func BenchmarkFig11ReclaimBreakdown(b *testing.B) {
-	rep := runFigure(b, "fig11")
-	b.ReportMetric(lastOf(rep, "GT"), "GT-reclaimed")
-	b.ReportMetric(lastOf(rep, "TG"), "TG-reclaimed")
-	b.ReportMetric(lastOf(rep, "SI"), "SI-reclaimed")
-}
-
-// BenchmarkFig12Throughput regenerates Figure 12: TPC-C throughput over time
-// with a long-duration cursor.
-func BenchmarkFig12Throughput(b *testing.B) {
-	rep := runFigure(b, "fig12")
-	b.ReportMetric(lastOf(rep, "GT"), "GT-stmts/s")
-	b.ReportMetric(lastOf(rep, "HG"), "HG-stmts/s")
-}
-
-// BenchmarkFig13HashCollision regenerates Figure 13: hash collision ratio
-// over time.
-func BenchmarkFig13HashCollision(b *testing.B) {
-	rep := runFigure(b, "fig13")
-	b.ReportMetric(lastOf(rep, "GT"), "GT-collision-ratio")
-	b.ReportMetric(lastOf(rep, "HG"), "HG-collision-ratio")
-}
-
-// BenchmarkFig14FetchLatency regenerates Figure 14: the latency of
-// individual FETCH operations of an incremental query.
-func BenchmarkFig14FetchLatency(b *testing.B) {
-	rep := runFigure(b, "fig14")
-	b.ReportMetric(float64(len(rep.Rows)), "fetch-rows")
-}
-
-// BenchmarkFig15FetchTraversal regenerates Figure 15: record versions
-// traversed per FETCH.
-func BenchmarkFig15FetchTraversal(b *testing.B) {
-	rep := runFigure(b, "fig15")
-	b.ReportMetric(float64(len(rep.Rows)), "fetch-rows")
-}
-
-// BenchmarkFig16TransSILatency regenerates Figure 16: scan latency inside
-// repeated Trans-SI transactions.
-func BenchmarkFig16TransSILatency(b *testing.B) {
-	rep := runFigure(b, "fig16")
-	b.ReportMetric(float64(len(rep.Rows)), "modes")
-}
-
-// BenchmarkFig17TransSIVersions regenerates Figure 17: the saw-tooth version
-// population under Trans-SI.
-func BenchmarkFig17TransSIVersions(b *testing.B) {
-	rep := runFigure(b, "fig17")
-	b.ReportMetric(lastOf(rep, "HG"), "HG-final-versions")
-}
-
-// BenchmarkFig18PeriodSweepNoCursor regenerates Figure 18: throughput vs GC
-// invocation period without a long snapshot.
-func BenchmarkFig18PeriodSweepNoCursor(b *testing.B) {
-	rep := runFigure(b, "fig18")
-	b.ReportMetric(float64(len(rep.Rows)), "sweep-points")
-}
-
-// BenchmarkFig19PeriodSweepCursor regenerates Figure 19: the same sweep with
-// a long-duration cursor.
-func BenchmarkFig19PeriodSweepCursor(b *testing.B) {
-	rep := runFigure(b, "fig19")
-	b.ReportMetric(float64(len(rep.Rows)), "sweep-points")
-}
-
-// --- Ablations (A01-A03 in DESIGN.md) and engine micro-benchmarks ---
 
 // gcWorkloadDB builds a database with a pinned snapshot and a pile of
 // versions, for collector ablations.

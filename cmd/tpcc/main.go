@@ -108,7 +108,7 @@ func (o *options) validate() error {
 	remote := o.addr != ""
 	switch {
 	case remote && o.cursor:
-		return errors.New("-cursor is local-only; the remote pinned-snapshot scenario is examples/network")
+		return errors.New("-cursor is local-only; against a server, a client holds the cursor (client.Query)")
 	case remote && o.shards > 1:
 		return errors.New("-shards is local-only; a remote engine's shard count is the server's -shards")
 	case !remote && o.olap > 0:

@@ -55,11 +55,6 @@ type Config struct {
 	// on a dead address.
 	RedialBase time.Duration
 	RedialMax  time.Duration
-	// HelloMinLSN is the consistency token carried in every HELLO (zero:
-	// none): a replica that has not applied up to this LSN refuses the
-	// handshake (waits, then bounces with core.ErrReplicaBehind), so a
-	// session is never established against a server that cannot satisfy it.
-	HelloMinLSN uint64
 }
 
 func (c *Config) fill() {
@@ -142,7 +137,7 @@ func (c *Client) dial() (*Conn, error) {
 		return nil, err
 	}
 	cn := &Conn{nc: nc, br: bufio.NewReader(nc), timeout: c.cfg.DialTimeout}
-	body := (&wire.Builder{}).Hello(c.cfg.Token, c.cfg.HelloMinLSN)
+	body := (&wire.Builder{}).Hello(c.cfg.Token, 0)
 	r, err := cn.roundTrip(wire.OpHello, body.Take())
 	if err != nil {
 		nc.Close()

@@ -71,11 +71,6 @@ type Config struct {
 	Interval time.Duration
 	// ChunkSlots is the RID range length of one chunk (<=0 selects 4096).
 	ChunkSlots int
-	// MaxDictSize bounds each chunk string column's dictionary (<=0 selects
-	// colstore.DefaultMaxDictSize). Overflowing rows stay on the row path
-	// and are counted in LaneStats.DictOverflows — loudly visible, never
-	// silently unbounded.
-	MaxDictSize int
 }
 
 func (c *Config) fill() {
@@ -84,9 +79,6 @@ func (c *Config) fill() {
 	}
 	if c.ChunkSlots <= 0 {
 		c.ChunkSlots = 4096
-	}
-	if c.MaxDictSize <= 0 {
-		c.MaxDictSize = colstore.DefaultMaxDictSize
 	}
 }
 
@@ -328,7 +320,7 @@ func (s *Store) run(stop, done chan struct{}) {
 }
 
 // Migrate runs one migration pass over every lane (the manual form the
-// background loop calls periodically; tests and examples call it directly).
+// background loop calls periodically; tests call it directly).
 // It returns the number of rows newly placed into chunks.
 func (s *Store) Migrate() int {
 	s.mu.RLock()
@@ -443,7 +435,7 @@ type ridStamp struct {
 // returning it, the number of rows placed, and the deferred dirty-clears
 // the caller applies after the swap.
 func (s *Store) buildChunk(l *Lane, base, end ts.RID, w ts.CID) (laneChunk, int, []ridStamp) {
-	b, err := colstore.NewChunkBuilder(l.schema, base, s.cfg.ChunkSlots, s.cfg.MaxDictSize)
+	b, err := colstore.NewChunkBuilder(l.schema, base, s.cfg.ChunkSlots, colstore.DefaultMaxDictSize)
 	if err != nil {
 		return laneChunk{}, 0, nil
 	}

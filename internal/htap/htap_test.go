@@ -146,8 +146,22 @@ func TestMigrateAndAggregate(t *testing.T) {
 		t.Fatalf("grouped sums total %d, want %d", groupTotal, wantSum)
 	}
 
-	// Delta tail: fresh inserts are visible before any migration pass.
-	insertRow(t, db, tid, 1000, "emea")
+	// Delta tail: fresh inserts are visible before any migration pass. This
+	// one commits in one transaction with a write to a row-store table.
+	orders, err := db.CreateTable("ORDERS")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var order ts.RID
+	if err := db.Exec(txn.StmtSI, nil, func(tx *core.Tx) error {
+		if _, err := tx.Insert(tid, enc(t, 1000, "emea")); err != nil {
+			return err
+		}
+		order, err = tx.Insert(orders, []byte("order"))
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
 	sum, sres := scalar(t, st, tid, AggSpec{Op: AggSum, Col: "amount"})
 	if sum != wantSum+1000 {
 		t.Fatalf("SUM with delta = %d, want %d", sum, wantSum+1000)
@@ -174,8 +188,17 @@ func TestMigrateAndAggregate(t *testing.T) {
 		t.Fatalf("%d rows still on the row path after re-migrate", sres.RowRows)
 	}
 	stats := st.Stats()
-	if len(stats) != 1 || stats[0].Chunks == 0 || stats[0].MigratedRows < n {
+	if len(stats) != 1 || stats[0].Chunks == 0 || stats[0].MigratedRows < n+1 {
 		t.Fatalf("unexpected lane stats: %+v", stats)
+	}
+	if err := db.Exec(txn.StmtSI, nil, func(tx *core.Tx) error {
+		img, err := tx.Get(orders, order)
+		if err == nil && string(img) != "order" {
+			err = fmt.Errorf("ORDERS row reads %q", img)
+		}
+		return err
+	}); err != nil {
+		t.Fatal(err)
 	}
 }
 

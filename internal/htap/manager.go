@@ -87,7 +87,7 @@ func (m *Manager) Schema(tid ts.TableID) (colstore.Schema, bool) {
 }
 
 // Migrate runs one synchronous migration pass on every shard, returning
-// rows migrated (tests and examples; production uses the background loop).
+// rows migrated (tests; production uses the background loop).
 func (m *Manager) Migrate() int {
 	total := 0
 	for _, st := range m.stores {

@@ -2,8 +2,8 @@
 // shard.Cluster) with its collectors, the replication role it plays, the wire
 // server in front of it, and the background workers beside it (HTAP
 // migrator, checkpoint ticker). It is the only place those parts are wired
-// together — cmd/hybridgcd, the chaos clusters, the read-scale figure, the
-// examples and the smoke tests all call Start — so start order, shutdown
+// together — cmd/hybridgcd, the chaos clusters, the read-scale figure and
+// the smoke tests all call Start — so start order, shutdown
 // order and the replica's re-bootstrap swap are decided once (DESIGN.md,
 // "Node assembly and lifecycle").
 package node

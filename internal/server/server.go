@@ -59,9 +59,6 @@ type Config struct {
 	IdleTimeout time.Duration
 	// WriteTimeout bounds writing one response (<=0 selects 30s).
 	WriteTimeout time.Duration
-	// LatencyReservoir sizes the request-latency histogram's bounded
-	// reservoir (<=0 selects metrics.DefaultHistogramCap).
-	LatencyReservoir int
 
 	// Repl, when set, accepts OpReplStream requests (a primary serving
 	// replicas). Nil servers reject the opcode.
@@ -147,7 +144,7 @@ func NewEngine(eng engine.Engine, cfg Config) (*Server, error) {
 		eng:   eng,
 		cat:   cat,
 		conns: make(map[*conn]struct{}),
-		lat:   metrics.NewHistogram(cfg.LatencyReservoir),
+		lat:   metrics.NewHistogram(metrics.DefaultHistogramCap),
 	}
 	if eng.Shards() == 1 {
 		s.tokenLog = eng.Shard(0).WAL()

@@ -3,6 +3,7 @@ package server
 import (
 	"bufio"
 	"errors"
+	"fmt"
 	"net"
 	"sync"
 	"testing"
@@ -10,6 +11,7 @@ import (
 
 	"hybridgc/internal/client"
 	"hybridgc/internal/core"
+	"hybridgc/internal/gc"
 	"hybridgc/internal/tpcc"
 	"hybridgc/internal/ts"
 	"hybridgc/internal/wire"
@@ -131,7 +133,7 @@ func TestAuth(t *testing.T) {
 }
 
 func TestExecAndQuery(t *testing.T) {
-	srv, _, addr := newTestServer(t, Config{})
+	srv, db, addr := newTestServer(t, Config{})
 	cl, err := client.Dial(client.Config{Addr: addr})
 	if err != nil {
 		t.Fatal(err)
@@ -163,6 +165,24 @@ func TestExecAndQuery(t *testing.T) {
 	}
 	if cu.SnapshotTS() == 0 {
 		t.Fatal("cursor reports no snapshot")
+	}
+	// The cursor's snapshot pins the server, but TG confines it to the table
+	// its plan scans once it is long-lived: updates to another table are
+	// reclaimed while it stays open.
+	if _, err := cl.Exec("CREATE TABLE hot (id INT, v INT)"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.Exec("INSERT INTO hot VALUES (1, 0)"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 50; i++ {
+		if _, err := cl.Exec(fmt.Sprintf("UPDATE hot SET v = %d WHERE id = 1", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	time.Sleep(gc.DefaultLongLivedThreshold + 20*time.Millisecond)
+	if run := db.GC().RunTG(); run.SnapshotsScoped != 1 || run.Versions == 0 {
+		t.Fatalf("TG did not confine the remote cursor to t: %s", run)
 	}
 	var rows int
 	for !cu.Exhausted() {
