@@ -53,7 +53,10 @@ check: vet build test race
 # transaction's snapshot), and BenchmarkWriteParallel, one-row Update+Commit
 # transactions on disjoint rows with the collector running (ns/op: what the
 # write path's shared lines cost while its accounting is tallied per
-# transaction). From internal/mvcc: BenchmarkHashStats at 1 k and
+# transaction; live-versions: what is left unreclaimed at its end, a few
+# times the 256 versions after which a committer runs GT, where the collector
+# loop alone would leave up to its 512-version batch and more). From
+# internal/mvcc: BenchmarkHashStats at 1 k and
 # 64 k buckets, flat while Stats reads counters instead of the buckets. From
 # internal/table: BenchmarkRecordImage, parallel image reads of 20 k
 # unversioned rows while one goroutine re-installs their images (ns/op, and

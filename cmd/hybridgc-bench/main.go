@@ -65,7 +65,7 @@ func main() {
 // -seed always applies.
 func parse(fs *flag.FlagSet, args []string) (cfg bench.SuiteConfig, fig string, prof profiling.Flags, err error) {
 	fs.StringVar(&fig, "fig", "all", "figure number(s) to regenerate: e.g. 10 or 10,12,19 or all")
-	fs.BoolVar(&cfg.Quick, "quick", false, "smoke-test scale (sub-second runs)")
+	fs.BoolVar(&cfg.Quick, "quick", false, "smoke-test scale (sub-second runs; the compared legs of figs 10-13, ext1 and ext2 run to equal committed work)")
 	fs.DurationVar(&cfg.Duration, "duration", 0, "per-run workload duration (default 3s, quick 500ms)")
 	fs.IntVar(&cfg.TPCC.Warehouses, "warehouses", 0, "TPC-C warehouses (default 4)")
 	fs.IntVar(&cfg.TPCC.Items, "items", 0, "TPC-C items per warehouse (default 200)")

@@ -249,6 +249,7 @@ func (s *Suite) Ext1() (*Report, error) {
 		o.LongCursor = true
 		o.StockPartitions = 4
 		o.CursorPartitions = parts
+		o.Transactions = s.workBound(quickTransactions)
 		return workload.Run(o)
 	}
 	tableScoped, err := run(nil)

@@ -80,7 +80,7 @@ func (s *Suite) ext3Leg(nReplicas int) (qps metrics.Series, note string, err err
 		return qps, "", err
 	}
 	var last int64
-	workload.Sample(s.cfg.Duration, s.cfg.Duration/30, func(at, dt time.Duration) {
+	workload.Sample(s.cfg.Duration, s.cfg.Duration/30, nil, func(at, dt time.Duration) {
 		r := rp.Reads.Load()
 		qps.Add(at, float64(r-last)/dt.Seconds())
 		last = r

@@ -23,9 +23,24 @@ type SuiteConfig struct {
 	// HashBuckets sizes the RID hash table; smaller tables make Figure 13's
 	// collision effect visible sooner.
 	HashBuckets int
-	// Quick selects the smoke-test scale.
+	// Quick selects the smoke-test scale. At it the experiments whose legs
+	// the tests compare — the cursor experiment (Figures 10–13), ext1 and
+	// ext2 — run each leg to the same committed work (quickTransactions,
+	// quickWrites) instead of for Duration, so a leg that got less CPU is not a leg that
+	// did less.
 	Quick bool
 }
+
+// quickTransactions and quickWrites are the committed work each compared leg
+// runs to at the Quick scale: TPC-C transactions in the cursor experiment
+// and ext1, one-row updates in ext2. An update is about a tenth of a TPC-C
+// transaction, and an ext2 leg must last long enough — a few hundred
+// milliseconds — for its analysts, writers and migrator to share the cores
+// fairly.
+const (
+	quickTransactions = 4000
+	quickWrites       = 40000
+)
 
 func (c *SuiteConfig) fill() {
 	def := SuiteConfig{
@@ -111,7 +126,19 @@ func (s *Suite) experiment(name string, configure func(*workload.Options)) (map[
 
 // cursor is the §5.2 experiment: TPC-C plus a long-duration cursor on STOCK.
 func (s *Suite) cursor() (map[gc.Mode]*workload.Result, error) {
-	return s.experiment("cursor", func(o *workload.Options) { o.LongCursor = true })
+	return s.experiment("cursor", func(o *workload.Options) {
+		o.LongCursor = true
+		o.Transactions = s.workBound(quickTransactions)
+	})
+}
+
+// workBound is the committed work a compared leg runs to: n at the Quick
+// scale, and none — a run of Duration — otherwise.
+func (s *Suite) workBound(n int) int {
+	if s.cfg.Quick {
+		return n
+	}
+	return 0
 }
 
 // fetch is the §5.4 incremental query processing experiment. The FETCH size

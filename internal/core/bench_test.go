@@ -95,4 +95,8 @@ func BenchmarkWriteParallel(b *testing.B) {
 			}
 		}
 	})
+	b.StopTimer()
+	// What the committers' group collections left behind: a few times
+	// their batch, where the loop alone leaves up to its own and more.
+	b.ReportMetric(float64(db.Space().Live()), "live-versions")
 }

@@ -36,9 +36,10 @@ func DefaultPeriods() Periods {
 // It is flat in both version_residence_ms and txn_per_s from 128 to 512,
 // loses throughput at 32 and residence from 1024 up (8192: +5 ms on
 // oltp_mem, +11 ms on htap_pin); 512 is the largest value on the flat part.
-// What is left of residence there is not the batch: it is the collector
-// goroutine waiting for a core on a saturated box, and under a held cursor a
-// version waiting for its successor.
+// Since then GT runs on the committers as well (Hybrid), every few commits,
+// so the batch no longer sets how long GT's garbage waits — the collector
+// goroutine waiting for a core on a saturated box did — only how often TG
+// and SI run.
 const batchVersions = 512
 
 // Hybrid is the HybridGC of §4.4: the global group collector (GT), the table
@@ -50,8 +51,11 @@ const batchVersions = 512
 // the announcement array. Passes are serialized on one latch; versions are
 // reclaimed concurrently with transaction processing.
 //
-// Once started, one goroutine runs the passes, and it is driven by work, not
-// by a clock. It wakes when the commit leader has published a batch of
+// Once started, GT also runs on the committers (commitGT): a committer whose
+// commit was answered runs it when enough versions have been published
+// since the last GT and the snapshot that stopped that one is gone, unless
+// a pass holds the latch. And one goroutine runs the passes, driven by work,
+// not by a clock. It wakes when the commit leader has published a batch of
 // versions since the last pass, when a snapshot is released whose timestamp
 // the group collector found holding at least a batch of versions back, and,
 // failing both, when an enabled collector has been idle for its period. All
@@ -66,7 +70,7 @@ type Hybrid struct {
 	m       *txn.Manager
 	periods Periods
 
-	mu      sync.Mutex // serializes collector passes
+	mu      sync.Mutex // serializes collector passes, the committers' GT included
 	view    txn.View   // the pass's view, refilled under mu
 	startMu sync.Mutex
 	stop    chan struct{}
@@ -119,13 +123,19 @@ func (h *Hybrid) RunSI() RunStats {
 	return st
 }
 
-// pass takes one view and runs GT and then the collectors asked for over it,
-// under the latch. By the time SI runs the view is two collectors old, which
-// is safe: no later snapshot sits below its bound, and every collector treats
-// what lies above the bound as not its to touch.
+// pass runs GT and then the collectors asked for, under the latch.
 func (h *Hybrid) pass(tg, si bool) (gtStats, tgStats, siStats RunStats) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	return h.run(tg, si)
+}
+
+// run takes one view and runs GT and then the collectors asked for over it;
+// the caller holds the latch. By the time SI runs the view is two collectors
+// old, which is safe: no later snapshot sits below its bound, and every
+// collector treats what lies above the bound as not its to touch.
+func (h *Hybrid) run(tg, si bool) (gtStats, tgStats, siStats RunStats) {
+	h.m.BeginGT()
 	h.m.ViewInto(&h.view)
 	gtStats = h.GT.collect(&h.view)
 	if tg {
@@ -137,28 +147,55 @@ func (h *Hybrid) pass(tg, si bool) (gtStats, tgStats, siStats RunStats) {
 	return
 }
 
-// Start launches the collector loop. With every period zero there is nothing
-// to run and no loop. Start is idempotent while running.
+// commitGT is the group collection Start installs on the commit path: GT
+// alone, on the committing goroutine, unless a pass holds the latch — a
+// committer never waits for one — or stop is closed. Stop closes stop before
+// it takes the latch, so a committer that loaded this step before Stop
+// removed it either finishes before Stop returns or finds stop closed.
+func (h *Hybrid) commitGT(stop <-chan struct{}) {
+	if !h.mu.TryLock() {
+		return
+	}
+	defer h.mu.Unlock()
+	select {
+	case <-stop:
+	default:
+		h.run(false, false)
+	}
+}
+
+// Start launches the collector loop and makes every committer run GT once
+// enough has been published since the last run (txn.Manager.CollectOnCommit).
+// With every period zero there is nothing to run: no loop, and GT stays off
+// the commit path. Start is idempotent while running.
 func (h *Hybrid) Start() {
 	h.startMu.Lock()
 	defer h.startMu.Unlock()
 	if h.stop != nil || h.periods.GT <= 0 && h.periods.TG <= 0 && h.periods.SI <= 0 {
 		return
 	}
-	h.stop = make(chan struct{})
+	stop := make(chan struct{})
+	h.stop = stop
 	h.done = make(chan struct{})
-	go h.loop(h.m.ListenGC(batchVersions), h.stop, h.done)
+	ring := h.m.ListenGC(batchVersions)
+	h.m.CollectOnCommit(func() { h.commitGT(stop) })
+	go h.loop(ring, h.stop, h.done)
 }
 
-// Stop halts the loop and waits for a pass in flight.
+// Stop takes GT off the commit path, halts the loop and waits for a pass in
+// flight, the loop's or a committer's: once it returns no collector runs
+// until a call or the next Start.
 func (h *Hybrid) Stop() {
 	h.startMu.Lock()
 	defer h.startMu.Unlock()
 	if h.stop == nil {
 		return
 	}
+	h.m.CollectOnCommit(nil)
 	close(h.stop)
 	<-h.done
+	h.mu.Lock() // waits out a committer's GT
+	h.mu.Unlock()
 	h.m.ListenGC(0)
 	h.stop, h.done = nil, nil
 }

@@ -93,7 +93,7 @@ func (c *GroupTimestamp) collect(view *txn.View) RunStats {
 		})
 		return true
 	})
-	c.m.AwaitRelease(min, blocked)
+	c.m.AwaitRelease(view, blocked)
 	st.Duration = time.Since(start)
 	c.Totals.record(st)
 	return st

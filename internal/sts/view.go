@@ -79,6 +79,15 @@ func (v *View) Horizon() ts.CID {
 	return v.bound + 1
 }
 
+// Oldest returns the handle of an announcement at Horizon(), or nil when
+// there is none.
+func (v *View) Oldest() *Handle {
+	if len(v.es) > 0 {
+		return v.es[0].h
+	}
+	return nil
+}
+
 // UnscopedHorizon returns the minimum over the unscoped announcements — the
 // timestamp below which only table- or partition-scoped snapshots can still
 // pin versions — or Bound()+1.

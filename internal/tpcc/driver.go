@@ -211,26 +211,26 @@ func (d *Driver) stockRID(w, i uint32) ts.RID {
 	return ts.RID((w-1)*uint32(d.cfg.Items) + i)
 }
 
-// Load populates all nine tables per TPC-C cardinalities (scaled). It must
-// run before any worker starts.
+// Load populates all nine tables per TPC-C cardinalities (scaled), loadBatch
+// rows to a transaction. It must run before any worker starts.
 func (d *Driver) Load() error {
 	r := rand.New(rand.NewSource(d.cfg.Seed + 17))
 	now := time.Now().UnixNano()
-	var eb eagerBatch
+	l := loader{d: d}
 
 	// ITEM.
 	for i := 1; i <= d.cfg.Items; i++ {
 		row := Item{ID: uint32(i), ImID: uint32(randRange(r, 1, 10000)),
 			Name: alphaString(r, 14, 24), Price: int64(randRange(r, 100, 10000)),
 			Data: alphaString(r, 26, 50)}
-		if err := d.load(&eb, d.t.item, d.itemRID(uint32(i)), row.Encode()); err != nil {
+		if err := l.add(loadRow{tid: d.t.item, want: d.itemRID(uint32(i)), img: row.Encode()}); err != nil {
 			return err
 		}
 	}
 	for w := 1; w <= d.cfg.Warehouses; w++ {
 		wh := Warehouse{ID: uint32(w), Name: alphaString(r, 6, 10),
 			Tax: int64(randRange(r, 0, 2000)), YTD: 30000000}
-		if err := d.load(&eb, d.t.warehouse, d.warehouseRID(uint32(w)), wh.Encode()); err != nil {
+		if err := l.add(loadRow{tid: d.t.warehouse, want: d.warehouseRID(uint32(w)), img: wh.Encode()}); err != nil {
 			return err
 		}
 	}
@@ -239,7 +239,7 @@ func (d *Driver) Load() error {
 			row := District{W: uint32(w), ID: uint32(dist), Name: alphaString(r, 6, 10),
 				Tax: int64(randRange(r, 0, 2000)),
 				YTD: 30000000 / int64(d.cfg.Districts), NextOID: 1}
-			if err := d.load(&eb, d.t.district, d.districtRID(uint32(w), uint32(dist)), row.Encode()); err != nil {
+			if err := l.add(loadRow{tid: d.t.district, want: d.districtRID(uint32(w), uint32(dist)), img: row.Encode()}); err != nil {
 				return err
 			}
 		}
@@ -263,7 +263,7 @@ func (d *Driver) Load() error {
 					Credit: []byte(credit), CreditLim: 5000000,
 					Discount: int64(randRange(r, 0, 5000)), Balance: -1000,
 					YTDPayment: 1000, PaymentCnt: 1, Data: alphaString(r, 30, 60)}
-				if err := d.load(&eb, d.t.customer, d.customerRID(uint32(w), uint32(dist), uint32(c)), row.Encode()); err != nil {
+				if err := l.add(loadRow{tid: d.t.customer, want: d.customerRID(uint32(w), uint32(dist), uint32(c)), img: row.Encode()}); err != nil {
 					return err
 				}
 				st.byLastName[last] = append(st.byLastName[last], uint32(c))
@@ -275,7 +275,7 @@ func (d *Driver) Load() error {
 			row := Stock{W: uint32(w), ItemID: uint32(i),
 				Qty: int32(randRange(r, 10, 100)), Dist: alphaString(r, 24, 24),
 				Data: alphaString(r, 26, 50)}
-			if err := d.load(&eb, d.t.stock, d.stockRID(uint32(w), uint32(i)), row.Encode()); err != nil {
+			if err := l.add(loadRow{tid: d.t.stock, want: d.stockRID(uint32(w), uint32(i)), img: row.Encode()}); err != nil {
 				return err
 			}
 		}
@@ -287,34 +287,74 @@ func (d *Driver) Load() error {
 				h := History{CW: uint32(w), CD: uint32(dist), CID: uint32(c),
 					W: uint32(w), D: uint32(dist), Date: now, Amount: 1000,
 					Data: alphaString(r, 12, 24)}
-				hint := d.shardOfW(uint32(w))
-				err := d.exec(&eb, func(b batch) error {
-					b.InsertAt(d.t.history, h.Encode(), hint)
-					b.Commit()
-					return b.Do()
-				})
-				if err != nil {
+				if err := l.add(loadRow{tid: d.t.history, hint: d.shardOfW(uint32(w)), img: h.Encode()}); err != nil {
 					return err
 				}
 			}
 		}
 	}
-	return nil
+	return l.flush()
 }
 
-// load inserts one fixed-cardinality row and verifies the RID formula.
-func (d *Driver) load(eb *eagerBatch, tid ts.TableID, want ts.RID, img []byte) error {
-	var rid ts.RID
-	err := d.exec(eb, func(b batch) error {
-		insert := b.Insert(tid, img)
+// loadBatch is how many rows Load inserts per transaction. One row each made
+// the load a stream of one-version commits, each paying for a commit group
+// and its collection; in a batch the rows share both.
+const loadBatch = 64
+
+// loader queues Load's rows and inserts them loadBatch to a transaction.
+type loader struct {
+	d    *Driver
+	eb   eagerBatch
+	rows []loadRow
+}
+
+// loadRow is one queued row: a fixed-cardinality row with the RID its
+// formula gives it, or (want 0) a HISTORY row, inserted near shard hint.
+type loadRow struct {
+	tid  ts.TableID
+	want ts.RID
+	hint int
+	img  []byte
+	op   int // its insert's index in the batch
+}
+
+func (l *loader) add(r loadRow) error {
+	l.rows = append(l.rows, r)
+	if len(l.rows) < loadBatch {
+		return nil
+	}
+	return l.flush()
+}
+
+// flush inserts the queued rows in one transaction and checks each
+// fixed-cardinality row's RID against its formula.
+func (l *loader) flush() error {
+	if len(l.rows) == 0 {
+		return nil
+	}
+	var rids [loadBatch]ts.RID
+	err := l.d.exec(&l.eb, func(b batch) error {
+		for i := range l.rows {
+			r := &l.rows[i]
+			if r.want == 0 {
+				r.op = b.InsertAt(r.tid, r.img, r.hint)
+			} else {
+				r.op = b.Insert(r.tid, r.img)
+			}
+		}
 		b.Commit()
 		err := b.Do()
-		rid = b.RID(insert)
+		for i, r := range l.rows {
+			rids[i] = b.RID(r.op)
+		}
 		return err
 	})
-	if err == nil && rid != want {
-		err = fmt.Errorf("tpcc: load order broke RID formula: got %d want %d", rid, want)
+	for i, r := range l.rows {
+		if err == nil && r.want != 0 && rids[i] != r.want {
+			err = fmt.Errorf("tpcc: load order broke RID formula: got %d want %d", rids[i], r.want)
+		}
 	}
+	l.rows = l.rows[:0]
 	return err
 }
 

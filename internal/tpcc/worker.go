@@ -178,7 +178,19 @@ func (wk *Worker) RunOne() error {
 // Run executes up to iterations transactions, stopping early when stop is
 // closed. It returns the first hard error, if any.
 func (wk *Worker) Run(iterations int, stop <-chan struct{}) error {
-	for i := 0; i < iterations; i++ {
+	i := 0
+	return wk.runWhile(func() bool { i++; return i <= iterations }, stop)
+}
+
+// RunCommitted executes transactions until the worker has committed n in
+// all, stopping early when stop is closed: Run bounded by committed work
+// instead of attempts. It returns the first hard error, if any.
+func (wk *Worker) RunCommitted(n int64, stop <-chan struct{}) error {
+	return wk.runWhile(func() bool { return wk.Stats.TotalCommitted() < n }, stop)
+}
+
+func (wk *Worker) runWhile(more func() bool, stop <-chan struct{}) error {
+	for more() {
 		select {
 		case <-stop:
 			return nil

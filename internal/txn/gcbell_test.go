@@ -59,25 +59,30 @@ func TestGCBellBatch(t *testing.T) {
 	}
 }
 
-// TestGCBellRelease pins the snapshot side: the release of the awaited
-// minimum rings once and disarms; other timestamps, a minimum that held back
-// less than a batch, and a scan nothing held back do not.
+// TestGCBellRelease pins the snapshot side: the release of the minimum the
+// last horizon scan stopped at disarms, and rings once when at least a batch
+// of versions is live; other timestamps and a scan nothing held back do not.
 func TestGCBellRelease(t *testing.T) {
 	m := newTestManager(t, Config{})
 	ring := m.ListenGC(4)
 	pin := m.AcquireSnapshot(KindCursor, nil)
 	commitVersions(t, m, 0, 3) // three live versions behind the pin: under a batch
-	m.AwaitRelease(pin.TS(), true)
-	if m.bell.awaited.Load() != 0 {
-		t.Fatal("armed for less than a batch of held-back versions")
+	m.AwaitRelease(m.View(), true)
+	pin.Release()
+	if len(ring) != 0 {
+		t.Fatal("rang for less than a batch of live versions")
 	}
+	if m.bell.stalled.Load() != 0 {
+		t.Fatal("still armed after the release")
+	}
+	pin = m.AcquireSnapshot(KindCursor, nil)
 	commitVersions(t, m, 3, 1)
 	<-ring // the batch filling; not what is under test
-	m.AwaitRelease(pin.TS(), false)
-	if m.bell.awaited.Load() != 0 {
+	m.AwaitRelease(m.View(), false)
+	if m.bell.stalled.Load() != 0 {
 		t.Fatal("armed although the scan was not held back")
 	}
-	m.AwaitRelease(pin.TS(), true)
+	m.AwaitRelease(m.View(), true)
 
 	other := m.AcquireSnapshot(KindStatement, nil) // a later timestamp
 	if other.TS() == pin.TS() {
@@ -92,13 +97,65 @@ func TestGCBellRelease(t *testing.T) {
 		t.Fatal("the release of the awaited minimum did not ring")
 	}
 	<-ring
-	if m.bell.awaited.Load() != 0 {
+	if m.bell.stalled.Load() != 0 {
 		t.Fatal("still armed after ringing")
 	}
 	again := m.AcquireSnapshot(KindStatement, nil)
-	m.bell.awaited.Store(uint64(ts.CID(12345)) + 1)
+	m.bell.stalled.Store(uint64(ts.CID(12345)) + 1)
 	again.Release()
 	if len(ring) != 0 {
 		t.Fatal("rang for a timestamp nobody awaited")
+	}
+}
+
+// TestCollectOnCommit pins the committer's side: nothing runs until a loop
+// listens; then the step runs once gtEvery versions have been published
+// since the last group collection began, not while the snapshot that
+// stopped that collection is held, and never once it is removed.
+func TestCollectOnCommit(t *testing.T) {
+	m := newTestManager(t, Config{})
+	runs := 0
+	m.CollectOnCommit(func() { runs++; m.BeginGT() })
+	commitVersions(t, m, 0, 2*gtEvery)
+	if runs != 0 {
+		t.Fatalf("the step ran %d times with nobody listening", runs)
+	}
+	m.ListenGC(1 << 40)
+	commitVersions(t, m, 0, gtEvery-1)
+	if runs != 0 {
+		t.Fatal("ran below gtEvery versions")
+	}
+	commitVersions(t, m, gtEvery, 1)
+	if runs != 1 {
+		t.Fatalf("ran %d times as gtEvery versions filled, want 1", runs)
+	}
+
+	pin := m.AcquireSnapshot(KindCursor, nil)
+	m.AwaitRelease(m.View(), true)
+	commitVersions(t, m, 0, 4*gtEvery)
+	if runs != 1 {
+		t.Fatal("ran while the snapshot that stopped the last collection was held")
+	}
+	pin.Release()
+	commitVersions(t, m, 0, 1)
+	if runs != 2 {
+		t.Fatal("did not run once that snapshot was released")
+	}
+
+	// A collection stopped by a snapshot released before it could report
+	// does not close the gate.
+	gone := m.AcquireSnapshot(KindCursor, nil)
+	v := m.View()
+	gone.Release()
+	m.AwaitRelease(v, true)
+	commitVersions(t, m, 0, gtEvery)
+	if runs != 3 {
+		t.Fatal("the release that came before the report left the gate closed")
+	}
+
+	m.CollectOnCommit(nil)
+	commitVersions(t, m, 0, 2*gtEvery)
+	if runs != 3 {
+		t.Fatal("ran after the step was removed")
 	}
 }

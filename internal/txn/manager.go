@@ -440,7 +440,10 @@ func (m *Manager) SetCommitTS(c ts.CID) { m.commitTS.Store(uint64(c)) }
 // and conflict handling: the primary already did all three, and the WAL
 // stream delivers groups serially in CID order. Calls must be serial with
 // strictly ascending CIDs; a CID at or below the current timestamp is a
-// protocol error (the applier deduplicates before calling).
+// protocol error (the applier deduplicates before calling). Unlike
+// Txn.Commit it does not run the group collection Start installs
+// (collectAfterCommit): the applier is one goroutine the whole stream waits
+// behind, so the replica's collector loop reclaims what it publishes.
 func (m *Manager) PublishReplicated(cid ts.CID, tc *mvcc.TransContext) error {
 	if m.closed.Load() {
 		return ErrClosed

@@ -147,7 +147,7 @@ func (s *Snapshot) Scoped() bool { return s.h.Scoped() != nil }
 // is a harmless no-op.
 func (s *Snapshot) Release() {
 	if s.h.Retract() {
-		s.m.bell.released(s.h.TS())
+		s.m.released(s.h.TS())
 	}
 }
 

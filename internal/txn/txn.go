@@ -159,6 +159,7 @@ func (t *Txn) Commit() (ts.CID, error) {
 	// version space, so under Trans-SI the tracker reflects the paper's
 	// observation that the timestamp is reclaimed at transaction end.
 	t.releaseSnapshot()
+	t.m.collectAfterCommit()
 	return res.cid, nil
 }
 

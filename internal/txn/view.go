@@ -81,5 +81,5 @@ func (m *Manager) Pin(c ts.CID) *sts.Handle { return m.reg.Acquire(c) }
 func (m *Manager) Unpin(h *sts.Handle) {
 	c := h.TS()
 	h.Release()
-	m.bell.released(c)
+	m.released(c)
 }

@@ -13,6 +13,8 @@ package workload
 
 import (
 	"cmp"
+	"errors"
+	"math"
 	"sync"
 	"time"
 
@@ -52,7 +54,15 @@ type Options struct {
 	TPCC               tpcc.Config
 	HashBuckets        int
 	// Duration is the wall-clock workload run time.
-	Duration       time.Duration
+	Duration time.Duration
+	// Transactions, when positive, bounds the run by work instead: the
+	// workers stop once they have committed this many transactions between
+	// them (an equal share each), and the run ends, whatever Duration
+	// says, on a last sample taken once the started collectors have run a
+	// pass over the finished work (awaitPass). Runs compared at equal
+	// committed work compare what the work left behind, not how much CPU
+	// each got.
+	Transactions   int
 	SampleInterval time.Duration
 	// LongCursor opens a cursor over STOCK at start and holds it for the
 	// whole run (the §5.2 blocker). Fetch, when non-nil, additionally runs
@@ -112,9 +122,14 @@ func (g *Group) spawn(fn func(stop <-chan struct{}) error) {
 	}()
 }
 
-// Loop runs step over and over in a goroutine of the group until Stop, or
-// until step fails with an error that is not transient: a write conflict or
-// version pressure is the load going on, not failing.
+// ErrDone, returned by a Loop step, ends that loop without an error: the
+// step has done the work it was bounded to.
+var ErrDone = errors.New("workload: loop done")
+
+// Loop runs step over and over in a goroutine of the group until Stop, until
+// step returns ErrDone, or until step fails with an error that is not
+// transient: a write conflict or version pressure is the load going on, not
+// failing.
 func (g *Group) Loop(step func() error) {
 	g.spawn(func(stop <-chan struct{}) error {
 		for {
@@ -123,7 +138,9 @@ func (g *Group) Loop(step func() error) {
 				return nil
 			default:
 			}
-			if err := step(); err != nil && !core.IsTransient(err) {
+			if err := step(); errors.Is(err, ErrDone) {
+				return nil
+			} else if err != nil && !core.IsTransient(err) {
 				return err
 			}
 		}
@@ -158,6 +175,9 @@ func (g *Group) Stop() error {
 type Load struct {
 	*Group
 	Workers []*tpcc.Worker
+	// working counts the workers still running: until Stop, or until they
+	// have committed Options.Transactions.
+	working sync.WaitGroup
 	// Cursor is the long STOCK cursor, nil unless one is held.
 	Cursor engine.Cursor
 	// Fetches are the FETCH observations and Scans the Trans-SI scan
@@ -166,11 +186,13 @@ type Load struct {
 	Scans   []time.Duration
 }
 
-// Start starts a loaded driver's workers and, given an engine (nil over the
-// wire, where only the workers run), the long readers o asks for: STOCK
-// partitioned o.StockPartitions ways, the held cursor of o.LongCursor with
-// o.Fetch's loop over it, and o.TransSI's analyst. The cursor is opened
-// before any goroutine starts, so an error leaves nothing running.
+// Start starts a loaded driver's workers — each until Stop or, with
+// o.Transactions, until it has committed its share — and, given an engine
+// (nil over the wire, where only the workers run), the long readers o asks
+// for: STOCK partitioned o.StockPartitions ways, the held cursor of
+// o.LongCursor with o.Fetch's loop over it, and o.TransSI's analyst. The
+// cursor is opened before any goroutine starts, so an error leaves nothing
+// running.
 func Start(d *tpcc.Driver, eng engine.Engine, o Options) (*Load, error) {
 	l := &Load{Group: NewGroup()}
 	stock := d.StockTableID()
@@ -185,10 +207,19 @@ func Start(d *tpcc.Driver, eng engine.Engine, o Options) (*Load, error) {
 			return nil, err
 		}
 	}
-	for w := 1; w <= d.Config().Warehouses; w++ {
+	n := d.Config().Warehouses
+	share := int64(1) << 62
+	if o.Transactions > 0 {
+		share = int64((o.Transactions + n - 1) / n)
+	}
+	for w := 1; w <= n; w++ {
 		wk := d.NewWorker(w)
 		l.Workers = append(l.Workers, wk)
-		l.spawn(func(stop <-chan struct{}) error { return wk.Run(1<<62, stop) })
+		l.working.Add(1)
+		l.spawn(func(stop <-chan struct{}) error {
+			defer l.working.Done()
+			return wk.RunCommitted(share, stop)
+		})
 	}
 	if f := o.Fetch; f != nil && l.Cursor != nil {
 		l.Loop(func() error {
@@ -249,16 +280,22 @@ func (l *Load) Stop() error {
 	return err
 }
 
-// Sample calls fn once per interval until d has passed, with the time since
-// it began and since the previous call: the sampling loop behind every
-// figure's series.
-func Sample(d, interval time.Duration, fn func(at, dt time.Duration)) {
+// Sample calls fn once per interval until d has passed or done is closed,
+// with the time since it began and since the previous call: the sampling
+// loop behind every figure's series. When done closes, fn is called once
+// more, right then — the sample a run bounded by work ends on. A nil done
+// never closes.
+func Sample(d, interval time.Duration, done <-chan struct{}, fn func(at, dt time.Duration)) {
 	tick := time.NewTicker(interval)
 	defer tick.Stop()
 	start := time.Now()
 	last := start
 	for at := time.Duration(0); at < d; {
-		<-tick.C
+		select {
+		case <-tick.C:
+		case <-done:
+			d = 0
+		}
 		now := time.Now()
 		at = now.Sub(start)
 		fn(at, now.Sub(last))
@@ -307,9 +344,10 @@ func (r *Result) AvgThroughput() float64 {
 func Run(o Options) (*Result, error) {
 	o.Duration = cmp.Or(o.Duration, 2*time.Second)
 	o.SampleInterval = cmp.Or(o.SampleInterval, 50*time.Millisecond)
+	periods := o.Mode.Periods(cmp.Or(o.Base, gc.DefaultPeriods()))
 	db, err := core.Open(core.Config{
 		HashBuckets:        o.HashBuckets,
-		GC:                 o.Mode.Periods(cmp.Or(o.Base, gc.DefaultPeriods())),
+		GC:                 periods,
 		LongLivedThreshold: o.LongLivedThreshold,
 	})
 	if err != nil {
@@ -339,7 +377,22 @@ func Run(o Options) (*Result, error) {
 	res := &Result{Mode: o.Mode}
 	first := db.StatementCount()
 	prev := first
-	Sample(o.Duration, o.SampleInterval, func(at, dt time.Duration) {
+	d := o.Duration
+	var end <-chan struct{} // a run of Duration ends on the clock alone
+	if o.Transactions > 0 {
+		// The last sample is taken once the started collectors have run a
+		// pass over the finished work: what the run compares is what they
+		// reclaim of it, not how far behind a loaded box left them.
+		d = math.MaxInt64
+		settled := make(chan struct{})
+		go func() {
+			defer close(settled)
+			load.working.Wait()
+			awaitPass(h, periods)
+		}()
+		end = settled
+	}
+	Sample(d, o.SampleInterval, end, func(at, dt time.Duration) {
 		st := db.Stats()
 		res.Versions.Add(at, float64(st.VersionsLive))
 		res.Throughput.Add(at, float64(st.Statements-prev)/dt.Seconds())
@@ -356,4 +409,23 @@ func Run(o Options) (*Result, error) {
 		res.WorkersCommitted += wk.Stats.TotalCommitted()
 	}
 	return res, err
+}
+
+// awaitPass waits until h has begun and finished a pass since the call: one
+// running TG when the mode has it, otherwise GT. Every collector runs on a
+// period, so a pass comes within one; awaitPass gives up after a hundred,
+// when nothing runs them.
+func awaitPass(h *gc.Hybrid, p gc.Periods) {
+	tot, period := &h.GT.Totals, p.GT
+	if p.TG > 0 {
+		tot, period = &h.TG.Totals, p.TG
+	}
+	if period <= 0 {
+		return
+	}
+	// A pass in flight now may have begun before the work ended: wait for
+	// the one after it.
+	for want, end := tot.Runs()+2, time.Now().Add(100*period); tot.Runs() < want && time.Now().Before(end); {
+		time.Sleep(period / 10)
+	}
 }
