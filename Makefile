@@ -77,7 +77,8 @@ benchmark-test:
 # CI smoke: the deterministic network-chaos harness over a small fixed seed
 # set. Each seed runs the replicated cluster + bank workload under a seeded
 # nemesis and checks all four invariants (conservation, durability,
-# convergence, GC-horizon liveness); a failing seed prints how to reproduce.
+# convergence, replica reads and demotion); a failing seed prints how to
+# reproduce.
 chaos-smoke:
 	$(GO) run ./cmd/chaos -seeds 1,2,3,4,5 -duration 1200ms
 

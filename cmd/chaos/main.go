@@ -4,8 +4,9 @@
 // fault-injecting proxies. Each seed produces one fixed nemesis schedule —
 // partitions, connection-drop storms, refused dials, torn frames — while a
 // concurrent bank workload runs, and the four invariants (snapshot
-// conservation, no lost acked commits, replica convergence, GC-horizon
-// liveness) are checked during and after the weather.
+// conservation, no lost acked commits, replica convergence, correct replica
+// reads and demotion of a dead replica) are checked during and after the
+// weather.
 //
 // A violation prints the seed that produced it; re-running with -seed <n>
 // reproduces the same schedule.
@@ -35,7 +36,7 @@ func main() {
 		workers  = flag.Int("workers", 4, "concurrent transfer workers")
 		accounts = flag.Int("accounts", 8, "bank accounts")
 		replicas = flag.Int("replicas", 2, "streaming replicas")
-		bound    = flag.Duration("horizon-bound", 3*time.Second, "max time a dead replica may pin the GC horizon")
+		bound    = flag.Duration("horizon-bound", 3*time.Second, "max time a dead replica may go undemoted")
 		verbose  = flag.Bool("v", false, "print the executed nemesis schedule")
 	)
 	flag.Parse()

@@ -193,12 +193,8 @@ func printDetail(w io.Writer, st wire.Stats) {
 			} else if !r.Connected {
 				state = "away"
 			}
-			pin := "-"
-			if r.PinnedSTS != 0 {
-				pin = fmt.Sprintf("%d", r.PinnedSTS)
-			}
-			fmt.Fprintf(w, "  repl:   %-12s %-9s applied=%-12s lag=%dseg pin=%s age=%s\n",
-				r.ID, state, wal.LSN(r.AppliedLSN), r.SegmentLag, pin, r.LastReportAge.Truncate(time.Millisecond))
+			fmt.Fprintf(w, "  repl:   %-12s %-9s applied=%-12s lag=%dseg age=%s\n",
+				r.ID, state, wal.LSN(r.AppliedLSN), r.SegmentLag, r.LastReportAge.Truncate(time.Millisecond))
 		}
 	case "replica":
 		fmt.Fprintf(w, "  repl: replica of %s applied=%s head=%s applied-records=%d reconnects=%d\n",

@@ -17,7 +17,8 @@ import (
 // they pin the per-tick output: the Figure 2 row with the pressure column,
 // shard rows, the column-lane line and both replication roles. In-process
 // and remote ticks are one function of one wire.Stats, so one golden covers
-// both modes.
+// both modes. The primary's per-replica rows have since lost their pin=
+// column, with the replica's horizon pin; nothing else in them moved.
 func TestTickGolden(t *testing.T) {
 	shard := func(live, reclaimed int64, snaps int, committed int64, cid, horizon ts.CID, failed bool) core.Stats {
 		return core.Stats{VersionsLive: live, VersionsReclaimed: reclaimed, ActiveSnapshots: snaps,
@@ -37,7 +38,7 @@ func TestTickGolden(t *testing.T) {
 			DeltaRows: 12, DirtyRows: 4, MigratedRows: 3100, Watermark: 58, Lag: 2, Passes: 17}}},
 		ReplRole: "primary", ReplPrimaryLSN: 2<<32 | 77, ReplRecordsSent: 4242, ReplDemotions: 1,
 		Replicas: []wire.ReplicaStat{
-			{ID: "r1", Connected: true, AppliedLSN: 2<<32 | 70, PinnedSTS: 55, LastReportAge: 12345 * time.Microsecond},
+			{ID: "r1", Connected: true, AppliedLSN: 2<<32 | 70, LastReportAge: 12345 * time.Microsecond},
 			{ID: "r2", Demoted: true, AppliedLSN: 1<<32 | 3, SegmentLag: 1, LastReportAge: 3 * time.Second},
 			{ID: "r3", AppliedLSN: 2<<32 | 1, LastReportAge: 250 * time.Millisecond},
 		},
@@ -57,9 +58,9 @@ func TestTickGolden(t *testing.T) {
   shard 1  live=12245      horizon=41         cid=61         reclaimed=98994      snaps=1    committed=39 FAILSTOP
   htap: olap_orders  chunks=3    rows=3000       delta=12       dirty=4        migrated=3100       wm=58         lag=2
   repl: primary head=2/77 sent=4242 demotions=1
-  repl:   r1           connected applied=2/70         lag=0seg pin=55 age=12ms
-  repl:   r2           DEMOTED   applied=1/3          lag=1seg pin=- age=3s
-  repl:   r3           away      applied=2/1          lag=0seg pin=- age=250ms
+  repl:   r1           connected applied=2/70         lag=0seg age=12ms
+  repl:   r2           DEMOTED   applied=1/3          lag=1seg age=3s
+  repl:   r3           away      applied=2/1          lag=0seg age=250ms
 `},
 		{"replica", replica, `1.5s     7                0                      900B           0          -
   repl: replica of 127.0.0.1:7811 applied=2/70 head=2/77 applied-records=4100 reconnects=2

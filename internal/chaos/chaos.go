@@ -18,11 +18,14 @@
 //  3. Convergence — every replica reaches the primary's LSN after the heal
 //     and its full state (accounts, ledger, commit timestamp) is identical
 //     to the primary's.
-//  4. GC-horizon liveness — a partitioned-away replica holding an open
-//     snapshot must stop pinning the primary's GC horizon within
-//     HorizonBound: stream teardown releases its pin, the staleness sweeper
-//     demotes it and drops its segment floor. A dead peer cannot hold the
-//     version space hostage.
+//  4. Replica reads stay correct, and a dead replica is demoted — a cursor
+//     opened on a replica before the weather, on the seeded bank, is read
+//     after the heal: its own engine's collector kept its versions, so its
+//     balances sum to the bank's total and equal the primary's state at its
+//     snapshot. Then that replica is partitioned away, and the primary must
+//     demote it within HorizonBound (stream teardown, then the staleness
+//     sweeper) and drop its segment floor: a dead peer cannot hold the log
+//     hostage.
 //
 // Determinism is at the schedule level: one seed fixes the nemesis schedule,
 // the fault-injector decision stream, and each worker's transfer sequence.
@@ -48,10 +51,10 @@ type Options struct {
 	Workers int
 	// Accounts is the size of the bank (<=0 selects 8).
 	Accounts int
-	// Replicas is the number of streaming replicas (<=0 selects 2; the
-	// GC-liveness probe needs at least 1).
+	// Replicas is the number of streaming replicas (<=0 selects 2;
+	// invariant 4 needs at least 1).
 	Replicas int
-	// HorizonBound is how long a dead replica may pin the GC horizon before
+	// HorizonBound is how long a dead replica may go undemoted before
 	// invariant 4 fails (<=0 selects 3s).
 	HorizonBound time.Duration
 }
@@ -86,7 +89,10 @@ type Report struct {
 
 	// Invariant activity.
 	ConservationChecks int64 // snapshot sums verified (local + remote)
-	PinReleaseMS       int64 // observed dead-replica pin-release latency
+	// ReleaseMS is the latency the last liveness check clocks: a dead
+	// replica's demotion here, the stranded shard's horizon after the heal
+	// in RunSharded.
+	ReleaseMS int64
 
 	// Fault and recovery activity, to show the schedule actually bit.
 	Redials       int64 // client background redial attempts
@@ -116,9 +122,9 @@ func (r *Report) violatef(format string, args ...any) {
 // Summary renders the report as a compact human-readable block.
 func (r *Report) Summary() string {
 	s := fmt.Sprintf(
-		"seed %d: acked=%d ambiguous=%d gaveup=%d checks=%d redials=%d reconnects=%d rebootstraps=%d demotions=%d kills=%d pin-release=%dms",
+		"seed %d: acked=%d ambiguous=%d gaveup=%d checks=%d redials=%d reconnects=%d rebootstraps=%d demotions=%d kills=%d release=%dms",
 		r.Seed, r.Acked, r.Ambiguous, r.GaveUp, r.ConservationChecks,
-		r.Redials, r.Reconnects, r.Rebootstraps, r.Demotions, r.InjectedKills, r.PinReleaseMS)
+		r.Redials, r.Reconnects, r.Rebootstraps, r.Demotions, r.InjectedKills, r.ReleaseMS)
 	for _, v := range r.Violations {
 		s += "\n  VIOLATION: " + v
 	}

@@ -30,8 +30,8 @@ func TestChaosSingleSeed(t *testing.T) {
 	if rep.ConservationChecks == 0 {
 		t.Fatal("conservation was never checked")
 	}
-	if rep.PinReleaseMS == 0 {
-		t.Fatal("the horizon-liveness probe never measured a pin release")
+	if rep.ReleaseMS == 0 {
+		t.Fatal("the demotion check never measured a demotion")
 	}
 }
 
@@ -88,16 +88,17 @@ func TestExecutedScheduleMatchesDraw(t *testing.T) {
 	}
 }
 
-// TestPinLeakDetected reverts the pin-release hardening via the repl/pin-leak
-// failpoint and requires the harness to notice: with release skipped, a
-// partitioned replica pins the GC horizon past HorizonBound and invariant 4
-// must fail. This proves the harness detects the bug class it exists for.
-func TestPinLeakDetected(t *testing.T) {
+// TestFloorLeakDetected reverts the floor drop on demotion via the
+// repl/floor-leak failpoint and requires the harness to notice: a partitioned
+// replica is still demoted, but keeps holding its segment floor, and
+// invariant 4 must fail. This proves the harness detects the bug class it
+// exists for.
+func TestFloorLeakDetected(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos run in -short mode")
 	}
-	fault.Enable(repl.FPPinLeak, fault.ReturnErr(repl.ErrBootstrapRequired))
-	defer fault.Disable(repl.FPPinLeak)
+	fault.Enable(repl.FPFloorLeak, fault.ReturnErr(repl.ErrBootstrapRequired))
+	defer fault.Disable(repl.FPFloorLeak)
 
 	rep, err := Run(Options{
 		Seed:         5,
@@ -109,15 +110,15 @@ func TestPinLeakDetected(t *testing.T) {
 	}
 	t.Log(rep.Summary())
 	if rep.Passed() {
-		t.Fatal("pin-release disabled, yet the harness reported all invariants passing")
+		t.Fatal("floor drop disabled, yet the harness reported all invariants passing")
 	}
 	found := false
 	for _, v := range rep.Violations {
-		if strings.Contains(v, "pins GC horizon") {
+		if strings.Contains(v, "still holds its segment floor") {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("expected a horizon-liveness violation, got:\n%s", strings.Join(rep.Violations, "\n"))
+		t.Fatalf("expected a demotion violation, got:\n%s", strings.Join(rep.Violations, "\n"))
 	}
 }

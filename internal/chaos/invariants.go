@@ -2,8 +2,8 @@ package chaos
 
 import (
 	"fmt"
+	"slices"
 	"sort"
-	"sync"
 	"time"
 
 	"hybridgc/internal/core"
@@ -14,11 +14,11 @@ import (
 	"hybridgc/internal/wire"
 )
 
-// Run executes one full chaos scenario: build the cluster, run the seeded
-// nemesis against the live workload, heal, then check convergence, durability
-// and GC-horizon liveness. The returned Report carries every violation; an
-// error is an environmental failure (couldn't even build the cluster), not an
-// invariant failure.
+// Run executes one full chaos scenario: build the cluster, open the replica
+// probe cursor, run the seeded nemesis against the live workload, heal, then
+// check the probe's reads, convergence, demotion and durability. The returned
+// Report carries every violation; an error is an environmental failure
+// (couldn't even build the cluster), not an invariant failure.
 func Run(opt Options) (*Report, error) {
 	opt.fill()
 	rep := &Report{Seed: opt.Seed}
@@ -29,14 +29,15 @@ func Run(opt Options) (*Report, error) {
 	}
 	defer c.stop()
 
-	// Live phase: workload + conservation checkers + snapshot holders on the
-	// replicas (their reported snapshots join the cluster-wide GC horizon,
-	// so the nemesis gets to break streams that are actively pinning it).
+	// Invariant 4's reader opens on the seeded bank, before the weather.
+	readProbe := holdProbe(c, rep)
+
+	// Live phase: workload + conservation checkers.
 	b := startBank(c, opt, rep)
-	holders := startSnapshotHolders(c)
 	runNemesis(c, drawSchedule(opt), rep)
 	c.healAll()
 	b.halt()
+	readProbe()
 
 	if n := b.unexpected.Load(); n > 0 {
 		last, _ := b.lastErr.Load().(string)
@@ -46,10 +47,8 @@ func Run(opt Options) (*Report, error) {
 	// Invariant 3: every replica converges to the primary's state.
 	checkConvergence(c, rep)
 
-	// Invariant 4 needs the probe cursor to be the only pin, so stop the
-	// background holders before opening it.
-	holders.halt()
-	checkHorizonLiveness(c, opt, rep)
+	// Invariant 4's second half: a dead replica is demoted.
+	checkDemotion(c, opt, rep)
 
 	// Invariant 2: acknowledged commits survived, exactly once, and nothing
 	// unacknowledged (beyond the ambiguous set) appeared.
@@ -73,53 +72,6 @@ func Run(opt Options) (*Report, error) {
 		rep.Rebootstraps += n.Rebootstraps()
 	}
 	return rep, nil
-}
-
-// holderSet keeps short-lived snapshot cursors open on each replica during
-// the chaos phase, so replica-reported snapshots are pinning the primary's
-// horizon while the nemesis cuts their streams.
-type holderSet struct {
-	stop chan struct{}
-	wg   sync.WaitGroup
-}
-
-func startSnapshotHolders(c *cluster) *holderSet {
-	h := &holderSet{stop: make(chan struct{})}
-	for _, n := range c.replicas {
-		h.wg.Add(1)
-		go func(n *replicaNode) {
-			defer h.wg.Done()
-			for {
-				select {
-				case <-h.stop:
-					return
-				case <-time.After(40 * time.Millisecond):
-				}
-				n.View(func(eng engine.Engine, _ *repl.Replica) {
-					db := eng.Shard(0)
-					tid := db.TableID("accounts")
-					if tid == 0 {
-						return // mid-bootstrap; nothing to pin yet
-					}
-					cur, err := db.OpenCursor(tid)
-					if err != nil {
-						return
-					}
-					select {
-					case <-h.stop:
-					case <-time.After(80 * time.Millisecond):
-					}
-					cur.Close()
-				})
-			}
-		}(n)
-	}
-	return h
-}
-
-func (h *holderSet) halt() {
-	close(h.stop)
-	h.wg.Wait()
 }
 
 // stateDump is a comparable snapshot of one engine's bank state.
@@ -206,76 +158,123 @@ func checkConvergence(c *cluster, rep *Report) {
 	}
 }
 
-// checkHorizonLiveness is invariant 4: a replica holding an open snapshot is
-// partitioned away; its pin on the primary's GC horizon must be released
-// within HorizonBound (stream teardown or staleness demotion), so a dead
-// peer cannot hold the version space hostage.
-func checkHorizonLiveness(c *cluster, opt Options, rep *Report) {
+// holdProbe opens invariant 4's reader: a cursor on replica 0's accounts
+// table, on the seeded bank before any transfer, whose snapshot is the
+// primary's commit timestamp — so the primary's state at it is the state
+// dumped here. The cursor is held inside the node's View (which also holds
+// off a re-bootstrap of that replica) through the weather, while the
+// workload rewrites every balance and both engines collect. The returned
+// function reads it in full after the heal: a replica snapshot is kept by
+// the replica's own collector, so its balances must still be exactly the
+// primary's at its snapshot, and sum to the bank's total.
+func holdProbe(c *cluster, rep *Report) (read func()) {
+	if len(c.replicas) == 0 {
+		return func() {}
+	}
+	var want []string
+	if err := c.db.Exec(txn.StmtSI, nil, func(tx *core.Tx) error {
+		want = want[:0]
+		return tx.Scan(c.accounts, func(_ ts.RID, img []byte) bool {
+			want = append(want, string(img))
+			return true
+		})
+	}); err != nil {
+		rep.violatef("probe: primary scan failed: %v", err)
+		return func() {}
+	}
+	at, target := c.db.Manager().CurrentTS(), c.db.WAL().NextLSN()
+	opened, release, done := make(chan bool), make(chan struct{}), make(chan struct{})
+	go c.replicas[0].View(func(eng engine.Engine, r *repl.Replica) {
+		defer close(done)
+		db := eng.Shard(0)
+		if err := r.WaitLSN(target, 10*time.Second); err != nil {
+			rep.violatef("probe: replica 0 never caught up with the seeded bank: %v", err)
+			opened <- false
+			return
+		}
+		cur, err := db.OpenCursor(db.TableID("accounts"))
+		if err != nil {
+			rep.violatef("probe: replica 0 cursor open failed: %v", err)
+			opened <- false
+			return
+		}
+		defer cur.Close()
+		if cur.SnapshotTS() != at {
+			rep.violatef("probe: replica 0 cursor at %v, the seeded bank at %v — probe is not valid", cur.SnapshotTS(), at)
+			opened <- false
+			return
+		}
+		opened <- true
+		<-release
+		var got []string
+		var sum int64
+		for !cur.Exhausted() {
+			rows, _, err := cur.Fetch(3)
+			if err != nil {
+				rep.violatef("probe: replica cursor at %v failed after the heal: %v", at, err)
+				return
+			}
+			for _, img := range rows {
+				v, _ := parseBalance(img)
+				sum += v
+				got = append(got, string(img))
+			}
+		}
+		rep.ConservationChecks++
+		if sum != c.total || !slices.Equal(got, want) {
+			rep.violatef("probe: replica cursor at %v read %v (sum %d) after the heal, the primary had %v (sum %d)",
+				at, got, sum, want, c.total)
+		}
+	})
+	if !<-opened {
+		<-done
+		return func() {}
+	}
+	return func() {
+		close(release)
+		<-done
+	}
+}
+
+// checkDemotion is invariant 4's second half: replica 0 is partitioned away
+// both ways, and the primary must demote it within HorizonBound — stream
+// teardown, then the staleness sweeper — dropping its segment floor, so a
+// dead peer cannot hold the primary's log hostage. Report.ReleaseMS clocks
+// it.
+func checkDemotion(c *cluster, opt Options, rep *Report) {
 	if len(c.replicas) == 0 {
 		return
 	}
 	n := c.replicas[0]
-	m := c.db.Manager()
-	n.View(func(eng engine.Engine, _ *repl.Replica) {
-		db := eng.Shard(0)
-		tid := db.TableID("accounts")
-		if tid == 0 {
-			rep.violatef("horizon: replica 0 has no accounts table; cannot probe")
-			return
-		}
-		cur, err := db.OpenCursor(tid)
-		if err != nil {
-			rep.violatef("horizon: replica 0 cursor open failed: %v", err)
-			return
-		}
-		defer cur.Close()
-		pin := cur.SnapshotTS()
-
-		// Make the primary's clock move past the pin, then wait for the pin
-		// to be reported upstream and take effect on the global horizon.
-		for i := 0; i < 3; i++ {
-			if _, err := insertLocal(c.db, c.ledger, []byte(fmt.Sprintf("probe-%d:0", i))); err != nil {
-				rep.violatef("horizon: probe insert failed: %v", err)
-				return
+	ours := func() wire.ReplicaStat {
+		for _, r := range c.primary.Stats().Replicas {
+			if r.ID == n.id {
+				return r
 			}
 		}
-		// The pin must be this replica's own: another replica's expiring pin
-		// (the convergence check's cursor) can hold the horizon down as well,
-		// and partitioning before ours is reported would clock that one.
-		ours := func() wire.ReplicaStat {
-			for _, r := range c.primary.Stats().Replicas {
-				if r.ID == n.id {
-					return r
-				}
-			}
-			return wire.ReplicaStat{}
-		}
-		if !waitUntil(2*time.Second, func() bool { return ours().PinnedSTS == pin && m.View().Horizon() <= pin }) {
-			rep.violatef("horizon: replica snapshot %v never pinned the primary (horizon %v) — probe is not valid",
-				pin, m.View().Horizon())
-			return
-		}
+		return wire.ReplicaStat{}
+	}
+	// A floor shows as a floor segment or, for a bootstrap's floor of 0, as
+	// a lag behind the active segment (segments count from 1).
+	holdsFloor := func(r wire.ReplicaStat) bool { return r.FloorSegment != 0 || r.SegmentLag != 0 }
 
-		// Partition the pinning replica both ways and clock the release.
-		start := time.Now()
-		n.proxy.SetPartition(true, true)
-		defer n.proxy.SetPartition(false, false)
-		if !waitUntil(opt.HorizonBound, func() bool { return m.View().Horizon() > pin }) {
-			rep.violatef("horizon: dead replica still pins GC horizon at %v after %s (horizon %v)",
-				pin, opt.HorizonBound, m.View().Horizon())
-			return
-		}
-		rep.PinReleaseMS = time.Since(start).Milliseconds()
-
-		// The staleness sweeper must also demote the silent replica so its
-		// segment floor stops blocking WAL pruning.
-		if !waitUntil(opt.HorizonBound, func() bool {
-			r := ours()
-			return r.Demoted || r.ID == "" // no entry: detached entirely, floor gone with it
-		}) {
-			rep.violatef("horizon: partitioned replica %s was never demoted within %s", n.id, opt.HorizonBound)
-		}
-	})
+	start := time.Now()
+	n.proxy.SetPartition(true, true)
+	defer n.proxy.SetPartition(false, false)
+	if !waitUntil(opt.HorizonBound, func() bool {
+		r := ours()
+		return r.Demoted || r.ID == "" // no entry: detached entirely, floor gone with it
+	}) {
+		rep.violatef("demotion: partitioned replica %s was never demoted within %s", n.id, opt.HorizonBound)
+		return
+	}
+	if r := ours(); r.ID != "" && holdsFloor(r) {
+		rep.violatef("demotion: demoted replica %s still holds its segment floor (segment %d, lag %d)",
+			n.id, r.FloorSegment, r.SegmentLag)
+		return
+	}
+	// Floor at 1ms: zero is the "never measured" sentinel.
+	rep.ReleaseMS = max(1, time.Since(start).Milliseconds())
 }
 
 // checkNoLostCommits is invariant 2: after the heal, the primary's ledger

@@ -224,9 +224,7 @@ func RunSharded(opt ShardedOptions) (*Report, error) {
 	} else {
 		// Floor at 1ms: zero is the "never measured" sentinel, and an
 		// in-process heal can release the pin inside a millisecond.
-		if rep.PinReleaseMS = time.Since(start).Milliseconds(); rep.PinReleaseMS == 0 {
-			rep.PinReleaseMS = 1
-		}
+		rep.ReleaseMS = max(1, time.Since(start).Milliseconds())
 	}
 	finish()
 

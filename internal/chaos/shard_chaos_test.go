@@ -28,7 +28,7 @@ func TestShardedPartitionSeed(t *testing.T) {
 	if rep.Acked == 0 {
 		t.Fatal("no update was ever acknowledged — the workload never ran")
 	}
-	if rep.PinReleaseMS == 0 && rep.Acked > 0 {
+	if rep.ReleaseMS == 0 && rep.Acked > 0 {
 		t.Fatal("the heal never measured a pin release")
 	}
 }

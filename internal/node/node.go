@@ -416,7 +416,7 @@ func (n *Node) Stats() wire.Stats {
 // Shutdown stops the node in dependency order and returns when everything
 // it started has exited; calling it again is a no-op. The applier stops
 // first (nothing new to apply), then the server drains — requests finish,
-// cursors close, replication streams end and release their horizon pins —
+// cursors close, replication streams end —
 // then the migrator and the checkpoint ticker are stopped and joined, so
 // nothing is reading or checkpointing the engine when it closes last.
 func (n *Node) Shutdown() {

@@ -1,4 +1,4 @@
-// Package repl is WAL-shipping replication with a cluster-wide GC horizon.
+// Package repl is WAL-shipping replication.
 //
 // The primary runs a Source: each replica's OpReplStream request hijacks its
 // server connection, bootstraps from a checkpoint (or resumes from an LSN),
@@ -8,18 +8,16 @@
 // versioned, at the primary's CIDs — so local snapshot readers keep full
 // isolation while the stream advances.
 //
-// Replication extends the paper's central quantity — the global minimum
-// snapshot timestamp that gates every garbage collector — across the
-// cluster: each replica periodically reports its applied LSN and its oldest
-// open snapshot, and the Source pins that snapshot timestamp in the
-// primary's snapshot-timestamp registry. Interval GC, table GC and the
-// hybrid collector then respect remote readers exactly as they respect
-// local ones, with no changes of their own. The same reports drive WAL
-// segment retention (checkpoints never prune segments a replica still
-// needs) and a lag bound: a replica too far behind is demoted — its pin and
-// segment floor are dropped so one stuck follower cannot pin the primary's
-// version space and log forever — and must re-bootstrap from a fresh
-// checkpoint.
+// A replica's snapshots read only its own engine, and that engine's own
+// hybrid collector is what keeps their versions: the paper's safety rule
+// (Def. 1) is per version space, and the primary's versions are not the ones
+// a replica reader reads. So nothing about them crosses the wire, and a long
+// cursor on a replica holds nothing on the primary. What the primary does
+// keep for a replica is log: each replica periodically reports its applied
+// LSN, which drives WAL segment retention (checkpoints never prune segments
+// a replica still needs) and a lag bound — a replica too far behind is
+// demoted, its segment floor dropped so one stuck follower cannot pin the
+// primary's log forever, and must re-bootstrap from a fresh checkpoint.
 package repl
 
 import (
@@ -41,12 +39,12 @@ var (
 	// with a Sleep option it models a stalled applier that falls behind the
 	// lag bound; with ReturnErr it kills the apply loop.
 	FPApplyStall = fault.Declare("repl/apply-stall", "before applying a replicated record")
-	// FPPinLeak disables the horizon-pin release on detach and demotion —
-	// a deliberately reverted hardening. The chaos harness's GC-liveness
-	// invariant must catch the regression: a dead replica's pin then holds
-	// the cluster-wide GC horizon forever. Exists only so tests can prove
-	// the harness detects the class of bug it was built for.
-	FPPinLeak = fault.Declare("repl/pin-leak", "skip horizon-pin release on detach/demote")
+	// FPFloorLeak skips the segment-floor drop on demotion — a deliberately
+	// reverted hardening. The chaos harness's demotion invariant must catch
+	// the regression: a dead replica's floor then holds the primary's log
+	// forever. Exists only so tests can prove the harness detects the class
+	// of bug it was built for.
+	FPFloorLeak = fault.Declare("repl/floor-leak", "skip the segment-floor drop on demotion")
 )
 
 // ErrBootstrapRequired reports that the replica cannot continue from its

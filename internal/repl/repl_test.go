@@ -81,11 +81,15 @@ type replica struct {
 	once   sync.Once
 }
 
-// startReplica opens a fresh read-only engine and streams the primary into
-// it until shutdown.
+// startReplica opens a fresh read-only engine, which runs its own collector
+// loop as every node role does (on periods short enough for tests), and
+// streams the primary into it until shutdown.
 func startReplica(t testing.TB, addr, id string) *replica {
 	t.Helper()
-	rdb, err := core.Open(core.Config{ReadOnly: true})
+	rdb, err := core.Open(core.Config{
+		ReadOnly: true, AutoGC: true, LongLivedThreshold: 50 * time.Millisecond,
+		GC: gc.Periods{GT: 20 * time.Millisecond, TG: 60 * time.Millisecond, SI: 50 * time.Millisecond},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,95 +241,6 @@ func TestBootstrapCatchUpAndLiveTail(t *testing.T) {
 	if _, err := p.src.admit(wire.ReplStreamRequest{ReplicaID: "r1"}); !errors.Is(err, wire.ErrBadRequest) {
 		t.Fatalf("duplicate stream admit: %v, want ErrBadRequest", err)
 	}
-}
-
-func TestReplicaSnapshotPinsClusterHorizon(t *testing.T) {
-	p := startPrimary(t, fastSource(), nil)
-	tid := mustCreateTable(t, p.db, "accounts")
-	rid := mustInsert(t, p.db, tid, "v0")
-
-	r := startReplica(t, p.addr, "r1")
-	waitCaughtUp(t, p, r)
-
-	// A long-lived cursor on the replica: its snapshot timestamp must become
-	// the primary's global GC horizon within a report interval.
-	cur, err := r.db.OpenCursor(tid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pin := cur.SnapshotTS()
-	waitFor(t, 5*time.Second, "replica pin to reach the primary", func() bool {
-		return p.db.Manager().View().Horizon() == pin
-	})
-
-	// Churn on the primary builds a version chain the pinned horizon keeps
-	// alive: global-tracker GC must reclaim nothing.
-	for i := 1; i <= 30; i++ {
-		mustUpdate(t, p.db, tid, rid, fmt.Sprintf("v%d", i))
-	}
-	before := p.db.Stats().VersionsReclaimed
-	p.db.GC().RunGT()
-	if got := p.db.Stats().VersionsReclaimed - before; got != 0 {
-		t.Fatalf("GT reclaimed %d versions under a remote pin", got)
-	}
-	if h := p.db.Manager().View().Horizon(); h != pin {
-		t.Fatalf("horizon drifted to %d while the replica cursor is open (pin %d)", h, pin)
-	}
-
-	// Releasing the replica's snapshot clears the pin and GC catches up.
-	cur.Close()
-	waitFor(t, 5*time.Second, "pin release to reach the primary", func() bool {
-		return p.db.Manager().View().Horizon() > pin
-	})
-	p.db.GC().RunGT()
-	if got := p.db.Stats().VersionsReclaimed - before; got < 25 {
-		t.Fatalf("GT reclaimed only %d versions after the pin cleared", got)
-	}
-}
-
-// TestReplicaPinReleaseRingsTheBell: a replica's horizon pin that goes away
-// wakes the primary's collector loop the way a released snapshot does. The
-// collectors' idle periods are 10 s, so inside this test only the bell can
-// start a pass; the pin is the sole minimum, with more than a batch (512) of
-// versions behind it; once the replica closes its cursor they are reclaimed
-// within a second, not an idle period later.
-func TestReplicaPinReleaseRingsTheBell(t *testing.T) {
-	const idle = 10 * time.Second
-	p := startPrimary(t, fastSource(), func(cfg *core.Config) {
-		cfg.GC = gc.Periods{GT: idle, TG: idle, SI: idle}
-		cfg.AutoGC = true
-	})
-	tid := mustCreateTable(t, p.db, "accounts")
-	rids := make([]ts.RID, 600)
-	for i := range rids {
-		rids[i] = mustInsert(t, p.db, tid, "v0")
-	}
-	r := startReplica(t, p.addr, "r1")
-	waitCaughtUp(t, p, r)
-	cur, err := r.db.OpenCursor(tid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pin := cur.SnapshotTS()
-	waitFor(t, 5*time.Second, "replica pin to reach the primary", func() bool {
-		return p.db.Manager().View().Horizon() == pin
-	})
-
-	// One new version per row, each the only one of its chain above the pin:
-	// the interval collector has nothing to close, and nothing but the pin's
-	// going away makes any of them collectable.
-	for _, rid := range rids {
-		mustUpdate(t, p.db, tid, rid, "v1")
-	}
-	p.db.GC().RunGT() // runs into the pin with all of them behind it
-	if live := p.db.Space().Live(); live < int64(len(rids)) {
-		t.Fatalf("%d live versions behind the pin, want at least %d", live, len(rids))
-	}
-
-	cur.Close()
-	waitFor(t, time.Second, "the released pin's versions to be reclaimed", func() bool {
-		return p.db.Space().Live() == 0
-	})
 }
 
 func TestSegmentRetentionAndRestartRebootstrap(t *testing.T) {
@@ -549,13 +464,15 @@ func TestSQLCatalogFollowsReplication(t *testing.T) {
 	}
 }
 
-// TestTPCCUnderReplicaPinnedCursor is the acceptance scenario: TPC-C runs on
-// the primary while a replica-side cursor pins the cluster-wide horizon.
-// Hybrid GC must keep reclaiming (interval collection works above the pin),
-// the horizon must not pass the remote snapshot, and after release the
-// replicated state must pass the TPC-C consistency checks read through the
-// replica itself.
-func TestTPCCUnderReplicaPinnedCursor(t *testing.T) {
+// TestTPCCUnderReplicaCursor is the acceptance scenario: TPC-C runs on the
+// primary while a long cursor is held on a replica. The cursor reads the
+// replica's own engine, so it holds nothing on the primary: the primary's
+// horizon passes it. On the replica it is an ordinary long-lived snapshot:
+// the replica's own hybrid collector keeps reclaiming above it (table GC
+// around it, interval GC inside its table) while its horizon stays at it.
+// After the release the replicated state must pass the TPC-C consistency
+// checks read through the replica itself.
+func TestTPCCUnderReplicaCursor(t *testing.T) {
 	if testing.Short() {
 		t.Skip("workload test")
 	}
@@ -601,37 +518,36 @@ func TestTPCCUnderReplicaPinnedCursor(t *testing.T) {
 		}()
 	}
 
-	// Open the long-duration cursor on the replica mid-run, then wait for
-	// its report to land: the primary's horizon drops to (or below) the
-	// remote snapshot timestamp.
+	// Open the long-duration cursor on the replica mid-run.
 	time.Sleep(100 * time.Millisecond)
 	cur, err := r.db.OpenCursor(r.db.TableID(tpcc.TableStock))
 	if err != nil {
 		t.Fatal(err)
 	}
-	pin := cur.SnapshotTS()
-	waitFor(t, 5*time.Second, "replica pin to reach the primary", func() bool {
-		return p.db.Manager().View().Horizon() <= pin
-	})
-	waitFor(t, 5*time.Second, "workload to advance past the pin", func() bool {
-		return p.db.Manager().CurrentTS() > pin+20
-	})
+	at := cur.SnapshotTS()
+	rgc := r.db.GC()
+	above := func() int64 { return rgc.ReclaimedByTG() + rgc.ReclaimedBySI() }
+	before, primaryBefore := above(), p.db.Stats().VersionsReclaimed
 
-	// Hybrid GC keeps working above the pin while the workload churns.
-	before := p.db.Stats().VersionsReclaimed
-	waitFor(t, 5*time.Second, "hybrid GC to reclaim under the pin", func() bool {
-		return p.db.Stats().VersionsReclaimed > before
+	// The primary's horizon passes the replica's open snapshot, and its
+	// collector keeps reclaiming, as if the replica did not exist.
+	waitFor(t, 5*time.Second, "the primary's horizon to pass the replica cursor", func() bool {
+		return p.db.Manager().View().Horizon() > at
 	})
-	// And through all of it, reclamation never crossed the remote snapshot.
-	if h := p.db.Manager().View().Horizon(); h > pin {
-		t.Fatalf("primary horizon %d passed the replica's open snapshot %d", h, pin)
+	waitFor(t, 5*time.Second, "hybrid GC on the primary to reclaim", func() bool {
+		return p.db.Stats().VersionsReclaimed > primaryBefore
+	})
+	// The replica's own collector reclaims above its own cursor, whose
+	// snapshot still holds the replica's horizon.
+	waitFor(t, 5*time.Second, "the replica's table and interval GC to reclaim above its cursor", func() bool {
+		return above() > before
+	})
+	if h := r.db.Manager().View().Horizon(); h > at {
+		t.Fatalf("replica horizon %d passed its own open cursor %d", h, at)
 	}
 
 	stopWorkers()
 	cur.Close()
-	waitFor(t, 5*time.Second, "horizon to clear after release", func() bool {
-		return p.db.Manager().View().Horizon() > pin
-	})
 
 	// Converge, then run the consistency checks against the replica.
 	waitCaughtUp(t, p, r)
@@ -785,22 +701,14 @@ func replicaStat(t *testing.T, p *primary) wire.ReplicaStat {
 // TestSlowReplicaLagsWithoutTeardown: a replica whose applier stops while the
 // primary commits a burst — more records than any side buffer was ever sized
 // for, more bytes than the socket holds — simply lags. The stream is not torn
-// down, nothing ships twice, and the replica's open snapshot stays pinned in
-// the primary's view for the whole burst.
+// down, the replica stays connected in the primary's view for the whole
+// burst, and nothing ships twice.
 func TestSlowReplicaLagsWithoutTeardown(t *testing.T) {
 	p := startPrimary(t, fastSource(), nil)
 	tid := mustCreateTable(t, p.db, "accounts")
 	rid := mustInsert(t, p.db, tid, "v0")
 	r := startReplica(t, p.addr, "slow")
 	waitCaughtUp(t, p, r)
-	cur, err := r.db.OpenCursor(tid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cur.Close()
-	waitFor(t, 5*time.Second, "replica pin to reach the primary", func() bool {
-		return replicaStat(t, p).PinnedSTS != 0
-	})
 
 	const burst, size = 12000, 2048
 	fault.Enable(FPApplyStall, fault.Once(), fault.Sleep(300*time.Millisecond))
@@ -809,8 +717,8 @@ func TestSlowReplicaLagsWithoutTeardown(t *testing.T) {
 	for i := 0; i < burst; i++ {
 		mustUpdate(t, p.db, tid, rid, img)
 		if i%64 == 0 {
-			if st := replicaStat(t, p); !st.Connected || st.PinnedSTS == 0 {
-				t.Fatalf("after %d commits of the burst the replica's row is %+v: its pin left the view", i, st)
+			if st := replicaStat(t, p); !st.Connected {
+				t.Fatalf("after %d commits of the burst the replica's row is %+v: it left the view", i, st)
 			}
 		}
 	}

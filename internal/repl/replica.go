@@ -22,9 +22,9 @@ type ReplicaConfig struct {
 	// Token is the primary's HELLO token, if any.
 	Token string
 	// ReplicaID names this replica to the primary; it keys the primary's
-	// floor/pin state across reconnects, so it must be stable.
+	// floor state across reconnects, so it must be stable.
 	ReplicaID string
-	// ReportEvery paces applied-LSN/snapshot reports (<=0 selects 200ms).
+	// ReportEvery paces applied-LSN reports (<=0 selects 200ms).
 	ReportEvery time.Duration
 	// DialTimeout bounds connect and handshake (<=0 selects 5s).
 	DialTimeout time.Duration
@@ -357,19 +357,12 @@ func (r *Replica) advance(next uint64) {
 }
 
 // reporter periodically tells the primary where this replica stands: the
-// applied cursor plus, from one view, the local snapshot horizon (oldest
-// open snapshot timestamp), which is what pins the cluster-wide GC minimum.
+// applied cursor, from which the primary derives its segment floor.
 func (r *Replica) reporter(nc net.Conn, bw *bufio.Writer, done chan<- struct{}) {
 	defer close(done)
 	send := func() error {
-		view := r.db.Manager().View()
-		rep := wire.ReplReport{
-			AppliedLSN:   r.applied.Load(),
-			MinSTS:       uint64(view.Horizon()),
-			HasSnapshots: view.Len() > 0,
-		}
 		b := &wire.Builder{}
-		rep.Encode(b)
+		wire.ReplReport{AppliedLSN: r.applied.Load()}.Encode(b)
 		_ = nc.SetWriteDeadline(time.Now().Add(r.cfg.WriteTimeout))
 		return wire.WriteStreamMsg(bw, wire.RmReport, b.Take())
 	}

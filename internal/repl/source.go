@@ -13,8 +13,6 @@ import (
 
 	"hybridgc/internal/core"
 	"hybridgc/internal/fault"
-	"hybridgc/internal/sts"
-	"hybridgc/internal/ts"
 	"hybridgc/internal/wal"
 	"hybridgc/internal/wire"
 )
@@ -22,10 +20,8 @@ import (
 // SourceConfig tunes the primary side of replication.
 type SourceConfig struct {
 	// MaxSegmentLag bounds how many log segments a replica may trail the
-	// primary's active segment before it is demoted (<=0 selects 8). This is
-	// the cluster-wide analogue of the paper's version-space concern: an
-	// unbounded laggard would pin segment retention (and, through its
-	// snapshot reports, the GC horizon) forever.
+	// primary's active segment before it is demoted (<=0 selects 8): an
+	// unbounded laggard would pin segment retention forever.
 	MaxSegmentLag int
 	// StaleAfter demotes a replica that has not reported for this long
 	// (<=0 selects 10s). It doubles as the stream's read deadline.
@@ -36,10 +32,9 @@ type SourceConfig struct {
 	// WriteTimeout bounds every stream write — records, heartbeats, end
 	// messages, and refusal frames (<=0 selects 5s). A partitioned replica
 	// stops draining its socket; once the kernel buffers fill, the next
-	// write blocks until this deadline fires and the stream tears down,
-	// releasing the replica's horizon pin immediately (the sweeper demotes
-	// it after StaleAfter). Without this bound a partition could pin the GC
-	// horizon for as long as the partition lasts.
+	// write blocks until this deadline fires and the stream tears down (the
+	// sweeper demotes the replica after StaleAfter). Without this bound a
+	// partition could hold the stream open for as long as it lasts.
 	WriteTimeout time.Duration
 }
 
@@ -64,11 +59,6 @@ type replicaState struct {
 	connected bool
 	demoted   bool
 	applied   wal.LSN
-	// pin holds the replica's oldest open snapshot timestamp in the
-	// primary's snapshot-timestamp registry, making every GC variant
-	// respect remote readers. Nil while the replica reports no snapshots;
-	// always released on stream detach.
-	pin *sts.Handle
 	// floor is the lowest log segment this replica still needs: 0 during
 	// bootstrap (everything), then the segment of its applied LSN, never
 	// past its stream's cursor (see assess). It survives disconnects so a
@@ -118,7 +108,7 @@ func NewSource(db *core.DB, cfg SourceConfig) (*Source, error) {
 }
 
 // Close stops the staleness sweeper and refuses new streams. Active streams
-// end through server drain (their pins are released on detach).
+// end through server drain.
 func (s *Source) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -132,14 +122,14 @@ func (s *Source) Close() {
 }
 
 // lowestNeeded is the segment-retention hook: the minimum floor over every
-// replica that still counts (not demoted). ok=false when no replica pins
+// replica that holds one (demotion drops it). ok=false when no replica pins
 // retention, letting checkpoints prune freely.
 func (s *Source) lowestNeeded() (uint64, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	low, ok := uint64(0), false
 	for _, st := range s.replicas {
-		if st.demoted || !st.hasFloor {
+		if !st.hasFloor {
 			continue
 		}
 		if !ok || st.floor < low {
@@ -175,27 +165,16 @@ func (s *Source) sweeper() {
 	}
 }
 
-// demoteLocked drops everything the replica holds over the primary — its
-// horizon pin and its segment floor — and marks it for re-bootstrap.
+// demoteLocked drops the one thing the replica holds over the primary, its
+// segment floor, and marks it for re-bootstrap. FPFloorLeak skips the drop
+// so tests can re-introduce the "dead peer pins the log forever" bug and
+// prove the chaos harness detects it.
 func (s *Source) demoteLocked(st *replicaState) {
-	s.releasePinLocked(st)
-	st.hasFloor = false
+	if fault.Hit(FPFloorLeak) == nil {
+		st.hasFloor = false
+	}
 	st.demoted = true
 	s.demotions.Add(1)
-}
-
-// releasePinLocked drops the replica's horizon pin. FPPinLeak gates the
-// release so tests can re-introduce the "dead peer pins the GC horizon
-// forever" bug and prove the chaos harness detects it.
-func (s *Source) releasePinLocked(st *replicaState) {
-	if st.pin == nil {
-		return
-	}
-	if fault.Hit(FPPinLeak) != nil {
-		return
-	}
-	s.db.Manager().Unpin(st.pin)
-	st.pin = nil
 }
 
 // admit registers the stream under Source.mu and sets the replica's initial
@@ -231,16 +210,14 @@ func (s *Source) admit(req wire.ReplStreamRequest) (*replicaState, error) {
 	return st, nil
 }
 
-// detach ends the stream's hold on the horizon: the pin is released (a
-// disconnected replica's snapshots cannot be trusted to still exist), while
-// the floor and report time survive so a quick reconnect resumes cheaply.
-// The sweeper demotes the replica if it stays away past StaleAfter.
+// detach marks the stream gone. The floor and report time survive so a
+// quick reconnect resumes cheaply; the sweeper demotes the replica if it
+// stays away past StaleAfter.
 func (s *Source) detach(st *replicaState) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st.connected = false
 	st.lastReport = time.Now()
-	s.releasePinLocked(st)
 }
 
 // refuse answers the OpReplStream request with an error frame (the stream
@@ -420,8 +397,9 @@ func (s *Source) assess(st *replicaState, pos, shipped, catchUp, head wal.LSN) (
 }
 
 // readReports consumes the replica's report messages until the connection
-// ends, folding each into the shared state (applied cursor, segment floor,
-// horizon pin).
+// ends. A report carries the replica's applied LSN, which the next heartbeat
+// tick derives the segment floor from. The replica's snapshots are not
+// reported: they read the replica's own engine, whose collector they pin.
 func (s *Source) readReports(nc net.Conn, br *bufio.Reader, st *replicaState, done chan<- error) {
 	for {
 		_ = nc.SetReadDeadline(time.Now().Add(s.cfg.StaleAfter))
@@ -440,40 +418,16 @@ func (s *Source) readReports(nc net.Conn, br *bufio.Reader, st *replicaState, do
 			done <- err
 			return
 		}
-		s.handleReport(st, rep)
-	}
-}
-
-// handleReport is where a replica's snapshots become cluster state: its
-// oldest open snapshot timestamp is pinned in (or released from) the
-// primary's registry — through the manager, so a pin that goes away or moves
-// up wakes the collector loop like a released snapshot does — and its applied
-// LSN is what the next heartbeat tick derives the segment floor from.
-func (s *Source) handleReport(st *replicaState, rep wire.ReplReport) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st.lastReport = time.Now()
-	st.applied = wal.LSN(rep.AppliedLSN)
-	min := ts.CID(rep.MinSTS)
-	if rep.HasSnapshots && st.pin != nil && st.pin.TS() == min {
-		return
-	}
-	// Pin-then-unpin so the horizon never transiently clears while the
-	// replica still holds snapshots.
-	m, old := s.db.Manager(), st.pin
-	st.pin = nil
-	if rep.HasSnapshots {
-		st.pin = m.Pin(min)
-	}
-	if old != nil {
-		m.Unpin(old)
+		s.mu.Lock()
+		st.lastReport = time.Now()
+		st.applied = wal.LSN(rep.AppliedLSN)
+		s.mu.Unlock()
 	}
 }
 
 // send writes one stream message under the configured write deadline —
 // this is the partition trigger: once a non-draining peer fills the socket
-// buffers, the deadline fires, the stream tears down, and detach releases
-// the replica's horizon pin.
+// buffers, the deadline fires and the stream tears down.
 func (s *Source) send(nc net.Conn, bw *bufio.Writer, op byte, body []byte) error {
 	_ = nc.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
 	return wire.WriteStreamMsg(bw, op, body)
@@ -514,9 +468,6 @@ func (s *Source) PopulateStats(out *wire.Stats) {
 			Demoted:       st.demoted,
 			AppliedLSN:    uint64(st.applied),
 			LastReportAge: time.Since(st.lastReport),
-		}
-		if st.pin != nil {
-			rs.PinnedSTS = st.pin.TS()
 		}
 		if st.hasFloor {
 			rs.FloorSegment = st.floor

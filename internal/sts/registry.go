@@ -143,21 +143,12 @@ func (h *Handle) constraint() *Scope {
 	return nil
 }
 
-// Acquire pins timestamp c, scope unknown, and returns a fresh handle. A
-// replica's horizon pin (txn.Manager.Pin) uses this form; a Snapshot embeds
-// its handle and calls AcquireInto to avoid the allocation.
-func (r *Registry) Acquire(c ts.CID) *Handle {
-	h := new(Handle)
-	r.AcquireInto(h, c, nil)
-	return h
-}
-
 // AcquireInto pins timestamp c into h, which must be zero-valued or
 // released, with declared scope sc (nil when unknown): one CAS into the
 // announcement array, unless every slot is taken and a segment has to be
 // appended first. c must not be ts.Infinity, the end of the timestamp
-// domain: every acquirer reads the commit timestamp or a replica-reported
-// one, so only a bug can pass it.
+// domain: every acquirer reads the commit timestamp, so only a bug can pass
+// it.
 func (r *Registry) AcquireInto(h *Handle, c ts.CID, sc *Scope) {
 	if c == ts.Infinity {
 		panic("sts: snapshot timestamp outside the announceable domain")

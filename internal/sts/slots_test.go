@@ -59,6 +59,13 @@ func (h *Handle) scopeTo(sc *Scope) bool {
 	return sc != nil && h.Held() && h.scope.CompareAndSwap(nil, sc.narrowed)
 }
 
+// acquire pins timestamp c, scope unknown, into a fresh handle.
+func acquire(r *Registry, c ts.CID) *Handle {
+	h := new(Handle)
+	r.AcquireInto(h, c, nil)
+	return h
+}
+
 // segments counts the segments of the announcement array.
 func (r *Registry) segments() int {
 	n := 0
@@ -73,9 +80,9 @@ func TestRegistryBasics(t *testing.T) {
 	if _, ok := unionMin(r); ok {
 		t.Fatal("empty registry must report no minimum")
 	}
-	h0 := r.Acquire(0) // CID 0 is valid: the commit counter starts there
-	h5 := r.Acquire(5)
-	h3 := r.Acquire(3)
+	h0 := acquire(r, 0) // CID 0 is valid: the commit counter starts there
+	h5 := acquire(r, 5)
+	h3 := acquire(r, 3)
 	if m, ok := unscopedMin(r); !ok || m != 0 {
 		t.Fatalf("min = %d,%v want 0,true", m, ok)
 	}
@@ -96,7 +103,7 @@ func TestRegistryBasics(t *testing.T) {
 func TestSnapshotDedups(t *testing.T) {
 	r := NewRegistry()
 	for i := 0; i < 10; i++ {
-		r.Acquire(42)
+		acquire(r, 42)
 	}
 	if got, want := view(r).Set(), []ts.CID{42}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("sorted = %v, want %v", got, want)
@@ -109,7 +116,7 @@ func TestAcquireOutsideDomainPanics(t *testing.T) {
 			t.Fatal("ts.Infinity ends the timestamp domain and must not be announced")
 		}
 	}()
-	NewRegistry().Acquire(ts.Infinity)
+	acquire(NewRegistry(), ts.Infinity)
 }
 
 // TestRegistryGrowsPastOneSegment fills the first segment and checks that
@@ -120,12 +127,12 @@ func TestRegistryGrowsPastOneSegment(t *testing.T) {
 	r := NewRegistry()
 	handles := make([]*Handle, 0, segSlots)
 	for i := 0; i < segSlots; i++ {
-		handles = append(handles, r.Acquire(1000))
+		handles = append(handles, acquire(r, 1000))
 	}
 	if n := r.segments(); n != 1 {
 		t.Fatalf("%d segments with one segment's worth of snapshots, want 1", n)
 	}
-	over := r.Acquire(500)
+	over := acquire(r, 500)
 	if n := r.segments(); n != 2 {
 		t.Fatalf("%d segments after exhausting the first, want 2", n)
 	}
@@ -148,7 +155,7 @@ func TestRegistryGrowsPastOneSegment(t *testing.T) {
 		t.Fatalf("TableHorizon(3) = %d, want 500", m)
 	}
 	over.Release()
-	r.Acquire(700).Release()
+	acquire(r, 700).Release()
 	if n := r.segments(); n != 2 {
 		t.Fatalf("%d segments after reusing a freed slot, want 2", n)
 	}
@@ -174,7 +181,7 @@ func TestRegistryGrowthConcurrent(t *testing.T) {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				handles[i] = r.Acquire(ts.CID(i))
+				handles[i] = acquire(r, ts.CID(i))
 			}(i)
 		}
 		wg.Wait()
@@ -216,7 +223,7 @@ func TestRegistryGrowthConcurrent(t *testing.T) {
 
 func TestHandleDoubleReleasePanics(t *testing.T) {
 	r := NewRegistry()
-	h := r.Acquire(1)
+	h := acquire(r, 1)
 	h.Release()
 	defer func() {
 		if recover() == nil {
@@ -257,7 +264,7 @@ func TestDeclaredScopeNarrowsPerAcquisition(t *testing.T) {
 	if big := ts.TableID(maxInterned); r.TableScope(big) == r.TableScope(big) {
 		t.Fatal("IDs past the interning bound get a record per call")
 	}
-	guard := r.Acquire(20)
+	guard := acquire(r, 20)
 	defer guard.Release()
 	var h Handle
 	r.AcquireInto(&h, 10, r.TableScope(A))
@@ -312,8 +319,8 @@ func TestScopedSnapshotNeverUnpinned(t *testing.T) {
 	}
 	r := NewRegistry()
 	for i := 0; i < iterations; i++ {
-		guard := r.Acquire(above) // keeps every view non-empty
-		h := r.Acquire(c)
+		guard := acquire(r, above) // keeps every view non-empty
+		h := acquire(r, c)
 		var (
 			scoping, scoped, releasing, released atomic.Bool
 			wins                                 atomic.Int32

@@ -278,8 +278,8 @@ func TestTrackerConcurrent(t *testing.T) {
 
 func TestRegistryScopeMovesSnapshot(t *testing.T) {
 	r := NewRegistry()
-	h1 := r.Acquire(100) // will become the long-lived, scoped snapshot
-	h2 := r.Acquire(200)
+	h1 := acquire(r, 100) // will become the long-lived, scoped snapshot
+	h2 := acquire(r, 200)
 
 	if m, ok := unionMin(r); !ok || m != 100 {
 		t.Fatalf("Horizon = %d,%v want 100", m, ok)
@@ -322,9 +322,9 @@ func TestRegistryFigure8(t *testing.T) {
 	// Records outside tables 1 and 2 use minimum 2100; records in table 1 use
 	// 2057 and in table 2 use 2089.
 	r := NewRegistry()
-	s1 := r.Acquire(2057)
-	s2 := r.Acquire(2089)
-	g := r.Acquire(2100)
+	s1 := acquire(r, 2057)
+	s2 := acquire(r, 2089)
+	g := acquire(r, 2100)
 	defer g.Release()
 
 	s1.ScopeToTables([]ts.TableID{1})
@@ -355,9 +355,9 @@ func TestRegistryFigure8(t *testing.T) {
 // set the interval collector works from.
 func TestViewSetKeepsScopedSnapshots(t *testing.T) {
 	r := NewRegistry()
-	a := r.Acquire(10)
-	b := r.Acquire(20)
-	c := r.Acquire(30)
+	a := acquire(r, 10)
+	b := acquire(r, 20)
+	c := acquire(r, 30)
 	defer b.Release()
 	defer c.Release()
 	a.ScopeToTables([]ts.TableID{7})
@@ -384,7 +384,7 @@ func TestViewSetKeepsScopedSnapshots(t *testing.T) {
 
 func TestScopeEdgeCases(t *testing.T) {
 	r := NewRegistry()
-	h := r.Acquire(5)
+	h := acquire(r, 5)
 	if h.ScopeToTables(nil) {
 		t.Error("scoping to zero tables must be refused")
 	}
@@ -412,8 +412,8 @@ func TestScopeEdgeCases(t *testing.T) {
 
 func TestPartitionScoping(t *testing.T) {
 	r := NewRegistry()
-	long := r.Acquire(50)
-	cur := r.Acquire(100)
+	long := acquire(r, 50)
+	cur := acquire(r, 100)
 	defer cur.Release()
 
 	if !long.ScopeToPartitions(7, []ts.PartitionID{0, 2}) {
@@ -652,7 +652,7 @@ func TestRegistryMatchesTrackerModel(t *testing.T) {
 			switch op := rng.Intn(100); {
 			case op < acquireBias || len(live) == 0:
 				c := ts.CID(rng.Intn(40)) // narrow domain: shared timestamps, CID 0 included
-				live = append(live, pair{r.Acquire(c), m.acquire(c)})
+				live = append(live, pair{acquire(r, c), m.acquire(c)})
 			case op < acquireBias+15:
 				p := live[rng.Intn(len(live))]
 				set := make([]ts.TableID, rng.Intn(3)) // empty sets must be refused by both

@@ -9,7 +9,7 @@ import (
 
 // View is one scan of the announcement array, kept: the announcements at or
 // below a bound, oldest first, each with the scope it had when the scan
-// passed it. Whatever a collector pass, a monitor or a replica report asks
+// passed it. Whatever a collector pass or a monitor asks
 // about the live snapshots — the union minimum of §4.4, the unscoped minimum
 // of Fig. 6, a table's or a partition's minimum (Fig. 8), the set S of
 // Algorithm 1 — is a method on it, so all the answers one pass works from
@@ -60,8 +60,7 @@ func (v *View) Read(r *Registry, bound ts.CID) {
 // Bound returns the commit timestamp the view was read under.
 func (v *View) Bound() ts.CID { return v.bound }
 
-// Len returns the number of announcements: the active snapshots, a replica's
-// horizon pin included.
+// Len returns the number of announcements: the active snapshots.
 func (v *View) Len() int { return len(v.es) }
 
 // Set returns the ascending distinct timestamps of every announcement — the

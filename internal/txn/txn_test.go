@@ -295,14 +295,12 @@ func TestSnapshotScopeAndView(t *testing.T) {
 }
 
 // TestViewSeesEverySnapshotAcrossSegments holds 1000 snapshots at once —
-// four segments of the announcement array — acquired concurrently, next to a
-// bare pin like a replica's, and checks a view counts them all, sets its
-// horizon by the pin, and visits exactly the snapshots.
+// four segments of the announcement array — acquired concurrently, and
+// checks a view counts them all, sets its horizon by the oldest, and visits
+// exactly the snapshots.
 func TestViewSeesEverySnapshotAcrossSegments(t *testing.T) {
 	const n = 1000
 	m := newTestManager(t, Config{})
-	pin := m.Pin(0) // no Snapshot behind it: counted, never visited
-	defer m.Unpin(pin)
 	snaps := make([]*Snapshot, n)
 	var wg sync.WaitGroup
 	for i := range snaps {
@@ -314,8 +312,15 @@ func TestViewSeesEverySnapshotAcrossSegments(t *testing.T) {
 	}
 	wg.Wait()
 	v := m.View()
-	if got := v.Len(); got != n+1 {
-		t.Fatalf("Len = %d, want %d snapshots and the pin", got, n)
+	if got := v.Len(); got != n {
+		t.Fatalf("Len = %d, want %d snapshots", got, n)
+	}
+	oldest := snaps[0].TS()
+	for _, s := range snaps {
+		oldest = min(oldest, s.TS())
+	}
+	if h := v.Horizon(); h != oldest {
+		t.Fatalf("Horizon = %d, want the oldest snapshot's %d", h, oldest)
 	}
 	seen := make(map[*Snapshot]bool, n)
 	v.Snapshots(func(s *Snapshot) { seen[s] = true })
@@ -332,8 +337,8 @@ func TestViewSeesEverySnapshotAcrossSegments(t *testing.T) {
 	}
 	v = m.View()
 	v.Snapshots(func(s *Snapshot) { t.Fatalf("snapshot at %d still active after release", s.TS()) })
-	if v.Len() != 1 || v.Horizon() != 0 {
-		t.Fatalf("Len, Horizon = %d, %d: the bare pin must survive", v.Len(), v.Horizon())
+	if v.Len() != 0 || v.Horizon() != v.Bound()+1 {
+		t.Fatalf("Len, Horizon = %d, %d after every release, want 0, %d", v.Len(), v.Horizon(), v.Bound()+1)
 	}
 }
 

@@ -10,8 +10,8 @@ import (
 // View is one reading of the active snapshots: an sts.View taken under the
 // scan seqlock with the commit timestamp as its bound. It is the only way
 // anything reads the registry. A collector pass takes one and hands it to
-// GT, TG and SI; Stats, the pressure ladder, the watchdog, m_snapshots and
-// the replica report each take their own. Its safety condition is the one
+// GT, TG and SI; Stats, the pressure ladder, the watchdog and m_snapshots
+// each take their own. Its safety condition is the one
 // interval reclamation needs (DESIGN.md §15.2): every snapshot held across
 // or registered after the view either is among its announcements or has a
 // timestamp at or above Bound() — so a view that has gone stale can only
@@ -37,15 +37,10 @@ func (m *Manager) ViewInto(v *View) {
 // Scans returns how many views have been taken so far.
 func (m *Manager) Scans() uint64 { return m.scanSeq.Load() / 2 }
 
-// Snapshots calls f for every announcement that is a snapshot of this
-// engine, oldest first. Announcements no Snapshot owns (a replica's horizon
-// pin) count in Len and in every horizon but are not visited.
+// Snapshots calls f for every announcement, oldest first: each is a
+// snapshot of this engine.
 func (v *View) Snapshots(f func(*Snapshot)) {
-	v.Each(func(_ ts.CID, h *sts.Handle) {
-		if s, ok := h.Owner.(*Snapshot); ok {
-			f(s)
-		}
-	})
+	v.Each(func(_ ts.CID, h *sts.Handle) { f(h.Owner.(*Snapshot)) })
 }
 
 // ScopeLongLived is the table collector's steps 1 and 2 (§4.3): every
@@ -69,17 +64,4 @@ func (v *View) ScopeLongLived(threshold time.Duration) (scoped int64) {
 		}
 	})
 	return scoped
-}
-
-// Pin announces timestamp c on behalf of something that is not a snapshot of
-// this engine — a replica's oldest open snapshot — so every horizon respects
-// it until Unpin.
-func (m *Manager) Pin(c ts.CID) *sts.Handle { return m.reg.Acquire(c) }
-
-// Unpin retracts a Pin and, like a snapshot's release, rings the collector
-// loop when the pin was what the group collector found holding a batch back.
-func (m *Manager) Unpin(h *sts.Handle) {
-	c := h.TS()
-	h.Release()
-	m.released(c)
 }

@@ -758,9 +758,14 @@ func TestCursorTailsAcrossRotations(t *testing.T) {
 }
 
 // TestAppendDoesNothingForReaders: a cursor parked at the head costs Append
-// the close of one channel — no allocation, no copy.
+// the close of one channel — no allocation, no copy. What it counts is
+// Append's own allocations: with every allocation sampled, the memory
+// profile's records whose stack holds (*Log).Append. Whatever another
+// goroutine or the runtime allocates meanwhile — the write syscall lets
+// either run — has another stack and cannot count.
 func TestAppendDoesNothingForReaders(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
 	l, err := Open(Options{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
@@ -774,21 +779,18 @@ func TestAppendDoesNothingForReaders(t *testing.T) {
 	rec := &Record{Kind: KindGroup, CID: 1, Ops: []Op{
 		{Op: mvcc.OpUpdate, Table: 1, RID: 1, Payload: bytes.Repeat([]byte("x"), 2048)},
 	}}
-	// appendAllocs counts the mallocs of 100 Appends alone, each with the
-	// cursor parked at the head first or not.
-	appendAllocs := func(park bool) (n uint64) {
-		var before, after runtime.MemStats
+	// appendAllocs counts what 100 Appends allocate, each with the cursor
+	// parked at the head first or not.
+	appendAllocs := func(park bool) int64 {
+		before := allocsUnder("hybridgc/internal/wal.(*Log).Append")
 		for i := 0; i < 100; i++ {
 			var wake <-chan struct{}
 			if park {
 				_, wake = drain(t, c)
 			}
-			runtime.ReadMemStats(&before)
 			if err := l.Append(rec); err != nil {
 				t.Fatal(err)
 			}
-			runtime.ReadMemStats(&after)
-			n += after.Mallocs - before.Mallocs
 			if park {
 				select {
 				case <-wake:
@@ -797,10 +799,39 @@ func TestAppendDoesNothingForReaders(t *testing.T) {
 				}
 			}
 		}
-		return n
+		return allocsUnder("hybridgc/internal/wal.(*Log).Append") - before
 	}
 	appendAllocs(false) // size the frame buffer
-	if alone, parked := appendAllocs(false), appendAllocs(true); alone != parked {
+	if alone, parked := appendAllocs(false), appendAllocs(true); alone != 0 || parked != 0 {
 		t.Fatalf("100 Appends allocate %d times alone and %d with a cursor parked at the head", alone, parked)
 	}
+}
+
+// allocsUnder returns how many objects have been allocated with function fn
+// on the allocating stack, as the memory profile counts them: runtime.GC
+// publishes every allocation made before it.
+func allocsUnder(fn string) (n int64) {
+	runtime.GC()
+	recs := make([]runtime.MemProfileRecord, 64)
+	for {
+		m, ok := runtime.MemProfile(recs, true)
+		if ok {
+			recs = recs[:m]
+			break
+		}
+		recs = make([]runtime.MemProfileRecord, m+64)
+	}
+	for _, r := range recs {
+		frames := runtime.CallersFrames(r.Stack())
+		for f, more := frames.Next(); ; f, more = frames.Next() {
+			if f.Function == fn {
+				n += r.AllocObjects
+				break
+			}
+			if !more {
+				break
+			}
+		}
+	}
+	return n
 }

@@ -29,7 +29,7 @@ const (
 	// RmEnd terminates the stream: u8 end code | string detail. Sent on
 	// graceful drain, demotion, or an unrecoverable stream error.
 	RmEnd = 0x23
-	// RmReport flows replica → primary: applied LSN + snapshot horizon.
+	// RmReport flows replica → primary: applied LSN.
 	RmReport = 0x30
 )
 
@@ -38,7 +38,7 @@ const (
 	// EndDrain: the primary is shutting down; reconnect later.
 	EndDrain = 1
 	// EndDemoted: the replica exceeded the lag bound and lost its segment
-	// floor and horizon pin; it must re-bootstrap from a checkpoint.
+	// floor; it must re-bootstrap from a checkpoint.
 	EndDemoted = 2
 	// EndError: internal stream failure; the replica may resume.
 	EndError = 3
@@ -63,24 +63,16 @@ func DecodeReplStreamRequest(r *Parser) ReplStreamRequest {
 }
 
 // ReplReport is the body of an RmReport message: the replica's applied
-// position and its local snapshot horizon. MinSTS is meaningful only when
-// HasSnapshots is true; a report without snapshots releases the replica's
-// pin on the cluster GC horizon (its floor segment is kept).
+// position, which the primary's segment floor for it follows.
 type ReplReport struct {
-	AppliedLSN   uint64
-	MinSTS       uint64
-	HasSnapshots bool
+	AppliedLSN uint64
 }
 
 // Encode appends the report body to b.
-func (p ReplReport) Encode(b *Builder) {
-	b.U64(p.AppliedLSN).U64(p.MinSTS).Bool(p.HasSnapshots)
-}
+func (p ReplReport) Encode(b *Builder) { b.U64(p.AppliedLSN) }
 
 // DecodeReplReport parses an RmReport body.
-func DecodeReplReport(r *Parser) ReplReport {
-	return ReplReport{AppliedLSN: r.U64(), MinSTS: r.U64(), HasSnapshots: r.Bool()}
-}
+func DecodeReplReport(r *Parser) ReplReport { return ReplReport{AppliedLSN: r.U64()} }
 
 // MaxStreamMessage bounds a single stream message (a checkpoint of a large
 // database is the big one). Mirrors the request-frame limit.

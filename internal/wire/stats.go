@@ -8,7 +8,6 @@ import (
 
 	"hybridgc/internal/core"
 	"hybridgc/internal/htap"
-	"hybridgc/internal/ts"
 )
 
 // Stats is the STATS verb's payload: the engine's own snapshot, whole, plus
@@ -77,9 +76,6 @@ type ReplicaStat struct {
 	Connected  bool
 	Demoted    bool
 	AppliedLSN uint64
-	// PinnedSTS is the snapshot timestamp this replica pins in the cluster
-	// GC horizon (0 = no pin: no open snapshots reported).
-	PinnedSTS ts.CID
 	// FloorSegment is the lowest log segment retained for this replica.
 	FloorSegment uint64
 	// SegmentLag is the primary's active segment minus FloorSegment.

@@ -33,7 +33,7 @@ const (
 	// Version is the protocol revision: HELLO carries it in both directions
 	// and either side refuses any other value. Every frame layout is a fixed
 	// field list, so a layout change bumps Version.
-	Version = 3
+	Version = 4
 	// MaxFrame bounds one frame so a corrupt length prefix cannot make
 	// either end allocate unboundedly.
 	MaxFrame = 16 << 20
@@ -154,8 +154,8 @@ var (
 	// the primary no longer retains; the replica must re-bootstrap.
 	ErrReplTooOld = errors.New("wire: replication stream position no longer retained")
 	// ErrReplDemoted reports a replica the primary demoted for exceeding the
-	// lag bound: its horizon pin and segment-retention floor were dropped,
-	// and it must re-bootstrap from a fresh checkpoint.
+	// lag bound: its segment-retention floor was dropped, and it must
+	// re-bootstrap from a fresh checkpoint.
 	ErrReplDemoted = errors.New("wire: replica demoted for exceeding the lag bound")
 )
 

@@ -172,7 +172,7 @@ func TestReplMessageRoundTrips(t *testing.T) {
 		t.Fatalf("stream request round trip: err=%v out=%+v", p.Err(), reqOut)
 	}
 
-	repIn := ReplReport{AppliedLSN: 3<<32 | 9, MinSTS: 1234, HasSnapshots: true}
+	repIn := ReplReport{AppliedLSN: 3<<32 | 9}
 	b = &Builder{}
 	repIn.Encode(b)
 	p = NewParser(b.Take())
