@@ -57,7 +57,9 @@ func (w *walLogger) LogCommit(cid ts.CID, members []*mvcc.TransContext) error {
 			continue
 		}
 		logged = true
-		for _, v := range tc.Versions() {
+		vs := tc.Versions()
+		for i := range vs {
+			v := vs[i].Load()
 			w.rec.Ops = append(w.rec.Ops, wal.Op{
 				Op: v.Op, Table: v.Key.Table, RID: v.Key.RID, Payload: v.Payload,
 			})

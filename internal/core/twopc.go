@@ -22,7 +22,8 @@ func (tx *Tx) PendingOps() []wal.Op {
 	}
 	vs := tc.Versions()
 	ops := make([]wal.Op, 0, len(vs))
-	for _, v := range vs {
+	for i := range vs {
+		v := vs[i].Load()
 		ops = append(ops, wal.Op{Op: v.Op, Table: v.Key.Table, RID: v.Key.RID, Payload: v.Payload})
 	}
 	return ops

@@ -2,6 +2,7 @@ package gc
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -14,32 +15,37 @@ import (
 // BenchmarkPassPinnedWindow prices one TG pass and one SI pass behind a held,
 // table-scoped snapshot, at a constant 256 new commit groups per pass and a
 // growing pinned window: width groups committed since the snapshot began that
-// each still hold a live version of the pinned table, which is what the group
-// list looks like under a long cursor (htap_pin). An incremental pass costs
-// the 256 new groups whatever the width; a pass that re-walks the window is
-// linear in it.
+// each still hold a live version of the pinned table beside one of another
+// table that TG has reclaimed, which is what the group list looks like under
+// a long cursor (htap_pin). An incremental pass costs the 256 new groups
+// whatever the width; a pass that re-walks the window is linear in it.
+// heap-B/group is the Go heap the engine holds after the passes, per group
+// of the window: what a linked group costs, flat while it keeps none of its
+// reclaimed versions reachable.
 func BenchmarkPassPinnedWindow(b *testing.B) {
 	const fresh = 256
 	for _, width := range []int{1_000, 10_000, 100_000} {
+		base := heapAlloc()
 		e := newEnv(b)
 		stock, orders := e.createTable("STOCK"), e.createTable("ORDERS")
-		var order [fresh]ts.RID
-		for i := range order {
-			order[i] = e.insert(orders, "o")
-		}
-		// The rows whose one update after the pin makes up the window, and
-		// the hot rows every pass's new groups update again.
+		// The rows whose one update after the pin makes up the window — a
+		// STOCK row and an ORDERS row per group — and the hot rows every
+		// pass's new groups update again.
 		rows := make([]ts.RID, width+fresh)
 		for i := range rows {
 			rows[i] = e.insert(stock, "s")
 		}
+		order := make([]ts.RID, width+fresh)
+		for i := range order {
+			order[i] = e.insert(orders, "o")
+		}
 		gt, tg, si := NewGroupTimestamp(e.m), NewTableGC(e.m, time.Nanosecond), NewInterval(e.m)
 		gt.Collect()
 		pin := e.m.AcquireSnapshot(txn.KindCursor, []ts.TableID{stock.ID})
-		for _, rid := range rows[:width] {
-			e.update(stock, rid, "s1")
+		for i, rid := range rows[:width] {
+			e.update2(stock, rid, orders, order[i])
 		}
-		tg.Collect() // scopes the pin to STOCK
+		tg.Collect() // scopes the pin to STOCK, reclaims the window's ORDERS versions
 		si.Collect()
 		if n := e.space.Groups.Len(); n < width {
 			b.Fatalf("window is %d groups wide, want %d", n, width)
@@ -49,7 +55,7 @@ func BenchmarkPassPinnedWindow(b *testing.B) {
 		// row (TG's).
 		commit := func() {
 			for i, rid := range rows[width:] {
-				e.update2(stock, rid, orders, order[i])
+				e.update2(stock, rid, orders, order[width+i])
 			}
 			gt.Collect() // §4.4: every pass begins with GT; here it stops at the pin
 		}
@@ -65,6 +71,7 @@ func BenchmarkPassPinnedWindow(b *testing.B) {
 				}
 				si.Collect()
 			}
+			b.ReportMetric(float64(heapAlloc()-base)/float64(width), "heap-B/group")
 		})
 		b.Run(fmt.Sprintf("SI/width=%d", width), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -78,6 +85,7 @@ func BenchmarkPassPinnedWindow(b *testing.B) {
 					b.Fatalf("SI reclaimed %d versions of %d new groups", st.Versions, fresh)
 				}
 			}
+			b.ReportMetric(float64(heapAlloc()-base)/float64(width), "heap-B/group")
 		})
 		pin.Release()
 	}
@@ -109,6 +117,14 @@ func BenchmarkPassEmpty(b *testing.B) {
 	for _, s := range held {
 		s.Release()
 	}
+}
+
+// heapAlloc returns the bytes of live Go heap objects after a collection.
+func heapAlloc() int64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
 }
 
 // update2 commits one transaction updating a record in each of two tables.

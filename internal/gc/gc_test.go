@@ -2,6 +2,8 @@ package gc
 
 import (
 	"fmt"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -249,6 +251,80 @@ func TestTableGCUnblocksOtherTables(t *testing.T) {
 	gt.Collect()
 	if e.space.Live() != 0 {
 		t.Fatalf("live after cursor close = %d", e.space.Live())
+	}
+}
+
+// TestTableGCFreesOtherTablesVersions runs TG behind a cursor scoped to
+// STOCK over groups that each wrote a STOCK and an ORDERS version: the pin
+// keeps every group linked, and the ORDERS versions TG reclaims must still
+// become garbage to the Go collector — a linked group reaches only its live
+// versions.
+func TestTableGCFreesOtherTablesVersions(t *testing.T) {
+	e := newEnv(t)
+	stock := e.createTable("STOCK")
+	orders := e.createTable("ORDERS")
+	sRID := e.insert(stock, "s0")
+	oRID := e.insert(orders, "o0")
+	NewGroupTimestamp(e.m).Collect()
+
+	long := e.m.AcquireSnapshot(txn.KindCursor, []ts.TableID{stock.ID})
+	defer long.Release()
+	const n = 5
+	for i := 0; i < n; i++ {
+		e.update2(stock, sRID, orders, oRID)
+	}
+	var f finalizers
+	watchTable(e.space, orders.ID, &f)
+	if f.watched != n {
+		t.Fatalf("watching %d ORDERS versions, want %d", f.watched, n)
+	}
+	tg := NewTableGC(e.m, time.Nanosecond)
+	time.Sleep(time.Millisecond)
+	if st := tg.Collect(); st.Versions != n {
+		t.Fatalf("TG reclaimed %d versions, want the %d ORDERS ones", st.Versions, n)
+	}
+	if got := e.space.Groups.Len(); got != n {
+		t.Fatalf("%d groups linked, want the %d the cursor keeps", got, n)
+	}
+	f.await(t)
+}
+
+// watchTable watches every version of table tid that a linked group holds.
+func watchTable(s *mvcc.Space, tid ts.TableID, f *finalizers) {
+	s.Groups.Ascending(func(g *mvcc.GroupCommitContext) bool {
+		g.Each(func(v *mvcc.Version) {
+			if v.Key.Table == tid {
+				f.watch(v)
+			}
+		})
+		return true
+	})
+}
+
+// finalizers watches versions for the Go collector freeing them: a version
+// the engine still reaches is never finalized.
+type finalizers struct {
+	watched int
+	freed   atomic.Int32
+}
+
+// watch sets a finalizer on v that counts it freed.
+func (f *finalizers) watch(v *mvcc.Version) {
+	f.watched++
+	runtime.SetFinalizer(v, func(*mvcc.Version) { f.freed.Add(1) })
+}
+
+// await runs the Go collector until every watched version is finalized, and
+// fails t if some never is; a chain of finalizable versions takes a cycle
+// per link.
+func (f *finalizers) await(t testing.TB) {
+	t.Helper()
+	for i := 0; i < 100 && int(f.freed.Load()) < f.watched; i++ {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	if n := int(f.freed.Load()); n != f.watched {
+		t.Fatalf("%d of %d reclaimed versions finalized: the rest are still reachable", n, f.watched)
 	}
 }
 

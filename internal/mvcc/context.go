@@ -22,8 +22,12 @@ type TransContext struct {
 	// group committer must not log it again.
 	skipLog atomic.Bool
 
+	// versions holds the transaction's versions in creation order, one slot
+	// each (Version.slot is the index). A collector that reclaims a version
+	// clears its slot (Space.retire), so a group still linked for its live
+	// versions keeps none of its reclaimed ones on the heap.
 	mu       sync.Mutex
-	versions []*Version
+	versions []atomic.Pointer[Version]
 
 	// tally is the version-space accounting of the transaction's writes not
 	// yet added to the shared counters (Space.Flush).
@@ -36,26 +40,34 @@ func NewTransContext(txnID uint64) *TransContext {
 }
 
 // Add records a version created by this transaction (the backward link used
-// for CID propagation and group reclamation).
+// for CID propagation and group reclamation) and gives it its slot.
 func (tc *TransContext) Add(v *Version) {
 	tc.mu.Lock()
-	tc.versions = append(tc.versions, v)
+	v.slot = uint32(len(tc.versions))
+	tc.versions = append(tc.versions, atomic.Pointer[Version]{})
+	tc.versions[v.slot].Store(v)
 	tc.mu.Unlock()
 }
 
-// Versions returns the versions created by this transaction, in creation
-// order. The slice is the transaction's own and must not be modified: Add
-// only ever appends behind its length, so the view stays valid while the
-// transaction is still writing, and once the transaction has entered group
-// commit its version set is frozen and the read takes no lock at all — this
-// is what collectors iterate, once per group per pass.
-func (tc *TransContext) Versions() []*Version {
+// Versions returns the version slots of this transaction, in creation order;
+// a slot reads nil once a collector has reclaimed its version. The slice is
+// the transaction's own and must not be modified: Add only ever appends
+// behind its length, so the view stays valid while the transaction is still
+// writing, and once the transaction has entered group commit its slot set is
+// frozen and the read takes no lock at all — this is what collectors
+// iterate, once per group per pass. Before the group has a CID nothing is
+// reclaimed, so the log, a prepare record and a rollback read every slot
+// filled.
+func (tc *TransContext) Versions() []atomic.Pointer[Version] {
 	if tc.gcc.Load() == nil {
 		tc.mu.Lock()
 		defer tc.mu.Unlock()
 	}
 	return tc.versions[:len(tc.versions):len(tc.versions)]
 }
+
+// unlink clears v's slot: the transaction's list no longer reaches it.
+func (tc *TransContext) unlink(v *Version) { tc.versions[v.slot].Store(nil) }
 
 // VersionCount returns how many versions the transaction created.
 func (tc *TransContext) VersionCount() int {
@@ -92,17 +104,23 @@ func (tc *TransContext) CID() ts.CID {
 // version entries (the backward CID propagation of §2.2), so later visibility
 // checks chase no pointers. The committing goroutine calls it on its own
 // transaction once its group is published; it returns the number of versions
-// stamped, zero before the group has a CID.
+// stamped — those no collector reclaimed between publication and the stamp,
+// which a reclaimed version no longer needs — and zero before the group has
+// a CID.
 func (tc *TransContext) Propagate() int {
 	c := tc.CID()
 	if c == ts.Invalid {
 		return 0
 	}
+	n := 0
 	vs := tc.Versions()
-	for _, v := range vs {
-		v.SetCID(c)
+	for i := range vs {
+		if v := vs[i].Load(); v != nil {
+			v.SetCID(c)
+			n++
+		}
 	}
-	return len(vs)
+	return n
 }
 
 // GroupCommitContext represents one group commit operation (§2.2, Figure 7):
@@ -151,13 +169,17 @@ func (g *GroupCommitContext) AssignCID(c ts.CID) { g.cid.Store(uint64(c)) }
 // CID returns the group's commit identifier, or ts.Invalid before assignment.
 func (g *GroupCommitContext) CID() ts.CID { return ts.CID(g.cid.Load()) }
 
-// Each calls fn on every version entry belonging to the group, across all
-// member transactions, reclaimed or not. A committed group's version set is
-// frozen, so the walk copies nothing and takes no lock.
+// Each calls fn on every version of the group not yet reclaimed, across all
+// member transactions. A version reclaimed while the walk runs may still be
+// handed to fn, which checks Reclaimed under whatever it acts on. A committed
+// group's slot set is frozen, so the walk copies nothing and takes no lock.
 func (g *GroupCommitContext) Each(fn func(*Version)) {
 	for _, tc := range g.txns {
-		for _, v := range tc.Versions() {
-			fn(v)
+		vs := tc.Versions()
+		for i := range vs {
+			if v := vs[i].Load(); v != nil {
+				fn(v)
+			}
 		}
 	}
 }
@@ -176,14 +198,14 @@ func (g *GroupCommitContext) Live() int64 { return g.live.Load() }
 // lock: Ascending/Descending walk the atomic links live, so commit
 // publication does not contend with collectors reading the list.
 //
-// An unlinked group points at nothing. Reclaimed versions stay reachable for
-// a while — from the version lists of groups that still hold something live,
-// and from each other — and they reach their groups; if those still pointed
-// at their old neighbours, which point at theirs, one long-lived group would
-// keep the whole commit history of a run in memory. An iterator therefore
-// reads its next step before it hands a group to fn, which is what usually
-// unlinks it, and when it does find itself on an unlinked group it finds its
-// place again by CID (seek).
+// An unlinked group points at nothing. A reclaimed version leaves its
+// transaction's slot list, so a linked group reaches only its live versions;
+// but a version a reader or a collector still holds reaches its group, and
+// if that still pointed at its old neighbours, which point at theirs, one
+// long-held version would keep the whole commit history of a run in memory.
+// An iterator therefore reads its next step before it hands a group to fn,
+// which is what usually unlinks it, and when it does find itself on an
+// unlinked group it finds its place again by CID (seek).
 type GroupList struct {
 	mu    sync.Mutex
 	head  atomic.Pointer[GroupCommitContext]

@@ -945,3 +945,17 @@ func TestCountersOffTheReadLine(t *testing.T) {
 		"stats":    unsafe.Offsetof(h.stats),
 	})
 }
+
+// TestSizes pins what a version and a transaction context cost: the slot
+// index sits in the padding after Version.Op, so a version stays 96 bytes
+// (versionHeaderBytes accounts that much), and the slot list keeps the
+// TransContext, which outlives its transaction while its group holds a live
+// version, in the 80-byte size class the tally's field widths are chosen for.
+func TestSizes(t *testing.T) {
+	if n := unsafe.Sizeof(Version{}); n != versionHeaderBytes {
+		t.Errorf("Version is %d bytes, want %d", n, versionHeaderBytes)
+	}
+	if n := unsafe.Sizeof(TransContext{}); n > 80 {
+		t.Errorf("TransContext is %d bytes, past the 80-byte size class", n)
+	}
+}

@@ -198,12 +198,13 @@ func (s *Space) Rollback(v *Version) bool {
 	return true
 }
 
-// retire flags v as collected and takes it off its commit group's live
-// count; the caller that takes the count to zero unlinks the group, wherever
-// it sits in the list. It reports whether v was newly collected (the
-// idempotence guard for collectors) and whether that drained its group.
-// Callers hold the chain latch; the group list's mutex nests inside it and
-// never the other way round.
+// retire flags v as collected, drops it from its transaction's list — so a
+// group still linked for its other versions does not keep it on the heap —
+// and takes it off its commit group's live count; the caller that takes the
+// count to zero unlinks the group, wherever it sits in the list. It reports
+// whether v was newly collected (the idempotence guard for collectors) and
+// whether that drained its group. Callers hold the chain latch; the group
+// list's mutex nests inside it and never the other way round.
 func (s *Space) retire(v *Version) (ok, drained bool) {
 	if !v.markReclaimed() {
 		return false, false
@@ -211,6 +212,7 @@ func (s *Space) retire(v *Version) (ok, drained bool) {
 	if v.tctx == nil {
 		return true, false
 	}
+	v.tctx.unlink(v)
 	if g := v.tctx.Group(); g != nil && g.live.Add(-1) == 0 {
 		s.Groups.Remove(g)
 		return true, true

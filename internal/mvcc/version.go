@@ -50,7 +50,11 @@ func (op OpType) String() string {
 // backward propagation: the committer stamps it, a reader that gets there
 // first caches it).
 type Version struct {
-	Op      OpType
+	Op OpType
+	// slot is the version's index in its TransContext's list: Add sets it,
+	// and retire clears the list entry there. It sits in the padding after
+	// Op, so a version stays 96 bytes.
+	slot    uint32
 	Key     ts.RecordKey
 	Payload []byte
 

@@ -105,8 +105,11 @@ type Stats struct {
 	TxnsCommitted   int64
 	TxnsAborted     int64
 	GroupsCommitted int64
-	Propagated      int64
-	LastCID         ts.CID
+	// Propagated counts the versions a committed transaction stamped with
+	// its CID (TransContext.Propagate): those no collector had reclaimed
+	// between the group's publication and the stamp.
+	Propagated int64
+	LastCID    ts.CID
 }
 
 // Manager is the unified transaction manager.
@@ -414,7 +417,7 @@ func (m *Manager) failBatch(lead *commitReq, tcs []*mvcc.TransContext, err error
 func (m *Manager) rollback(tc *mvcc.TransContext) {
 	vs := tc.Versions()
 	for i := len(vs) - 1; i >= 0; i-- {
-		m.space.Rollback(vs[i])
+		m.space.Rollback(vs[i].Load())
 	}
 	m.space.Flush(tc)
 }

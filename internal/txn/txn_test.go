@@ -83,8 +83,9 @@ func TestGroupCommitShareSingleCID(t *testing.T) {
 			}
 			// Leader or follower, a member has stamped its own versions by
 			// the time Commit returns.
-			for _, v := range txn.Context().Versions() {
-				if !v.Propagated() {
+			vs := txn.Context().Versions()
+			for i := range vs {
+				if v := vs[i].Load(); v != nil && !v.Propagated() {
 					t.Errorf("version %v not stamped when Commit returned", v)
 				}
 			}
