@@ -1,5 +1,5 @@
 // Command hybridgc-sql is an interactive SQL shell over the engine. It
-// supports CREATE TABLE/INDEX, INSERT, SELECT (with WHERE, ORDER BY, LIMIT,
+// supports CREATE TABLE, INSERT, SELECT (with WHERE, ORDER BY, LIMIT,
 // COUNT, SUM), UPDATE, DELETE and BEGIN [SNAPSHOT]/COMMIT/ROLLBACK, plus
 // backslash commands for engine introspection (\stats, \gc, \tables).
 //
@@ -88,7 +88,7 @@ func meta(db *core.DB, cat *sql.Catalog, line string) bool {
 	case "\\q", "\\quit":
 		return false
 	case "\\help":
-		fmt.Println(`SQL: CREATE TABLE t (a INT, b TEXT) | CREATE [ORDERED] INDEX ON t (a)
+		fmt.Println(`SQL: CREATE TABLE t (a INT, b TEXT)
      INSERT INTO t VALUES (1, 'x') | SELECT */cols/COUNT(*)/SUM(c) FROM t
        [WHERE c =|<|> v AND ...] [ORDER BY c [DESC]] [LIMIT n]
      UPDATE t SET a = 1 [WHERE ...] | DELETE FROM t [WHERE ...]

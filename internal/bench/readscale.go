@@ -64,10 +64,9 @@ func (s *Suite) ext3Leg(nReplicas int) (qps metrics.Series, note string, err err
 	}
 
 	pool, err := client.NewReadPool(client.PoolConfig{
-		Primary:           primary.Addr(),
-		Replicas:          addrs,
-		Client:            client.Config{MaxConns: 8},
-		HeartbeatInterval: 20 * time.Millisecond,
+		Primary:  primary.Addr(),
+		Replicas: addrs,
+		Client:   client.Config{MaxConns: 8},
 	})
 	if err != nil {
 		return qps, "", err

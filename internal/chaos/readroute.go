@@ -172,9 +172,8 @@ func RunReadRoute(opt ReadRouteOptions) (*ReadRouteReport, error) {
 			RedialBase:     10 * time.Millisecond,
 			RedialMax:      150 * time.Millisecond,
 		},
-		HeartbeatInterval: 20 * time.Millisecond,
-		QuarantineBase:    20 * time.Millisecond,
-		QuarantineMax:     250 * time.Millisecond,
+		QuarantineBase: 20 * time.Millisecond,
+		QuarantineMax:  250 * time.Millisecond,
 	})
 	if err != nil {
 		return nil, err

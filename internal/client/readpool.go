@@ -1,22 +1,18 @@
 // Read scale-out: ReadPool is a read/write-splitting client over one
 // primary and a set of read replicas.
 //
-// Writes (and Strong reads) always go to the primary. Default reads carry
-// the pool's session consistency token — the highest commit LSN any write
-// through the pool has produced — so any replica that has applied past the
-// token can serve them with read-your-writes intact; a replica that is
-// behind bounces the request (core.ErrReplicaBehind) and the pool retries
-// on the next endpoint, falling back to the primary. BoundedStaleness
-// reads relax the token to a wall-clock bound: they are routed only to
-// replicas recently observed caught up with their upstream, which is what
-// caps how stale their snapshot — and therefore how long the primary's GC
-// must retain old versions for them — can be.
+// Writes (and Strong reads) always go to the primary. Session reads carry
+// the pool's consistency token — the highest commit LSN any write through
+// the pool has produced — so any replica that has applied past the token
+// can serve them with read-your-writes intact; a replica that is behind
+// bounces the request (core.ErrReplicaBehind) and the pool retries on the
+// next endpoint, falling back to the primary. The token is the only
+// freshness signal: the pool polls nothing in the background.
 //
-// Endpoint health is tracked two ways: a background heartbeat polls STATS
-// off every endpoint for applied/head LSNs (the staleness signal), and any
-// transport failure on the request path quarantines the endpoint with a
-// full-jitter backoff so in-flight reads fail over instead of piling onto a
-// dead address.
+// A transport failure on the request path quarantines the endpoint for a
+// full-jitter backoff window, so in-flight reads fail over instead of
+// piling onto a dead address; the first request after the window tries the
+// endpoint again.
 package client
 
 import (
@@ -30,15 +26,11 @@ import (
 )
 
 // Consistency selects the guarantee a pooled read needs.
-type Consistency struct {
-	kind  byte
-	bound time.Duration
-}
+type Consistency struct{ kind byte }
 
 const (
 	ckSession byte = iota // default: read-your-writes via the session token
 	ckStrong              // primary only
-	ckBounded             // any replica observed caught up within the bound
 )
 
 // Session reads observe every write made through the pool (read-your-writes):
@@ -47,13 +39,6 @@ var Session = Consistency{kind: ckSession}
 
 // Strong reads are routed to the primary and observe every commit.
 var Strong = Consistency{kind: ckStrong}
-
-// BoundedStaleness reads accept data up to d stale: they are served by any
-// replica the heartbeat observed caught up within the last d, without
-// waiting on the session token. Dashboard traffic.
-func BoundedStaleness(d time.Duration) Consistency {
-	return Consistency{kind: ckBounded, bound: d}
-}
 
 // PoolConfig tunes a ReadPool.
 type PoolConfig struct {
@@ -65,9 +50,6 @@ type PoolConfig struct {
 	// Client is the per-endpoint connection config; Addr is overridden per
 	// endpoint.
 	Client Config
-	// HeartbeatInterval paces the background STATS poll that feeds the
-	// staleness and health signals (<=0 selects 50ms).
-	HeartbeatInterval time.Duration
 	// QuarantineBase/QuarantineMax bound the backoff window an endpoint sits
 	// out after a transport failure (<=0 select 100ms / 3s).
 	QuarantineBase time.Duration
@@ -75,9 +57,6 @@ type PoolConfig struct {
 }
 
 func (c *PoolConfig) fill() {
-	if c.HeartbeatInterval <= 0 {
-		c.HeartbeatInterval = 50 * time.Millisecond
-	}
 	if c.QuarantineBase <= 0 {
 		c.QuarantineBase = 100 * time.Millisecond
 	}
@@ -102,20 +81,12 @@ type PoolCounters struct {
 
 // endpoint is one server the pool routes to.
 type endpoint struct {
-	addr    string
-	replica bool
+	addr string
 
 	mu     sync.Mutex
 	cl     *Client   // nil until the first successful dial
 	failN  int       // consecutive transport/dial failures
 	downAt time.Time // quarantined until this instant
-
-	// Heartbeat view: the endpoint's applied LSN vs. the stream head it
-	// reports, and when we last observed it fully caught up. On the primary
-	// caughtUpAt is every successful heartbeat.
-	applied    uint64
-	head       uint64
-	caughtUpAt time.Time
 }
 
 // ReadPool routes statements across one primary and a replica set.
@@ -132,9 +103,6 @@ type ReadPool struct {
 	writes       atomic.Int64
 	bounces      atomic.Int64
 	failovers    atomic.Int64
-
-	stop chan struct{}
-	wg   sync.WaitGroup
 }
 
 // NewReadPool builds a pool and eagerly dials the primary (a bad primary
@@ -145,23 +113,18 @@ func NewReadPool(cfg PoolConfig) (*ReadPool, error) {
 	p := &ReadPool{
 		cfg:     cfg,
 		primary: &endpoint{addr: cfg.Primary},
-		stop:    make(chan struct{}),
 	}
 	for _, addr := range cfg.Replicas {
-		p.replicas = append(p.replicas, &endpoint{addr: addr, replica: true})
+		p.replicas = append(p.replicas, &endpoint{addr: addr})
 	}
 	if _, err := p.client(p.primary); err != nil {
 		return nil, fmt.Errorf("readpool: primary %s: %w", cfg.Primary, err)
 	}
-	p.wg.Add(1)
-	go p.heartbeatLoop()
 	return p, nil
 }
 
-// Close stops the heartbeat and closes every endpoint's connections.
+// Close closes every endpoint's connections.
 func (p *ReadPool) Close() {
-	close(p.stop)
-	p.wg.Wait()
 	for _, ep := range append([]*endpoint{p.primary}, p.replicas...) {
 		ep.mu.Lock()
 		if ep.cl != nil {
@@ -245,52 +208,6 @@ func (ep *endpoint) available(now time.Time) bool {
 	return now.After(ep.downAt)
 }
 
-// staleWithin reports whether the heartbeat observed the endpoint caught up
-// with its upstream within the last d.
-func (ep *endpoint) staleWithin(now time.Time, d time.Duration) bool {
-	ep.mu.Lock()
-	defer ep.mu.Unlock()
-	return !ep.caughtUpAt.IsZero() && now.Sub(ep.caughtUpAt) <= d
-}
-
-// heartbeatLoop polls STATS off every endpoint: replicas report their
-// applied LSN against the stream head (the staleness signal), and a
-// successful poll of a quarantined endpoint lifts the quarantine early.
-func (p *ReadPool) heartbeatLoop() {
-	defer p.wg.Done()
-	tick := time.NewTicker(p.cfg.HeartbeatInterval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-p.stop:
-			return
-		case <-tick.C:
-		}
-		for _, ep := range append([]*endpoint{p.primary}, p.replicas...) {
-			cl, err := p.client(ep)
-			if err != nil {
-				p.quarantine(ep)
-				continue
-			}
-			st, err := cl.Stats()
-			now := time.Now()
-			ep.mu.Lock()
-			if err != nil {
-				// Leave failN to the request path; a heartbeat miss alone
-				// just stops caughtUpAt from advancing.
-				ep.mu.Unlock()
-				continue
-			}
-			ep.applied, ep.head = st.ReplAppliedLSN, st.ReplPrimaryLSN
-			if !ep.replica || st.ReplAppliedLSN >= st.ReplPrimaryLSN {
-				ep.caughtUpAt = now
-			}
-			ep.failN, ep.downAt = 0, time.Time{}
-			ep.mu.Unlock()
-		}
-	}
-}
-
 // Exec routes one write (or any statement that must see and produce the
 // latest state) to the primary and folds its commit token into the session.
 func (p *ReadPool) Exec(sqlText string) (*Result, error) {
@@ -330,22 +247,13 @@ func (p *ReadPool) Read(sqlText string, c Consistency) (*Result, error) {
 			if !ep.available(now) {
 				continue
 			}
-			if c.kind == ckBounded && !ep.staleWithin(now, c.bound) {
-				continue
-			}
 			cl, err := p.client(ep)
 			if err != nil {
 				p.quarantine(ep)
 				lastErr = fmt.Errorf("%w: %v", core.ErrUnavailable, err)
 				continue
 			}
-			min := token
-			if c.kind == ckBounded {
-				// The bound, not the token, is the contract: let a lagging
-				// replica that the heartbeat still certifies serve the read.
-				min = 0
-			}
-			res, err := cl.ExecAt(sqlText, min)
+			res, err := cl.ExecAt(sqlText, token)
 			if err == nil {
 				ep.recover()
 				p.replicaReads.Add(1)
@@ -366,7 +274,7 @@ func (p *ReadPool) Read(sqlText string, c Consistency) (*Result, error) {
 		}
 	}
 	// Every replica skipped or failed: the primary trivially satisfies any
-	// token and is never stale.
+	// token.
 	res, err := p.readPrimary(sqlText)
 	if err != nil && lastErr != nil && errors.Is(err, core.ErrUnavailable) {
 		return nil, fmt.Errorf("readpool: all endpoints failed: %w (last replica: %v)", err, lastErr)

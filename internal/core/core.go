@@ -29,11 +29,11 @@ var (
 	ErrOutOfScope     = errors.New("core: table not declared by this transaction")
 	ErrCursorClosed   = errors.New("core: cursor is closed")
 	ErrClosed         = errors.New("core: database closed")
-	// ErrSnapshotKilled reports that the watchdog force-closed the
-	// operation's snapshot because it exceeded the configured maximum age —
-	// the paper's workaround for garbage collection blocked by long-lived
-	// cursors or forgotten Trans-SI transactions (§1).
-	ErrSnapshotKilled = errors.New("core: snapshot force-closed by watchdog")
+	// ErrSnapshotKilled reports that the version-budget pressure ladder
+	// evicted the operation's snapshot because it pinned versions the space
+	// could not hold — the paper's workaround for garbage collection blocked
+	// by long-lived cursors or forgotten Trans-SI transactions (§1).
+	ErrSnapshotKilled = errors.New("core: snapshot evicted under version-space pressure")
 	// ErrWriteConflict re-exports the transaction layer's conflict error.
 	ErrWriteConflict = txn.ErrWriteConflict
 	// ErrReadOnly reports a write on a read-only engine — a replica applying
@@ -57,15 +57,6 @@ type Config struct {
 	LongLivedThreshold time.Duration
 	// AutoGC starts the collector loop immediately on Open.
 	AutoGC bool
-	// ForceCloseAge, when positive, arms the snapshot watchdog: cursor and
-	// Trans-SI snapshots older than this are force-closed so garbage
-	// collection can proceed, and the owning client's next operation fails
-	// with ErrSnapshotKilled (§1's conventional workaround 2, implemented in
-	// SAP HANA to handle application developers' mistakes).
-	ForceCloseAge time.Duration
-	// ForceClosePeriod is how often the watchdog checks (default: a quarter
-	// of ForceCloseAge).
-	ForceClosePeriod time.Duration
 	// Persistence, when non-nil, arms write-ahead logging and checkpointing
 	// (§2.1's common persistency). Open recovers the table space from the
 	// directory's checkpoint and log before serving.
@@ -117,9 +108,6 @@ type DB struct {
 	// slowest replica) and whether a constraint exists at all.
 	retentionMu sync.Mutex
 	retention   func() (lowestSeg uint64, ok bool)
-
-	watchdogStop chan struct{}
-	watchdogDone chan struct{}
 
 	// lanes records HTAP column-lane enablement per table — seeded from
 	// recovered KindHTAPLane records, extended by EnableHTAPLane, re-logged by
@@ -196,54 +184,16 @@ func Open(cfg Config) (*DB, error) {
 		cfg.VersionBudget.fill()
 		db.pressure = newPressure(db, cfg.VersionBudget)
 	}
-	if cfg.ForceCloseAge > 0 {
-		period := cfg.ForceClosePeriod
-		if period <= 0 {
-			period = cfg.ForceCloseAge / 4
-		}
-		if period <= 0 {
-			period = time.Millisecond
-		}
-		db.watchdogStop = make(chan struct{})
-		db.watchdogDone = make(chan struct{})
-		go db.watchdog(cfg.ForceCloseAge, period)
-	}
 	return db, nil
 }
 
-// watchdog force-closes cursor and Trans-SI snapshots older than maxAge.
-// Statement snapshots are exempt: they end with their statement and are
-// never the blocker the workaround targets.
-func (db *DB) watchdog(maxAge, period time.Duration) {
-	defer close(db.watchdogDone)
-	tick := time.NewTicker(period)
-	defer tick.Stop()
-	for {
-		select {
-		case <-tick.C:
-			db.m.View().Snapshots(func(s *txn.Snapshot) {
-				if s.Kind() != txn.KindStatement && s.Age() >= maxAge {
-					s.Kill()
-					db.killed.Add(1)
-				}
-			})
-		case <-db.watchdogStop:
-			return
-		}
-	}
-}
-
-// SnapshotsKilled returns how many snapshots the watchdog force-closed.
+// SnapshotsKilled returns how many snapshots the pressure ladder evicted.
 func (db *DB) SnapshotsKilled() int64 { return db.killed.Load() }
 
 // Close stops garbage collection and the transaction manager. Idempotent.
 func (db *DB) Close() {
 	if !db.closed.CompareAndSwap(false, true) {
 		return
-	}
-	if db.watchdogStop != nil {
-		close(db.watchdogStop)
-		<-db.watchdogDone
 	}
 	if db.pressure != nil {
 		// Before hybrid.Stop: the controller calls into the collectors.

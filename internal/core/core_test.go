@@ -538,71 +538,6 @@ func TestConcurrentWorkloadWithGC(t *testing.T) {
 	}
 }
 
-func TestWatchdogForceClosesCursor(t *testing.T) {
-	db := openTest(t, Config{
-		GC:                 gc.Periods{GT: 2 * time.Millisecond},
-		AutoGC:             true,
-		ForceCloseAge:      30 * time.Millisecond,
-		ForceClosePeriod:   5 * time.Millisecond,
-		LongLivedThreshold: time.Millisecond,
-	})
-	tid := mustCreate(t, db, "T")
-	rid := insert1(t, db, tid, "v0")
-	cur, err := db.OpenCursor(tid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cur.Close()
-
-	// Pile up versions the cursor blocks.
-	for i := 0; i < 50; i++ {
-		update1(t, db, tid, rid, fmt.Sprintf("v%d", i+1))
-	}
-	// Wait for the watchdog to kill the cursor, then for GT to drain.
-	deadline := time.Now().Add(time.Second)
-	for db.SnapshotsKilled() == 0 && time.Now().Before(deadline) {
-		time.Sleep(2 * time.Millisecond)
-	}
-	if db.SnapshotsKilled() == 0 {
-		t.Fatal("watchdog never fired")
-	}
-	if _, _, err := cur.Fetch(1); !errors.Is(err, ErrSnapshotKilled) {
-		t.Fatalf("fetch after kill = %v, want ErrSnapshotKilled", err)
-	}
-	for db.Space().Live() != 0 && time.Now().Before(deadline) {
-		time.Sleep(2 * time.Millisecond)
-	}
-	if live := db.Space().Live(); live != 0 {
-		t.Fatalf("GC still blocked after force close: %d live versions", live)
-	}
-}
-
-func TestWatchdogForceClosesTransSI(t *testing.T) {
-	db := openTest(t, Config{
-		ForceCloseAge:    20 * time.Millisecond,
-		ForceClosePeriod: 4 * time.Millisecond,
-	})
-	tid := mustCreate(t, db, "T")
-	rid := insert1(t, db, tid, "v0")
-
-	tx := db.Begin(txn.TransSI)
-	defer tx.Abort()
-	if _, err := tx.Get(tid, rid); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(time.Second)
-	for db.SnapshotsKilled() == 0 && time.Now().Before(deadline) {
-		time.Sleep(2 * time.Millisecond)
-	}
-	if _, err := tx.Get(tid, rid); !errors.Is(err, ErrSnapshotKilled) {
-		t.Fatalf("Trans-SI read after kill = %v, want ErrSnapshotKilled", err)
-	}
-	// Statement snapshots are exempt: autocommit ops keep working.
-	if got, err := get1(t, db, tid, rid); err != nil || got != "v0" {
-		t.Fatalf("statement read = %q,%v", got, err)
-	}
-}
-
 func TestReadAtAndScanCountAt(t *testing.T) {
 	db := openTest(t, Config{})
 	tid := mustCreate(t, db, "T")

@@ -26,8 +26,7 @@ type VersionBudget struct {
 	Soft int64
 	// Hard is the live-version count the engine defends by force: sustained
 	// pressure above Soft applies writer backpressure, and crossing Hard
-	// evicts the oldest pinning snapshots (generalizing the age-only
-	// ForceCloseAge watchdog). <=0 derives 2*Soft.
+	// evicts the oldest pinning snapshots. <=0 derives 2*Soft.
 	Hard int64
 	// MaxWriterWait bounds how long a writer blocks under backpressure before
 	// failing with ErrVersionPressure. <=0 selects 100ms.

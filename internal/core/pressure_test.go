@@ -30,58 +30,76 @@ func insertRows(db *DB, tid ts.TableID, n, batch int) error {
 }
 
 // TestVersionBudgetBoundsOverflow reproduces the overflow scenario of
-// Figure 2 — an update-heavy workload with a pinned cursor blocking
+// Figure 2 — an update-heavy workload with a pinned snapshot blocking
 // collection — with a VersionBudget configured, and asserts the ladder
-// defends the hard watermark: live versions stay bounded, the pinning cursor
-// is evicted (its owner sees ErrSnapshotKilled), and the run completes
-// instead of growing without bound.
+// defends the hard watermark: live versions stay bounded, the pinning
+// snapshot is evicted (its owner sees ErrSnapshotKilled), autocommit
+// statements keep working, and the run completes instead of growing without
+// bound. The pin is a cursor or a forgotten Trans-SI transaction, §1's two
+// long-lived blockers.
 func TestVersionBudgetBoundsOverflow(t *testing.T) {
+	// Each pin returns its owner's next operation.
+	pins := []struct {
+		name string
+		pin  func(t *testing.T, db *DB, tid ts.TableID) (next func() error)
+	}{
+		{"Cursor", func(t *testing.T, db *DB, tid ts.TableID) func() error {
+			cur, err := db.OpenCursor(tid)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(cur.Close)
+			if _, _, err := cur.Fetch(10); err != nil {
+				t.Fatal(err)
+			}
+			return func() error { _, _, err := cur.Fetch(10); return err }
+		}},
+		{"TransSI", func(t *testing.T, db *DB, tid ts.TableID) func() error {
+			tx := db.Begin(txn.TransSI)
+			t.Cleanup(tx.Abort)
+			if _, err := tx.Get(tid, 1); err != nil {
+				t.Fatal(err)
+			}
+			return func() error { _, err := tx.Get(tid, 1); return err }
+		}},
+	}
+	for _, pc := range pins {
+		t.Run(pc.name, func(t *testing.T) { testBudgetBoundsOverflow(t, pc.pin) })
+	}
+}
+
+func testBudgetBoundsOverflow(t *testing.T, pin func(*testing.T, *DB, ts.TableID) func() error) {
 	const (
 		rows = 2000
 		soft = 800
 		hard = 1600
 	)
-	db, err := Open(Config{
+	db := openTest(t, Config{
 		VersionBudget: VersionBudget{
 			Soft:          soft,
 			Hard:          hard,
 			MaxWriterWait: 50 * time.Millisecond,
 		},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
 
-	tid, err := db.CreateTable("t")
-	if err != nil {
-		t.Fatal(err)
-	}
+	tid := mustCreate(t, db, "t")
 	// Load in batches small enough to stay under the budget: uncommitted
 	// versions count toward it and cannot be collected, so one huge insert
 	// transaction would trip backpressure against itself.
 	if err := insertRows(db, tid, rows, 100); err != nil {
 		t.Fatal(err)
 	}
-	// Let the controller collect the insert burst before pinning the cursor,
-	// so the cursor's snapshot is the only thing blocking collection below.
+	// Let the controller collect the insert burst before pinning, so the
+	// pinned snapshot is the only thing blocking collection below.
 	deadline := time.Now().Add(2 * time.Second)
 	for db.Space().Live() >= soft && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
+	next := pin(t, db, tid)
 
-	cur, err := db.OpenCursor(tid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cur.Close()
-	if _, _, err := cur.Fetch(10); err != nil {
-		t.Fatal(err)
-	}
-
-	// Update every row once: with the cursor pinning its snapshot, each
-	// update leaves at least one live version per row — 2000 > hard — so the
-	// budget is only defensible by evicting the cursor.
+	// Update every row once: with the snapshot pinned, each update leaves at
+	// least one live version per row — 2000 > hard — so the budget is only
+	// defensible by evicting the pin.
 	var maxLive int64
 	for i := 0; i < rows; i++ {
 		err := db.Exec(txn.StmtSI, nil, func(tx *Tx) error {
@@ -115,9 +133,13 @@ func TestVersionBudgetBoundsOverflow(t *testing.T) {
 	if ps.SoftTrips < 1 || ps.Emergencies < 1 {
 		t.Fatalf("ladder never engaged: %+v", ps)
 	}
-	// The evicted cursor's owner must observe the force-close.
-	if _, _, err := cur.Fetch(10); !errors.Is(err, ErrSnapshotKilled) {
-		t.Fatalf("fetch on evicted cursor: %v, want ErrSnapshotKilled", err)
+	// The evicted snapshot's owner must observe the force-close.
+	if err := next(); !errors.Is(err, ErrSnapshotKilled) {
+		t.Fatalf("owner's next operation after eviction = %v, want ErrSnapshotKilled", err)
+	}
+	// Statement snapshots are exempt: autocommit reads keep working.
+	if got, err := get1(t, db, tid, 1); err != nil || got != "v1" {
+		t.Fatalf("statement read after eviction = %q, %v", got, err)
 	}
 	if db.SnapshotsKilled() < 1 {
 		t.Fatal("SnapshotsKilled not incremented by eviction")

@@ -65,13 +65,6 @@ type CreateTableStmt struct {
 	Columns []ColumnDef
 }
 
-// CreateIndexStmt is CREATE [ORDERED] INDEX ON table (column).
-type CreateIndexStmt struct {
-	Table   string
-	Column  string
-	Ordered bool
-}
-
 // InsertStmt is INSERT INTO table VALUES (v, ...).
 type InsertStmt struct {
 	Table  string
@@ -120,7 +113,6 @@ type CommitStmt struct{}
 type RollbackStmt struct{}
 
 func (*CreateTableStmt) stmtNode() {}
-func (*CreateIndexStmt) stmtNode() {}
 func (*InsertStmt) stmtNode()      {}
 func (*SelectStmt) stmtNode()      {}
 func (*UpdateStmt) stmtNode()      {}

@@ -35,9 +35,6 @@ type TableInfo struct {
 	Columns []ColumnDef
 
 	colIdx map[string]int
-
-	mu      sync.RWMutex
-	indexes map[string]anyIndex
 }
 
 // ColumnIndex resolves a column name to its position.
@@ -46,33 +43,6 @@ func (t *TableInfo) ColumnIndex(name string) (int, error) {
 		return i, nil
 	}
 	return 0, fmt.Errorf("%w: %s.%s", ErrUnknownColumn, t.Name, name)
-}
-
-// Index returns the index on column, or nil.
-func (t *TableInfo) Index(column string) anyIndex {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.indexes[strings.ToLower(column)]
-}
-
-// addIndex registers an index; returns false if one already exists.
-func (t *TableInfo) addIndex(ix anyIndex) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if _, dup := t.indexes[ix.ColumnName()]; dup {
-		return false
-	}
-	t.indexes[ix.ColumnName()] = ix
-	return true
-}
-
-// eachIndex visits the table's indexes.
-func (t *TableInfo) eachIndex(fn func(anyIndex)) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	for _, ix := range t.indexes {
-		fn(ix)
-	}
 }
 
 // Catalog maps SQL schemas onto engine tables and persists them through the
@@ -170,7 +140,7 @@ func (c *Catalog) loadSchemas() error {
 
 func newTableInfo(name string, id ts.TableID, cols []ColumnDef) *TableInfo {
 	ti := &TableInfo{Name: name, ID: id, Columns: cols,
-		colIdx: make(map[string]int), indexes: make(map[string]anyIndex)}
+		colIdx: make(map[string]int)}
 	for i, c := range cols {
 		ti.colIdx[strings.ToLower(c.Name)] = i
 	}

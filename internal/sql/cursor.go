@@ -24,8 +24,6 @@ func (c *Catalog) PlanScope(stmt Statement) ([]ts.TableID, error) {
 		name = st.Table
 	case *DeleteStmt:
 		name = st.Table
-	case *CreateIndexStmt:
-		name = st.Table
 	default:
 		return nil, nil
 	}

@@ -1,13 +1,15 @@
 // Package sql implements a small SQL front end over the engine: CREATE
-// TABLE / CREATE INDEX, INSERT, SELECT (point, scan, and
-// COUNT/SUM/MIN/MAX aggregates with optional GROUP BY), UPDATE, DELETE,
-// and BEGIN/COMMIT/ROLLBACK with both isolation variants. Statements compile to plans that carry their complete
-// table scope, which is exactly how the paper's table garbage collector
-// learns a statement snapshot's scope a priori: "under Stmt-SI ... the
-// complete set of the accessed tables within that snapshot can be retrieved
-// by just accessing its compiled query plan" (§4.3). Every statement
-// snapshot and cursor the session acquires is therefore scoped
-// automatically, making long-lived SQL readers TG-collectable.
+// TABLE, INSERT, SELECT (scans with an AND-chain of =, < and > conditions,
+// and COUNT/SUM/MIN/MAX aggregates with optional GROUP BY), UPDATE, DELETE,
+// and BEGIN/COMMIT/ROLLBACK with both isolation variants. There are no
+// secondary indexes: every WHERE is a scan of the table. Statements compile
+// to plans that carry their complete table scope, which is exactly how the
+// paper's table garbage collector learns a statement snapshot's scope a
+// priori: "under Stmt-SI ... the complete set of the accessed tables within
+// that snapshot can be retrieved by just accessing its compiled query plan"
+// (§4.3). Every statement snapshot and cursor the session acquires is
+// therefore scoped automatically, making long-lived SQL readers
+// TG-collectable.
 package sql
 
 import (
@@ -38,7 +40,7 @@ type token struct {
 // keywords recognized by the parser; everything else alphabetic is an
 // identifier.
 var keywords = map[string]bool{
-	"CREATE": true, "TABLE": true, "INDEX": true, "ORDERED": true, "ON": true,
+	"CREATE": true, "TABLE": true,
 	"INSERT": true, "INTO": true, "VALUES": true,
 	"SELECT": true, "FROM": true, "WHERE": true, "AND": true,
 	"UPDATE": true, "SET": true, "DELETE": true,

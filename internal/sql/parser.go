@@ -130,69 +130,41 @@ func (p *parser) statement() (Statement, error) {
 
 func (p *parser) create() (Statement, error) {
 	p.i++ // CREATE
-	switch {
-	case p.acceptKeyword("TABLE"):
-		name, err := p.identifier("table name")
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectSymbol("("); err != nil {
-			return nil, err
-		}
-		var cols []ColumnDef
-		for {
-			cn, err := p.identifier("column name")
-			if err != nil {
-				return nil, err
-			}
-			var ct ColType
-			switch {
-			case p.acceptKeyword("INT"):
-				ct = TInt
-			case p.acceptKeyword("TEXT"):
-				ct = TText
-			default:
-				return nil, p.errf("expected column type INT or TEXT")
-			}
-			cols = append(cols, ColumnDef{Name: strings.ToLower(cn), Type: ct})
-			if p.acceptSymbol(",") {
-				continue
-			}
-			break
-		}
-		if err := p.expectSymbol(")"); err != nil {
-			return nil, err
-		}
-		return &CreateTableStmt{Name: name, Columns: cols}, nil
-	case p.acceptKeyword("INDEX"), p.acceptKeyword("ORDERED"):
-		ordered := false
-		if p.toks[p.i-1].text == "ORDERED" {
-			ordered = true
-			if err := p.expectKeyword("INDEX"); err != nil {
-				return nil, err
-			}
-		}
-		if err := p.expectKeyword("ON"); err != nil {
-			return nil, err
-		}
-		tbl, err := p.identifier("table name")
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectSymbol("("); err != nil {
-			return nil, err
-		}
-		col, err := p.identifier("column name")
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectSymbol(")"); err != nil {
-			return nil, err
-		}
-		return &CreateIndexStmt{Table: tbl, Column: strings.ToLower(col), Ordered: ordered}, nil
-	default:
-		return nil, p.errf("expected TABLE or INDEX after CREATE")
+	if err := p.expectKeyword("TABLE"); err != nil {
+		return nil, err
 	}
+	name, err := p.identifier("table name")
+	if err != nil {
+		return nil, err
+	}
+	if err := p.expectSymbol("("); err != nil {
+		return nil, err
+	}
+	var cols []ColumnDef
+	for {
+		cn, err := p.identifier("column name")
+		if err != nil {
+			return nil, err
+		}
+		var ct ColType
+		switch {
+		case p.acceptKeyword("INT"):
+			ct = TInt
+		case p.acceptKeyword("TEXT"):
+			ct = TText
+		default:
+			return nil, p.errf("expected column type INT or TEXT")
+		}
+		cols = append(cols, ColumnDef{Name: strings.ToLower(cn), Type: ct})
+		if p.acceptSymbol(",") {
+			continue
+		}
+		break
+	}
+	if err := p.expectSymbol(")"); err != nil {
+		return nil, err
+	}
+	return &CreateTableStmt{Name: name, Columns: cols}, nil
 }
 
 func (p *parser) insert() (Statement, error) {

@@ -1,13 +1,11 @@
 package sql
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"strings"
 
 	"hybridgc/internal/colstore"
-	"hybridgc/internal/core"
 	"hybridgc/internal/engine"
 	"hybridgc/internal/ts"
 	"hybridgc/internal/txn"
@@ -142,8 +140,6 @@ func (s *Session) Run(stmt Statement) (*Result, error) {
 			return nil, err
 		}
 		return &Result{Message: fmt.Sprintf("CREATE TABLE %s", st.Name)}, nil
-	case *CreateIndexStmt:
-		return s.createIndex(st)
 	default:
 		return s.runDML(stmt)
 	}
@@ -192,13 +188,9 @@ func (s *Session) execInsert(tx engine.Tx, st *InsertStmt) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	rid, err := tx.Insert(t.ID, img)
-	if err != nil {
+	if _, err := tx.Insert(t.ID, img); err != nil {
 		return nil, err
 	}
-	t.eachIndex(func(ix anyIndex) {
-		ix.Add(st.Values[ix.ColIdx()], rid)
-	})
 	return &Result{Affected: 1}, nil
 }
 
@@ -229,24 +221,8 @@ func matchRow(t *TableInfo, row []Datum, conds []Condition) (bool, error) {
 	return true, nil
 }
 
-// pickIndex finds an index able to serve one condition of the WHERE chain,
-// returning its candidate set.
-func pickIndex(t *TableInfo, conds []Condition) ([]ts.RID, bool) {
-	for _, c := range conds {
-		ix := t.Index(c.Column)
-		if ix == nil {
-			continue
-		}
-		if cands, ok := ix.CandidatesFor(c); ok {
-			return cands, true
-		}
-	}
-	return nil, false
-}
-
-// forEachMatch drives the access path: index candidates with verification
-// when available, a full scan otherwise. fn receives decoded rows that
-// satisfy the WHERE chain.
+// forEachMatch scans the table. fn receives decoded rows that satisfy the
+// WHERE chain.
 func (s *Session) forEachMatch(tx engine.Tx, t *TableInfo, conds []Condition, fn func(rid ts.RID, row []Datum) (bool, error)) error {
 	// Validate condition columns and literal types up front so typos and
 	// mismatches fail cleanly even when no row would match.
@@ -259,34 +235,6 @@ func (s *Session) forEachMatch(tx engine.Tx, t *TableInfo, conds []Condition, fn
 			return fmt.Errorf("%w: comparing %s column %s.%s to a %s literal",
 				ErrTypeMismatch, t.Columns[ci].Type, t.Name, c.Column, c.Value.Type)
 		}
-	}
-	if cands, ok := pickIndex(t, conds); ok {
-		sort.Slice(cands, func(i, j int) bool { return cands[i] < cands[j] })
-		for _, rid := range cands {
-			img, err := tx.Get(t.ID, rid)
-			if errors.Is(err, core.ErrRecordNotFound) {
-				continue // stale candidate: aborted, deleted, or not yet visible
-			}
-			if err != nil {
-				return err
-			}
-			row, err := colstore.DecodeRow(t.Columns, img)
-			if err != nil {
-				return err
-			}
-			ok, err := matchRow(t, row, conds)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				continue // stale candidate: value superseded
-			}
-			cont, err := fn(rid, row)
-			if err != nil || !cont {
-				return err
-			}
-		}
-		return nil
 	}
 	var inner error
 	err := tx.Scan(t.ID, func(rid ts.RID, img []byte) bool {
@@ -554,8 +502,8 @@ func (s *Session) execUpdate(tx engine.Tx, st *UpdateStmt) (*Result, error) {
 		}
 		setIdx[i] = ci
 	}
-	// Collect matches first, then write: writing during an index-driven scan
-	// of the same table is fine, but collecting keeps Affected exact.
+	// Collect matches first, then write: the writes stay out of the scan's
+	// callback.
 	type match struct {
 		rid ts.RID
 		row []Datum
@@ -579,9 +527,6 @@ func (s *Session) execUpdate(tx engine.Tx, st *UpdateStmt) (*Result, error) {
 		if err := tx.Update(t.ID, m.rid, img); err != nil {
 			return nil, err
 		}
-		t.eachIndex(func(ix anyIndex) {
-			ix.Add(m.row[ix.ColIdx()], m.rid)
-		})
 	}
 	return &Result{Affected: len(ms)}, nil
 }
@@ -605,37 +550,4 @@ func (s *Session) execDelete(tx engine.Tx, st *DeleteStmt) (*Result, error) {
 		}
 	}
 	return &Result{Affected: len(rids)}, nil
-}
-
-// createIndex registers the index and backfills it from the current data.
-func (s *Session) createIndex(st *CreateIndexStmt) (*Result, error) {
-	t, err := s.cat.Table(st.Table)
-	if err != nil {
-		return nil, err
-	}
-	ci, err := t.ColumnIndex(st.Column)
-	if err != nil {
-		return nil, err
-	}
-	var ix anyIndex
-	if st.Ordered {
-		ix = NewOrderedIndex(strings.ToLower(st.Column), ci)
-	} else {
-		ix = NewIndex(strings.ToLower(st.Column), ci)
-	}
-	if !t.addIndex(ix) {
-		return nil, fmt.Errorf("sql: index on %s(%s) already exists", t.Name, st.Column)
-	}
-	err = s.eng.Exec(txn.StmtSI, nil, func(tx engine.Tx) error {
-		return tx.Scan(t.ID, func(rid ts.RID, img []byte) bool {
-			if row, err := colstore.DecodeRow(t.Columns, img); err == nil {
-				ix.Add(row[ci], rid)
-			}
-			return true
-		})
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Message: fmt.Sprintf("CREATE INDEX ON %s(%s)", t.Name, st.Column)}, nil
 }

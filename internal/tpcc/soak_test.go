@@ -3,6 +3,7 @@ package tpcc
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -14,10 +15,10 @@ import (
 
 // TestSoakEverything runs every moving part at once: TPC-C workers, a
 // long-duration cursor with incremental FETCH, repeated Trans-SI scans, the
-// periodic HybridGC, the snapshot watchdog (which force-closes the cursor
-// mid-run), write-ahead logging with concurrent checkpoints — then checks
-// full TPC-C consistency, restarts from the persistency, re-attaches, and
-// checks again.
+// periodic HybridGC, a version budget whose pressure ladder evicts the
+// cursor mid-run, write-ahead logging with concurrent checkpoints — then
+// checks full TPC-C consistency, restarts from the persistency, re-attaches,
+// and checks again.
 func TestSoakEverything(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak test")
@@ -29,8 +30,11 @@ func TestSoakEverything(t *testing.T) {
 		GC:                 gc.Periods{GT: 2 * time.Millisecond, TG: 6 * time.Millisecond, SI: 20 * time.Millisecond},
 		LongLivedThreshold: 5 * time.Millisecond,
 		AutoGC:             true,
-		ForceCloseAge:      300 * time.Millisecond,
-		ForceClosePeriod:   20 * time.Millisecond,
+		// The cursor holds a version of every STOCK row updated after it
+		// opened, up to 240 of them; without it a full pass mostly leaves
+		// the workers' uncommitted versions, under 100. So the cursor keeps
+		// the ladder over Soft and is evicted EvictAfter later.
+		VersionBudget: core.VersionBudget{Soft: 200, EvictAfter: 50 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -57,7 +61,8 @@ func TestSoakEverything(t *testing.T) {
 			}
 		}(w)
 	}
-	// Incremental-FETCH cursor; the watchdog will force-close it eventually.
+	// Incremental-FETCH cursor; the pressure ladder will evict it.
+	var cursorEvicted atomic.Bool
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -75,7 +80,8 @@ func TestSoakEverything(t *testing.T) {
 			}
 			if _, _, err := cur.Fetch(20); err != nil {
 				if errors.Is(err, core.ErrSnapshotKilled) {
-					return // the watchdog did its job
+					cursorEvicted.Store(true)
+					return
 				}
 				errCh <- err
 				return
@@ -128,6 +134,9 @@ func TestSoakEverything(t *testing.T) {
 	close(errCh)
 	for err := range errCh {
 		t.Fatal(err)
+	}
+	if !cursorEvicted.Load() {
+		t.Fatalf("the cursor was not evicted during the run: %+v", db.PressureStats())
 	}
 	if err := d.Check(); err != nil {
 		t.Fatalf("consistency before restart: %v", err)

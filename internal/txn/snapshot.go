@@ -11,7 +11,7 @@ import (
 )
 
 // SnapshotKind distinguishes how a snapshot came to exist, which m_snapshots
-// reports and the watchdog and the pressure ladder use when picking victims.
+// reports and the pressure ladder uses when picking victims.
 type SnapshotKind int
 
 const (

@@ -10,8 +10,8 @@ import (
 // View is one reading of the active snapshots: an sts.View taken under the
 // scan seqlock with the commit timestamp as its bound. It is the only way
 // anything reads the registry. A collector pass takes one and hands it to
-// GT, TG and SI; Stats, the pressure ladder, the watchdog and m_snapshots
-// each take their own. Its safety condition is the one
+// GT, TG and SI; Stats, the pressure ladder and m_snapshots each take
+// their own. Its safety condition is the one
 // interval reclamation needs (DESIGN.md §15.2): every snapshot held across
 // or registered after the view either is among its announcements or has a
 // timestamp at or above Bound() — so a view that has gone stale can only
