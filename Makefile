@@ -87,8 +87,8 @@ chaos-smoke:
 # CI smoke: every fuzz target in the tree for 10 s each (go test takes one
 # -fuzz per invocation and one package per -fuzz). The targets are decoders of
 # bytes from outside the process — wire frames, STATS bodies, row images from
-# the WAL and the replication stream: arbitrary input must fail the parser,
-# never panic or allocate what a length prefix claims.
+# the WAL and the replication stream, checkpoint streams: arbitrary input must
+# fail the parser, never panic or allocate what a length prefix claims.
 fuzz-smoke:
 	@for p in $$(grep -rl --include='*_test.go' '^func Fuzz' . | xargs -n1 dirname | sort -u); do \
 		for f in $$($(GO) test -list '^Fuzz' $$p | grep '^Fuzz'); do \

@@ -212,7 +212,6 @@ func TestDBCountersOffTheReadLine(t *testing.T) {
 	for name, off := range map[string]uintptr{
 		"statements": unsafe.Offsetof(db.statements),
 		"traversed":  unsafe.Offsetof(db.traversed),
-		"killed":     unsafe.Offsetof(db.killed),
 		"closed":     unsafe.Offsetof(db.closed),
 	} {
 		if off < readEnd+64 {

@@ -27,7 +27,7 @@ var ErrNotEmpty = errors.New("core: checkpoint apply requires an empty database"
 // checkpoint CID as the commit timestamp. This is the replica bootstrap;
 // stream records with CID <= the checkpoint CID are covered and must be
 // skipped by the applier (ApplyRecord does so).
-func (db *DB) ApplyCheckpoint(ck *wal.Checkpoint) error {
+func (db *DB) ApplyCheckpoint(ck *wal.CheckpointReader) error {
 	if err := db.fail.check(); err != nil {
 		return err
 	}

@@ -92,7 +92,6 @@ type DB struct {
 	_          [64]byte
 	statements atomic.Int64
 	traversed  atomic.Int64
-	killed     atomic.Int64
 	closed     atomic.Bool
 
 	log        *wal.Log
@@ -186,9 +185,6 @@ func Open(cfg Config) (*DB, error) {
 	}
 	return db, nil
 }
-
-// SnapshotsKilled returns how many snapshots the pressure ladder evicted.
-func (db *DB) SnapshotsKilled() int64 { return db.killed.Load() }
 
 // Close stops garbage collection and the transaction manager. Idempotent.
 func (db *DB) Close() {

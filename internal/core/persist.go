@@ -3,6 +3,8 @@ package core
 import (
 	"errors"
 	"fmt"
+	"io/fs"
+	"os"
 	"sort"
 
 	"hybridgc/internal/fault"
@@ -109,14 +111,20 @@ func recoverInto(cat *table.Catalog, dir string) (ts.CID, *RecoverySummary, erro
 		return 0, nil, err
 	}
 	recovered := ts.CID(0)
-	ck, err := wal.ReadCheckpoint(dir)
+	path := wal.CheckpointPath(dir)
+	f, err := os.Open(path)
 	switch {
 	case err == nil:
-		recovered = ck.CID
-		if err := installCheckpoint(cat, ck); err != nil {
-			return 0, nil, err
+		ck, err := wal.NewCheckpointReader(f)
+		if err == nil {
+			recovered = ck.CID
+			err = installCheckpoint(cat, ck)
 		}
-	case errors.Is(err, wal.ErrNoCheckpoint):
+		f.Close()
+		if err != nil {
+			return 0, nil, fmt.Errorf("core: recovering %s: %w", path, err)
+		}
+	case errors.Is(err, fs.ErrNotExist):
 		// Cold start or checkpoint-less log: replay everything.
 	default:
 		return 0, nil, err
@@ -202,24 +210,26 @@ func recoverInto(cat *table.Catalog, dir string) (ts.CID, *RecoverySummary, erro
 }
 
 // installCheckpoint loads a checkpoint's tables, record images and RID
-// allocator positions into an empty catalog — at recovery and at a replica's
-// bootstrap alike.
-func installCheckpoint(cat *table.Catalog, ck *wal.Checkpoint) error {
-	for _, t := range ck.Tables {
-		tbl, err := cat.Restore(t.ID, t.Name)
+// allocator positions into an empty catalog, one record as it is decoded —
+// at recovery and at a replica's bootstrap alike.
+func installCheckpoint(cat *table.Catalog, ck *wal.CheckpointReader) error {
+	var tbl *table.Table
+	return ck.Each(func(id ts.TableID, name string, nextRID ts.RID) error {
+		t, err := cat.Restore(id, name)
 		if err != nil {
 			return err
 		}
-		for _, r := range t.Records {
-			rec, err := tbl.CreateRecord(r.RID)
-			if err != nil {
-				return err
-			}
-			rec.InstallImage(r.Image)
+		t.EnsureNextRID(nextRID)
+		tbl = t
+		return nil
+	}, func(rid ts.RID, image []byte) error {
+		rec, err := tbl.CreateRecord(rid)
+		if err != nil {
+			return err
 		}
-		tbl.EnsureNextRID(t.NextRID)
-	}
-	return nil
+		rec.InstallImage(image)
+		return nil
+	})
 }
 
 // replayOp applies one logged operation directly to the table space.
@@ -256,11 +266,14 @@ func replayOp(cat *table.Catalog, op wal.Op) error {
 	}
 }
 
-// Checkpoint serializes a transactionally consistent table-space snapshot
-// and prunes the log segments it covers. The sequence is: rotate the log,
-// fence on the commit queue (so every record in the closed segments is
-// published), snapshot at the then-current commit timestamp, write the
-// checkpoint atomically, and drop the covered segments.
+// Checkpoint streams a transactionally consistent table-space snapshot to
+// disk and prunes the log segments it covers. The sequence is: rotate the
+// log, fence on the commit queue (so every record in the closed segments is
+// published), snapshot at the then-current commit timestamp, write each
+// visible image straight into the checkpoint's temp file, release the
+// snapshot, then sync and rename the file and drop the covered segments. The
+// snapshot lives only as long as the table walk: the flush, the fsync and
+// the rename hold back no collector.
 func (db *DB) Checkpoint() error {
 	if db.log == nil {
 		return ErrNoPersistence
@@ -279,24 +292,28 @@ func (db *DB) Checkpoint() error {
 		return err
 	}
 	snap := db.m.AcquireSnapshot(txn.KindStatement, nil)
-	defer snap.Release()
 	at := snap.TS()
-
-	ck := &wal.Checkpoint{CID: at}
+	ck, err := wal.CreateCheckpoint(db.persistDir, at)
+	if err != nil {
+		snap.Release()
+		return err
+	}
+	defer ck.Abort()
 	var traversed int64
 	for _, tbl := range db.cat.Tables() {
-		ct := wal.CheckpointTable{ID: tbl.ID, Name: tbl.Name, NextRID: tbl.MaxRID()}
-		tbl.Range(1, ct.NextRID, func(rec *table.Record) bool {
+		next := tbl.MaxRID()
+		ck.Table(tbl.ID, tbl.Name, next)
+		tbl.Range(1, next, func(rec *table.Record) bool {
 			if img, ok := db.readRec(rec, at, nil, &traversed); ok {
-				ct.Records = append(ct.Records, wal.CheckpointRecord{
-					RID: rec.RID(), Image: append([]byte(nil), img...)})
+				ck.Record(rec.RID(), img)
 			}
 			return true
 		})
-		ck.Tables = append(ck.Tables, ct)
+		ck.EndTable()
 	}
+	snap.Release()
 	db.count(0, traversed)
-	if err := wal.WriteCheckpoint(db.persistDir, ck); err != nil {
+	if err := ck.Commit(); err != nil {
 		return err
 	}
 	// Re-log lane enablement into the fresh segment before pruning: the

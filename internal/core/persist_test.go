@@ -4,10 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"hybridgc/internal/fault"
 	"hybridgc/internal/gc"
 	"hybridgc/internal/ts"
 	"hybridgc/internal/txn"
@@ -119,6 +121,69 @@ func TestCheckpointPrunesLogAndRecovers(t *testing.T) {
 	}
 	if got, _ := get1(t, db2, tid2, rids[9]); got != "v9" {
 		t.Fatalf("checkpointed row lost: %q", got)
+	}
+}
+
+// TestCheckpointReleasesSnapshotBeforeSync: a checkpoint's snapshot ends
+// with its table walk. While the file is being synced no snapshot is held,
+// and a version committed then is reclaimed by the next collection.
+func TestCheckpointReleasesSnapshotBeforeSync(t *testing.T) {
+	db := openPersistent(t, t.TempDir())
+	defer db.Close()
+	tid := mustCreate(t, db, "T")
+	rid := insert1(t, db, tid, "v0")
+	db.GC().Collect()
+
+	fault.Enable(wal.FPCheckpointSync, fault.Sleep(time.Second), fault.Once())
+	defer fault.Disable(wal.FPCheckpointSync)
+	done := make(chan error, 1)
+	go func() { done <- db.Checkpoint() }()
+	for fault.FiredCount(wal.FPCheckpointSync) == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	if n := db.Stats().ActiveSnapshots; n != 0 {
+		t.Fatalf("%d snapshots held while the checkpoint syncs", n)
+	}
+	update1(t, db, tid, rid, "v1")
+	db.GC().Collect()
+	if live := db.Stats().VersionsLive; live != 0 {
+		t.Fatalf("%d versions live after a collection during the checkpoint's sync", live)
+	}
+	select {
+	case err := <-done:
+		t.Fatalf("checkpoint returned (%v) before the checks ran; they did not overlap its sync", err)
+	default:
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCorruptCheckpointFailsOpen: one flipped byte anywhere in the
+// checkpoint makes Open fail, naming the file.
+func TestCorruptCheckpointFailsOpen(t *testing.T) {
+	dir := t.TempDir()
+	db := openPersistent(t, dir)
+	tid := mustCreate(t, db, "T")
+	for i := 0; i < 50; i++ {
+		insert1(t, db, tid, fmt.Sprintf("row-%d", i))
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	db.Close()
+	path := wal.CheckpointPath(dir)
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[len(b)/2] ^= 0x01
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = Open(Config{Persistence: &Persistence{Dir: dir}})
+	if err == nil || !strings.Contains(err.Error(), path) {
+		t.Fatalf("Open over a corrupt checkpoint: %v, want an error naming %s", err, path)
 	}
 }
 

@@ -228,7 +228,6 @@ func (p *pressure) evaluate() {
 			}
 			victim.Kill()
 			p.evicted.Inc()
-			p.db.killed.Add(1)
 			p.db.hybrid.Collect()
 			live = p.db.space.Live()
 		}

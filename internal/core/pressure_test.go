@@ -141,8 +141,8 @@ func testBudgetBoundsOverflow(t *testing.T, pin func(*testing.T, *DB, ts.TableID
 	if got, err := get1(t, db, tid, 1); err != nil || got != "v1" {
 		t.Fatalf("statement read after eviction = %q, %v", got, err)
 	}
-	if db.SnapshotsKilled() < 1 {
-		t.Fatal("SnapshotsKilled not incremented by eviction")
+	if db.PressureStats().Evicted < 1 {
+		t.Fatal("PressureStats().Evicted not incremented by eviction")
 	}
 	st := db.Stats()
 	if !st.Pressure.Enabled || st.Pressure.Evicted != ps.Evicted {

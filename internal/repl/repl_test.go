@@ -1,9 +1,11 @@
 package repl
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -557,6 +559,58 @@ func TestTPCCUnderReplicaCursor(t *testing.T) {
 	}
 }
 
+// TestCorruptBootstrapCheckpointInstallsNothing: a replica handed a
+// checkpoint with one flipped byte checks its CRC before installing, so its
+// engine stays empty however often it retries.
+func TestCorruptBootstrapCheckpointInstallsNothing(t *testing.T) {
+	p := startPrimary(t, fastSource(), nil)
+	tid := mustCreateTable(t, p.db, "accounts")
+	for i := 0; i < 20; i++ {
+		mustInsert(t, p.db, tid, fmt.Sprintf("row-%d", i))
+	}
+	if err := p.db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	path := wal.CheckpointPath(p.db.PersistDir())
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[len(b)/2] ^= 0x01
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	rdb, err := core.Open(core.Config{ReadOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rdb.Close()
+	rep, err := NewReplica(rdb, ReplicaConfig{
+		Upstream: p.addr, ReplicaID: "corrupt",
+		ReportEvery: 10 * time.Millisecond, ReconnectBase: 10 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runErr := make(chan error, 1)
+	go func() { runErr <- rep.Run() }()
+	deadline := time.Now().Add(10 * time.Second)
+	for rep.reconnects.Load() < 2 {
+		if time.Now().After(deadline) {
+			t.Fatal("replica never retried the corrupt bootstrap")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	rep.Stop()
+	if err := <-runErr; err != nil {
+		t.Fatalf("replica Run = %v", err)
+	}
+	if tables, cid := rdb.Tables(), rdb.Manager().CurrentTS(); len(tables) != 0 || cid != 0 {
+		t.Fatalf("corrupt checkpoint installed: tables %v, commit timestamp %d", tables, cid)
+	}
+}
+
 // TestRebootstrapRejectsNewerCheckpoint covers the divergence hazard of a
 // replica whose first bootstrap died after installing its checkpoint but
 // before a single record advanced the applied cursor: if the primary has
@@ -572,7 +626,11 @@ func TestRebootstrapRejectsNewerCheckpoint(t *testing.T) {
 	if err := p.db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	ck1, err := wal.ReadCheckpoint(p.db.PersistDir())
+	ck1bytes, err := os.ReadFile(wal.CheckpointPath(p.db.PersistDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck1, err := wal.NewCheckpointReader(bytes.NewReader(ck1bytes))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package repl
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"net"
@@ -262,9 +263,10 @@ func (r *Replica) streamOnce() error {
 				return errors.New("repl: unexpected mid-stream checkpoint")
 			}
 			expectCheckpoint = false
-			ck, err := wal.DecodeCheckpoint(body)
+			// The reader checks the CRC before anything is installed.
+			ck, err := wal.NewCheckpointReader(bytes.NewReader(body))
 			if err != nil {
-				return err
+				return fmt.Errorf("repl: bootstrap checkpoint: %w", err)
 			}
 			if err := r.db.ApplyCheckpoint(ck); err != nil {
 				if !errors.Is(err, core.ErrNotEmpty) {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io/fs"
 	"net"
+	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -245,14 +246,15 @@ func (s *Source) ServeStream(nc net.Conn, br *bufio.Reader, bw *bufio.Writer, re
 	}
 	defer s.detach(st)
 
-	var ck *wal.Checkpoint
+	var ck []byte
 	if req.StartLSN == 0 {
 		// The floor registered by admit (0) keeps Checkpoint from pruning
-		// anything while the bootstrap is in flight.
-		ck, err = wal.ReadCheckpoint(s.db.PersistDir())
-		if errors.Is(err, wal.ErrNoCheckpoint) {
+		// anything while the bootstrap is in flight. The file is the message.
+		path := wal.CheckpointPath(s.db.PersistDir())
+		ck, err = os.ReadFile(path)
+		if errors.Is(err, fs.ErrNotExist) {
 			if err = s.db.Checkpoint(); err == nil {
-				ck, err = wal.ReadCheckpoint(s.db.PersistDir())
+				ck, err = os.ReadFile(path)
 			}
 		}
 		if err != nil {
@@ -291,7 +293,7 @@ func (s *Source) ServeStream(nc net.Conn, br *bufio.Reader, bw *bufio.Writer, re
 	go s.readReports(nc, br, st, readerErr)
 
 	if ck != nil {
-		if err := s.send(nc, bw, wire.RmCheckpoint, wal.EncodeCheckpoint(ck)); err != nil {
+		if err := s.send(nc, bw, wire.RmCheckpoint, ck); err != nil {
 			return err
 		}
 	}

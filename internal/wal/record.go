@@ -9,6 +9,7 @@
 package wal
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -149,90 +150,65 @@ func appendOps(b []byte, ops []Op) []byte {
 	return b
 }
 
-// decodeCursor walks an encoded payload.
+// decodeCursor walks an encoded payload. The first field that does not fit
+// latches err; every read after it returns zero values.
 type decodeCursor struct {
 	b   []byte
 	off int
+	err error
 }
 
-func (c *decodeCursor) u8() (uint8, error) {
-	if c.off+1 > len(c.b) {
-		return 0, errTruncated(c.off, len(c.b))
+// take returns the next n bytes, or nil once the payload has run short.
+func (c *decodeCursor) take(n int) []byte {
+	if c.err == nil && (n < 0 || c.off+n > len(c.b)) {
+		c.err = errTruncated(c.off, len(c.b))
 	}
-	v := c.b[c.off]
-	c.off++
-	return v, nil
-}
-
-func (c *decodeCursor) u32() (uint32, error) {
-	if c.off+4 > len(c.b) {
-		return 0, errTruncated(c.off, len(c.b))
+	if c.err != nil {
+		return nil
 	}
-	v := binary.LittleEndian.Uint32(c.b[c.off:])
-	c.off += 4
-	return v, nil
-}
-
-func (c *decodeCursor) u64() (uint64, error) {
-	if c.off+8 > len(c.b) {
-		return 0, errTruncated(c.off, len(c.b))
-	}
-	v := binary.LittleEndian.Uint64(c.b[c.off:])
-	c.off += 8
-	return v, nil
-}
-
-func (c *decodeCursor) bytes(n int) ([]byte, error) {
-	if n < 0 || c.off+n > len(c.b) {
-		return nil, errTruncated(c.off, len(c.b))
-	}
-	v := c.b[c.off : c.off+n]
 	c.off += n
-	return v, nil
+	return c.b[c.off-n : c.off]
 }
 
-func (c *decodeCursor) bool() (bool, error) {
-	v, err := c.u8()
-	if err == nil && v > 1 {
-		err = fmt.Errorf("wal: boolean byte %d at offset %d", v, c.off-1)
+func (c *decodeCursor) u8() uint8 {
+	if b := c.take(1); b != nil {
+		return b[0]
 	}
-	return v == 1, err
+	return 0
 }
 
-func (c *decodeCursor) ops() ([]Op, error) {
-	nops, err := c.u32()
-	if err != nil {
-		return nil, err
+func (c *decodeCursor) u32() uint32 {
+	if b := c.take(4); b != nil {
+		return binary.LittleEndian.Uint32(b)
 	}
+	return 0
+}
+
+func (c *decodeCursor) u64() uint64 {
+	if b := c.take(8); b != nil {
+		return binary.LittleEndian.Uint64(b)
+	}
+	return 0
+}
+
+func (c *decodeCursor) bool() bool {
+	v := c.u8()
+	if c.err == nil && v > 1 {
+		c.err = fmt.Errorf("wal: boolean byte %d at offset %d", v, c.off-1)
+	}
+	return v == 1
+}
+
+func (c *decodeCursor) ops() []Op {
 	var out []Op
-	for i := uint32(0); i < nops; i++ {
-		opb, err := c.u8()
-		if err != nil {
-			return nil, err
-		}
-		tid, err := c.u32()
-		if err != nil {
-			return nil, err
-		}
-		rid, err := c.u64()
-		if err != nil {
-			return nil, err
-		}
-		plen, err := c.u32()
-		if err != nil {
-			return nil, err
-		}
-		payload, err := c.bytes(int(plen))
-		if err != nil {
-			return nil, err
-		}
-		op := Op{Op: mvcc.OpType(opb), Table: ts.TableID(tid), RID: ts.RID(rid)}
-		if plen > 0 {
+	for n := c.u32(); c.err == nil && n > 0; n-- {
+		op := Op{Op: mvcc.OpType(c.u8()), Table: ts.TableID(c.u32()), RID: ts.RID(c.u64())}
+		if payload := c.take(int(c.u32())); len(payload) > 0 {
 			op.Payload = append([]byte(nil), payload...)
 		}
 		out = append(out, op)
 	}
-	return out, nil
+	return out
 }
 
 func errTruncated(off, n int) error {
@@ -242,89 +218,38 @@ func errTruncated(off, n int) error {
 // DecodePayload parses a record body.
 func DecodePayload(b []byte) (*Record, error) {
 	c := &decodeCursor{b: b}
-	kind, err := c.u8()
-	if err != nil {
-		return nil, err
-	}
-	r := &Record{Kind: Kind(kind)}
+	r := &Record{Kind: Kind(c.u8())}
 	switch r.Kind {
 	case KindDDL:
-		id, err := c.u32()
-		if err != nil {
-			return nil, err
-		}
-		n, err := c.u32()
-		if err != nil {
-			return nil, err
-		}
-		name, err := c.bytes(int(n))
-		if err != nil {
-			return nil, err
-		}
-		r.TableID = ts.TableID(id)
-		r.TableName = string(name)
+		r.TableID = ts.TableID(c.u32())
+		r.TableName = string(c.take(int(c.u32())))
 	case KindGroup:
-		cid, err := c.u64()
-		if err != nil {
-			return nil, err
-		}
-		r.CID = ts.CID(cid)
-		if r.Ops, err = c.ops(); err != nil {
-			return nil, err
-		}
+		r.CID = ts.CID(c.u64())
+		r.Ops = c.ops()
 	case KindPrepare:
-		if r.XID, err = c.u64(); err != nil {
-			return nil, err
-		}
-		if r.Ops, err = c.ops(); err != nil {
-			return nil, err
-		}
+		r.XID = c.u64()
+		r.Ops = c.ops()
 	case KindDecision:
-		if r.XID, err = c.u64(); err != nil {
-			return nil, err
-		}
-		if r.Commit, err = c.bool(); err != nil {
-			return nil, err
-		}
+		r.XID = c.u64()
+		r.Commit = c.bool()
 	case KindResolve:
-		if r.XID, err = c.u64(); err != nil {
-			return nil, err
-		}
-		if r.Commit, err = c.bool(); err != nil {
-			return nil, err
-		}
-		cid, err := c.u64()
-		if err != nil {
-			return nil, err
-		}
-		r.CID = ts.CID(cid)
+		r.XID = c.u64()
+		r.Commit = c.bool()
+		r.CID = ts.CID(c.u64())
 	case KindHTAPLane:
-		id, err := c.u32()
-		if err != nil {
-			return nil, err
-		}
-		n, err := c.u32()
-		if err != nil {
-			return nil, err
-		}
-		spec, err := c.bytes(int(n))
-		if err != nil {
-			return nil, err
-		}
-		cid, err := c.u64()
-		if err != nil {
-			return nil, err
-		}
-		r.TableID = ts.TableID(id)
-		r.TableName = string(spec)
-		r.CID = ts.CID(cid)
+		r.TableID = ts.TableID(c.u32())
+		r.TableName = string(c.take(int(c.u32())))
+		r.CID = ts.CID(c.u64())
 	case kindGroupPart:
 		return nil, ErrRetiredFormat
 	default:
-		return nil, fmt.Errorf("wal: unknown record kind %d", kind)
+		return nil, cmp.Or(c.err, fmt.Errorf("wal: unknown record kind %d", r.Kind))
 	}
-	if c.off != len(b) {
-		return nil, fmt.Errorf("wal: %d trailing bytes in record", len(b)-c.off)
+	if c.err == nil && c.off != len(b) {
+		c.err = fmt.Errorf("wal: %d trailing bytes in record", len(b)-c.off)
+	}
+	if c.err != nil {
+		return nil, c.err
 	}
 	return r, nil
 }

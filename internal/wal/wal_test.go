@@ -2,10 +2,12 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -209,57 +211,241 @@ func TestTornTailStopsReplayCleanly(t *testing.T) {
 	}
 }
 
-func TestCheckpointRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	ck := &Checkpoint{CID: 99, Tables: []CheckpointTable{
-		{ID: 1, Name: "A", NextRID: 10, Records: []CheckpointRecord{
-			{RID: 1, Image: []byte("one")},
-			{RID: 3, Image: []byte("three")},
-		}},
-		{ID: 2, Name: "B", NextRID: 0},
-	}}
-	if err := WriteCheckpoint(dir, ck); err != nil {
+// ckRecord and ckTable hold a decoded checkpoint for comparison.
+type ckRecord struct {
+	RID   ts.RID
+	Image []byte
+}
+
+type ckTable struct {
+	ID      ts.TableID
+	Name    string
+	NextRID ts.RID
+	Records []ckRecord
+}
+
+// goldenCheckpoint covers a table with records, an empty table, a RID and an
+// image wider than a byte, and an empty image.
+var goldenCheckpoint = []ckTable{
+	{ID: 1, Name: "A", NextRID: 10, Records: []ckRecord{{1, []byte("one")}, {3, []byte("three")}}},
+	{ID: 2, Name: "B"},
+	{ID: 7, Name: "STOCK", NextRID: 0x1122334456, Records: []ckRecord{
+		{0x1122334455, bytes.Repeat([]byte("y"), 300)}, {5, []byte{}}}},
+}
+
+const goldenCheckpointCID = ts.CID(0x0102030405060708)
+
+// streamTables writes tables through the checkpoint encoder to w.
+func streamTables(w io.Writer, cid ts.CID, tables []ckTable) error {
+	c := newCheckpointWriter(w, cid)
+	for _, t := range tables {
+		c.Table(t.ID, t.Name, t.NextRID)
+		for _, r := range t.Records {
+			c.Record(r.RID, r.Image)
+		}
+		c.EndTable()
+	}
+	return c.end()
+}
+
+// readTables decodes a whole checkpoint stream.
+func readTables(src io.ReadSeeker) (ts.CID, []ckTable, error) {
+	ck, err := NewCheckpointReader(src)
+	if err != nil {
+		return 0, nil, err
+	}
+	var tables []ckTable
+	err = ck.Each(func(id ts.TableID, name string, next ts.RID) error {
+		tables = append(tables, ckTable{ID: id, Name: name, NextRID: next})
+		return nil
+	}, func(rid ts.RID, img []byte) error {
+		t := &tables[len(tables)-1]
+		t.Records = append(t.Records, ckRecord{rid, img})
+		return nil
+	})
+	return ck.CID, tables, err
+}
+
+func goldenCheckpointBytes(t testing.TB) []byte {
+	var b bytes.Buffer
+	if err := streamTables(&b, goldenCheckpointCID, goldenCheckpoint); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadCheckpoint(dir)
+	return b.Bytes()
+}
+
+// TestCheckpointGolden pins the checkpoint stream: magic "HGCS", u64 CID;
+// per table u32 ID, u32 name length, name, u64 next RID, then per record
+// u64 RID, u32 length, image, closed by RID 0; table ID 0; CRC-32C of all
+// that. Every checkpoint file and replica bootstrap carries this layout, so a
+// diff here is a format break — it takes a fresh magic, not an updated
+// golden file.
+func TestCheckpointGolden(t *testing.T) {
+	text, err := os.ReadFile("testdata/checkpoint.golden.hex")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, ck) {
-		t.Fatalf("roundtrip:\n got %+v\nwant %+v", got, ck)
-	}
-	// Overwrite is atomic and replaces.
-	ck2 := &Checkpoint{CID: 150}
-	if err := WriteCheckpoint(dir, ck2); err != nil {
+	want, err := hex.DecodeString(strings.TrimSpace(string(text)))
+	if err != nil {
 		t.Fatal(err)
 	}
-	got2, _ := ReadCheckpoint(dir)
-	if got2.CID != 150 {
-		t.Fatalf("overwritten checkpoint CID = %d", got2.CID)
+	if got := goldenCheckpointBytes(t); !bytes.Equal(got, want) {
+		t.Fatalf("checkpoint stream moved:\n got %x\nwant %x", got, want)
+	}
+	cid, tables, err := readTables(bytes.NewReader(want))
+	if err != nil || cid != goldenCheckpointCID || !reflect.DeepEqual(tables, goldenCheckpoint) {
+		t.Fatalf("golden checkpoint decodes to CID %d %+v, %v", cid, tables, err)
 	}
 }
 
-func TestCheckpointMissingAndCorrupt(t *testing.T) {
+// TestCheckpointRoundTrip: a committed checkpoint reads back from its file,
+// a second one replaces it atomically, and an aborted one leaves the
+// published file and no temp file behind.
+func TestCheckpointRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	if _, err := ReadCheckpoint(dir); err != ErrNoCheckpoint {
-		t.Fatalf("missing checkpoint = %v", err)
+	write := func(cid ts.CID, tables []ckTable, commit bool) {
+		t.Helper()
+		c, err := CreateCheckpoint(dir, cid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Abort()
+		for _, tb := range tables {
+			c.Table(tb.ID, tb.Name, tb.NextRID)
+			for _, r := range tb.Records {
+				c.Record(r.RID, r.Image)
+			}
+			c.EndTable()
+		}
+		if commit {
+			if err := c.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	if err := WriteCheckpoint(dir, &Checkpoint{CID: 1}); err != nil {
-		t.Fatal(err)
+	read := func() (ts.CID, []ckTable) {
+		t.Helper()
+		f, err := os.Open(CheckpointPath(dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		cid, tables, err := readTables(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cid, tables
 	}
-	path := filepath.Join(dir, checkpointName)
-	b, _ := os.ReadFile(path)
-	b[len(b)-1] ^= 0x1
-	// A zero-table checkpoint body is tiny; flip a header byte instead if
-	// the body is empty.
-	if len(b) > 12 {
-		os.WriteFile(path, b, 0o644)
-	} else {
-		os.WriteFile(path, bytes.Replace(b, b[4:5], []byte{0xff}, 1), 0o644)
+	write(99, goldenCheckpoint, true)
+	if cid, got := read(); cid != 99 || !reflect.DeepEqual(got, goldenCheckpoint) {
+		t.Fatalf("roundtrip: CID %d\n got %+v\nwant %+v", cid, got, goldenCheckpoint)
 	}
-	if _, err := ReadCheckpoint(dir); err == nil {
-		t.Fatal("corrupt checkpoint must fail")
+	write(150, nil, true)
+	if cid, got := read(); cid != 150 || got != nil {
+		t.Fatalf("overwritten checkpoint: CID %d, tables %+v", cid, got)
 	}
+	write(200, goldenCheckpoint, false)
+	if cid, _ := read(); cid != 150 {
+		t.Fatalf("aborted checkpoint replaced the published one: CID %d", cid)
+	}
+	if tmps, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(tmps) != 0 {
+		t.Fatalf("temp files left behind: %v", tmps)
+	}
+}
+
+// TestCheckpointMissingAndCorrupt: a directory without a checkpoint has no
+// file at CheckpointPath (recovery then replays the whole log), and every
+// single flipped byte, a truncation and the retired whole-body format are
+// refused before the first table is handed out.
+func TestCheckpointMissingAndCorrupt(t *testing.T) {
+	if _, err := os.Stat(CheckpointPath(t.TempDir())); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("missing checkpoint: %v", err)
+	}
+	good := goldenCheckpointBytes(t)
+	for i := range good {
+		b := append([]byte(nil), good...)
+		b[i] ^= 0x20
+		if _, err := NewCheckpointReader(bytes.NewReader(b)); err == nil {
+			t.Fatalf("byte %d flipped: checkpoint accepted", i)
+		}
+	}
+	for _, n := range []int{0, 3, 12, len(good) - 1} {
+		if _, err := NewCheckpointReader(bytes.NewReader(good[:n])); err == nil {
+			t.Fatalf("checkpoint truncated to %d bytes accepted", n)
+		}
+	}
+	// The retired format: magic 0x48474343, body length, CRC, body.
+	retired := binary.LittleEndian.AppendUint32(nil, 0x48474343)
+	retired = append(retired, make([]byte, 20)...)
+	_, err := NewCheckpointReader(bytes.NewReader(retired))
+	if err == nil || !strings.Contains(err.Error(), "retired whole-body format") {
+		t.Fatalf("retired checkpoint: %v, want an error naming the retired format", err)
+	}
+}
+
+// TestCheckpointLengthBeyondStream: a checksummed stream whose image length
+// claims 4 GiB fails without allocating what the prefix claims.
+func TestCheckpointLengthBeyondStream(t *testing.T) {
+	body := []byte(checkpointMagic)
+	body = binary.LittleEndian.AppendUint64(body, 9)
+	body = binary.LittleEndian.AppendUint32(body, 1)          // table ID
+	body = binary.LittleEndian.AppendUint32(body, 1)          // name length
+	body = append(body, 'A')                                  // name
+	body = binary.LittleEndian.AppendUint64(body, 2)          // next RID
+	body = binary.LittleEndian.AppendUint64(body, 1)          // RID
+	body = binary.LittleEndian.AppendUint32(body, ^uint32(0)) // image length
+	body = append(body, "tail"...)
+	b := binary.LittleEndian.AppendUint32(body, crc32.Checksum(body, crcTable))
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.TotalAlloc
+	_, _, err := readTables(bytes.NewReader(b))
+	runtime.ReadMemStats(&ms)
+	if err == nil {
+		t.Fatal("image length beyond the stream accepted")
+	}
+	if grew := ms.TotalAlloc - before; grew > 1<<20 {
+		t.Fatalf("decoder allocated %d bytes for a %d-byte stream", grew, len(b))
+	}
+}
+
+// FuzzCheckpointStream feeds arbitrary bytes, under a valid CRC, to the
+// checkpoint decoder — what a damaged disk or a primary's bootstrap message
+// can supply once the CRC no longer protects it: it must fail or re-encode to
+// exactly its input, never panic, and never allocate what a length prefix
+// merely claims.
+func FuzzCheckpointStream(f *testing.F) {
+	good := goldenCheckpointBytes(f)
+	f.Add(good[:len(good)-4])
+	var empty bytes.Buffer
+	if err := streamTables(&empty, 1, nil); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(empty.Bytes()[:empty.Len()-4])
+	f.Fuzz(func(t *testing.T, body []byte) {
+		b := binary.LittleEndian.AppendUint32(body[:len(body):len(body)], crc32.Checksum(body, crcTable))
+		cid, tables, err := readTables(bytes.NewReader(b))
+		if err != nil {
+			return
+		}
+		size := 0
+		for _, tb := range tables {
+			size += len(tb.Name)
+			for _, r := range tb.Records {
+				size += len(r.Image)
+			}
+		}
+		if size > len(b) {
+			t.Fatalf("decoded %d name and image bytes from a %d-byte stream", size, len(b))
+		}
+		var again bytes.Buffer
+		if err := streamTables(&again, cid, tables); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again.Bytes(), b) {
+			t.Fatalf("accepted checkpoint does not round-trip: %x -> %x", b, again.Bytes())
+		}
+	})
 }
 
 // TestConcurrentAppends checks that DDL records (written by any session

@@ -14,8 +14,9 @@ import (
 // Primary → replica: RmCheckpoint / RmRecord / RmHeartbeat / RmEnd.
 // Replica → primary: RmReport.
 const (
-	// RmCheckpoint carries an encoded wal.Checkpoint for bootstrap (only
-	// when the request's StartLSN is zero, and only as the first message).
+	// RmCheckpoint carries the primary's checkpoint file, byte for byte, for
+	// bootstrap (only when the request's StartLSN is zero, and only as the
+	// first message).
 	RmCheckpoint = 0x20
 	// RmRecord carries one WAL record: u64 LSN | raw record payload
 	// (wal.Record.EncodePayload framing, CRC-free — the stream relies on
