@@ -224,10 +224,7 @@ func BenchmarkAblationColumnVsRowAggregate(b *testing.B) {
 		defer db.Close()
 		tid, _ := db.CreateTable("FACTS")
 		schema := colstore.Schema{{Name: "amount", Type: colstore.Int64}}
-		lane, err := htap.NewStore(db, htap.Config{ChunkSlots: rows})
-		if err != nil {
-			b.Fatal(err)
-		}
+		lane := htap.NewStore(db, htap.Config{ChunkSlots: rows})
 		if err := lane.EnableTable(tid, schema); err != nil {
 			b.Fatal(err)
 		}

@@ -22,7 +22,8 @@
 // committed versions older than the GC horizon are shipped into
 // dictionary-encoded column chunks and lane-eligible aggregates
 // (client.Aggregate, or SELECT SUM(col) /* aggregate */ FROM t) are served
-// from columnar batches instead of MVCC row reads.
+// from columnar batches instead of MVCC row reads. An armed lane is a row of
+// the SQL catalog, so a restarted -htap process re-arms it.
 //
 // SIGTERM / SIGINT drain gracefully: the listener closes, in-flight requests
 // finish and get their responses, replication streams end with a drain

@@ -13,6 +13,12 @@
 //	tpcc -warehouses 4 -duration 10s -gc hg
 //	tpcc -gc none -duration 3s          # watch the version space overflow
 //	tpcc -addr 127.0.0.1:7654           # drive a running hybridgcd
+//	tpcc -addr 127.0.0.1:7654 -olap 2   # plus analysts over the column lane
+//
+// The nine TPC-C tables are SQL tables, created through the catalog with
+// their tpcc.Schemas columns, so SQL sessions and the column lane read them.
+// With -olap (against a server running -htap) the analysts arm the lanes of
+// ORDERLINE and STOCK and aggregate over them while the workers write.
 package main
 
 import (
@@ -74,7 +80,7 @@ func main() {
 	flag.Int64Var(&o.seed, "seed", 1, "random seed")
 	flag.IntVar(&o.shards, "shards", 1, "run the in-process engine sharded N ways (local mode only)")
 	flag.BoolVar(&o.cross, "cross", false, "enable TPC-C remote clauses (15% remote Payment, 1% remote supply per NewOrder line); auto-enabled when sharded")
-	flag.IntVar(&o.olap, "olap", 0, "OLAP analysts running column-lane aggregates beside the OLTP load (remote mode; server needs -htap)")
+	flag.IntVar(&o.olap, "olap", 0, "OLAP analysts running column-lane aggregates over ORDERLINE and STOCK beside the OLTP load (remote mode; server needs -htap)")
 	flag.StringVar(&o.readReplicas, "read-replicas", "", "comma-separated replica addresses; analyst reads route through the read/write-splitting pool (remote mode)")
 	flag.IntVar(&o.readers, "readers", 2, "analyst goroutines reading through the pool (with -read-replicas)")
 	flag.StringVar(&o.addr, "addr", "", "hybridgcd address; empty runs the engine in-process")
@@ -222,10 +228,10 @@ func run(o options, w io.Writer) (*report, error) {
 	}
 	var ol *olapLoad
 	if o.olap > 0 {
-		if ol, err = startOLAP(load.Group, cl, o.olap, o.warehouses); err != nil {
+		if ol, err = startOLAP(load.Group, cl, o.olap); err != nil {
 			return nil, err
 		}
-		fmt.Fprintf(w, "olap: %d analysts aggregating over the column lane\n", o.olap)
+		fmt.Fprintf(w, "olap: %d analysts aggregating over the ORDERLINE and STOCK lanes\n", o.olap)
 	}
 	var (
 		pool *client.ReadPool

@@ -13,6 +13,7 @@ import (
 	"hybridgc/internal/node"
 	"hybridgc/internal/repl"
 	"hybridgc/internal/server"
+	"hybridgc/internal/tpcc"
 )
 
 func startNode(t *testing.T, cfg node.Config) *node.Node {
@@ -57,8 +58,9 @@ func TestShardSmoke(t *testing.T) {
 }
 
 // TestHTAPSmoke: mixed OLTP/OLAP against a node running the migrator. Two
-// analysts aggregate over the olap_orders lane while a feeder appends to it;
-// the migrator must actually have shipped rows into column chunks.
+// analysts aggregate over the ORDERLINE and STOCK lanes while the workers
+// write them; the migrator must actually have shipped ORDERLINE rows into
+// column chunks.
 func TestHTAPSmoke(t *testing.T) {
 	n := startNode(t, node.Config{HTAP: true})
 	o := smokeOptions(n.Addr(), 2)
@@ -68,11 +70,11 @@ func TestHTAPSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, l := range rep.lanes {
-		if l.Name == olapTable && l.MigratedRows > 0 {
+		if l.Name == tpcc.TableOrderLine && l.MigratedRows > 0 {
 			return
 		}
 	}
-	t.Fatalf("migrator shipped no rows into the %s lane: %+v", olapTable, rep.lanes)
+	t.Fatalf("migrator shipped no rows into the %s lane: %+v", tpcc.TableOrderLine, rep.lanes)
 }
 
 // TestReplicaReadSmoke: a persistent primary and two replica nodes; OLTP

@@ -80,10 +80,7 @@ func (s *Suite) ext2Leg(laneOn bool) (*ext2Result, error) {
 		}
 	}
 
-	store, err := htap.NewStore(db, htap.Config{Interval: 5 * time.Millisecond, ChunkSlots: 1024})
-	if err != nil {
-		return nil, err
-	}
+	store := htap.NewStore(db, htap.Config{Interval: 5 * time.Millisecond, ChunkSlots: 1024})
 	if err := store.EnableTable(tid, ext2Schema); err != nil {
 		return nil, err
 	}

@@ -385,16 +385,6 @@ func (c *Client) ExecAt(sqlText string, minLSN uint64) (*Result, error) {
 	return decodeResult(r)
 }
 
-// CreateTable registers a record-level engine table (not a SQL table).
-func (c *Client) CreateTable(name string) (ts.TableID, error) {
-	r, err := c.doB(wire.OpCreateTable, wire.GetBuilder().Str(name))
-	if err != nil {
-		return 0, err
-	}
-	tid := ts.TableID(r.U32())
-	return tid, r.Err()
-}
-
 // TableIDs resolves engine table names (idempotent: retried once across a
 // broken connection).
 func (c *Client) TableIDs(names ...string) ([]ts.TableID, error) {

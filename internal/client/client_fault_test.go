@@ -119,10 +119,7 @@ func TestFastFailAndRedialRecovery(t *testing.T) {
 		RedialBase:  10 * time.Millisecond,
 		RedialMax:   50 * time.Millisecond,
 	})
-	tid, err := cl.CreateTable("KV")
-	if err != nil {
-		t.Fatal(err)
-	}
+	tid := kvTable(t, cl)
 
 	// Pin the one idle connection in a transaction, then make new dials fail.
 	tx, err := cl.Begin(false)
@@ -196,10 +193,7 @@ func TestFastFailMentionsAddress(t *testing.T) {
 // frees immediately and the next call gets a fresh connection.
 func TestTxBreakageIsTransient(t *testing.T) {
 	cl, p := proxiedClient(t, client.Config{MaxConns: 2, RequestTimeout: 2 * time.Second})
-	tid, err := cl.CreateTable("KV")
-	if err != nil {
-		t.Fatal(err)
-	}
+	tid := kvTable(t, cl)
 	tx, err := cl.Begin(false)
 	if err != nil {
 		t.Fatal(err)
@@ -262,10 +256,7 @@ func TestTxBreakageIsTransient(t *testing.T) {
 // blind retry could double-apply the transaction.
 func TestCommitBreakageIsAmbiguous(t *testing.T) {
 	cl, p := proxiedClient(t, client.Config{MaxConns: 2, RequestTimeout: 2 * time.Second})
-	tid, err := cl.CreateTable("KV")
-	if err != nil {
-		t.Fatal(err)
-	}
+	tid := kvTable(t, cl)
 	tx, err := cl.Begin(false)
 	if err != nil {
 		t.Fatal(err)
@@ -310,10 +301,7 @@ func TestFailedBeginFinishesTx(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	tid, err := cl.CreateTable("KV")
-	if err != nil {
-		t.Fatal(err)
-	}
+	tid := kvTable(t, cl)
 	created := db.Stats().VersionsCreated
 
 	tx, err := cl.BeginShard(7, false) // a single-node server has shard 0 only

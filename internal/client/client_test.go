@@ -36,6 +36,20 @@ func startServer(t *testing.T, scfg server.Config) (string, *core.DB) {
 	return ln.Addr().String(), db
 }
 
+// kvTable creates the table KV through SQL and returns its ID; the tests
+// write raw images to it through the record verbs.
+func kvTable(t *testing.T, cl *client.Client) ts.TableID {
+	t.Helper()
+	if _, err := cl.Exec("CREATE TABLE KV (v TEXT)"); err != nil {
+		t.Fatal(err)
+	}
+	ids, err := cl.TableIDs("KV")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ids[0]
+}
+
 // TestPoolConcurrency hammers one pooled client from many goroutines — the
 // race detector's view of the pool, plus basic correctness of interleaved
 // autocommit writes.
@@ -95,10 +109,7 @@ func TestErrorRehydration(t *testing.T) {
 	}
 	defer cl.Close()
 
-	tid, err := cl.CreateTable("KV")
-	if err != nil {
-		t.Fatal(err)
-	}
+	tid := kvTable(t, cl)
 	var rid ts.RID
 	{
 		tx, err := cl.Begin(false)
@@ -163,10 +174,7 @@ func TestRetryOverWire(t *testing.T) {
 	}
 	defer cl.Close()
 
-	tid, err := cl.CreateTable("KV")
-	if err != nil {
-		t.Fatal(err)
-	}
+	tid := kvTable(t, cl)
 	tx, err := cl.Begin(false)
 	if err != nil {
 		t.Fatal(err)
@@ -222,10 +230,7 @@ func TestTxPinsConnection(t *testing.T) {
 	}
 	defer cl.Close()
 
-	tid, err := cl.CreateTable("KV")
-	if err != nil {
-		t.Fatal(err)
-	}
+	tid := kvTable(t, cl)
 	tx, err := cl.Begin(false)
 	if err != nil {
 		t.Fatal(err)

@@ -108,12 +108,6 @@ func (db *DB) ApplyRecord(r *wal.Record) error {
 		return db.ApplyDDL(r.TableID, r.TableName)
 	case wal.KindGroup:
 		return db.ApplyGroup(r.CID, r.Ops)
-	case wal.KindHTAPLane:
-		// Lane enablement replicates as metadata only: the replica remembers
-		// it (rememberLane) so a promoted replica re-enables the same lanes;
-		// chunks rebuild locally from the applied table state.
-		db.rememberLane(r.TableID, r.TableName, r.CID)
-		return nil
 	default:
 		return fmt.Errorf("core: replicated record of unknown kind %d", r.Kind)
 	}

@@ -107,22 +107,6 @@ type DB struct {
 	// slowest replica) and whether a constraint exists at all.
 	retentionMu sync.Mutex
 	retention   func() (lowestSeg uint64, ok bool)
-
-	// lanes records HTAP column-lane enablement per table — seeded from
-	// recovered KindHTAPLane records, extended by EnableHTAPLane, re-logged by
-	// Checkpoint so segment pruning never loses them. The chunks themselves
-	// are never persisted; the lane manager rebuilds them from table state.
-	lanesMu sync.Mutex
-	lanes   map[ts.TableID]HTAPLaneMeta
-}
-
-// HTAPLaneMeta is the durable description of one enabled HTAP column lane:
-// the schema spec the migrator decodes row images with, and the chunk
-// watermark last recorded for it (informational — chunks rebuild from table
-// state regardless).
-type HTAPLaneMeta struct {
-	Spec      string
-	Watermark ts.CID
 }
 
 // Open creates a database. With Persistence configured it first recovers the
@@ -168,12 +152,6 @@ func Open(cfg Config) (*DB, error) {
 		fail:       fail,
 		readOnly:   cfg.ReadOnly,
 		recovery:   recoverySum,
-		lanes:      make(map[ts.TableID]HTAPLaneMeta),
-	}
-	if recoverySum != nil {
-		for tid, lane := range recoverySum.HTAPLanes {
-			db.lanes[tid] = lane
-		}
 	}
 	db.hybrid.TG.Resolver = db.partitionResolver
 	if cfg.AutoGC {
@@ -398,43 +376,6 @@ func (db *DB) RecordState(tid ts.TableID, rid ts.RID) (img []byte, versioned, ok
 		return nil, false, false
 	}
 	return img, false, true
-}
-
-// EnableHTAPLane durably records HTAP column-lane enablement for the table:
-// the lane survives restarts via a KindHTAPLane log record (re-logged by
-// every checkpoint), and HTAPLanes reports it so the lane manager can
-// re-enable after recovery. Idempotent per table; the latest spec wins.
-func (db *DB) EnableHTAPLane(tid ts.TableID, spec string, watermark ts.CID) error {
-	if _, err := db.tableByID(tid); err != nil {
-		return err
-	}
-	db.rememberLane(tid, spec, watermark)
-	if db.log == nil {
-		return nil
-	}
-	return db.log.Append(&wal.Record{
-		Kind: wal.KindHTAPLane, TableID: tid, TableName: spec, CID: watermark,
-	})
-}
-
-// rememberLane records lane enablement in memory (recovery, replication
-// apply, and EnableHTAPLane all funnel through here).
-func (db *DB) rememberLane(tid ts.TableID, spec string, watermark ts.CID) {
-	db.lanesMu.Lock()
-	db.lanes[tid] = HTAPLaneMeta{Spec: spec, Watermark: watermark}
-	db.lanesMu.Unlock()
-}
-
-// HTAPLanes returns the tables with HTAP lane enablement on record —
-// recovered from the log plus those enabled this run.
-func (db *DB) HTAPLanes() map[ts.TableID]HTAPLaneMeta {
-	db.lanesMu.Lock()
-	defer db.lanesMu.Unlock()
-	out := make(map[ts.TableID]HTAPLaneMeta, len(db.lanes))
-	for tid, lane := range db.lanes {
-		out[tid] = lane
-	}
-	return out
 }
 
 // Stats is a point-in-time view of the engine, covering the indicators the

@@ -82,10 +82,6 @@ func (w *walLogger) LogCommit(cid ts.CID, members []*mvcc.TransContext) error {
 type RecoverySummary struct {
 	InDoubt   map[uint64][]wal.Op
 	Decisions map[uint64]bool
-	// HTAPLanes is the column-lane enablement found in the log (KindHTAPLane
-	// records; the latest per table wins). Open seeds the engine's lane
-	// registry from it so the HTAP manager re-enables lanes after recovery.
-	HTAPLanes map[ts.TableID]HTAPLaneMeta
 }
 
 // pendingResolve is a settled prepare awaiting replay at its CID position.
@@ -130,12 +126,10 @@ func recoverInto(cat *table.Catalog, dir string) (ts.CID, *RecoverySummary, erro
 		return 0, nil, err
 	}
 
-	// Pass 1: collect prepares, match resolves against them, note decisions,
-	// and pick up HTAP lane enablement (latest record per table wins).
+	// Pass 1: collect prepares, match resolves against them, note decisions.
 	sum := &RecoverySummary{
 		InDoubt:   map[uint64][]wal.Op{},
 		Decisions: map[uint64]bool{},
-		HTAPLanes: map[ts.TableID]HTAPLaneMeta{},
 	}
 	var resolves []pendingResolve
 	err = wal.ReadAll(dir, func(r *wal.Record) error {
@@ -150,8 +144,6 @@ func recoverInto(cat *table.Catalog, dir string) (ts.CID, *RecoverySummary, erro
 			}
 		case wal.KindDecision:
 			sum.Decisions[r.XID] = r.Commit
-		case wal.KindHTAPLane:
-			sum.HTAPLanes[r.TableID] = HTAPLaneMeta{Spec: r.TableName, Watermark: r.CID}
 		}
 		return nil
 	})
@@ -315,16 +307,6 @@ func (db *DB) Checkpoint() error {
 	db.count(0, traversed)
 	if err := ck.Commit(); err != nil {
 		return err
-	}
-	// Re-log lane enablement into the fresh segment before pruning: the
-	// checkpoint format carries no lane state, so the records must outlive
-	// the segments about to be dropped.
-	for tid, lane := range db.HTAPLanes() {
-		if err := db.log.Append(&wal.Record{
-			Kind: wal.KindHTAPLane, TableID: tid, TableName: lane.Spec, CID: lane.Watermark,
-		}); err != nil {
-			return err
-		}
 	}
 	// The checkpoint covers every closed segment, but a replica still
 	// catching up from disk may need some of them: the retention hook

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -392,5 +395,23 @@ func TestConcurrentCommitLogIsDenseAndAscending(t *testing.T) {
 	}
 	if rows != writers*perWriter {
 		t.Fatalf("recovered %d rows, want %d", rows, writers*perWriter)
+	}
+}
+
+// TestOpenRefusesLaneRecord: a log written while lanes were WAL records
+// (kind 6) is refused at open, naming the retired record and the segment.
+func TestOpenRefusesLaneRecord(t *testing.T) {
+	dir := t.TempDir()
+	payload := []byte{6, 7, 0, 0, 0, 5, 0, 0, 0, 'a', ':', 'I', 'N', 'T', 9, 0, 0, 0, 0, 0, 0, 0}
+	frame := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+	frame = binary.LittleEndian.AppendUint32(frame, crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
+	const seg = "log-0000000000000001.wal"
+	if err := os.WriteFile(filepath.Join(dir, seg), append(frame, payload...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := Open(Config{Persistence: &Persistence{Dir: dir}})
+	if !errors.Is(err, wal.ErrRetiredFormat) || !strings.Contains(err.Error(), seg) ||
+		!strings.Contains(err.Error(), "HTAP lane records") {
+		t.Fatalf("open over a lane record: %v, want ErrRetiredFormat naming %s and the lane record", err, seg)
 	}
 }

@@ -27,10 +27,7 @@ func BenchmarkOLAPScan(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		st, err := NewStore(db, Config{ChunkSlots: 4096})
-		if err != nil {
-			b.Fatal(err)
-		}
+		st := NewStore(db, Config{ChunkSlots: 4096})
 		if err := st.EnableTable(tid, laneSchema); err != nil {
 			b.Fatal(err)
 		}

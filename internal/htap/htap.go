@@ -35,9 +35,10 @@
 //     vectors iff TS >= the chunk's watermark; otherwise (a snapshot older
 //     than the chunk) the whole range falls back to row reads.
 //
-// Chunks are never persisted. Lane enablement is one WAL record
-// (wal.KindHTAPLane, re-logged by checkpoints); after recovery the lane
-// manager re-enables each recorded lane and the migrator rebuilds chunks
+// Neither chunks nor lanes are persisted here. Which tables have a lane is
+// a row of the SQL catalog (sql.Catalog.EnableHTAP), so it recovers,
+// checkpoints and replicates as ordinary data; the catalog re-enables each
+// listed lane when a manager is attached, and the migrator rebuilds chunks
 // from the recovered table state.
 package htap
 
@@ -204,31 +205,15 @@ type Store struct {
 	guardOff atomic.Bool
 }
 
-// NewStore builds a lane store over db and re-enables every lane the
-// engine has on record (recovered from the log, or applied from a
-// replication stream).
-func NewStore(db *core.DB, cfg Config) (*Store, error) {
+// NewStore builds a lane store over db with no lane enabled.
+func NewStore(db *core.DB, cfg Config) *Store {
 	cfg.fill()
-	s := &Store{db: db, cfg: cfg, lanes: make(map[ts.TableID]*Lane)}
-	for tid, meta := range db.HTAPLanes() {
-		schema, err := colstore.ParseSpec(meta.Spec)
-		if err != nil {
-			return nil, fmt.Errorf("htap: recovered lane for table %d: %w", tid, err)
-		}
-		if err := s.EnableTable(tid, schema); err != nil {
-			return nil, err
-		}
-	}
-	return s, nil
+	return &Store{db: db, cfg: cfg, lanes: make(map[ts.TableID]*Lane)}
 }
 
-// DB returns the engine instance the store runs over.
-func (s *Store) DB() *core.DB { return s.db }
-
-// EnableTable enables the column lane for a table: installs the write
-// observer, records enablement durably (one wal.KindHTAPLane record), and
-// leaves chunk building to the migrator. Idempotent for an identical
-// schema.
+// EnableTable enables the column lane for a table in memory: installs the
+// write observer and leaves chunk building to the migrator. Idempotent for
+// an identical schema.
 func (s *Store) EnableTable(tid ts.TableID, schema colstore.Schema) error {
 	if err := schema.Validate(); err != nil {
 		return err
@@ -255,7 +240,7 @@ func (s *Store) EnableTable(tid ts.TableID, schema colstore.Schema) error {
 		s.mu.Unlock()
 		return err
 	}
-	return s.db.EnableHTAPLane(tid, schema.Spec(), s.db.Manager().CurrentTS())
+	return nil
 }
 
 // lane returns the table's lane, or nil.

@@ -61,13 +61,8 @@ func updateRow(t testing.TB, db *core.DB, tid ts.TableID, rid ts.RID, amount int
 	}
 }
 
-func newTestStore(t *testing.T, db *core.DB) *Store {
-	t.Helper()
-	st, err := NewStore(db, Config{ChunkSlots: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return st
+func newTestStore(db *core.DB) *Store {
+	return NewStore(db, Config{ChunkSlots: 8})
 }
 
 func scalar(t *testing.T, st *Store, tid ts.TableID, spec AggSpec) (int64, *AggResult) {
@@ -91,7 +86,7 @@ func TestMigrateAndAggregate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := newTestStore(t, db)
+	st := newTestStore(db)
 	if err := st.EnableTable(tid, laneSchema); err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +206,7 @@ func TestAggregateConsistencyUnderChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := newTestStore(t, db)
+	st := newTestStore(db)
 	if err := st.EnableTable(tid, laneSchema); err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +316,7 @@ func TestPinnedCursorBlocksMigration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := newTestStore(t, db)
+	st := newTestStore(db)
 	if err := st.EnableTable(tid, laneSchema); err != nil {
 		t.Fatal(err)
 	}
@@ -394,7 +389,7 @@ func TestLaneCursorLeavesRowTablesToTG(t *testing.T) {
 	db := openTest(t, core.Config{})
 	facts, _ := db.CreateTable("FACTS")
 	orders, _ := db.CreateTable("ORDERS")
-	st := newTestStore(t, db)
+	st := newTestStore(db)
 	if err := st.EnableTable(facts, laneSchema); err != nil {
 		t.Fatal(err)
 	}
@@ -447,7 +442,7 @@ func TestVisibilityGuardRegression(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st := newTestStore(t, db)
+		st := newTestStore(db)
 		if err := st.EnableTable(tid, laneSchema); err != nil {
 			t.Fatal(err)
 		}
@@ -485,59 +480,6 @@ func TestVisibilityGuardRegression(t *testing.T) {
 	})
 }
 
-// TestRecoveryReEnablesLanes checks the lane's single durability artifact:
-// the wal.KindHTAPLane record (re-logged by checkpoints) brings the lane
-// back after a restart, and the migrator rebuilds chunks from the recovered
-// table state.
-func TestRecoveryReEnablesLanes(t *testing.T) {
-	dir := t.TempDir()
-	open := func() *core.DB {
-		return openTest(t, core.Config{Persistence: &core.Persistence{Dir: dir}})
-	}
-
-	db := open()
-	tid, err := db.CreateTable("FACTS")
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := newTestStore(t, db)
-	if err := st.EnableTable(tid, laneSchema); err != nil {
-		t.Fatal(err)
-	}
-	var wantSum int64
-	for i := 1; i <= 20; i++ {
-		insertRow(t, db, tid, int64(i), "r")
-		wantSum += int64(i)
-	}
-	if err := db.Checkpoint(); err != nil { // checkpoint must re-log the lane record
-		t.Fatal(err)
-	}
-	insertRow(t, db, tid, 1000, "r")
-	wantSum += 1000
-	db.Close()
-
-	db2 := open()
-	st2, err := NewStore(db2, Config{ChunkSlots: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !st2.Enabled(db2.TableID("FACTS")) {
-		t.Fatal("lane not re-enabled after recovery")
-	}
-	tid2 := db2.TableID("FACTS")
-	db2.GC().Collect()
-	if got := st2.Migrate(); got != 21 {
-		t.Fatalf("post-recovery Migrate moved %d rows, want 21", got)
-	}
-	sum, res := scalar(t, st2, tid2, AggSpec{Op: AggSum, Col: "amount"})
-	if sum != wantSum {
-		t.Fatalf("post-recovery SUM = %d, want %d", sum, wantSum)
-	}
-	if res.ChunkRows != 21 {
-		t.Fatalf("post-recovery chunk rows = %d, want 21", res.ChunkRows)
-	}
-}
-
 // TestManagerShardedAggregate runs the lane across a sharded engine:
 // per-shard migrators, cross-shard merge, and the pinned-snapshot guard on
 // one shard while the others keep migrating.
@@ -560,10 +502,7 @@ func TestManagerShardedAggregate(t *testing.T) {
 	if err := eng.SetPlacement(tid, engine.Placement{Kind: engine.PlaceInterleave}); err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewManager(eng, Config{ChunkSlots: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := NewManager(eng, Config{ChunkSlots: 8})
 	if err := m.EnableTable(tid, laneSchema); err != nil {
 		t.Fatal(err)
 	}
@@ -670,10 +609,7 @@ func TestBackgroundMigrator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := NewStore(db, Config{ChunkSlots: 8, Interval: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := NewStore(db, Config{ChunkSlots: 8, Interval: time.Millisecond})
 	if err := st.EnableTable(tid, laneSchema); err != nil {
 		t.Fatal(err)
 	}

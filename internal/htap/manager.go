@@ -21,21 +21,14 @@ type Manager struct {
 	stores []*Store
 }
 
-// NewManager builds one Store per shard (re-enabling any lanes the shards
-// recovered from their logs). The background migrators start with Start.
-func NewManager(eng engine.Engine, cfg Config) (*Manager, error) {
+// NewManager builds one Store per shard, with no lane enabled. The
+// background migrators start with Start.
+func NewManager(eng engine.Engine, cfg Config) *Manager {
 	m := &Manager{eng: eng}
 	for i := 0; i < eng.Shards(); i++ {
-		st, err := NewStore(eng.Shard(i), cfg)
-		if err != nil {
-			for _, prev := range m.stores {
-				prev.Stop()
-			}
-			return nil, err
-		}
-		m.stores = append(m.stores, st)
+		m.stores = append(m.stores, NewStore(eng.Shard(i), cfg))
 	}
-	return m, nil
+	return m
 }
 
 // Start launches every shard's background migrator; Stop halts them.
@@ -72,18 +65,6 @@ func (m *Manager) EnableTable(tid ts.TableID, schema colstore.Schema) error {
 // is all-shards, so the shards agree).
 func (m *Manager) Enabled(tid ts.TableID) bool {
 	return len(m.stores) > 0 && m.stores[0].Enabled(tid)
-}
-
-// Schema returns the lane schema for a table, if enabled.
-func (m *Manager) Schema(tid ts.TableID) (colstore.Schema, bool) {
-	if len(m.stores) == 0 {
-		return colstore.Schema{}, false
-	}
-	l := m.stores[0].lane(tid)
-	if l == nil {
-		return colstore.Schema{}, false
-	}
-	return l.schema, true
 }
 
 // Migrate runs one synchronous migration pass on every shard, returning

@@ -164,11 +164,11 @@ func Start(cfg Config) (*Node, error) {
 		return nil, err
 	}
 	if cfg.HTAP {
-		if n.hm, err = htap.NewManager(n.eng, htap.Config{Interval: cfg.HTAPEvery}); err != nil {
+		n.hm = htap.NewManager(n.eng, htap.Config{Interval: cfg.HTAPEvery})
+		if err = n.srv.Catalog().AttachHTAP(n.hm); err != nil {
 			n.Shutdown()
 			return nil, err
 		}
-		n.srv.Catalog().AttachHTAP(n.hm)
 		n.hm.Start()
 	}
 	if n.addr, err = n.serve(cfg.Server.Addr); err != nil {

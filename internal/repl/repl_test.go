@@ -14,6 +14,7 @@ import (
 	"hybridgc/internal/core"
 	"hybridgc/internal/fault"
 	"hybridgc/internal/gc"
+	"hybridgc/internal/htap"
 	"hybridgc/internal/server"
 	"hybridgc/internal/sql"
 	"hybridgc/internal/tpcc"
@@ -433,7 +434,11 @@ func TestLagDemotionForcesRebootstrap(t *testing.T) {
 
 func TestSQLCatalogFollowsReplication(t *testing.T) {
 	p := startPrimary(t, fastSource(), nil)
-	sess := sql.NewSession(p.srv.Catalog())
+	cat := p.srv.Catalog()
+	if err := cat.AttachHTAP(htap.NewManager(cat.Engine(), htap.Config{})); err != nil {
+		t.Fatal(err)
+	}
+	sess := sql.NewSession(cat)
 	for _, q := range []string{
 		"CREATE TABLE kv (k INT, v TEXT)",
 		"INSERT INTO kv VALUES (1, 'one')",
@@ -442,6 +447,14 @@ func TestSQLCatalogFollowsReplication(t *testing.T) {
 		if _, err := sess.Execute(q); err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
+	}
+	// A lane is a catalog row: the replica, bootstrapped after it was
+	// enabled and checkpointed, must list it.
+	if err := cat.EnableHTAP("kv"); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.db.Checkpoint(); err != nil {
+		t.Fatal(err)
 	}
 
 	r := startReplica(t, p.addr, "r1")
@@ -463,6 +476,9 @@ func TestSQLCatalogFollowsReplication(t *testing.T) {
 	}
 	if _, err := rsess.Execute("INSERT INTO kv VALUES (3, 'three')"); !errors.Is(err, core.ErrReadOnly) {
 		t.Fatalf("replica SQL insert: %v, want ErrReadOnly", err)
+	}
+	if lanes, err := rcat.Lanes(); err != nil || len(lanes) != 1 || lanes[0] != "kv" {
+		t.Fatalf("replica catalog lists lanes %q (%v), want [kv]", lanes, err)
 	}
 }
 

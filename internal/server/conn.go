@@ -248,17 +248,6 @@ func (c *conn) dispatch(op byte, body []byte) byte {
 		return c.qfetch(r)
 	case wire.OpQClose:
 		return c.qclose(r)
-	case wire.OpCreateTable:
-		name := r.Str()
-		if err := firstErr(r); err != nil {
-			return c.fail(err)
-		}
-		tid, err := c.srv.eng.CreateTable(name)
-		if err != nil {
-			return c.fail(err)
-		}
-		c.b().U32(uint32(tid))
-		return wire.StOK
 	case wire.OpTableIDs:
 		names := wire.GetStrings(r)
 		if err := firstErr(r); err != nil {

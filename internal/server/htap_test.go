@@ -14,11 +14,10 @@ import (
 // STATS HTAP trailer.
 func TestHTAPVerbsLoopback(t *testing.T) {
 	srv, db, addr := newTestServer(t, Config{})
-	m, err := htap.NewManager(srv.cat.Engine(), htap.Config{ChunkSlots: 8})
-	if err != nil {
+	m := htap.NewManager(srv.cat.Engine(), htap.Config{ChunkSlots: 8})
+	if err := srv.Catalog().AttachHTAP(m); err != nil {
 		t.Fatal(err)
 	}
-	srv.Catalog().AttachHTAP(m)
 
 	cl, err := client.Dial(client.Config{Addr: addr})
 	if err != nil {

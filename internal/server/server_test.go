@@ -41,6 +41,20 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *core.DB, string) {
 	return srv, db, ln.Addr().String()
 }
 
+// kvTable creates the table KV through SQL and returns its ID; the tests
+// write raw images to it through the record verbs.
+func kvTable(t *testing.T, cl *client.Client) ts.TableID {
+	t.Helper()
+	if _, err := cl.Exec("CREATE TABLE KV (v TEXT)"); err != nil {
+		t.Fatal(err)
+	}
+	ids, err := cl.TableIDs("KV")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ids[0]
+}
+
 // rawConn speaks the protocol directly, for frame-level tests.
 type rawConn struct {
 	nc net.Conn
@@ -214,10 +228,7 @@ func TestExplicitTransactionVerbs(t *testing.T) {
 	}
 	defer cl.Close()
 
-	tid, err := cl.CreateTable("KV")
-	if err != nil {
-		t.Fatal(err)
-	}
+	tid := kvTable(t, cl)
 	tx, err := cl.Begin(false)
 	if err != nil {
 		t.Fatal(err)
@@ -446,10 +457,7 @@ func TestGracefulDrain(t *testing.T) {
 	<-inFlight
 
 	// A second session with a whole transaction read off the socket.
-	tid, err := cl.CreateTable("KV")
-	if err != nil {
-		t.Fatal(err)
-	}
+	tid := kvTable(t, cl)
 	rb := dialRaw(t, addr)
 	rb.hello(t, "")
 	rb.sendBatch(t,

@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -27,6 +28,11 @@ var (
 // metaTable is the engine table holding serialized schemas, so SQL-created
 // tables survive recovery along with their data.
 const metaTable = "__sql_schema"
+
+// laneTable lists the SQL tables whose column lane is on, one row holding
+// the table's name per lane. It is insert-only, and it is ordinary data: a
+// lane recovers, checkpoints and replicates with it.
+const laneTable = "__sql_lanes"
 
 // TableInfo is one SQL table's compiled schema.
 type TableInfo struct {
@@ -68,74 +74,53 @@ func NewCatalog(db *core.DB) (*Catalog, error) {
 // Refresh (or a Table miss) finds it.
 func NewCatalogEngine(eng engine.Engine) (*Catalog, error) {
 	c := &Catalog{eng: eng, tables: make(map[string]*TableInfo)}
-	if id := eng.TableID(metaTable); id != 0 {
-		c.metaID = id
-		if err := c.loadSchemas(); err != nil {
+	if eng.TableID(metaTable) == 0 && !eng.ReadOnly() {
+		id, err := eng.CreateTable(metaTable)
+		if err != nil {
 			return nil, err
 		}
+		c.metaID = id
 		return c, nil
 	}
-	if eng.ReadOnly() {
-		return c, nil // metaID 0: attach lazily once replicated
-	}
-	id, err := eng.CreateTable(metaTable)
-	if err != nil {
+	if err := c.Refresh(); err != nil {
 		return nil, err
 	}
-	c.metaID = id
 	return c, nil
 }
 
 // Refresh re-reads the meta table, picking up schemas that arrived since the
-// catalog was built — the normal path on a replica, where both the meta
-// table and its rows materialize through the replication stream. Known
-// tables are kept (their index state lives on the TableInfo).
+// catalog was built: through replication on a replica, through another
+// catalog over the same engine on a primary. Known tables are kept. A schema
+// row that does not decode is an error naming its RID, never a table that
+// silently goes missing.
 func (c *Catalog) Refresh() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.metaID == 0 {
-		id := c.eng.TableID(metaTable)
-		if id == 0 {
+		if c.metaID = c.eng.TableID(metaTable); c.metaID == 0 {
 			return nil // nothing replicated yet
 		}
-		c.metaID = id
 	}
-	return c.eng.Exec(txn.StmtSI, nil, func(tx engine.Tx) error {
-		return tx.Scan(c.metaID, func(_ ts.RID, img []byte) bool {
+	var bad error
+	err := c.eng.Exec(txn.StmtSI, nil, func(tx engine.Tx) error {
+		bad = nil
+		return tx.Scan(c.metaID, func(rid ts.RID, img []byte) bool {
 			name, cols, err := decodeSchema(img)
 			if err != nil {
-				return true
+				bad = fmt.Errorf("sql: %s row %d: %w", metaTable, rid, err)
+				return false
 			}
 			key := strings.ToLower(name)
 			if _, known := c.tables[key]; known {
 				return true
 			}
-			id := c.eng.TableID(name)
-			if id == 0 {
-				return true
+			if id := c.eng.TableID(name); id != 0 {
+				c.tables[key] = newTableInfo(name, id, cols)
 			}
-			c.tables[key] = newTableInfo(name, id, cols)
 			return true
 		})
 	})
-}
-
-// loadSchemas re-attaches schemas after recovery.
-func (c *Catalog) loadSchemas() error {
-	return c.eng.Exec(txn.StmtSI, nil, func(tx engine.Tx) error {
-		return tx.Scan(c.metaID, func(_ ts.RID, img []byte) bool {
-			name, cols, err := decodeSchema(img)
-			if err != nil {
-				return true // skip unreadable entries; surfaced via missing table
-			}
-			id := c.eng.TableID(name)
-			if id == 0 {
-				return true
-			}
-			c.tables[strings.ToLower(name)] = newTableInfo(name, id, cols)
-			return true
-		})
-	})
+	return cmp.Or(err, bad)
 }
 
 func newTableInfo(name string, id ts.TableID, cols []ColumnDef) *TableInfo {
@@ -179,28 +164,27 @@ func (c *Catalog) CreateTable(name string, cols []ColumnDef) (*TableInfo, error)
 	return ti, nil
 }
 
-// Table resolves a SQL table by name. On a read-only database a miss
-// triggers a Refresh first: the schema may have replicated in since the
+// Table resolves a SQL table by name. A miss triggers a Refresh first: the
+// schema may have been written by another catalog or replicated in since the
 // last lookup.
 func (c *Catalog) Table(name string) (*TableInfo, error) {
-	key := strings.ToLower(name)
-	c.mu.RLock()
-	t, ok := c.tables[key]
-	c.mu.RUnlock()
-	if ok {
+	if t, ok := c.lookup(name); ok {
 		return t, nil
 	}
-	if c.eng.ReadOnly() {
-		if err := c.Refresh(); err == nil {
-			c.mu.RLock()
-			t, ok = c.tables[key]
-			c.mu.RUnlock()
-			if ok {
-				return t, nil
-			}
-		}
+	if err := c.Refresh(); err != nil {
+		return nil, err
+	}
+	if t, ok := c.lookup(name); ok {
+		return t, nil
 	}
 	return nil, fmt.Errorf("%w: %s", ErrUnknownTable, name)
+}
+
+func (c *Catalog) lookup(name string) (*TableInfo, bool) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	t, ok := c.tables[strings.ToLower(name)]
+	return t, ok
 }
 
 // Tables lists the SQL tables (sorted by name is not guaranteed).

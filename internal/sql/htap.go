@@ -19,15 +19,36 @@ import (
 	"strings"
 
 	"hybridgc/internal/colstore"
+	"hybridgc/internal/engine"
 	"hybridgc/internal/htap"
+	"hybridgc/internal/ts"
+	"hybridgc/internal/txn"
 )
 
-// AttachHTAP wires the column-lane manager into the catalog; sessions then
-// route eligible aggregates through it, and EnableHTAP can arm new tables.
-func (c *Catalog) AttachHTAP(m *htap.Manager) {
+// AttachHTAP wires the column-lane manager into the catalog and re-enables
+// every lane the lane table lists; sessions then route eligible aggregates
+// through it, and EnableHTAP can arm new tables. A nil manager detaches.
+func (c *Catalog) AttachHTAP(m *htap.Manager) error {
 	c.mu.Lock()
 	c.htap = m
 	c.mu.Unlock()
+	if m == nil {
+		return nil
+	}
+	names, err := c.Lanes()
+	if err != nil {
+		return err
+	}
+	for _, name := range names {
+		t, err := c.Table(name)
+		if err != nil {
+			return fmt.Errorf("sql: %s lists %s: %w", laneTable, name, err)
+		}
+		if err := m.EnableTable(t.ID, laneSchema(t.Columns)); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // HTAP returns the attached column-lane manager, or nil.
@@ -37,7 +58,9 @@ func (c *Catalog) HTAP() *htap.Manager {
 	return c.htap
 }
 
-// EnableHTAP enables the column lane for a SQL table on every shard.
+// EnableHTAP enables the column lane for a SQL table on every shard and, in
+// one transaction, adds the table's row to the lane table unless it is
+// listed already.
 func (c *Catalog) EnableHTAP(table string) error {
 	m := c.HTAP()
 	if m == nil {
@@ -47,7 +70,52 @@ func (c *Catalog) EnableHTAP(table string) error {
 	if err != nil {
 		return err
 	}
-	return m.EnableTable(t.ID, laneSchema(t.Columns))
+	if err := m.EnableTable(t.ID, laneSchema(t.Columns)); err != nil {
+		return err
+	}
+	id, err := c.laneTableID()
+	if err != nil {
+		return err
+	}
+	return c.eng.Exec(txn.StmtSI, nil, func(tx engine.Tx) error {
+		listed := false
+		err := tx.Scan(id, func(_ ts.RID, img []byte) bool {
+			listed = string(img) == t.Name
+			return !listed
+		})
+		if err != nil || listed {
+			return err
+		}
+		_, err = tx.Insert(id, []byte(t.Name))
+		return err
+	})
+}
+
+// laneTableID returns the lane table's ID, creating the table on first use.
+func (c *Catalog) laneTableID() (ts.TableID, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if id := c.eng.TableID(laneTable); id != 0 {
+		return id, nil
+	}
+	return c.eng.CreateTable(laneTable)
+}
+
+// Lanes lists the SQL tables the lane table names.
+func (c *Catalog) Lanes() ([]string, error) {
+	id := c.eng.TableID(laneTable)
+	if id == 0 {
+		return nil, nil // no lane was ever enabled
+	}
+	var names []string
+	err := c.eng.Exec(txn.StmtSI, nil, func(tx engine.Tx) error {
+		names = names[:0]
+		return tx.Scan(id, func(_ ts.RID, img []byte) bool {
+			names = append(names, string(img))
+			return true
+		})
+	})
+	return names, err
 }
 
 // laneSchema is the table's schema with the column names lower-cased, as the

@@ -10,6 +10,8 @@ import (
 
 	"hybridgc/internal/core"
 	"hybridgc/internal/gc"
+	"hybridgc/internal/ts"
+	"hybridgc/internal/txn"
 )
 
 func newSession(t *testing.T) *Session {
@@ -487,5 +489,33 @@ func TestRegionsView(t *testing.T) {
 	live := mustExec(t, s, "SELECT value FROM m_version_space WHERE metric = 'versions_live'").Rows[0][0].I
 	if total != live {
 		t.Fatalf("regions total %d != live %d", total, live)
+	}
+}
+
+// TestUnreadableSchemaRowFailsLoudly: a schema row that does not decode is an
+// error naming its RID, both when a catalog opens over it and when a catalog
+// built before the damage refreshes, never a table that silently goes
+// missing from SQL.
+func TestUnreadableSchemaRowFailsLoudly(t *testing.T) {
+	s := newSession(t)
+	mustExec(t, s, "CREATE TABLE kv (k INT)")
+	db := s.cat.DB()
+	var rid ts.RID
+	err := db.Exec(txn.StmtSI, nil, func(tx *core.Tx) error {
+		err := tx.Scan(s.cat.metaID, func(r ts.RID, _ []byte) bool { rid = r; return false })
+		if err != nil {
+			return err
+		}
+		return tx.Update(s.cat.metaID, rid, []byte{0xff})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("%s row %d", metaTable, rid)
+	if _, err := NewCatalog(db); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("catalog over a doctored schema row: %v, want an error naming %q", err, want)
+	}
+	if _, err := s.cat.Table("missing"); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("refresh over a doctored schema row: %v, want an error naming %q", err, want)
 	}
 }

@@ -1,9 +1,13 @@
 package tpcc
 
 import (
+	"strings"
+
 	"hybridgc/internal/client"
+	"hybridgc/internal/colstore"
 	"hybridgc/internal/core"
 	"hybridgc/internal/engine"
+	"hybridgc/internal/sql"
 	"hybridgc/internal/ts"
 	"hybridgc/internal/txn"
 )
@@ -25,7 +29,9 @@ type Txn interface {
 // Backend abstracts where the driver's storage lives: the in-process engine
 // or a hybridgcd server reached through internal/client.
 type Backend interface {
-	CreateTable(name string) (ts.TableID, error)
+	// CreateTable registers a SQL table with its columns in the catalog,
+	// which is what lets SQL and the column lane read it.
+	CreateTable(name string, schema colstore.Schema) (ts.TableID, error)
 	TableIDs(names ...string) ([]ts.TableID, error)
 	// Begin starts a transaction — Trans-SI when snapshot is set, Stmt-SI
 	// otherwise.
@@ -57,7 +63,19 @@ func LocalBackend(db *core.DB) Backend { return EngineBackend(engine.NewSingle(d
 // behavior when Shards() > 1.
 func EngineBackend(eng engine.Engine) Backend { return localBackend{eng: eng} }
 
-func (b localBackend) CreateTable(name string) (ts.TableID, error) { return b.eng.CreateTable(name) }
+// CreateTable goes through a catalog built for the call: it reads the few
+// schema rows already there and registers one more.
+func (b localBackend) CreateTable(name string, schema colstore.Schema) (ts.TableID, error) {
+	cat, err := sql.NewCatalogEngine(b.eng)
+	if err != nil {
+		return 0, err
+	}
+	t, err := cat.CreateTable(name, schema)
+	if err != nil {
+		return 0, err
+	}
+	return t.ID, nil
+}
 func (b localBackend) TableIDs(names ...string) ([]ts.TableID, error) {
 	return b.eng.TableIDs(names...)
 }
@@ -88,7 +106,22 @@ type remoteBackend struct{ c *client.Client }
 // local path uses.
 func RemoteBackend(c *client.Client) Backend { return remoteBackend{c: c} }
 
-func (b remoteBackend) CreateTable(name string) (ts.TableID, error) { return b.c.CreateTable(name) }
+// CreateTable sends the table's CREATE TABLE statement: a column's type
+// prints as its SQL name.
+func (b remoteBackend) CreateTable(name string, schema colstore.Schema) (ts.TableID, error) {
+	cols := make([]string, len(schema))
+	for i, c := range schema {
+		cols[i] = c.Name + " " + c.Type.String()
+	}
+	if _, err := b.c.Exec("CREATE TABLE " + name + " (" + strings.Join(cols, ", ") + ")"); err != nil {
+		return 0, err
+	}
+	ids, err := b.c.TableIDs(name)
+	if err != nil {
+		return 0, err
+	}
+	return ids[0], nil
+}
 func (b remoteBackend) TableIDs(names ...string) ([]ts.TableID, error) {
 	return b.c.TableIDs(names...)
 }

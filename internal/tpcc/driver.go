@@ -134,7 +134,8 @@ func New(db *core.DB, cfg Config) (*Driver, error) {
 }
 
 // NewWithBackend creates a driver over any backend — an in-process engine or
-// a remote server through internal/client — and registers the nine tables.
+// a remote server through internal/client — and registers the nine tables as
+// SQL tables under their Schemas entries.
 func NewWithBackend(be Backend, cfg Config) (*Driver, error) {
 	cfg.fill()
 	d := &Driver{be: be, cfg: cfg}
@@ -142,7 +143,7 @@ func NewWithBackend(be Backend, cfg Config) (*Driver, error) {
 	create := func(name string) ts.TableID {
 		var id ts.TableID
 		if err == nil {
-			id, err = be.CreateTable(name)
+			id, err = be.CreateTable(name, Schemas[name])
 		}
 		return id
 	}

@@ -488,7 +488,7 @@ func ReadSegment(path string, fn func(*Record) error) error {
 // decoded adapts a record callback to readFrames: a payload that passed its
 // checksum and still does not parse is ErrCorrupt, wrapping the decoder's
 // reason — except ErrRetiredFormat, which is an older version's intact log,
-// not damage, and is returned under its own name.
+// not damage, and is returned under its own name with the segment's.
 func decoded(fn func(*Record) error) func(uint64, []byte) error {
 	return func(_ uint64, payload []byte) error {
 		rec, err := DecodePayload(payload)
@@ -522,6 +522,9 @@ func ReadAll(dir string, fn func(*Record) error) error {
 	}
 	for i, s := range segs {
 		_, torn, err := readFrames(s.Path, decoded(fn))
+		if errors.Is(err, ErrRetiredFormat) {
+			return fmt.Errorf("%s: %w", filepath.Base(s.Path), err)
+		}
 		if err != nil {
 			return err
 		}

@@ -46,21 +46,25 @@ const (
 	// set under, so replay can order it against surrounding group records;
 	// on abort CID is ts.Invalid and the prepared write set is dropped.
 	KindResolve Kind = 5
-	// KindHTAPLane records that the HTAP column lane is enabled for a table:
-	// TableID names the table, TableName carries the lane's schema spec (the
-	// column layout the migrator decodes row images with), and CID is the
-	// chunk watermark at log time. Chunks themselves are not logged — recovery
-	// re-enables the lane and the migrator rebuilds chunks from the recovered
-	// table state, so the watermark record is the only durability addition.
-	KindHTAPLane Kind = 6
+	// kindHTAPLane is retired: it recorded a table's HTAP column lane. A lane
+	// is now a row of the SQL catalog's lane table, logged as ordinary data.
+	// DecodePayload refuses it by name.
+	kindHTAPLane Kind = 6
 	// KindGroup records one commit group: the CID and every operation of
 	// every member transaction, in member order. A group is one record, so
 	// the frame checksum makes it atomic: it is replayed whole or not at all.
 	KindGroup Kind = 7
 )
 
-// ErrRetiredFormat reports a record kind this version no longer reads.
-var ErrRetiredFormat = errors.New("wal: log written with multi-part commit groups (record kind 2), which this version does not read")
+// ErrRetiredFormat reports a record kind this version no longer reads; the
+// error wrapping it names the layout.
+var ErrRetiredFormat = errors.New("wal: retired record format")
+
+// retiredKinds names the layout each retired kind belonged to.
+var retiredKinds = map[Kind]string{
+	kindGroupPart: "multi-part commit groups (record kind 2)",
+	kindHTAPLane:  "HTAP lane records (record kind 6), from before lanes were SQL catalog rows",
+}
 
 // Op is one logged data operation.
 type Op struct {
@@ -121,11 +125,6 @@ func (r *Record) AppendPayload(b []byte) []byte {
 	case KindResolve:
 		b = appendU64(b, r.XID)
 		b = appendBool(b, r.Commit)
-		b = appendU64(b, uint64(r.CID))
-	case KindHTAPLane:
-		b = appendU32(b, uint32(r.TableID))
-		b = appendU32(b, uint32(len(r.TableName)))
-		b = append(b, r.TableName...)
 		b = appendU64(b, uint64(r.CID))
 	}
 	return b
@@ -236,12 +235,9 @@ func DecodePayload(b []byte) (*Record, error) {
 		r.XID = c.u64()
 		r.Commit = c.bool()
 		r.CID = ts.CID(c.u64())
-	case KindHTAPLane:
-		r.TableID = ts.TableID(c.u32())
-		r.TableName = string(c.take(int(c.u32())))
-		r.CID = ts.CID(c.u64())
-	case kindGroupPart:
-		return nil, ErrRetiredFormat
+	case kindGroupPart, kindHTAPLane:
+		return nil, fmt.Errorf("%w: log written with %s, which this version does not read",
+			ErrRetiredFormat, retiredKinds[r.Kind])
 	default:
 		return nil, cmp.Or(c.err, fmt.Errorf("wal: unknown record kind %d", r.Kind))
 	}

@@ -706,6 +706,12 @@ var retiredGroupPart = []byte{2,
 	0, 0, 0, 0, 3, 0, 0, 0,
 	0, 0, 0, 0}
 
+// retiredLane is a record in the retired lane layout: kind 6, table 7, the
+// spec "a:INT" and watermark 9.
+var retiredLane = []byte{6,
+	7, 0, 0, 0, 5, 0, 0, 0, 'a', ':', 'I', 'N', 'T',
+	9, 0, 0, 0, 0, 0, 0, 0}
+
 // TestRetiredGroupKindRefused: a log written with multi-part commit groups
 // is refused by name, from a payload (the replication stream) and from a
 // segment (recovery), not mis-parsed under the new layout.
@@ -721,6 +727,25 @@ func TestRetiredGroupKindRefused(t *testing.T) {
 	err = ReadAll(dir, func(*Record) error { return nil })
 	if !errors.Is(err, ErrRetiredFormat) || errors.Is(err, ErrCorrupt) {
 		t.Fatalf("segment in the retired layout: %v, want ErrRetiredFormat and not ErrCorrupt", err)
+	}
+}
+
+// TestRetiredLaneKindRefused: a log holding a lane record is refused by the
+// layout's name, from a payload and from a segment, and recovery names the
+// segment it found the record in.
+func TestRetiredLaneKindRefused(t *testing.T) {
+	_, err := DecodePayload(retiredLane)
+	if !errors.Is(err, ErrRetiredFormat) || !strings.Contains(err.Error(), "HTAP lane records") {
+		t.Fatalf("retired kind: %v, want ErrRetiredFormat naming the lane record", err)
+	}
+	dir := t.TempDir()
+	const seg = "log-0000000000000001.wal"
+	if err := os.WriteFile(filepath.Join(dir, seg), frame(retiredLane), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err = ReadAll(dir, func(*Record) error { return nil })
+	if !errors.Is(err, ErrRetiredFormat) || errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), seg) {
+		t.Fatalf("segment holding a lane record: %v, want ErrRetiredFormat naming %s, not ErrCorrupt", err, seg)
 	}
 }
 
@@ -741,7 +766,7 @@ func FuzzDecodePayload(f *testing.F) {
 	f.Add((&Record{Kind: KindPrepare, XID: 5, Ops: goldenGroup.Ops[:2]}).EncodePayload())
 	f.Add((&Record{Kind: KindDecision, XID: 5, Commit: true}).EncodePayload())
 	f.Add((&Record{Kind: KindResolve, XID: 5, Commit: true, CID: 9}).EncodePayload())
-	f.Add((&Record{Kind: KindHTAPLane, TableID: 7, TableName: "a:INT", CID: 9}).EncodePayload())
+	f.Add(retiredLane)
 	f.Add(retiredGroupPart)
 	// A group claiming 4 Gi operations with nothing behind the count.
 	f.Add(append([]byte{byte(KindGroup), 1, 0, 0, 0, 0, 0, 0, 0}, 0xff, 0xff, 0xff, 0xff))

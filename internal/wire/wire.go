@@ -32,8 +32,8 @@ const (
 	Magic = "HGC1"
 	// Version is the protocol revision: HELLO carries it in both directions
 	// and either side refuses any other value. Every frame layout is a fixed
-	// field list, so a layout change bumps Version.
-	Version = 4
+	// field list, so a layout change, or a verb retired, bumps Version.
+	Version = 5
 	// MaxFrame bounds one frame so a corrupt length prefix cannot make
 	// either end allocate unboundedly.
 	MaxFrame = 16 << 20
@@ -51,7 +51,7 @@ const (
 	OpQOpen
 	OpQFetch
 	OpQClose
-	OpCreateTable
+	_ // retired with Version 5: a record-level CREATE TABLE verb; SQL's CREATE TABLE makes every table
 	OpTableIDs
 	OpGet
 	OpInsert
