@@ -20,9 +20,10 @@
 // With -htap the process runs the background row→column migrator: clients
 // arm tables with the HTAP-ENABLE verb (client.EnableHTAP), after which
 // committed versions older than the GC horizon are shipped into
-// dictionary-encoded column chunks and lane-eligible aggregates
-// (client.Aggregate, or SELECT SUM(col) /* aggregate */ FROM t) are served
-// from columnar batches instead of MVCC row reads. An armed lane is a row of
+// dictionary-encoded column chunks and lane-eligible aggregates (one
+// aggregate, an optional GROUP BY and no WHERE: SELECT SUM(col) FROM t, sent
+// with client.Exec) are served from columnar batches instead of MVCC row
+// reads. An armed lane is a row of
 // the SQL catalog, so a restarted -htap process re-arms it.
 //
 // SIGTERM / SIGINT drain gracefully: the listener closes, in-flight requests

@@ -19,6 +19,10 @@
 // their tpcc.Schemas columns, so SQL sessions and the column lane read them.
 // With -olap (against a server running -htap) the analysts arm the lanes of
 // ORDERLINE and STOCK and aggregate over them while the workers write.
+//
+// A server that already holds TPC-C (a restarted hybridgcd -data) is not
+// loaded again: the driver attaches to its tables, once their row counts
+// match what the flags would load.
 package main
 
 import (
@@ -125,9 +129,9 @@ func (o *options) validate() error {
 	return nil
 }
 
-// run loads TPC-C, drives it for o.duration with whatever rides along
-// (-cursor, -olap, -read-replicas), prints the summary to w and runs the
-// consistency check. Any failure — a lane that cannot be armed, a failed
+// run loads TPC-C (or attaches to a server that holds it), drives it for
+// o.duration with whatever rides along (-cursor, -olap, -read-replicas),
+// prints the summary to w and runs the consistency check. Any failure — a lane that cannot be armed, a failed
 // check, an endpoint that never catches up — is the returned error.
 func run(o options, w io.Writer) (*report, error) {
 	remote := o.addr != ""
@@ -142,9 +146,10 @@ func run(o options, w io.Writer) (*report, error) {
 		Seed:                 o.seed,
 	}
 	var (
-		driver *tpcc.Driver
-		eng    engine.Engine
-		cl     *client.Client
+		driver   *tpcc.Driver
+		attached bool // the server already held TPC-C
+		eng      engine.Engine
+		cl       *client.Client
 		// stats reads the engine under load: STATS from the server when
 		// remote, the same assembly without a listener when in-process.
 		stats func() (wire.Stats, error)
@@ -158,7 +163,13 @@ func run(o options, w io.Writer) (*report, error) {
 		defer cl.Close()
 		stats = cl.Stats
 		cfg.CrossWarehouse = o.cross || cl.ShardCount() > 1
-		driver, err = tpcc.NewWithBackend(tpcc.RemoteBackend(cl), cfg)
+		_, err = cl.TableIDs(tpcc.TableWarehouse)
+		switch attached = err == nil; {
+		case attached:
+			driver, err = attach(cl, cfg)
+		case errors.Is(err, core.ErrTableNotFound):
+			driver, err = tpcc.NewWithBackend(tpcc.RemoteBackend(cl), cfg)
+		}
 	} else {
 		engCfg := core.Config{GC: m.Periods(gc.DefaultPeriods())}
 		if o.shards > 1 {
@@ -191,10 +202,15 @@ func run(o options, w io.Writer) (*report, error) {
 	if err != nil {
 		return nil, err
 	}
-	fmt.Fprintf(w, "loading TPC-C: %d warehouses, %d districts, %d customers/district, %d items...\n",
-		o.warehouses, o.districts, o.customers, o.items)
-	if err := driver.Load(); err != nil {
-		return nil, err
+	if attached {
+		fmt.Fprintf(w, "attached to the server's TPC-C: %d warehouses, %d districts, %d customers/district, %d items\n",
+			o.warehouses, o.districts, o.customers, o.items)
+	} else {
+		fmt.Fprintf(w, "loading TPC-C: %d warehouses, %d districts, %d customers/district, %d items...\n",
+			o.warehouses, o.districts, o.customers, o.items)
+		if err := driver.Load(); err != nil {
+			return nil, err
+		}
 	}
 
 	if !remote {
@@ -358,6 +374,35 @@ func run(o options, w io.Writer) (*report, error) {
 		fmt.Fprintln(w, "OK")
 	}
 	return rep, nil
+}
+
+// attach binds the driver to the TPC-C tables a server already holds, once
+// the row counts of WAREHOUSE, DISTRICT, CUSTOMER and ITEM are what the flags
+// would load: data loaded under other flags is refused here, by table and
+// count, instead of failing the consistency check after the run.
+func attach(cl *client.Client, cfg tpcc.Config) (*tpcc.Driver, error) {
+	for _, c := range []struct {
+		table, flags string
+		want         int
+	}{
+		{tpcc.TableWarehouse, "-warehouses", cfg.Warehouses},
+		{tpcc.TableDistrict, "-warehouses × -districts", cfg.Warehouses * cfg.Districts},
+		{tpcc.TableCustomer, "-warehouses × -districts × -customers", cfg.Warehouses * cfg.Districts * cfg.CustomersPerDistrict},
+		{tpcc.TableItem, "-items", cfg.Items},
+	} {
+		res, err := cl.Exec("SELECT COUNT(*) FROM " + c.table)
+		if err != nil {
+			return nil, err
+		}
+		if len(res.Rows) != 1 || len(res.Rows[0]) != 1 {
+			return nil, fmt.Errorf("counting %s: %d result rows", c.table, len(res.Rows))
+		}
+		if got := res.Rows[0][0].I; got != int64(c.want) {
+			return nil, fmt.Errorf("the server's TPC-C has %d %s rows, but %s loads %d: pass the flags it was loaded with, or start the server on an empty -data directory",
+				got, c.table, c.flags, c.want)
+		}
+	}
+	return tpcc.AttachBackend(tpcc.RemoteBackend(cl), cfg)
 }
 
 // waitForCID polls the endpoint's STATS until its commit timestamp reaches

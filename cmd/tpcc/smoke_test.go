@@ -6,6 +6,7 @@ package main
 
 import (
 	"io"
+	"strings"
 	"testing"
 	"time"
 
@@ -107,5 +108,33 @@ func TestReplicaReadSmoke(t *testing.T) {
 	}
 	if !rep.checkedReplica {
 		t.Fatal("the consistency check did not run against a replica")
+	}
+}
+
+// TestRunAgainstLoadedServer: a persistent node keeps its TPC-C across a
+// restart, and a second run attaches to it instead of loading, runs, and
+// passes its consistency check. A run whose flags would load another layout
+// is refused, naming the table and both row counts.
+func TestRunAgainstLoadedServer(t *testing.T) {
+	dir := t.TempDir()
+	o := smokeOptions("", 2)
+	o.duration = 300 * time.Millisecond
+	for i := 0; i < 2; i++ {
+		n := startNode(t, node.Config{Data: dir})
+		o.addr = n.Addr()
+		var out strings.Builder
+		if _, err := run(o, &out); err != nil {
+			t.Fatalf("run %d: %v", i+1, err)
+		}
+		if attached := strings.Contains(out.String(), "attached"); attached != (i == 1) {
+			t.Fatalf("run %d attached=%v:\n%s", i+1, attached, out.String())
+		}
+		n.Shutdown()
+	}
+	n := startNode(t, node.Config{Data: dir})
+	o.addr, o.warehouses = n.Addr(), 3
+	_, err := run(o, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "2 WAREHOUSE rows") || !strings.Contains(err.Error(), "loads 3") {
+		t.Fatalf("run with -warehouses 3 against 2 loaded: %v", err)
 	}
 }

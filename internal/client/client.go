@@ -451,18 +451,9 @@ func (c *Client) newTx() (*Tx, error) {
 // ignores it.
 func (c *Client) SetPlacement(tid ts.TableID, p engine.Placement) error {
 	_, err := c.doB(wire.OpSetPlacement, wire.GetBuilder().
-		U32(uint32(tid)).U8(uint8(p.Kind)).U64(p.Size).U32(uint32(p.Shard)))
+		U32(uint32(tid)).U8(uint8(p.Kind)).U64(p.Size))
 	return err
 }
-
-// Aggregate ops, mirroring htap.AggOp without importing that package into
-// the client.
-const (
-	AggCount byte = iota
-	AggSum
-	AggMin
-	AggMax
-)
 
 // EnableHTAP arms the background row→column migrator for a SQL table on
 // every shard of the server; analytical aggregates over the table are then
@@ -471,23 +462,6 @@ const (
 func (c *Client) EnableHTAP(table string) error {
 	_, err := c.doB(wire.OpHTAPEnable, wire.GetBuilder().Str(table))
 	return err
-}
-
-// Aggregate runs COUNT/SUM/MIN/MAX (optionally GROUP BY groupBy) over a SQL
-// table — the OLAP verb. col is ignored for AggCount; groupBy may be empty
-// for a scalar result. The server serves the query from the column lane
-// when one is enabled and from MVCC row reads otherwise, so the call is
-// valid either way (idempotent: retried once across a broken connection).
-func (c *Client) Aggregate(table string, op byte, col, groupBy string) (*Result, error) {
-	w := wire.GetBuilder().Str(table).U8(op).Str(col).Str(groupBy)
-	r, err := c.doIdempotent(wire.OpAggregate, w.Take())
-	wire.PutBuilder(w)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{Columns: wire.GetStrings(r)}
-	res.Rows = wire.GetRows(r)
-	return res, r.Err()
 }
 
 // Query opens a remote SQL cursor, pinning one connection until Close. The

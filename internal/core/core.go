@@ -124,12 +124,13 @@ func Open(cfg Config) (*DB, error) {
 	var recovered ts.CID
 	var recoverySum *RecoverySummary
 	if p := cfg.Persistence; p != nil {
+		var end wal.End
 		var err error
-		recovered, recoverySum, err = recoverInto(cat, p.Dir)
+		recovered, recoverySum, end, err = recoverInto(cat, p.Dir)
 		if err != nil {
 			return nil, fmt.Errorf("core: recovery: %w", err)
 		}
-		lg, err = wal.Open(wal.Options{Dir: p.Dir, Sync: p.Sync})
+		lg, err = wal.Open(wal.Options{Dir: p.Dir, Sync: p.Sync}, end)
 		if err != nil {
 			return nil, err
 		}

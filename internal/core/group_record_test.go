@@ -152,8 +152,9 @@ func TestTornGroupVanishesWhole(t *testing.T) {
 		}
 	}
 
-	// The replica leg first: recovery below cuts the torn tail off. Catch-up
-	// is ReadSegmentPayloads on the source, DecodePayload + ApplyRecord here.
+	// The replica leg first: recovery below cuts the torn tail off. Each
+	// record the log's reader yields goes through ApplyRecord, as a replica
+	// applies what it reads off a run.
 	replica, err := Open(Config{ReadOnly: true})
 	if err != nil {
 		t.Fatal(err)
@@ -161,13 +162,7 @@ func TestTornGroupVanishesWhole(t *testing.T) {
 	defer replica.Close()
 	// The second pass is a stream overlap: every record CID-dedupes.
 	for pass := 0; pass < 2; pass++ {
-		if err := wal.ReadSegmentPayloads(segs[0].Path, func(_ uint64, payload []byte) error {
-			rec, err := wal.DecodePayload(payload)
-			if err != nil {
-				return err
-			}
-			return replica.ApplyRecord(rec)
-		}); err != nil {
+		if _, err := wal.ReadAll(dir, replica.ApplyRecord); err != nil {
 			t.Fatal(err)
 		}
 		check("replica", replica)

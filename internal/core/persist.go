@@ -101,10 +101,11 @@ type pendingResolve struct {
 // later in the log than a higher-CID group (it is appended after the
 // participant publishes, racing with later commits' appends). The second
 // pass replays groups in log order and splices each settled write set in
-// ascending CID order.
-func recoverInto(cat *table.Catalog, dir string) (ts.CID, *RecoverySummary, error) {
+// ascending CID order. The second pass's end of the log is what wal.Open cuts
+// a torn tail at, so the log is read twice at open, not three times.
+func recoverInto(cat *table.Catalog, dir string) (ts.CID, *RecoverySummary, wal.End, error) {
 	if err := fault.Hit(FPRecover); err != nil {
-		return 0, nil, err
+		return 0, nil, wal.End{}, err
 	}
 	recovered := ts.CID(0)
 	path := wal.CheckpointPath(dir)
@@ -118,12 +119,12 @@ func recoverInto(cat *table.Catalog, dir string) (ts.CID, *RecoverySummary, erro
 		}
 		f.Close()
 		if err != nil {
-			return 0, nil, fmt.Errorf("core: recovering %s: %w", path, err)
+			return 0, nil, wal.End{}, fmt.Errorf("core: recovering %s: %w", path, err)
 		}
 	case errors.Is(err, fs.ErrNotExist):
 		// Cold start or checkpoint-less log: replay everything.
 	default:
-		return 0, nil, err
+		return 0, nil, wal.End{}, err
 	}
 
 	// Pass 1: collect prepares, match resolves against them, note decisions.
@@ -132,7 +133,7 @@ func recoverInto(cat *table.Catalog, dir string) (ts.CID, *RecoverySummary, erro
 		Decisions: map[uint64]bool{},
 	}
 	var resolves []pendingResolve
-	err = wal.ReadAll(dir, func(r *wal.Record) error {
+	_, err = wal.ReadAll(dir, func(r *wal.Record) error {
 		switch r.Kind {
 		case wal.KindPrepare:
 			sum.InDoubt[r.XID] = r.Ops
@@ -148,7 +149,7 @@ func recoverInto(cat *table.Catalog, dir string) (ts.CID, *RecoverySummary, erro
 		return nil
 	})
 	if err != nil {
-		return 0, nil, err
+		return 0, nil, wal.End{}, err
 	}
 	sort.Slice(resolves, func(i, j int) bool { return resolves[i].cid < resolves[j].cid })
 	applyResolvesBelow := func(bound ts.CID) error {
@@ -168,7 +169,7 @@ func recoverInto(cat *table.Catalog, dir string) (ts.CID, *RecoverySummary, erro
 	}
 
 	// Pass 2: replay DDL and commit groups in log order.
-	err = wal.ReadAll(dir, func(r *wal.Record) error {
+	end, err := wal.ReadAll(dir, func(r *wal.Record) error {
 		switch r.Kind {
 		case wal.KindDDL:
 			if cat.ByID(r.TableID) != nil {
@@ -193,12 +194,12 @@ func recoverInto(cat *table.Catalog, dir string) (ts.CID, *RecoverySummary, erro
 		return nil
 	})
 	if err != nil {
-		return 0, nil, err
+		return 0, nil, wal.End{}, err
 	}
 	if err := applyResolvesBelow(ts.CID(^uint64(0))); err != nil {
-		return 0, nil, err
+		return 0, nil, wal.End{}, err
 	}
-	return recovered, sum, err
+	return recovered, sum, end, nil
 }
 
 // installCheckpoint loads a checkpoint's tables, record images and RID

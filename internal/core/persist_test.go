@@ -364,7 +364,7 @@ func TestConcurrentCommitLogIsDenseAndAscending(t *testing.T) {
 
 	var last ts.CID
 	members := 0
-	if err := wal.ReadAll(dir, func(r *wal.Record) error {
+	if _, err := wal.ReadAll(dir, func(r *wal.Record) error {
 		if r.Kind != wal.KindGroup {
 			return nil
 		}

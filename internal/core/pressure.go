@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"hybridgc/internal/metrics"
 	"hybridgc/internal/txn"
 )
 
@@ -118,12 +117,11 @@ type pressure struct {
 	budget VersionBudget
 	level  atomic.Int32
 
-	counters      *metrics.CounterSet
-	softTrips     *metrics.Counter
-	emergencies   *metrics.Counter
-	backpressured *metrics.Counter
-	rejected      *metrics.Counter
-	evicted       *metrics.Counter
+	softTrips     atomic.Int64
+	emergencies   atomic.Int64
+	backpressured atomic.Int64
+	rejected      atomic.Int64
+	evicted       atomic.Int64
 
 	kick chan struct{}
 	stop chan struct{}
@@ -135,19 +133,12 @@ type pressure struct {
 }
 
 func newPressure(db *DB, budget VersionBudget) *pressure {
-	cs := metrics.NewCounterSet()
 	p := &pressure{
-		db:            db,
-		budget:        budget,
-		counters:      cs,
-		softTrips:     cs.Get("pressure.soft_trips"),
-		emergencies:   cs.Get("pressure.emergencies"),
-		backpressured: cs.Get("pressure.backpressured"),
-		rejected:      cs.Get("pressure.rejected"),
-		evicted:       cs.Get("pressure.evicted"),
-		kick:          make(chan struct{}, 1),
-		stop:          make(chan struct{}),
-		done:          make(chan struct{}),
+		db:     db,
+		budget: budget,
+		kick:   make(chan struct{}, 1),
+		stop:   make(chan struct{}),
+		done:   make(chan struct{}),
 	}
 	go p.run()
 	return p
@@ -191,7 +182,7 @@ func (p *pressure) evaluate() {
 	}
 	if p.overSoftSince.IsZero() {
 		p.overSoftSince = time.Now()
-		p.softTrips.Inc()
+		p.softTrips.Add(1)
 	}
 	// Raise to soft, but never lower a higher rung here: writers held back
 	// by backpressure stay held while this pass tries to relieve it, and are
@@ -204,7 +195,7 @@ func (p *pressure) evaluate() {
 	// order: GT, then the table collector, which gets past a table-scoped
 	// pin for every other table, then the interval collector, which reclaims
 	// in-between versions even while an old snapshot pins the horizon.
-	p.emergencies.Inc()
+	p.emergencies.Add(1)
 	p.db.hybrid.Collect()
 	live = p.db.space.Live()
 	if live < p.budget.Soft {
@@ -227,7 +218,7 @@ func (p *pressure) evaluate() {
 				break
 			}
 			victim.Kill()
-			p.evicted.Inc()
+			p.evicted.Add(1)
 			p.db.hybrid.Collect()
 			live = p.db.space.Live()
 		}
@@ -282,7 +273,7 @@ func (p *pressure) admit() error {
 			return nil
 		}
 	}
-	p.backpressured.Inc()
+	p.backpressured.Add(1)
 	deadline := time.Now().Add(p.budget.MaxWriterWait)
 	backoff := 250 * time.Microsecond
 	for {
@@ -295,7 +286,7 @@ func (p *pressure) admit() error {
 			return nil
 		}
 		if !time.Now().Before(deadline) {
-			p.rejected.Inc()
+			p.rejected.Add(1)
 			return ErrVersionPressure
 		}
 		if backoff *= 2; backoff > 4*time.Millisecond {
@@ -314,11 +305,11 @@ func (p *pressure) stats() PressureStats {
 		Hard:          p.budget.Hard,
 		Live:          live,
 		Utilization:   ratio(live, p.budget.Hard),
-		SoftTrips:     p.softTrips.Value(),
-		Emergencies:   p.emergencies.Value(),
-		Backpressured: p.backpressured.Value(),
-		Rejected:      p.rejected.Value(),
-		Evicted:       p.evicted.Value(),
+		SoftTrips:     p.softTrips.Load(),
+		Emergencies:   p.emergencies.Load(),
+		Backpressured: p.backpressured.Load(),
+		Rejected:      p.rejected.Load(),
+		Evicted:       p.evicted.Load(),
 	}
 }
 

@@ -50,8 +50,6 @@ const (
 	// consecutive records per round. Size 1 is plain round-robin. The
 	// default placement for every table.
 	PlaceInterleave PlacementKind = iota
-	// PlaceFixed pins every record of the table to one shard.
-	PlaceFixed
 	// PlaceReplicated writes every record to all shards (global RID equals
 	// local RID) and reads from the transaction's anchor shard — for small
 	// read-mostly tables like TPC-C's ITEM.
@@ -64,8 +62,6 @@ type Placement struct {
 	// Size is the interleave block size (records per shard per round);
 	// <=0 selects 1.
 	Size uint64
-	// Shard is the PlaceFixed target.
-	Shard int
 }
 
 // blockSize normalizes the interleave block size.
@@ -81,7 +77,7 @@ func (p Placement) blockSize() uint64 {
 // tables block RIDs so that shard s owns global blocks s, s+shards, s+2·shards
 // ... of Size records each, which makes a sequential round-robin load produce
 // the same dense global RID sequence a single-node engine would assign.
-// Fixed and replicated tables use the local RID verbatim.
+// Replicated tables use the local RID verbatim.
 func (p Placement) GlobalRID(shard, shards int, local ts.RID) ts.RID {
 	if p.Kind != PlaceInterleave || shards <= 1 {
 		return local
@@ -96,10 +92,7 @@ func (p Placement) GlobalRID(shard, shards int, local ts.RID) ts.RID {
 // Replicated tables report shard 0 — every shard holds the record; readers
 // may use any anchor.
 func (p Placement) ShardOf(global ts.RID, shards int) int {
-	switch {
-	case p.Kind == PlaceFixed:
-		return p.Shard
-	case p.Kind != PlaceInterleave || shards <= 1:
+	if p.Kind != PlaceInterleave || shards <= 1 {
 		return 0
 	}
 	return int(((uint64(global) - 1) / p.blockSize()) % uint64(shards))
@@ -109,9 +102,6 @@ func (p Placement) ShardOf(global ts.RID, shards int) int {
 // global RID.
 func (p Placement) LocalRID(global ts.RID, shards int) (int, ts.RID) {
 	if p.Kind != PlaceInterleave || shards <= 1 {
-		if p.Kind == PlaceFixed {
-			return p.Shard, global
-		}
 		return 0, global
 	}
 	size := p.blockSize()

@@ -1,6 +1,6 @@
 // Package metrics provides the measurement plumbing for the evaluation
-// harness: time series of sampled values (the figures' curves), monotonic
-// and striped counters, and a bounded latency recorder with percentiles.
+// harness: time series of sampled values (the figures' curves), striped
+// counters, and a bounded latency recorder with percentiles.
 package metrics
 
 import (

@@ -31,7 +31,7 @@ var (
 	// FPStreamDrop fires on the primary's heartbeat tick: the stream is torn
 	// down abruptly — no RmEnd — as if the network died mid-stream.
 	FPStreamDrop = fault.Declare("repl/stream-drop", "drop a replication stream without an end message")
-	// FPPartialSegment fires before each record is shipped, aborting the
+	// FPPartialSegment fires before each run is shipped, aborting the
 	// stream mid-segment — the replica is left with a prefix and must resume
 	// from its applied LSN.
 	FPPartialSegment = fault.Declare("repl/partial-segment", "abort segment catch-up partway through")

@@ -361,13 +361,16 @@ func TestStreamDropReconnectsAndResumes(t *testing.T) {
 func TestPartialSegmentShipFailureResumes(t *testing.T) {
 	p := startPrimary(t, fastSource(), nil)
 	tid := mustCreateTable(t, p.db, "accounts")
+	// 128 KiB rows: a run holds two, so the catch-up is three runs.
+	pad := strings.Repeat("x", 128<<10)
 	for i := 0; i < 6; i++ {
-		mustInsert(t, p.db, tid, fmt.Sprintf("row-%d", i))
+		mustInsert(t, p.db, tid, fmt.Sprintf("row-%d", i)+pad)
 	}
 
-	// The first catch-up attempt dies mid-segment; the replica must resume
-	// from wherever its applied cursor reached, not restart from scratch.
-	fault.Enable(FPPartialSegment, fault.After(3), fault.Once(), fault.ReturnErr(errors.New("injected catch-up abort")))
+	// The first catch-up attempt dies mid-segment, after its first run; the
+	// replica must resume from wherever its applied cursor reached, not
+	// restart from scratch.
+	fault.Enable(FPPartialSegment, fault.After(1), fault.Once(), fault.ReturnErr(errors.New("injected catch-up abort")))
 	t.Cleanup(func() { fault.Disable(FPPartialSegment) })
 
 	r := startReplica(t, p.addr, "r1")
@@ -376,8 +379,8 @@ func TestPartialSegmentShipFailureResumes(t *testing.T) {
 		t.Fatalf("catch-up abort caused %d reconnects, want >=1", n)
 	}
 	for i := 0; i < 6; i++ {
-		if img, ok := readRow(r.db, tid, ts.RID(i+1)); !ok || img != fmt.Sprintf("row-%d", i) {
-			t.Fatalf("row %d after resumed catch-up: %q ok=%v", i, img, ok)
+		if img, ok := readRow(r.db, tid, ts.RID(i+1)); !ok || img != fmt.Sprintf("row-%d", i)+pad {
+			t.Fatalf("row %d after resumed catch-up: %.10q ok=%v", i, img, ok)
 		}
 	}
 }
@@ -737,16 +740,18 @@ func TestBootstrapJoinsMaturePrimaryDespiteLagBound(t *testing.T) {
 
 // TestDrainDuringCatchUpEndsPromptly: server shutdown must not wait for a
 // slow segment catch-up to finish shipping — the stream checks the drain
-// flag per record and ends with RmEnd(Drain) mid-catch-up.
+// flag per run and ends with RmEnd(Drain) mid-catch-up. The rows are 64 KiB,
+// so a run holds four of them and the catch-up is thirty runs.
 func TestDrainDuringCatchUpEndsPromptly(t *testing.T) {
 	p := startPrimary(t, fastSource(), nil)
 	tid := mustCreateTable(t, p.db, "accounts")
-	for i := 0; i < 300; i++ {
-		mustInsert(t, p.db, tid, fmt.Sprintf("row-%d", i))
+	img := strings.Repeat("x", 64<<10)
+	for i := 0; i < 120; i++ {
+		mustInsert(t, p.db, tid, img)
 	}
 
-	// Throttle catch-up to ~10ms per record: the full sweep would take ~3s.
-	fault.Enable(FPPartialSegment, fault.Sleep(10*time.Millisecond))
+	// Throttle catch-up to ~25ms per record: the full sweep would take ~3s.
+	fault.Enable(FPPartialSegment, fault.Sleep(25*time.Millisecond))
 	t.Cleanup(func() { fault.Disable(FPPartialSegment) })
 
 	r := startReplica(t, p.addr, "slowpoke")

@@ -288,25 +288,10 @@ func (r *Replica) streamOnce() error {
 						ErrBootstrapRequired, ck.CID, cur)
 				}
 			}
-		case wire.RmRecord:
-			if err := fault.Hit(FPApplyStall); err != nil {
+		case wire.RmRun:
+			if err := r.applyRun(body); err != nil {
 				return err
 			}
-			p := wire.NewParser(body)
-			lsn := p.U64()
-			payload := p.Raw(p.Rest())
-			if err := p.Err(); err != nil {
-				return err
-			}
-			rec, err := wal.DecodePayload(payload)
-			if err != nil {
-				return err
-			}
-			if err := r.db.ApplyRecord(rec); err != nil {
-				return fmt.Errorf("repl: applying record %s: %w", wal.LSN(lsn), err)
-			}
-			r.advance(lsn + 1)
-			r.recordsApplied.Add(1)
 		case wire.RmHeartbeat:
 			p := wire.NewParser(body)
 			head, resume := p.U64(), p.U64()
@@ -336,6 +321,32 @@ func (r *Replica) streamOnce() error {
 			return fmt.Errorf("repl: unknown stream message 0x%02x", op)
 		}
 	}
+}
+
+// applyRun applies an RmRun record by record, then advances the applied LSN
+// (waking WaitLSN callers) once. A frame that does not check refuses the rest
+// with wal.ErrCorrupt; the stream resumes from it.
+func (r *Replica) applyRun(body []byte) error {
+	p := wire.NewParser(body)
+	first := wal.LSN(p.U64())
+	if err := p.Err(); err != nil {
+		return err
+	}
+	next, err := wal.ReadRun(first, body[8:], func(_ wal.LSN, payload []byte) error {
+		if err := fault.Hit(FPApplyStall); err != nil {
+			return err
+		}
+		rec, err := wal.DecodePayload(payload)
+		if err == nil {
+			err = r.db.ApplyRecord(rec)
+		}
+		if err == nil {
+			r.recordsApplied.Add(1)
+		}
+		return err
+	})
+	r.advance(uint64(next))
+	return err
 }
 
 // advance moves the applied cursor monotonically and releases the WaitLSN

@@ -298,15 +298,15 @@ func (s *Source) ServeStream(nc net.Conn, br *bufio.Reader, bw *bufio.Writer, re
 		}
 	}
 
-	// Ship what the cursor yields and, at the head, wait for the log to move.
-	// Records the checkpoint already covers are skipped CID-wise by the
-	// applier. The drain flag is checked per record as well as per tick: a
-	// long catch-up throttled by a slow replica's TCP backpressure must end
-	// promptly on server shutdown, not when a per-message write deadline
-	// eventually fires. shipped is the position after the last record sent: a
-	// replica whose applied LSN has reached it holds everything this stream
-	// gave it.
+	// Ship each run the cursor yields as one message and flush, and, at the
+	// head, wait for the log to move. Records the checkpoint already covers
+	// are skipped CID-wise by the applier. The drain flag is checked per run
+	// as well as per tick: a long catch-up throttled by a slow replica's TCP
+	// backpressure must end promptly on server shutdown, not when a write
+	// deadline eventually fires. shipped is the position after the last run
+	// sent: a replica whose applied LSN reached it holds all this stream gave.
 	shipped := wal.LSN(req.StartLSN)
+	hdr := &wire.Builder{} // an RmRun's LSN, ahead of its frames
 	hb := time.NewTicker(s.cfg.HeartbeatEvery)
 	defer hb.Stop()
 	for {
@@ -314,13 +314,13 @@ func (s *Source) ServeStream(nc net.Conn, br *bufio.Reader, bw *bufio.Writer, re
 			_ = s.send(nc, bw, wire.RmEnd, endBody(wire.EndDrain, "primary draining"))
 			return nil
 		}
-		lsn, payload, wake, err := cur.Next()
+		first, frames, wake, err := cur.NextRun()
 		if err != nil {
 			return err
 		}
-		if catchUp > shipped && (wake != nil || lsn >= catchUp) {
+		if catchUp > shipped && (wake != nil || first >= catchUp) {
 			// The cursor has passed the head seen at accept: the initial
-			// catch-up ends after the last record shipped, not at a head that
+			// catch-up ends after the last run shipped, not at a head that
 			// record-free rotations may have moved on from it.
 			catchUp = shipped
 		}
@@ -328,10 +328,11 @@ func (s *Source) ServeStream(nc net.Conn, br *bufio.Reader, bw *bufio.Writer, re
 			if err := fault.Hit(FPPartialSegment); err != nil {
 				return err
 			}
-			if err := s.sendRecord(nc, bw, lsn, payload); err != nil {
+			if err := s.send(nc, bw, wire.RmRun, hdr.Reset().U64(uint64(first)).Take(), frames); err != nil {
 				return err
 			}
-			shipped = lsn + 1
+			shipped = cur.LSN() // a run lies in one segment
+			s.recordsSent.Add(int64(shipped - first))
 			wake = ready // poll the reader and the ticker, do not park
 		}
 		select {
@@ -405,7 +406,7 @@ func (s *Source) assess(st *replicaState, pos, shipped, catchUp, head wal.LSN) (
 func (s *Source) readReports(nc net.Conn, br *bufio.Reader, st *replicaState, done chan<- error) {
 	for {
 		_ = nc.SetReadDeadline(time.Now().Add(s.cfg.StaleAfter))
-		op, body, err := wire.ReadStreamMsg(br)
+		op, body, _, err := wire.ReadStreamMsgInto(br, nil)
 		if err != nil {
 			done <- err
 			return
@@ -430,23 +431,9 @@ func (s *Source) readReports(nc net.Conn, br *bufio.Reader, st *replicaState, do
 // send writes one stream message under the configured write deadline —
 // this is the partition trigger: once a non-draining peer fills the socket
 // buffers, the deadline fires and the stream tears down.
-func (s *Source) send(nc net.Conn, bw *bufio.Writer, op byte, body []byte) error {
+func (s *Source) send(nc net.Conn, bw *bufio.Writer, op byte, body ...[]byte) error {
 	_ = nc.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-	return wire.WriteStreamMsg(bw, op, body)
-}
-
-// sendRecord ships one WAL record: its LSN followed by the raw payload. The
-// body is assembled in a pooled builder — this runs once per shipped record,
-// the stream's hottest path.
-func (s *Source) sendRecord(nc net.Conn, bw *bufio.Writer, lsn wal.LSN, payload []byte) error {
-	b := wire.GetBuilder().U64(uint64(lsn)).Raw(payload)
-	err := s.send(nc, bw, wire.RmRecord, b.Take())
-	wire.PutBuilder(b)
-	if err != nil {
-		return err
-	}
-	s.recordsSent.Add(1)
-	return nil
+	return wire.WriteStreamMsg(bw, op, body...)
 }
 
 func endBody(code byte, detail string) []byte {

@@ -106,7 +106,7 @@ func TestBatchStopsAtFirstFailure(t *testing.T) {
 
 	rc := dialRaw(t, addr)
 	rc.hello(t, "")
-	errsBefore := srv.requestErrors.Value()
+	errsBefore := srv.requestErrors.Load()
 	statuses, bodies := rc.batch(t,
 		batchOp{wire.OpBegin, []byte{0}},
 		batchOp{wire.OpGet, kvBody(tid, rids[1], nil)},
@@ -123,7 +123,7 @@ func TestBatchStopsAtFirstFailure(t *testing.T) {
 	if code := bodies[2].U16(); code != wire.ECodeWriteConflict {
 		t.Fatalf("failure code %d, want ECodeWriteConflict", code)
 	}
-	if got := srv.requestErrors.Value() - errsBefore; got != 1 {
+	if got := srv.requestErrors.Load() - errsBefore; got != 1 {
 		t.Fatalf("RequestErrors moved by %d, want 1", got)
 	}
 

@@ -60,13 +60,13 @@ func BenchmarkRemoteTxn(b *testing.B) {
 			b.Fatal(err)
 		}
 		wk := run(b, drv)
-		frames, committed := srv.requests.Value(), wk.Stats.TotalCommitted()
+		frames, committed := srv.requests.Load(), wk.Stats.TotalCommitted()
 		b.ResetTimer()
 		if err := wk.Run(b.N, nil); err != nil {
 			b.Fatal(err)
 		}
 		b.StopTimer()
-		frames, committed = srv.requests.Value()-frames, wk.Stats.TotalCommitted()-committed
+		frames, committed = srv.requests.Load()-frames, wk.Stats.TotalCommitted()-committed
 		b.ReportMetric(float64(committed)/b.Elapsed().Seconds(), "txn/s")
 		if committed > 0 {
 			b.ReportMetric(float64(frames)/float64(committed), "frames/txn")

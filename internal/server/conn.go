@@ -83,7 +83,7 @@ func (c *conn) cleanup() {
 		qc.Close()
 		delete(c.cursors, id)
 		c.srv.cursorsOpen.Add(-1)
-		c.srv.cursorsReaped.Inc()
+		c.srv.cursorsReaped.Add(1)
 	}
 	c.sess.Close()
 	c.nc.Close()
@@ -115,9 +115,9 @@ func (c *conn) serve() {
 		start := time.Now()
 		c.resp.Reset()
 		status := c.dispatch(op, body)
-		c.srv.requests.Inc()
+		c.srv.requests.Add(1)
 		if status == wire.StErr {
-			c.srv.requestErrors.Inc()
+			c.srv.requestErrors.Add(1)
 		}
 		_ = c.nc.SetWriteDeadline(time.Now().Add(c.srv.cfg.WriteTimeout))
 		n, err := wire.WriteFrame(c.bw, status, c.resp.Take())
@@ -143,14 +143,14 @@ func (c *conn) serveReplStream(body []byte) {
 	writeErr := func(err error) {
 		c.resp.Reset()
 		status := c.fail(err)
-		c.srv.requestErrors.Inc()
+		c.srv.requestErrors.Add(1)
 		_ = c.nc.SetWriteDeadline(time.Now().Add(c.srv.cfg.WriteTimeout))
 		if n, werr := wire.WriteFrame(c.bw, status, c.resp.Take()); werr == nil {
 			_ = c.bw.Flush()
 			c.srv.bytesOut.Add(int64(n))
 		}
 	}
-	c.srv.requests.Inc()
+	c.srv.requests.Add(1)
 	if !c.authed {
 		writeErr(fmt.Errorf("%w: HELLO required", wire.ErrBadRequest))
 		return
@@ -171,7 +171,7 @@ func (c *conn) serveReplStream(body []byte) {
 	_ = c.nc.SetReadDeadline(time.Time{})
 	_ = c.nc.SetWriteDeadline(time.Time{})
 	if err := h.ServeStream(c.nc, c.br, c.bw, req, c.srv.Draining); err != nil && !isClosedErr(err) {
-		c.srv.requestErrors.Inc()
+		c.srv.requestErrors.Add(1)
 	}
 }
 
@@ -319,13 +319,14 @@ func (c *conn) dispatch(op byte, body []byte) byte {
 			return c.fail(err)
 		}
 		return wire.StOK
-	case wire.OpAggregate:
-		return c.aggregate(r)
 	case wire.OpSetPlacement:
 		tid := ts.TableID(r.U32())
-		p := engine.Placement{Kind: engine.PlacementKind(r.U8()), Size: r.U64(), Shard: int(r.U32())}
+		p := engine.Placement{Kind: engine.PlacementKind(r.U8()), Size: r.U64()}
 		if err := firstErr(r); err != nil {
 			return c.fail(err)
+		}
+		if p.Kind != engine.PlaceInterleave && p.Kind != engine.PlaceReplicated {
+			return c.fail(fmt.Errorf("%w: placement kind %d", wire.ErrBadRequest, p.Kind))
 		}
 		if err := c.srv.eng.SetPlacement(tid, p); err != nil {
 			return c.fail(err)
@@ -380,7 +381,7 @@ func (c *conn) dispatch(op byte, body []byte) byte {
 			return c.fail(err)
 		}
 		if failed {
-			c.srv.requestErrors.Inc()
+			c.srv.requestErrors.Add(1)
 		}
 		return wire.StOK
 	default:
@@ -411,10 +412,10 @@ func (c *conn) gate(min uint64) error {
 	}
 	waited, err := g(c.minLSN)
 	if waited {
-		c.srv.gateWaits.Inc()
+		c.srv.gateWaits.Add(1)
 	}
 	if err != nil {
-		c.srv.gateBounces.Inc()
+		c.srv.gateBounces.Add(1)
 	}
 	return err
 }
@@ -484,37 +485,6 @@ func (c *conn) exec(r *wire.Parser) byte {
 	// Consistency token: the stream head after this statement, ≥ the
 	// commit LSN of an autocommitted write.
 	w.U64(c.srv.tokenLSN())
-	return wire.StOK
-}
-
-// aggNames maps OpAggregate's op byte to the SQL aggregate keyword; the
-// order matches htap.AggOp.
-var aggNames = [...]string{"COUNT", "SUM", "MIN", "MAX"}
-
-// aggregate serves OpAggregate: a synthesized aggregate SELECT that takes
-// the column lane when one is enabled for the table and the row path
-// otherwise. Pure read, so clients treat it as idempotent.
-func (c *conn) aggregate(r *wire.Parser) byte {
-	table, op := r.Str(), int(r.U8())
-	col, groupBy := r.Str(), r.Str()
-	if err := firstErr(r); err != nil {
-		return c.fail(err)
-	}
-	if op < 0 || op >= len(aggNames) {
-		return c.fail(fmt.Errorf("%w: aggregate op %d", wire.ErrBadRequest, op))
-	}
-	res, err := c.sess.Run(&sql.SelectStmt{
-		Table:     table,
-		Aggregate: aggNames[op],
-		AggColumn: col,
-		GroupBy:   groupBy,
-	})
-	if err != nil {
-		return c.fail(err)
-	}
-	w := c.b()
-	wire.PutStrings(w, res.Columns)
-	wire.PutRows(w, res.Rows)
 	return wire.StOK
 }
 

@@ -10,7 +10,7 @@ import (
 )
 
 // TestHTAPVerbsLoopback drives the OLAP lane end to end over the wire:
-// enable via OpHTAPEnable, migrate, aggregate via OpAggregate, and read the
+// enable via OpHTAPEnable, migrate, aggregate through OpExec, and read the
 // STATS HTAP trailer.
 func TestHTAPVerbsLoopback(t *testing.T) {
 	srv, db, addr := newTestServer(t, Config{})
@@ -45,7 +45,7 @@ func TestHTAPVerbsLoopback(t *testing.T) {
 	}
 
 	// Aggregates are correct before migration (row path)...
-	res, err := cl.Aggregate("sales", client.AggSum, "amount", "")
+	res, err := cl.Exec("SELECT SUM(amount) FROM sales")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,14 +62,14 @@ func TestHTAPVerbsLoopback(t *testing.T) {
 			t.Fatalf("lane never settled: %+v", m.Stats())
 		}
 	}
-	res, err = cl.Aggregate("sales", client.AggSum, "amount", "")
+	res, err = cl.Exec("SELECT SUM(amount) FROM sales")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Rows) != 1 || res.Rows[0][0].I != 435 {
 		t.Fatalf("lane sum: %+v", res.Rows)
 	}
-	res, err = cl.Aggregate("sales", client.AggCount, "", "region")
+	res, err = cl.Exec("SELECT COUNT(*) FROM sales GROUP BY region")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,8 +90,8 @@ func TestHTAPVerbsLoopback(t *testing.T) {
 		t.Fatalf("htap stat: %+v", h)
 	}
 
-	// A bad op byte is rejected cleanly.
-	if _, err := cl.Aggregate("sales", 99, "", ""); err == nil {
-		t.Fatalf("bad aggregate op should fail")
+	// An aggregate over a column the table lacks is rejected cleanly.
+	if _, err := cl.Exec("SELECT SUM(nope) FROM sales"); err == nil {
+		t.Fatalf("aggregate over an unknown column should fail")
 	}
 }

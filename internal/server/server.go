@@ -112,16 +112,16 @@ type Server struct {
 
 	// Service-level metrics, exposed through the STATS verb.
 	lat           *metrics.Histogram
-	requests      metrics.Counter
-	requestErrors metrics.Counter
-	bytesIn       metrics.Counter
-	bytesOut      metrics.Counter
-	connsTotal    metrics.Counter
+	requests      atomic.Int64
+	requestErrors atomic.Int64
+	bytesIn       atomic.Int64
+	bytesOut      atomic.Int64
+	connsTotal    atomic.Int64
 	connsActive   atomic.Int64
 	cursorsOpen   atomic.Int64
-	cursorsReaped metrics.Counter
-	gateWaits     metrics.Counter
-	gateBounces   metrics.Counter
+	cursorsReaped atomic.Int64
+	gateWaits     atomic.Int64
+	gateBounces   atomic.Int64
 }
 
 // New builds a server over a single-node database — the compatibility form
@@ -209,7 +209,7 @@ func (s *Server) Serve(ln net.Listener) error {
 		s.conns[c] = struct{}{}
 		s.mu.Unlock()
 		s.connsActive.Add(1)
-		s.connsTotal.Inc()
+		s.connsTotal.Add(1)
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
@@ -298,15 +298,15 @@ func (s *Server) Stats() wire.Stats {
 		Stats: core.MergeStats(shards),
 
 		Conns:           s.connsActive.Load(),
-		ConnsTotal:      s.connsTotal.Value(),
-		Requests:        s.requests.Value(),
-		RequestErrors:   s.requestErrors.Value(),
-		BytesIn:         s.bytesIn.Value(),
-		BytesOut:        s.bytesOut.Value(),
+		ConnsTotal:      s.connsTotal.Load(),
+		Requests:        s.requests.Load(),
+		RequestErrors:   s.requestErrors.Load(),
+		BytesIn:         s.bytesIn.Load(),
+		BytesOut:        s.bytesOut.Load(),
 		CursorsOpen:     s.cursorsOpen.Load(),
-		CursorsReaped:   s.cursorsReaped.Value(),
-		ReadGateWaits:   s.gateWaits.Value(),
-		ReadGateBounces: s.gateBounces.Value(),
+		CursorsReaped:   s.cursorsReaped.Load(),
+		ReadGateWaits:   s.gateWaits.Load(),
+		ReadGateBounces: s.gateBounces.Load(),
 		LatMean:         s.lat.Mean(),
 		LatP50:          s.lat.Percentile(50),
 		LatP95:          s.lat.Percentile(95),

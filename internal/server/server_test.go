@@ -11,6 +11,7 @@ import (
 
 	"hybridgc/internal/client"
 	"hybridgc/internal/core"
+	"hybridgc/internal/engine"
 	"hybridgc/internal/gc"
 	"hybridgc/internal/tpcc"
 	"hybridgc/internal/ts"
@@ -402,7 +403,7 @@ func TestAbruptDisconnectReleasesCursor(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if srv.cursorsReaped.Value() == 0 {
+	if srv.cursorsReaped.Load() == 0 {
 		t.Fatal("reap counter did not move")
 	}
 }
@@ -633,7 +634,24 @@ func TestSlowReaderWriteTimeoutReapsConn(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if srv.cursorsReaped.Value() == 0 {
+	if srv.cursorsReaped.Load() == 0 {
 		t.Fatal("reap counter did not move")
+	}
+}
+
+// TestUnknownPlacementKindRefused: OPSETPLACEMENT with a kind the server does
+// not know is a bad request, even on a single node that ignores placements.
+func TestUnknownPlacementKindRefused(t *testing.T) {
+	_, _, addr := newTestServer(t, Config{})
+	cl, err := client.Dial(client.Config{Addr: addr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if err := cl.SetPlacement(1, engine.Placement{Kind: engine.PlaceReplicated}); err != nil {
+		t.Fatalf("replicated placement: %v", err)
+	}
+	if err := cl.SetPlacement(1, engine.Placement{Kind: engine.PlaceReplicated + 1}); !errors.Is(err, wire.ErrBadRequest) {
+		t.Fatalf("unknown placement kind: %v, want wire.ErrBadRequest", err)
 	}
 }

@@ -26,17 +26,11 @@ type clusterCursor struct {
 }
 
 // OpenCursor opens a cluster-wide cursor over the table. Replicated tables
-// read one copy (shard 0); fixed tables read their pinned shard; interleaved
-// tables visit every shard in order.
+// read one copy (shard 0); interleaved tables visit every shard in order.
 func (c *Cluster) OpenCursor(tid ts.TableID) (engine.Cursor, error) {
 	tp := c.placement(tid)
-	var order []int
-	switch tp.p.Kind {
-	case engine.PlaceReplicated:
-		order = []int{0}
-	case engine.PlaceFixed:
-		order = []int{tp.p.Shard}
-	default:
+	order := []int{0}
+	if tp.p.Kind != engine.PlaceReplicated {
 		order = make([]int, len(c.shards))
 		for i := range order {
 			order[i] = i

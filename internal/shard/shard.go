@@ -193,9 +193,6 @@ func (c *Cluster) placement(tid ts.TableID) *tablePlace {
 // already-installed placement once the table has rows is rejected — the
 // existing rows were placed under the old bijection.
 func (c *Cluster) SetPlacement(tid ts.TableID, p engine.Placement) error {
-	if p.Kind == engine.PlaceFixed && (p.Shard < 0 || p.Shard >= len(c.shards)) {
-		return fmt.Errorf("%w: fixed shard %d of %d", ErrShardRange, p.Shard, len(c.shards))
-	}
 	if p.Size == 0 {
 		p.Size = 1
 	}

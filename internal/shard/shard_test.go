@@ -98,14 +98,13 @@ func TestPlacementBijection(t *testing.T) {
 			}
 		}
 	}
-	// Fixed and replicated placements pass RIDs through verbatim.
-	f := engine.Placement{Kind: engine.PlaceFixed, Shard: 2}
-	if s, l := f.LocalRID(17, 4); s != 2 || l != 17 {
-		t.Fatalf("fixed LocalRID = (%d,%d)", s, l)
-	}
+	// Replicated placements pass RIDs through verbatim.
 	r := engine.Placement{Kind: engine.PlaceReplicated}
 	if g := r.GlobalRID(3, 4, 9); g != 9 {
 		t.Fatalf("replicated GlobalRID = %d", g)
+	}
+	if s, l := r.LocalRID(17, 4); s != 0 || l != 17 {
+		t.Fatalf("replicated LocalRID = (%d,%d)", s, l)
 	}
 }
 
@@ -145,22 +144,6 @@ func TestClusterDenseRIDsAndScan(t *testing.T) {
 func TestPlacementRouting(t *testing.T) {
 	c := openTest(t, 4)
 
-	// Fixed: every record lands on shard 2, local RID == global RID.
-	fixed := mustCreate(t, c, "FIXED")
-	if err := c.SetPlacement(fixed, engine.Placement{Kind: engine.PlaceFixed, Shard: 2}); err != nil {
-		t.Fatal(err)
-	}
-	rid := insert1(t, c, fixed, "f1")
-	if n := c.Shard(2).ScanCountAt(fixed, c.Shard(2).Manager().CurrentTS()); n != 1 {
-		t.Fatalf("fixed table rows on shard 2 = %d", n)
-	}
-	if n := c.Shard(0).ScanCountAt(fixed, c.Shard(0).Manager().CurrentTS()); n != 0 {
-		t.Fatalf("fixed table leaked %d rows to shard 0", n)
-	}
-	if img, ok := get1(t, c, fixed, rid); !ok || img != "f1" {
-		t.Fatalf("fixed Get = %q,%v", img, ok)
-	}
-
 	// Replicated: one insert writes every shard; updates touch every copy.
 	repl := mustCreate(t, c, "REPL")
 	if err := c.SetPlacement(repl, engine.Placement{Kind: engine.PlaceReplicated}); err != nil {
@@ -191,10 +174,10 @@ func TestPlacementRouting(t *testing.T) {
 
 	// Changing a placement after rows exist is rejected; reinstalling the
 	// same one is not (the reopen path depends on it).
-	if err := c.SetPlacement(fixed, engine.Placement{Kind: engine.PlaceFixed, Shard: 1}); !errors.Is(err, ErrPlacementLate) {
+	if err := c.SetPlacement(repl, engine.Placement{Kind: engine.PlaceInterleave, Size: 4}); !errors.Is(err, ErrPlacementLate) {
 		t.Fatalf("late placement change: %v, want ErrPlacementLate", err)
 	}
-	if err := c.SetPlacement(fixed, engine.Placement{Kind: engine.PlaceFixed, Shard: 2}); err != nil {
+	if err := c.SetPlacement(repl, engine.Placement{Kind: engine.PlaceReplicated}); err != nil {
 		t.Fatalf("identical placement reinstall: %v", err)
 	}
 }

@@ -126,12 +126,6 @@ func (tx *clusterTx) Scan(tid ts.TableID, fn func(rid ts.RID, img []byte) bool) 
 			return err
 		}
 		return p.Scan(tid, fn)
-	case engine.PlaceFixed:
-		p, err := tx.part(tp.p.Shard)
-		if err != nil {
-			return err
-		}
-		return p.Scan(tid, fn)
 	}
 	stopped := false
 	for s := 0; s < n && !stopped; s++ {
@@ -169,14 +163,7 @@ func (tx *clusterTx) InsertAt(tid ts.TableID, img []byte, hint int) (ts.RID, err
 func (tx *clusterTx) insert(tid ts.TableID, img []byte, hint int) (ts.RID, error) {
 	tp := tx.c.placement(tid)
 	n := len(tx.c.shards)
-	switch tp.p.Kind {
-	case engine.PlaceFixed:
-		p, err := tx.part(tp.p.Shard)
-		if err != nil {
-			return 0, err
-		}
-		return p.Insert(tid, img)
-	case engine.PlaceReplicated:
+	if tp.p.Kind == engine.PlaceReplicated {
 		return tx.insertReplicated(tid, img)
 	}
 	var s int

@@ -11,7 +11,7 @@ import (
 // group of 16 members x 4 ops x 64 B framed as one record in the reused
 // buffer, one Write, one fsync.
 func BenchmarkWALAppendGroup(b *testing.B) {
-	l, err := Open(Options{Dir: b.TempDir(), Sync: true})
+	l, err := Open(Options{Dir: b.TempDir(), Sync: true}, End{})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -2,12 +2,15 @@ package wal
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
+	"slices"
 )
 
 // frameHeader is the [u32 length][u32 crc32c] prefix of every frame.
@@ -18,50 +21,44 @@ const frameHeader = 8
 // checksum.
 var errTorn = errors.New("wal: torn frame")
 
-// readFrame is the one step that turns segment bytes into a payload. r stands
+// readFrame is the one step that turns segment bytes into a frame. r stands
 // at a frame boundary with remain bytes left below the caller's bound; the
-// payload is read into *buf, grown as needed, and is valid until the next
-// call. io.EOF means remain was 0, errTorn is described above, and a checksum
-// failure with more bytes behind it is ErrCorrupt.
-func readFrame(r *bufio.Reader, remain int64, buf *[]byte) ([]byte, error) {
+// whole frame, header and payload, is appended to dst, which grows only once
+// the header's length is known to fit below the bound. io.EOF means remain
+// was 0, errTorn is described above, and a checksum failure with more bytes
+// behind it is ErrCorrupt.
+func readFrame(r *bufio.Reader, remain int64, dst []byte) ([]byte, error) {
 	if remain == 0 {
-		return nil, io.EOF
+		return dst, io.EOF
 	}
 	if remain < frameHeader {
-		return nil, errTorn
+		return dst, errTorn
 	}
 	hdr, err := r.Peek(frameHeader)
 	if err != nil {
-		return nil, belowBound(err)
+		return dst, belowBound(err)
 	}
 	length := int64(binary.LittleEndian.Uint32(hdr[0:4]))
 	sum := binary.LittleEndian.Uint32(hdr[4:8])
 	if length > remain-frameHeader {
 		// The prefix claims more than the bound leaves: a payload cut short,
 		// known before allocating what a damaged header asks for.
-		return nil, errTorn
+		return dst, errTorn
 	}
-	r.Discard(frameHeader) // peeked: cannot fail
-	payload := *buf
-	if int64(cap(payload)) < length {
-		payload = make([]byte, length)
-		if length <= maxFrameBufRetain {
-			*buf = payload
-		}
+	n := len(dst)
+	frame := slices.Grow(dst, frameHeader+int(length))[:n+frameHeader+int(length)]
+	if _, err := io.ReadFull(r, frame[n:]); err != nil {
+		return dst, belowBound(err)
 	}
-	payload = payload[:length]
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, belowBound(err)
-	}
-	if crc32.Checksum(payload, crcTable) != sum {
+	if crc32.Checksum(frame[n+frameHeader:], crcTable) != sum {
 		// A checksum failure is only a tolerable torn tail if nothing
 		// follows it.
 		if frameHeader+length == remain {
-			return nil, errTorn
+			return dst, errTorn
 		}
-		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
+		return dst, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
 	}
-	return payload, nil
+	return frame, nil
 }
 
 // belowBound names a read that ran out of file below the caller's bound: the
@@ -100,11 +97,15 @@ func (l *Log) headAfter(seen head) (head, <-chan struct{}, error) {
 	return seen, l.wake, nil
 }
 
-// Cursor reads an open log's records in LSN order from a starting point to
-// the head, and on as the log grows: the replication stream. It is bounded by
-// the head, not by what the file happens to hold, so it never meets a partial
-// frame — anything below the head that does not check is ErrCorrupt. A Cursor
-// is used by one goroutine.
+// maxRun caps the bytes of a run: a run stops at the first frame that takes
+// it to maxRun or past, so a frame larger than the cap is a run of its own.
+const maxRun = 256 << 10
+
+// Cursor reads an open log's frames, run by run, in LSN order from a starting
+// point to the head and on as the log grows: the replication stream. It is
+// bounded by the head, not by what the file happens to hold, so it never meets
+// a partial frame — anything below the head that does not check is
+// ErrCorrupt. A Cursor is used by one goroutine.
 type Cursor struct {
 	l *Log
 	// The next frame to yield is record idx of segment seg, at byte off;
@@ -142,7 +143,7 @@ func (l *Log) OpenCursor(start LSN) (*Cursor, error) {
 		return nil, err
 	}
 	for c.LSN() < start {
-		_, _, wake, err := c.Next()
+		_, _, wake, err := c.next(start - c.LSN())
 		if err == nil && (wake != nil || c.seg != start.Segment()) {
 			err = fmt.Errorf("wal: no record %s below the head", start)
 		}
@@ -180,17 +181,23 @@ func (c *Cursor) setBound() error {
 	return nil
 }
 
-// LSN is the position of the frame Next will yield next. It equals the log's
+// LSN is the position of the next frame to yield. It equals the log's
 // NextLSN exactly when the cursor has yielded everything below the head.
 func (c *Cursor) LSN() LSN { return MakeLSN(c.seg, c.idx) }
 
-// Next yields the next record below the head: its LSN and its payload, valid
-// until the following call. At the head it yields nothing and returns instead
-// a non-nil wake channel, closed by the log's next Append, Rotate or Close.
-// It steps to the following segment only once it has read its own to the end
-// and seen the head move past it (rotation closes a segment whole); a
-// following segment that was pruned is an error matching fs.ErrNotExist.
-func (c *Cursor) Next() (lsn LSN, payload []byte, wake <-chan struct{}, err error) {
+// NextRun yields a run: the whole frames from the cursor's position to the
+// head or its segment's end, up to maxRun bytes, as the segment holds them,
+// valid until the next call; first is the first one's LSN, and LSN stands
+// after the last. At the head it yields nothing and returns instead a non-nil
+// wake channel, closed by the log's next Append, Rotate or Close. It steps to
+// the following segment only once it has read its own to the end and seen
+// the head move past it; a pruned one is an error matching fs.ErrNotExist.
+func (c *Cursor) NextRun() (first LSN, frames []byte, wake <-chan struct{}, err error) {
+	return c.next(math.MaxUint32)
+}
+
+// next is NextRun with the run also capped at limit frames.
+func (c *Cursor) next(limit LSN) (first LSN, frames []byte, wake <-chan struct{}, err error) {
 	for c.off == c.bound {
 		if c.seg < c.seen.seq {
 			if err = c.openSegment(c.seg + 1); err != nil {
@@ -205,17 +212,22 @@ func (c *Cursor) Next() (lsn LSN, payload []byte, wake <-chan struct{}, err erro
 			return 0, nil, nil, err
 		}
 	}
-	payload, err = readFrame(c.r, c.bound-c.off, &c.buf)
-	if err != nil {
-		if err == errTorn {
-			err = fmt.Errorf("%w: torn frame below the log head", ErrCorrupt)
+	first, frames = c.LSN(), c.buf[:0]
+	for c.off < c.bound && len(frames) < maxRun && c.LSN()-first < limit {
+		n := len(frames)
+		if frames, err = readFrame(c.r, c.bound-c.off, frames); err != nil {
+			if err == errTorn {
+				err = fmt.Errorf("%w: torn frame below the log head", ErrCorrupt)
+			}
+			return 0, nil, nil, fmt.Errorf("%w at record %s", err, c.LSN())
 		}
-		return 0, nil, nil, fmt.Errorf("%w at record %s", err, c.LSN())
+		c.idx++
+		c.off += int64(len(frames) - n)
 	}
-	lsn = c.LSN()
-	c.idx++
-	c.off += frameHeader + int64(len(payload))
-	return lsn, payload, nil, nil
+	if cap(frames) <= 2*maxRun {
+		c.buf = frames
+	}
+	return first, frames, nil, nil
 }
 
 // Close releases the cursor's file. The log is unaffected.
@@ -224,4 +236,23 @@ func (c *Cursor) Close() {
 		c.f.Close()
 		c.f = nil
 	}
+}
+
+// ReadRun hands fn the LSN and payload (valid until fn returns) of each frame
+// of a run, the first at LSN first, checked by the log's own frame reader: a
+// run holds whole frames only, so one that does not check is ErrCorrupt.
+// next is the LSN after the last record fn accepted.
+func ReadRun(first LSN, frames []byte, fn func(LSN, []byte) error) (next LSN, err error) {
+	// The smallest buffer bufio takes: a header fits, payloads read through.
+	r := bufio.NewReaderSize(bytes.NewReader(frames), 16)
+	_, n, torn, err := readFrames(r, int64(len(frames)), func(i uint64, payload []byte) error {
+		return fn(first+LSN(i), payload)
+	})
+	if torn {
+		err = fmt.Errorf("%w: torn frame inside a run", ErrCorrupt)
+	}
+	if err != nil {
+		err = fmt.Errorf("%w at record %s", err, first+LSN(n))
+	}
+	return first + LSN(n), err
 }

@@ -133,10 +133,11 @@ var errClosed = errors.New("wal: log closed")
 
 // Open creates (or continues) the log in dir, appending to a fresh segment
 // after the highest existing one — recovery reads old segments, new writes
-// never touch them. A torn record at the end of the highest existing segment
-// (a crash mid-append) is cut off first: that segment stops being the final
-// one here, and only the final segment may end torn (see ReadAll).
-func Open(opts Options) (*Log, error) {
+// never touch them. end is where ReadAll found that segment to end: a torn
+// record there (a crash mid-append) is cut off at it, unread again, as only
+// the final segment may end torn (see ReadAll). A log ReadAll did not read to
+// its end is refused.
+func Open(opts Options, end End) (*Log, error) {
 	if opts.Dir == "" {
 		return nil, errors.New("wal: empty directory")
 	}
@@ -149,10 +150,15 @@ func Open(opts Options) (*Log, error) {
 	}
 	next := uint64(1)
 	if n := len(segs); n > 0 {
-		if err := truncateTornTail(segs[n-1].Path); err != nil {
-			return nil, err
+		if segs[n-1].Seq != end.Seq {
+			return nil, fmt.Errorf("wal: open %s: its last segment was not read to its end", opts.Dir)
 		}
-		next = segs[n-1].Seq + 1
+		if end.Torn {
+			if err := cutAt(segs[n-1].Path, end.Whole); err != nil {
+				return nil, err
+			}
+		}
+		next = end.Seq + 1
 	}
 	l := &Log{opts: opts, seq: next}
 	if err := l.openSegmentLocked(); err != nil {
@@ -211,13 +217,6 @@ func (l *Log) failLocked(err error) error {
 		l.failErr = err
 	}
 	return err
-}
-
-// Failed returns the error that fail-stopped the log, or nil.
-func (l *Log) Failed() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.failErr
 }
 
 // maxFrameBufRetain caps the frame buffer kept across Append calls; one
@@ -409,51 +408,38 @@ func RemoveSegmentsThrough(dir string, through uint64) error {
 // replaying past it would silently drop acknowledged commits.
 var ErrCorrupt = errors.New("wal: corrupt record")
 
-// readFrames streams one cold segment's frames as (index, payload) pairs; the
-// payload is valid until fn returns. It returns torn=true when iteration
-// stopped at a truncated or checksum-failed record that sits at the very end
-// of the file — the torn-tail case — and whole, the byte length of the whole
-// frames before it. A bad checksum with more log behind it is mid-segment
-// corruption and returns ErrCorrupt. The bound is the file size observed at
-// open — on a cold file all there is, and on one still being appended to a
-// point every byte below which was written before the observation, so a frame
-// the bound cuts short is a torn tail there too, never damage.
-func readFrames(path string, fn func(idx uint64, payload []byte) error) (whole int64, torn bool, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, false, err
-	}
-	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
-		return 0, false, err
-	}
-	r := bufio.NewReaderSize(f, 1<<16)
+// readFrames hands fn the index and payload (valid until fn returns) of each
+// frame r holds below size bytes; n and whole count the frames fn accepted
+// and their bytes. torn=true when it stopped at a truncated or checksum-failed
+// frame at the very end; a bad checksum with more bytes behind it is
+// ErrCorrupt. For a segment, size is the file's size once observed: all a cold
+// file holds, and on one being appended to, bytes all written before then, so
+// a frame it cuts short is a torn tail there too, never damage.
+func readFrames(r *bufio.Reader, size int64, fn func(idx uint64, payload []byte) error) (whole int64, n uint64, torn bool, err error) {
 	var buf []byte
-	for idx := uint64(0); ; idx++ {
-		payload, err := readFrame(r, fi.Size()-whole, &buf)
+	for ; ; n++ {
+		frame, err := readFrame(r, size-whole, buf[:0])
 		switch {
 		case err == io.EOF:
-			return whole, false, nil
+			return whole, n, false, nil
 		case err == errTorn:
-			return whole, true, nil
+			return whole, n, true, nil
 		case err != nil:
-			return whole, false, fmt.Errorf("%w at record %d of %s", err, idx, filepath.Base(path))
+			return whole, n, false, err
 		}
-		if err := fn(idx, payload); err != nil {
-			return whole, false, err
+		if cap(frame) <= maxFrameBufRetain {
+			buf = frame
 		}
-		whole += frameHeader + int64(len(payload))
+		if err := fn(n, frame[frameHeader:]); err != nil {
+			return whole, n, false, err
+		}
+		whole += int64(len(frame))
 	}
 }
 
-// truncateTornTail cuts the segment at path back to its last whole frame and
-// makes the cut durable.
-func truncateTornTail(path string) error {
-	whole, torn, err := readFrames(path, func(uint64, []byte) error { return nil })
-	if err != nil || !torn {
-		return err
-	}
+// cutAt truncates the segment at path to its first whole bytes and makes the
+// cut durable.
+func cutAt(path string, whole int64) error {
 	f, err := os.OpenFile(path, os.O_WRONLY, 0)
 	if err != nil {
 		return err
@@ -476,61 +462,49 @@ func truncateTornTail(path string) error {
 	return d.Sync()
 }
 
-// ReadSegment streams the records of one segment file, calling fn for each.
-// A torn tail — a truncated or checksum-failed final entry — ends the
-// iteration without error, exactly the crash-recovery contract; corruption
-// in the middle of the segment returns ErrCorrupt.
-func ReadSegment(path string, fn func(*Record) error) error {
-	_, _, err := readFrames(path, decoded(fn))
-	return err
+// End is where ReadAll found the log to end: the last segment (0: none),
+// the byte length of its whole frames, and whether a torn frame follows.
+type End struct {
+	Seq   uint64
+	Whole int64
+	Torn  bool
 }
 
-// decoded adapts a record callback to readFrames: a payload that passed its
-// checksum and still does not parse is ErrCorrupt, wrapping the decoder's
-// reason — except ErrRetiredFormat, which is an older version's intact log,
-// not damage, and is returned under its own name with the segment's.
-func decoded(fn func(*Record) error) func(uint64, []byte) error {
-	return func(_ uint64, payload []byte) error {
-		rec, err := DecodePayload(payload)
-		switch {
-		case errors.Is(err, ErrRetiredFormat):
-			return err
-		case err != nil:
-			return fmt.Errorf("%w: %w", ErrCorrupt, err)
-		}
-		return fn(rec)
-	}
-}
-
-// ReadSegmentPayloads streams one cold segment's raw encoded payloads with
-// their in-segment record indexes; a payload is valid until fn returns.
-// Torn-tail semantics match ReadSegment.
-func ReadSegmentPayloads(path string, fn func(idx uint64, payload []byte) error) error {
-	_, _, err := readFrames(path, fn)
-	return err
-}
-
-// ReadAll streams every record of every segment in dir, in order. A torn
-// tail is tolerated only on the final segment: rotation closes a segment
-// cleanly and Open cuts a torn tail off before starting the next one, so a
-// truncated entry inside any earlier segment means damage, not a crash, and
-// returns ErrCorrupt.
-func ReadAll(dir string, fn func(*Record) error) error {
+// ReadAll streams every record of every segment in dir, in order, and
+// returns where the last segment ends. A torn tail is tolerated only on the
+// final segment: rotation closes a segment cleanly and Open cuts a torn tail
+// off before starting the next one, so a truncated entry inside any earlier
+// segment means damage, not a crash, and returns ErrCorrupt.
+func ReadAll(dir string, fn func(*Record) error) (End, error) {
 	segs, err := Segments(dir)
 	if err != nil {
-		return err
+		return End{}, err
 	}
+	var end End
 	for i, s := range segs {
-		_, torn, err := readFrames(s.Path, decoded(fn))
-		if errors.Is(err, ErrRetiredFormat) {
-			return fmt.Errorf("%s: %w", filepath.Base(s.Path), err)
+		fi, err := os.Stat(s.Path)
+		var f *os.File
+		if err == nil {
+			f, err = os.Open(s.Path)
 		}
 		if err != nil {
-			return err
+			return End{}, err
+		}
+		whole, n, torn, err := readFrames(bufio.NewReaderSize(f, 1<<16), fi.Size(), func(_ uint64, payload []byte) error {
+			rec, err := DecodePayload(payload)
+			if err != nil {
+				return err
+			}
+			return fn(rec)
+		})
+		f.Close()
+		if err != nil {
+			return End{}, fmt.Errorf("%w at record %d of %s", err, n, filepath.Base(s.Path))
 		}
 		if torn && i != len(segs)-1 {
-			return fmt.Errorf("%w: torn record inside non-final segment %s", ErrCorrupt, filepath.Base(s.Path))
+			return End{}, fmt.Errorf("%w: torn record inside non-final segment %s", ErrCorrupt, filepath.Base(s.Path))
 		}
+		end = End{Seq: s.Seq, Whole: whole, Torn: torn}
 	}
-	return nil
+	return end, nil
 }

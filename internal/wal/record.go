@@ -99,11 +99,6 @@ type Record struct {
 func appendU32(b []byte, v uint32) []byte { return binary.LittleEndian.AppendUint32(b, v) }
 func appendU64(b []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(b, v) }
 
-// EncodePayload serializes the record body (without framing).
-func (r *Record) EncodePayload() []byte {
-	return r.AppendPayload(nil)
-}
-
 // AppendPayload serializes the record body onto b — the allocation-free form
 // the append path uses to frame a record in its reused buffer.
 func (r *Record) AppendPayload(b []byte) []byte {
@@ -214,7 +209,9 @@ func errTruncated(off, n int) error {
 	return fmt.Errorf("wal: truncated record at offset %d of %d", off, n)
 }
 
-// DecodePayload parses a record body.
+// DecodePayload parses a record body. A body that does not parse is
+// ErrCorrupt — it passed its checksum — and a retired kind, an older
+// version's intact log, ErrRetiredFormat.
 func DecodePayload(b []byte) (*Record, error) {
 	c := &decodeCursor{b: b}
 	r := &Record{Kind: Kind(c.u8())}
@@ -239,13 +236,13 @@ func DecodePayload(b []byte) (*Record, error) {
 		return nil, fmt.Errorf("%w: log written with %s, which this version does not read",
 			ErrRetiredFormat, retiredKinds[r.Kind])
 	default:
-		return nil, cmp.Or(c.err, fmt.Errorf("wal: unknown record kind %d", r.Kind))
+		c.err = cmp.Or(c.err, fmt.Errorf("wal: unknown record kind %d", r.Kind))
 	}
 	if c.err == nil && c.off != len(b) {
 		c.err = fmt.Errorf("wal: %d trailing bytes in record", len(b)-c.off)
 	}
 	if c.err != nil {
-		return nil, c.err
+		return nil, fmt.Errorf("%w: %w", ErrCorrupt, c.err)
 	}
 	return r, nil
 }

@@ -26,7 +26,7 @@ import (
 
 func TestRecordRoundTripDDL(t *testing.T) {
 	r := &Record{Kind: KindDDL, TableID: 7, TableName: "STOCK"}
-	got, err := DecodePayload(r.EncodePayload())
+	got, err := DecodePayload(r.AppendPayload(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestRecordRoundTripGroup(t *testing.T) {
 		{Op: mvcc.OpUpdate, Table: 2, RID: 20, Payload: []byte("world")},
 		{Op: mvcc.OpDelete, Table: 3, RID: 30},
 	}}
-	got, err := DecodePayload(r.EncodePayload())
+	got, err := DecodePayload(r.AppendPayload(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestRecordRoundTripQuick(t *testing.T) {
 		if len(payload) == 0 {
 			r.Ops[0].Payload = nil
 		}
-		got, err := DecodePayload(r.EncodePayload())
+		got, err := DecodePayload(r.AppendPayload(nil))
 		return err == nil && reflect.DeepEqual(got, r)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -74,7 +74,7 @@ func TestDecodeErrors(t *testing.T) {
 		t.Fatal("unknown kind must fail")
 	}
 	r := &Record{Kind: KindDDL, TableID: 1, TableName: "X"}
-	b := r.EncodePayload()
+	b := r.AppendPayload(nil)
 	if _, err := DecodePayload(b[:len(b)-1]); err == nil {
 		t.Fatal("truncated payload must fail")
 	}
@@ -97,7 +97,7 @@ func writeRecords(t *testing.T, l *Log, n int, startCID uint64) {
 
 func TestLogAppendAndReadAll(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(Options{Dir: dir, Sync: true})
+	l, err := Open(Options{Dir: dir, Sync: true}, End{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestLogAppendAndReadAll(t *testing.T) {
 	}
 
 	var cids []ts.CID
-	if err := ReadAll(dir, func(r *Record) error {
+	if _, err := ReadAll(dir, func(r *Record) error {
 		cids = append(cids, r.CID)
 		return nil
 	}); err != nil {
@@ -123,7 +123,7 @@ func TestLogAppendAndReadAll(t *testing.T) {
 
 func TestLogRotateAndSegmentRemoval(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(Options{Dir: dir})
+	l, err := Open(Options{Dir: dir}, End{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestLogRotateAndSegmentRemoval(t *testing.T) {
 		t.Fatal(err)
 	}
 	var cids []ts.CID
-	if err := ReadAll(dir, func(r *Record) error {
+	if _, err := ReadAll(dir, func(r *Record) error {
 		cids = append(cids, r.CID)
 		return nil
 	}); err != nil {
@@ -158,17 +158,20 @@ func TestLogRotateAndSegmentRemoval(t *testing.T) {
 
 func TestLogReopenAppendsNewSegment(t *testing.T) {
 	dir := t.TempDir()
-	l, _ := Open(Options{Dir: dir})
+	l, _ := Open(Options{Dir: dir}, End{})
 	writeRecords(t, l, 2, 1)
 	l.Close()
-	l2, err := Open(Options{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
+	// A log whose last segment was not read to its end is refused: only
+	// the reader knows where a torn tail would have to be cut.
+	if l, err := Open(Options{Dir: dir}, End{}); err == nil {
+		l.Close()
+		t.Fatal("Open without the end ReadAll found succeeded")
 	}
+	l2 := reopen(t, dir)
 	writeRecords(t, l2, 2, 50)
 	l2.Close()
 	n := 0
-	if err := ReadAll(dir, func(*Record) error { n++; return nil }); err != nil {
+	if _, err := ReadAll(dir, func(*Record) error { n++; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if n != 4 {
@@ -176,9 +179,23 @@ func TestLogReopenAppendsNewSegment(t *testing.T) {
 	}
 }
 
+// reopen reads the log in dir to its end, as recovery does, and opens it.
+func reopen(t *testing.T, dir string) *Log {
+	t.Helper()
+	end, err := ReadAll(dir, func(*Record) error { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := Open(Options{Dir: dir}, end)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l
+}
+
 func TestTornTailStopsReplayCleanly(t *testing.T) {
 	dir := t.TempDir()
-	l, _ := Open(Options{Dir: dir})
+	l, _ := Open(Options{Dir: dir}, End{})
 	writeRecords(t, l, 4, 1)
 	l.Close()
 	segs, _ := Segments(dir)
@@ -192,22 +209,24 @@ func TestTornTailStopsReplayCleanly(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := 0
-	if err := ReadSegment(path, func(*Record) error { n++; return nil }); err != nil {
+	end, err := ReadAll(dir, func(*Record) error { n++; return nil })
+	if err != nil {
 		t.Fatalf("torn tail must not error: %v", err)
 	}
-	if n != 3 {
-		t.Fatalf("replayed %d records, want 3 (torn 4th dropped)", n)
+	frame := int64(len(b) / 4)
+	if n != 3 || end != (End{Seq: segs[0].Seq, Whole: 3 * frame, Torn: true}) {
+		t.Fatalf("replayed %d records to %+v, want 3 (torn 4th dropped) ending at byte %d", n, end, 3*frame)
 	}
 	// Flipped byte inside the last record: checksum stops replay there too.
 	b2 := append([]byte(nil), b...)
 	b2[len(b2)-1] ^= 0xff
 	os.WriteFile(path, b2, 0o644)
 	n = 0
-	if err := ReadSegment(path, func(*Record) error { n++; return nil }); err != nil {
+	if end, err = ReadAll(dir, func(*Record) error { n++; return nil }); err != nil {
 		t.Fatal(err)
 	}
-	if n != 3 {
-		t.Fatalf("replayed %d records after corruption, want 3", n)
+	if n != 3 || end.Whole != 3*frame || !end.Torn {
+		t.Fatalf("replayed %d records to %+v after corruption, want 3", n, end)
 	}
 }
 
@@ -453,7 +472,7 @@ func FuzzCheckpointStream(f *testing.F) {
 // land intact: every record replays, none torn.
 func TestConcurrentAppends(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(Options{Dir: dir})
+	l, err := Open(Options{Dir: dir}, End{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -490,7 +509,7 @@ func TestConcurrentAppends(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := 0
-	if err := ReadAll(dir, func(*Record) error { n++; return nil }); err != nil {
+	if _, err := ReadAll(dir, func(*Record) error { n++; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if n != writers*perWriter {
@@ -498,14 +517,15 @@ func TestConcurrentAppends(t *testing.T) {
 	}
 }
 
-// TestReadSegmentConcurrentWithAppend covers the replication catch-up path
-// reading the active segment while the appender keeps writing: reads are
+// TestReadSegmentConcurrentWithAppend covers a recovery-style read of the
+// active segment while the appender keeps writing, next to a cursor tailing
+// the same segment: ReadAll's reads are
 // bounded to the file size observed at open, so an in-flight frame surfaces
 // as a (tolerated) torn tail, never as ErrCorrupt — even when the appender
 // finishes the frame between the reader's checksum and its tail probe.
 func TestReadSegmentConcurrentWithAppend(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(Options{Dir: dir})
+	l, err := Open(Options{Dir: dir}, End{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -539,11 +559,6 @@ func TestReadSegmentConcurrentWithAppend(t *testing.T) {
 		}
 	}()
 
-	segs, err := Segments(dir)
-	if err != nil || len(segs) == 0 {
-		t.Fatalf("segments: %v (%d)", err, len(segs))
-	}
-	path := segs[len(segs)-1].Path
 	deadline := time.Now().Add(300 * time.Millisecond)
 
 	// A cursor tails the same segment: bounded by the head, it meets every
@@ -557,22 +572,27 @@ func TestReadSegmentConcurrentWithAppend(t *testing.T) {
 		}
 		defer c.Close()
 		for want := c.LSN(); time.Now().Before(deadline); {
-			lsn, payload, wake, err := c.Next()
+			first, frames, wake, err := c.NextRun()
 			switch {
 			case err != nil:
 				curDone <- err
 				return
 			case wake != nil:
 				<-wake
-			case lsn != want:
-				curDone <- fmt.Errorf("cursor yielded %s, want %s", lsn, want)
+				continue
+			case first != want:
+				curDone <- fmt.Errorf("cursor yielded a run at %s, want %s", first, want)
 				return
-			default:
+			}
+			want, err = ReadRun(first, frames, func(lsn LSN, payload []byte) error {
 				if rec, err := DecodePayload(payload); err != nil || rec.CID != ts.CID(lsn.Index()+1) {
-					curDone <- fmt.Errorf("record %s decodes to %+v, %v", lsn, rec, err)
-					return
+					return fmt.Errorf("record %s decodes to %+v, %v", lsn, rec, err)
 				}
-				want++
+				return nil
+			})
+			if err != nil || want != c.LSN() {
+				curDone <- fmt.Errorf("run from %s to %s read to %s: %v", first, c.LSN(), want, err)
+				return
 			}
 		}
 		curDone <- nil
@@ -580,8 +600,7 @@ func TestReadSegmentConcurrentWithAppend(t *testing.T) {
 
 	reads := 0
 	for time.Now().Before(deadline) {
-		err := ReadSegmentPayloads(path, func(uint64, []byte) error { return nil })
-		if err != nil {
+		if _, err := ReadAll(dir, func(*Record) error { return nil }); err != nil {
 			t.Fatalf("concurrent segment read: %v", err)
 		}
 		reads++
@@ -603,7 +622,7 @@ func TestReadSegmentConcurrentWithAppend(t *testing.T) {
 // under the race detector: polled concurrently with Append, the observed head
 // never regresses, and a record whose Append has returned is below it.
 func TestNextLSNConcurrentContract(t *testing.T) {
-	l, err := Open(Options{Dir: t.TempDir()})
+	l, err := Open(Options{Dir: t.TempDir()}, End{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -653,12 +672,12 @@ func TestNextLSNConcurrentContract(t *testing.T) {
 		// head read afterwards, and a cursor that reports the head has
 		// yielded every append that completed before the call.
 		n = appended.Load()
-		lsn, _, wake, err := c.Next()
+		_, _, wake, err := c.NextRun()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if wake == nil && lsn >= l.NextLSN() {
-			t.Fatalf("cursor yielded %s, not below the head %s", lsn, l.NextLSN())
+		if wake == nil && c.LSN() > l.NextLSN() {
+			t.Fatalf("cursor yielded records to %s, not below the head %s", c.LSN(), l.NextLSN())
 		}
 		if wake != nil && c.LSN().Index() < n {
 			t.Fatalf("cursor reports the head at %s with %d appends completed", c.LSN(), n)
@@ -690,7 +709,7 @@ func TestGroupRecordGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := goldenGroup.EncodePayload(); !bytes.Equal(got, want) {
+	if got := goldenGroup.AppendPayload(nil); !bytes.Equal(got, want) {
 		t.Fatalf("group record moved:\n got %x\nwant %x", got, want)
 	}
 	back, err := DecodePayload(want)
@@ -724,7 +743,7 @@ func TestRetiredGroupKindRefused(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "log-0000000000000001.wal"), frame(retiredGroupPart), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	err = ReadAll(dir, func(*Record) error { return nil })
+	_, err = ReadAll(dir, func(*Record) error { return nil })
 	if !errors.Is(err, ErrRetiredFormat) || errors.Is(err, ErrCorrupt) {
 		t.Fatalf("segment in the retired layout: %v, want ErrRetiredFormat and not ErrCorrupt", err)
 	}
@@ -743,7 +762,7 @@ func TestRetiredLaneKindRefused(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, seg), frame(retiredLane), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	err = ReadAll(dir, func(*Record) error { return nil })
+	_, err = ReadAll(dir, func(*Record) error { return nil })
 	if !errors.Is(err, ErrRetiredFormat) || errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), seg) {
 		t.Fatalf("segment holding a lane record: %v, want ErrRetiredFormat naming %s, not ErrCorrupt", err, seg)
 	}
@@ -756,16 +775,58 @@ func frame(payload []byte) []byte {
 	return append(b, payload...)
 }
 
+// FuzzReadRun feeds the replica's run reader arbitrary frame bytes — what a
+// damaged link or a hostile primary can supply. It must never panic; what it
+// accepts must be whole, checked frames, so re-framing the payloads it handed
+// on gives back the bytes it read; it must account for every record it
+// handed on; and a length prefix claiming more than the run holds must fail
+// before anything is allocated for it.
+func FuzzReadRun(f *testing.F) {
+	run := append(append(frame([]byte("one")), frame(nil)...), frame([]byte("three"))...)
+	f.Add(run)
+	f.Add(run[:len(run)-1])
+	f.Add(append(frame([]byte("one")), 0xff, 0xff, 0xff, 0xff, 1, 2, 3, 4))
+	f.Fuzz(func(t *testing.T, frames []byte) {
+		const first = LSN(3<<32 | 7)
+		again := make([]byte, 0, len(frames))
+		records := LSN(0)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		next, err := ReadRun(first, frames, func(lsn LSN, payload []byte) error {
+			if lsn != first+records {
+				t.Fatalf("record %d handed on as %s", records, lsn)
+			}
+			again = append(again, frame(payload)...)
+			records++
+			return nil
+		})
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got > 4096+2*uint64(len(frames)) {
+			t.Fatalf("reading a %d-byte run allocated %d bytes", len(frames), got)
+		}
+		switch {
+		case next != first+records:
+			t.Fatalf("read to %s after handing on %d records", next, records)
+		case !bytes.HasPrefix(frames, again):
+			t.Fatalf("handed on payloads that re-frame as %x, not a prefix of %x", again, frames)
+		case err == nil && len(again) != len(frames):
+			t.Fatalf("accepted a %d-byte run after reading %d bytes", len(frames), len(again))
+		case err != nil && !errors.Is(err, ErrCorrupt):
+			t.Fatalf("a bad run failed with %v, not ErrCorrupt", err)
+		}
+	})
+}
+
 // FuzzDecodePayload feeds arbitrary bytes — what a damaged disk or a hostile
 // replication peer can supply — to the record decoder: it must fail or
 // re-encode to exactly its input, never panic, and never allocate what a
 // length prefix merely claims.
 func FuzzDecodePayload(f *testing.F) {
-	f.Add(goldenGroup.EncodePayload())
-	f.Add((&Record{Kind: KindDDL, TableID: 7, TableName: "STOCK"}).EncodePayload())
-	f.Add((&Record{Kind: KindPrepare, XID: 5, Ops: goldenGroup.Ops[:2]}).EncodePayload())
-	f.Add((&Record{Kind: KindDecision, XID: 5, Commit: true}).EncodePayload())
-	f.Add((&Record{Kind: KindResolve, XID: 5, Commit: true, CID: 9}).EncodePayload())
+	f.Add(goldenGroup.AppendPayload(nil))
+	f.Add((&Record{Kind: KindDDL, TableID: 7, TableName: "STOCK"}).AppendPayload(nil))
+	f.Add((&Record{Kind: KindPrepare, XID: 5, Ops: goldenGroup.Ops[:2]}).AppendPayload(nil))
+	f.Add((&Record{Kind: KindDecision, XID: 5, Commit: true}).AppendPayload(nil))
+	f.Add((&Record{Kind: KindResolve, XID: 5, Commit: true, CID: 9}).AppendPayload(nil))
 	f.Add(retiredLane)
 	f.Add(retiredGroupPart)
 	// A group claiming 4 Gi operations with nothing behind the count.
@@ -782,7 +843,7 @@ func FuzzDecodePayload(f *testing.F) {
 		if size > len(b) {
 			t.Fatalf("decoded %d image bytes from a %d-byte payload", size, len(b))
 		}
-		if again := rec.EncodePayload(); !bytes.Equal(again, b) {
+		if again := rec.AppendPayload(nil); !bytes.Equal(again, b) {
 			t.Fatalf("accepted payload does not round-trip: %x -> %+v -> %x", b, rec, again)
 		}
 	})
@@ -790,11 +851,11 @@ func FuzzDecodePayload(f *testing.F) {
 
 // TestLengthPrefixBeyondSegmentIsTornTail: a final segment ending in a frame
 // header that claims 4 GiB — a torn or damaged header — reads as a torn tail
-// without allocating what the prefix claims, and Open cuts it off so the
-// segment stays readable once it is no longer the last.
+// without allocating what the prefix claims, and Open cuts it off where
+// ReadAll ended so the segment stays readable once it is no longer the last.
 func TestLengthPrefixBeyondSegmentIsTornTail(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(Options{Dir: dir})
+	l, err := Open(Options{Dir: dir}, End{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -812,7 +873,7 @@ func TestLengthPrefixBeyondSegmentIsTornTail(t *testing.T) {
 
 	count := func() (n int) {
 		t.Helper()
-		if err := ReadAll(dir, func(*Record) error { n++; return nil }); err != nil {
+		if _, err := ReadAll(dir, func(*Record) error { n++; return nil }); err != nil {
 			t.Fatalf("reading past a 4 GiB length prefix: %v", err)
 		}
 		return n
@@ -828,10 +889,7 @@ func TestLengthPrefixBeyondSegmentIsTornTail(t *testing.T) {
 		t.Fatalf("reading a %d-byte segment allocated %d bytes", len(torn), got)
 	}
 
-	l2, err := Open(Options{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
+	l2 := reopen(t, dir)
 	if b, _ := os.ReadFile(segs[0].Path); !bytes.Equal(b, whole) {
 		t.Fatalf("Open left %d bytes in the torn segment, want its %d whole ones", len(b), len(whole))
 	}
@@ -847,17 +905,21 @@ func TestLengthPrefixBeyondSegmentIsTornTail(t *testing.T) {
 func drain(t *testing.T, c *Cursor) (lsns []LSN, wake <-chan struct{}) {
 	t.Helper()
 	for {
-		lsn, payload, wake, err := c.Next()
+		first, frames, wake, err := c.NextRun()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if wake != nil {
 			return lsns, wake
 		}
-		if _, err := DecodePayload(payload); err != nil {
-			t.Fatalf("record %s: %v", lsn, err)
+		next, err := ReadRun(first, frames, func(lsn LSN, payload []byte) error {
+			lsns = append(lsns, lsn)
+			_, err := DecodePayload(payload)
+			return err
+		})
+		if err != nil || next != c.LSN() {
+			t.Fatalf("run from %s to %s read to %s: %v", first, c.LSN(), next, err)
 		}
-		lsns = append(lsns, lsn)
 	}
 }
 
@@ -868,7 +930,7 @@ func drain(t *testing.T, c *Cursor) (lsns []LSN, wake <-chan struct{}) {
 // by Close; a following segment that was pruned is fs.ErrNotExist.
 func TestCursorTailsAcrossRotations(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(Options{Dir: dir})
+	l, err := Open(Options{Dir: dir}, End{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -945,7 +1007,7 @@ func TestCursorTailsAcrossRotations(t *testing.T) {
 	if err := os.Remove(segmentPath(dir, 6)); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := c.Next(); !errors.Is(err, fs.ErrNotExist) {
+	if _, _, _, err := c.NextRun(); !errors.Is(err, fs.ErrNotExist) {
 		t.Fatalf("cursor stepping into a pruned segment: %v, want fs.ErrNotExist", err)
 	}
 	if _, err := l.OpenCursor(MakeLSN(6, 0)); !errors.Is(err, fs.ErrNotExist) {
@@ -963,7 +1025,7 @@ func TestCursorTailsAcrossRotations(t *testing.T) {
 		t.Fatal(err)
 	}
 	released("Close")
-	if _, _, _, err := c2.Next(); err == nil {
+	if _, _, _, err := c2.NextRun(); err == nil {
 		t.Fatal("cursor over a closed log reported no error")
 	}
 }
@@ -977,7 +1039,7 @@ func TestCursorTailsAcrossRotations(t *testing.T) {
 func TestAppendDoesNothingForReaders(t *testing.T) {
 	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
 	runtime.MemProfileRate = 1
-	l, err := Open(Options{Dir: t.TempDir()})
+	l, err := Open(Options{Dir: t.TempDir()}, End{})
 	if err != nil {
 		t.Fatal(err)
 	}

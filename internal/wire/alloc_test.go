@@ -84,7 +84,7 @@ func TestStreamMsgZeroAllocSteadyState(t *testing.T) {
 	const msgs = 256
 	bw := newTestBufioWriter(&raw)
 	for i := 0; i < msgs; i++ {
-		if err := WriteStreamMsg(bw, RmRecord, payload); err != nil {
+		if err := WriteStreamMsg(bw, RmRun, (&Builder{}).U64(uint64(i)).Take(), payload); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -98,7 +98,7 @@ func TestStreamMsgZeroAllocSteadyState(t *testing.T) {
 	allocs := testing.AllocsPerRun(msgs-32, func() {
 		op, body, sc, err := ReadStreamMsgInto(br, scratch)
 		scratch = sc
-		if err != nil || op != RmRecord || len(body) != len(payload) {
+		if err != nil || op != RmRun || len(body) != 8+len(payload) {
 			t.Fatalf("stream msg: op=%d len=%d err=%v", op, len(body), err)
 		}
 	})

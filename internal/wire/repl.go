@@ -11,17 +11,14 @@ import (
 // connection: after the server acknowledges with StOK (body: u64 primary
 // NextLSN), both sides exchange length-prefixed stream messages directly —
 // `u32 BE length | u8 opcode | body` — outside the request/response cycle.
-// Primary → replica: RmCheckpoint / RmRecord / RmHeartbeat / RmEnd.
+// Primary → replica: RmCheckpoint / RmRun / RmHeartbeat / RmEnd.
 // Replica → primary: RmReport.
 const (
 	// RmCheckpoint carries the primary's checkpoint file, byte for byte, for
 	// bootstrap (only when the request's StartLSN is zero, and only as the
 	// first message).
 	RmCheckpoint = 0x20
-	// RmRecord carries one WAL record: u64 LSN | raw record payload
-	// (wal.Record.EncodePayload framing, CRC-free — the stream relies on
-	// TCP integrity, the replica re-frames nothing).
-	RmRecord = 0x21
+	// 0x21, one record's payload without its checksum, retired in Version 6.
 	// RmHeartbeat carries the primary's next append LSN (u64) plus a resume
 	// point (u64, 0 when unknown): when the primary can prove the replica
 	// already holds everything below the head, the resume point advances the
@@ -30,6 +27,10 @@ const (
 	// RmEnd terminates the stream: u8 end code | string detail. Sent on
 	// graceful drain, demotion, or an unrecoverable stream error.
 	RmEnd = 0x23
+	// RmRun carries a run of the primary's log: the u64 LSN of its first
+	// frame, then whole WAL frames byte for byte as the segment holds them,
+	// each checked again by the replica's wal.ReadRun.
+	RmRun = 0x24
 	// RmReport flows replica → primary: applied LSN.
 	RmReport = 0x30
 )
@@ -79,35 +80,33 @@ func DecodeReplReport(r *Parser) ReplReport { return ReplReport{AppliedLSN: r.U6
 // database is the big one). Mirrors the request-frame limit.
 const MaxStreamMessage = 256 << 20
 
-// WriteStreamMsg writes one stream message (u32 length | opcode | body) and
-// flushes it. Stream messages are written by a single goroutine per
-// direction, so no locking is layered here.
-func WriteStreamMsg(w *bufio.Writer, op byte, body []byte) error {
-	if len(body)+1 > MaxStreamMessage {
-		return fmt.Errorf("wire: stream message too large (%d bytes)", len(body))
+// WriteStreamMsg writes one stream message (u32 length | opcode | body, the
+// body's parts written as they are) and flushes it. Stream messages are
+// written by a single goroutine per direction, so no locking is layered here.
+func WriteStreamMsg(w *bufio.Writer, op byte, body ...[]byte) error {
+	n := 1
+	for _, b := range body {
+		n += len(b)
+	}
+	if n > MaxStreamMessage {
+		return fmt.Errorf("wire: stream message too large (%d bytes)", n-1)
 	}
 	var hdr [5]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(len(body)+1))
+	binary.BigEndian.PutUint32(hdr[:4], uint32(n))
 	hdr[4] = op
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
-	if _, err := w.Write(body); err != nil {
-		return err
+	for _, b := range body {
+		if _, err := w.Write(b); err != nil {
+			return err
+		}
 	}
 	return w.Flush()
 }
 
-// ReadStreamMsg reads one stream message, returning its opcode and body.
-// The body is freshly allocated; apply loops that can recycle their read
-// buffer should use ReadStreamMsgInto.
-func ReadStreamMsg(r *bufio.Reader) (op byte, body []byte, err error) {
-	op, body, _, err = ReadStreamMsgInto(r, nil)
-	return op, body, err
-}
-
 // ReadStreamMsgInto reads one stream message into scratch, growing it as
-// needed, and returns the opcode, the body, and the (possibly regrown)
+// needed (nil: allocate), and returns the opcode, the body, and the (possibly regrown)
 // scratch buffer for the caller's next read. The body aliases scratch and is
 // valid only until the buffer's next use; the Rm* decoders all copy out, so
 // a caller that fully decodes each message before the next read is safe.

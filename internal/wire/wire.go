@@ -33,7 +33,7 @@ const (
 	// Version is the protocol revision: HELLO carries it in both directions
 	// and either side refuses any other value. Every frame layout is a fixed
 	// field list, so a layout change, or a verb retired, bumps Version.
-	Version = 5
+	Version = 6
 	// MaxFrame bounds one frame so a corrupt length prefix cannot make
 	// either end allocate unboundedly.
 	MaxFrame = 16 << 20
@@ -70,16 +70,12 @@ const (
 	// shard, Bytes img); a single-node server treats it as OpInsert.
 	OpInsertAt
 	// OpSetPlacement installs a table's shard-placement policy (U32 tid,
-	// U8 kind, U64 size, U32 shard) before the table receives rows.
+	// U8 kind, U64 size) before the table receives rows.
 	OpSetPlacement
 	// OpHTAPEnable arms the background row→column migrator for a SQL table
 	// (Str table name) on every shard.
 	OpHTAPEnable
-	// OpAggregate runs a column-lane aggregate remotely (Str table, U8 op:
-	// 0=COUNT 1=SUM 2=MIN 3=MAX, Str column, Str groupBy — both may be
-	// empty). The response carries a SELECT-shaped result: PutStrings
-	// column names, then PutRows. Idempotent, so clients may retry it.
-	OpAggregate
+	_ // retired with Version 6: an aggregate verb; OpExec runs the same SELECT from its text
 	// OpBatch carries several requests in one frame, answered by one frame
 	// that stops at the first failure (see batch.go).
 	OpBatch

@@ -184,18 +184,19 @@ func TestReplMessageRoundTrips(t *testing.T) {
 func TestStreamMsgRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	bw := bufio.NewWriter(&buf)
-	if err := WriteStreamMsg(bw, RmRecord, []byte("payload")); err != nil {
+	// A body in parts travels as one: a run's LSN, then its frames.
+	if err := WriteStreamMsg(bw, RmRun, []byte("lsn:"), []byte("frames")); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteStreamMsg(bw, RmHeartbeat, nil); err != nil {
+	if err := WriteStreamMsg(bw, RmHeartbeat); err != nil {
 		t.Fatal(err)
 	}
 	br := bufio.NewReader(&buf)
-	op, body, err := ReadStreamMsg(br)
-	if err != nil || op != RmRecord || string(body) != "payload" {
+	op, body, _, err := ReadStreamMsgInto(br, nil)
+	if err != nil || op != RmRun || string(body) != "lsn:frames" {
 		t.Fatalf("msg 1: op=%#x body=%q err=%v", op, body, err)
 	}
-	op, body, err = ReadStreamMsg(br)
+	op, body, _, err = ReadStreamMsgInto(br, nil)
 	if err != nil || op != RmHeartbeat || len(body) != 0 {
 		t.Fatalf("msg 2: op=%#x body=%q err=%v", op, body, err)
 	}
