@@ -27,8 +27,8 @@ func BenchmarkStreamTail(b *testing.B) {
 	var lat []time.Duration
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		// Polled, not WaitLSN: a parked waiter is woken by every applied
-		// record, which is the replica's cost to measure, not the stream's.
+		// Polled, not WaitLSN: a parked waiter's wake-ups (one per applied
+		// run) are the replica's cost to measure, not the stream's.
 		start, target := time.Now(), p.db.WAL().NextLSN()
 		r := startReplica(b, p.addr, fmt.Sprintf("r%d", i))
 		for r.rep.AppliedLSN() < target {

@@ -801,7 +801,9 @@ func FuzzReadRun(f *testing.F) {
 			return nil
 		})
 		runtime.ReadMemStats(&after)
-		if got := after.TotalAlloc - before.TotalAlloc; got > 4096+2*uint64(len(frames)) {
+		// The bound leaves room for the reader's own buffers, the error
+		// values and what the fuzzing engine allocates meanwhile.
+		if got := after.TotalAlloc - before.TotalAlloc; got > 1<<16+2*uint64(len(frames)) {
 			t.Fatalf("reading a %d-byte run allocated %d bytes", len(frames), got)
 		}
 		switch {
