@@ -45,9 +45,9 @@ func startOLAP(g *workload.Group, cl *client.Client, n int) (*olapLoad, error) {
 				err error
 			)
 			if sum {
-				res, err = cl.Exec(sumQuery)
+				res, err = cl.ExecRead(sumQuery)
 			} else {
-				res, err = cl.Exec(minQuery)
+				res, err = cl.ExecRead(minQuery)
 			}
 			sum = !sum
 			if err != nil {

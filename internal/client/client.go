@@ -385,6 +385,20 @@ func (c *Client) ExecAt(sqlText string, minLSN uint64) (*Result, error) {
 	return decodeResult(r)
 }
 
+// ExecRead is Exec for a statement that writes nothing, such as a SELECT:
+// like the other idempotent requests it is retried once across a broken
+// connection. The caller vouches that the statement is read-only; the
+// server does not check.
+func (c *Client) ExecRead(sqlText string) (*Result, error) {
+	w := wire.GetBuilder().Str(sqlText).U64(0)
+	r, err := c.doIdempotent(wire.OpExec, w.Take())
+	wire.PutBuilder(w)
+	if err != nil {
+		return nil, err
+	}
+	return decodeResult(r)
+}
+
 // TableIDs resolves engine table names (idempotent: retried once across a
 // broken connection).
 func (c *Client) TableIDs(names ...string) ([]ts.TableID, error) {

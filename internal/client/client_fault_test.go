@@ -328,7 +328,8 @@ func TestFailedBeginFinishesTx(t *testing.T) {
 }
 
 // TestIdempotentReadRetriesTransparently: a broken idle connection costs a
-// read-only call nothing — Ping/Stats retry once on a fresh connection.
+// read-only call nothing — Ping/Stats/ExecRead retry once on a fresh
+// connection.
 func TestIdempotentReadRetriesTransparently(t *testing.T) {
 	cl, p := proxiedClient(t, client.Config{MaxConns: 2, RequestTimeout: 2 * time.Second})
 	if err := cl.Ping(); err != nil {
@@ -342,6 +343,13 @@ func TestIdempotentReadRetriesTransparently(t *testing.T) {
 	p.DropLinks()
 	if _, err := cl.Stats(); err != nil {
 		t.Fatalf("stats across a dropped idle connection = %v, want transparent retry", err)
+	}
+	if _, err := cl.Exec("CREATE TABLE t (id INT)"); err != nil {
+		t.Fatal(err)
+	}
+	p.DropLinks()
+	if _, err := cl.ExecRead("SELECT id FROM t"); err != nil {
+		t.Fatalf("select across a dropped idle connection = %v, want transparent retry", err)
 	}
 }
 

@@ -741,7 +741,9 @@ func TestBootstrapJoinsMaturePrimaryDespiteLagBound(t *testing.T) {
 // TestDrainDuringCatchUpEndsPromptly: server shutdown must not wait for a
 // slow segment catch-up to finish shipping — the stream checks the drain
 // flag per run and ends with RmEnd(Drain) mid-catch-up. The rows are 64 KiB,
-// so a run holds four of them and the catch-up is thirty runs.
+// so a run holds four of them and the catch-up is thirty runs; at 100ms per
+// run the whole sweep takes ~3s, longer than the shutdown bound, so a stream
+// that did not end until it reached the head would fail.
 func TestDrainDuringCatchUpEndsPromptly(t *testing.T) {
 	p := startPrimary(t, fastSource(), nil)
 	tid := mustCreateTable(t, p.db, "accounts")
@@ -750,8 +752,8 @@ func TestDrainDuringCatchUpEndsPromptly(t *testing.T) {
 		mustInsert(t, p.db, tid, img)
 	}
 
-	// Throttle catch-up to ~25ms per record: the full sweep would take ~3s.
-	fault.Enable(FPPartialSegment, fault.Sleep(25*time.Millisecond))
+	// FPPartialSegment fires once per run: ~100ms each, ~3s for all thirty.
+	fault.Enable(FPPartialSegment, fault.Sleep(100*time.Millisecond))
 	t.Cleanup(func() { fault.Disable(FPPartialSegment) })
 
 	r := startReplica(t, p.addr, "slowpoke")
