@@ -19,15 +19,18 @@ test:
 	$(GO) test ./...
 
 # Race-check the concurrency-heavy packages (group commit, GC, version
-# space, the snapshot announcement array, pressure controller, the network
+# space, the snapshot announcement array, the version budget's ladder on the
+# collector loop, the network
 # service layer, replication, the node assembly and its end-to-end smokes in
 # cmd/tpcc, the sharded engine and its 2PC path, the lock-free hash table and
 # table space, the WAL/wire hot paths, the row codec and chunks the HTAP
 # migrator and its scans share, and the crash matrix, which drives commit,
-# fail-stop and recovery concurrently, and the TPC-C load harness's worker,
-# reader and sampler goroutines) with -short to keep CI latency sane.
+# fail-stop and recovery concurrently, the TPC-C load harness's worker,
+# reader and sampler goroutines, and the TPC-C soak, whose -short form still
+# runs the ladder to eviction under concurrent workers) with -short to keep
+# CI latency sane.
 race:
-	$(GO) test -race -short ./internal/workload/... ./internal/table/... ./internal/core/... ./internal/txn/... ./internal/gc/... ./internal/mvcc/... ./internal/sts/... ./internal/sql/... ./internal/server/... ./internal/client/... ./internal/repl/... ./internal/node/... ./cmd/tpcc/... ./internal/wal/... ./internal/wire/... ./internal/netfault/... ./internal/chaos/... ./internal/shard/... ./internal/htap/... ./internal/colstore/... ./internal/crashmatrix/...
+	$(GO) test -race -short ./internal/workload/... ./internal/table/... ./internal/core/... ./internal/txn/... ./internal/gc/... ./internal/mvcc/... ./internal/sts/... ./internal/sql/... ./internal/server/... ./internal/client/... ./internal/repl/... ./internal/node/... ./cmd/tpcc/... ./internal/wal/... ./internal/wire/... ./internal/netfault/... ./internal/chaos/... ./internal/shard/... ./internal/htap/... ./internal/colstore/... ./internal/crashmatrix/... ./internal/tpcc/...
 
 check: vet build test race
 

@@ -336,7 +336,7 @@ func BenchmarkAblationGroupCommitWindow(b *testing.B) {
 			name = "window-200us"
 		}
 		b.Run(name, func(b *testing.B) {
-			db := MustOpen(Config{Txn: TxnConfig{GroupCommitWindow: window, GroupCommitMaxBatch: 64}})
+			db := MustOpen(Config{Txn: TxnConfig{GroupCommitWindow: window}})
 			defer db.Close()
 			tid, _ := db.CreateTable("T")
 			const writers = 8
@@ -370,7 +370,7 @@ func BenchmarkAblationGroupCommitWindow(b *testing.B) {
 // commit (one write + one fsync per group) accelerates.
 func BenchmarkGroupCommitThroughput(b *testing.B) {
 	db, err := Open(Config{
-		Txn:         TxnConfig{GroupCommitWindow: 200 * time.Microsecond, GroupCommitMaxBatch: 64},
+		Txn:         TxnConfig{GroupCommitWindow: 200 * time.Microsecond},
 		Persistence: &Persistence{Dir: b.TempDir(), Sync: true},
 	})
 	if err != nil {

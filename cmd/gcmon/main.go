@@ -14,6 +14,7 @@
 //
 //	gcmon -gc none -duration 10s    # Figure 2: unbounded growth
 //	gcmon -gc hg   -duration 10s    # HybridGC keeps it flat
+//	gcmon -gc none -soft 2000       # no collection until the budget is crossed
 //	gcmon -addr 127.0.0.1:7654      # watch a remote server's indicators
 package main
 

@@ -88,12 +88,15 @@ type (
 
 // Robustness types: graceful degradation under version-space pressure.
 type (
-	// VersionBudget bounds the version space with soft/hard watermarks; see
-	// the degradation ladder in DESIGN.md.
+	// VersionBudget bounds the version space with soft/hard watermarks. The
+	// collector loop walks its degradation ladder (DESIGN.md §7.4): over
+	// Soft a pass is the full one, a full pass that cannot get back under
+	// Soft holds writers back, and Hard, or 200 ms over Soft, evicts the
+	// oldest cursor or Trans-SI snapshot. A budget starts the loop on Open.
 	VersionBudget = core.VersionBudget
 	// PressureLevel is the ladder's current rung.
 	PressureLevel = core.PressureLevel
-	// PressureStats is a point-in-time view of the budget controller.
+	// PressureStats is a point-in-time view of the budget's ladder.
 	PressureStats = core.PressureStats
 )
 

@@ -50,7 +50,7 @@ type Config struct {
 	Txn txn.Config
 	// GC enables the collectors and sets how long each may sit idle; a zero
 	// period disables the corresponding collector. The collector loop only
-	// runs with AutoGC, or once GC().Start is called.
+	// runs with AutoGC or a VersionBudget, or once GC().Start is called.
 	GC gc.Periods
 	// LongLivedThreshold is the table collector's snapshot age cutoff
 	// (<=0 selects the default).
@@ -67,9 +67,10 @@ type Config struct {
 	// cursors and garbage collection are unaffected.
 	ReadOnly bool
 	// VersionBudget, when its watermarks are set, bounds the version space:
-	// crossing the soft watermark triggers emergency collection, sustained
-	// pressure applies writer backpressure (ErrVersionPressure after a
-	// bounded wait), and crossing the hard watermark evicts the oldest
+	// over the soft watermark the collector loop's passes are the full one,
+	// a full pass that cannot get back under it applies writer backpressure
+	// (ErrVersionPressure after a bounded wait), and crossing the hard
+	// watermark, or 200 ms (evictAfter) over soft, evicts the oldest
 	// pinning snapshots (ErrSnapshotKilled for their owners). The graceful
 	// alternative to Figure 2's unbounded growth.
 	VersionBudget VersionBudget
@@ -83,7 +84,7 @@ type DB struct {
 	m        *txn.Manager
 	hybrid   *gc.Hybrid
 	fail     *failState
-	pressure *pressure // the version-budget controller, nil when unconfigured
+	pressure *pressure // the version-budget ladder, nil when unconfigured
 	readOnly bool
 
 	// The pad keeps the counters below off the line(s) above. A transaction
@@ -155,12 +156,12 @@ func Open(cfg Config) (*DB, error) {
 		recovery:   recoverySum,
 	}
 	db.hybrid.TG.Resolver = db.partitionResolver
-	if cfg.AutoGC {
-		db.hybrid.Start()
+	if cfg.VersionBudget.fill() {
+		db.pressure = &pressure{db: db, budget: cfg.VersionBudget}
+		db.hybrid.Ladder = db.pressure
 	}
-	if cfg.VersionBudget.enabled() {
-		cfg.VersionBudget.fill()
-		db.pressure = newPressure(db, cfg.VersionBudget)
+	if cfg.AutoGC || db.pressure != nil {
+		db.hybrid.Start()
 	}
 	return db, nil
 }
@@ -169,10 +170,6 @@ func Open(cfg Config) (*DB, error) {
 func (db *DB) Close() {
 	if !db.closed.CompareAndSwap(false, true) {
 		return
-	}
-	if db.pressure != nil {
-		// Before hybrid.Stop: the controller calls into the collectors.
-		db.pressure.close()
 	}
 	db.hybrid.Stop()
 	db.m.Close()

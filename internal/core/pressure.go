@@ -9,8 +9,8 @@ import (
 )
 
 // ErrVersionPressure reports a write rejected because the version space is
-// over its soft watermark, emergency collection could not relieve it, and the
-// writer's bounded wait expired. Transient: callers should retry (see Retry),
+// over its soft watermark, a full collection pass could not relieve it, and
+// the writer's bounded wait expired. Transient: callers should retry (see Retry),
 // since collection or snapshot eviction usually frees space shortly after.
 var ErrVersionPressure = errors.New("core: write rejected under version-space pressure")
 
@@ -20,28 +20,34 @@ var ErrVersionPressure = errors.New("core: write rejected under version-space pr
 // With a budget configured the engine degrades gracefully instead, along an
 // escalation ladder (see pressure).
 type VersionBudget struct {
-	// Soft is the live-version count that triggers emergency out-of-period
-	// collection. <=0 derives Hard/2.
+	// Soft is the live-version count at which the collector loop's passes
+	// become the full one and, when such a pass cannot get back under it,
+	// writers are held back. <=0 derives Hard/2.
 	Soft int64
-	// Hard is the live-version count the engine defends by force: sustained
-	// pressure above Soft applies writer backpressure, and crossing Hard
-	// evicts the oldest pinning snapshots. <=0 derives 2*Soft.
+	// Hard is the live-version count the engine defends by force: crossing
+	// it evicts the oldest pinning snapshots. <=0 derives 2*Soft.
 	Hard int64
-	// MaxWriterWait bounds how long a writer blocks under backpressure before
-	// failing with ErrVersionPressure. <=0 selects 100ms.
-	MaxWriterWait time.Duration
-	// EvictAfter bounds how long the engine tolerates sustained over-soft
-	// pressure before evicting pinning snapshots even below the hard
-	// watermark. Backpressure freezes the live count wherever rejection set
-	// in — possibly below Hard — so without a time bound an unreachable hard
-	// watermark would mean rejecting writes forever while a forgotten cursor
-	// pins the space. <=0 selects 2*MaxWriterWait.
-	EvictAfter time.Duration
 }
 
-func (b *VersionBudget) enabled() bool { return b.Soft > 0 || b.Hard > 0 }
+// The ladder's timing. A writer held back fails with ErrVersionPressure
+// after maxWriterWait. evictAfter bounds over-soft pressure that full passes
+// cannot relieve: backpressure freezes the live count wherever rejection set
+// in, possibly below Hard, so without it an unreachable hard watermark would
+// mean rejecting writes forever while a forgotten cursor pins the space. The
+// loop walks a raised ladder at least every recheck, rung or not: a writer
+// held back sees several relief attempts, and evictAfter elapses with no
+// writer at all.
+const (
+	maxWriterWait = 100 * time.Millisecond
+	evictAfter    = 2 * maxWriterWait
+	recheck       = maxWriterWait / 4
+)
 
-func (b *VersionBudget) fill() {
+// fill derives the watermark left unset; false when neither is set.
+func (b *VersionBudget) fill() bool {
+	if b.Soft <= 0 && b.Hard <= 0 {
+		return false
+	}
 	if b.Soft <= 0 {
 		b.Soft = b.Hard / 2
 	}
@@ -51,12 +57,7 @@ func (b *VersionBudget) fill() {
 	if b.Hard < b.Soft {
 		b.Hard = b.Soft
 	}
-	if b.MaxWriterWait <= 0 {
-		b.MaxWriterWait = 100 * time.Millisecond
-	}
-	if b.EvictAfter <= 0 {
-		b.EvictAfter = 2 * b.MaxWriterWait
-	}
+	return true
 }
 
 // PressureLevel is the degradation ladder's current rung.
@@ -65,34 +66,28 @@ type PressureLevel int32
 const (
 	// PressureNormal: live versions below the soft watermark.
 	PressureNormal PressureLevel = iota
-	// PressureSoft: the soft watermark was crossed; emergency out-of-period
-	// collection is running but still keeping up.
+	// PressureSoft: the soft watermark was crossed; the collector loop runs
+	// the full pass.
 	PressureSoft
-	// PressureBackpressure: emergency collection cannot get back under the
-	// soft watermark (something pins the versions); writers wait, bounded,
-	// then fail with ErrVersionPressure.
+	// PressureBackpressure: a full pass could not get back under the soft
+	// watermark (something pins the versions); writers wait, bounded, then
+	// fail with ErrVersionPressure.
 	PressureBackpressure
-	// PressureEvict: the hard watermark was crossed; the controller
-	// force-closes the oldest pinning snapshots (ErrSnapshotKilled for their
-	// owners) until collection can free space again.
+	// PressureEvict: the hard watermark was crossed; the ladder force-closes
+	// the oldest pinning snapshots (ErrSnapshotKilled for their owners)
+	// until collection can free space again.
 	PressureEvict
 )
 
 // String implements fmt.Stringer.
 func (l PressureLevel) String() string {
-	switch l {
-	case PressureSoft:
-		return "soft"
-	case PressureBackpressure:
-		return "backpressure"
-	case PressureEvict:
-		return "evict"
-	default:
+	if l < PressureNormal || l > PressureEvict {
 		return "normal"
 	}
+	return [...]string{"normal", "soft", "backpressure", "evict"}[l]
 }
 
-// PressureStats is a point-in-time view of the version-budget controller.
+// PressureStats is a point-in-time view of the version-budget ladder.
 type PressureStats struct {
 	Enabled     bool
 	Level       PressureLevel
@@ -101,17 +96,17 @@ type PressureStats struct {
 	Live        int64
 	Utilization float64 // Live / Hard
 	// Ladder transition and action counters.
-	SoftTrips     int64 // normal -> over-soft transitions
-	Emergencies   int64 // emergency out-of-period collection passes
+	SoftTrips     int64 // full passes that left live over soft after it was below
+	Emergencies   int64 // full passes the loop ran because live was over soft
 	Backpressured int64 // writers that entered the bounded wait
 	Rejected      int64 // writers that timed out with ErrVersionPressure
-	Evicted       int64 // snapshots force-closed by the controller
+	Evicted       int64 // snapshots force-closed by the ladder
 }
 
-// pressure is the version-budget controller: a small feedback loop that
-// watches Space.Live() against the watermarks and walks the escalation
-// ladder. Writers consult it through admit() — one atomic load while the
-// level is below backpressure.
+// pressure is the version-budget ladder. It has no goroutine of its own:
+// HybridGC's collector loop walks it (gc.Ladder) after each pass, writers
+// consult it through admit() — two atomic loads while the space is below
+// Soft — and ring the loop when it is not.
 type pressure struct {
 	db     *DB
 	budget VersionBudget
@@ -123,117 +118,78 @@ type pressure struct {
 	rejected      atomic.Int64
 	evicted       atomic.Int64
 
-	kick chan struct{}
-	stop chan struct{}
-	done chan struct{}
-
-	// overSoftSince marks when live last crossed the soft watermark upward;
-	// zero while below. Controller-goroutine only.
+	// Loop goroutine only: overSoftSince marks the first full pass that left
+	// at or over Soft, zero while below; created is Space.Created() when the
+	// last full pass began.
 	overSoftSince time.Time
+	created       int64
 }
 
-func newPressure(db *DB, budget VersionBudget) *pressure {
-	p := &pressure{
-		db:     db,
-		budget: budget,
-		kick:   make(chan struct{}, 1),
-		stop:   make(chan struct{}),
-		done:   make(chan struct{}),
+// Over implements gc.Ladder. At or over Soft the ladder leaves normal for
+// its soft rung: the pass the loop runs now is the full one.
+func (p *pressure) Over() bool {
+	if p.db.space.Live() < p.budget.Soft {
+		return false
 	}
-	go p.run()
-	return p
-}
-
-func (p *pressure) close() {
-	close(p.stop)
-	<-p.done
-}
-
-// run is the controller loop: evaluate on a period derived from the writer
-// wait bound (so a blocked writer sees several relief attempts before its
-// deadline) and immediately when a waiting writer kicks.
-func (p *pressure) run() {
-	defer close(p.done)
-	period := p.budget.MaxWriterWait / 4
-	if period < time.Millisecond {
-		period = time.Millisecond
-	}
-	tick := time.NewTicker(period)
-	defer tick.Stop()
-	for {
-		select {
-		case <-tick.C:
-			p.evaluate()
-		case <-p.kick:
-			p.evaluate()
-		case <-p.stop:
-			return
-		}
-	}
-}
-
-// evaluate walks the ladder once: measure, relieve, re-measure, set level.
-func (p *pressure) evaluate() {
-	live := p.db.space.Live()
-	if live < p.budget.Soft {
-		p.level.Store(int32(PressureNormal))
-		p.overSoftSince = time.Time{}
-		return
-	}
-	if p.overSoftSince.IsZero() {
-		p.overSoftSince = time.Now()
-		p.softTrips.Add(1)
-	}
-	// Raise to soft, but never lower a higher rung here: writers held back
-	// by backpressure stay held while this pass tries to relieve it, and are
-	// let go only by the re-measurement below.
-	if PressureLevel(p.level.Load()) < PressureSoft {
-		p.level.Store(int32(PressureSoft))
-	}
-
-	// Rung 1: emergency out-of-period collection — one full pass in §4.4's
-	// order: GT, then the table collector, which gets past a table-scoped
-	// pin for every other table, then the interval collector, which reclaims
-	// in-between versions even while an old snapshot pins the horizon.
 	p.emergencies.Add(1)
-	p.db.hybrid.Collect()
-	live = p.db.space.Live()
-	if live < p.budget.Soft {
-		p.level.Store(int32(PressureNormal))
-		p.overSoftSince = time.Time{}
-		return
-	}
+	p.created = p.db.space.Created()
+	p.level.CompareAndSwap(int32(PressureNormal), int32(PressureSoft))
+	return true
+}
 
-	// Rung 3: eviction. Collection alone cannot help — something is pinning
-	// the versions. Triggered by the hard watermark, or by sustained
-	// over-soft pressure: backpressure freezes the live count wherever
-	// rejection set in, so waiting for Hard alone could mean rejecting
-	// writes forever below it. Evict the oldest non-statement snapshots
-	// (cursors, forgotten Trans-SI transactions) until collection frees
-	// enough or no candidates remain.
-	if live >= p.budget.Hard || time.Since(p.overSoftSince) >= p.budget.EvictAfter {
-		for live >= p.budget.Soft {
-			victim := p.oldestPinning()
-			if victim == nil {
-				break
+// Passed implements gc.Ladder: it walks the ladder once the loop's pass is
+// done, on the loop's goroutine. Rung 1, the full §4.4 pass — GT, then the
+// table collector, which gets past a table-scoped pin for every other table,
+// then the interval collector, which reclaims in-between versions even while
+// an old snapshot pins the horizon — has just run when full is set. Only a
+// full pass that leaves at or over Soft of the versions it found is a soft
+// trip, and only it raises the ladder past its soft rung.
+func (p *pressure) Passed(full bool) time.Duration {
+	live := p.db.space.Live()
+	if full {
+		live = p.left(p.created)
+	}
+	if full && live >= p.budget.Soft {
+		if p.overSoftSince.IsZero() {
+			p.overSoftSince = time.Now()
+			p.softTrips.Add(1)
+		}
+		// Rung 3: something pins the versions. At Hard, or evictAfter after
+		// the trip, evict the oldest cursors and Trans-SI transactions
+		// until collection frees enough or no candidates remain.
+		if live >= p.budget.Hard || time.Since(p.overSoftSince) >= evictAfter {
+			for victim := p.oldestPinning(); victim != nil; victim = p.oldestPinning() {
+				victim.Kill()
+				p.evicted.Add(1)
+				created := p.db.space.Created()
+				p.db.hybrid.Collect()
+				if live = p.left(created); live < p.budget.Soft {
+					break
+				}
 			}
-			victim.Kill()
-			p.evicted.Add(1)
-			p.db.hybrid.Collect()
-			live = p.db.space.Live()
 		}
 	}
-
 	switch {
 	case live < p.budget.Soft:
 		p.level.Store(int32(PressureNormal))
 		p.overSoftSince = time.Time{}
+		return 0
+	case !full:
+		// Over since the pass was chosen: the next wake runs the full one.
 	case live < p.budget.Hard:
-		// Rung 2: sustained over-soft despite collection — writers wait.
+		// Rung 2: over soft after a full pass — writers wait.
 		p.level.Store(int32(PressureBackpressure))
 	default:
 		p.level.Store(int32(PressureEvict))
 	}
+	return recheck
+}
+
+// left is how many of the versions that existed when Space.Created() read
+// created are live now. Versions writers create beside a pass are not that
+// pass's to find.
+func (p *pressure) left(created int64) int64 {
+	return p.db.space.Live() - (p.db.space.Created() - created)
 }
 
 // oldestPinning picks the eviction victim: the oldest active cursor or
@@ -254,33 +210,28 @@ func (p *pressure) oldestPinning() *txn.Snapshot {
 
 // admit gates one write. The fast path (below soft, no backpressure) is two
 // atomic loads. Between soft and hard the write is admitted but the
-// controller is kicked, making soft-watermark detection event-driven instead
-// of waiting for the next tick — a write burst cannot race past the ladder
-// between evaluations. At or above hard, or under declared backpressure, the
-// writer waits with exponential backoff and fails with ErrVersionPressure
-// when MaxWriterWait expires first.
+// collector loop is rung, so a full pass follows the crossing at once
+// instead of waiting for the next batch — a write burst cannot race past
+// the ladder between passes. At or above hard, or under declared
+// backpressure, the writer waits with exponential backoff, ringing the loop
+// each round, and fails with ErrVersionPressure when maxWriterWait expires
+// first.
 func (p *pressure) admit() error {
 	if PressureLevel(p.level.Load()) < PressureBackpressure {
 		live := p.db.space.Live()
 		if live < p.budget.Soft {
 			return nil
 		}
-		select {
-		case p.kick <- struct{}{}:
-		default:
-		}
+		p.db.m.RingGC()
 		if live < p.budget.Hard {
 			return nil
 		}
 	}
 	p.backpressured.Add(1)
-	deadline := time.Now().Add(p.budget.MaxWriterWait)
+	deadline := time.Now().Add(maxWriterWait)
 	backoff := 250 * time.Microsecond
 	for {
-		select {
-		case p.kick <- struct{}{}:
-		default:
-		}
+		p.db.m.RingGC()
 		time.Sleep(backoff)
 		if PressureLevel(p.level.Load()) < PressureBackpressure && p.db.space.Live() < p.budget.Hard {
 			return nil
@@ -295,7 +246,7 @@ func (p *pressure) admit() error {
 	}
 }
 
-// stats snapshots the controller state.
+// stats snapshots the ladder's state.
 func (p *pressure) stats() PressureStats {
 	live := p.db.space.Live()
 	return PressureStats{
@@ -314,7 +265,7 @@ func (p *pressure) stats() PressureStats {
 }
 
 // admitWrite is the engine's write gate: fail-stop first (a wounded node
-// accepts no writes at all), then the version-budget controller.
+// accepts no writes at all), then the version-budget ladder.
 func (db *DB) admitWrite() error {
 	if err := db.fail.check(); err != nil {
 		return err
@@ -325,7 +276,7 @@ func (db *DB) admitWrite() error {
 	return nil
 }
 
-// PressureStats returns the version-budget controller's state; the zero
+// PressureStats returns the version-budget ladder's state; the zero
 // value (Enabled=false) when no VersionBudget is configured.
 func (db *DB) PressureStats() PressureStats {
 	if db.pressure == nil {

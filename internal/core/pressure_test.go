@@ -2,9 +2,12 @@ package core
 
 import (
 	"errors"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
+	"hybridgc/internal/gc"
 	"hybridgc/internal/ts"
 	"hybridgc/internal/txn"
 )
@@ -75,11 +78,7 @@ func testBudgetBoundsOverflow(t *testing.T, pin func(*testing.T, *DB, ts.TableID
 		hard = 1600
 	)
 	db := openTest(t, Config{
-		VersionBudget: VersionBudget{
-			Soft:          soft,
-			Hard:          hard,
-			MaxWriterWait: 50 * time.Millisecond,
-		},
+		VersionBudget: VersionBudget{Soft: soft, Hard: hard},
 	})
 
 	tid := mustCreate(t, db, "t")
@@ -89,7 +88,7 @@ func testBudgetBoundsOverflow(t *testing.T, pin func(*testing.T, *DB, ts.TableID
 	if err := insertRows(db, tid, rows, 100); err != nil {
 		t.Fatal(err)
 	}
-	// Let the controller collect the insert burst before pinning, so the
+	// Let the ladder collect the insert burst before pinning, so the
 	// pinned snapshot is the only thing blocking collection below.
 	deadline := time.Now().Add(2 * time.Second)
 	for db.Space().Live() >= soft && time.Now().Before(deadline) {
@@ -117,8 +116,8 @@ func testBudgetBoundsOverflow(t *testing.T, pin func(*testing.T, *DB, ts.TableID
 		}
 	}
 
-	// The controller evaluates every MaxWriterWait/4; allow one period of
-	// overshoot beyond the hard watermark before it reacts.
+	// Writers at the hard watermark wait for the loop; allow a batch of
+	// overshoot beyond it before the loop's pass and eviction react.
 	const slack = 256
 	if maxLive > hard+slack {
 		t.Fatalf("live versions peaked at %d, want <= hard %d + slack %d", maxLive, hard, hard+slack)
@@ -151,77 +150,78 @@ func testBudgetBoundsOverflow(t *testing.T, pin func(*testing.T, *DB, ts.TableID
 }
 
 // TestVersionBudgetBackpressureRejects drives the version space over the
-// soft watermark while an undeletable pin holds collection back below hard,
-// and asserts writers get the bounded-wait-then-ErrVersionPressure behavior
-// rather than blocking forever.
+// soft watermark while a pin that eviction exempts — a statement held open
+// inside a Scan callback — holds collection back below hard, and asserts
+// writers get the bounded-wait-then-ErrVersionPressure behavior rather than
+// blocking forever, that nothing is evicted, and that the ladder comes back
+// to rest once the statement ends.
 func TestVersionBudgetBackpressureRejects(t *testing.T) {
 	const (
 		rows = 400
 		soft = 100
 	)
-	db, err := Open(Config{
-		VersionBudget: VersionBudget{
-			Soft: soft,
-			// Hard and EvictAfter far away: the ladder stalls at
-			// backpressure because eviction never triggers.
-			Hard:          1 << 30,
-			MaxWriterWait: 20 * time.Millisecond,
-			EvictAfter:    time.Hour,
-		},
+	db := openTest(t, Config{
+		// Hard far away: only evictAfter could end the stall, and it finds
+		// no snapshot it may evict.
+		VersionBudget: VersionBudget{Soft: soft, Hard: 1 << 30},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-
-	tid, err := db.CreateTable("t")
-	if err != nil {
-		t.Fatal(err)
-	}
+	tid := mustCreate(t, db, "t")
 	if err := insertRows(db, tid, rows, 50); err != nil {
 		t.Fatal(err)
 	}
 	// The load itself can take the ladder to backpressure for a moment; let
-	// the collectors drain it and the controller come back to normal, or the
-	// loop below would read that stale rung as the one the cursor causes.
+	// the collectors drain it and the ladder come back to normal, or the
+	// loop below would read that stale rung as the one the pin causes.
 	deadline := time.Now().Add(2 * time.Second)
 	for (db.Space().Live() >= soft || db.PressureStats().Level != PressureNormal) && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 
-	cur, err := db.OpenCursor(tid)
-	if err != nil {
-		t.Fatal(err)
+	scanning, release, scanned := make(chan struct{}), make(chan struct{}), make(chan error, 1)
+	go func() {
+		scanned <- db.Exec(txn.StmtSI, nil, func(tx *Tx) error {
+			return tx.Scan(tid, func(ts.RID, []byte) bool {
+				close(scanning)
+				<-release
+				return false
+			})
+		})
+	}()
+	<-scanning
+	released := false
+	unpin := func() {
+		if !released {
+			released = true
+			close(release)
+			if err := <-scanned; err != nil {
+				t.Errorf("the pinning scan: %v", err)
+			}
+		}
 	}
-	defer cur.Close()
+	defer unpin()
 
 	update := func(i int) error {
 		return db.Exec(txn.StmtSI, nil, func(tx *Tx) error {
 			return tx.Update(tid, ts.RID(i%rows+1), []byte("v1"))
 		})
 	}
-	// Each row's newest committed version is irreducible while the cursor
-	// pins (SI spares chain heads), so cycling updates over the rows pushes
-	// live over soft for good. Write until the controller reports the
-	// backpressure rung — it needs one full evaluation, collection pass
-	// included, after live settles over soft, so neither an iteration count
-	// nor a sleep would do; the deadline only bounds a broken run.
+	// Each row's newest committed version is irreducible while the
+	// statement pins (SI spares chain heads), so cycling updates over the
+	// rows pushes live over soft for good. Write until the ladder reports the backpressure rung —
+	// it needs one full pass that ends over soft, so neither an iteration
+	// count nor a sleep would do; the deadline only bounds a broken run.
 	stop := time.Now().Add(30 * time.Second)
 	for i := 0; db.PressureStats().Level != PressureBackpressure; i++ {
 		if time.Now().After(stop) {
-			t.Fatalf("controller never reached backpressure: %+v", db.PressureStats())
+			t.Fatalf("the ladder never reached backpressure: %+v", db.PressureStats())
 		}
-		switch err := update(i); {
-		case err == nil, errors.Is(err, ErrVersionPressure):
-		case errors.Is(err, ErrSnapshotKilled):
-			t.Fatalf("eviction fired below hard watermark on update %d", i)
-		default:
+		if err := update(i); err != nil && !errors.Is(err, ErrVersionPressure) {
 			t.Fatalf("update %d: %v", i, err)
 		}
 	}
-	// The rung holds as long as the pin does: every writer now waits out
-	// MaxWriterWait and is rejected, also while the controller is busy
-	// re-evaluating on the waiters' kicks.
+	// The rung holds as long as the pin does, past evictAfter: every writer
+	// now waits out maxWriterWait and is rejected, also while the loop
+	// re-walks the ladder on the waiters' rings.
 	for i := 0; i < 5; i++ {
 		if err := update(i); !errors.Is(err, ErrVersionPressure) {
 			t.Fatalf("update under backpressure = %v, want ErrVersionPressure (%+v)", err, db.PressureStats())
@@ -232,10 +232,18 @@ func TestVersionBudgetBackpressureRejects(t *testing.T) {
 		t.Fatalf("backpressure counters not advanced: %+v", ps)
 	}
 	if ps.Evicted != 0 {
-		t.Fatalf("evicted %d snapshots below the hard watermark", ps.Evicted)
+		t.Fatalf("evicted %d snapshots: a statement is never a victim", ps.Evicted)
 	}
-	if cur.snap.Killed() {
-		t.Fatal("cursor killed below the hard watermark")
+	unpin()
+	deadline = time.Now().Add(5 * time.Second)
+	for db.PressureStats().Level != PressureNormal {
+		if time.Now().After(deadline) {
+			t.Fatalf("the ladder stayed raised after the pin ended: %+v", db.PressureStats())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := update(0); err != nil {
+		t.Fatalf("update after the pin ended: %v", err)
 	}
 }
 
@@ -243,19 +251,14 @@ func TestVersionBudgetBackpressureRejects(t *testing.T) {
 // global horizon while table B grows past the soft watermark. Everything B
 // accumulates is reclaimable — by the table collector, and by nobody else:
 // each record's only version is its newest, which the interval collector
-// never touches — so the emergency rung has to be the full §4.4 pass: live versions come back
-// under the watermark and the ladder never reaches eviction. (The rung used to
-// run GT and SI only and evicted the cursor.)
+// never touches — so the loop's pass over soft has to be the full §4.4 pass:
+// live versions come back under the watermark and the ladder never reaches
+// eviction. (The rung used to run GT and SI only and evicted the cursor.)
 func TestEmergencyRungRunsTheTableCollector(t *testing.T) {
 	const soft, hard = 400, 4000
 	db, err := Open(Config{
 		LongLivedThreshold: time.Nanosecond,
-		VersionBudget: VersionBudget{
-			Soft:          soft,
-			Hard:          hard,
-			MaxWriterWait: 50 * time.Millisecond,
-			EvictAfter:    time.Hour,
-		},
+		VersionBudget:      VersionBudget{Soft: soft, Hard: hard},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -299,5 +302,35 @@ func TestEmergencyRungRunsTheTableCollector(t *testing.T) {
 	}
 	if _, _, err := cur.Fetch(1); err != nil {
 		t.Fatalf("the cursor on A must have survived: %v", err)
+	}
+}
+
+// TestBudgetRunsOnlyTheLoop: the ladder has no goroutine of its own. A DB
+// with a budget runs exactly one goroutine, HybridGC's collector loop,
+// whether or not AutoGC asked for it, and Close leaves none behind.
+func TestBudgetRunsOnlyTheLoop(t *testing.T) {
+	for _, cfg := range []Config{
+		{VersionBudget: VersionBudget{Soft: 100}},
+		{VersionBudget: VersionBudget{Soft: 100}, GC: gc.DefaultPeriods(), AutoGC: true},
+	} {
+		base := runtime.NumGoroutine()
+		db, err := Open(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]byte, 1<<20)
+		stacks := string(buf[:runtime.Stack(buf, true)])
+		if n, loops := runtime.NumGoroutine()-base, strings.Count(stacks, "created by hybridgc/internal/gc.(*Hybrid).Start "); n != 1 || loops != 1 {
+			db.Close()
+			t.Fatalf("AutoGC=%v: Open started %d goroutines, %d of them collector loops; want the loop alone:\n%s", cfg.AutoGC, n, loops, stacks)
+		}
+		db.Close()
+		// The loop has closed its done channel when Close returns; it may
+		// still be on its way out.
+		for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() != base; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("AutoGC=%v: %d goroutines after Close, %d before Open", cfg.AutoGC, runtime.NumGoroutine(), base)
+			}
+		}
 	}
 }

@@ -67,6 +67,8 @@ type Hybrid struct {
 	TG *TableGC
 	SI *Interval
 
+	Ladder Ladder // set before Start; nil without a version budget
+
 	m       *txn.Manager
 	periods Periods
 
@@ -94,7 +96,7 @@ func (h *Hybrid) Name() string { return "HG" }
 
 // Collect implements Collector: one full hybrid pass, GT then TG then SI —
 // the execution order of §4.4 — regardless of periods. Used by tests, by the
-// pressure controller's emergency rung and by callers that drive collection
+// version budget's eviction rung and by callers that drive collection
 // manually.
 func (h *Hybrid) Collect() RunStats {
 	st, tg, si := h.pass(true, true)
@@ -164,27 +166,45 @@ func (h *Hybrid) commitGT(stop <-chan struct{}) {
 	}
 }
 
+// Ladder is a version budget the loop defends, core's pressure ladder
+// (DESIGN §7.4); writers over its soft watermark ring the loop (RingGC).
+type Ladder interface {
+	// Over reports whether live versions are at or over the soft watermark,
+	// asked before each wake's pass: the pass is then the full one.
+	Over() bool
+	// Passed walks the ladder after the wake's pass, if any, outside the
+	// latch; it may collect. It returns how soon the loop must walk it again
+	// though nothing rings, zero while the ladder is at rest.
+	Passed(full bool) time.Duration
+}
+
 // Start launches the collector loop and makes every committer run GT once
 // enough has been published since the last run (txn.Manager.CollectOnCommit).
-// With every period zero there is nothing to run: no loop, and GT stays off
-// the commit path. Start is idempotent while running.
+// With every period zero nothing collects on its own: without a Ladder there
+// is no loop, and with one the loop runs only the passes the ladder asks for
+// and GT stays off the commit path. Start is idempotent while running.
 func (h *Hybrid) Start() {
 	h.startMu.Lock()
 	defer h.startMu.Unlock()
-	if h.stop != nil || h.periods.GT <= 0 && h.periods.TG <= 0 && h.periods.SI <= 0 {
+	periodic := h.periods.GT > 0 || h.periods.TG > 0 || h.periods.SI > 0
+	if h.stop != nil || !periodic && h.Ladder == nil {
 		return
 	}
 	stop := make(chan struct{})
 	h.stop = stop
 	h.done = make(chan struct{})
-	ring := h.m.ListenGC(batchVersions)
-	h.m.CollectOnCommit(func() { h.commitGT(stop) })
+	var batch int64
+	if periodic {
+		batch = batchVersions
+		h.m.CollectOnCommit(func() { h.commitGT(stop) })
+	}
+	ring := h.m.ListenGC(batch)
 	go h.loop(ring, h.stop, h.done)
 }
 
 // Stop takes GT off the commit path, halts the loop and waits for a pass in
 // flight, the loop's or a committer's: once it returns no collector runs
-// until a call or the next Start.
+// until a call or the next Start, and nothing walks the Ladder.
 func (h *Hybrid) Stop() {
 	h.startMu.Lock()
 	defer h.startMu.Unlock()
@@ -204,7 +224,9 @@ func (h *Hybrid) Stop() {
 // every enabled collector runs. The timer is the idle fallback: it is set to
 // the earliest moment an enabled collector will have sat idle for its period,
 // and when it fires only the collectors that have are run — after GT, which
-// every pass begins with.
+// every pass begins with. While the space is over the Ladder's soft
+// watermark the pass is the full one, and after every wake the Ladder is
+// walked; while it is not at rest the timer fires no later than it asks.
 func (h *Hybrid) loop(ring <-chan struct{}, stop <-chan struct{}, done chan<- struct{}) {
 	defer close(done)
 	periods := [3]time.Duration{h.periods.GT, h.periods.TG, h.periods.SI}
@@ -213,6 +235,7 @@ func (h *Hybrid) loop(ring <-chan struct{}, stop <-chan struct{}, done chan<- st
 	for i, p := range periods {
 		due[i] = now.Add(p)
 	}
+	var recheck time.Duration // the Ladder's bound on the next wake, zero for none
 	timer := time.NewTimer(0)
 	defer timer.Stop()
 	for {
@@ -222,13 +245,18 @@ func (h *Hybrid) loop(ring <-chan struct{}, stop <-chan struct{}, done chan<- st
 				first = due[i]
 			}
 		}
+		if r := now.Add(recheck); recheck > 0 && (first.IsZero() || r.Before(first)) {
+			first = r
+		}
 		if !timer.Stop() {
 			select {
 			case <-timer.C:
 			default:
 			}
 		}
-		timer.Reset(time.Until(first))
+		if !first.IsZero() {
+			timer.Reset(time.Until(first))
+		}
 
 		var run [3]bool
 		select {
@@ -243,9 +271,15 @@ func (h *Hybrid) loop(ring <-chan struct{}, stop <-chan struct{}, done chan<- st
 				run[i] = p > 0 && !now.Before(due[i])
 			}
 		}
-		h.m.BeginGCPass()
-		h.pass(run[1], run[2])
-		run[0] = true
+		full := h.Ladder != nil && h.Ladder.Over()
+		if full || run[0] || run[1] || run[2] {
+			h.m.BeginGCPass()
+			run = [3]bool{true, full || run[1], full || run[2]}
+			h.pass(run[1], run[2])
+		}
+		if h.Ladder != nil {
+			recheck = h.Ladder.Passed(full)
+		}
 		now = time.Now()
 		for i, p := range periods {
 			if run[i] {

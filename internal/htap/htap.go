@@ -348,10 +348,11 @@ func (s *Store) migrateLane(l *Lane) int {
 	nChunks := int((maxRID + slots - 1) / slots)
 
 	// Bucket the dirty set by chunk index to decide rebuilds cheaply.
-	dirtyByChunk := make(map[int]int)
+	dirtyByChunk := make(map[int][]ts.RID)
 	l.dirtyMu.Lock()
 	for rid := range l.dirty {
-		dirtyByChunk[int((rid-1)/slots)]++
+		i := int((rid - 1) / slots)
+		dirtyByChunk[i] = append(dirtyByChunk[i], rid)
 	}
 	l.dirtyMu.Unlock()
 
@@ -367,9 +368,16 @@ func (s *Store) migrateLane(l *Lane) int {
 		}
 		if i < len(old) {
 			lc := old[i]
-			// Keep a sealed chunk as-is unless it has dirty rows to
-			// re-settle or the table grew into its range.
-			if dirtyByChunk[i] == 0 && lc.builtThrough >= end {
+			// Keep a sealed chunk as-is unless the table grew into its
+			// range or one of its dirty rows has settled. A rebuild would
+			// mark a still-versioned row dirty again, and a dirty row is
+			// served from the row store meanwhile.
+			settled := s.guardOff.Load() && len(dirtyByChunk[i]) > 0
+			for _, rid := range dirtyByChunk[i] {
+				_, versioned, _ := s.db.RecordState(l.tid, rid)
+				settled = settled || !versioned
+			}
+			if lc.builtThrough >= end && !settled {
 				next[i] = lc
 				continue
 			}

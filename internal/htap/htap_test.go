@@ -380,6 +380,58 @@ func TestPinnedCursorBlocksMigration(t *testing.T) {
 	}
 }
 
+// TestMigrateKeepsChunksItCannotImprove: a chunk whose only dirty row is
+// kept versioned by a held snapshot is not rebuilt on every pass — the
+// rebuild would leave that row dirty again and re-encode the rest for
+// nothing — and once the snapshot goes the next pass settles it.
+func TestMigrateKeepsChunksItCannotImprove(t *testing.T) {
+	db := openTest(t, core.Config{})
+	tid, err := db.CreateTable("FACTS")
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := newTestStore(db)
+	if err := st.EnableTable(tid, laneSchema); err != nil {
+		t.Fatal(err)
+	}
+	const n = 16 // two chunks of 8
+	rids := make([]ts.RID, n)
+	for i := range rids {
+		rids[i] = insertRow(t, db, tid, 10, "old")
+	}
+	db.GC().Collect()
+	if got := st.Migrate(); got != n {
+		t.Fatalf("the first Migrate moved %d rows, want %d", got, n)
+	}
+
+	pin := db.Manager().AcquireSnapshot(txn.KindCursor, []ts.TableID{tid})
+	updateRow(t, db, tid, rids[0], 20, "new")
+	db.GC().Collect()
+	st.Migrate()
+	rebuilds := st.Stats()[0].Rebuilds
+	for i := 0; i < 10; i++ {
+		if got := st.Migrate(); got != 0 {
+			t.Fatalf("pass %d re-migrated %d rows of a chunk it cannot improve", i+2, got)
+		}
+	}
+	stats := st.Stats()[0]
+	if stats.Rebuilds != rebuilds || stats.DirtyRows != 1 {
+		t.Fatalf("after ten passes: %d rebuilds (%d before), %d dirty rows; want no rebuild and the one row dirty", stats.Rebuilds, rebuilds, stats.DirtyRows)
+	}
+	if sum, _ := scalar(t, st, tid, AggSpec{Op: AggSum, Col: "amount"}); sum != (n-1)*10+20 {
+		t.Fatalf("SUM = %d, want %d: the dirty row is read from the row store", sum, (n-1)*10+20)
+	}
+
+	pin.Release()
+	db.GC().Collect()
+	if got := st.Migrate(); got != n/2 {
+		t.Fatalf("Migrate after the release moved %d rows, want the settled row's chunk, %d", got, n/2)
+	}
+	if stats := st.Stats()[0]; stats.DirtyRows != 0 {
+		t.Fatalf("DirtyRows = %d after the release, want 0", stats.DirtyRows)
+	}
+}
+
 // TestLaneCursorLeavesRowTablesToTG is §4.3's row/column separation on the
 // served path: a long OLAP cursor over a lane-enabled table blocks the group
 // collector everywhere, and once the table collector has scoped it to FACTS

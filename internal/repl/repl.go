@@ -53,3 +53,6 @@ var (
 // engine, open a fresh (empty, read-only) one, and run a new Replica over
 // it — bootstrap re-ships the checkpoint.
 var ErrBootstrapRequired = errors.New("repl: replica must re-bootstrap from a checkpoint")
+
+// errPrimaryDraining ends a stream whose primary shut down (RmEnd, EndDrain).
+var errPrimaryDraining = errors.New("repl: primary draining")

@@ -768,6 +768,53 @@ func TestDrainDuringCatchUpEndsPromptly(t *testing.T) {
 	r.shutdown()
 }
 
+// TestShutdownEndsStreamWithDrain: a server shutdown ends an attached
+// replica's stream with RmEnd(Drain), whether the stream waits at the head
+// or is mid catch-up. The drain both sets the stream's drain flag and
+// expires its report reader's read deadline; a stream that returned the
+// reader's error instead would leave the replica with a bare EOF, so the
+// shutdown is repeated until chance would have shown that path.
+func TestShutdownEndsStreamWithDrain(t *testing.T) {
+	const rounds = 10
+	for _, catchUp := range []bool{false, true} {
+		for i := 0; i < rounds; i++ {
+			t.Run(fmt.Sprintf("catchUp=%v/%d", catchUp, i), func(t *testing.T) {
+				p := startPrimary(t, fastSource(), nil)
+				tid := mustCreateTable(t, p.db, "accounts")
+				img := strings.Repeat("x", 64<<10)
+				for j := 0; j < 16; j++ {
+					mustInsert(t, p.db, tid, img)
+				}
+				if catchUp {
+					// A run holds four rows; each waits 20ms before it ships.
+					fault.Enable(FPPartialSegment, fault.Sleep(20*time.Millisecond))
+					t.Cleanup(func() { fault.Disable(FPPartialSegment) })
+				}
+				rdb, err := core.Open(core.Config{ReadOnly: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer rdb.Close()
+				rep, err := NewReplica(rdb, ReplicaConfig{Upstream: p.addr, ReplicaID: "r", ReportEvery: time.Millisecond})
+				if err != nil {
+					t.Fatal(err)
+				}
+				ended := make(chan error, 1)
+				go func() { ended <- rep.streamOnce() }()
+				if catchUp {
+					waitFor(t, 5*time.Second, "catch-up to start", func() bool { return p.src.recordsSent.Load() > 0 })
+				} else if err := rep.WaitLSN(p.db.WAL().NextLSN(), 5*time.Second); err != nil {
+					t.Fatal(err)
+				}
+				p.srv.Shutdown(5 * time.Second)
+				if err := <-ended; !errors.Is(err, errPrimaryDraining) {
+					t.Fatalf("the stream ended with %v, want the drain code", err)
+				}
+			})
+		}
+	}
+}
+
 // replicaStat is the primary's STATS row for its only replica.
 func replicaStat(t *testing.T, p *primary) wire.ReplicaStat {
 	t.Helper()

@@ -313,7 +313,7 @@ func (r *Replica) streamOnce() error {
 			case wire.EndDemoted:
 				return fmt.Errorf("%w: primary: %s", ErrBootstrapRequired, detail)
 			case wire.EndDrain:
-				return fmt.Errorf("repl: primary draining: %s", detail)
+				return fmt.Errorf("%w: %s", errPrimaryDraining, detail)
 			default:
 				return fmt.Errorf("repl: stream ended: %s", detail)
 			}
@@ -370,7 +370,8 @@ func (r *Replica) advance(next uint64) {
 }
 
 // reporter periodically tells the primary where this replica stands: the
-// applied cursor, from which the primary derives its segment floor.
+// applied cursor, from which the primary derives its segment floor. A failed
+// send leaves the socket to the apply loop, which may yet read an RmEnd.
 func (r *Replica) reporter(nc net.Conn, bw *bufio.Writer, done chan<- struct{}) {
 	defer close(done)
 	send := func() error {
@@ -380,7 +381,6 @@ func (r *Replica) reporter(nc net.Conn, bw *bufio.Writer, done chan<- struct{}) 
 		return wire.WriteStreamMsg(bw, wire.RmReport, b.Take())
 	}
 	if send() != nil {
-		nc.Close()
 		return
 	}
 	t := time.NewTicker(r.cfg.ReportEvery)
@@ -392,7 +392,6 @@ func (r *Replica) reporter(nc net.Conn, bw *bufio.Writer, done chan<- struct{}) 
 			return
 		case <-t.C:
 			if send() != nil {
-				nc.Close()
 				return
 			}
 		}

@@ -303,8 +303,11 @@ func (s *Source) ServeStream(nc net.Conn, br *bufio.Reader, bw *bufio.Writer, re
 	// are skipped CID-wise by the applier. The drain flag is checked per run
 	// as well as per tick: a long catch-up throttled by a slow replica's TCP
 	// backpressure must end promptly on server shutdown, not when a write
-	// deadline eventually fires. shipped is the position after the last run
-	// sent: a replica whose applied LSN reached it holds all this stream gave.
+	// deadline eventually fires. The drain also expires the report reader's
+	// read deadline; a reader that fails while the flag is set goes round to
+	// the check, so a replica is always told the primary is draining.
+	// shipped is the position after the last run sent: a replica whose
+	// applied LSN reached it holds all this stream gave.
 	shipped := wal.LSN(req.StartLSN)
 	hdr := &wire.Builder{} // an RmRun's LSN, ahead of its frames
 	hb := time.NewTicker(s.cfg.HeartbeatEvery)
@@ -337,7 +340,9 @@ func (s *Source) ServeStream(nc net.Conn, br *bufio.Reader, bw *bufio.Writer, re
 		}
 		select {
 		case err := <-readerErr:
-			return err
+			if !draining() {
+				return err
+			}
 		case <-wake:
 		case <-hb.C:
 			if err := fault.Hit(FPStreamDrop); err != nil {

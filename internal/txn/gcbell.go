@@ -28,9 +28,9 @@ const gtEvery = 256
 // last horizon scan found holding work back; and a committer, once its
 // commit is answered, runs the group collector itself when gtEvery versions
 // have been published since the last one ran and the snapshot that stopped
-// that one is gone. Rings coalesce in a one-slot channel. Until a loop
-// listens the bell is off: nothing is counted, nothing rings and no
-// committer collects.
+// that one is gone. A version budget's writers ring as well (RingGC). Rings
+// coalesce in a one-slot channel. Until a loop listens the bell is off:
+// nothing is counted, nothing rings and no committer collects.
 type gcBell struct {
 	ring chan struct{} // cap 1: a pending ring stands for any number of them
 	// batch is how many freshly published versions make a pass worth
@@ -113,6 +113,10 @@ func (m *Manager) ListenGC(batch int64) <-chan struct{} {
 	}
 	return m.bell.ring
 }
+
+// RingGC is a writer's report that the version space is over its budget's
+// soft watermark: it wakes the loop whatever the counts say, never blocking.
+func (m *Manager) RingGC() { m.bell.poke() }
 
 // CollectOnCommit installs gt as the group collection committers run after
 // their commit (collectAfterCommit), or with nil removes it. It is counted

@@ -71,11 +71,11 @@ type CommitLogger interface {
 	LogCommit(cid ts.CID, members []*mvcc.TransContext) error
 }
 
+// maxGroup caps how many transactions share one commit group.
+const maxGroup = 64
+
 // Config tunes group commit.
 type Config struct {
-	// GroupCommitMaxBatch caps how many transactions share one commit group.
-	// Defaults to 64.
-	GroupCommitMaxBatch int
 	// GroupCommitWindow is how long a group's leader waits for its batch to
 	// fill before taking it. Zero (the default) batches only what is already
 	// queued, which keeps single-threaded commits fast while still grouping
@@ -92,12 +92,6 @@ type Config struct {
 	// later commit may be acknowledged, or an acked-but-unlogged commit could
 	// survive in memory and vanish on restart.
 	OnDurabilityFailure func(error)
-}
-
-func (c *Config) fill() {
-	if c.GroupCommitMaxBatch <= 0 {
-		c.GroupCommitMaxBatch = 64
-	}
 }
 
 // Stats is a point-in-time counter snapshot of the manager.
@@ -146,7 +140,6 @@ type Manager struct {
 // NewManager creates a manager over the given version space and snapshot
 // registry. It owns no goroutine: commit groups form on the committers.
 func NewManager(space *mvcc.Space, reg *sts.Registry, cfg Config) *Manager {
-	cfg.fill()
 	return &Manager{
 		cfg:   cfg,
 		space: space,
@@ -249,7 +242,7 @@ func (m *Manager) submit(tctx *mvcc.TransContext, closing bool) commitResult {
 }
 
 // throughQueue is submit with the request in hand. The first arrival at an
-// idle queue leads: it takes what is queued (up to GroupCommitMaxBatch, itself
+// idle queue leads: it takes what is queued (up to maxGroup, itself
 // first), commits it as one group, answers the members and hands leadership
 // to whoever queued meanwhile — a leader serves exactly one group. Later
 // arrivals park on their done channel until a leader answers them or makes
@@ -284,15 +277,14 @@ func (m *Manager) throughQueue(req *commitReq, closing bool) commitResult {
 	}
 
 	// Leading, with req at the head of the queue.
-	limit := m.cfg.GroupCommitMaxBatch
-	if w := m.cfg.GroupCommitWindow; w > 0 && req.tctx != nil && q.n < limit {
+	if w := m.cfg.GroupCommitWindow; w > 0 && req.tctx != nil && q.n < maxGroup {
 		q.mu.Unlock()
 		time.Sleep(w)
 		q.mu.Lock()
 	}
 	n, last := q.n, q.tail
-	if n > limit {
-		n, last = limit, req
+	if n > maxGroup {
+		n, last = maxGroup, req
 		for i := 1; i < n; i++ {
 			last = last.next
 		}

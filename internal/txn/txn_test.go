@@ -63,7 +63,7 @@ func TestCommitAssignsMonotonicCIDs(t *testing.T) {
 }
 
 func TestGroupCommitShareSingleCID(t *testing.T) {
-	m := newTestManager(t, Config{GroupCommitWindow: 20 * time.Millisecond, GroupCommitMaxBatch: 32})
+	m := newTestManager(t, Config{GroupCommitWindow: 20 * time.Millisecond})
 	const n = 16
 	cidCh := make(chan ts.CID, n)
 	var wg sync.WaitGroup
