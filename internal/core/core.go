@@ -404,7 +404,7 @@ type Stats struct {
 	// FailStop reports the engine latched into read-only mode after a
 	// durability failure.
 	FailStop bool
-	// Pressure is the version-budget controller's state (zero when no
+	// Pressure is the version-budget ladder's state (zero when no
 	// VersionBudget is configured).
 	Pressure PressureStats
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -295,10 +296,10 @@ func TestEmergencyRungRunsTheTableCollector(t *testing.T) {
 		t.Fatalf("live = %d, still at or over the soft watermark %d: %+v", st.Live, soft, st)
 	}
 	if st.Emergencies == 0 {
-		t.Fatalf("the churn never tripped the emergency rung: %+v", st)
+		t.Fatalf("the churn never ran a full pass for the budget: %+v", st)
 	}
 	if st.Evicted != 0 || st.Rejected != 0 {
-		t.Fatalf("the ladder went past emergency collection: %+v", st)
+		t.Fatalf("the ladder went past the full pass: %+v", st)
 	}
 	if _, _, err := cur.Fetch(1); err != nil {
 		t.Fatalf("the cursor on A must have survived: %v", err)
@@ -309,28 +310,47 @@ func TestEmergencyRungRunsTheTableCollector(t *testing.T) {
 // with a budget runs exactly one goroutine, HybridGC's collector loop,
 // whether or not AutoGC asked for it, and Close leaves none behind.
 func TestBudgetRunsOnlyTheLoop(t *testing.T) {
+	settled := func(what string) {
+		for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
+			if n, _, stacks := engineGoroutines(); n == 0 {
+				return
+			} else if time.Now().After(deadline) {
+				t.Fatalf("%s: %d engine goroutines:\n%s", what, n, stacks)
+			}
+		}
+	}
 	for _, cfg := range []Config{
 		{VersionBudget: VersionBudget{Soft: 100}},
 		{VersionBudget: VersionBudget{Soft: 100}, GC: gc.DefaultPeriods(), AutoGC: true},
 	} {
-		base := runtime.NumGoroutine()
+		settled("before Open") // earlier tests' loops may still be on their way out
 		db, err := Open(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		buf := make([]byte, 1<<20)
-		stacks := string(buf[:runtime.Stack(buf, true)])
-		if n, loops := runtime.NumGoroutine()-base, strings.Count(stacks, "created by hybridgc/internal/gc.(*Hybrid).Start "); n != 1 || loops != 1 {
-			db.Close()
+		n, loops, stacks := engineGoroutines()
+		db.Close()
+		if n != 1 || loops != 1 {
 			t.Fatalf("AutoGC=%v: Open started %d goroutines, %d of them collector loops; want the loop alone:\n%s", cfg.AutoGC, n, loops, stacks)
 		}
-		db.Close()
-		// The loop has closed its done channel when Close returns; it may
-		// still be on its way out.
-		for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() != base; time.Sleep(time.Millisecond) {
-			if time.Now().After(deadline) {
-				t.Fatalf("AutoGC=%v: %d goroutines after Close, %d before Open", cfg.AutoGC, runtime.NumGoroutine(), base)
-			}
+		settled(fmt.Sprintf("AutoGC=%v: after Close", cfg.AutoGC))
+	}
+}
+
+// engineGoroutines counts the goroutines the engine's packages started (not
+// tests), and among them the collector loops.
+func engineGoroutines() (n, loops int, stacks string) {
+	buf := make([]byte, 1<<20)
+	stacks = string(buf[:runtime.Stack(buf, true)])
+	for _, g := range strings.Split(stacks, "\n\n") {
+		i := strings.Index(g, "\ncreated by hybridgc/internal/")
+		if i < 0 || strings.Contains(g[i:], ".Test") {
+			continue
+		}
+		n++
+		if strings.Contains(g[i:], "gc.(*Hybrid).Start") {
+			loops++
 		}
 	}
+	return n, loops, stacks
 }
